@@ -13,7 +13,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional, TypeVar
 
 import numpy as np
 
@@ -26,6 +26,7 @@ BOUNDARY_TOL = 1e-12
 IMAGE_MATCH_TOL = 1e-6
 DIAGONAL_TOL = 1e-8
 DEFAULT_DELTA_GRID = (2.0, 1.0, 0.5, 0.25, 0.15, 0.1, 0.05)
+T = TypeVar("T")
 
 
 class NoDiagonalRefinementError(ValueError):
@@ -237,22 +238,18 @@ def enumerate_bohr_candidates(group: FiniteGroup,
     irreps = irreps_of(group, space.seed)
     dims = [ir.dim for ir in irreps]
     grid = tuple(sorted(set(space.delta_grid), reverse=True))
-
-    combos_by_n: dict[int, list[tuple[int, ...]]] = {}
-    for count in range(1, space.max_summands + 1):
-        for combo in itertools.combinations(range(len(irreps)), count):
-            n = sum(dims[i] for i in combo)
-            if n <= space.max_dim:
-                combos_by_n.setdefault(n, []).append(combo)
-    # within each n paragraph, fewer summands first, then lex order
-    for n in combos_by_n:
-        combos_by_n[n].sort(key=lambda c: (len(c), c))
-
     rep_cache: dict[tuple[int, ...], UnitaryRep] = {}
     yielded = 0
-    for n in sorted(combos_by_n):
+    for n in range(1, space.max_dim + 1):
+        if yielded >= space.max_candidates:
+            return
+        # at most n summands, as each has dim >= 1; lex order is preference order
+        combos = [combo
+                  for count in range(1, min(n, space.max_summands) + 1)
+                  for combo in itertools.combinations(range(len(irreps)), count)
+                  if sum(dims[i] for i in combo) == n]
         for delta in grid:
-            for combo in combos_by_n[n]:
+            for combo in combos:
                 if yielded >= space.max_candidates:
                     return
                 rep = rep_cache.get(combo)
@@ -261,6 +258,25 @@ def enumerate_bohr_candidates(group: FiniteGroup,
                     rep_cache[combo] = rep
                 yield bohr_set(group, rep, delta)
                 yielded += 1
+
+
+def first_accepted(group: FiniteGroup, space: SearchSpace,
+                   accept: Callable[[BohrSpec], Optional[T]],
+                   min_size: int = 1) -> tuple[Optional[BohrSpec], Optional[T], int]:
+    """The first candidate, in preference order, that ``accept`` takes.
+
+    Every yielded candidate counts as scored; realized sets smaller than
+    max(1, min_size) are skipped. ``accept`` returns None to reject. Returns
+    (spec, result, scored), or (None, None, scored) when the budget runs out.
+    """
+    scored = 0
+    for scored, spec in enumerate(enumerate_bohr_candidates(group, space), 1):
+        if len(spec.realized) < max(1, min_size):
+            continue
+        result = accept(spec)
+        if result is not None:
+            return spec, result, scored
+    return None, None, scored
 
 
 def is_symmetric(subset: Subset) -> bool:

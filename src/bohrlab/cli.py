@@ -16,6 +16,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -115,7 +116,7 @@ def _parse_set(spec: str, group: FiniteGroup, rng) -> Subset:
     elif head == "file":
         if not os.path.exists(rest):
             raise ConfigError(f"referenced set file does not exist: {rest}")
-        out = parse_subset(group, open(rest, encoding="utf-8").read())
+        out = parse_subset(group, Path(rest).read_text(encoding="utf-8"))
     else:
         raise ConfigError(f"unknown set spec {spec!r}")
     if minus:
@@ -145,7 +146,7 @@ def _parse_function(spec: str, group: FiniteGroup, rng) -> GroupFunction:
     if head == "file":
         if not os.path.exists(rest):
             raise ConfigError(f"referenced function file does not exist: {rest}")
-        return parse_function(group, open(rest, encoding="utf-8").read())
+        return parse_function(group, Path(rest).read_text(encoding="utf-8"))
     raise ConfigError(f"unknown function spec {spec!r}")
 
 
@@ -212,6 +213,8 @@ def _run_irreps(config, group, rng, seed):
 def _run_bohr(config, group, rng, seed):
     irreps = irreps_of(group, seed)
     picks = [int(t) for t in _get(config, "summands", required=True).split(",")]
+    if not all(0 <= i < len(irreps) for i in picks):
+        raise ConfigError(f"summands {picks} must lie in [0, {len(irreps)})")
     tau = direct_sum_hom([irreps[i].rep for i in picks])
     delta = float(_get(config, "delta", required=True))
     spec = bohr_set(group, tau, delta)

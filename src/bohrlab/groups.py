@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 
@@ -400,7 +401,7 @@ def build_group(descriptor: str, **kwargs) -> FiniteGroup:
             perms = [p for p in perms if _perm_parity(p) == 0]
         return FiniteGroup(_permutation_table(perms), descriptor, **kwargs)
     if head == "file":
-        text = open(rest, "r", encoding="utf-8").read()
+        text = Path(rest).read_text(encoding="utf-8")
         return from_cayley_table(text, descriptor=descriptor, **kwargs)
     raise ValueError(f"unknown group descriptor {descriptor!r}")
 

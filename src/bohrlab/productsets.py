@@ -14,10 +14,9 @@ from typing import Optional
 
 import numpy as np
 
-from .bohr import (BohrSpec, SearchSpace, bohr_set, enumerate_bohr_candidates,
-                   is_symmetric)
+from .bohr import BohrSpec, SearchSpace, bohr_set, first_accepted, is_symmetric
 from .convolve import _lp, convolve, overlap_function
-from .groups import FiniteGroup, GroupFunction, Subset, inverse_set, product_set
+from .groups import GroupFunction, Subset, inverse_set, product_set
 from .regularity import ZetaRule
 from .reps import direct_sum_hom, min_nontrivial_dim
 
@@ -155,16 +154,6 @@ def _require_density(a: Subset, alpha: float, name: str = "A") -> Fraction:
     return alpha_fr
 
 
-def _first_contained_spec(group: FiniteGroup, target: Subset,
-                          space: SearchSpace) -> tuple[Optional[BohrSpec], int]:
-    scored = 0
-    for spec in enumerate_bohr_candidates(group, space):
-        scored += 1
-        if len(spec.realized) and spec.realized.is_subset_of(target):
-            return spec, scored
-    return None, scored
-
-
 def bogolyubov_search(a: Subset, alpha: float,
                       space: SearchSpace = SearchSpace()) -> BogolyubovResult:
     """First Bohr spec with realized set inside (A A^-1)^2, exhaustively
@@ -172,7 +161,8 @@ def bogolyubov_search(a: Subset, alpha: float,
     _require_density(a, alpha)
     diff = product_set(a, inverse_set(a))
     target = product_set(diff, diff)
-    spec, scored = _first_contained_spec(a.group, target, space)
+    spec, _, scored = first_accepted(
+        a.group, space, lambda s: s.realized.is_subset_of(target) or None)
     if spec is None:
         return BogolyubovResult(alpha, "none-within-budget", None,
                                 candidates_scored=scored)
@@ -200,7 +190,8 @@ def two_set_bogolyubov(a: Subset, b: Subset, alpha: float, zeta: ZetaRule,
     # integer counts c(x) = |A intersect x B^-1| = |G| (1_A * 1_B)(x)
     binv_rows = b.mask[grp.table[grp.inverse, :]]
     counts = (a.mask.astype(np.int64) @ binv_rows).astype(np.int64)
-    assert int(counts.sum()) == len(a) * len(b)  # Fubini, exact
+    if int(counts.sum()) != len(a) * len(b):  # Fubini, exact
+        raise RuntimeError("convolution counts do not sum to |A||B|")
     s_size = sum(1 for cx in counts if Fraction(int(cx), grp.order) > eps_fr)
     if Fraction(s_size, grp.order) < eps_fr:
         raise RuntimeError("level-set lower bound failed (should be impossible)")
@@ -210,26 +201,25 @@ def two_set_bogolyubov(a: Subset, b: Subset, alpha: float, zeta: ZetaRule,
     aba = product_set(ab, inverse_set(a))
     quad = product_set(ab, inverse_set(ab))
 
-    scored = 0
-    for spec in enumerate_bohr_candidates(grp, space):
-        scored += 1
-        u_idx = spec.realized.indices
-        if u_idx.size == 0:
-            continue
-        rows = grp.table[:, u_idx]
+    def accept(spec: BohrSpec) -> Optional[tuple[int, int]]:
+        rows = grp.table[:, spec.realized.indices]
         out_counts = (~ab.mask[rows]).sum(axis=1)
         g_best = int(np.argmin(out_counts))
         defect = int(out_counts[g_best])
-        cond_i = defect < zeta.value(spec.delta, spec.tau.dim) * grp.order
-        cond_ii = bool(aba.mask[rows].all(axis=1).any())
-        cond_iii = spec.realized.is_subset_of(quad)
-        if cond_i and cond_ii and cond_iii:
-            return BogolyubovResult(
-                alpha, "ok", spec,
-                contained={"i": True, "ii": True, "iii": True},
-                g_best=g_best, defect_count=defect, claim1=claim1,
-                candidates_scored=scored)
-    return BogolyubovResult(alpha, "none-within-budget", None, claim1=claim1,
+        if (defect < zeta.value(spec.delta, spec.tau.dim) * grp.order
+                and aba.mask[rows].all(axis=1).any()
+                and spec.realized.is_subset_of(quad)):
+            return g_best, defect
+        return None
+
+    spec, found, scored = first_accepted(grp, space, accept)
+    if found is None:
+        return BogolyubovResult(alpha, "none-within-budget", None,
+                                claim1=claim1, candidates_scored=scored)
+    g_best, defect = found
+    return BogolyubovResult(alpha, "ok", spec,
+                            contained={"i": True, "ii": True, "iii": True},
+                            g_best=g_best, defect_count=defect, claim1=claim1,
                             candidates_scored=scored)
 
 
@@ -256,8 +246,9 @@ def four_product_bohr(a: Subset, alpha: float,
         "A^-2A^2": product_set(product_set(ainv, ainv), product_set(a, a)),
     }
     found: list[BohrSpec] = []
-    for name, target in targets.items():
-        spec, _ = _first_contained_spec(grp, target, space)
+    for target in targets.values():
+        spec, _, _ = first_accepted(
+            grp, space, lambda s: s.realized.is_subset_of(target) or None)
         if spec is None:
             return FourProductResult("none-within-budget", None,
                                      tuple(found), False)
@@ -313,25 +304,19 @@ def shift_invariance_search(f: GroupFunction, p: float, eps: float,
         raise ValueError("p must be >= 1")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    grp = f.group
-    scored = 0
-    for spec in enumerate_bohr_candidates(grp, space):
-        scored += 1
-        members = spec.realized.indices
-        if members.size < max(1, min_size):
-            continue
+
+    def accept(spec: BohrSpec) -> Optional[float]:
         sup = 0.0
-        ok = True
-        for t in members:
-            shifted = f.values[grp.table[t, :]]
-            nrm = _lp(shifted - f.values, p)
-            sup = max(sup, nrm)
+        for t in spec.realized.indices:
+            sup = max(sup, _lp(f.values[f.group.table[t, :]] - f.values, p))
             if sup >= eps:
-                ok = False
-                break
-        if ok:
-            return ShiftInvarianceResult("ok", spec, sup,
-                                         degenerate=members.size == 1,
-                                         candidates_scored=scored)
-    return ShiftInvarianceResult("none-within-budget", None, None,
+                return None
+        return sup
+
+    spec, sup, scored = first_accepted(f.group, space, accept, min_size)
+    if spec is None:
+        return ShiftInvarianceResult("none-within-budget", None, None,
+                                     candidates_scored=scored)
+    return ShiftInvarianceResult("ok", spec, sup,
+                                 degenerate=len(spec.realized) == 1,
                                  candidates_scored=scored)

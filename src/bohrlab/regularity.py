@@ -10,12 +10,12 @@ the first whose worst translate defect fits the zeta budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from typing import Iterator, Optional
 
 import numpy as np
 
-from .bohr import BohrSpec, SearchSpace, enumerate_bohr_candidates
+from .bohr import BohrSpec, SearchSpace, first_accepted
 from .groups import FiniteGroup, GroupFunction, Subset
 
 WINDOW_GUARD = 1e-12
@@ -152,23 +152,27 @@ def largest_eps_constant_subset(f: GroupFunction, b: Subset, eps: float) -> Subs
     return Subset.from_indices(b.group, chosen)
 
 
+def _distinct_translates(group: FiniteGroup,
+                         subset: Subset) -> Iterator[tuple[int, Subset]]:
+    """(g, gS) for each distinct left translate gS, g the first to give it."""
+    idx = subset.indices
+    seen: set[bytes] = set()
+    for g in group.elements():
+        mask = np.zeros(group.order, dtype=bool)
+        mask[group.table[g, idx]] = True
+        key = mask.tobytes()
+        if key not in seen:
+            seen.add(key)
+            yield g, Subset(group, mask)
+
+
 def translate_defect(f: GroupFunction, spec: BohrSpec,
                      eps: float) -> RegularityCertificate:
     """Defect mu(gB) - mu(B') on a transversal of the distinct translates gB."""
-    grp = f.group
-    b_idx = spec.realized.indices
-    if b_idx.size == 0:
+    if len(spec.realized) == 0:
         raise ValueError("Bohr set is empty")
-    seen: dict[bytes, int] = {}
     entries: list[TranslateDefect] = []
-    for g in grp.elements():
-        mask = np.zeros(grp.order, dtype=bool)
-        mask[grp.table[g, b_idx]] = True
-        key = mask.tobytes()
-        if key in seen:
-            continue
-        seen[key] = g
-        translate = Subset(grp, mask)
+    for g, translate in _distinct_translates(f.group, spec.realized):
         sub = largest_eps_constant_subset(f, translate, eps)
         vals_on_sub = f.values[sub.indices]
         rng = float(vals_on_sub.max() - vals_on_sub.min()) if len(sub) else 0.0
@@ -187,20 +191,16 @@ def search_regular_bohr(f: GroupFunction,
                         budget: RegularityBudget) -> RegularitySearchResult:
     """First Bohr spec (in preference order) whose max translate defect is
     within zeta(delta, n); explicit none-within-budget status otherwise."""
-    scored = 0
-    for spec in enumerate_bohr_candidates(f.group, budget.space):
-        scored += 1
-        if len(spec.realized) == 0:
-            continue
+    def accept(spec: BohrSpec) -> Optional[RegularityCertificate]:
         cert = translate_defect(f, spec, budget.eps)
         allowance = budget.zeta.value(spec.delta, spec.tau.dim)
-        if cert.max_defect <= allowance:
-            cert = RegularityCertificate(
-                spec=cert.spec, epsilon=cert.epsilon,
-                per_translate=cert.per_translate,
-                max_defect=cert.max_defect, zeta_budget=allowance)
-            return RegularitySearchResult("ok", cert, scored)
-    return RegularitySearchResult("none-within-budget", None, scored)
+        return (replace(cert, zeta_budget=allowance)
+                if cert.max_defect <= allowance else None)
+
+    _, cert, scored = first_accepted(f.group, budget.space, accept)
+    if cert is None:
+        return RegularitySearchResult("none-within-budget", None, scored)
+    return RegularitySearchResult("ok", cert, scored)
 
 
 # ---------------------------------------------------------------------------
@@ -291,17 +291,8 @@ def subgroup_obstruction_check(f: GroupFunction, eps: float, index_cap: int,
                       if grp.order // len(h) <= index_cap]
     rows = []
     for h in candidates:
-        h_sub = Subset.from_indices(grp, h)
-        seen: set[bytes] = set()
         worst = 0.0
-        for g in grp.elements():
-            mask = np.zeros(grp.order, dtype=bool)
-            mask[grp.table[g, h_sub.indices]] = True
-            key = mask.tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
-            coset = Subset(grp, mask)
+        for _, coset in _distinct_translates(grp, Subset.from_indices(grp, h)):
             sub = largest_eps_constant_subset(f, coset, eps)
             worst = max(worst, coset.measure - sub.measure)
         rows.append(SubgroupDefectRow(

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -185,12 +186,26 @@ def test_exponent_threshold_gives_normal_subgroups(desc, r):
     assert seen > 0
 
 
-def test_enumeration_preference_order(z12):
-    specs = list(enumerate_bohr_candidates(z12, SearchSpace(max_candidates=40)))
-    assert all(s.tau.dim == 1 for s in specs[:12])
-    assert specs[0].delta == 2.0
-    dims = [s.tau.dim for s in specs]
-    assert dims == sorted(dims)[: len(dims)] or dims[0] == 1
+def test_enumeration_preference_order():
+    # the docstring's order, built independently: smaller total dimension n,
+    # then larger delta, then fewer summands, then lexicographic indices
+    space = SearchSpace()
+    for desc in ("zmod:12", "dihedral:6", "sym:4"):
+        g = build_group(desc)
+        irreps = irreps_of(g)
+        keyed = []
+        for count in range(1, space.max_summands + 1):
+            for combo in itertools.combinations(range(len(irreps)), count):
+                n = sum(irreps[i].dim for i in combo)
+                if n <= space.max_dim:
+                    keyed += [(n, -delta, count, combo)
+                              for delta in space.delta_grid]
+        keyed.sort()
+        expected = [("+".join(irreps[i].rep.label for i in combo), -neg_delta)
+                    for _, neg_delta, _, combo in keyed[:space.max_candidates]]
+        got = [(s.tau.label, s.delta)
+               for s in enumerate_bohr_candidates(g, space)]
+        assert got == expected, desc
 
 
 def test_nm_contained_in_plain(q8):

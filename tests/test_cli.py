@@ -1,8 +1,10 @@
 import csv
+import gc
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -60,6 +62,18 @@ def test_bohr_nm_simple_group_errors(tmp_path):
                    "summands = 1\ndelta = 1.0\nnm = true\n")
     code = main(["bohr", "--config", str(cfg), "--out", str(tmp_path / "o.json")])
     assert code == 1
+
+
+@pytest.mark.parametrize("summands", ["99", "-1"])
+def test_bohr_summand_index_out_of_range(tmp_path, capsys, summands):
+    cfg = tmp_path / "bohr.ini"
+    cfg.write_text("[experiment]\nkind = bohr\ngroup = zmod:12\n"
+                   f"summands = {summands}\ndelta = 1.0\n")
+    code = main(["bohr", "--config", str(cfg), "--out", str(tmp_path / "o.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_ladder_payload_and_budget_exhaustion():
@@ -127,16 +141,53 @@ def test_croot_sisask_fixture():
     assert report.payload["sup_norm"] < 0.1
 
 
-def test_expected_failure_fixture_reports_none():
+def test_expected_failure_fixture_reports_none(tmp_path):
     report = _run("regularity_noise_expect_none.ini")
     assert report.status == "none-within-budget"
     assert report.config["expect"] == "none"
-    assert report.payload["certificate"] if "certificate" in report.payload \
-        else report.payload["candidates_scored"] == 150
+    assert "certificate" not in report.payload
+    assert report.payload["candidates_scored"] == 150
     code = main(["regularity", "--config",
                  str(FIXTURES / "regularity_noise_expect_none.ini"),
-                 "--out", "/tmp/noise.json"])
+                 "--out", str(tmp_path / "noise.json")])
     assert code == 2
+
+
+# Search outcomes of the fixtures; the candidate walk's order and its budget
+# accounting decide them.
+SEARCH_PINS = {
+    "bogolyubov_z200.ini": dict(
+        status="ok", candidates_scored=101, irrep_multiset=["chi100"],
+        delta=2.0, realized_members=list(range(0, 200, 2))),
+    "croot_sisask_z101.ini": dict(
+        status="ok", candidates_scored=1, irrep_multiset=["chi0"],
+        delta=2.0, realized_members=list(range(101))),
+    "regularity_noise_expect_none.ini": dict(
+        status="none-within-budget", candidates_scored=150),
+    "regularity_zpz.ini": dict(
+        status="ok", candidates_scored=305, irrep_multiset=["chi1"],
+        delta=0.25, realized_members=[0, 1, 2, 3, 4, 97, 98, 99, 100]),
+    "two_set_z12.ini": dict(
+        status="ok", candidates_scored=7, irrep_multiset=["chi6"],
+        delta=2.0, realized_members=[0, 2, 4, 6, 8, 10],
+        g_best=0, defect_count=0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_PINS))
+def test_search_fixture_outcomes_pinned(name):
+    report = _run(name)
+    payload = report.payload
+    spec = payload.get("spec") or payload.get("certificate", {}).get("bohr_spec")
+    got = {"status": report.status,
+           "candidates_scored": payload["candidates_scored"]}
+    if spec is not None:
+        got.update({k: spec[k] for k in
+                    ("irrep_multiset", "delta", "realized_members")})
+    if "g_best" in payload:
+        got.update(g_best=payload["g_best"],
+                   defect_count=payload["defect_count"])
+    assert got == SEARCH_PINS[name]
 
 
 def test_file_based_inputs(tmp_path, z12):
@@ -153,6 +204,32 @@ def test_file_based_inputs(tmp_path, z12):
     assert report.status == "ok"
     members = report.payload["spec"]["realized_members"]
     assert members and all(m % 2 == 0 for m in members)
+
+
+def test_file_inputs_close_their_handles(tmp_path, z12, monkeypatch):
+    # an unclosed file warns from its finalizer, where a ResourceWarning
+    # raised as an error can only reach sys.unraisablehook
+    from bohrlab.groups import format_cayley_table, format_function, format_subset
+    from bohrlab import GroupFunction, Subset
+
+    table_path = tmp_path / "z12.txt"
+    table_path.write_text(format_cayley_table(z12))
+    set_path = tmp_path / "evens.txt"
+    set_path.write_text(format_subset(Subset.from_indices(z12, range(0, 12, 2))))
+    fn_path = tmp_path / "f.txt"
+    fn_path.write_text(format_function(GroupFunction(z12, [0.5] * 12)))
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        report = run_experiment({
+            "kind": "convolve", "group": f"file:{table_path}",
+            "function": f"indicator:file:{set_path}",
+            "function_b": f"file:{fn_path}"})
+        gc.collect()
+    assert report.status == "ok"
+    assert report.payload["mean_conv"] == pytest.approx(0.25)
+    assert [u.exc_value for u in unraisable] == []
 
 
 def test_missing_referenced_path_errors(tmp_path):
