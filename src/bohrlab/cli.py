@@ -50,13 +50,13 @@ class Report:
     version: str = __version__
 
     def payload_canonical(self) -> str:
-        return json.dumps(self.payload, sort_keys=True)
+        return json.dumps(self.payload, sort_keys=True, allow_nan=False)
 
     def to_json(self) -> str:
         doc = {"toolkit_version": self.version, "status": self.status,
                "config": self.config, "wall_clock_s": self.wall_clock_s,
                "payload": self.payload}
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
     def to_csv(self) -> str:
         rows = self.payload.get("table")
@@ -434,10 +434,10 @@ def main(argv=None) -> int:
             raise ConfigError(f"unknown report format {fmt!r}")
         out = args.out or config.get("out") or _default_out(args.kind, fmt)
         report = run_experiment(config)
+        emit_report(report, out, fmt)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    emit_report(report, out, fmt)
     print(f"{report.status}: wrote {out}")
     if report.status == "ok":
         return 0

@@ -240,6 +240,8 @@ class GroupFunction:
         values = np.array(values, dtype=np.float64, order="C")
         if values.shape != (group.order,):
             raise ValueError(f"values length {values.shape} != order {group.order}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("values must be finite")
         top = float(np.max(np.abs(values))) if values.size else 0.0
         if top > 1.0 + VALUE_TOL:
             raise ValueError(f"values exceed [-1,1] bound: max |v| = {top}")

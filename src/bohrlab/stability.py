@@ -9,6 +9,7 @@ graph and solves it by branch and bound, independently of the search path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -57,9 +58,10 @@ class LadderWitness:
         return all(gap >= self.epsilon for gap in self.recompute_gaps(f))
 
     def to_json_dict(self) -> dict:
+        # a k = 1 witness has no gaps, and JSON has no Infinity
         return {"k": self.k, "epsilon": self.epsilon,
                 "a": list(self.a_seq), "b": list(self.b_seq),
-                "min_gap": self.min_gap}
+                "min_gap": self.min_gap if self.deltas else None}
 
 
 @dataclass(frozen=True)
@@ -100,6 +102,13 @@ def _pair_table(f: GroupFunction) -> np.ndarray:
     return f.values[f.group.table]
 
 
+def _check_eps(eps: float) -> None:
+    # NaN fails every comparison, so a NaN eps would find no compatible pair
+    # and report k_max = 1 as exact
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
+
+
 def _domain_mask(f: GroupFunction, domain: Optional[Subset]) -> np.ndarray:
     if domain is None:
         return np.ones(f.group.order, dtype=bool)
@@ -120,16 +129,27 @@ def _max_ladder(F: np.ndarray, eps: float, cap: int, budget: int,
     minimal a first; the search therefore only extends a root (a1, b1) by
     pairs with a >= a1, which preserves completeness.
 
+    Candidate masks are bit-parallel (San Segundo, Rodriguez-Losada and
+    Jimenez, Computers & OR 2011): pair (a, b) is bit a*n + b of a Python int,
+    so scanning by lowest set bit visits pairs in row-major order. A child's
+    mask is the parent's ANDed with the compatibility row of (a, b), whose bit
+    a'*n + b' is set iff |F[a, b'] - F[a', b]| >= eps. Rows are built on first
+    use and memoized for the call, so the memo holds at most min(n^2, nodes)
+    rows of n^2 bits each.
+
     The budget counts node expansions (one per candidate scan of a partial
     ladder). Returns (best_depth, pairs, exhausted, nodes).
     """
     n = F.shape[0]
-    base = np.outer(a_allowed, b_allowed)
+    base = _bits(np.outer(a_allowed, b_allowed))
+    rows: dict[int, int] = {}
+    diff = np.empty((n, n))
+    hit = np.empty((n, n), dtype=bool)
     state = {"nodes": 0, "exhausted": True, "best": 0, "pairs": [], "stop": False}
     a_stack: list[int] = []
     b_stack: list[int] = []
 
-    def visit(mask: np.ndarray) -> None:
+    def visit(mask: int) -> None:
         depth = len(a_stack)
         if depth > state["best"]:
             state["best"] = depth
@@ -144,33 +164,51 @@ def _max_ladder(F: np.ndarray, eps: float, cap: int, budget: int,
             state["stop"] = True
             return
         state["nodes"] += 1
-        cands = np.argwhere(mask)
-        if cands.size == 0:
+        if not mask:
             return
         if depth + 1 >= cap and cap > state["best"]:
             # any candidate completes a cap-length ladder
-            a, b = (int(x) for x in cands[0])
+            a, b = divmod((mask & -mask).bit_length() - 1, n)
             state["best"] = cap
             state["pairs"] = list(zip(a_stack + [a], b_stack + [b]))
             state["stop"] = True
             return
-        for a, b in cands:
+        rest = mask
+        while rest:
             if state["stop"]:
                 return
-            a, b = int(a), int(b)
-            row = np.abs(F[a, :][None, :] - F[:, b][:, None]) >= eps
+            low = rest & -rest
+            rest ^= low
+            pair = low.bit_length() - 1
+            a, b = divmod(pair, n)
+            row = rows.get(pair)
+            if row is None:
+                np.subtract(F[a, :][None, :], F[:, b][:, None], out=diff)
+                np.abs(diff, out=diff)
+                np.greater_equal(diff, eps, out=hit)
+                row = rows[pair] = _bits(hit)
             child = mask & row
             if depth == 0:
-                child[:a, :] = False  # canonical form: a1 minimal
+                child &= ~((1 << (a * n)) - 1)  # canonical form: a1 minimal
             a_stack.append(a)
             b_stack.append(b)
             visit(child)
             a_stack.pop()
             b_stack.pop()
 
-    if cap >= 1:
-        visit(base)
+    try:
+        if cap >= 1:
+            visit(base)
+    finally:
+        # visit reaches itself through its closure cell; break that cycle so
+        # reference counting frees the rows now, not a later gc pass
+        del visit
     return state["best"], state["pairs"], state["exhausted"], state["nodes"]
+
+
+def _bits(mask: np.ndarray) -> int:
+    """Row-major boolean array -> Python int with bit i set iff flat[i]."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
 def _witness_from(f: GroupFunction, pairs, eps: float) -> LadderWitness:
@@ -187,8 +225,7 @@ def ladder_search(f: GroupFunction, k: int, eps: float,
     """Search for a ladder of length exactly k; see LadderOutcome."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     F = _pair_table(f)
     best, pairs, exhausted, nodes = _max_ladder(
         F, eps, k, budget, _domain_mask(f, a_domain), _domain_mask(f, b_domain))
@@ -204,8 +241,7 @@ def ladder_index(f: GroupFunction, eps: float, cap: int = 8,
                  a_domain: Optional[Subset] = None,
                  b_domain: Optional[Subset] = None) -> LadderIndex:
     """Largest k <= cap admitting a ladder; exact when the tree is exhausted."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     if cap < 1:
         raise ValueError("cap must be >= 1")
     F = _pair_table(f)
@@ -251,8 +287,7 @@ def oracle_ladder_index(f: GroupFunction, eps: float, cap: Optional[int] = None,
     n = f.group.order
     if n > ORACLE_ORDER_CAP:
         raise ValueError(f"oracle caps at order {ORACLE_ORDER_CAP}")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     F = _pair_table(f)
     amask = _domain_mask(f, a_domain)
     bmask = _domain_mask(f, b_domain)

@@ -76,6 +76,32 @@ def test_bohr_summand_index_out_of_range(tmp_path, capsys, summands):
     assert not (tmp_path / "o.json").exists()
 
 
+@pytest.mark.parametrize("epsilon", ["nan", "inf"])
+def test_ladder_non_finite_epsilon_errors(tmp_path, capsys, epsilon):
+    cfg = tmp_path / "ladder.ini"
+    cfg.write_text("[experiment]\nkind = ladder\ngroup = zmod:12\n"
+                   f"function = random-pm1\nepsilon = {epsilon}\n")
+    code = main(["ladder", "--config", str(cfg), "--out", str(tmp_path / "o.json")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: eps must be positive and finite\n"
+    assert not (tmp_path / "o.json").exists()
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.ini")),
+                         ids=lambda path: path.stem)
+def test_fixture_reports_are_strict_json(tmp_path, path):
+    out = tmp_path / "report.json"
+    kind = load_config(str(path))["kind"]
+    code = main([kind, "--config", str(path), "--out", str(out),
+                 "--format", "json"])
+    assert code in (0, 2)
+    json.loads(out.read_text(), parse_constant=_reject_constant)
+
+
 def test_ladder_payload_and_budget_exhaustion():
     ok = _run("ladder_z4.ini")
     assert ok.status == "ok"

@@ -205,6 +205,12 @@ def test_function_bound_enforced(z4):
         GroupFunction(z4, [0.0, 0.5, 1.5, 0.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_function_values_must_be_finite(z4, bad):
+    with pytest.raises(ValueError, match="finite"):
+        GroupFunction(z4, [0.0, 0.5, bad, 0.0])
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sets(st.integers(min_value=0, max_value=11)))
 def test_inverse_set_involution_property(members):

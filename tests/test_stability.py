@@ -1,4 +1,6 @@
+import gc
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,3 +174,81 @@ def test_witness_json(z4):
     assert doc["k"] == 2 and doc["epsilon"] == 1.0
     assert doc["min_gap"] >= 1.0
     assert len(doc["a"]) == len(doc["b"]) == 2
+    single = ladder_index(GroupFunction.constant(z4, 0.0), 0.5, cap=3).witness
+    assert single.k == 1 and single.to_json_dict()["min_gap"] is None
+
+
+# (group, seed, k_max, status, nodes, a_seq, b_seq) of ladder_index on
+# conv:random:0.3|random:0.3 at eps 0.1, cap 8, budget 10 000, recorded with
+# the numpy-mask search that preceded the bitset one: the traversal, and so
+# every node count and witness, must not change.
+PILOT_PINS = [
+    ("zmod:20", 1000, 5, "inconclusive", 10000, (0, 0, 1, 2, 7), (0, 16, 16, 9, 9)),
+    ("zmod:20", 1003, 3, "exact", 6385, (0, 0, 5), (2, 11, 11)),
+    ("zmod:20", 1029, 8, "capped", 85, (0, 0, 1, 2, 13, 13, 18, 18),
+     (0, 2, 4, 7, 2, 9, 4, 9)),
+    ("dihedral:10", 1001, 7, "inconclusive", 10000, (0, 0, 9, 15, 15, 18, 18),
+     (0, 10, 12, 3, 6, 6, 19)),
+    ("dihedral:10", 1002, 8, "capped", 8, (0, 0, 0, 1, 2, 2, 19, 19),
+     (0, 8, 11, 8, 11, 18, 1, 13)),
+    ("dihedral:10", 1028, 3, "exact", 3805, (0, 0, 18), (0, 8, 8)),
+    ("dihedral:30", 1000, 1, "exact", 3601, (0,), (0,)),
+    ("dihedral:30", 1001, 3, "inconclusive", 10000, (0, 0, 10), (0, 35, 35)),
+    ("zmod:60", 1001, 3, "inconclusive", 10000, (0, 9, 53), (2, 55, 46)),
+    ("zmod:60", 1020, 2, "exact", 7261, (0, 8), (0, 17)),
+    ("alt:5", 1002, 4, "inconclusive", 10000, (0, 9, 9, 20), (11, 15, 47, 47)),
+    ("alt:5", 1043, 2, "exact", 7261, (0, 28), (0, 58)),
+]
+
+
+@pytest.mark.parametrize("desc,seed,k_max,status,nodes,a_seq,b_seq", PILOT_PINS)
+def test_pilot_ladder_pinned(desc, seed, k_max, status, nodes, a_seq, b_seq):
+    g = build_group(desc)
+    rng = rng_from_seed(seed)
+    a = random_subset(g, 0.3, rng)
+    b = random_subset(g, 0.3, rng)
+    f = convolve(GroupFunction.indicator(a), GroupFunction.indicator(b))
+    idx = ladder_index(f, 0.1, cap=8, budget=10_000)
+    assert (idx.k_max, idx.status, idx.nodes) == (k_max, status, nodes)
+    assert (idx.witness.a_seq, idx.witness.b_seq) == (a_seq, b_seq)
+
+
+@pytest.mark.parametrize("desc,seed,eps,a_dom,b_dom,nodes,a_seq,b_seq", [
+    ("zmod:12", 4, 0.8, [0, 1, 2, 3, 5, 7, 8, 11], [1, 2, 4, 6, 9, 10], 1678,
+     (0, 2, 2, 11), (1, 1, 2, 1)),
+    ("dihedral:6", 9, 1.2, [0, 2, 3, 6, 7, 10], [0, 1, 4, 5, 8, 9, 11], 701,
+     (0, 0, 6, 7), (0, 8, 8, 1)),
+])
+def test_domain_ladder_pinned(desc, seed, eps, a_dom, b_dom, nodes, a_seq, b_seq):
+    g = build_group(desc)
+    f = random_uniform_function(g, rng_from_seed(seed))
+    idx = ladder_index(f, eps, cap=8, budget=10_000,
+                       a_domain=Subset.from_indices(g, a_dom),
+                       b_domain=Subset.from_indices(g, b_dom))
+    assert (idx.k_max, idx.status, idx.nodes) == (4, "exact", nodes)
+    assert (idx.witness.a_seq, idx.witness.b_seq) == (a_seq, b_seq)
+
+
+def test_ladder_search_retains_no_memory():
+    g = build_group("zmod:60")
+    rng = rng_from_seed(1001)
+    f = convolve(GroupFunction.indicator(random_subset(g, 0.3, rng)),
+                 GroupFunction.indicator(random_subset(g, 0.3, rng)))
+    ladder_index(f, 0.1, cap=8, budget=2000)  # warm imports and caches
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ladder_index(f, 0.1, cap=8, budget=2000)
+        retained = tracemalloc.get_traced_memory()[0] - before
+        cyclic = gc.collect()
+    finally:
+        tracemalloc.stop()
+        if was_enabled:
+            gc.enable()
+    # the search's masks and compatibility rows must be freed by reference
+    # counting alone, not left in a cycle for the next gen-2 collection
+    assert retained < 16_384
+    assert cyclic == 0
