@@ -19,6 +19,9 @@ from .groups import GroupFunction, Subset
 
 DEFAULT_BUDGET = 10_000_000
 ORACLE_ORDER_CAP = 12
+# Compatibility rows memoized by one ladder search, in bytes of row bits;
+# rows past it are rebuilt on each use instead of stored
+ROW_MEMO_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -134,8 +137,9 @@ def _max_ladder(F: np.ndarray, eps: float, cap: int, budget: int,
     so scanning by lowest set bit visits pairs in row-major order. A child's
     mask is the parent's ANDed with the compatibility row of (a, b), whose bit
     a'*n + b' is set iff |F[a, b'] - F[a', b]| >= eps. Rows are built on first
-    use and memoized for the call, so the memo holds at most min(n^2, nodes)
-    rows of n^2 bits each.
+    use and memoized for the call: the memo holds at most min(n^2, nodes)
+    rows of n^2 bits each, and stops storing new rows once it holds
+    ROW_MEMO_BYTES of them, so its size does not grow with the order.
 
     The budget counts node expansions (one per candidate scan of a partial
     ladder). Returns (best_depth, pairs, exhausted, nodes).
@@ -143,6 +147,7 @@ def _max_ladder(F: np.ndarray, eps: float, cap: int, budget: int,
     n = F.shape[0]
     base = _bits(np.outer(a_allowed, b_allowed))
     rows: dict[int, int] = {}
+    max_rows = ROW_MEMO_BYTES // ((n * n + 7) // 8)
     diff = np.empty((n, n))
     hit = np.empty((n, n), dtype=bool)
     state = {"nodes": 0, "exhausted": True, "best": 0, "pairs": [], "stop": False}
@@ -186,7 +191,9 @@ def _max_ladder(F: np.ndarray, eps: float, cap: int, budget: int,
                 np.subtract(F[a, :][None, :], F[:, b][:, None], out=diff)
                 np.abs(diff, out=diff)
                 np.greater_equal(diff, eps, out=hit)
-                row = rows[pair] = _bits(hit)
+                row = _bits(hit)
+                if len(rows) < max_rows:
+                    rows[pair] = row
             child = mask & row
             if depth == 0:
                 child &= ~((1 << (a * n)) - 1)  # canonical form: a1 minimal

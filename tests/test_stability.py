@@ -252,3 +252,34 @@ def test_ladder_search_retains_no_memory():
     # counting alone, not left in a cycle for the next gen-2 collection
     assert retained < 16_384
     assert cyclic == 0
+
+
+def test_row_memo_is_bounded(monkeypatch):
+    from bohrlab import stability
+    g = build_group("zmod:60")
+    rng = rng_from_seed(1001)
+    f = convolve(GroupFunction.indicator(random_subset(g, 0.3, rng)),
+                 GroupFunction.indicator(random_subset(g, 0.3, rng)))
+    row_bytes = (60 * 60 + 7) // 8
+
+    def run(memo_bytes):
+        monkeypatch.setattr(stability, "ROW_MEMO_BYTES", memo_bytes)
+        ladder_index(f, 0.1, cap=8, budget=2000)  # warm imports and caches
+        tracemalloc.start()
+        try:
+            idx = ladder_index(f, 0.1, cap=8, budget=2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return (idx.k_max, idx.status, idx.nodes, idx.witness.a_seq,
+                idx.witness.b_seq), peak
+
+    full, full_peak = run(stability.ROW_MEMO_BYTES)
+    bounded, bounded_peak = run(100 * row_bytes)
+    bare, bare_peak = run(0)
+    # rows past the bound are rebuilt, so the search itself is unchanged
+    assert bounded == full and bare == full
+    # the memo stays within its bound (twice it, for int and dict overhead),
+    # while the unbounded run stores far more than the bound
+    assert bounded_peak - bare_peak < 2 * 100 * row_bytes
+    assert full_peak - bare_peak > 4 * 100 * row_bytes
