@@ -233,6 +233,16 @@ class Subset:
         return f"Subset({self.group.descriptor}, {sorted(int(i) for i in self.indices)})"
 
 
+def check_eps(eps: float) -> None:
+    """Reject an eps that is not positive and finite.
+
+    NaN fails every comparison, so a NaN eps would reject nothing (or
+    everything) downstream and yield a false exact or ok status.
+    """
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
+
+
 class GroupFunction:
     """A function G -> [-1, 1] stored as a dense real vector over indices."""
 

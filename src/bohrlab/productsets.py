@@ -16,7 +16,8 @@ import numpy as np
 
 from .bohr import BohrSpec, SearchSpace, bohr_set, first_accepted, is_symmetric
 from .convolve import _lp, convolve, overlap_function
-from .groups import GroupFunction, Subset, inverse_set, product_set
+from .groups import (GroupFunction, Subset, check_eps, inverse_set,
+                     product_set)
 from .regularity import ZetaRule
 from .reps import direct_sum_hom, min_nontrivial_dim
 
@@ -302,8 +303,7 @@ def shift_invariance_search(f: GroupFunction, p: float, eps: float,
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    check_eps(eps)
 
     def accept(spec: BohrSpec) -> Optional[float]:
         sup = 0.0

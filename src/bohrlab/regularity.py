@@ -16,9 +16,12 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .bohr import BohrSpec, SearchSpace, first_accepted
-from .groups import FiniteGroup, GroupFunction, Subset
+from .groups import FiniteGroup, GroupFunction, Subset, check_eps
 
 WINDOW_GUARD = 1e-12
+# Cap on the entries (translates x |S|) of one block of the translate kernel,
+# so its temporaries stay a few megabytes even at order 2048
+_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -129,10 +132,10 @@ def largest_eps_constant_subset(f: GroupFunction, b: Subset, eps: float) -> Subs
 
     Exact: sort the values on B and slide a window of range < eps (with a
     1e-12 guard against float-boundary flips); ties break toward the
-    earliest window in sorted order.
+    earliest window in sorted order. This scalar form is the reference for
+    the translate kernel below.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    check_eps(eps)
     if f.group is not b.group:
         raise ValueError("function and subset live on different groups")
     idx = b.indices
@@ -144,7 +147,7 @@ def largest_eps_constant_subset(f: GroupFunction, b: Subset, eps: float) -> Subs
     best_lo, best_len = 0, 1
     lo = 0
     for hi in range(len(svals)):
-        while svals[hi] - svals[lo] >= eps - WINDOW_GUARD:
+        while lo < hi and svals[hi] - svals[lo] >= eps - WINDOW_GUARD:
             lo += 1
         if hi - lo + 1 > best_len:
             best_lo, best_len = lo, hi - lo + 1
@@ -152,35 +155,87 @@ def largest_eps_constant_subset(f: GroupFunction, b: Subset, eps: float) -> Subs
     return Subset.from_indices(b.group, chosen)
 
 
-def _distinct_translates(group: FiniteGroup,
-                         subset: Subset) -> Iterator[tuple[int, Subset]]:
-    """(g, gS) for each distinct left translate gS, g the first to give it."""
-    idx = subset.indices
-    seen: set[bytes] = set()
-    for g in group.elements():
-        mask = np.zeros(group.order, dtype=bool)
-        mask[group.table[g, idx]] = True
-        key = mask.tobytes()
-        if key not in seen:
-            seen.add(key)
-            yield g, Subset(group, mask)
+def _row_blocks(rows: int, width: int) -> Iterator[slice]:
+    step = max(1, _BLOCK_ENTRIES // max(1, width))
+    for start in range(0, rows, step):
+        yield slice(start, start + step)
+
+
+def _translate_windows(f: GroupFunction, subset: Subset,
+                       eps: float) -> Iterator[tuple[np.ndarray, ...]]:
+    """The window of largest_eps_constant_subset on every distinct left
+    translate gS of a nonempty S, scored a block of translates at a time.
+
+    Yields blocks (g, members, lo, length): g holds, in increasing order, the
+    first element giving each translate; row k of members lists g_k S sorted
+    by (value, element), and members[k, lo[k]:lo[k] + length[k]] is the
+    window the scalar routine picks.
+    """
+    grp, idx = f.group, subset.indices
+    table, n, size = grp.table, grp.order, idx.size
+    # gS = hS iff h^-1 g lies in the stabilizer H = {x : xS = S} (xS <= S
+    # suffices, as |xS| = |S|), so the first elements of the translates are
+    # the least elements of the left cosets gH
+    stab = np.concatenate([
+        np.flatnonzero(subset.mask[table[blk, idx]].all(axis=1)) + blk.start
+        for blk in _row_blocks(n, size)])
+    firsts = np.concatenate([
+        np.flatnonzero(table[blk][:, stab].min(axis=1)
+                       == np.arange(n)[blk]) + blk.start
+        for blk in _row_blocks(n, stab.size)])
+    thr = eps - WINDOW_GUARD
+    for blk in _row_blocks(firsts.size, size):
+        g = firsts[blk]
+        rows = np.sort(table[np.ix_(g, idx)], axis=1)
+        vals = f.values[rows]
+        # a stable sort of the values of ascending elements is the scalar
+        # routine's lexsort by (value, element)
+        order = np.argsort(vals, axis=1, kind="stable")
+        members = np.take_along_axis(rows, order, axis=1)
+        svals = np.take_along_axis(vals, order, axis=1)
+        # start[k, hi]: the first lo < hi failing svals[hi] - svals[lo] >=
+        # thr, else hi, as in the scalar window; the predicate holds on a
+        # prefix of lo, so a binary search over [0, hi] finds it
+        his = np.arange(size)
+        start = np.zeros(svals.shape, dtype=np.int64)
+        stop = np.broadcast_to(his, svals.shape)
+        for _ in range(size.bit_length()):
+            mid = (start + stop) // 2
+            hit = svals - np.take_along_axis(svals, mid, axis=1) >= thr
+            start = np.where(hit, mid + 1, start)
+            stop = np.where(hit, stop, mid)
+        # start passes hi only where thr <= 0
+        start = np.minimum(start, his)
+        hi = np.argmax(his - start, axis=1)  # the first longest window
+        lo = start[np.arange(g.size), hi]
+        yield g, members, lo, hi - lo + 1
+
+
+def _max_defect(f: GroupFunction, subset: Subset, eps: float) -> float:
+    """max over translates gS of mu(gS) - mu(B'), B' the scalar window."""
+    n, size = f.group.order, len(subset)
+    return max(float(np.max(size / n - length / n))
+               for _, _, _, length in _translate_windows(f, subset, eps))
 
 
 def translate_defect(f: GroupFunction, spec: BohrSpec,
                      eps: float) -> RegularityCertificate:
     """Defect mu(gB) - mu(B') on a transversal of the distinct translates gB."""
-    if len(spec.realized) == 0:
+    check_eps(eps)
+    realized = spec.realized
+    if len(realized) == 0:
         raise ValueError("Bohr set is empty")
+    n = f.group.order
     entries: list[TranslateDefect] = []
-    for g, translate in _distinct_translates(f.group, spec.realized):
-        sub = largest_eps_constant_subset(f, translate, eps)
-        vals_on_sub = f.values[sub.indices]
-        rng = float(vals_on_sub.max() - vals_on_sub.min()) if len(sub) else 0.0
-        entries.append(TranslateDefect(
-            rep_element=g,
-            defect=translate.measure - sub.measure,
-            value_range=rng,
-            subset_indices=tuple(int(i) for i in sub.indices)))
+    for g, members, lo, length in _translate_windows(f, realized, eps):
+        for k in range(g.size):
+            chosen = np.sort(members[k, lo[k]:lo[k] + length[k]])
+            on = f.values[chosen]
+            entries.append(TranslateDefect(
+                rep_element=int(g[k]),
+                defect=realized.measure - int(length[k]) / n,
+                value_range=float(on.max() - on.min()),
+                subset_indices=tuple(int(i) for i in chosen)))
     max_defect = max(e.defect for e in entries)
     return RegularityCertificate(spec=spec, epsilon=eps,
                                  per_translate=tuple(entries),
@@ -190,12 +245,23 @@ def translate_defect(f: GroupFunction, spec: BohrSpec,
 def search_regular_bohr(f: GroupFunction,
                         budget: RegularityBudget) -> RegularitySearchResult:
     """First Bohr spec (in preference order) whose max translate defect is
-    within zeta(delta, n); explicit none-within-budget status otherwise."""
+    within zeta(delta, n); explicit none-within-budget status otherwise.
+
+    Candidates often realize the same set, so each distinct realized set is
+    scored once; the certificate is built for the accepted spec only.
+    """
+    check_eps(budget.eps)
+    max_defects: dict[bytes, float] = {}
+
     def accept(spec: BohrSpec) -> Optional[RegularityCertificate]:
-        cert = translate_defect(f, spec, budget.eps)
+        key = spec.realized.mask.tobytes()
+        if key not in max_defects:
+            max_defects[key] = _max_defect(f, spec.realized, budget.eps)
         allowance = budget.zeta.value(spec.delta, spec.tau.dim)
-        return (replace(cert, zeta_budget=allowance)
-                if cert.max_defect <= allowance else None)
+        if not max_defects[key] <= allowance:
+            return None
+        return replace(translate_defect(f, spec, budget.eps),
+                       zeta_budget=allowance)
 
     _, cert, scored = first_accepted(f.group, budget.space, accept)
     if cert is None:
@@ -279,6 +345,7 @@ def subgroup_obstruction_check(f: GroupFunction, eps: float, index_cap: int,
     (zeta defaults to eps). Cyclic groups of prime order shortcut to {G};
     otherwise subgroups are enumerated by brute force for order <= 60.
     """
+    check_eps(eps)
     grp = f.group
     if zeta is None:
         zeta = eps
@@ -291,10 +358,7 @@ def subgroup_obstruction_check(f: GroupFunction, eps: float, index_cap: int,
                       if grp.order // len(h) <= index_cap]
     rows = []
     for h in candidates:
-        worst = 0.0
-        for _, coset in _distinct_translates(grp, Subset.from_indices(grp, h)):
-            sub = largest_eps_constant_subset(f, coset, eps)
-            worst = max(worst, coset.measure - sub.measure)
+        worst = _max_defect(f, Subset.from_indices(grp, h), eps)
         rows.append(SubgroupDefectRow(
             members=tuple(sorted(h)), index=grp.order // len(h),
             max_defect=worst, passes=worst <= zeta))

@@ -18,7 +18,6 @@ from .groups import FiniteGroup
 
 DEFAULT_TOL = 1e-9
 CHAR_MATCH_TOL = 1e-6
-EXHAUSTIVE_PAIR_CAP = 64
 SAMPLED_PAIRS = 100_000
 DECOMPOSE_ORDER_CAP = 256
 _CLUSTER_GAP = 1e-7
@@ -49,7 +48,7 @@ class UnitaryRep:
     """A map g -> U(n) stored as one n x n complex matrix per element.
 
     ``hom_residual`` is the measured maximum of ||t(ab) - t(a)t(b)||_op over
-    element pairs (exhaustive for order <= 64, sampled above), and
+    element pairs (exhaustive for order <= 316, sampled above), and
     ``unitarity_residual`` the maximum of ||t(g)* t(g) - I||_op. The identity
     matrix is snapped to exact I so Bohr membership at the identity is exact.
     """
@@ -123,20 +122,26 @@ class IrrepData:
 def measure_hom_residual(rep: UnitaryRep, *, sample_seed: int = 0) -> float:
     """Max over pairs of ||t(ab) - t(a) t(b)||_op.
 
-    Exhaustive for order <= 64 and 1e5 sampled pairs above.
+    Exhaustive while the n^2 pairs number at most SAMPLED_PAIRS (order
+    <= 316), and SAMPLED_PAIRS sampled pairs above.
     """
     g, mats = rep.group, rep.matrices
     n = g.order
-    if n <= EXHAUSTIVE_PAIR_CAP:
-        a = np.repeat(np.arange(n), n)
-        b = np.tile(np.arange(n), n)
+    if n * n <= SAMPLED_PAIRS:
+        if rep.dim == 1:
+            # einsum rounds each product as the general path does
+            chi = mats[:, 0, 0]
+            return float(np.max(np.abs(chi[g.table] - np.einsum("a,b->ab", chi, chi))))
+        chunks = (np.divmod(np.arange(lo, min(lo + 4096, n * n)), n)
+                  for lo in range(0, n * n, 4096))
     else:
         rng = np.random.default_rng(sample_seed)
         a = rng.integers(0, n, SAMPLED_PAIRS)
         b = rng.integers(0, n, SAMPLED_PAIRS)
+        chunks = ((a[lo:lo + 4096], b[lo:lo + 4096])
+                  for lo in range(0, SAMPLED_PAIRS, 4096))
     worst = 0.0
-    for lo in range(0, len(a), 4096):
-        ai, bi = a[lo:lo + 4096], b[lo:lo + 4096]
+    for ai, bi in chunks:
         prod = np.einsum("pij,pjk->pik", mats[ai], mats[bi])
         diff = mats[g.table[ai, bi]] - prod
         worst = max(worst, float(np.max(_op_norms(diff))))

@@ -9,13 +9,12 @@ graph and solves it by branch and bound, independently of the search path.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .groups import GroupFunction, Subset
+from .groups import GroupFunction, Subset, check_eps
 
 DEFAULT_BUDGET = 10_000_000
 ORACLE_ORDER_CAP = 12
@@ -103,13 +102,6 @@ class StabilityProfile:
 def _pair_table(f: GroupFunction) -> np.ndarray:
     """F[a, b] = f(a * b)."""
     return f.values[f.group.table]
-
-
-def _check_eps(eps: float) -> None:
-    # NaN fails every comparison, so a NaN eps would find no compatible pair
-    # and report k_max = 1 as exact
-    if not 0 < eps < math.inf:
-        raise ValueError("eps must be positive and finite")
 
 
 def _domain_mask(f: GroupFunction, domain: Optional[Subset]) -> np.ndarray:
@@ -232,7 +224,7 @@ def ladder_search(f: GroupFunction, k: int, eps: float,
     """Search for a ladder of length exactly k; see LadderOutcome."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    _check_eps(eps)
+    check_eps(eps)
     F = _pair_table(f)
     best, pairs, exhausted, nodes = _max_ladder(
         F, eps, k, budget, _domain_mask(f, a_domain), _domain_mask(f, b_domain))
@@ -248,7 +240,7 @@ def ladder_index(f: GroupFunction, eps: float, cap: int = 8,
                  a_domain: Optional[Subset] = None,
                  b_domain: Optional[Subset] = None) -> LadderIndex:
     """Largest k <= cap admitting a ladder; exact when the tree is exhausted."""
-    _check_eps(eps)
+    check_eps(eps)
     if cap < 1:
         raise ValueError("cap must be >= 1")
     F = _pair_table(f)
@@ -294,7 +286,7 @@ def oracle_ladder_index(f: GroupFunction, eps: float, cap: Optional[int] = None,
     n = f.group.order
     if n > ORACLE_ORDER_CAP:
         raise ValueError(f"oracle caps at order {ORACLE_ORDER_CAP}")
-    _check_eps(eps)
+    check_eps(eps)
     F = _pair_table(f)
     amask = _domain_mask(f, a_domain)
     bmask = _domain_mask(f, b_domain)

@@ -87,6 +87,21 @@ def test_ladder_non_finite_epsilon_errors(tmp_path, capsys, epsilon):
     assert not (tmp_path / "o.json").exists()
 
 
+@pytest.mark.parametrize("epsilon", ["nan", "inf"])
+@pytest.mark.parametrize("kind, keys", [
+    ("regularity", "function = random-uniform\nzeta = const:0.05\n"),
+    ("croot-sisask", "set_a = random:0.5\np = 2\n"),
+])
+def test_search_non_finite_epsilon_errors(tmp_path, capsys, kind, keys, epsilon):
+    cfg = tmp_path / "search.ini"
+    cfg.write_text(f"[experiment]\nkind = {kind}\ngroup = zmod:12\n{keys}"
+                   f"epsilon = {epsilon}\n")
+    code = main([kind, "--config", str(cfg), "--out", str(tmp_path / "o.json")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: eps must be positive and finite\n"
+    assert not (tmp_path / "o.json").exists()
+
+
 def _reject_constant(token):
     raise ValueError(f"{token} is not JSON")
 
@@ -324,3 +339,26 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True, cwd=tmp_path, env=env)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["payload"]["order"] == 12
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.ini")),
+                         ids=lambda path: path.stem)
+def test_fixture_payloads_identical_across_processes(tmp_path, path):
+    # string hashing is salted per process; payloads must not depend on it
+    package_root = str(Path(bohrlab.__file__).resolve().parents[1])
+    pythonpath = [package_root, os.environ.get("PYTHONPATH", "")]
+    kind = load_config(str(path))["kind"]
+    reports = []
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+        out = tmp_path / f"hash{hash_seed}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "bohrlab", kind, "--config", str(path),
+             "--out", str(out), "--format", "json"],
+            capture_output=True, text=True, cwd=tmp_path, env=env)
+        assert proc.returncode in (0, 2), proc.stderr
+        doc = json.loads(out.read_text())
+        reports.append((doc["status"],
+                        json.dumps(doc["payload"], sort_keys=True)))
+    assert reports[0] == reports[1]

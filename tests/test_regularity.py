@@ -1,16 +1,20 @@
+import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bohrlab import (GroupFunction, RegularityBudget, SearchSpace, Subset,
-                     ZetaRule, abelian_characters, bohr_set, build_group,
-                     convolve, largest_eps_constant_subset, overlap_function,
-                     search_regular_bohr, subgroup_obstruction_check,
-                     translate_defect)
+from bohrlab import (BohrSpec, GroupFunction, RegularityBudget, SearchSpace,
+                     Subset, UnitaryRep, ZetaRule, abelian_characters,
+                     bohr_set, build_group, convolve,
+                     enumerate_bohr_candidates, largest_eps_constant_subset,
+                     overlap_function, regularity, search_regular_bohr,
+                     subgroup_obstruction_check, translate_defect)
 from bohrlab.gen import random_pm1_function, rng_from_seed
+from bohrlab.regularity import TranslateDefect
 
 
 @pytest.fixture(scope="module")
@@ -200,3 +204,117 @@ def test_certificate_json(z101, zpz_fixture):
     assert doc["max_defect"] == 0.0
     assert all(set(row) == {"rep_element", "defect", "range"}
                for row in doc["per_translate"])
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -0.1])
+def test_bad_eps_rejected(z12, eps):
+    f = random_pm1_function(z12, rng_from_seed(3))
+    spec = bohr_set(z12, abelian_characters(z12)[1].rep, 1.0)
+    calls = [
+        lambda: largest_eps_constant_subset(f, spec.realized, eps),
+        lambda: translate_defect(f, spec, eps),
+        lambda: search_regular_bohr(f, RegularityBudget(ZetaRule.constant(0.5), eps)),
+        lambda: subgroup_obstruction_check(f, eps, index_cap=12),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            call()
+
+
+def _python_translates(group, members):
+    """(g, gS) for each distinct left translate, g the first to give it."""
+    seen, out = set(), []
+    for g in group.elements():
+        t = frozenset(group.mul(g, s) for s in members)
+        if t not in seen:
+            seen.add(t)
+            out.append((g, t))
+    return out
+
+
+def _reference_defect(f, g, translate, eps):
+    block = Subset.from_indices(f.group, translate)
+    sub = largest_eps_constant_subset(f, block, eps)
+    on = f.values[sub.indices]
+    return TranslateDefect(rep_element=g,
+                           defect=block.measure - sub.measure,
+                           value_range=float(on.max() - on.min()),
+                           subset_indices=tuple(int(i) for i in sub.indices))
+
+
+@functools.lru_cache(maxsize=None)
+def _group_with_trivial_rep(descriptor):
+    grp = build_group(descriptor)
+    return grp, UnitaryRep(grp, np.ones((grp.order, 1, 1)), label="chi0")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["zmod:8", "zmod:12", "dihedral:6", "sym:4"]),
+       st.data(), st.sampled_from([0.25, 0.3, 0.5, 1.0]))
+def test_translate_kernel_matches_scalar_windows(descriptor, data, eps):
+    # values on a quarter grid, so that ties and gaps of exactly eps occur,
+    # plus the guarded threshold, so that a gap equal to it occurs as well
+    grp, trivial = _group_with_trivial_rep(descriptor)
+    n = grp.order
+    grid = [k / 4 for k in range(-4, 5)] + [eps - regularity.WINDOW_GUARD]
+    values = data.draw(st.lists(st.sampled_from(grid), min_size=n, max_size=n))
+    f = GroupFunction(grp, values)
+    members = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+    spec = BohrSpec(tau=trivial, delta=1.0, kind="torus",
+                    realized=Subset.from_indices(grp, members))
+    cert = translate_defect(f, spec, eps)
+    expected = tuple(_reference_defect(f, g, t, eps)
+                     for g, t in _python_translates(grp, members))
+    assert cert.per_translate == expected
+    assert cert.max_defect == max(e.defect for e in expected)
+
+    zeta = data.draw(st.sampled_from([0.05, 0.2]))
+    for row in subgroup_obstruction_check(f, eps, index_cap=n, zeta=zeta).rows:
+        worst = max(_reference_defect(f, g, t, eps).defect
+                    for g, t in _python_translates(grp, row.members))
+        assert row.max_defect == worst
+        assert row.passes == (worst <= zeta)
+
+
+def test_search_scores_each_realized_set_once(z101, monkeypatch):
+    f = random_pm1_function(z101, rng_from_seed(1))
+    space = SearchSpace(max_summands=1, max_candidates=150)
+    distinct = {spec.realized.mask.tobytes()
+                for spec in enumerate_bohr_candidates(z101, space)
+                if len(spec.realized)}
+    kernel = regularity._translate_windows
+    calls = []
+
+    def counting(f, subset, eps):
+        calls.append(subset.mask.tobytes())
+        return kernel(f, subset, eps)
+
+    monkeypatch.setattr(regularity, "_translate_windows", counting)
+    res = search_regular_bohr(
+        f, RegularityBudget(ZetaRule.constant(1e-6), 0.1, space))
+    assert res.status == "none-within-budget"
+    assert res.candidates_scored == 150
+    assert len(calls) == len(distinct) < 150
+    assert set(calls) == distinct
+
+
+def test_translate_kernel_blocks_agree(z12, z101, zpz_fixture, monkeypatch):
+    spec = bohr_set(z101, abelian_characters(z101)[1].rep, 0.5)
+    f12 = random_pm1_function(z12, rng_from_seed(5))
+    whole = translate_defect(zpz_fixture, spec, 0.1)
+    rows = subgroup_obstruction_check(f12, 0.5, index_cap=12).rows
+    monkeypatch.setattr(regularity, "_BLOCK_ENTRIES", 7)
+    assert translate_defect(zpz_fixture, spec, 0.1) == whole
+    assert subgroup_obstruction_check(f12, 0.5, index_cap=12).rows == rows
+
+
+def test_eps_below_window_guard_keeps_single_elements(z12):
+    # at eps <= WINDOW_GUARD no two values fit a window, not even equal ones
+    f = GroupFunction(z12, [0.5] * 6 + [0.0] * 6)
+    b = Subset.from_indices(z12, [2, 3, 7, 9])
+    assert list(largest_eps_constant_subset(f, b, 1e-13).indices) == [7]
+    spec = BohrSpec(tau=abelian_characters(z12)[0].rep, delta=1.0,
+                    kind="torus", realized=b)
+    cert = translate_defect(f, spec, 1e-13)
+    assert all(len(t.subset_indices) == 1 for t in cert.per_translate)
+    assert cert.max_defect == pytest.approx(3 / 12)

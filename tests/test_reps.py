@@ -6,7 +6,7 @@ import pytest
 from bohrlab import (abelian_characters, build_group, catalog_descriptors,
                      decompose_regular, direct_sum_hom, measure_hom_residual,
                      min_nontrivial_dim, operator_distance)
-from bohrlab.reps import export_rep, parse_rep
+from bohrlab.reps import UnitaryRep, export_rep, parse_rep
 
 
 def test_abelian_characters_z3():
@@ -153,6 +153,34 @@ def test_export_parse_round_trip(s3):
 
 
 def test_sampled_residual_large_group():
-    g = build_group("zmod:100")
-    rep = abelian_characters(g)[3].rep
+    # above order 316 the n^2 pairs outnumber the sample
+    g = build_group("zmod:400")
+    x = np.arange(g.order)
+    rep = UnitaryRep(g, np.exp(2j * np.pi * 3 * x / g.order).reshape(-1, 1, 1))
     assert measure_hom_residual(rep) <= 1e-12
+
+
+def _brute_force_residual(rep):
+    mats, table = rep.matrices, rep.group.table
+    diff = mats[table] - np.einsum("aij,bjk->abik", mats, mats)
+    return float(np.max(np.linalg.norm(diff, ord=2, axis=(-2, -1))))
+
+
+def test_residual_exhaustive_on_z101_characters():
+    g = build_group("zmod:101")
+    reps = [c.rep for c in abelian_characters(g)]
+    planted = abelian_characters(g)[7].character.copy()
+    planted[40] *= np.exp(1e-6j)
+    reps.append(UnitaryRep(g, planted.reshape(-1, 1, 1), label="planted"))
+    for rep in reps:
+        assert rep.hom_residual == measure_hom_residual(rep)
+        assert abs(rep.hom_residual - _brute_force_residual(rep)) <= 1e-15
+    assert reps[-1].hom_residual > 0.9e-6
+
+
+def test_residual_exhaustive_on_dihedral50_irreps():
+    irreps = decompose_regular(build_group("dihedral:50"))
+    assert len(irreps) == 28
+    for ir in irreps:
+        assert abs(measure_hom_residual(ir.rep)
+                   - _brute_force_residual(ir.rep)) <= 1e-15
