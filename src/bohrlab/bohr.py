@@ -23,7 +23,6 @@ from .reps import UnitaryRep, direct_sum_hom, irreps_of
 logger = logging.getLogger("bohrlab.bohr")
 
 BOUNDARY_TOL = 1e-12
-IMAGE_MATCH_TOL = 1e-6
 DIAGONAL_TOL = 1e-8
 DEFAULT_DELTA_GRID = (2.0, 1.0, 0.5, 0.25, 0.15, 0.1, 0.05)
 T = TypeVar("T")
@@ -38,9 +37,10 @@ class BohrSpec:
     """A realized Bohr neighborhood: homomorphism, radius, and element set.
 
     ``kind`` is ``torus`` when every matrix of tau is diagonal, ``nm`` for a
-    refinement through a diagonal normal image subgroup (then ``m`` is its
-    index and ``nm_subgroup`` the subgroup inside the image group), and
-    ``unitary`` otherwise.
+    refinement through a diagonal normal subgroup, and ``unitary`` otherwise.
+    For ``nm``, ``nm_subgroup`` is K <= G, the elements with diagonal tau(g),
+    and ``m`` its index: tau(K) is the diagonal part of the image, and
+    |K| = |tau(K)| * |ker tau|.
     """
 
     tau: UnitaryRep
@@ -125,89 +125,46 @@ def subgroup_test(b: Subset) -> tuple[bool, bool]:
     has_inverses = bool(b.mask[grp.inverse[idx]].all())
     is_subgroup = closed and has_identity and has_inverses
 
-    is_normal = True
-    for g in grp.elements():
-        conj = grp.table[grp.table[g, idx], grp.inverse[g]]
-        if not b.mask[conj].all():
-            is_normal = False
-            break
-    return is_subgroup, is_normal
+    # row g holds g b g^-1 over b in B
+    conj = grp.table[grp.table[:, idx], grp.inverse[:, None]]
+    return is_subgroup, bool(b.mask[conj].all())
 
 
 # ---------------------------------------------------------------------------
-# Image groups and (delta, n, m) refinement
-
-
-def image_group(tau: UnitaryRep) -> tuple[FiniteGroup, np.ndarray, np.ndarray]:
-    """Enumerate tau(G) as a finite matrix group.
-
-    Matrices are identified within 1e-6 entrywise. Returns the image as a
-    validated FiniteGroup, the element -> image-index map, and the stack of
-    representative matrices.
-    """
-    grp = tau.group
-    reps_list: list[np.ndarray] = []
-    elem_to_img = np.zeros(grp.order, dtype=np.int64)
-    for g in grp.elements():
-        m = tau.matrices[g]
-        for i, r in enumerate(reps_list):
-            if np.max(np.abs(m - r)) < IMAGE_MATCH_TOL:
-                elem_to_img[g] = i
-                break
-        else:
-            elem_to_img[g] = len(reps_list)
-            reps_list.append(m)
-    k = len(reps_list)
-    stack = np.stack(reps_list)
-    table = np.zeros((k, k), dtype=np.int32)
-    for a in range(k):
-        prods = np.einsum("ij,bjk->bik", stack[a], stack)
-        for b in range(k):
-            diffs = np.max(np.abs(stack - prods[b]), axis=(1, 2))
-            j = int(np.argmin(diffs))
-            if diffs[j] >= IMAGE_MATCH_TOL:
-                raise RuntimeError("image not closed under multiplication")
-            table[a, b] = j
-    img = FiniteGroup(table, descriptor=f"image:{tau.label}")
-    return img, elem_to_img, stack
+# (delta, n, m) refinement
 
 
 def nm_refine(group: FiniteGroup, tau: UnitaryRep,
               delta: float) -> tuple[BohrSpec, int]:
     """Refine a Bohr set through the diagonal part of the image.
 
-    Finds K = the diagonal matrices of tau(G) in the stored basis; when K is
-    a normal subgroup of the image, returns the (delta, n, m)-Bohr set
-    tau^-1(U intersect K) with m the index of K, contained in the plain
-    Bohr set. Raises NoDiagonalRefinementError otherwise.
+    K = {g : tau(g) is diagonal in the stored basis} contains ker tau, so by
+    the correspondence theorem tau(K) is a normal subgroup of index m in
+    tau(G) exactly when K is a normal subgroup of index m in G. Then the
+    (delta, n, m)-Bohr set is B(tau, delta) intersect K, contained in the
+    plain Bohr set. Raises NoDiagonalRefinementError otherwise.
     """
     base = bohr_set(group, tau, delta)
-    img, elem_to_img, stack = image_group(tau)
-    d = tau.dim
-    off_diag = stack * (1.0 - np.eye(d))
-    diag_mask = np.max(np.abs(off_diag), axis=(1, 2)) <= DIAGONAL_TOL
-    k_sub = Subset(img, diag_mask)
-    is_sub, is_norm = subgroup_test(k_sub)
-    if not (is_sub and is_norm):
+    off_diag = tau.matrices * (1.0 - np.eye(tau.dim))
+    k_sub = Subset(group, np.max(np.abs(off_diag), axis=(1, 2)) <= DIAGONAL_TOL)
+    if subgroup_test(k_sub) != (True, True):
         raise NoDiagonalRefinementError("no diagonal refinement in given basis")
-    m = img.order // len(k_sub)
-    realized = Subset(group, base.realized.mask & diag_mask[elem_to_img])
-    spec = BohrSpec(tau=tau, delta=float(delta), kind="nm", realized=realized,
+    m = group.order // len(k_sub)
+    spec = BohrSpec(tau=tau, delta=float(delta), kind="nm",
+                    realized=base.realized.intersection(k_sub),
                     m=m, nm_subgroup=k_sub,
                     boundary_excluded=base.boundary_excluded)
     return spec, m
 
 
-def cover_bound_check(spec: BohrSpec, ell: int | None = None) -> tuple[int, int, bool]:
+def cover_bound_check(spec: BohrSpec) -> tuple[int, int, bool]:
     """Check the measured cover count against m * ceil(2*pi/delta)^n.
 
     Requires an nm-kind spec. Returns (bound, actual, ok).
     """
     if spec.kind != "nm":
         raise ValueError("cover_bound_check requires an nm-kind Bohr spec")
-    if ell is None:
-        ell = math.ceil(2.0 * math.pi / spec.delta)
-    bound = spec.m * ell ** spec.tau.dim
+    bound = spec.m * math.ceil(2.0 * math.pi / spec.delta) ** spec.tau.dim
     actual, _ = greedy_cover(spec.group, spec.realized)
     return bound, actual, actual <= bound
 
@@ -225,6 +182,10 @@ class SearchSpace:
     max_summands: int = 3
     max_candidates: int = 5000
     seed: int = 0
+
+    def __post_init__(self):
+        if min(self.max_dim, self.max_summands, self.max_candidates) < 1:
+            raise ValueError("max_dim, max_summands and max_candidates must be >= 1")
 
 
 def enumerate_bohr_candidates(group: FiniteGroup,

@@ -76,12 +76,14 @@ class ConfigError(ValueError):
 
 def load_config(path: str) -> dict:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
-    if "experiment" not in parser:
-        raise ConfigError("config needs an [experiment] section")
-    return dict(parser["experiment"])
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"config file not found: {path}")
+        if "experiment" not in parser:
+            raise ConfigError("config needs an [experiment] section")
+        return dict(parser["experiment"])
+    except configparser.Error as exc:  # some messages span several lines
+        raise ConfigError(" ".join(f"malformed config: {exc}".split())) from None
 
 
 def _get(config: dict, key: str, default=None, required: bool = False) -> str:

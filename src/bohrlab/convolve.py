@@ -7,6 +7,8 @@ mathematically and a post-check guards the numerics.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .groups import GroupFunction, Subset
@@ -66,6 +68,6 @@ def lp_norm(f: GroupFunction, p: float) -> float:
 
 
 def _lp(values: np.ndarray, p: float) -> float:
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    if not 1 <= p < math.inf:  # NaN fails too
+        raise ValueError(f"p must lie in [1, inf), got {p}")
     return float(np.mean(np.abs(values) ** p) ** (1.0 / p))

@@ -18,6 +18,8 @@ def rng_from_seed(seed: int) -> np.random.Generator:
 def random_subset(group: FiniteGroup, density: float,
                   rng: np.random.Generator) -> Subset:
     """Independent membership flips at the given density."""
+    if not 0 <= density <= 1:  # NaN fails too
+        raise ValueError(f"density must lie in [0, 1], got {density}")
     return Subset(group, rng.random(group.order) < density)
 
 

@@ -37,10 +37,9 @@ class FiniteGroup:
     ``inverse[a]`` the inverse of a, ``identity`` the identity index.
     """
 
-    def __init__(self, table, descriptor: str = "table", *,
-                 assoc_cap: int = EXHAUSTIVE_ASSOC_CAP, sample_seed: int = 0):
+    def __init__(self, table, descriptor: str = "table"):
         table = np.array(table, dtype=np.int32, order="C")
-        _validate_table(table, assoc_cap=assoc_cap, sample_seed=sample_seed)
+        _validate_table(table)
         self.table = table
         self.order = int(table.shape[0])
         self.identity = _find_identity(table)
@@ -88,7 +87,7 @@ class FiniteGroup:
         return f"FiniteGroup({self.descriptor!r}, order={self.order})"
 
 
-def _validate_table(table: np.ndarray, *, assoc_cap: int, sample_seed: int) -> None:
+def _validate_table(table: np.ndarray) -> None:
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise GroupValidationError(f"table must be square, got shape {table.shape}")
     n = table.shape[0]
@@ -113,7 +112,7 @@ def _validate_table(table: np.ndarray, *, assoc_cap: int, sample_seed: int) -> N
     if _find_identity(table, required=False) is None:
         raise GroupValidationError("no identity element")
 
-    if n <= assoc_cap:
+    if n <= EXHAUSTIVE_ASSOC_CAP:
         for a in range(n):
             lhs = table[table[a, :], :]          # (a*b)*c
             rhs = table[a, :][table]             # a*(b*c)
@@ -122,7 +121,7 @@ def _validate_table(table: np.ndarray, *, assoc_cap: int, sample_seed: int) -> N
                 raise GroupValidationError(
                     f"not associative at ({a},{b},{c})", witness=(a, b, c))
     else:
-        rng = np.random.default_rng(sample_seed)
+        rng = np.random.default_rng(0)
         m = SAMPLED_ASSOC_TRIPLES
         a = rng.integers(0, n, m)
         b = rng.integers(0, n, m)
@@ -378,7 +377,7 @@ def _perm_parity(p: tuple[int, ...]) -> int:
     return inv % 2
 
 
-def build_group(descriptor: str, **kwargs) -> FiniteGroup:
+def build_group(descriptor: str) -> FiniteGroup:
     """Build a validated catalog group from a descriptor string.
 
     Supported forms: ``zmod:n``, ``product:<d1>,<d2>,...`` (comma-separated
@@ -389,7 +388,7 @@ def build_group(descriptor: str, **kwargs) -> FiniteGroup:
     head, _, rest = descriptor.partition(":")
     if head == "zmod":
         n = _parse_count(rest, descriptor, 1, MAX_ORDER)
-        return FiniteGroup(_cyclic_table(n), descriptor, **kwargs)
+        return FiniteGroup(_cyclic_table(n), descriptor)
     if head == "product":
         parts = [p for p in rest.split(",") if p]
         if not parts:
@@ -398,23 +397,23 @@ def build_group(descriptor: str, **kwargs) -> FiniteGroup:
         table = reduce(_product_table, tables)
         if table.shape[0] > MAX_ORDER:
             raise ValueError(f"product order {table.shape[0]} exceeds cap {MAX_ORDER}")
-        return FiniteGroup(table, descriptor, **kwargs)
+        return FiniteGroup(table, descriptor)
     if head == "dihedral":
         n = _parse_count(rest, descriptor, 1, MAX_ORDER // 2)
-        return FiniteGroup(_dihedral_table(n), descriptor, **kwargs)
+        return FiniteGroup(_dihedral_table(n), descriptor)
     if head == "quaternion":
         if rest != "8":
             raise ValueError(f"only quaternion:8 is in the catalog, got {descriptor!r}")
-        return FiniteGroup(_quaternion_table(), descriptor, **kwargs)
+        return FiniteGroup(_quaternion_table(), descriptor)
     if head in ("sym", "alt"):
         n = _parse_count(rest, descriptor, 1, 5)
         perms = [tuple(p) for p in itertools.permutations(range(n))]
         if head == "alt":
             perms = [p for p in perms if _perm_parity(p) == 0]
-        return FiniteGroup(_permutation_table(perms), descriptor, **kwargs)
+        return FiniteGroup(_permutation_table(perms), descriptor)
     if head == "file":
         text = Path(rest).read_text(encoding="utf-8")
-        return from_cayley_table(text, descriptor=descriptor, **kwargs)
+        return from_cayley_table(text, descriptor=descriptor)
     raise ValueError(f"unknown group descriptor {descriptor!r}")
 
 
@@ -428,7 +427,7 @@ def _parse_count(text: str, descriptor: str, lo: int, hi: int) -> int:
     return n
 
 
-def from_cayley_table(text: str, descriptor: str = "table", **kwargs) -> FiniteGroup:
+def from_cayley_table(text: str, descriptor: str = "table") -> FiniteGroup:
     """Parse and validate a Cayley table.
 
     Format: first line is the order n, then n lines of n whitespace-separated
@@ -446,7 +445,7 @@ def from_cayley_table(text: str, descriptor: str = "table", **kwargs) -> FiniteG
         raise GroupValidationError(
             f"expected {n * n} entries for order {n}, got {len(entries)}")
     table = np.asarray(entries, dtype=np.int32).reshape(n, n)
-    return FiniteGroup(table, descriptor, **kwargs)
+    return FiniteGroup(table, descriptor)
 
 
 def format_cayley_table(group: FiniteGroup) -> str:

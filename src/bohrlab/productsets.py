@@ -8,6 +8,7 @@ flags.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -42,9 +43,7 @@ def separated_cover(a: Subset, alpha: float) -> SeparatedCover:
     elements in index order. Verifies G = F.S and |F| <= 2/alpha.
     """
     grp = a.group
-    alpha_fr = Fraction(alpha)
-    if Fraction(len(a), grp.order) < alpha_fr:
-        raise ValueError(f"mu(A) = {len(a)}/{grp.order} < alpha = {alpha}")
+    alpha_fr = _require_density(a, alpha)
     eps_fr = alpha_fr ** 2 / 2
     counts = overlap_function(a).values * grp.order  # |A intersect xA|, integral
     counts = np.rint(counts).astype(np.int64)
@@ -149,6 +148,8 @@ class BogolyubovResult:
 
 
 def _require_density(a: Subset, alpha: float, name: str = "A") -> Fraction:
+    if not 0 < alpha <= 1:  # NaN fails too
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     alpha_fr = Fraction(alpha)
     if Fraction(len(a), a.group.order) < alpha_fr:
         raise ValueError(f"mu({name}) = {len(a)}/{a.group.order} < alpha = {alpha}")
@@ -301,8 +302,8 @@ def shift_invariance_search(f: GroupFunction, p: float, eps: float,
     The singleton Bohr set trivially passes and is flagged degenerate;
     ``min_size`` can exclude it (and other small sets).
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    if not 1 <= p < math.inf:  # NaN fails too
+        raise ValueError(f"p must lie in [1, inf), got {p}")
     check_eps(eps)
 
     def accept(spec: BohrSpec) -> Optional[float]:

@@ -35,20 +35,20 @@ class ZetaRule:
 
     @classmethod
     def constant(cls, value: float) -> "ZetaRule":
-        if value <= 0:
-            raise ValueError("zeta values must be positive")
+        if not 0 < value < math.inf:  # NaN fails too
+            raise ValueError("zeta values must be positive and finite")
         return cls("const", (float(value),))
 
     @classmethod
     def power(cls, gamma: float, c: float) -> "ZetaRule":
-        if gamma <= 0 or c <= 0:
-            raise ValueError("zeta parameters must be positive")
+        if not (0 < gamma < math.inf and 0 < c < math.inf):
+            raise ValueError("zeta parameters must be positive and finite")
         return cls("power", (float(gamma), float(c)))
 
     @classmethod
     def table(cls, mapping: dict) -> "ZetaRule":
-        if any(v <= 0 for v in mapping.values()):
-            raise ValueError("zeta values must be positive")
+        if not all(0 < v < math.inf for v in mapping.values()):
+            raise ValueError("zeta values must be positive and finite")
         return cls("table", (), dict(mapping))
 
     def value(self, delta: float, n: int) -> float:
@@ -293,38 +293,29 @@ class ObstructionReport:
         return any(r.passes for r in self.rows)
 
 
-def _closure(group: FiniteGroup, seed_elems: frozenset[int]) -> frozenset[int]:
-    elems = set(seed_elems) | {group.identity}
-    frontier = list(elems)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(elems):
-                for c in (group.mul(a, b), group.mul(b, a)):
-                    if c not in elems:
-                        elems.add(c)
-                        nxt.append(c)
-        frontier = nxt
-    return frozenset(elems)
+def _generated(group: FiniteGroup, elems) -> frozenset[int]:
+    """The subgroup generated by elems: S = elems + {e} gains SS by table
+    lookup until it stops growing (in a finite group, closure under products
+    brings inverses)."""
+    s = np.unique(np.array([*elems, group.identity]))
+    while True:
+        grown = np.unique(group.table[np.ix_(s, s)])
+        if grown.size == s.size:
+            return frozenset(s.tolist())
+        s = grown
 
 
 def _all_subgroups(group: FiniteGroup) -> list[frozenset[int]]:
-    """Every subgroup, by join-closure of the cyclic subgroups (order <= 60)."""
+    """Every subgroup, as joins of cyclic subgroups (order <= 60)."""
     if group.order > 60:
         raise ValueError("subgroup enumeration caps at order 60")
-    cyclics = set()
-    for g in group.elements():
-        cyc, x = {group.identity}, g
-        while x != group.identity:
-            cyc.add(x)
-            x = group.mul(x, g)
-        cyclics.add(frozenset(cyc))
+    cyclics = {_generated(group, [g]) for g in group.elements()}
     subgroups = set(cyclics)
     worklist = list(cyclics)
     while worklist:
         h = worklist.pop()
-        for other in list(subgroups):
-            joined = _closure(group, h | other)
+        for c in cyclics:
+            joined = _generated(group, h | c)
             if joined not in subgroups:
                 subgroups.add(joined)
                 worklist.append(joined)

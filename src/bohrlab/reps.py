@@ -98,8 +98,8 @@ class UnitaryRep:
             self._diagonal = bool(np.max(np.abs(off)) < 1e-9)
         return self._diagonal
 
-    def kernel_indices(self, tol: float = 1e-9) -> np.ndarray:
-        return np.flatnonzero(self.identity_distances() <= tol)
+    def kernel_indices(self) -> np.ndarray:
+        return np.flatnonzero(self.identity_distances() <= DEFAULT_TOL)
 
     def __repr__(self) -> str:
         return (f"UnitaryRep({self.label}, dim={self.dim}, "
@@ -119,7 +119,7 @@ class IrrepData:
         return self.rep.dim
 
 
-def measure_hom_residual(rep: UnitaryRep, *, sample_seed: int = 0) -> float:
+def measure_hom_residual(rep: UnitaryRep) -> float:
     """Max over pairs of ||t(ab) - t(a) t(b)||_op.
 
     Exhaustive while the n^2 pairs number at most SAMPLED_PAIRS (order
@@ -135,7 +135,7 @@ def measure_hom_residual(rep: UnitaryRep, *, sample_seed: int = 0) -> float:
         chunks = (np.divmod(np.arange(lo, min(lo + 4096, n * n)), n)
                   for lo in range(0, n * n, 4096))
     else:
-        rng = np.random.default_rng(sample_seed)
+        rng = np.random.default_rng(0)
         a = rng.integers(0, n, SAMPLED_PAIRS)
         b = rng.integers(0, n, SAMPLED_PAIRS)
         chunks = ((a[lo:lo + 4096], b[lo:lo + 4096])
@@ -324,32 +324,30 @@ def _char_sort_key(character: np.ndarray, dim: int):
     return (dim, rounded)
 
 
-def decompose_regular(group: FiniteGroup, seed: int = 0,
-                      tol: float = DEFAULT_TOL, max_retries: int = 5) -> list[IrrepData]:
+def decompose_regular(group: FiniteGroup, seed: int = 0) -> list[IrrepData]:
     """Complete list of inequivalent irreducibles of the regular representation.
 
     Algorithm: average a random Hermitian matrix over conjugation by the
     regular representation (a projection onto its commutant), split the
     averaged matrix's eigenspaces into invariant subspaces, recurse until
     each carries an irreducible, then deduplicate by character. Verifies
-    sum(dim^2) = |G| exactly and residuals <= tol, reseeding on failure.
+    sum(dim^2) = |G| exactly and residuals <= 1e-9, trying six seeds.
     """
     n = group.order
     if n > DECOMPOSE_ORDER_CAP:
         raise ValueError(f"decompose_regular caps at order {DECOMPOSE_ORDER_CAP}")
     last_err: Exception | None = None
-    for attempt in range(max_retries + 1):
+    for attempt in range(6):
         rng = np.random.default_rng(seed + attempt)
         try:
-            return _decompose_once(group, rng, tol)
+            return _decompose_once(group, rng)
         except RepDecompositionError as exc:
             last_err = exc
     raise RepDecompositionError(
-        f"decomposition failed after {max_retries + 1} seeds: {last_err}")
+        f"decomposition failed after 6 seeds: {last_err}")
 
 
-def _decompose_once(group: FiniteGroup, rng: np.random.Generator,
-                    tol: float) -> list[IrrepData]:
+def _decompose_once(group: FiniteGroup, rng: np.random.Generator) -> list[IrrepData]:
     n = group.order
     left_inv = group.table[group.inverse, :]  # row g: h -> g^-1 h
 
@@ -392,7 +390,7 @@ def _decompose_once(group: FiniteGroup, rng: np.random.Generator,
     for i, (chi, mats) in enumerate(found):
         mats = _diagonal_friendly(mats, rng)
         rep = UnitaryRep(group, mats, label=f"irrep{i}")
-        if rep.hom_residual > tol or rep.unitarity_residual > tol:
+        if rep.hom_residual > DEFAULT_TOL or rep.unitarity_residual > DEFAULT_TOL:
             raise RepDecompositionError(
                 f"residuals exceed tol: hom={rep.hom_residual:.3g} "
                 f"unit={rep.unitarity_residual:.3g}")

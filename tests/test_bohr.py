@@ -9,7 +9,8 @@ from bohrlab import (SearchSpace, Subset, abelian_characters, bohr_set,
                      direct_sum_hom, enumerate_bohr_candidates, greedy_cover,
                      inverse_set, irreps_of, nm_refine, subgroup_test,
                      translate_set)
-from bohrlab.bohr import NoDiagonalRefinementError, image_group
+from bohrlab.bohr import NoDiagonalRefinementError
+from bohrlab.regularity import _all_subgroups
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +75,20 @@ def test_subgroup_test_nonnormal(s3):
     assert is_sub and not is_norm
 
 
+@pytest.mark.parametrize("desc, normal", [("sym:3", 3), ("sym:4", 4), ("alt:4", 3),
+                                          ("alt:5", 2), ("quaternion:8", 6),
+                                          ("dihedral:6", 7)])
+def test_subgroup_test_normality_against_python_sets(desc, normal):
+    # known normal subgroup counts, and each verdict against a python loop
+    g = build_group(desc)
+    verdicts = []
+    for h in _all_subgroups(g):
+        is_normal = all(g.conjugate(x, a) in h for x in g.elements() for a in h)
+        assert subgroup_test(Subset.from_indices(g, h)) == (True, is_normal)
+        verdicts.append(is_normal)
+    assert sum(verdicts) == normal
+
+
 def test_nm_refine_abelian_is_whole_image(z12, z12_chars):
     spec, m = nm_refine(z12, z12_chars[1].rep, 1.0)
     assert m == 1
@@ -84,10 +99,11 @@ def test_nm_refine_abelian_is_whole_image(z12, z12_chars):
 def test_nm_refine_quaternion(q8):
     irr = decompose_regular(q8)
     two = next(i.rep for i in irr if i.dim == 2)
+    assert list(two.kernel_indices()) == [q8.identity]  # faithful
     spec, m = nm_refine(q8, two, 1.0)
     assert m == 2
     assert len(spec.nm_subgroup) == 4
-    assert spec.nm_subgroup.group.order == 8
+    assert spec.nm_subgroup.group is q8
     base = bohr_set(q8, two, 1.0)
     assert spec.realized.is_subset_of(base.realized)
 
@@ -105,12 +121,94 @@ def test_nm_refine_simple_group_fails(a5):
         nm_refine(a5, three, 1.0)
 
 
-def test_image_group_quaternion(q8):
-    irr = decompose_regular(q8)
-    two = next(i.rep for i in irr if i.dim == 2)
-    img, elem_to_img, stack = image_group(two)
-    assert img.order == 8  # faithful
-    assert sorted(set(int(i) for i in elem_to_img)) == list(range(8))
+# nm_refine on every irrep of irreps_of(G) at delta 0.5, 1.0 and 2.0, as the
+# earlier implementation computed it on a numerical copy of the image group:
+# (m, realized members), "*" for all of G, or None where it raises
+# NoDiagonalRefinementError
+NM_PINS = {
+    ("sym:4", 0): 3 * [(1, "0 3 4 7 8 11 12 15 16 19 20 23")],
+    ("sym:4", 1): 3 * [(1, "*")],
+    ("sym:4", 2): 3 * [None],
+    ("sym:4", 3): 3 * [None],
+    ("sym:4", 4): 3 * [None],
+    ("alt:4", 0): [(1, "0 3 8 11"), (1, "0 3 8 11"), (1, "*")],
+    ("alt:4", 1): [(1, "0 3 8 11"), (1, "0 3 8 11"), (1, "*")],
+    ("alt:4", 2): 3 * [(1, "*")],
+    ("alt:4", 3): 3 * [None],
+    ("alt:5", 0): 3 * [(1, "*")],
+    ("alt:5", 1): 3 * [None],
+    ("alt:5", 2): 3 * [None],
+    ("alt:5", 3): 3 * [None],
+    ("alt:5", 4): 3 * [None],
+    ("dihedral:6", 0): 3 * [(1, "0 2 4 7 9 11")],
+    ("dihedral:6", 1): 3 * [(1, "0 2 4 6 8 10")],
+    ("dihedral:6", 2): 3 * [(1, "0 1 2 3 4 5")],
+    ("dihedral:6", 3): 3 * [(1, "*")],
+    ("dihedral:6", 4): [(2, "0 3"), (2, "0 3"), (2, "0 1 2 3 4 5")],
+    ("dihedral:6", 5): [(2, "0"), (2, "0"), (2, "0 1 2 4 5")],
+    ("dihedral:12", 0): 3 * [(1, "0 2 4 6 8 10 13 15 17 19 21 23")],
+    ("dihedral:12", 1): 3 * [(1, "0 2 4 6 8 10 12 14 16 18 20 22")],
+    ("dihedral:12", 2): 3 * [(1, "0 1 2 3 4 5 6 7 8 9 10 11")],
+    ("dihedral:12", 3): 3 * [(1, "*")],
+    ("dihedral:12", 4): [(2, "0"), (2, "0 5 7"), (2, "0 1 2 3 4 5 7 8 9 10 11")],
+    ("dihedral:12", 5): [(2, "0 3 6 9"), (2, "0 3 6 9"),
+                          (2, "0 1 2 3 4 5 6 7 8 9 10 11")],
+    ("dihedral:12", 6): [(2, "0 4 8"), (2, "0 4 8"), (2, "0 1 3 4 5 7 8 9 11")],
+    ("dihedral:12", 7): [(2, "0 6"), (2, "0 6"), (2, "0 1 2 4 5 6 7 8 10 11")],
+    ("dihedral:12", 8): [(2, "0"), (2, "0 1 11"), (2, "0 1 2 3 4 5 7 8 9 10 11")],
+    ("quaternion:8", 0): 3 * [(1, "0 1 6 7")],
+    ("quaternion:8", 1): 3 * [(1, "0 1 4 5")],
+    ("quaternion:8", 2): 3 * [(1, "0 1 2 3")],
+    ("quaternion:8", 3): 3 * [(1, "*")],
+    ("quaternion:8", 4): [(2, "0"), (2, "0"), (2, "0 2 3")],
+}
+
+
+@pytest.mark.parametrize("desc", sorted({d for d, _ in NM_PINS}))
+def test_nm_refine_pins(desc):
+    g = build_group(desc)
+    irreps = irreps_of(g)
+    assert len(irreps) == sum(d == desc for d, _ in NM_PINS)
+    for i, ir in enumerate(irreps):
+        for delta, pin in zip((0.5, 1.0, 2.0), NM_PINS[desc, i]):
+            if pin is None:
+                with pytest.raises(NoDiagonalRefinementError):
+                    nm_refine(g, ir.rep, delta)
+                continue
+            spec, m = nm_refine(g, ir.rep, delta)
+            members = (list(g.elements()) if pin[1] == "*"
+                       else [int(t) for t in pin[1].split()])
+            assert (m, spec.realized.indices.tolist()) == (pin[0], members)
+
+
+def _distinct_matrices(rep):
+    """The distinct matrices of tau(G), rounded to 6 decimals, and the
+    diagonal ones among them."""
+    mats = np.round(rep.matrices, 6) + 0.0  # folds -0.0 into 0.0
+    distinct = list({m.tobytes(): m for m in mats}.values())
+    return distinct, [m for m in distinct if not np.any(m - np.diag(np.diag(m)))]
+
+
+@pytest.mark.parametrize("desc", sorted({d for d, _ in NM_PINS}))
+def test_nm_refine_index_by_matrices(desc):
+    g = build_group(desc)
+    irreps = irreps_of(g)
+    reps = [ir.rep for ir in irreps]
+    reps += [direct_sum_hom([irreps[i].rep, irreps[j].rep])
+             for i, j in itertools.combinations(range(4), 2)]
+    refined = 0
+    for rep in reps:
+        try:
+            spec, m = nm_refine(g, rep, 1.0)
+        except NoDiagonalRefinementError:
+            continue
+        refined += 1
+        distinct, diagonal = _distinct_matrices(rep)
+        assert m == len(distinct) // len(diagonal)
+        assert len(distinct) % len(diagonal) == 0
+        # |K| = |tau(K)| * |ker tau|
+        assert len(spec.nm_subgroup) == len(diagonal) * len(rep.kernel_indices())
+    assert refined > 0
 
 
 def test_cover_bound_examples(z12, z12_chars, klein8):
@@ -215,6 +313,13 @@ def test_nm_contained_in_plain(q8):
         plain = bohr_set(q8, two, delta)
         refined, _ = nm_refine(q8, two, delta)
         assert refined.realized.is_subset_of(plain.realized)
+
+
+@pytest.mark.parametrize("field", ["max_dim", "max_summands", "max_candidates"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_search_space_rejects_empty_budgets(field, value):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        SearchSpace(**{field: value})
 
 
 def test_spec_json(z12, z12_chars):

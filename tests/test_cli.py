@@ -102,6 +102,47 @@ def test_search_non_finite_epsilon_errors(tmp_path, capsys, kind, keys, epsilon)
     assert not (tmp_path / "o.json").exists()
 
 
+@pytest.mark.parametrize("kind, keys, message", [
+    ("regularity", "function = random-uniform\nepsilon = 0.1\nzeta = const:nan\n",
+     "zeta values must be positive and finite"),
+    ("two-set", "set_a = evens-minus:1\nset_b = evens\nalpha = 0.4\n"
+     "zeta = power:nan,1\n", "zeta parameters must be positive and finite"),
+    ("croot-sisask", "set_a = random:0.5\np = nan\nepsilon = 0.1\n",
+     "p must lie in [1, inf), got nan"),
+    ("bogolyubov", "set_a = evens\nalpha = -1\n",
+     "alpha must lie in (0, 1], got -1.0"),
+    ("bogolyubov", "set_a = random:5\nalpha = 0.3\n",
+     "density must lie in [0, 1], got 5.0"),
+    ("regularity", "function = random-uniform\nepsilon = 0.1\nmax_candidates = -3\n",
+     "max_dim, max_summands and max_candidates must be >= 1"),
+])
+def test_out_of_range_parameters_error(tmp_path, capsys, kind, keys, message):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[experiment]\ngroup = zmod:12\nseed = 1\n{keys}")
+    code = main([kind, "--config", str(cfg), "--out", str(tmp_path / "o.json")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("text", [
+    "[experiment]\nkind = group-info\ngroup = zmod:12\n[experiment]\nseed = 1\n",
+    "kind = group-info\ngroup = zmod:12\n",
+    "[experiment]\ngroup = zmod:12\nout = 50%.json\n",
+])
+def test_malformed_config_file_errors(tmp_path, capsys, text):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(text)
+    with pytest.raises(ConfigError, match="^malformed config: "):
+        load_config(str(cfg))
+    code = main(["group-info", "--config", str(cfg),
+                 "--out", str(tmp_path / "o.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed config: ") and err.count("\n") == 1
+    assert not (tmp_path / "o.json").exists()
+
+
 def _reject_constant(token):
     raise ValueError(f"{token} is not JSON")
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -99,8 +101,15 @@ def test_lp_examples(z4):
         assert lp_norm(one, p) == pytest.approx(1.0)
     f = GroupFunction(z4, [0.5, 0.25, 0.0, 0.25])
     assert lp_norm(f, 1) == pytest.approx(0.25)
-    with pytest.raises(ValueError):
-        lp_norm(f, 0.5)
+    for bad in (0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"p must lie in \[1, inf\)"):
+            lp_norm(f, bad)
+
+
+@pytest.mark.parametrize("density", [-0.1, 1.5, math.nan])
+def test_random_subset_density_range(z12, density):
+    with pytest.raises(ValueError, match=r"density must lie in \[0, 1\]"):
+        random_subset(z12, density, rng_from_seed(0))
 
 
 def test_shift_identity_and_invariance(z12):

@@ -14,7 +14,8 @@ from bohrlab import (BohrSpec, GroupFunction, RegularityBudget, SearchSpace,
                      overlap_function, regularity, search_regular_bohr,
                      subgroup_obstruction_check, translate_defect)
 from bohrlab.gen import random_pm1_function, rng_from_seed
-from bohrlab.regularity import TranslateDefect
+from bohrlab.groups import catalog_descriptors
+from bohrlab.regularity import TranslateDefect, _all_subgroups
 
 
 @pytest.fixture(scope="module")
@@ -162,8 +163,46 @@ def test_zeta_rules():
     assert ZetaRule.parse("power:0.1,2.0").params == (0.1, 2.0)
     with pytest.raises(ValueError):
         ZetaRule.constant(-1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ZetaRule.constant(bad)
+        with pytest.raises(ValueError, match="positive and finite"):
+            ZetaRule.power(bad, 1.0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            ZetaRule.power(0.1, bad)
+        with pytest.raises(ValueError, match="positive and finite"):
+            ZetaRule.table({(1.0, 2): bad})
     round_trip = ZetaRule.parse(power.describe())
     assert round_trip == power
+
+
+# Known subgroup counts; Z/n has tau(n) subgroups and the dihedral group of
+# order 2n has tau(n) + sigma(n) (tau counts divisors, sigma sums them)
+SUBGROUP_COUNTS = {
+    "sym:3": 6, "sym:4": 30, "alt:4": 10, "alt:5": 59, "quaternion:8": 6,
+    "product:zmod:2,zmod:2": 5, "product:zmod:2,zmod:4": 8,
+    "product:zmod:2,zmod:2,zmod:2": 16, "product:zmod:3,zmod:3": 6,
+    "product:zmod:4,zmod:4": 15,
+}
+
+
+def _expected_subgroup_count(desc):
+    head, _, rest = desc.partition(":")
+    if head not in ("zmod", "dihedral"):
+        return SUBGROUP_COUNTS[desc]
+    n = int(rest)
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    return len(divisors) + (sum(divisors) if head == "dihedral" else 0)
+
+
+@pytest.mark.parametrize("desc", catalog_descriptors(60))
+def test_all_subgroups_counts_and_closure(desc):
+    g = build_group(desc)
+    subgroups = _all_subgroups(g)
+    assert len(subgroups) == len(set(subgroups)) == _expected_subgroup_count(desc)
+    for h in subgroups:
+        assert g.identity in h
+        assert all(g.mul(a, b) in h for a in h for b in h)
 
 
 def test_obstruction_prime_cyclic(z101, zpz_fixture):
