@@ -24,7 +24,8 @@ from .productsets import (BogolyubovResult, CoveringCheck, FourProductResult,
                           QuasirandomCheck, SeparatedCover,
                           ShiftInvarianceResult, bogolyubov_search,
                           covering_containment_check, four_product_bohr,
-                          quasirandom_check, separated_cover,
-                          shift_invariance_search, two_set_bogolyubov)
+                          quasirandom_check, quasirandom_trials,
+                          separated_cover, shift_invariance_search,
+                          two_set_bogolyubov)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -30,7 +30,7 @@ from .gen import (evens_subset, halfrange_subset, interval_subset,
                   remove_random_points, rng_from_seed)
 from .groups import (FiniteGroup, GroupFunction, Subset, build_group,
                      parse_function, parse_subset)
-from .productsets import (bogolyubov_search, quasirandom_check, separated_cover,
+from .productsets import (bogolyubov_search, quasirandom_trials, separated_cover,
                           shift_invariance_search, two_set_bogolyubov)
 from .regularity import RegularityBudget, ZetaRule, search_regular_bohr
 from .reps import direct_sum_hom, irreps_of, min_nontrivial_dim
@@ -316,15 +316,10 @@ def _run_quasirandom(config, group, rng, seed):
     alpha = float(_get(config, "alpha", required=True))
     trials = int(_get(config, "trials", "100"))
     size = int(_get(config, "size", str(int(np.ceil(alpha * group.order)))))
-    rows = []
-    for t in range(trials):
-        trial_rng = rng_from_seed(seed * 100003 + t)
-        a = random_subset_of_size(group, size, trial_rng)
-        b = random_subset_of_size(group, size, trial_rng)
-        c = random_subset_of_size(group, size, trial_rng)
-        chk = quasirandom_check(a, b, c, alpha, seed)
-        rows.append({"trial": t, "seed": seed * 100003 + t,
-                     "ab_density": chk.ab_density, "abc_covers": chk.abc_covers})
+    rows = [{"trial": t, "seed": trial_seed, "ab_density": chk.ab_density,
+             "abc_covers": chk.abc_covers}
+            for t, (trial_seed, chk) in enumerate(
+                quasirandom_trials(group, alpha, trials, size, seed))]
     payload = {"d": min_nontrivial_dim(group, seed), "alpha": alpha,
                "size": size, "table": rows,
                "min_ab_density": min(r["ab_density"] for r in rows),

@@ -17,8 +17,9 @@ import numpy as np
 
 from .bohr import BohrSpec, SearchSpace, bohr_set, first_accepted, is_symmetric
 from .convolve import _lp, convolve, overlap_function
-from .groups import (GroupFunction, Subset, check_eps, inverse_set,
-                     product_set)
+from .gen import random_subset_of_size, rng_from_seed
+from .groups import (FiniteGroup, GroupFunction, Subset, check_eps,
+                     inverse_set, product_set)
 from .regularity import ZetaRule
 from .reps import direct_sum_hom, min_nontrivial_dim
 
@@ -285,6 +286,26 @@ def quasirandom_check(a: Subset, b: Subset, c: Subset, alpha: float,
                             d=min_nontrivial_dim(grp, seed))
 
 
+def quasirandom_trials(group: FiniteGroup, alpha: float, trials: int, size: int,
+                       seed: int = 0) -> list[tuple[int, QuasirandomCheck]]:
+    """``trials`` quasirandom checks of three random ``size``-subsets each.
+
+    Trial t draws A, B, C in turn from seed ``seed * 100003 + t`` and is
+    returned as (that seed, its check).
+    """
+    if not trials >= 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not 1 <= size <= group.order:
+        raise ValueError(f"size must lie in [1, {group.order}], got {size}")
+    out = []
+    for t in range(trials):
+        trial_seed = seed * 100003 + t
+        rng = rng_from_seed(trial_seed)
+        a, b, c = (random_subset_of_size(group, size, rng) for _ in range(3))
+        out.append((trial_seed, quasirandom_check(a, b, c, alpha, seed)))
+    return out
+
+
 @dataclass(frozen=True)
 class ShiftInvarianceResult:
     status: str
@@ -305,6 +326,9 @@ def shift_invariance_search(f: GroupFunction, p: float, eps: float,
     if not 1 <= p < math.inf:  # NaN fails too
         raise ValueError(f"p must lie in [1, inf), got {p}")
     check_eps(eps)
+    if not 1 <= min_size <= f.group.order:
+        raise ValueError(
+            f"min_size must lie in [1, {f.group.order}], got {min_size}")
 
     def accept(spec: BohrSpec) -> Optional[float]:
         sup = 0.0

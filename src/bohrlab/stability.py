@@ -205,6 +205,12 @@ def _max_ladder(F: np.ndarray, eps: float, cap: int, budget: int,
     return state["best"], state["pairs"], state["exhausted"], state["nodes"]
 
 
+def _check_budget(budget: int) -> None:
+    """A budget below one node ends every search inconclusive unsearched."""
+    if not budget >= 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
+
+
 def _bits(mask: np.ndarray) -> int:
     """Row-major boolean array -> Python int with bit i set iff flat[i]."""
     return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
@@ -225,6 +231,7 @@ def ladder_search(f: GroupFunction, k: int, eps: float,
     if k < 1:
         raise ValueError("k must be >= 1")
     check_eps(eps)
+    _check_budget(budget)
     F = _pair_table(f)
     best, pairs, exhausted, nodes = _max_ladder(
         F, eps, k, budget, _domain_mask(f, a_domain), _domain_mask(f, b_domain))
@@ -243,6 +250,7 @@ def ladder_index(f: GroupFunction, eps: float, cap: int = 8,
     check_eps(eps)
     if cap < 1:
         raise ValueError("cap must be >= 1")
+    _check_budget(budget)
     F = _pair_table(f)
     best, pairs, exhausted, nodes = _max_ladder(
         F, eps, cap, budget, _domain_mask(f, a_domain), _domain_mask(f, b_domain))
@@ -257,6 +265,7 @@ def ladder_index(f: GroupFunction, eps: float, cap: int = 8,
 def stability_profile(f: GroupFunction, eps_grid, cap: int = 8,
                       budget: int = DEFAULT_BUDGET) -> StabilityProfile:
     """ladder_index across an epsilon grid, monotone by construction."""
+    _check_budget(budget)
     grid = tuple(sorted(float(e) for e in eps_grid))
     indices: list[int] = []
     statuses: list[str] = []

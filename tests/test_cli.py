@@ -125,6 +125,25 @@ def test_out_of_range_parameters_error(tmp_path, capsys, kind, keys, message):
     assert not (tmp_path / "o.json").exists()
 
 
+@pytest.mark.parametrize("kind, keys, message", [
+    ("ladder", "function = random-uniform\nepsilon = 0.1\nbudget = -5\n",
+     "budget must be >= 1, got -5"),
+    ("quasirandom", "alpha = 0.3\ntrials = 0\n", "trials must be >= 1, got 0"),
+    ("quasirandom", "alpha = 0.3\nsize = -1\n",
+     "size must lie in [1, 12], got -1"),
+    ("croot-sisask", "set_a = random:0.5\np = 2\nepsilon = 0.1\nmin_size = -4\n",
+     "min_size must lie in [1, 12], got -4"),
+], ids=["ladder-budget", "quasirandom-trials", "quasirandom-size",
+        "croot-sisask-min_size"])
+def test_out_of_range_budgets_error(tmp_path, capsys, kind, keys, message):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[experiment]\ngroup = zmod:12\nseed = 1\n{keys}")
+    code = main([kind, "--config", str(cfg), "--out", str(tmp_path / "o.json")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o.json").exists()
+
+
 @pytest.mark.parametrize("text", [
     "[experiment]\nkind = group-info\ngroup = zmod:12\n[experiment]\nseed = 1\n",
     "kind = group-info\ngroup = zmod:12\n",

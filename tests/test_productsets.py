@@ -5,7 +5,7 @@ from bohrlab import (GroupFunction, Subset, ZetaRule,
                      bogolyubov_search, build_group, convolve,
                      covering_containment_check, four_product_bohr,
                      inverse_set, product_set, quasirandom_check,
-                     separated_cover, shift_invariance_search,
+                     quasirandom_trials, separated_cover, shift_invariance_search,
                      two_set_bogolyubov)
 from bohrlab.gen import (evens_subset, random_pm1_function, random_subset,
                          random_subset_of_size, remove_random_points,
@@ -224,6 +224,30 @@ def test_quasirandom_precondition(z12):
     tiny = Subset.from_indices(z12, [0])
     with pytest.raises(ValueError):
         quasirandom_check(tiny, tiny, tiny, 0.5)
+
+
+def test_quasirandom_trials_match_separate_draws(a5):
+    rows = quasirandom_trials(a5, 0.35, 3, 21, seed=9)
+    assert [s for s, _ in rows] == [900027, 900028, 900029]
+    for trial_seed, chk in rows:
+        rng = rng_from_seed(trial_seed)
+        a, b, c = (random_subset_of_size(a5, 21, rng) for _ in range(3))
+        assert chk == quasirandom_check(a, b, c, 0.35, 9)
+
+
+@pytest.mark.parametrize("trials, size, message", [
+    (0, 4, "trials must be >= 1"), (2, 0, "size must lie in"),
+    (2, 13, "size must lie in")])
+def test_quasirandom_trials_range_checked(z12, trials, size, message):
+    with pytest.raises(ValueError, match=message):
+        quasirandom_trials(z12, 0.3, trials, size)
+
+
+@pytest.mark.parametrize("min_size", [0, -4, 13])
+def test_shift_invariance_min_size_range_checked(z12, min_size):
+    f = GroupFunction.constant(z12, 0.5)
+    with pytest.raises(ValueError, match="min_size must lie in"):
+        shift_invariance_search(f, 2, 0.1, min_size=min_size)
 
 
 def test_shift_invariance_degenerate_floor():

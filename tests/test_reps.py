@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from bohrlab import (abelian_characters, build_group, catalog_descriptors,
                      decompose_regular, direct_sum_hom, measure_hom_residual,
                      min_nontrivial_dim, operator_distance)
-from bohrlab.reps import UnitaryRep, export_rep, parse_rep
+from bohrlab import reps
+from bohrlab.reps import SAMPLED_PAIRS, UnitaryRep, export_rep, parse_rep
 
 
 def test_abelian_characters_z3():
@@ -184,3 +186,124 @@ def test_residual_exhaustive_on_dihedral50_irreps():
     for ir in irreps:
         assert abs(measure_hom_residual(ir.rep)
                    - _brute_force_residual(ir.rep)) <= 1e-15
+
+
+def _unfiltered_residual(rep, a, b):
+    """The residual without the Frobenius prefilter: every pair's operator
+    norm, from the library's own product, in its 4,096-pair chunks."""
+    mats, table = rep.matrices, rep.group.table
+    worst = 0.0
+    for lo in range(0, len(a), 4096):
+        ai, bi = a[lo:lo + 4096], b[lo:lo + 4096]
+        diff = mats[table[ai, bi]] - np.einsum("pij,pjk->pik", mats[ai], mats[bi])
+        norms = (np.abs(diff[:, 0, 0]) if rep.dim == 1
+                 else np.linalg.svd(diff, compute_uv=False)[:, 0])
+        worst = max(worst, float(np.max(norms)))
+    return worst
+
+
+def _all_pairs(group):
+    return np.divmod(np.arange(group.order ** 2), group.order)
+
+
+@pytest.mark.parametrize("desc", ["dihedral:50", "alt:5"])
+def test_prefiltered_residual_equals_unfiltered(desc):
+    g = build_group(desc)
+    for ir in decompose_regular(g):
+        assert ir.rep.hom_residual == _unfiltered_residual(ir.rep, *_all_pairs(g))
+
+
+def test_prefiltered_residual_with_planted_full_rank_error(a5):
+    three = next(ir.rep for ir in decompose_regular(a5) if ir.dim == 3)
+    rng = np.random.default_rng(5)
+    mats = three.matrices.copy()
+    mats[17] += 1e-3 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    rep = UnitaryRep(a5, mats, label="planted")
+    assert rep.hom_residual == _unfiltered_residual(rep, *_all_pairs(a5))
+    assert rep.hom_residual > 1e-4
+
+
+def test_prefiltered_residual_with_planted_rank1_error():
+    # For a rank-1 A, ||A||_2 = ||A||_F, and the computed SVD value of some
+    # pair sits above its computed Frobenius norm, so the prune needs slack.
+    g = build_group("sym:4")
+    two = decompose_regular(g)[2].rep
+    assert two.dim == 2
+    mats = two.matrices.copy()
+    mats[1, 0, 1] += 1.0
+    rep = UnitaryRep(g, mats, label="planted")
+    a, b = _all_pairs(g)
+    diff = mats[g.table[a, b]] - np.einsum("pij,pjk->pik", mats[a], mats[b])
+    svd = np.linalg.svd(diff, compute_uv=False)[:, 0]
+    assert np.any(svd > np.linalg.norm(diff, axis=(1, 2)))
+    assert rep.hom_residual == _unfiltered_residual(rep, a, b)
+    assert rep.hom_residual >= 1.0
+
+
+def test_prefiltered_residual_on_sampled_pairs():
+    g = build_group("zmod:400")
+    assert g.order ** 2 > SAMPLED_PAIRS
+    rng = np.random.default_rng(3)
+    u = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+    x = np.arange(g.order)
+    diag = np.zeros((g.order, 2, 2), dtype=np.complex128)
+    diag[:, 0, 0] = np.exp(2j * np.pi * 3 * x / g.order)
+    diag[:, 1, 1] = np.exp(2j * np.pi * 7 * x / g.order)
+    mats = u @ diag @ u.conj().T
+    mats[250] += 1e-7 * np.outer(u[:, 0], u[:, 1].conj())
+    rep = UnitaryRep(g, mats, label="sampled")
+    draw = np.random.default_rng(0)
+    a = draw.integers(0, g.order, SAMPLED_PAIRS)
+    b = draw.integers(0, g.order, SAMPLED_PAIRS)
+    assert rep.hom_residual == _unfiltered_residual(rep, a, b)
+    assert rep.hom_residual > 0.5e-7
+
+
+def _loop_commuting_family(mats):
+    chosen = []
+    for g in range(mats.shape[0]):
+        m = mats[g]
+        if all(np.max(np.abs(m @ mats[c] - mats[c] @ m)) < 1e-8 for c in chosen):
+            chosen.append(g)
+    return chosen
+
+
+def _loop_diagonal_friendly(mats, rng):
+    """The pick as a Python step per (element, chosen matrix) pair."""
+    d = mats.shape[1]
+    if d == 1:
+        return mats
+    h = np.zeros((d, d), dtype=np.complex128)
+    for c in _loop_commuting_family(mats):
+        c = mats[c]
+        x, y = rng.standard_normal(2)
+        h += x * (c + c.conj().T) + y * 1j * (c - c.conj().T)
+    _, v = np.linalg.eigh(h)
+    for col in range(d):
+        pivot = int(np.argmax(np.abs(v[:, col])))
+        p = v[pivot, col]
+        if abs(p) > 0:
+            v[:, col] *= np.conj(p) / abs(p)
+    return np.einsum("ji,gjk,kl->gil", v.conj(), mats, v)
+
+
+@pytest.mark.parametrize("desc", ["sym:4", "dihedral:12", "alt:5",
+                                  "quaternion:8", "dihedral:50"])
+def test_commuting_family_matches_pairwise_loop(desc, monkeypatch):
+    calls = []
+    real = reps._diagonal_friendly
+
+    def record(mats, rng):
+        calls.append((mats.copy(), copy.deepcopy(rng)))
+        return real(mats, rng)
+
+    monkeypatch.setattr(reps, "_diagonal_friendly", record)
+    g = build_group(desc)
+    for seed in range(3):
+        decompose_regular(g, seed=seed)
+    assert any(mats.shape[1] > 1 for mats, _ in calls)
+    for mats, rng in calls:
+        if mats.shape[1] > 1:
+            assert reps._commuting_family(mats) == _loop_commuting_family(mats)
+        ours = real(mats, copy.deepcopy(rng))
+        assert ours.tobytes() == _loop_diagonal_friendly(mats, rng).tobytes()

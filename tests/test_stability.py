@@ -20,6 +20,16 @@ def test_constant_has_no_ladder(z12):
     assert (idx.k_max, idx.status) == (1, "exact")
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+def test_budget_below_one_rejected(z12, budget):
+    f = GroupFunction.constant(z12, 0.25)
+    for call in (lambda: ladder_index(f, 0.1, budget=budget),
+                 lambda: ladder_search(f, 2, 0.1, budget=budget),
+                 lambda: stability_profile(f, [], budget=budget)):
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            call()
+
+
 def test_z4_indicator_witness(z4):
     f = GroupFunction.indicator(Subset.from_indices(z4, [0, 1]))
     out = ladder_search(f, 2, 1.0)
