@@ -61,6 +61,9 @@ class UnitaryRep:
         if matrices.ndim != 3 or matrices.shape[0] != group.order \
                 or matrices.shape[1] != matrices.shape[2]:
             raise ValueError(f"bad matrices shape {matrices.shape}")
+        if not np.isfinite(matrices).all():
+            # NaN passes every `residual > tol` check as a false certificate
+            raise ValueError("rep matrices must have finite entries")
         matrices[group.identity] = np.eye(matrices.shape[1])
         self.group = group
         self.dim = int(matrices.shape[1])

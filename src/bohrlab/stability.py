@@ -2,9 +2,10 @@
 
 A ladder of length k for f is a pair of sequences a_1..a_k, b_1..b_k with
 |f(a_i b_j) - f(a_j b_i)| >= eps for all i < j; the ladder index at eps is
-the longest such ladder. The search is a budgeted depth-first extension; the
-oracle reduces the same question to maximum clique on a pair-compatibility
-graph and solves it by branch and bound, independently of the search path.
+the longest such ladder. The search is a budgeted branch and bound on the
+pair-compatibility graph, whose k-cliques are the ladders of length k; the
+oracle solves the same maximum-clique question on an explicit adjacency
+matrix, independently of the search's roots, masks and rows.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ ORACLE_ORDER_CAP = 12
 # Compatibility rows memoized by one ladder search, in bytes of row bits;
 # rows past it are rebuilt on each use instead of stored
 ROW_MEMO_BYTES = 64 << 20
+# Entries of F compared per batch of compatibility rows (8 bytes each)
+_ROW_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -114,106 +117,220 @@ def _domain_mask(f: GroupFunction, domain: Optional[Subset]) -> np.ndarray:
 
 def _max_ladder(F: np.ndarray, eps: float, cap: int, budget: int,
                 a_allowed: np.ndarray, b_allowed: np.ndarray):
-    """Depth-first maximum-ladder search with incremental candidate masks.
+    """Branch-and-bound maximum-ladder search on bit-parallel pair masks.
 
-    A partial ladder of length m extends by (a, b) iff
-    |F[a_i, b] - F[a, b_i]| >= eps for all i <= m; candidates are scanned in
-    element-index order. Symmetry pruning: the ladder property is invariant
-    under jointly permuting the (a_i, b_i) pairs (the constraint on {i, j} is
-    symmetric in i and j), so any witness can be reordered to put a pair with
-    minimal a first; the search therefore only extends a root (a1, b1) by
-    pairs with a >= a1, which preserves completeness.
+    Ladders of length k are the k-cliques of the pair-compatibility graph:
+    pairs (a, b) and (a', b') are adjacent iff |F[a, b'] - F[a', b]| >= eps.
+    Pair (a, b) is bit a*n + b of a Python int (San Segundo, Rodriguez-Losada
+    and Jimenez, Computers & OR 2011), and a node's candidate mask is its
+    parent's ANDed with the compatibility row of the pair it adds.
 
-    Candidate masks are bit-parallel (San Segundo, Rodriguez-Losada and
-    Jimenez, Computers & OR 2011): pair (a, b) is bit a*n + b of a Python int,
-    so scanning by lowest set bit visits pairs in row-major order. A child's
-    mask is the parent's ANDed with the compatibility row of (a, b), whose bit
-    a'*n + b' is set iff |F[a, b'] - F[a', b]| >= eps. Rows are built on first
-    use and memoized for the call: the memo holds at most min(n^2, nodes)
-    rows of n^2 bits each, and stops storing new rows once it holds
-    ROW_MEMO_BYTES of them, so its size does not grow with the order.
+    Dive: one greedy index-order descent (always the lowest candidate) runs
+    first and is charged to the budget, so a cap reached on that first path
+    costs at most cap nodes; the ladder it finds is the first lower bound.
+
+    Roots: when both domains are the whole group, (a_i, b_i) -> (a_i g,
+    g^-1 b_i) keeps every product a_i b_j, so every gap; any ladder therefore
+    maps to one containing a pair (0, b) with a = element 0. The roots are
+    the n pairs (0, b), and root (0, b) excludes the earlier roots (0, b'),
+    b' < b, from its subtree. With a restricted domain the search starts
+    from the whole domain mask instead.
+
+    Below the roots (MCQ, Tomita and Seki, DMTCS 2003): a node colours its
+    mask greedily in index order, each colour class a set of pairwise
+    incompatible pairs, branches in reverse colour order, prunes once
+    depth + colour <= best, and drops each branched pair from its mask.
+    This bound must not be mixed with an index-order prefix cut such as
+    "a_1 minimal": each is sound alone, but together they miss ladders.
+
+    Local subgraphs: a node whose mask holds at most n pairs builds the m x m
+    compatibility matrix of those m pairs from F in one vectorized pass and
+    searches its subtree on m-bit ints. Local bits keep the index order of
+    the pairs, so the traversal is the same as on n^2-bit masks. Larger masks
+    use n^2-bit rows, memoized for the call and built in batches (a mask's
+    missing rows before it is coloured); the memo stops storing rows once it
+    holds ROW_MEMO_BYTES of them, so its size does not grow with the order.
 
     The budget counts node expansions (one per candidate scan of a partial
     ladder). Returns (best_depth, pairs, exhausted, nodes).
     """
+    if cap < 1:
+        return 0, [], True, 0
     n = F.shape[0]
-    base = _bits(np.outer(a_allowed, b_allowed))
-    rows: dict[int, int] = {}
-    max_rows = ROW_MEMO_BYTES // ((n * n + 7) // 8)
-    diff = np.empty((n, n))
-    hit = np.empty((n, n), dtype=bool)
-    state = {"nodes": 0, "exhausted": True, "best": 0, "pairs": [], "stop": False}
-    a_stack: list[int] = []
-    b_stack: list[int] = []
+    base = _int_rows(np.outer(a_allowed, b_allowed).reshape(1, -1))[0]
+    rows = _RowMemo(F, eps, ROW_MEMO_BYTES // ((n * n + 7) // 8))
+    state = {"nodes": 0, "exhausted": True, "best": 0, "ladder": [], "stop": False}
+    stack: list[int] = []  # pair indices of the partial ladder
 
-    def visit(mask: int) -> None:
-        depth = len(a_stack)
+    def enter(depth: int) -> bool:
+        """Record the partial ladder and charge one node; False to stop."""
         if depth > state["best"]:
             state["best"] = depth
-            state["pairs"] = list(zip(a_stack, b_stack))
+            state["ladder"] = list(stack)
             if depth >= cap:
                 state["stop"] = True
-                return
-        if depth >= cap:
-            return
+                return False
         if state["nodes"] >= budget:
             state["exhausted"] = False
             state["stop"] = True
-            return
+            return False
         state["nodes"] += 1
-        if not mask:
+        return True
+
+    def visit(mask: int, rows, pairs) -> None:
+        """Branch and bound below the partial ladder on the stack.
+
+        pairs is None while mask and rows are n^2-bit; on a local subgraph
+        it maps local vertex i to its pair index.
+        """
+        depth = len(stack)
+        if not enter(depth) or not mask:
             return
-        if depth + 1 >= cap and cap > state["best"]:
+        if depth + 1 >= cap:
             # any candidate completes a cap-length ladder
-            a, b = divmod((mask & -mask).bit_length() - 1, n)
-            state["best"] = cap
-            state["pairs"] = list(zip(a_stack + [a], b_stack + [b]))
-            state["stop"] = True
+            low = (mask & -mask).bit_length() - 1
+            stack.append(low if pairs is None else pairs[low])
+            enter(cap)
+            stack.pop()
             return
-        rest = mask
-        while rest:
-            if state["stop"]:
+        if pairs is None:
+            if mask.bit_count() <= n:
+                mask, rows, pairs = _local_graph(F, eps, mask, n)
+            else:
+                rows.fill(_set_bits(mask, n * n).tolist())
+        for v, colour in reversed(_colour_classes(mask, rows, state["best"] - depth)):
+            if state["stop"] or depth + colour <= state["best"]:
                 return
-            low = rest & -rest
-            rest ^= low
-            pair = low.bit_length() - 1
-            a, b = divmod(pair, n)
-            row = rows.get(pair)
-            if row is None:
-                np.subtract(F[a, :][None, :], F[:, b][:, None], out=diff)
-                np.abs(diff, out=diff)
-                np.greater_equal(diff, eps, out=hit)
-                row = _bits(hit)
-                if len(rows) < max_rows:
-                    rows[pair] = row
-            child = mask & row
-            if depth == 0:
-                child &= ~((1 << (a * n)) - 1)  # canonical form: a1 minimal
-            a_stack.append(a)
-            b_stack.append(b)
-            visit(child)
-            a_stack.pop()
-            b_stack.pop()
+            stack.append(v if pairs is None else pairs[v])
+            visit(mask & rows[v], rows, pairs)
+            stack.pop()
+            mask ^= 1 << v
 
     try:
-        if cap >= 1:
-            visit(base)
+        mask = base
+        while enter(len(stack)) and mask:  # the dive
+            v = (mask & -mask).bit_length() - 1
+            stack.append(v)
+            mask &= rows[v]
+        stack.clear()
+        if not state["stop"]:
+            if not (a_allowed.all() and b_allowed.all()):
+                visit(base, rows, None)
+            elif enter(0):  # the roots (0, b)
+                rows.fill(range(n))
+                for b in range(n):
+                    if state["stop"]:
+                        break
+                    stack.append(b)
+                    visit(rows[b] & ~((2 << b) - 1), rows, None)
+                    stack.pop()
     finally:
         # visit reaches itself through its closure cell; break that cycle so
         # reference counting frees the rows now, not a later gc pass
         del visit
-    return state["best"], state["pairs"], state["exhausted"], state["nodes"]
+    pairs = [divmod(p, n) for p in state["ladder"]]
+    return state["best"], pairs, state["exhausted"], state["nodes"]
+
+
+class _RowMemo(dict):
+    """Compatibility rows by pair index, n^2 bits each, built on first use
+    or by fill.
+
+    Bit a'*n + b' of the row of pair (a, b) is set iff
+    |F[a, b'] - F[a', b]| >= eps. Rows past max_rows are rebuilt on each use.
+    """
+
+    def __init__(self, F: np.ndarray, eps: float, max_rows: int):
+        super().__init__()
+        self.F, self.eps, self.max_rows = F, eps, max_rows
+        # one batch of rows at a time, in buffers that live for the search
+        self.step = max(1, min(F.size, _ROW_BLOCK_ENTRIES // F.size))
+        self.diff = np.empty((self.step,) + F.shape)
+        self.hit = np.empty((self.step,) + F.shape, dtype=bool)
+
+    def __missing__(self, pair: int) -> int:
+        row = self._build([pair])[0]
+        if len(self) < self.max_rows:
+            self[pair] = row
+        return row
+
+    def fill(self, pairs) -> None:
+        """Build the missing rows of pairs in batches, while the memo has room."""
+        todo = [p for p in pairs if p not in self][:max(0, self.max_rows - len(self))]
+        for i in range(0, len(todo), self.step):
+            chunk = todo[i:i + self.step]
+            self.update(zip(chunk, self._build(chunk)))
+
+    def _build(self, pairs: list[int]) -> list[int]:
+        n = self.F.shape[0]
+        diff, hit = self.diff[:len(pairs)], self.hit[:len(pairs)]
+        for i, pair in enumerate(pairs):
+            a, b = divmod(pair, n)
+            # diff[i, a', b'] = F[a, b'] - F[a', b]; row by row, since numpy
+            # buffers a broadcast across the whole batch
+            np.subtract(self.F[a], self.F[:, b][:, None], out=diff[i])
+        np.abs(diff, out=diff)
+        np.greater_equal(diff, self.eps, out=hit)
+        return _int_rows(hit.reshape(len(pairs), -1))
+
+
+def _set_bits(mask: int, nbits: int) -> np.ndarray:
+    """Indices of the set bits of mask, ascending."""
+    octets = np.frombuffer(mask.to_bytes((nbits + 7) // 8, "little"), np.uint8)
+    at = np.flatnonzero(octets)
+    byte, bit = np.nonzero(np.unpackbits(octets[at, None], axis=1, bitorder="little"))
+    return at[byte] * 8 + bit
+
+
+def _int_rows(hit: np.ndarray) -> list[int]:
+    """2-D boolean array -> one Python int per row, bit j set iff hit[i, j]."""
+    packed = np.packbits(hit, axis=1, bitorder="little")
+    width = packed.shape[1]
+    data = memoryview(packed).cast("B")
+    return [int.from_bytes(data[i:i + width], "little")
+            for i in range(0, len(data), width)]
+
+
+def _local_graph(F: np.ndarray, eps: float, mask: int, n: int):
+    """The subgraph on a mask's pairs: (all-ones m-bit mask, rows, pairs).
+
+    Local vertex i is the i-th set bit of mask, so local index order is the
+    pairs' index order.
+    """
+    pairs = _set_bits(mask, n * n)
+    e = F[(pairs // n)[:, None], (pairs % n)[None, :]]
+    rows = _int_rows(np.abs(e - e.T) >= eps)
+    return (1 << len(rows)) - 1, rows, pairs.tolist()
+
+
+def _colour_classes(mask: int, rows, skip: int) -> list[tuple[int, int]]:
+    """Greedy colouring in index order: (vertex, colour) for colours > skip.
+
+    Colour c is the set of vertices, taken in index order, that are adjacent
+    to no vertex already given colour c, so a clique among the vertices of
+    colours <= c has at most c of them. Pairs are listed by ascending colour;
+    those of colour <= skip cannot extend the best ladder and are left out.
+    """
+    out = []
+    colour = 0
+    while mask:
+        colour += 1
+        avail = mask
+        while avail:
+            low = avail & -avail
+            v = low.bit_length() - 1
+            if colour > skip:
+                out.append((v, colour))
+            avail &= ~rows[v]
+            avail ^= low
+            mask ^= low
+    return out
 
 
 def _check_budget(budget: int) -> None:
     """A budget below one node ends every search inconclusive unsearched."""
     if not budget >= 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-
-
-def _bits(mask: np.ndarray) -> int:
-    """Row-major boolean array -> Python int with bit i set iff flat[i]."""
-    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
 def _witness_from(f: GroupFunction, pairs, eps: float) -> LadderWitness:

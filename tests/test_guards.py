@@ -1,4 +1,5 @@
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -29,3 +30,50 @@ def test_benchmark_span_targets_are_bound():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _strict_json(path):
+    def no_constant(name):
+        raise ValueError(f"{path.name}: non-finite number {name}")
+
+    def no_duplicates(items):
+        keys = [k for k, _ in items]
+        if len(set(keys)) != len(keys):
+            raise ValueError(f"{path.name}: duplicate key")
+        return dict(items)
+
+    return json.loads(path.read_text(encoding="utf-8"),
+                      parse_constant=no_constant, object_pairs_hook=no_duplicates)
+
+
+def _recorded_runs(node):
+    # a recorded run is a labbench/run.py result line: it carries `correct`
+    if isinstance(node, dict):
+        if "correct" in node:
+            return [node]
+        return [run for value in node.values() for run in _recorded_runs(value)]
+    if isinstance(node, list):
+        return [run for value in node for run in _recorded_runs(value)]
+    return []
+
+
+def test_committed_bench_files_are_well_formed():
+    # a perf-trajectory file claims a gain on a benchmark workload and
+    # metric, and every run it quotes passed the benchmark's output checks
+    bench = _strict_json(ROOT / "BENCHMARK.json")
+    workloads = {w["name"] for w in bench["workloads"]}
+    metrics = {m["name"] for m in bench["end_to_end"]}
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        doc = _strict_json(path)
+        claimed = doc["claimed"]
+        assert claimed["workload"] in workloads, path.name
+        assert claimed["metric"] in metrics, path.name
+        assert doc["pairs"], path.name
+        for pair in doc["pairs"]:
+            assert pair["workload"] == claimed["workload"], path.name
+            for side in ("parent", "change"):
+                assert claimed["metric"] in pair[side]["metrics"], path.name
+        for run in _recorded_runs(doc):
+            assert run["correct"] is True and run["failed"] == 0, path.name

@@ -154,6 +154,18 @@ def test_export_parse_round_trip(s3):
     assert back.hom_residual <= 1e-9
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_parse_rep_rejects_non_finite_entries(dim, bad):
+    g = build_group("zmod:3")
+    ident = " ".join("1.0 0.0" if i == j else "0.0 0.0"
+                     for i in range(dim) for j in range(dim))
+    broken = f"{bad} 0.0" + ident[len("1.0 0.0"):]
+    text = f"dim {dim} order 3\n{ident}\n{broken}\n{ident}\n"
+    with pytest.raises(ValueError, match="finite entries"):
+        parse_rep(text, g)
+
+
 def test_sampled_residual_large_group():
     # above order 316 the n^2 pairs outnumber the sample
     g = build_group("zmod:400")

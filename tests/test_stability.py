@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bohrlab import (GroupFunction, Subset, build_group, convolve,
-                     ladder_index, ladder_search, oracle_ladder_index,
+from bohrlab import (GroupFunction, Subset, build_group, catalog_descriptors,
+                     convolve, ladder_index, ladder_search, oracle_ladder_index,
                      stability_profile)
 from bohrlab.gen import (random_pm1_function, random_subset,
                          random_uniform_function, rng_from_seed)
@@ -85,6 +85,45 @@ def test_oracle_equivalence_sample(desc):
             assert idx.k_max == oracle, (desc, seed, eps)
             if idx.status == "exact":
                 assert idx.k_max == oracle_ladder_index(f, eps)
+
+
+@pytest.mark.parametrize("desc", catalog_descriptors(12))
+def test_restricted_domain_oracle_equivalence(desc):
+    # restricted domains take no translation roots: the colour-bound search
+    # starts from the whole domain mask
+    g = build_group(desc)
+    for seed in range(8):
+        rng = rng_from_seed(seed)
+        f = random_uniform_function(g, rng)
+        a_dom = random_subset(g, 0.6, rng)
+        b_dom = random_subset(g, 0.6, rng)
+        for eps in (0.25, 0.6, 1.2):
+            for cap in (2, 5, 99):
+                idx = ladder_index(f, eps, cap=cap, a_domain=a_dom, b_domain=b_dom)
+                assert idx.k_max == oracle_ladder_index(
+                    f, eps, cap=cap, a_domain=a_dom, b_domain=b_dom), (seed, eps, cap)
+                if idx.status == "exact":
+                    assert idx.k_max == oracle_ladder_index(
+                        f, eps, a_domain=a_dom, b_domain=b_dom), (seed, eps, cap)
+                else:
+                    assert (idx.status, idx.k_max) == ("capped", cap)
+                if idx.witness is not None:
+                    assert idx.witness.is_valid_for(f)
+                    assert a_dom.mask[list(idx.witness.a_seq)].all()
+                    assert b_dom.mask[list(idx.witness.b_seq)].all()
+
+
+def test_colour_bound_without_prefix_cut():
+    # branching in colour order while also cutting roots to "a_1 minimal"
+    # reports exact 2 here, where the longest ladder has length 3
+    g = build_group("zmod:12")
+    rng = rng_from_seed(1003)
+    f = convolve(GroupFunction.indicator(random_subset(g, 0.3, rng)),
+                 GroupFunction.indicator(random_subset(g, 0.3, rng)))
+    assert oracle_ladder_index(f, 0.1) == 3
+    idx = ladder_index(f, 0.1, cap=8)
+    assert (idx.k_max, idx.status) == (3, "exact")
+    assert idx.witness.is_valid_for(f)
 
 
 def test_budget_exhaustion_is_inconclusive(z12):
@@ -190,24 +229,24 @@ def test_witness_json(z4):
 
 # (group, seed, k_max, status, nodes, a_seq, b_seq) of ladder_index on
 # conv:random:0.3|random:0.3 at eps 0.1, cap 8, budget 10 000, recorded with
-# the numpy-mask search that preceded the bitset one: the traversal, and so
-# every node count and witness, must not change.
+# the branch-and-bound search (greedy dive, translation roots, colour bound):
+# the traversal, and so every node count and witness, must not change.
 PILOT_PINS = [
-    ("zmod:20", 1000, 5, "inconclusive", 10000, (0, 0, 1, 2, 7), (0, 16, 16, 9, 9)),
-    ("zmod:20", 1003, 3, "exact", 6385, (0, 0, 5), (2, 11, 11)),
-    ("zmod:20", 1029, 8, "capped", 85, (0, 0, 1, 2, 13, 13, 18, 18),
-     (0, 2, 4, 7, 2, 9, 4, 9)),
-    ("dihedral:10", 1001, 7, "inconclusive", 10000, (0, 0, 9, 15, 15, 18, 18),
-     (0, 10, 12, 3, 6, 6, 19)),
+    ("zmod:20", 1000, 5, "exact", 342, (0, 0, 1, 2, 7), (0, 16, 16, 9, 9)),
+    ("zmod:20", 1003, 3, "exact", 29, (0, 16, 0), (2, 11, 11)),
+    ("zmod:20", 1029, 8, "capped", 16, (0, 18, 18, 16, 15, 15, 13, 0),
+     (0, 9, 11, 11, 17, 2, 9, 17)),
+    ("dihedral:10", 1001, 7, "exact", 163, (0, 18, 15, 18, 15, 9, 0),
+     (0, 19, 3, 6, 6, 15, 10)),
     ("dihedral:10", 1002, 8, "capped", 8, (0, 0, 0, 1, 2, 2, 19, 19),
      (0, 8, 11, 8, 11, 18, 1, 13)),
-    ("dihedral:10", 1028, 3, "exact", 3805, (0, 0, 18), (0, 8, 8)),
-    ("dihedral:30", 1000, 1, "exact", 3601, (0,), (0,)),
-    ("dihedral:30", 1001, 3, "inconclusive", 10000, (0, 0, 10), (0, 35, 35)),
-    ("zmod:60", 1001, 3, "inconclusive", 10000, (0, 9, 53), (2, 55, 46)),
-    ("zmod:60", 1020, 2, "exact", 7261, (0, 8), (0, 17)),
-    ("alt:5", 1002, 4, "inconclusive", 10000, (0, 9, 9, 20), (11, 15, 47, 47)),
-    ("alt:5", 1043, 2, "exact", 7261, (0, 28), (0, 58)),
+    ("dihedral:10", 1028, 3, "exact", 25, (0, 0, 18), (0, 8, 8)),
+    ("dihedral:30", 1000, 1, "exact", 63, (0,), (0,)),
+    ("dihedral:30", 1001, 3, "exact", 108, (0, 0, 10), (0, 35, 35)),
+    ("zmod:60", 1001, 3, "exact", 72, (0, 57, 53), (2, 55, 58)),
+    ("zmod:60", 1020, 2, "exact", 64, (0, 8), (0, 17)),
+    ("alt:5", 1002, 4, "exact", 74, (0, 20, 9, 9), (11, 47, 47, 49)),
+    ("alt:5", 1043, 2, "exact", 64, (0, 28), (0, 58)),
 ]
 
 
@@ -221,12 +260,13 @@ def test_pilot_ladder_pinned(desc, seed, k_max, status, nodes, a_seq, b_seq):
     idx = ladder_index(f, 0.1, cap=8, budget=10_000)
     assert (idx.k_max, idx.status, idx.nodes) == (k_max, status, nodes)
     assert (idx.witness.a_seq, idx.witness.b_seq) == (a_seq, b_seq)
+    assert idx.witness.is_valid_for(f)
 
 
 @pytest.mark.parametrize("desc,seed,eps,a_dom,b_dom,nodes,a_seq,b_seq", [
-    ("zmod:12", 4, 0.8, [0, 1, 2, 3, 5, 7, 8, 11], [1, 2, 4, 6, 9, 10], 1678,
-     (0, 2, 2, 11), (1, 1, 2, 1)),
-    ("dihedral:6", 9, 1.2, [0, 2, 3, 6, 7, 10], [0, 1, 4, 5, 8, 9, 11], 701,
+    ("zmod:12", 4, 0.8, [0, 1, 2, 3, 5, 7, 8, 11], [1, 2, 4, 6, 9, 10], 23,
+     (11, 11, 11, 8), (2, 4, 1, 4)),
+    ("dihedral:6", 9, 1.2, [0, 2, 3, 6, 7, 10], [0, 1, 4, 5, 8, 9, 11], 13,
      (0, 0, 6, 7), (0, 8, 8, 1)),
 ])
 def test_domain_ladder_pinned(desc, seed, eps, a_dom, b_dom, nodes, a_seq, b_seq):
@@ -237,6 +277,7 @@ def test_domain_ladder_pinned(desc, seed, eps, a_dom, b_dom, nodes, a_seq, b_seq
                        b_domain=Subset.from_indices(g, b_dom))
     assert (idx.k_max, idx.status, idx.nodes) == (4, "exact", nodes)
     assert (idx.witness.a_seq, idx.witness.b_seq) == (a_seq, b_seq)
+    assert idx.witness.is_valid_for(f)
 
 
 def test_ladder_search_retains_no_memory():
@@ -266,6 +307,7 @@ def test_ladder_search_retains_no_memory():
 
 def test_row_memo_is_bounded(monkeypatch):
     from bohrlab import stability
+    # at eps 0.07 the search memoizes about 2,800 rows in 1,574 nodes
     g = build_group("zmod:60")
     rng = rng_from_seed(1001)
     f = convolve(GroupFunction.indicator(random_subset(g, 0.3, rng)),
@@ -274,10 +316,10 @@ def test_row_memo_is_bounded(monkeypatch):
 
     def run(memo_bytes):
         monkeypatch.setattr(stability, "ROW_MEMO_BYTES", memo_bytes)
-        ladder_index(f, 0.1, cap=8, budget=2000)  # warm imports and caches
+        ladder_index(f, 0.07, cap=8, budget=2000)  # warm imports and caches
         tracemalloc.start()
         try:
-            idx = ladder_index(f, 0.1, cap=8, budget=2000)
+            idx = ladder_index(f, 0.07, cap=8, budget=2000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
