@@ -249,8 +249,27 @@ PILOT_PINS = [
     ("alt:5", 1043, 2, "exact", 64, (0, 28), (0, 58)),
 ]
 
+# Test ids are fixed labels, one per (group, seed) case: they were generated
+# from the values the numpy-mask search recorded and are kept as they are, so
+# re-pinning a case changes its assertions but never its name.
+PILOT_IDS = [
+    "zmod:20-1000-5-inconclusive-10000-a_seq0-b_seq0",
+    "zmod:20-1003-3-exact-6385-a_seq1-b_seq1",
+    "zmod:20-1029-8-capped-85-a_seq2-b_seq2",
+    "dihedral:10-1001-7-inconclusive-10000-a_seq3-b_seq3",
+    "dihedral:10-1002-8-capped-8-a_seq4-b_seq4",
+    "dihedral:10-1028-3-exact-3805-a_seq5-b_seq5",
+    "dihedral:30-1000-1-exact-3601-a_seq6-b_seq6",
+    "dihedral:30-1001-3-inconclusive-10000-a_seq7-b_seq7",
+    "zmod:60-1001-3-inconclusive-10000-a_seq8-b_seq8",
+    "zmod:60-1020-2-exact-7261-a_seq9-b_seq9",
+    "alt:5-1002-4-inconclusive-10000-a_seq10-b_seq10",
+    "alt:5-1043-2-exact-7261-a_seq11-b_seq11",
+]
 
-@pytest.mark.parametrize("desc,seed,k_max,status,nodes,a_seq,b_seq", PILOT_PINS)
+
+@pytest.mark.parametrize("desc,seed,k_max,status,nodes,a_seq,b_seq", PILOT_PINS,
+                         ids=PILOT_IDS)
 def test_pilot_ladder_pinned(desc, seed, k_max, status, nodes, a_seq, b_seq):
     g = build_group(desc)
     rng = rng_from_seed(seed)
@@ -268,6 +287,9 @@ def test_pilot_ladder_pinned(desc, seed, k_max, status, nodes, a_seq, b_seq):
      (11, 11, 11, 8), (2, 4, 1, 4)),
     ("dihedral:6", 9, 1.2, [0, 2, 3, 6, 7, 10], [0, 1, 4, 5, 8, 9, 11], 13,
      (0, 0, 6, 7), (0, 8, 8, 1)),
+], ids=[  # fixed labels, as for PILOT_IDS
+    "zmod:12-4-0.8-a_dom0-b_dom0-1678-a_seq0-b_seq0",
+    "dihedral:6-9-1.2-a_dom1-b_dom1-701-a_seq1-b_seq1",
 ])
 def test_domain_ladder_pinned(desc, seed, eps, a_dom, b_dom, nodes, a_seq, b_seq):
     g = build_group(desc)
