@@ -6,26 +6,24 @@ __version__ = "0.1.0"
 from .groups import (FiniteGroup, GroupFunction, GroupValidationError, Subset,
                      build_group, catalog_descriptors, from_cayley_table,
                      inverse_set, product_set, translate_set)
-from .reps import (IrrepData, UnitaryRep, abelian_characters, decompose_regular,
+from .reps import (UnitaryRep, abelian_characters, decompose_regular,
                    direct_sum_hom, irreps_of, measure_hom_residual,
                    min_nontrivial_dim, operator_distance)
 from .bohr import (BohrSpec, SearchSpace, bohr_set, cover_bound_check,
                    enumerate_bohr_candidates, greedy_cover, nm_refine,
                    subgroup_test)
 from .convolve import convolve, convolve_fft_cyclic, lp_norm, overlap_function, shift
-from .stability import (LadderIndex, LadderOutcome, LadderWitness,
-                        StabilityProfile, ladder_index, ladder_search,
-                        oracle_ladder_index, stability_profile)
-from .regularity import (RegularityBudget, RegularityCertificate,
-                         RegularitySearchResult, ZetaRule,
+from .stability import (LadderIndex, LadderWitness, StabilityProfile,
+                        ladder_index, oracle_ladder_index, stability_profile)
+from .regularity import (RegularityCertificate, RegularitySearchResult, ZetaRule,
                          largest_eps_constant_subset, search_regular_bohr,
                          subgroup_obstruction_check, translate_defect)
 from .productsets import (BogolyubovResult, CoveringCheck, FourProductResult,
                           QuasirandomCheck, SeparatedCover,
                           ShiftInvarianceResult, bogolyubov_search,
-                          covering_containment_check, four_product_bohr,
-                          quasirandom_check, quasirandom_trials,
-                          separated_cover, shift_invariance_search,
-                          two_set_bogolyubov)
+                          four_product_bohr, quasirandom_check,
+                          quasirandom_trials, separated_cover,
+                          shift_invariance_search, symmetric_covering_check,
+                          translate_covering_check, two_set_bogolyubov)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

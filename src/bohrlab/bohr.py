@@ -194,14 +194,16 @@ def enumerate_bohr_candidates(group: FiniteGroup,
 
     Order: smaller total dimension n first, then larger delta, then fewer
     irrep summands, then lexicographic irrep indices. Stops after
-    ``space.max_candidates`` yields.
+    ``space.max_candidates`` yields, or once n passes the largest total
+    dimension that ``space.max_summands`` irreps reach.
     """
     irreps = irreps_of(group, space.seed)
-    dims = [ir.dim for ir in irreps]
+    dims = [rep.dim for rep in irreps]
+    top_dim = sum(sorted(dims, reverse=True)[:space.max_summands])
     grid = tuple(sorted(set(space.delta_grid), reverse=True))
     rep_cache: dict[tuple[int, ...], UnitaryRep] = {}
     yielded = 0
-    for n in range(1, space.max_dim + 1):
+    for n in range(1, min(space.max_dim, top_dim) + 1):
         if yielded >= space.max_candidates:
             return
         # at most n summands, as each has dim >= 1; lex order is preference order
@@ -215,7 +217,7 @@ def enumerate_bohr_candidates(group: FiniteGroup,
                     return
                 rep = rep_cache.get(combo)
                 if rep is None:
-                    rep = direct_sum_hom([irreps[i].rep for i in combo])
+                    rep = direct_sum_hom([irreps[i] for i in combo])
                     rep_cache[combo] = rep
                 yield bohr_set(group, rep, delta)
                 yielded += 1

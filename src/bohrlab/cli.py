@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +30,10 @@ from .gen import (evens_subset, halfrange_subset, interval_subset,
                   remove_random_points, rng_from_seed)
 from .groups import (FiniteGroup, GroupFunction, Subset, build_group,
                      parse_function, parse_subset)
-from .productsets import (bogolyubov_search, quasirandom_trials, separated_cover,
-                          shift_invariance_search, two_set_bogolyubov)
-from .regularity import RegularityBudget, ZetaRule, search_regular_bohr
+from .productsets import (bogolyubov_search, check_alpha, quasirandom_trials,
+                          separated_cover, shift_invariance_search,
+                          two_set_bogolyubov)
+from .regularity import ZetaRule, search_regular_bohr
 from .reps import direct_sum_hom, irreps_of, min_nontrivial_dim
 
 KINDS = ("group-info", "irreps", "bohr", "ladder", "convolve", "regularity",
@@ -193,19 +194,19 @@ def _run_group_info(config, group, rng, seed):
 
 def _run_irreps(config, group, rng, seed):
     irreps = irreps_of(group, seed)
-    dims = [ir.dim for ir in irreps]
+    dims = [rep.dim for rep in irreps]
     n = group.order
-    gram = np.array([[np.vdot(p.character, q.character) / n for q in irreps]
-                     for p in irreps])
+    chars = [rep.character() for rep in irreps]
+    gram = np.array([[np.vdot(p, q) / n for q in chars] for p in chars])
     payload = {
         "dims": dims,
         "sum_dim_sq": sum(d * d for d in dims),
-        "max_hom_residual": max(ir.rep.hom_residual for ir in irreps),
-        "max_unitarity_residual": max(ir.rep.unitarity_residual for ir in irreps),
+        "max_hom_residual": max(rep.hom_residual for rep in irreps),
+        "max_unitarity_residual": max(rep.unitarity_residual for rep in irreps),
         "char_orthogonality_defect": float(np.max(np.abs(gram - np.eye(len(irreps))))),
-        "table": [{"index": i, "dim": ir.dim,
-                   "multiplicity": ir.multiplicity_in_regular}
-                  for i, ir in enumerate(irreps)],
+        # an irrep occurs in the regular representation dim times
+        "table": [{"index": i, "dim": d, "multiplicity": d}
+                  for i, d in enumerate(dims)],
     }
     if group.order > 1:
         payload["min_nontrivial_dim"] = min_nontrivial_dim(group, seed)
@@ -217,7 +218,7 @@ def _run_bohr(config, group, rng, seed):
     picks = [int(t) for t in _get(config, "summands", required=True).split(",")]
     if not all(0 <= i < len(irreps) for i in picks):
         raise ConfigError(f"summands {picks} must lie in [0, {len(irreps)})")
-    tau = direct_sum_hom([irreps[i].rep for i in picks])
+    tau = direct_sum_hom([irreps[i] for i in picks])
     delta = float(_get(config, "delta", required=True))
     spec = bohr_set(group, tau, delta)
     count, translates = greedy_cover(group, spec.realized)
@@ -265,8 +266,7 @@ def _run_regularity(config, group, rng, seed):
     f = _parse_function(_get(config, "function", required=True), group, rng)
     eps = float(_get(config, "epsilon", required=True))
     zeta = ZetaRule.parse(_get(config, "zeta", "const:0.001"))
-    budget = RegularityBudget(zeta=zeta, eps=eps, space=_search_space(config, seed))
-    res = search_regular_bohr(f, budget)
+    res = search_regular_bohr(f, eps, zeta, _search_space(config, seed))
     payload = {"search_status": res.status,
                "candidates_scored": res.candidates_scored}
     if res.certificate is not None:
@@ -315,7 +315,11 @@ def _run_two_set(config, group, rng, seed):
 def _run_quasirandom(config, group, rng, seed):
     alpha = float(_get(config, "alpha", required=True))
     trials = int(_get(config, "trials", "100"))
-    size = int(_get(config, "size", str(int(np.ceil(alpha * group.order)))))
+    size = _get(config, "size")
+    if size is None:
+        check_alpha(alpha)  # before alpha * |G| can overflow
+        size = np.ceil(alpha * group.order)
+    size = int(size)
     rows = [{"trial": t, "seed": trial_seed, "ab_density": chk.ab_density,
              "abc_covers": chk.abc_covers}
             for t, (trial_seed, chk) in enumerate(

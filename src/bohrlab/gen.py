@@ -46,9 +46,11 @@ def random_indicator_function(group: FiniteGroup,
 def interval_subset(group: FiniteGroup, radius: int) -> Subset:
     """The cyclic interval {-radius..radius} in a zmod group."""
     _require_zmod(group)
+    if radius < 0:
+        raise ValueError(f"interval radius must be >= 0, got {radius}")
     n = group.order
-    idx = [x % n for x in range(-radius, radius + 1)]
-    return Subset.from_indices(group, set(idx))
+    radius = min(radius, n // 2)  # from n // 2 on the interval is all of Z/n
+    return Subset.from_indices(group, np.arange(-radius, radius + 1) % n)
 
 
 def halfrange_subset(group: FiniteGroup) -> Subset:

@@ -15,8 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .bohr import BohrSpec, SearchSpace, bohr_set, first_accepted, is_symmetric
-from .convolve import _lp, convolve, overlap_function
+from .bohr import (BohrSpec, SearchSpace, bohr_set, first_accepted,
+                   greedy_cover, is_symmetric)
+from .convolve import _lp, overlap_function
 from .gen import random_subset_of_size, rng_from_seed
 from .groups import (FiniteGroup, GroupFunction, Subset, check_eps,
                      inverse_set, product_set)
@@ -69,67 +70,50 @@ def separated_cover(a: Subset, alpha: float) -> SeparatedCover:
 
 @dataclass(frozen=True)
 class CoveringCheck:
-    mode: str
+    """One covering lemma, checked exhaustively. When its hypotheses fail,
+    ``conclusion_holds`` is None and ``witness`` gives the reason; a
+    hypothesis-holding violation is a hard failure upstream."""
+
     hypothesis_met: bool
     conclusion_holds: Optional[bool]
     witness: dict
 
 
-def covering_containment_check(mode: str, *, x: Subset | None = None,
-                               y: Subset | None = None, c: Subset | None = None,
-                               d: Subset | None = None,
-                               k: int | None = None) -> CoveringCheck:
-    """Verify one of the two covering lemmas exhaustively.
+def symmetric_covering_check(x: Subset, y: Subset) -> CoveringCheck:
+    """If 1 in X and mu(X^2 \\ Y) < mu(X)/2, check that X <= Y Y^-1."""
+    if len(x) == 0 or x.group.identity not in x:
+        return CoveringCheck(False, None, {"reason": "identity not in X"})
+    gap = len(product_set(x, x).difference(y))
+    if 2 * gap >= len(x):
+        return CoveringCheck(False, None,
+                             {"reason": "mu(X^2\\Y) >= mu(X)/2", "gap": gap})
+    target = product_set(y, inverse_set(y))
+    ok = x.is_subset_of(target)
+    witness = {}
+    if not ok:
+        witness["violator"] = int(x.difference(target).indices[0])
+    return CoveringCheck(True, ok, witness)
 
-    symmetric mode (x, y): if 1 in X and mu(X^2 \\ Y) < mu(X)/2 then the
-    conclusion X <= Y Y^-1 is checked. translate mode (c, x, d, k): if
-    X = X^-1, G is covered by <= k left translates of X (certified by the
-    greedy cover), and |X^2 \\ D| < |C|/k, then C D^-1 must contain a left
-    translate of X. When hypotheses fail the check reports that instead of a
-    conclusion; a hypothesis-holding violation is a hard failure upstream.
-    """
-    if mode == "symmetric":
-        if x is None or y is None:
-            raise ValueError("symmetric mode requires x and y")
-        grp = x.group
-        if len(x) == 0 or grp.identity not in x:
-            return CoveringCheck(mode, False, None, {"reason": "identity not in X"})
-        xx = product_set(x, x)
-        gap = len(xx.difference(y))
-        if 2 * gap >= len(x):
-            return CoveringCheck(mode, False, None,
-                                 {"reason": "mu(X^2\\Y) >= mu(X)/2", "gap": gap})
-        target = product_set(y, inverse_set(y))
-        ok = x.is_subset_of(target)
-        witness = {}
-        if not ok:
-            witness["violator"] = int(x.difference(target).indices[0])
-        return CoveringCheck(mode, True, ok, witness)
 
-    if mode == "translate":
-        if c is None or x is None or d is None or k is None:
-            raise ValueError("translate mode requires c, x, d, k")
-        grp = x.group
-        if len(x) == 0 or not is_symmetric(x):
-            return CoveringCheck(mode, False, None, {"reason": "X not symmetric"})
-        from .bohr import greedy_cover
-        count, _ = greedy_cover(grp, x)
-        if count > k:
-            return CoveringCheck(mode, False, None,
-                                 {"reason": "greedy cover exceeds k", "count": count})
-        xx = product_set(x, x)
-        if k * len(xx.difference(d)) >= len(c):
-            return CoveringCheck(mode, False, None,
-                                 {"reason": "|X^2\\D| >= |C|/k"})
-        target = product_set(c, inverse_set(d))
-        x_idx = x.indices
-        rows = grp.table[:, x_idx]
-        hit = target.mask[rows].all(axis=1)
-        ok = bool(hit.any())
-        witness = {"translate": int(np.argmax(hit))} if ok else {}
-        return CoveringCheck(mode, True, ok, witness)
-
-    raise ValueError(f"unknown mode {mode!r}")
+def translate_covering_check(c: Subset, x: Subset, d: Subset,
+                             k: int) -> CoveringCheck:
+    """If X = X^-1, G is covered by <= k left translates of X (certified by
+    the greedy cover), and |X^2 \\ D| < |C|/k, check that C D^-1 contains a
+    left translate of X."""
+    grp = x.group
+    if len(x) == 0 or not is_symmetric(x):
+        return CoveringCheck(False, None, {"reason": "X not symmetric"})
+    count, _ = greedy_cover(grp, x)
+    if count > k:
+        return CoveringCheck(False, None,
+                             {"reason": "greedy cover exceeds k", "count": count})
+    if k * len(product_set(x, x).difference(d)) >= len(c):
+        return CoveringCheck(False, None, {"reason": "|X^2\\D| >= |C|/k"})
+    target = product_set(c, inverse_set(d))
+    hit = target.mask[grp.table[:, x.indices]].all(axis=1)
+    ok = bool(hit.any())
+    witness = {"translate": int(np.argmax(hit))} if ok else {}
+    return CoveringCheck(True, ok, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +132,13 @@ class BogolyubovResult:
     candidates_scored: int = 0
 
 
-def _require_density(a: Subset, alpha: float, name: str = "A") -> Fraction:
+def check_alpha(alpha: float) -> None:
     if not 0 < alpha <= 1:  # NaN fails too
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+
+
+def _require_density(a: Subset, alpha: float, name: str = "A") -> Fraction:
+    check_alpha(alpha)
     alpha_fr = Fraction(alpha)
     if Fraction(len(a), a.group.order) < alpha_fr:
         raise ValueError(f"mu({name}) = {len(a)}/{a.group.order} < alpha = {alpha}")

@@ -10,7 +10,7 @@ the first whose worst translate defect fits the zeta budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 import numpy as np
@@ -69,21 +69,15 @@ class ZetaRule:
     @classmethod
     def parse(cls, text: str) -> "ZetaRule":
         head, _, rest = text.partition(":")
-        if head == "const":
-            return cls.constant(float(rest))
-        if head == "power":
-            gamma, c = rest.split(",")
-            return cls.power(float(gamma), float(c))
+        try:
+            params = [float(t) for t in rest.split(",")]
+        except ValueError:
+            params = []
+        if head == "const" and len(params) == 1:
+            return cls.constant(*params)
+        if head == "power" and len(params) == 2:
+            return cls.power(*params)
         raise ValueError(f"cannot parse zeta rule {text!r}")
-
-
-@dataclass(frozen=True)
-class RegularityBudget:
-    """Search parameters: zeta budget, target eps, and enumeration caps."""
-
-    zeta: ZetaRule
-    eps: float
-    space: SearchSpace = field(default_factory=SearchSpace)
 
 
 @dataclass(frozen=True)
@@ -242,28 +236,27 @@ def translate_defect(f: GroupFunction, spec: BohrSpec,
                                  max_defect=max_defect)
 
 
-def search_regular_bohr(f: GroupFunction,
-                        budget: RegularityBudget) -> RegularitySearchResult:
+def search_regular_bohr(f: GroupFunction, eps: float, zeta: ZetaRule,
+                        space: SearchSpace = SearchSpace()) -> RegularitySearchResult:
     """First Bohr spec (in preference order) whose max translate defect is
     within zeta(delta, n); explicit none-within-budget status otherwise.
 
     Candidates often realize the same set, so each distinct realized set is
     scored once; the certificate is built for the accepted spec only.
     """
-    check_eps(budget.eps)
+    check_eps(eps)
     max_defects: dict[bytes, float] = {}
 
     def accept(spec: BohrSpec) -> Optional[RegularityCertificate]:
         key = spec.realized.mask.tobytes()
         if key not in max_defects:
-            max_defects[key] = _max_defect(f, spec.realized, budget.eps)
-        allowance = budget.zeta.value(spec.delta, spec.tau.dim)
+            max_defects[key] = _max_defect(f, spec.realized, eps)
+        allowance = zeta.value(spec.delta, spec.tau.dim)
         if not max_defects[key] <= allowance:
             return None
-        return replace(translate_defect(f, spec, budget.eps),
-                       zeta_budget=allowance)
+        return replace(translate_defect(f, spec, eps), zeta_budget=allowance)
 
-    _, cert, scored = first_accepted(f.group, budget.space, accept)
+    _, cert, scored = first_accepted(f.group, space, accept)
     if cert is None:
         return RegularitySearchResult("none-within-budget", None, scored)
     return RegularitySearchResult("ok", cert, scored)

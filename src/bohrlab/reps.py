@@ -10,7 +10,6 @@ homomorphism carries measured residuals so downstream consumers can trust
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,19 +107,6 @@ class UnitaryRep:
     def __repr__(self) -> str:
         return (f"UnitaryRep({self.label}, dim={self.dim}, "
                 f"group={self.group.descriptor})")
-
-
-@dataclass(frozen=True)
-class IrrepData:
-    """An irreducible representation with its character data."""
-
-    rep: UnitaryRep
-    character: np.ndarray
-    multiplicity_in_regular: int
-
-    @property
-    def dim(self) -> int:
-        return self.rep.dim
 
 
 def measure_hom_residual(rep: UnitaryRep) -> float:
@@ -233,7 +219,7 @@ def cyclic_decomposition(group: FiniteGroup) -> tuple[list[int], list[int], np.n
     return gens, gen_orders, coords
 
 
-def abelian_characters(group: FiniteGroup) -> list[IrrepData]:
+def abelian_characters(group: FiniteGroup) -> list[UnitaryRep]:
     """All |G| one-dimensional characters of an abelian group.
 
     For each cyclic factor of order m the fundamental character sends the
@@ -259,9 +245,7 @@ def abelian_characters(group: FiniteGroup) -> list[IrrepData]:
             phase += digits[j] * coords[:, j] / m
         values = np.exp(2j * np.pi * phase)
         values[group.identity] = 1.0
-        rep = UnitaryRep(group, values.reshape(n, 1, 1), label=f"chi{k}")
-        irreps.append(IrrepData(rep=rep, character=values.copy(),
-                                multiplicity_in_regular=1))
+        irreps.append(UnitaryRep(group, values.reshape(n, 1, 1), label=f"chi{k}"))
     return irreps
 
 
@@ -365,7 +349,7 @@ def _char_sort_key(character: np.ndarray, dim: int):
     return (dim, rounded)
 
 
-def decompose_regular(group: FiniteGroup, seed: int = 0) -> list[IrrepData]:
+def decompose_regular(group: FiniteGroup, seed: int = 0) -> list[UnitaryRep]:
     """Complete list of inequivalent irreducibles of the regular representation.
 
     Algorithm: average a random Hermitian matrix over conjugation by the
@@ -388,13 +372,12 @@ def decompose_regular(group: FiniteGroup, seed: int = 0) -> list[IrrepData]:
         f"decomposition failed after 6 seeds: {last_err}")
 
 
-def _decompose_once(group: FiniteGroup, rng: np.random.Generator) -> list[IrrepData]:
+def _decompose_once(group: FiniteGroup, rng: np.random.Generator) -> list[UnitaryRep]:
     n = group.order
     left_inv = group.table[group.inverse, :]  # row g: h -> g^-1 h
 
     if n == 1:
-        rep = UnitaryRep(group, np.ones((1, 1, 1)), label="irrep0")
-        return [IrrepData(rep, rep.character(), 1)]
+        return [UnitaryRep(group, np.ones((1, 1, 1)), label="irrep0")]
 
     # Project a random Hermitian onto the commutant of the regular rep.
     h = _random_hermitian(n, rng)
@@ -428,18 +411,16 @@ def _decompose_once(group: FiniteGroup, rng: np.random.Generator) -> list[IrrepD
 
     found.sort(key=lambda cm: _char_sort_key(cm[0], cm[1].shape[1]))
     irreps = []
-    for i, (chi, mats) in enumerate(found):
-        mats = _diagonal_friendly(mats, rng)
-        rep = UnitaryRep(group, mats, label=f"irrep{i}")
+    for i, (_, mats) in enumerate(found):
+        rep = UnitaryRep(group, _diagonal_friendly(mats, rng), label=f"irrep{i}")
         if rep.hom_residual > DEFAULT_TOL or rep.unitarity_residual > DEFAULT_TOL:
             raise RepDecompositionError(
                 f"residuals exceed tol: hom={rep.hom_residual:.3g} "
                 f"unit={rep.unitarity_residual:.3g}")
-        irreps.append(IrrepData(rep, rep.character(),
-                                multiplicity_in_regular=int(round(chi[group.identity].real))))
+        irreps.append(rep)
 
-    gram = np.array([[np.vdot(a.character, b.character) / n for b in irreps]
-                     for a in irreps])
+    chars = [rep.character() for rep in irreps]
+    gram = np.array([[np.vdot(a, b) / n for b in chars] for a in chars])
     if np.max(np.abs(gram - np.eye(len(irreps)))) > CHAR_MATCH_TOL:
         raise RepDecompositionError("character orthogonality failed")
     return irreps
@@ -474,11 +455,11 @@ def direct_sum_hom(reps: list[UnitaryRep]) -> UnitaryRep:
                       unitarity_residual=max(r.unitarity_residual for r in reps))
 
 
-_IRREP_CACHE: "weakref.WeakKeyDictionary[FiniteGroup, dict[int, list[IrrepData]]]" = \
+_IRREP_CACHE: "weakref.WeakKeyDictionary[FiniteGroup, dict[int, list[UnitaryRep]]]" = \
     weakref.WeakKeyDictionary()
 
 
-def irreps_of(group: FiniteGroup, seed: int = 0) -> list[IrrepData]:
+def irreps_of(group: FiniteGroup, seed: int = 0) -> list[UnitaryRep]:
     """Cached irreducibles: exact characters when abelian, else decomposition."""
     per_group = _IRREP_CACHE.setdefault(group, {})
     key = -1 if group.is_abelian else seed
@@ -489,10 +470,12 @@ def irreps_of(group: FiniteGroup, seed: int = 0) -> list[IrrepData]:
 
 
 def min_nontrivial_dim(group: FiniteGroup, seed: int = 0) -> int:
-    """Minimum dimension of an irreducible with non-constant character."""
-    irreps = irreps_of(group, seed)
-    dims = [ir.dim for ir in irreps
-            if np.max(np.abs(ir.character - ir.character[group.identity])) > 1e-6]
+    """Minimum dimension of an irreducible with non-constant character.
+
+    A character's value at the identity is exactly its dimension, as the
+    identity matrix is snapped to I."""
+    dims = [rep.dim for rep in irreps_of(group, seed)
+            if np.max(np.abs(rep.character() - rep.dim)) > 1e-6]
     if not dims:
         raise ValueError("group has no nontrivial irreducible (trivial group)")
     return min(dims)

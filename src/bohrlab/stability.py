@@ -70,22 +70,13 @@ class LadderWitness:
 
 
 @dataclass(frozen=True)
-class LadderOutcome:
-    """Result of a fixed-length ladder search.
-
-    ``status`` is ``found`` (witness attached), ``none`` (search space
-    exhausted, no witness exists), or ``inconclusive`` (budget ran out; this
-    is distinct from nonexistence).
-    """
-
-    status: str
-    witness: Optional[LadderWitness]
-    nodes: int
-
-
-@dataclass(frozen=True)
 class LadderIndex:
-    """Measured maximum ladder length: exact, capped, or inconclusive."""
+    """Measured maximum ladder length k_max <= cap, realized by witness.
+
+    ``capped``: a ladder of length cap exists. ``exact``: the search space
+    was exhausted, so none is longer than k_max. ``inconclusive``: the
+    budget ran out, and k_max is only a lower bound.
+    """
 
     k_max: int
     status: str
@@ -338,25 +329,6 @@ def _witness_from(f: GroupFunction, pairs, eps: float) -> LadderWitness:
     b_seq = tuple(int(b) for _, b in pairs)
     wit = LadderWitness(a_seq, b_seq, eps, ())
     return LadderWitness(a_seq, b_seq, eps, tuple(wit.recompute_gaps(f)))
-
-
-def ladder_search(f: GroupFunction, k: int, eps: float,
-                  budget: int = DEFAULT_BUDGET,
-                  a_domain: Optional[Subset] = None,
-                  b_domain: Optional[Subset] = None) -> LadderOutcome:
-    """Search for a ladder of length exactly k; see LadderOutcome."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    check_eps(eps)
-    _check_budget(budget)
-    F = _pair_table(f)
-    best, pairs, exhausted, nodes = _max_ladder(
-        F, eps, k, budget, _domain_mask(f, a_domain), _domain_mask(f, b_domain))
-    if best >= k:
-        return LadderOutcome("found", _witness_from(f, pairs, eps), nodes)
-    if exhausted:
-        return LadderOutcome("none", None, nodes)
-    return LadderOutcome("inconclusive", None, nodes)
 
 
 def ladder_index(f: GroupFunction, eps: float, cap: int = 8,

@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 import bohrlab as bl
-from bohrlab import (GroupFunction, RegularityBudget, SearchSpace, Subset,
-                     ZetaRule)
+from bohrlab import GroupFunction, SearchSpace, Subset, ZetaRule
 from bohrlab.cli import load_config, run_experiment
 from bohrlab.gen import (evens_subset, interval_subset, random_subset,
                          random_subset_of_size, random_uniform_function,
@@ -49,9 +48,9 @@ def test_criterion_01_group_rep_soundness(catalog100):
         dims = [ir.dim for ir in irreps]
         assert sum(d * d for d in dims) == g.order, desc
         for ir in irreps:
-            assert ir.rep.hom_residual <= 1e-9, desc
-            assert ir.rep.unitarity_residual <= 1e-9, desc
-        chars = np.array([ir.character for ir in irreps])
+            assert ir.hom_residual <= 1e-9, desc
+            assert ir.unitarity_residual <= 1e-9, desc
+        chars = np.array([ir.character() for ir in irreps])
         gram = chars @ chars.conj().T / g.order
         assert np.max(np.abs(gram - np.eye(len(irreps)))) <= 1e-6, desc
     elapsed = time.perf_counter() - start
@@ -68,9 +67,9 @@ def test_criterion_02_bohr_structure(catalog100):
         if g.order > 24:
             continue
         irreps = bl.irreps_of(g, 0)
-        reps = [ir.rep for ir in irreps[:4]]
+        reps = list(irreps[:4])
         if len(irreps) >= 2:
-            reps.append(bl.direct_sum_hom([irreps[0].rep, irreps[1].rep]))
+            reps.append(bl.direct_sum_hom([irreps[0], irreps[1]]))
         for rep in reps:
             previous = None
             for delta in sorted(grid):
@@ -92,7 +91,7 @@ def test_criterion_02_bohr_structure(catalog100):
 
 def test_criterion_03_z12_fixture():
     g = bl.build_group("zmod:12")
-    chi1 = bl.abelian_characters(g)[1].rep
+    chi1 = bl.abelian_characters(g)[1]
     spec = bl.bohr_set(g, chi1, 1.0)
     assert sorted(spec.realized.indices) == [0, 1, 11]
     count, translates = bl.greedy_cover(g, spec.realized)
@@ -156,14 +155,14 @@ def test_criterion_06_covering_lemmas():
         x = Subset(z6, xmask)
         for ya in range(64):
             y = Subset(z6, np.array([(ya >> i) & 1 for i in range(6)], bool))
-            chk = bl.covering_containment_check("symmetric", x=x, y=y)
+            chk = bl.symmetric_covering_check(x, y)
             if chk.hypothesis_met:
                 held += 1
                 violations += not chk.conclusion_holds
 
     z5 = bl.build_group("zmod:5")
     # symmetric subsets of Z/5 are unions of {0}, {1,4}, {2,3}; non-symmetric
-    # X never meet the hypotheses of the translate-mode lemma
+    # X never meet the hypotheses of the translate covering lemma
     sym_sets = []
     for bits in range(1, 8):
         members = []
@@ -178,8 +177,7 @@ def test_criterion_06_covering_lemmas():
             for da in range(32):
                 d = Subset(z5, np.array([(da >> i) & 1 for i in range(5)], bool))
                 for k in range(1, 6):
-                    chk = bl.covering_containment_check("translate", c=c, x=x,
-                                                        d=d, k=k)
+                    chk = bl.translate_covering_check(c, x, d, k)
                     if chk.hypothesis_met:
                         held_t += 1
                         violations_t += not chk.conclusion_holds
@@ -197,10 +195,10 @@ def test_criterion_07_zpz_reproduction(zpz101):
     g, f = zpz101
     assert float(f.values.max()) >= 0.49
     assert float(f.values.min()) <= 0.02
-    full = bl.bohr_set(g, bl.abelian_characters(g)[0].rep, 2.0)
+    full = bl.bohr_set(g, bl.abelian_characters(g)[0], 2.0)
     cert_full = bl.translate_defect(f, full, 0.1)
     assert cert_full.max_defect > 0
-    res = bl.search_regular_bohr(f, RegularityBudget(ZetaRule.constant(0.001), 0.1))
+    res = bl.search_regular_bohr(f, 0.1, ZetaRule.constant(0.001))
     assert res.status == "ok"
     cert = res.certificate
     assert cert.max_defect == 0.0

@@ -19,7 +19,7 @@ def z12_chars(z12):
 
 
 def test_z12_chi1_delta1(z12, z12_chars):
-    spec = bohr_set(z12, z12_chars[1].rep, 1.0)
+    spec = bohr_set(z12, z12_chars[1], 1.0)
     assert sorted(spec.realized.indices) == [0, 1, 11]
     assert spec.kind == "torus"
     # x = 2 sits exactly on the boundary 2|sin(pi/6)| = 1 and is excluded
@@ -28,15 +28,15 @@ def test_z12_chi1_delta1(z12, z12_chars):
 
 
 def test_trivial_rep_full_group(z12, z12_chars):
-    spec = bohr_set(z12, z12_chars[0].rep, 2.0)
+    spec = bohr_set(z12, z12_chars[0], 2.0)
     assert len(spec.realized) == 12
 
 
 def test_klein_kernel(klein8):
     chars = abelian_characters(klein8)
     nontrivial = next(c for c in chars
-                      if np.max(np.abs(c.character - 1)) > 1e-6)
-    spec = bohr_set(klein8, nontrivial.rep, 1.0)
+                      if np.max(np.abs(c.character() - 1)) > 1e-6)
+    spec = bohr_set(klein8, nontrivial, 1.0)
     assert len(spec.realized) == 4
     assert subgroup_test(spec.realized) == (True, True)
 
@@ -44,7 +44,7 @@ def test_klein_kernel(klein8):
 def test_delta_range_validated(z12, z12_chars):
     for bad in (0.0, -1.0, 2.5):
         with pytest.raises(ValueError):
-            bohr_set(z12, z12_chars[1].rep, bad)
+            bohr_set(z12, z12_chars[1], bad)
 
 
 def test_greedy_cover_examples(z12):
@@ -90,7 +90,7 @@ def test_subgroup_test_normality_against_python_sets(desc, normal):
 
 
 def test_nm_refine_abelian_is_whole_image(z12, z12_chars):
-    spec, m = nm_refine(z12, z12_chars[1].rep, 1.0)
+    spec, m = nm_refine(z12, z12_chars[1], 1.0)
     assert m == 1
     assert spec.kind == "nm"
     assert sorted(spec.realized.indices) == [0, 1, 11]
@@ -98,7 +98,7 @@ def test_nm_refine_abelian_is_whole_image(z12, z12_chars):
 
 def test_nm_refine_quaternion(q8):
     irr = decompose_regular(q8)
-    two = next(i.rep for i in irr if i.dim == 2)
+    two = next(i for i in irr if i.dim == 2)
     assert list(two.kernel_indices()) == [q8.identity]  # faithful
     spec, m = nm_refine(q8, two, 1.0)
     assert m == 2
@@ -109,14 +109,14 @@ def test_nm_refine_quaternion(q8):
 
 
 def test_nm_refine_trivial_tau(z12, z12_chars):
-    spec, m = nm_refine(z12, z12_chars[0].rep, 2.0)
+    spec, m = nm_refine(z12, z12_chars[0], 2.0)
     assert m == 1
     assert len(spec.realized) == 12
 
 
 def test_nm_refine_simple_group_fails(a5):
     irr = decompose_regular(a5)
-    three = next(i.rep for i in irr if i.dim == 3)
+    three = next(i for i in irr if i.dim == 3)
     with pytest.raises(NoDiagonalRefinementError):
         nm_refine(a5, three, 1.0)
 
@@ -173,9 +173,9 @@ def test_nm_refine_pins(desc):
         for delta, pin in zip((0.5, 1.0, 2.0), NM_PINS[desc, i]):
             if pin is None:
                 with pytest.raises(NoDiagonalRefinementError):
-                    nm_refine(g, ir.rep, delta)
+                    nm_refine(g, ir, delta)
                 continue
-            spec, m = nm_refine(g, ir.rep, delta)
+            spec, m = nm_refine(g, ir, delta)
             members = (list(g.elements()) if pin[1] == "*"
                        else [int(t) for t in pin[1].split()])
             assert (m, spec.realized.indices.tolist()) == (pin[0], members)
@@ -193,8 +193,8 @@ def _distinct_matrices(rep):
 def test_nm_refine_index_by_matrices(desc):
     g = build_group(desc)
     irreps = irreps_of(g)
-    reps = [ir.rep for ir in irreps]
-    reps += [direct_sum_hom([irreps[i].rep, irreps[j].rep])
+    reps = list(irreps)
+    reps += [direct_sum_hom([irreps[i], irreps[j]])
              for i, j in itertools.combinations(range(4), 2)]
     refined = 0
     for rep in reps:
@@ -212,30 +212,30 @@ def test_nm_refine_index_by_matrices(desc):
 
 
 def test_cover_bound_examples(z12, z12_chars, klein8):
-    spec, _ = nm_refine(z12, z12_chars[1].rep, 1.0)
+    spec, _ = nm_refine(z12, z12_chars[1], 1.0)
     assert cover_bound_check(spec) == (7, 4, True)
 
     chars8 = abelian_characters(klein8)
-    nontrivial = next(c for c in chars8 if np.max(np.abs(c.character - 1)) > 1e-6)
-    spec8, _ = nm_refine(klein8, nontrivial.rep, 1.0)
+    nontrivial = next(c for c in chars8 if np.max(np.abs(c.character() - 1)) > 1e-6)
+    spec8, _ = nm_refine(klein8, nontrivial, 1.0)
     assert cover_bound_check(spec8) == (7, 2, True)
 
-    full_spec, m = nm_refine(z12, z12_chars[0].rep, 2.0)
+    full_spec, m = nm_refine(z12, z12_chars[0], 2.0)
     bound, actual, ok = cover_bound_check(full_spec)
     assert ok and actual == 1 and bound >= 1
 
 
 def test_cover_bound_requires_nm(z12, z12_chars):
-    spec = bohr_set(z12, z12_chars[1].rep, 1.0)
+    spec = bohr_set(z12, z12_chars[1], 1.0)
     with pytest.raises(ValueError):
         cover_bound_check(spec)
 
 
 def _constructed_specs(group, deltas=(2.0, 1.0, 0.5, 0.25, 0.1)):
     irreps = irreps_of(group)
-    reps = [ir.rep for ir in irreps[:4]]
+    reps = list(irreps[:4])
     if len(reps) >= 2:
-        reps.append(direct_sum_hom([irreps[0].rep, irreps[1].rep]))
+        reps.append(direct_sum_hom([irreps[0], irreps[1]]))
     for rep in reps:
         for delta in deltas:
             yield bohr_set(group, rep, delta)
@@ -260,7 +260,7 @@ def test_delta_monotone(desc):
     for ir in irreps:
         prev = None
         for delta in grid:
-            cur = bohr_set(g, ir.rep, delta).realized
+            cur = bohr_set(g, ir, delta).realized
             if prev is not None:
                 assert prev.is_subset_of(cur)
             prev = cur
@@ -299,7 +299,7 @@ def test_enumeration_preference_order():
                     keyed += [(n, -delta, count, combo)
                               for delta in space.delta_grid]
         keyed.sort()
-        expected = [("+".join(irreps[i].rep.label for i in combo), -neg_delta)
+        expected = [("+".join(irreps[i].label for i in combo), -neg_delta)
                     for _, neg_delta, _, combo in keyed[:space.max_candidates]]
         got = [(s.tau.label, s.delta)
                for s in enumerate_bohr_candidates(g, space)]
@@ -308,7 +308,7 @@ def test_enumeration_preference_order():
 
 def test_nm_contained_in_plain(q8):
     irr = decompose_regular(q8)
-    two = next(i.rep for i in irr if i.dim == 2)
+    two = next(i for i in irr if i.dim == 2)
     for delta in (0.5, 1.0, 1.5, 2.0):
         plain = bohr_set(q8, two, delta)
         refined, _ = nm_refine(q8, two, delta)
@@ -323,7 +323,7 @@ def test_search_space_rejects_empty_budgets(field, value):
 
 
 def test_spec_json(z12, z12_chars):
-    spec = bohr_set(z12, z12_chars[1].rep, 1.0)
+    spec = bohr_set(z12, z12_chars[1], 1.0)
     doc = spec.to_json_dict()
     assert doc["descriptor"] == "zmod:12"
     assert doc["kind"] == "torus"

@@ -16,6 +16,12 @@ from bohrlab.cli import (ConfigError, load_config, main, replay_report,
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
+def _write_config(path, config):
+    path.write_text("[experiment]\n" + "".join(f"{k} = {v}\n"
+                                                for k, v in config.items()))
+    return path
+
+
 def _run(name, **overrides):
     config = load_config(str(FIXTURES / name))
     config.update({k: str(v) for k, v in overrides.items()})
@@ -115,6 +121,8 @@ def test_search_non_finite_epsilon_errors(tmp_path, capsys, kind, keys, epsilon)
      "density must lie in [0, 1], got 5.0"),
     ("regularity", "function = random-uniform\nepsilon = 0.1\nmax_candidates = -3\n",
      "max_dim, max_summands and max_candidates must be >= 1"),
+    ("bogolyubov", "set_a = interval:-3\nalpha = 0.3\n",
+     "interval radius must be >= 0, got -3"),
 ])
 def test_out_of_range_parameters_error(tmp_path, capsys, kind, keys, message):
     cfg = tmp_path / "c.ini"
@@ -162,8 +170,58 @@ def test_malformed_config_file_errors(tmp_path, capsys, text):
     assert not (tmp_path / "o.json").exists()
 
 
+@pytest.mark.parametrize("size", ["21", None])
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "1e400"])
+def test_quasirandom_alpha_out_of_range_errors(tmp_path, capsys, alpha, size):
+    config = load_config(str(FIXTURES / "quasirandom_a5.ini"))
+    config["alpha"] = alpha
+    if size is None:
+        del config["size"]
+    cfg = _write_config(tmp_path / "q.ini", config)
+    code = main(["quasirandom", "--config", str(cfg), "--out", str(tmp_path / "o.json")])
+    assert code == 1
+    message = f"alpha must lie in (0, 1], got {float(alpha)}"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o.json").exists()
+
+
 def _reject_constant(token):
     raise ValueError(f"{token} is not JSON")
+
+
+def _numeric_variants(config):
+    """(key, value) for each numeric value, or numeric tail after the last
+    ':', of a config, replaced by each non-finite or overflowing number."""
+    for key, value in config.items():
+        head, colon, tail = value.rpartition(":")
+        try:
+            float(tail)
+        except ValueError:
+            continue
+        for bad in ("nan", "inf", "-inf", "1e400"):
+            yield key, head + colon + bad
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.ini")),
+                         ids=lambda path: path.stem)
+def test_non_finite_config_values_end_cleanly(tmp_path, capsys, path):
+    # every run ends with exit 1 and one stderr line, or with exit 0 or 2
+    # and a strict JSON report; never with a traceback
+    base = load_config(str(path))
+    out = tmp_path / "o.json"
+    variants = list(_numeric_variants(base))
+    assert variants
+    for key, value in variants:
+        cfg = _write_config(tmp_path / "c.ini", {**base, key: value})
+        out.unlink(missing_ok=True)
+        code = main([base["kind"], "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        if code == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1, (key, value)
+            assert not out.exists(), (key, value)
+        else:
+            assert code in (0, 2), (key, value)
+            json.loads(out.read_text(), parse_constant=_reject_constant)
 
 
 @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.ini")),
@@ -385,18 +443,23 @@ def test_env_default_out_dir(tmp_path, monkeypatch):
     assert (tmp_path / "group-info.json").exists()
 
 
-def test_console_entry_point(tmp_path):
+def _child_env(**extra):
     # The child must import the same bohrlab as this process, whether it is
     # installed or found through a (possibly relative) PYTHONPATH, so put the
-    # imported package's parent directory first and run outside the checkout.
+    # imported package's parent directory first; children run outside the
+    # checkout.
     package_root = str(Path(bohrlab.__file__).resolve().parents[1])
     pythonpath = [package_root, os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+    return {**os.environ, **extra,
+            "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+
+
+def test_console_entry_point(tmp_path):
     out = tmp_path / "cli.json"
     proc = subprocess.run(
         [sys.executable, "-m", "bohrlab", "group-info",
          "--config", str(FIXTURES / "group_info_z12.ini"), "--out", str(out)],
-        capture_output=True, text=True, cwd=tmp_path, env=env)
+        capture_output=True, text=True, cwd=tmp_path, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["payload"]["order"] == 12
 
@@ -405,20 +468,37 @@ def test_console_entry_point(tmp_path):
                          ids=lambda path: path.stem)
 def test_fixture_payloads_identical_across_processes(tmp_path, path):
     # string hashing is salted per process; payloads must not depend on it
-    package_root = str(Path(bohrlab.__file__).resolve().parents[1])
-    pythonpath = [package_root, os.environ.get("PYTHONPATH", "")]
     kind = load_config(str(path))["kind"]
     reports = []
     for hash_seed in ("0", "1"):
-        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
-               "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
         out = tmp_path / f"hash{hash_seed}.json"
         proc = subprocess.run(
             [sys.executable, "-m", "bohrlab", kind, "--config", str(path),
              "--out", str(out), "--format", "json"],
-            capture_output=True, text=True, cwd=tmp_path, env=env)
+            capture_output=True, text=True, cwd=tmp_path,
+            env=_child_env(PYTHONHASHSEED=hash_seed))
         assert proc.returncode in (0, 2), proc.stderr
         doc = json.loads(out.read_text())
         reports.append((doc["status"],
                         json.dumps(doc["payload"], sort_keys=True)))
     assert reports[0] == reports[1]
+
+
+def test_candidate_walk_ends_past_reachable_dimension(tmp_path):
+    # Z/12 has twelve 1-dim irreps, so no candidate of at most three
+    # summands has dimension above 3; a huge max_dim must end the same walk
+    # as max_dim = 8, in a child process that a wall-clock bound can kill
+    keys = {"kind": "croot-sisask", "group": "zmod:12", "set_a": "random:0.5",
+            "epsilon": "0.01", "min_size": "12", "seed": "1"}
+    small = run_experiment({**keys, "max_dim": "8"})
+    assert small.status == "none-within-budget"
+    cfg = _write_config(tmp_path / "c.ini", {**keys, "max_dim": str(10**6)})
+    out = tmp_path / "o.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "bohrlab", "croot-sisask", "--config", str(cfg),
+         "--out", str(out)],
+        capture_output=True, text=True, cwd=tmp_path, env=_child_env(),
+        timeout=30)
+    assert proc.returncode == 2, proc.stderr
+    payload = json.loads(out.read_text())["payload"]
+    assert payload == small.payload

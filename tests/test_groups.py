@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from bohrlab import (GroupValidationError, Subset, build_group,
                      catalog_descriptors, from_cayley_table, inverse_set,
                      product_set, translate_set)
+from bohrlab.gen import interval_subset
 from bohrlab.groups import (GroupFunction, format_cayley_table, format_function,
                             format_subset, parse_function, parse_subset)
 
@@ -218,3 +221,29 @@ def test_inverse_set_involution_property(members):
     a = Subset.from_indices(g, members)
     assert inverse_set(inverse_set(a)) == a
     assert len(inverse_set(a)) == len(a)
+
+
+@pytest.mark.parametrize("n", [1, 2, 11, 12])
+def test_interval_subset_matches_residues(n):
+    g = build_group(f"zmod:{n}")
+    for r in range(2 * n + 2):
+        expected = {x % n for x in range(-r, r + 1)}
+        assert set(interval_subset(g, r).indices.tolist()) == expected
+
+
+def test_interval_subset_wide_radius_costs_o_n(z12):
+    # from r = n // 2 on the interval is all of Z/n; a radius of 10**6 must
+    # not list its 2 * 10**6 + 1 residues
+    tracemalloc.start()
+    try:
+        wide = interval_subset(z12, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert wide == Subset.full(z12)
+    assert peak < 1 << 20
+
+
+def test_interval_subset_rejects_negative_radius(z12):
+    with pytest.raises(ValueError, match="interval radius must be >= 0, got -3"):
+        interval_subset(z12, -3)

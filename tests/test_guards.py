@@ -1,5 +1,8 @@
 import ast
+import functools
+import importlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,6 +33,23 @@ def test_benchmark_span_targets_are_bound():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_tour_names_exist():
+    # a row `bohrlab.<module>` | contents names only what that module has
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = text.split("## Library tour", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(bohrlab\.\w+)` \| (.*) \|$", tour, re.M)
+    assert len(rows) >= 8
+    missing = []
+    for modname, contents in rows:
+        module = importlib.import_module(modname)
+        for name in re.findall(r"`([A-Za-z_][\w.]*?)(?:\(\))?`", contents):
+            try:
+                functools.reduce(getattr, name.split("."), module)
+            except AttributeError:
+                missing.append(f"{modname}: {name}")
+    assert missing == []
 
 
 def _strict_json(path):

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from bohrlab import (GroupFunction, Subset, ZetaRule,
-                     bogolyubov_search, build_group, convolve,
-                     covering_containment_check, four_product_bohr,
-                     inverse_set, product_set, quasirandom_check,
-                     quasirandom_trials, separated_cover, shift_invariance_search,
+from bohrlab import (GroupFunction, Subset, ZetaRule, bogolyubov_search,
+                     build_group, convolve, four_product_bohr, inverse_set,
+                     product_set, quasirandom_check, quasirandom_trials,
+                     separated_cover, shift_invariance_search,
+                     symmetric_covering_check, translate_covering_check,
                      two_set_bogolyubov)
 from bohrlab.gen import (evens_subset, random_pm1_function, random_subset,
                          random_subset_of_size, remove_random_points,
@@ -52,7 +52,7 @@ def test_separated_cover_precondition(z12):
 def test_symmetric_covering_example(z12):
     x = Subset.from_indices(z12, [0, 1, 11])
     y = product_set(x, x)
-    chk = covering_containment_check("symmetric", x=x, y=y)
+    chk = symmetric_covering_check(x, y)
     assert chk.hypothesis_met and chk.conclusion_holds
     target = {(a - b) % 12 for a in y.indices for b in y.indices}
     assert {0, 1, 11} <= target
@@ -61,7 +61,7 @@ def test_symmetric_covering_example(z12):
 def test_symmetric_covering_trivial(z12):
     x = Subset.singleton(z12, 0)
     y = Subset.from_indices(z12, [0, 5])
-    chk = covering_containment_check("symmetric", x=x, y=y)
+    chk = symmetric_covering_check(x, y)
     assert chk.hypothesis_met and chk.conclusion_holds
 
 
@@ -71,7 +71,7 @@ def test_symmetric_covering_exhaustive_z6(z6):
         for ya in range(64):
             x = Subset(z6, np.array([(xa >> i) & 1 for i in range(6)], bool))
             y = Subset(z6, np.array([(ya >> i) & 1 for i in range(6)], bool))
-            chk = covering_containment_check("symmetric", x=x, y=y)
+            chk = symmetric_covering_check(x, y)
             if chk.hypothesis_met:
                 holding += 1
                 if not chk.conclusion_holds:
@@ -84,7 +84,7 @@ def test_translate_covering_z12(z12):
     c = Subset.from_indices(z12, range(4))
     x = Subset.from_indices(z12, [0, 1, 11])
     d = product_set(x, x)  # X^2 \ D empty, |C|/k = 1
-    chk = covering_containment_check("translate", c=c, x=x, d=d, k=4)
+    chk = translate_covering_check(c, x, d, 4)
     assert chk.hypothesis_met
     assert chk.conclusion_holds
     # verify the returned translate directly
@@ -95,8 +95,7 @@ def test_translate_covering_z12(z12):
 
 def test_translate_covering_hypothesis_gate(z12):
     asym = Subset.from_indices(z12, [0, 1])  # not symmetric
-    chk = covering_containment_check("translate", c=Subset.full(z12), x=asym,
-                                     d=Subset.full(z12), k=12)
+    chk = translate_covering_check(Subset.full(z12), asym, Subset.full(z12), 12)
     assert not chk.hypothesis_met
 
 

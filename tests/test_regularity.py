@@ -1,18 +1,19 @@
 import functools
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bohrlab import (BohrSpec, GroupFunction, RegularityBudget, SearchSpace,
-                     Subset, UnitaryRep, ZetaRule, abelian_characters,
-                     bohr_set, build_group, convolve,
-                     enumerate_bohr_candidates, largest_eps_constant_subset,
-                     overlap_function, regularity, search_regular_bohr,
-                     subgroup_obstruction_check, translate_defect)
+from bohrlab import (BohrSpec, GroupFunction, SearchSpace, Subset, UnitaryRep,
+                     ZetaRule, abelian_characters, bohr_set, build_group,
+                     convolve, enumerate_bohr_candidates,
+                     largest_eps_constant_subset, overlap_function, regularity,
+                     search_regular_bohr, subgroup_obstruction_check,
+                     translate_defect)
 from bohrlab.gen import random_pm1_function, rng_from_seed
 from bohrlab.groups import catalog_descriptors
 from bohrlab.regularity import TranslateDefect, _all_subgroups
@@ -70,14 +71,14 @@ def test_window_exact_against_brute_force(vals, eps):
 
 def test_translate_defect_constant(z12):
     f = GroupFunction.constant(z12, 0.1)
-    spec = bohr_set(z12, abelian_characters(z12)[1].rep, 1.0)
+    spec = bohr_set(z12, abelian_characters(z12)[1], 1.0)
     cert = translate_defect(f, spec, 0.05)
     assert cert.max_defect == 0.0
 
 
 def test_translate_defect_zpz_interval(z101, zpz_fixture):
     # chi_1 at delta = 0.15 realizes the interval {-2..2}
-    spec = bohr_set(z101, abelian_characters(z101)[1].rep, 0.15)
+    spec = bohr_set(z101, abelian_characters(z101)[1], 0.15)
     assert sorted(spec.realized.indices) == [0, 1, 2, 99, 100]
     cert = translate_defect(zpz_fixture, spec, 0.1)
     assert cert.max_defect == 0.0
@@ -85,7 +86,7 @@ def test_translate_defect_zpz_interval(z101, zpz_fixture):
 
 
 def test_translate_defect_full_group_positive(z101, zpz_fixture):
-    spec = bohr_set(z101, abelian_characters(z101)[0].rep, 2.0)
+    spec = bohr_set(z101, abelian_characters(z101)[0], 2.0)
     cert = translate_defect(zpz_fixture, spec, 0.1)
     # independent defect computation: best window over sorted values
     vals = np.sort(zpz_fixture.values)
@@ -101,7 +102,7 @@ def test_translate_defect_full_group_positive(z101, zpz_fixture):
 
 
 def test_certificate_revalidates(z101, zpz_fixture):
-    spec = bohr_set(z101, abelian_characters(z101)[1].rep, 0.25)
+    spec = bohr_set(z101, abelian_characters(z101)[1], 0.25)
     cert = translate_defect(zpz_fixture, spec, 0.1)
     for entry in cert.per_translate:
         vals = zpz_fixture.values[list(entry.subset_indices)]
@@ -110,7 +111,7 @@ def test_certificate_revalidates(z101, zpz_fixture):
 
 
 def test_defect_monotone_in_eps(z101, zpz_fixture):
-    spec = bohr_set(z101, abelian_characters(z101)[1].rep, 0.5)
+    spec = bohr_set(z101, abelian_characters(z101)[1], 0.5)
     defects = [translate_defect(zpz_fixture, spec, e).max_defect
                for e in (0.05, 0.1, 0.2, 0.4)]
     assert all(defects[i] >= defects[i + 1] for i in range(len(defects) - 1))
@@ -118,7 +119,7 @@ def test_defect_monotone_in_eps(z101, zpz_fixture):
 
 def test_search_constant_accepts_trivial(z12):
     f = GroupFunction.constant(z12, 0.4)
-    res = search_regular_bohr(f, RegularityBudget(ZetaRule.constant(0.001), 0.1))
+    res = search_regular_bohr(f, 0.1, ZetaRule.constant(0.001))
     assert res.status == "ok"
     cert = res.certificate
     assert cert.spec.delta == 2.0
@@ -128,8 +129,7 @@ def test_search_constant_accepts_trivial(z12):
 
 
 def test_search_zpz_finds_interval_certificate(z101, zpz_fixture):
-    res = search_regular_bohr(
-        zpz_fixture, RegularityBudget(ZetaRule.constant(0.001), 0.1))
+    res = search_regular_bohr(zpz_fixture, 0.1, ZetaRule.constant(0.001))
     assert res.status == "ok"
     cert = res.certificate
     assert cert.max_defect == 0.0
@@ -144,8 +144,7 @@ def test_search_zpz_finds_interval_certificate(z101, zpz_fixture):
 def test_search_noise_none_within_budget(z101):
     f = random_pm1_function(z101, rng_from_seed(1))
     space = SearchSpace(max_summands=1, max_candidates=150)
-    res = search_regular_bohr(
-        f, RegularityBudget(ZetaRule.constant(1e-6), 0.1, space))
+    res = search_regular_bohr(f, 0.1, ZetaRule.constant(1e-6), space)
     assert res.status == "none-within-budget"
     assert res.certificate is None
     assert res.candidates_scored == 150
@@ -174,6 +173,14 @@ def test_zeta_rules():
             ZetaRule.table({(1.0, 2): bad})
     round_trip = ZetaRule.parse(power.describe())
     assert round_trip == power
+
+
+@pytest.mark.parametrize("text", ["power:1", "power:1,2,3", "power:",
+                                  "power:a,1", "const:x", "const:1,2"])
+def test_zeta_parse_error_names_the_rule(text):
+    message = f"cannot parse zeta rule {text!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ZetaRule.parse(text)
 
 
 # Known subgroup counts; Z/n has tau(n) subgroups and the dihedral group of
@@ -223,8 +230,8 @@ def test_obstruction_constant_passes_everything(z12):
 
 def test_obstruction_kernel_convolution(klein8):
     chars = abelian_characters(klein8)
-    nontrivial = next(c for c in chars if np.max(np.abs(c.character - 1)) > 1e-6)
-    kernel = Subset(klein8, np.abs(nontrivial.character - 1) < 1e-9)
+    nontrivial = next(c for c in chars if np.max(np.abs(c.character() - 1)) > 1e-6)
+    kernel = Subset(klein8, np.abs(nontrivial.character() - 1) < 1e-9)
     ind = GroupFunction.indicator(kernel)
     f = convolve(ind, ind)
     report = subgroup_obstruction_check(f, 0.1, index_cap=2)
@@ -235,8 +242,7 @@ def test_obstruction_kernel_convolution(klein8):
 
 
 def test_certificate_json(z101, zpz_fixture):
-    res = search_regular_bohr(
-        zpz_fixture, RegularityBudget(ZetaRule.constant(0.001), 0.1))
+    res = search_regular_bohr(zpz_fixture, 0.1, ZetaRule.constant(0.001))
     doc = res.certificate.to_json_dict()
     assert set(doc) == {"bohr_spec", "epsilon", "zeta_value", "max_defect",
                         "per_translate"}
@@ -248,11 +254,11 @@ def test_certificate_json(z101, zpz_fixture):
 @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -0.1])
 def test_bad_eps_rejected(z12, eps):
     f = random_pm1_function(z12, rng_from_seed(3))
-    spec = bohr_set(z12, abelian_characters(z12)[1].rep, 1.0)
+    spec = bohr_set(z12, abelian_characters(z12)[1], 1.0)
     calls = [
         lambda: largest_eps_constant_subset(f, spec.realized, eps),
         lambda: translate_defect(f, spec, eps),
-        lambda: search_regular_bohr(f, RegularityBudget(ZetaRule.constant(0.5), eps)),
+        lambda: search_regular_bohr(f, eps, ZetaRule.constant(0.5)),
         lambda: subgroup_obstruction_check(f, eps, index_cap=12),
     ]
     for call in calls:
@@ -329,8 +335,7 @@ def test_search_scores_each_realized_set_once(z101, monkeypatch):
         return kernel(f, subset, eps)
 
     monkeypatch.setattr(regularity, "_translate_windows", counting)
-    res = search_regular_bohr(
-        f, RegularityBudget(ZetaRule.constant(1e-6), 0.1, space))
+    res = search_regular_bohr(f, 0.1, ZetaRule.constant(1e-6), space)
     assert res.status == "none-within-budget"
     assert res.candidates_scored == 150
     assert len(calls) == len(distinct) < 150
@@ -338,7 +343,7 @@ def test_search_scores_each_realized_set_once(z101, monkeypatch):
 
 
 def test_translate_kernel_blocks_agree(z12, z101, zpz_fixture, monkeypatch):
-    spec = bohr_set(z101, abelian_characters(z101)[1].rep, 0.5)
+    spec = bohr_set(z101, abelian_characters(z101)[1], 0.5)
     f12 = random_pm1_function(z12, rng_from_seed(5))
     whole = translate_defect(zpz_fixture, spec, 0.1)
     rows = subgroup_obstruction_check(f12, 0.5, index_cap=12).rows
@@ -352,7 +357,7 @@ def test_eps_below_window_guard_keeps_single_elements(z12):
     f = GroupFunction(z12, [0.5] * 6 + [0.0] * 6)
     b = Subset.from_indices(z12, [2, 3, 7, 9])
     assert list(largest_eps_constant_subset(f, b, 1e-13).indices) == [7]
-    spec = BohrSpec(tau=abelian_characters(z12)[0].rep, delta=1.0,
+    spec = BohrSpec(tau=abelian_characters(z12)[0], delta=1.0,
                     kind="torus", realized=b)
     cert = translate_defect(f, spec, 1e-13)
     assert all(len(t.subset_indices) == 1 for t in cert.per_translate)

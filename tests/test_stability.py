@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bohrlab import (GroupFunction, Subset, build_group, catalog_descriptors,
-                     convolve, ladder_index, ladder_search, oracle_ladder_index,
+                     convolve, ladder_index, oracle_ladder_index,
                      stability_profile)
 from bohrlab.gen import (random_pm1_function, random_subset,
                          random_uniform_function, rng_from_seed)
@@ -14,8 +14,7 @@ from bohrlab.gen import (random_pm1_function, random_subset,
 
 def test_constant_has_no_ladder(z12):
     f = GroupFunction.constant(z12, 0.25)
-    out = ladder_search(f, 2, 0.1)
-    assert out.status == "none"
+    assert ladder_index(f, 0.1, cap=2).status == "exact"
     idx = ladder_index(f, 0.1, cap=5)
     assert (idx.k_max, idx.status) == (1, "exact")
 
@@ -24,7 +23,6 @@ def test_constant_has_no_ladder(z12):
 def test_budget_below_one_rejected(z12, budget):
     f = GroupFunction.constant(z12, 0.25)
     for call in (lambda: ladder_index(f, 0.1, budget=budget),
-                 lambda: ladder_search(f, 2, 0.1, budget=budget),
                  lambda: stability_profile(f, [], budget=budget)):
         with pytest.raises(ValueError, match="budget must be >= 1"):
             call()
@@ -32,8 +30,8 @@ def test_budget_below_one_rejected(z12, budget):
 
 def test_z4_indicator_witness(z4):
     f = GroupFunction.indicator(Subset.from_indices(z4, [0, 1]))
-    out = ladder_search(f, 2, 1.0)
-    assert out.status == "found"
+    out = ladder_index(f, 1.0, cap=2)
+    assert out.status == "capped"
     assert out.witness.k == 2
     assert out.witness.is_valid_for(f)
     assert out.witness.min_gap >= 1.0
@@ -41,7 +39,7 @@ def test_z4_indicator_witness(z4):
 
 def test_range_bound_kills_ladders(z4):
     f = GroupFunction.indicator(Subset.from_indices(z4, [0, 1]))
-    assert ladder_search(f, 2, 2.5).status == "none"
+    assert ladder_index(f, 2.5, cap=2).status == "exact"
     idx = ladder_index(f, 2.5, cap=6)
     assert (idx.k_max, idx.status) == (1, "exact")
 
@@ -130,8 +128,6 @@ def test_budget_exhaustion_is_inconclusive(z12):
     f = random_pm1_function(z12, rng_from_seed(0))
     idx = ladder_index(f, 0.5, cap=8, budget=1)
     assert idx.status == "inconclusive"
-    out = ladder_search(f, 8, 0.5, budget=1)
-    assert out.status == "inconclusive"
 
 
 def test_witness_revalidates_independently(z12):
@@ -218,7 +214,7 @@ def test_convolution_more_stable_than_noise():
 
 def test_witness_json(z4):
     f = GroupFunction.indicator(Subset.from_indices(z4, [0, 1]))
-    out = ladder_search(f, 2, 1.0)
+    out = ladder_index(f, 1.0, cap=2)
     doc = out.witness.to_json_dict()
     assert doc["k"] == 2 and doc["epsilon"] == 1.0
     assert doc["min_gap"] >= 1.0
@@ -302,7 +298,7 @@ def test_domain_ladder_pinned(desc, seed, eps, a_dom, b_dom, nodes, a_seq, b_seq
     assert idx.witness.is_valid_for(f)
 
 
-def test_ladder_search_retains_no_memory():
+def test_ladder_index_retains_no_memory():
     g = build_group("zmod:60")
     rng = rng_from_seed(1001)
     f = convolve(GroupFunction.indicator(random_subset(g, 0.3, rng)),
