@@ -22,7 +22,7 @@ from .gen import random_subset_of_size, rng_from_seed
 from .groups import (FiniteGroup, GroupFunction, Subset, check_eps,
                      inverse_set, product_set)
 from .regularity import ZetaRule
-from .reps import direct_sum_hom, min_nontrivial_dim
+from .reps import direct_sum_hom
 
 
 @dataclass(frozen=True)
@@ -257,21 +257,19 @@ def four_product_bohr(a: Subset, alpha: float,
 class QuasirandomCheck:
     ab_density: float
     abc_covers: bool
-    d: int
 
 
-def quasirandom_check(a: Subset, b: Subset, c: Subset, alpha: float,
-                      seed: int = 0) -> QuasirandomCheck:
-    """Exact |AB|/|G| and whether ABC = G, with the quasirandomness degree d
-    (minimum nontrivial irreducible dimension) reported alongside."""
+def quasirandom_check(a: Subset, b: Subset, c: Subset,
+                      alpha: float) -> QuasirandomCheck:
+    """Exact |AB|/|G| and whether ABC = G. The quasirandomness degree d
+    belongs to the group, not to a trial: see ``min_nontrivial_dim``."""
     grp = a.group
     for name, s in (("A", a), ("B", b), ("C", c)):
         _require_density(s, alpha, name)
     ab = product_set(a, b)
     abc = product_set(ab, c)
     return QuasirandomCheck(ab_density=len(ab) / grp.order,
-                            abc_covers=len(abc) == grp.order,
-                            d=min_nontrivial_dim(grp, seed))
+                            abc_covers=len(abc) == grp.order)
 
 
 def quasirandom_trials(group: FiniteGroup, alpha: float, trials: int, size: int,
@@ -290,7 +288,7 @@ def quasirandom_trials(group: FiniteGroup, alpha: float, trials: int, size: int,
         trial_seed = seed * 100003 + t
         rng = rng_from_seed(trial_seed)
         a, b, c = (random_subset_of_size(group, size, rng) for _ in range(3))
-        out.append((trial_seed, quasirandom_check(a, b, c, alpha, seed)))
+        out.append((trial_seed, quasirandom_check(a, b, c, alpha)))
     return out
 
 

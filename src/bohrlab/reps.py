@@ -3,8 +3,9 @@
 Provides exact characters for abelian groups, a randomized decomposition of
 the regular representation into irreducibles for any group of order <= 256,
 block-diagonal direct sums, and operator-norm diagnostics. Every stored
-homomorphism carries measured residuals so downstream consumers can trust
-(and re-check) it numerically.
+homomorphism carries residuals, measured on first read and cached, so
+downstream consumers can trust (and re-check) it numerically without paying
+for residuals they never read.
 """
 
 from __future__ import annotations
@@ -49,8 +50,10 @@ class UnitaryRep:
 
     ``hom_residual`` is the measured maximum of ||t(ab) - t(a)t(b)||_op over
     element pairs (exhaustive for order <= 316, sampled above), and
-    ``unitarity_residual`` the maximum of ||t(g)* t(g) - I||_op. The identity
-    matrix is snapped to exact I so Bohr membership at the identity is exact.
+    ``unitarity_residual`` the maximum of ||t(g)* t(g) - I||_op. Both are
+    measured on first read and cached, unless given to the constructor; a
+    direct sum reads them as the max over its summands. The identity matrix
+    is snapped to exact I so Bohr membership at the identity is exact.
     """
 
     def __init__(self, group: FiniteGroup, matrices, label: str = "rep", *,
@@ -69,13 +72,28 @@ class UnitaryRep:
         self.matrices = matrices
         self.label = label
         self.matrices.setflags(write=False)
-        self.hom_residual = (measure_hom_residual(self) if hom_residual is None
-                             else float(hom_residual))
-        self.unitarity_residual = (measure_unitarity_residual(self)
-                                   if unitarity_residual is None
-                                   else float(unitarity_residual))
+        self._hom_residual = None if hom_residual is None else float(hom_residual)
+        self._unitarity_residual = (None if unitarity_residual is None
+                                    else float(unitarity_residual))
+        self._summands: tuple[UnitaryRep, ...] = ()
         self._distances: np.ndarray | None = None
         self._diagonal: bool | None = None
+
+    @property
+    def hom_residual(self) -> float:
+        if self._hom_residual is None:
+            self._hom_residual = (
+                max(r.hom_residual for r in self._summands) if self._summands
+                else measure_hom_residual(self))
+        return self._hom_residual
+
+    @property
+    def unitarity_residual(self) -> float:
+        if self._unitarity_residual is None:
+            self._unitarity_residual = (
+                max(r.unitarity_residual for r in self._summands)
+                if self._summands else measure_unitarity_residual(self))
+        return self._unitarity_residual
 
     def matrix(self, g: int) -> np.ndarray:
         return self.matrices[g]
@@ -183,7 +201,7 @@ def cyclic_decomposition(group: FiniteGroup) -> tuple[list[int], list[int], np.n
     if not group.is_abelian:
         raise ValueError("cyclic decomposition requires an abelian group")
     n = group.order
-    orders = np.array([group.element_order(a) for a in group.elements()])
+    orders = group.element_orders()
     by_order = sorted(group.elements(), key=lambda a: (-orders[a], a))
 
     gens: list[int] = []
@@ -230,23 +248,21 @@ def abelian_characters(group: FiniteGroup) -> list[UnitaryRep]:
         raise ValueError("abelian_characters requires an abelian group")
     gens, gen_orders, coords = cyclic_decomposition(group)
     n = group.order
-    t = len(gen_orders) if gens else 1
     radices = gen_orders if gens else [1]
 
-    irreps = []
-    for k in range(n):
-        digits, rem = [], k
-        for m in reversed(radices):
-            digits.append(rem % m)
-            rem //= m
-        digits.reverse()
-        phase = np.zeros(n)
-        for j, m in enumerate(radices):
-            phase += digits[j] * coords[:, j] / m
-        values = np.exp(2j * np.pi * phase)
-        values[group.identity] = 1.0
-        irreps.append(UnitaryRep(group, values.reshape(n, 1, 1), label=f"chi{k}"))
-    return irreps
+    # digits[k] holds the mixed-radix digits of k, most significant first;
+    # row k of phase sums digit * coordinate / m factor by factor
+    digits = np.empty((n, len(radices)), dtype=np.int64)
+    rem = np.arange(n, dtype=np.int64)
+    for j in reversed(range(len(radices))):
+        rem, digits[:, j] = np.divmod(rem, radices[j])
+    phase = np.zeros((n, n))
+    for j, m in enumerate(radices):
+        phase += digits[:, j, None] * coords[None, :, j] / m
+    values = np.exp(2j * np.pi * phase)
+    values[:, group.identity] = 1.0
+    return [UnitaryRep(group, values[k].reshape(n, 1, 1), label=f"chi{k}")
+            for k in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +450,8 @@ def direct_sum_hom(reps: list[UnitaryRep]) -> UnitaryRep:
     """Block-diagonal direct sum of homomorphisms over one group.
 
     The operator distance to the identity of a block-diagonal matrix is the
-    max over blocks, so residuals of the sum are the max of the inputs'.
+    max over blocks, so residuals of the sum are the max of the inputs',
+    read from them when the sum's residuals are first read.
     """
     if not reps:
         raise ValueError("direct_sum_hom needs at least one representation")
@@ -449,10 +466,9 @@ def direct_sum_hom(reps: list[UnitaryRep]) -> UnitaryRep:
     for r in reps:
         mats[:, at:at + r.dim, at:at + r.dim] = r.matrices
         at += r.dim
-    label = "+".join(r.label for r in reps)
-    return UnitaryRep(group, mats, label=label,
-                      hom_residual=max(r.hom_residual for r in reps),
-                      unitarity_residual=max(r.unitarity_residual for r in reps))
+    rep = UnitaryRep(group, mats, label="+".join(r.label for r in reps))
+    rep._summands = tuple(reps)
+    return rep
 
 
 _IRREP_CACHE: "weakref.WeakKeyDictionary[FiniteGroup, dict[int, list[UnitaryRep]]]" = \

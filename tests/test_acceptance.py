@@ -312,6 +312,7 @@ def test_criterion_10_bogolyubov_desk_scale():
 
 def test_criterion_11_quasirandom_a5(catalog100):
     a5 = catalog100["alt:5"]
+    assert bl.min_nontrivial_dim(a5) == 3
     for t in range(100):
         rng = rng_from_seed(600 + t)
         a = random_subset_of_size(a5, 21, rng)
@@ -320,11 +321,10 @@ def test_criterion_11_quasirandom_a5(catalog100):
         chk = bl.quasirandom_check(a, b, c, 0.35)
         assert chk.ab_density > 0.65, t
         assert chk.abc_covers, t
-        assert chk.d == 3
     z12 = catalog100["zmod:12"]
     evens = evens_subset(z12)
     counter = bl.quasirandom_check(evens, evens, evens, 0.35)
-    assert counter.d == 1
+    assert bl.min_nontrivial_dim(z12) == 1
     assert counter.ab_density <= 0.65
     assert not counter.abc_covers
     _report(11, "100 A5 triples: |AB| > 0.65|G| and ABC = G; Z/12 evens "

@@ -185,6 +185,37 @@ def test_quasirandom_alpha_out_of_range_errors(tmp_path, capsys, alpha, size):
     assert not (tmp_path / "o.json").exists()
 
 
+def test_quasirandom_computes_d_once(monkeypatch):
+    # d belongs to the group: ten trials still ask for it once
+    calls = []
+    orig = bohrlab.reps.min_nontrivial_dim
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("bohrlab") and getattr(mod, "min_nontrivial_dim",
+                                                  None) is orig:
+            monkeypatch.setattr(mod, "min_nontrivial_dim", counted)
+    report = _run("quasirandom_a5.ini")
+    assert len(report.payload["table"]) == 10
+    assert report.payload["d"] == 3
+    assert len(calls) == 1
+
+
+def test_table_file_order_out_of_range_errors(tmp_path, capsys):
+    table = tmp_path / "t.txt"
+    table.write_text("-1\n5\n")
+    cfg = _write_config(tmp_path / "c.ini",
+                        {"kind": "group-info", "group": f"file:{table}"})
+    code = main(["group-info", "--config", str(cfg),
+                 "--out", str(tmp_path / "o.json")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: table order -1 outside [1, 2048]\n"
+    assert not (tmp_path / "o.json").exists()
+
+
 def _reject_constant(token):
     raise ValueError(f"{token} is not JSON")
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bohrlab import (GroupValidationError, Subset, build_group,
+from bohrlab import (FiniteGroup, GroupValidationError, Subset, build_group,
                      catalog_descriptors, from_cayley_table, inverse_set,
                      product_set, translate_set)
 from bohrlab.gen import interval_subset
@@ -102,6 +102,109 @@ def test_from_cayley_table_rejects_nonassociative():
         assert t[t[a, b], c] != t[a, t[b, c]]
 
 
+def _associative_by_triple_scan(t):
+    """Brute force over all n^3 triples: (ab)c == a(bc)."""
+    n = len(t)
+    a, b, c = np.meshgrid(*[np.arange(n)] * 3, indexing="ij")
+    return bool(np.array_equal(t[t[a, b], c], t[a, t[b, c]]))
+
+
+def _random_latin_square(n, rng):
+    """A random Latin square, by randomized cell-by-cell backtracking."""
+    t = -np.ones((n, n), dtype=np.int64)
+
+    def fill(cell):
+        if cell == n * n:
+            return True
+        r, c = divmod(cell, n)
+        for v in rng.permutation(n):
+            if v not in t[r, :c] and v not in t[:r, c]:
+                t[r, c] = v
+                if fill(cell + 1):
+                    return True
+        t[r, c] = -1
+        return False
+
+    fill(0)
+    return t
+
+
+def _random_loop(n, rng):
+    """A loop table of order n, relabelled so its identity sits anywhere.
+
+    Half the time an isotope of a catalog group of order n (a loop isotopic
+    to a group is a group), else a random Latin square; either is reduced so
+    row and column 0 read 0..n-1.
+    """
+    groups = [d for d in catalog_descriptors(8) if build_group(d).order == n]
+    if rng.random() < 0.5:
+        base = build_group(groups[rng.integers(len(groups))]).table
+        sym = rng.permutation(n)
+        square = sym[base][rng.permutation(n)][:, rng.permutation(n)]
+    else:
+        square = _random_latin_square(n, rng)
+    square = square[:, np.argsort(square[0])]
+    square = square[np.argsort(square[:, 0])]
+    relabel = rng.permutation(n)
+    loop = np.empty_like(square)
+    loop[np.ix_(relabel, relabel)] = relabel[square]
+    return loop
+
+
+def test_light_test_agrees_with_triple_scan_on_random_loops():
+    rng = np.random.default_rng(2024)
+    verdicts = {True: 0, False: 0}
+    for _ in range(1200):
+        t = _random_loop(int(rng.integers(2, 9)), rng)
+        expected = _associative_by_triple_scan(t)
+        verdicts[expected] += 1
+        if expected:
+            assert FiniteGroup(t).order == len(t)
+            continue
+        with pytest.raises(GroupValidationError, match="not associative") as err:
+            FiniteGroup(t)
+        a, b, c = err.value.witness
+        assert t[t[a, b], c] != t[a, t[b, c]]
+    assert min(verdicts.values()) >= 250, verdicts
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_light_test_checks_past_the_middle_nucleus(k):
+    # in Q x Z/k the elements (e, g) associate with everything; they come
+    # first in index order, so the walk checks them and closes over them
+    # before it reaches the first element of Q, which fails
+    q = np.array([row.split() for row in NONASSOC_LOOP.splitlines()[1:]],
+                 dtype=int)
+    z = build_group(f"zmod:{k}").table
+    t = (q[:, None, :, None] * k + z[None, :, None, :]).reshape(5 * k, 5 * k)
+    assert not _associative_by_triple_scan(t)
+    with pytest.raises(GroupValidationError, match="not associative") as err:
+        FiniteGroup(t)
+    x, s, y = err.value.witness
+    assert s == k
+    assert t[t[x, s], y] != t[x, t[s, y]]
+
+
+def test_light_test_rejects_one_intercalate_swap_on_z300():
+    # rows a and a+150, columns b and b+150 of Z/300 form a 2x2 Latin
+    # subsquare; swapping it keeps a Latin square with identity 0
+    t = build_group("zmod:300").table.copy()
+    a, b = 1, 2
+    for row in (a, a + 150):
+        t[row, [b, b + 150]] = t[row, [b + 150, b]]
+    with pytest.raises(GroupValidationError, match="not associative") as err:
+        FiniteGroup(t)
+    x, s, y = err.value.witness
+    assert t[t[x, s], y] != t[x, t[s, y]]
+
+
+def test_element_orders_match_element_order():
+    for desc in catalog_descriptors(100):
+        g = build_group(desc)
+        assert g.element_orders().tolist() == [g.element_order(a)
+                                               for a in g.elements()], desc
+
+
 def test_from_cayley_table_rejects_missing_identity():
     # Latin square with no two-sided identity
     with pytest.raises(GroupValidationError, match="identity"):
@@ -179,8 +282,9 @@ def test_product_set_associative_sampled(z12, s3):
 
 
 def test_catalog_builds_and_validates():
-    for desc in catalog_descriptors(100):
+    for desc in catalog_descriptors(2048):
         g = build_group(desc)
+        assert _associative_by_triple_scan(g.table), desc
         assert g.mul(g.identity, 1 % g.order) == 1 % g.order
         for a in g.elements():
             assert g.mul(a, g.inv(a)) == g.identity

@@ -3,7 +3,7 @@ import pytest
 
 from bohrlab import (GroupFunction, Subset, ZetaRule, bogolyubov_search,
                      build_group, convolve, four_product_bohr, inverse_set,
-                     product_set, quasirandom_check, quasirandom_trials,
+                     min_nontrivial_dim, product_set, quasirandom_check, quasirandom_trials,
                      separated_cover, shift_invariance_search,
                      symmetric_covering_check, translate_covering_check,
                      two_set_bogolyubov)
@@ -200,13 +200,13 @@ def test_quasirandom_full(z12):
 
 
 def test_quasirandom_a5_trials(a5):
+    assert min_nontrivial_dim(a5) == 3
     for t in range(10):
         rng = rng_from_seed(900 + t)
         a = random_subset_of_size(a5, 21, rng)
         b = random_subset_of_size(a5, 21, rng)
         c = random_subset_of_size(a5, 21, rng)
         chk = quasirandom_check(a, b, c, 0.35)
-        assert chk.d == 3
         assert chk.ab_density > 0.65
         assert chk.abc_covers
 
@@ -214,7 +214,7 @@ def test_quasirandom_a5_trials(a5):
 def test_quasirandom_z12_counterexample(z12):
     evens = evens_subset(z12)
     chk = quasirandom_check(evens, evens, evens, 0.35)
-    assert chk.d == 1
+    assert min_nontrivial_dim(z12) == 1
     assert chk.ab_density == 0.5
     assert not chk.abc_covers
 
@@ -231,7 +231,7 @@ def test_quasirandom_trials_match_separate_draws(a5):
     for trial_seed, chk in rows:
         rng = rng_from_seed(trial_seed)
         a, b, c = (random_subset_of_size(a5, 21, rng) for _ in range(3))
-        assert chk == quasirandom_check(a, b, c, 0.35, 9)
+        assert chk == quasirandom_check(a, b, c, 0.35)
 
 
 @pytest.mark.parametrize("trials, size, message", [

@@ -36,6 +36,37 @@ def test_character_orthogonality_exact():
     assert np.max(np.abs(gram - np.eye(12))) < 1e-12
 
 
+def _characters_one_at_a_time(group):
+    """Reference: each character's phase row built in its own loop."""
+    _, radices, coords = reps.cyclic_decomposition(group)
+    out = []
+    for k in range(group.order):
+        digits, rem = [], k
+        for m in reversed(radices):
+            digits.append(rem % m)
+            rem //= m
+        digits.reverse()
+        phase = np.zeros(group.order)
+        for j, m in enumerate(radices):
+            phase += digits[j] * coords[:, j] / m
+        values = np.exp(2j * np.pi * phase)
+        values[group.identity] = 1.0
+        out.append(values)
+    return out
+
+
+@pytest.mark.parametrize("desc", [
+    *(d for d in catalog_descriptors(100) if build_group(d).is_abelian),
+    "zmod:101", "zmod:200", "zmod:256"])
+def test_abelian_characters_match_per_character_loop(desc):
+    g = build_group(desc)
+    chars = abelian_characters(g)
+    expected = _characters_one_at_a_time(g)
+    assert len(chars) == len(expected)
+    for rep, values in zip(chars, expected):
+        assert rep.matrices.reshape(-1).tobytes() == values.tobytes()
+
+
 def test_abelian_characters_rejects_nonabelian(s3):
     with pytest.raises(ValueError):
         abelian_characters(s3)
@@ -322,3 +353,64 @@ def test_commuting_family_matches_pairwise_loop(desc, monkeypatch):
             assert reps._commuting_family(mats) == _loop_commuting_family(mats)
         ours = real(mats, copy.deepcopy(rng))
         assert ours.tobytes() == _loop_diagonal_friendly(mats, rng).tobytes()
+
+
+def _count_hom_residuals(monkeypatch, value=None):
+    """Route the module global that every lazy residual reads through a
+    counter; ``value`` replaces the measurement when given."""
+    calls = []
+    measure = reps.measure_hom_residual
+
+    def counted(rep):
+        calls.append(rep.label)
+        return measure(rep) if value is None else value
+
+    monkeypatch.setattr(reps, "measure_hom_residual", counted)
+    return calls
+
+
+def test_abelian_search_measures_no_hom_residual(monkeypatch):
+    from bohrlab import SearchSpace, ZetaRule, search_regular_bohr
+    from bohrlab.gen import random_pm1_function, rng_from_seed
+
+    calls = _count_hom_residuals(monkeypatch)
+    g = build_group("zmod:200")
+    assert len(abelian_characters(g)) == 200
+    f = random_pm1_function(g, rng_from_seed(1))
+    res = search_regular_bohr(f, 0.1, ZetaRule.constant(1e-6),
+                              SearchSpace(max_candidates=60))
+    assert res.candidates_scored == 60
+    assert calls == []
+
+
+def test_lazy_residuals_equal_measured_values(monkeypatch):
+    calls = _count_hom_residuals(monkeypatch)
+    for desc in ("zmod:12", "product:zmod:2,zmod:4", "sym:3", "quaternion:8"):
+        g = build_group(desc)
+        irreps = (abelian_characters(g) if g.is_abelian
+                  else decompose_regular(g))
+        sums = [(pick, direct_sum_hom(pick))
+                for pick in (irreps[1:3], irreps[::-1], irreps[-2:])]
+        calls.clear()
+        for rep in irreps:
+            assert rep.hom_residual == measure_hom_residual(rep), desc
+            assert rep.unitarity_residual == reps.measure_unitarity_residual(rep)
+        for pick, total in sums:
+            assert total.hom_residual == max(r.hom_residual for r in pick)
+            assert total.unitarity_residual == max(r.unitarity_residual
+                                                   for r in pick)
+        # characters are measured once, on first read; decompose_regular's
+        # gate has already read every irrep's; a sum measures nothing itself
+        assert len(calls) == (len(irreps) if g.is_abelian else 0), desc
+    # a given value is kept and never measured
+    calls.clear()
+    rep = UnitaryRep(g, irreps[0].matrices, hom_residual=0.25,
+                     unitarity_residual=0.5)
+    assert (rep.hom_residual, rep.unitarity_residual) == (0.25, 0.5)
+    assert calls == []
+
+
+def test_decompose_gate_reads_the_hom_residual(monkeypatch, s3):
+    _count_hom_residuals(monkeypatch, value=1.0)
+    with pytest.raises(reps.RepDecompositionError, match="residuals exceed tol"):
+        decompose_regular(s3)
