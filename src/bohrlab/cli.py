@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,9 +35,7 @@ from .productsets import (bogolyubov_search, check_alpha, quasirandom_trials,
                           two_set_bogolyubov)
 from .regularity import ZetaRule, search_regular_bohr
 from .reps import direct_sum_hom, irreps_of, min_nontrivial_dim
-
-KINDS = ("group-info", "irreps", "bohr", "ladder", "convolve", "regularity",
-         "bogolyubov", "two-set", "quasirandom", "croot-sisask")
+from .stability import DEFAULT_BUDGET, ladder_index
 
 OUT_DIR_ENV = "BOHRLAB_OUT_DIR"
 
@@ -87,15 +85,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(" ".join(f"malformed config: {exc}".split())) from None
 
 
-def _get(config: dict, key: str, default=None, required: bool = False) -> str:
-    val = config.get(key, default)
-    if required and val is None:
-        raise ConfigError(f"missing config key {key!r}")
-    return val
-
-
-def _build_group(config: dict) -> FiniteGroup:
-    desc = _get(config, "group", required=True)
+def _build_group(desc: str) -> FiniteGroup:
     if desc.startswith("file:"):
         path = desc[len("file:"):]
         if not os.path.exists(path):
@@ -153,28 +143,13 @@ def _parse_function(spec: str, group: FiniteGroup, rng) -> GroupFunction:
     raise ConfigError(f"unknown function spec {spec!r}")
 
 
-def _search_space(config: dict, seed: int) -> SearchSpace:
-    grid = _get(config, "delta_grid")
-    kwargs = {"seed": seed}
-    if grid:
-        kwargs["delta_grid"] = tuple(float(t) for t in grid.split(","))
-    for key, name in (("max_dim", "max_dim"), ("max_summands", "max_summands"),
-                      ("max_candidates", "max_candidates")):
-        val = _get(config, key)
-        if val:
-            kwargs[name] = int(val)
-    return SearchSpace(**kwargs)
-
-
 def _py(obj):
     """Convert numpy scalars/arrays into plain python for JSON."""
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
+    if isinstance(obj, np.floating):
         return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_py(x) for x in obj]
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, np.ndarray)):
         return [_py(x) for x in obj]
     if isinstance(obj, dict):
         return {k: _py(v) for k, v in obj.items()}
@@ -182,17 +157,17 @@ def _py(obj):
 
 
 # ---------------------------------------------------------------------------
-# Experiment kinds
+# Experiment kinds. A runner takes the group, the seeded generator, the seed
+# and its kind's keys as typed keyword values.
 
 
-def _run_group_info(config, group, rng, seed):
-    payload = {"descriptor": group.descriptor, "order": group.order,
-               "abelian": group.is_abelian, "exponent": group.exponent(),
-               "identity": group.identity}
-    return "ok", payload
+def _run_group_info(group, rng, seed):
+    return "ok", {"descriptor": group.descriptor, "order": group.order,
+                  "abelian": group.is_abelian, "exponent": group.exponent(),
+                  "identity": group.identity}
 
 
-def _run_irreps(config, group, rng, seed):
+def _run_irreps(group, rng, seed):
     irreps = irreps_of(group, seed)
     dims = [rep.dim for rep in irreps]
     n = group.order
@@ -213,20 +188,18 @@ def _run_irreps(config, group, rng, seed):
     return "ok", payload
 
 
-def _run_bohr(config, group, rng, seed):
+def _run_bohr(group, rng, seed, summands, delta, nm):
     irreps = irreps_of(group, seed)
-    picks = [int(t) for t in _get(config, "summands", required=True).split(",")]
-    if not all(0 <= i < len(irreps) for i in picks):
-        raise ConfigError(f"summands {picks} must lie in [0, {len(irreps)})")
-    tau = direct_sum_hom([irreps[i] for i in picks])
-    delta = float(_get(config, "delta", required=True))
+    if not all(0 <= i < len(irreps) for i in summands):
+        raise ConfigError(f"summands {summands} must lie in [0, {len(irreps)})")
+    tau = direct_sum_hom([irreps[i] for i in summands])
     spec = bohr_set(group, tau, delta)
     count, translates = greedy_cover(group, spec.realized)
     is_sub, is_norm = subgroup_test(spec.realized)
     payload = {"spec": spec.to_json_dict(), "size": len(spec.realized),
                "cover_count": count, "cover_translates": translates,
                "is_subgroup": is_sub, "is_normal_set": is_norm}
-    if _get(config, "nm", "false").lower() == "true":
+    if nm:
         nm_spec, m = nm_refine(group, tau, delta)
         bound, actual, ok = cover_bound_check(nm_spec)
         payload["nm"] = {"m": m, "size": len(nm_spec.realized),
@@ -235,13 +208,9 @@ def _run_bohr(config, group, rng, seed):
     return "ok", payload
 
 
-def _run_ladder(config, group, rng, seed):
-    from .stability import ladder_index
-    f = _parse_function(_get(config, "function", required=True), group, rng)
-    eps = float(_get(config, "epsilon", required=True))
-    cap = int(_get(config, "cap", "6"))
-    budget = int(_get(config, "budget", "10000000"))
-    res = ladder_index(f, eps, cap=cap, budget=budget)
+def _run_ladder(group, rng, seed, function, epsilon, cap, budget):
+    f = _parse_function(function, group, rng)
+    res = ladder_index(f, epsilon, cap=cap, budget=budget)
     payload = {"k_max": res.k_max, "search_status": res.status,
                "nodes": res.nodes,
                "witness": res.witness.to_json_dict() if res.witness else None}
@@ -249,9 +218,9 @@ def _run_ladder(config, group, rng, seed):
     return status, payload
 
 
-def _run_convolve(config, group, rng, seed):
-    f = _parse_function(_get(config, "function", required=True), group, rng)
-    g = _parse_function(_get(config, "function_b", required=True), group, rng)
+def _run_convolve(group, rng, seed, function, function_b):
+    f = _parse_function(function, group, rng)
+    g = _parse_function(function_b, group, rng)
     h = convolve(f, g)
     payload = {"values": [float(v) for v in h.values],
                "mean_f": f.mean, "mean_g": g.mean, "mean_conv": h.mean,
@@ -262,11 +231,10 @@ def _run_convolve(config, group, rng, seed):
     return "ok", payload
 
 
-def _run_regularity(config, group, rng, seed):
-    f = _parse_function(_get(config, "function", required=True), group, rng)
-    eps = float(_get(config, "epsilon", required=True))
-    zeta = ZetaRule.parse(_get(config, "zeta", "const:0.001"))
-    res = search_regular_bohr(f, eps, zeta, _search_space(config, seed))
+def _run_regularity(group, rng, seed, function, epsilon, zeta, **space):
+    f = _parse_function(function, group, rng)
+    res = search_regular_bohr(f, epsilon, ZetaRule.parse(zeta),
+                              SearchSpace(seed=seed, **space))
     payload = {"search_status": res.status,
                "candidates_scored": res.candidates_scored}
     if res.certificate is not None:
@@ -279,10 +247,9 @@ def _run_regularity(config, group, rng, seed):
     return res.status, payload
 
 
-def _run_bogolyubov(config, group, rng, seed):
-    a = _parse_set(_get(config, "set_a", required=True), group, rng)
-    alpha = float(_get(config, "alpha", required=True))
-    res = bogolyubov_search(a, alpha, _search_space(config, seed))
+def _run_bogolyubov(group, rng, seed, set_a, alpha, **space):
+    a = _parse_set(set_a, group, rng)
+    res = bogolyubov_search(a, alpha, SearchSpace(seed=seed, **space))
     cover = separated_cover(a, alpha)
     payload = {"search_status": res.status,
                "candidates_scored": res.candidates_scored,
@@ -296,12 +263,11 @@ def _run_bogolyubov(config, group, rng, seed):
     return res.status, payload
 
 
-def _run_two_set(config, group, rng, seed):
-    a = _parse_set(_get(config, "set_a", required=True), group, rng)
-    b = _parse_set(_get(config, "set_b", required=True), group, rng)
-    alpha = float(_get(config, "alpha", required=True))
-    zeta = ZetaRule.parse(_get(config, "zeta", "const:0.05"))
-    res = two_set_bogolyubov(a, b, alpha, zeta, _search_space(config, seed))
+def _run_two_set(group, rng, seed, set_a, set_b, alpha, zeta, **space):
+    a = _parse_set(set_a, group, rng)
+    b = _parse_set(set_b, group, rng)
+    res = two_set_bogolyubov(a, b, alpha, ZetaRule.parse(zeta),
+                             SearchSpace(seed=seed, **space))
     payload = {"search_status": res.status, "claim1": res.claim1,
                "candidates_scored": res.candidates_scored}
     if res.spec is not None:
@@ -312,14 +278,10 @@ def _run_two_set(config, group, rng, seed):
     return res.status, payload
 
 
-def _run_quasirandom(config, group, rng, seed):
-    alpha = float(_get(config, "alpha", required=True))
-    trials = int(_get(config, "trials", "100"))
-    size = _get(config, "size")
+def _run_quasirandom(group, rng, seed, alpha, trials, size):
     if size is None:
         check_alpha(alpha)  # before alpha * |G| can overflow
-        size = np.ceil(alpha * group.order)
-    size = int(size)
+        size = int(np.ceil(alpha * group.order))
     rows = [{"trial": t, "seed": trial_seed, "ab_density": chk.ab_density,
              "abc_covers": chk.abc_covers}
             for t, (trial_seed, chk) in enumerate(
@@ -331,14 +293,10 @@ def _run_quasirandom(config, group, rng, seed):
     return "ok", payload
 
 
-def _run_croot_sisask(config, group, rng, seed):
-    a = _parse_set(_get(config, "set_a", required=True), group, rng)
-    ind = GroupFunction.indicator(a)
+def _run_croot_sisask(group, rng, seed, set_a, p, epsilon, min_size, **space):
+    ind = GroupFunction.indicator(_parse_set(set_a, group, rng))
     f = convolve(ind, ind)
-    p = float(_get(config, "p", "2"))
-    eps = float(_get(config, "epsilon", required=True))
-    min_size = int(_get(config, "min_size", "1"))
-    res = shift_invariance_search(f, p, eps, _search_space(config, seed),
+    res = shift_invariance_search(f, p, epsilon, SearchSpace(seed=seed, **space),
                                   min_size=min_size)
     payload = {"search_status": res.status,
                "candidates_scored": res.candidates_scored}
@@ -350,32 +308,88 @@ def _run_croot_sisask(config, group, rng, seed):
     return res.status, payload
 
 
-_RUNNERS = {
-    "group-info": _run_group_info,
-    "irreps": _run_irreps,
-    "bohr": _run_bohr,
-    "ladder": _run_ladder,
-    "convolve": _run_convolve,
-    "regularity": _run_regularity,
-    "bogolyubov": _run_bogolyubov,
-    "two-set": _run_two_set,
-    "quasirandom": _run_quasirandom,
-    "croot-sisask": _run_croot_sisask,
+# ---------------------------------------------------------------------------
+# Config keys. A default that is a type marks a required key of that type;
+# any other default gives the key its type. Set, function, group and zeta
+# specs stay strings for their own parsers.
+
+COMMON = {"kind": str, "group": str, "seed": 0, "format": "json", "out": "",
+          "expect": ""}
+_SPACE = {f.name: f.default for f in fields(SearchSpace) if f.name != "seed"}
+KINDS = {
+    "group-info": (_run_group_info, {}),
+    "irreps": (_run_irreps, {}),
+    "bohr": (_run_bohr, {"summands": list, "delta": float, "nm": False}),
+    "ladder": (_run_ladder, {"function": str, "epsilon": float, "cap": 6,
+                             "budget": DEFAULT_BUDGET}),
+    "convolve": (_run_convolve, {"function": str, "function_b": str}),
+    "regularity": (_run_regularity, {"function": str, "epsilon": float,
+                                     "zeta": "const:0.001", **_SPACE}),
+    "bogolyubov": (_run_bogolyubov, {"set_a": str, "alpha": float, **_SPACE}),
+    "two-set": (_run_two_set, {"set_a": str, "set_b": str, "alpha": float,
+                               "zeta": "const:0.05", **_SPACE}),
+    "quasirandom": (_run_quasirandom, {"alpha": float, "trials": 100, "size": None}),
+    "croot-sisask": (_run_croot_sisask, {"set_a": str, "p": 2.0, "epsilon": float,
+                                         "min_size": 1, **_SPACE}),
 }
+
+
+def _bool(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text.lower() == "true"
+
+
+# How a value is read for each key type: a tuple is comma-separated reals, a
+# list comma-separated integers, and a key with default None (quasirandom's
+# size, ceil(alpha |G|) when absent) an integer.
+_READ = {bool: _bool, type(None): int,
+         tuple: lambda text: tuple(float(t) for t in text.split(",")),
+         list: lambda text: [int(t) for t in text.split(",")]}
+
+
+def resolve(config: dict) -> dict:
+    """Check a flat string config against its kind's keys; return the typed
+    value of every common and kind key, with defaults filled in."""
+    kind = config.get("kind")
+    if kind is None:
+        raise ConfigError("missing config key 'kind'")
+    if kind not in KINDS:
+        raise ConfigError(f"unknown experiment kind {kind!r}")
+    keys = {**COMMON, **KINDS[kind][1]}
+    for key in config:
+        if key not in keys:
+            import difflib  # the error path only: keeps start-up cheap
+            near = difflib.get_close_matches(key, keys, n=1, cutoff=0)[0]
+            raise ConfigError(f"unknown config key {key!r} for kind {kind!r}; "
+                              f"nearest known key {near!r}")
+    values = {}
+    for key, default in keys.items():
+        required = isinstance(default, type)
+        if key not in config:
+            if required:
+                raise ConfigError(f"missing config key {key!r}")
+            values[key] = default
+            continue
+        kind_of = default if required else type(default)
+        try:
+            values[key] = _READ.get(kind_of, kind_of)(config[key])
+        except ValueError as exc:
+            raise ConfigError(f"config key {key!r}: {exc}") from None
+    return values
 
 
 def run_experiment(config: dict) -> Report:
     """Dispatch a parsed config to the library; statuses pass through."""
     config = {k: str(v) for k, v in config.items()}
-    kind = _get(config, "kind", required=True)
-    if kind not in _RUNNERS:
-        raise ConfigError(f"unknown experiment kind {kind!r}")
-    seed = int(_get(config, "seed", "0"))
+    values = resolve(config)
+    seed = values["seed"]
     config["seed"] = str(seed)
-    group = _build_group(config)
+    group = _build_group(values["group"])
     rng = rng_from_seed(seed)
+    runner, keys = KINDS[values["kind"]]
     start = time.perf_counter()
-    status, payload = _RUNNERS[kind](config, group, rng, seed)
+    status, payload = runner(group, rng, seed, **{k: values[k] for k in keys})
     elapsed = time.perf_counter() - start
     return Report(config=dict(sorted(config.items())), status=status,
                   payload=_py(payload), wall_clock_s=elapsed)
@@ -386,22 +400,6 @@ def replay_report(report_doc: dict) -> bool:
     fresh = run_experiment(report_doc["config"])
     return (json.dumps(fresh.payload, sort_keys=True)
             == json.dumps(report_doc["payload"], sort_keys=True))
-
-
-def emit_report(report: Report, path: str, fmt: str = "json") -> None:
-    if fmt == "json":
-        text = report.to_json()
-    elif fmt == "csv":
-        text = report.to_csv()
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
-def _default_out(kind: str, fmt: str) -> str:
-    out_dir = os.environ.get(OUT_DIR_ENV, ".")
-    return os.path.join(out_dir, f"{kind}.{fmt}")
 
 
 def main(argv=None) -> int:
@@ -426,23 +424,23 @@ def main(argv=None) -> int:
         if args.seed is not None:
             config["seed"] = str(args.seed)
         if args.budget is not None:
-            if args.kind == "ladder":
-                config["budget"] = str(args.budget)
-            else:
-                config["max_candidates"] = str(args.budget)
+            keys = [k for k in ("budget", "max_candidates") if k in KINDS[args.kind][1]]
+            if not keys:
+                raise ConfigError(f"--budget does not apply to kind {args.kind!r}")
+            config[keys[0]] = str(args.budget)
         fmt = args.format or config.get("format", "json")
         if fmt not in ("json", "csv"):
             raise ConfigError(f"unknown report format {fmt!r}")
-        out = args.out or config.get("out") or _default_out(args.kind, fmt)
+        out = (args.out or config.get("out")
+               or os.path.join(os.environ.get(OUT_DIR_ENV, "."), f"{args.kind}.{fmt}"))
         report = run_experiment(config)
-        emit_report(report, out, fmt)
+        text = report.to_json() if fmt == "json" else report.to_csv()
+        Path(out).write_text(text, encoding="utf-8")
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"{report.status}: wrote {out}")
-    if report.status == "ok":
-        return 0
-    return 2
+    return 0 if report.status == "ok" else 2
 
 
 if __name__ == "__main__":

@@ -346,15 +346,11 @@ def _product_table(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
 
 def _dihedral_table(n: int) -> np.ndarray:
     # index i < n: rotation x -> x+i; index n+a: reflection x -> a-x
-    order = 2 * n
-    table = np.zeros((order, order), dtype=np.int32)
-    for i in range(n):
-        for j in range(n):
-            table[i, j] = (i + j) % n                       # rot . rot
-            table[i, n + j] = n + (i + j) % n               # rot . refl
-            table[n + i, j] = n + (i - j) % n               # refl . rot
-            table[n + i, n + j] = (i - j) % n               # refl . refl
-    return table
+    i = np.arange(n, dtype=np.int32)
+    plus = (i[:, None] + i[None, :]) % n
+    minus = (i[:, None] - i[None, :]) % n
+    # rot . rot, rot . refl; refl . rot, refl . refl
+    return np.block([[plus, n + plus], [n + minus, minus]])
 
 
 _QUAT_UNITS = ("1", "i", "j", "k")

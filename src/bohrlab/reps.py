@@ -513,19 +513,23 @@ def export_rep(rep: UnitaryRep) -> str:
 
 def parse_rep(text: str, group: FiniteGroup, label: str = "imported") -> UnitaryRep:
     lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty rep text: expected a 'dim n order m' header")
     head = lines[0].split()
     if len(head) != 4 or head[0] != "dim" or head[2] != "order":
         raise ValueError(f"bad rep header {lines[0]!r}")
     dim, order = int(head[1]), int(head[3])
+    if dim < 1:
+        raise ValueError(f"rep dim must be >= 1, got {dim}")
     if order != group.order:
         raise ValueError(f"rep order {order} != group order {group.order}")
     if len(lines) != order + 1:
         raise ValueError(f"expected {order} element lines, got {len(lines) - 1}")
-    mats = np.zeros((order, dim, dim), dtype=np.complex128)
-    for g in range(order):
-        vals = [float(t) for t in lines[g + 1].split()]
+    # every line is checked before the matrices are allocated, so a header
+    # cannot ask for more memory than its text holds
+    rows = [[float(t) for t in line.split()] for line in lines[1:]]
+    for g, vals in enumerate(rows):
         if len(vals) != 2 * dim * dim:
             raise ValueError(f"element {g}: expected {2 * dim * dim} floats")
-        arr = np.asarray(vals).reshape(dim * dim, 2)
-        mats[g] = (arr[:, 0] + 1j * arr[:, 1]).reshape(dim, dim)
+    mats = np.array(rows).view(np.complex128).reshape(order, dim, dim)
     return UnitaryRep(group, mats, label=label)

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import bohrlab
-from bohrlab.cli import (ConfigError, load_config, main, replay_report,
-                         run_experiment)
+from bohrlab.cli import (COMMON, KINDS, ConfigError, load_config, main,
+                         replay_report, run_experiment)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -443,9 +443,12 @@ def test_seed_override_changes_payload():
 
 
 def test_missing_config_key():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^missing config key 'function'$"):
         run_experiment({"kind": "ladder", "group": "zmod:4"})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^missing config key 'epsilon'$"):
+        run_experiment({"kind": "ladder", "group": "zmod:4",
+                        "function": "random-pm1"})
+    with pytest.raises(ConfigError, match="^unknown experiment kind 'nope'$"):
         run_experiment({"kind": "nope", "group": "zmod:4"})
 
 
@@ -533,3 +536,85 @@ def test_candidate_walk_ends_past_reachable_dimension(tmp_path):
     assert proc.returncode == 2, proc.stderr
     payload = json.loads(out.read_text())["payload"]
     assert payload == small.payload
+
+
+def _optional_keys(kind):
+    keys = {**COMMON, **KINDS[kind][1]}
+    # kind, out and format are read by main; out would redirect the report
+    return sorted(k for k, d in keys.items() if not isinstance(d, type)
+                  and k not in ("out", "format"))
+
+
+def _main_error(tmp_path, capsys, kind, config, *flags):
+    """Run main on a written config; return its one stderr line."""
+    cfg = _write_config(tmp_path / "c.ini", config)
+    out = tmp_path / "o.json"
+    code = main([kind, "--config", str(cfg), "--out", str(out), *flags])
+    err = capsys.readouterr().err
+    assert code == 1 and not out.exists(), err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.ini")),
+                         ids=lambda path: path.stem)
+def test_misspelled_optional_keys_error(tmp_path, capsys, path):
+    # an unknown key would silently run a different experiment
+    base = load_config(str(path))
+    for key in _optional_keys(base["kind"]):
+        typo = key + key[-1]
+        config = {k: v for k, v in base.items() if k != key}
+        config[typo] = base.get(key, "1")
+        err = _main_error(tmp_path, capsys, base["kind"], config)
+        assert f"unknown config key {typo!r}" in err, err
+        assert f"nearest known key {key!r}" in err, err
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.ini")),
+                         ids=lambda path: path.stem)
+def test_non_numeric_values_name_their_key(tmp_path, capsys, path):
+    base = load_config(str(path))
+    keys = {**COMMON, **KINDS[base["kind"]][1]}
+    typed = [k for k, d in keys.items() if str not in (d, type(d))]
+    assert typed
+    for key in typed:
+        err = _main_error(tmp_path, capsys, base["kind"], {**base, key: "abc"})
+        assert err.startswith(f"error: config key {key!r}: "), err
+
+
+@pytest.mark.parametrize("value", ["yes", "1", "on", ""])
+def test_nm_accepts_only_true_or_false(tmp_path, capsys, value):
+    base = load_config(str(FIXTURES / "bohr_z12.ini"))
+    err = _main_error(tmp_path, capsys, "bohr", {**base, "nm": value})
+    assert err == f"error: config key 'nm': expected true or false, got {value!r}\n"
+
+
+def test_nm_is_case_insensitive():
+    for value in ("TRUE", "True", "false", "FALSE"):
+        report = _run("bohr_z12.ini", nm=value)
+        assert ("nm" in report.payload) == (value.lower() == "true")
+
+
+@pytest.mark.parametrize("kind", [k for k, (_, keys) in KINDS.items()
+                                  if not {"budget", "max_candidates"} & set(keys)])
+def test_budget_flag_on_kind_without_budget_errors(tmp_path, capsys, kind):
+    path = next(p for p in FIXTURES.glob("*.ini")
+                if load_config(str(p))["kind"] == kind)
+    err = _main_error(tmp_path, capsys, kind, load_config(str(path)),
+                      "--budget", "5")
+    assert err == f"error: --budget does not apply to kind {kind!r}\n"
+
+
+@pytest.mark.parametrize("name, key", [
+    ("ladder_z4.ini", "budget"), ("regularity_zpz.ini", "max_candidates"),
+    ("bogolyubov_z200.ini", "max_candidates"), ("two_set_z12.ini", "max_candidates"),
+    ("croot_sisask_z101.ini", "max_candidates")])
+def test_budget_flag_sets_the_declared_budget(tmp_path, name, key):
+    out = tmp_path / "o.json"
+    kind = load_config(str(FIXTURES / name))["kind"]
+    code = main([kind, "--config", str(FIXTURES / name), "--out", str(out),
+                 "--budget", "1"])
+    doc = json.loads(out.read_text())
+    assert doc["config"][key] == "1"
+    assert doc["payload"].get("nodes", doc["payload"].get("candidates_scored")) <= 1
+    assert code in (0, 2)

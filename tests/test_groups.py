@@ -9,8 +9,9 @@ from bohrlab import (FiniteGroup, GroupValidationError, Subset, build_group,
                      catalog_descriptors, from_cayley_table, inverse_set,
                      product_set, translate_set)
 from bohrlab.gen import interval_subset
-from bohrlab.groups import (GroupFunction, format_cayley_table, format_function,
-                            format_subset, parse_function, parse_subset)
+from bohrlab.groups import (GroupFunction, _dihedral_table, format_cayley_table,
+                            format_function, format_subset, parse_function,
+                            parse_subset)
 
 # order-5 loop: Latin square with identity 0 that fails associativity at (1,1,2)
 NONASSOC_LOOP = """5
@@ -45,6 +46,25 @@ def test_dihedral4_validates_by_brute_force():
         for b in range(n):
             for c in range(n):
                 assert t[t[a, b], c] == t[a, t[b, c]]
+
+
+def _dihedral_reference(n):
+    # index i < n: rotation x -> x+i; index n+a: reflection x -> a-x
+    table = np.zeros((2 * n, 2 * n), dtype=np.int32)
+    for i in range(n):
+        for j in range(n):
+            table[i, j] = (i + j) % n
+            table[i, n + j] = n + (i + j) % n
+            table[n + i, j] = n + (i - j) % n
+            table[n + i, n + j] = (i - j) % n
+    return table
+
+
+def test_dihedral_table_matches_reference_loop():
+    for n in [*range(1, 65), 1024]:
+        table = _dihedral_table(n)
+        assert table.dtype == np.int32, n
+        assert np.array_equal(table, _dihedral_reference(n)), n
 
 
 def test_alt5_is_simple_by_brute_force(a5):

@@ -1,13 +1,17 @@
 import ast
 import functools
 import importlib
+import importlib.util
 import json
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import bohrlab
+from bohrlab.cli import COMMON, KINDS, load_config, resolve
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -97,3 +101,45 @@ def test_committed_bench_files_are_well_formed():
                 assert claimed["metric"] in pair[side]["metrics"], path.name
         for run in _recorded_runs(doc):
             assert run["correct"] is True and run["failed"] == 0, path.name
+
+
+def _labbench_workloads():
+    # read-only use of the benchmark's experiment lists
+    spec = importlib.util.spec_from_file_location(
+        "labbench_workloads", ROOT / "labbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_fixture_configs_resolve():
+    paths = sorted((ROOT / "tests" / "fixtures").glob("*.ini"))
+    assert len(paths) >= 12
+    for path in paths:
+        resolve(load_config(str(path)))
+
+
+@pytest.mark.parametrize("seed", [101, 7, 201])
+def test_benchmark_configs_resolve(seed):
+    workloads = _labbench_workloads()
+    for name in workloads.WORKLOADS:
+        configs = workloads.build(name, seed, 30)
+        assert configs, name
+        for config in configs:
+            resolve(config)
+
+
+def test_readme_key_table_lists_kinds_keys():
+    # each row's required and optional keys are exactly the declared ones
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    cli = text.split("## CLI", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| (every kind|`[\w-]+`) \|(.*)\|(.*)\|$", cli, re.M)
+    found = {}
+    for label, required, optional in rows:
+        found[label.strip("`")] = (set(re.findall(r"`(\w+)`", required)),
+                                   set(re.findall(r"`(\w+)`", optional)))
+    declared = {"every kind": COMMON, **{k: keys for k, (_, keys) in KINDS.items()}}
+    expected = {label: ({k for k, d in keys.items() if isinstance(d, type)},
+                        {k for k, d in keys.items() if not isinstance(d, type)})
+                for label, keys in declared.items()}
+    assert found == expected

@@ -1,5 +1,6 @@
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,6 +199,31 @@ def test_parse_rep_rejects_non_finite_entries(dim, bad):
     text = f"dim {dim} order 3\n{ident}\n{broken}\n{ident}\n"
     with pytest.raises(ValueError, match="finite entries"):
         parse_rep(text, g)
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "  \n\t\n"])
+def test_parse_rep_rejects_empty_text(text):
+    with pytest.raises(ValueError, match="empty rep text"):
+        parse_rep(text, build_group("zmod:3"))
+
+
+@pytest.mark.parametrize("dim", [0, -2])
+def test_parse_rep_rejects_non_positive_dim(dim):
+    with pytest.raises(ValueError, match=f"rep dim must be >= 1, got {dim}"):
+        parse_rep(f"dim {dim} order 1\n\n", build_group("zmod:1"))
+
+
+def test_parse_rep_checks_lines_before_allocating():
+    # the header alone asks for 3 * 30000^2 complex entries (40 GiB)
+    text = "dim 30000 order 3\n1.0 0.0\n1.0 0.0\n1.0 0.0\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="element 0: expected 1800000000 floats"):
+            parse_rep(text, build_group("zmod:3"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_sampled_residual_large_group():
