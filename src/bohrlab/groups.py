@@ -32,12 +32,14 @@ class FiniteGroup:
     """A finite group on elements 0..order-1 backed by a Cayley table.
 
     Immutable after construction. ``table[a, b]`` is the product a*b,
-    ``inverse[a]`` the inverse of a, ``identity`` the identity index.
+    ``inverse[a]`` the inverse of a, ``identity`` the identity index, and
+    ``generators`` the generating set that validation checked associativity
+    on (empty for the trivial group).
     """
 
     def __init__(self, table, descriptor: str = "table"):
         table = np.array(table, dtype=np.int32, order="C")
-        _validate_table(table)
+        self.generators = _validate_table(table)
         self.table = table
         self.order = int(table.shape[0])
         self.identity = _find_identity(table)
@@ -95,7 +97,9 @@ class FiniteGroup:
         return f"FiniteGroup({self.descriptor!r}, order={self.order})"
 
 
-def _validate_table(table: np.ndarray) -> None:
+def _validate_table(table: np.ndarray) -> tuple[int, ...]:
+    """Raise ``GroupValidationError`` unless ``table`` is a group's Cayley
+    table; return the generating set Light's test checked."""
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise GroupValidationError(f"table must be square, got shape {table.shape}")
     n = table.shape[0]
@@ -109,29 +113,32 @@ def _validate_table(table: np.ndarray) -> None:
             f"entry out of range at {tuple(bad)}", witness=tuple(int(x) for x in bad))
 
     ident = np.arange(n, dtype=np.int32)
-    for axis, name in ((1, "row"), (0, "column")):
-        sorted_lines = np.sort(table, axis=axis)
-        ok = (sorted_lines == (ident[None, :] if axis == 1 else ident[:, None])).all(axis=axis)
+    # columns are sorted as the rows of a contiguous transposed copy, which
+    # is several times faster than a strided sort along axis 0
+    for lines, name in ((table, "row"), (np.ascontiguousarray(table.T), "column")):
+        ok = (np.sort(lines, axis=1) == ident).all(axis=1)
         if not ok.all():
             bad = int(np.argmin(ok))
             raise GroupValidationError(
                 f"not a Latin square: {name} {bad} is not a permutation", witness=bad)
 
-    _check_associative(table, _find_identity(table))
+    return _check_associative(table, _find_identity(table))
 
 
-def _check_associative(table: np.ndarray, identity: int) -> None:
+def _check_associative(table: np.ndarray, identity: int) -> tuple[int, ...]:
     """Light's associativity test (Clifford and Preston, 1961, section 1.2).
 
     The elements s with (xs)y = x(sy) for all x, y are closed under
     products, so checking them on a generating set decides associativity.
     Elements are walked in index order and s is checked only when it lies
     outside the closure of those checked before it; the identity passes
-    without a check. Cost O(n^2) per generator instead of O(n^3).
+    without a check. Cost O(n^2) per generator instead of O(n^3). Returns
+    the checked elements, which generate the group.
     """
     n = table.shape[0]
     inside = np.zeros(n, dtype=bool)
     inside[identity] = True
+    checked: list[int] = []
     for s in range(n):
         if inside[s]:
             continue
@@ -142,6 +149,7 @@ def _check_associative(table: np.ndarray, identity: int) -> None:
             raise GroupValidationError(
                 f"not associative at ({x},{s},{y})", witness=(x, s, y))
         # grow the closure of the checked elements by squaring it
+        checked.append(s)
         inside[s] = True
         closed = np.flatnonzero(inside)
         while len(closed) < n:
@@ -150,7 +158,8 @@ def _check_associative(table: np.ndarray, identity: int) -> None:
                 break
             closed = np.flatnonzero(inside)
         if len(closed) == n:
-            return
+            break
+    return tuple(checked)
 
 
 def _find_identity(table: np.ndarray) -> int:
@@ -375,13 +384,16 @@ def _quaternion_table() -> np.ndarray:
 
 
 def _permutation_table(perms: list[tuple[int, ...]]) -> np.ndarray:
-    index = {p: i for i, p in enumerate(perms)}
-    order = len(perms)
-    table = np.zeros((order, order), dtype=np.int32)
-    for a, pa in enumerate(perms):
-        for b, pb in enumerate(perms):
-            table[a, b] = index[tuple(pa[x] for x in pb)]   # left action: (a.b)(x)=a(b(x))
-    return table
+    """Cayley table of a closed list of permutations of 0..k-1, composed by
+    the left action (a.b)(x) = a(b(x)). Each composite is looked up by its
+    base-k code among the codes of ``perms``."""
+    p = np.array(perms, dtype=np.int64).reshape(len(perms), -1)
+    comp = p[np.arange(len(p))[:, None, None], p[None, :, :]]   # a(b(x))
+    weights = p.shape[1] ** np.arange(p.shape[1])[::-1]
+    codes = p @ weights
+    by_code = np.argsort(codes)
+    found = np.searchsorted(codes[by_code], comp @ weights)
+    return by_code[found].astype(np.int32)
 
 
 def _perm_parity(p: tuple[int, ...]) -> int:

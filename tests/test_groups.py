@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,8 @@ from bohrlab import (FiniteGroup, GroupValidationError, Subset, build_group,
                      catalog_descriptors, from_cayley_table, inverse_set,
                      product_set, translate_set)
 from bohrlab.gen import interval_subset
-from bohrlab.groups import (GroupFunction, _dihedral_table, format_cayley_table,
+from bohrlab.groups import (GroupFunction, _dihedral_table, _perm_parity,
+                            _permutation_table, format_cayley_table,
                             format_function, format_subset, parse_function,
                             parse_subset)
 
@@ -108,6 +110,40 @@ def test_from_cayley_table_rejects_non_latin():
         from_cayley_table("2\n0 0\n1 0\n")
     except GroupValidationError as exc:
         assert exc.witness == 0
+
+
+def test_from_cayley_table_rejects_non_latin_column():
+    # rows stay permutations after swapping two entries of row 2 of Z/5,
+    # which breaks columns 1 and 3; the first is the witness
+    t = (np.arange(5)[:, None] + np.arange(5)[None, :]) % 5
+    t[2, [1, 3]] = t[2, [3, 1]]
+    text = "5\n" + "\n".join(" ".join(map(str, row)) for row in t) + "\n"
+    with pytest.raises(GroupValidationError,
+                       match="not a Latin square: column 1 is not a permutation") as exc:
+        from_cayley_table(text)
+    assert exc.value.witness == 1
+
+
+def _permutation_table_by_loop(perms):
+    """The Cayley table by a python loop over pairs and a dict lookup."""
+    index = {p: i for i, p in enumerate(perms)}
+    table = np.zeros((len(perms), len(perms)), dtype=np.int32)
+    for a, pa in enumerate(perms):
+        for b, pb in enumerate(perms):
+            table[a, b] = index[tuple(pa[x] for x in pb)]
+    return table
+
+
+@pytest.mark.parametrize("head", ["sym", "alt"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_permutation_table_matches_loop(head, k):
+    perms = list(itertools.permutations(range(k)))
+    if head == "alt":
+        perms = [p for p in perms if _perm_parity(p) == 0]
+    table = _permutation_table(perms)
+    assert table.dtype == np.int32
+    assert table.tobytes() == _permutation_table_by_loop(perms).tobytes()
+    assert np.array_equal(build_group(f"{head}:{k}").table, table)
 
 
 def test_from_cayley_table_rejects_nonassociative():

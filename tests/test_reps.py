@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from bohrlab import (abelian_characters, build_group, catalog_descriptors,
-                     decompose_regular, direct_sum_hom, measure_hom_residual,
-                     min_nontrivial_dim, operator_distance)
+                     decompose_regular, direct_sum_hom, irreps_of,
+                     measure_hom_residual, min_nontrivial_dim, operator_distance)
 from bohrlab import reps
 from bohrlab.reps import SAMPLED_PAIRS, UnitaryRep, export_rep, parse_rep
 
@@ -331,6 +331,9 @@ def test_prefiltered_residual_on_sampled_pairs():
     assert rep.hom_residual > 0.5e-7
 
 
+NONABELIAN = [d for d in catalog_descriptors(256) if not build_group(d).is_abelian]
+
+
 def _loop_commuting_family(mats):
     chosen = []
     for g in range(mats.shape[0]):
@@ -340,13 +343,26 @@ def _loop_commuting_family(mats):
     return chosen
 
 
-def _loop_diagonal_friendly(mats, rng):
-    """The pick as a Python step per (element, chosen matrix) pair."""
+def _float_commuting_family(mats):
+    """The float pick the table pick replaced: in element-index order, a
+    matrix joins when its commutator with every matrix picked before it has
+    all entries below 1e-8, tested against the stack of those in one call."""
+    stack = np.empty_like(mats)
+    stack[0] = mats[0]
+    picked = [0]
+    for g in range(1, mats.shape[0]):
+        m, fam = mats[g], stack[:len(picked)]
+        if np.max(np.abs(m @ fam - fam @ m)) < 1e-8:
+            stack[len(picked)] = m
+            picked.append(g)
+    return picked
+
+
+def _float_diagonal_friendly(mats, rng):
+    """The rebasing with the family picked by float commutators."""
     d = mats.shape[1]
-    if d == 1:
-        return mats
     h = np.zeros((d, d), dtype=np.complex128)
-    for c in _loop_commuting_family(mats):
+    for c in _float_commuting_family(mats):
         c = mats[c]
         x, y = rng.standard_normal(2)
         h += x * (c + c.conj().T) + y * 1j * (c - c.conj().T)
@@ -359,37 +375,40 @@ def _loop_diagonal_friendly(mats, rng):
     return np.einsum("ji,gjk,kl->gil", v.conj(), mats, v)
 
 
-@pytest.mark.parametrize("desc", ["sym:4", "dihedral:12", "alt:5",
-                                  "quaternion:8", "dihedral:50"])
+@pytest.mark.parametrize("desc", NONABELIAN)
 def test_commuting_family_matches_pairwise_loop(desc, monkeypatch):
+    """The family read off the commutator table is the float pick's, which
+    is the pairwise loop's, and the rebased matrices and rng draws are
+    bitwise those of the float pick."""
     calls = []
     real = reps._diagonal_friendly
 
-    def record(mats, rng):
-        calls.append((mats.copy(), copy.deepcopy(rng)))
-        return real(mats, rng)
+    def record(mats, family, rng):
+        calls.append((mats.copy(), family, copy.deepcopy(rng)))
+        return real(mats, family, rng)
 
     monkeypatch.setattr(reps, "_diagonal_friendly", record)
     g = build_group(desc)
     for seed in range(3):
         decompose_regular(g, seed=seed)
-    assert any(mats.shape[1] > 1 for mats, _ in calls)
-    for mats, rng in calls:
-        if mats.shape[1] > 1:
-            assert reps._commuting_family(mats) == _loop_commuting_family(mats)
-        ours = real(mats, copy.deepcopy(rng))
-        assert ours.tobytes() == _loop_diagonal_friendly(mats, rng).tobytes()
+    assert calls and all(mats.shape[1] > 1 for mats, _, _ in calls)
+    for mats, family, rng in calls:
+        assert family == _float_commuting_family(mats) == _loop_commuting_family(mats)
+        ours_rng = copy.deepcopy(rng)
+        ours = real(mats, family, ours_rng)
+        assert ours.tobytes() == _float_diagonal_friendly(mats, rng).tobytes()
+        assert ours_rng.bit_generator.state == rng.bit_generator.state
 
 
-def _count_hom_residuals(monkeypatch, value=None):
+def _count_hom_residuals(monkeypatch):
     """Route the module global that every lazy residual reads through a
-    counter; ``value`` replaces the measurement when given."""
+    counter."""
     calls = []
     measure = reps.measure_hom_residual
 
     def counted(rep):
         calls.append(rep.label)
-        return measure(rep) if value is None else value
+        return measure(rep)
 
     monkeypatch.setattr(reps, "measure_hom_residual", counted)
     return calls
@@ -425,9 +444,9 @@ def test_lazy_residuals_equal_measured_values(monkeypatch):
             assert total.hom_residual == max(r.hom_residual for r in pick)
             assert total.unitarity_residual == max(r.unitarity_residual
                                                    for r in pick)
-        # characters are measured once, on first read; decompose_regular's
-        # gate has already read every irrep's; a sum measures nothing itself
-        assert len(calls) == (len(irreps) if g.is_abelian else 0), desc
+        # every irrep is measured once, on first read (decompose_regular's
+        # gate passes on the generator bound); a sum measures nothing itself
+        assert len(calls) == len(irreps), desc
     # a given value is kept and never measured
     calls.clear()
     rep = UnitaryRep(g, irreps[0].matrices, hom_residual=0.25,
@@ -436,7 +455,50 @@ def test_lazy_residuals_equal_measured_values(monkeypatch):
     assert calls == []
 
 
-def test_decompose_gate_reads_the_hom_residual(monkeypatch, s3):
-    _count_hom_residuals(monkeypatch, value=1.0)
-    with pytest.raises(reps.RepDecompositionError, match="residuals exceed tol"):
-        decompose_regular(s3)
+@pytest.mark.parametrize("size", [4e-10, 1e-6, 1e-3], ids=["4e-10", "1e-6", "1e-3"])
+def test_decompose_gate_catches_planted_error(monkeypatch, s3, size):
+    """A unitary error planted in one rho(g) fails the generator bound, so
+    the gate measures every pair: it keeps the irrep when the measured
+    residual is within 1e-9 and rejects it on every seed otherwise."""
+    calls = _count_hom_residuals(monkeypatch)
+    real = reps._diagonal_friendly
+
+    def planted(mats, family, rng):
+        out = real(mats, family, rng)
+        out[2] *= np.exp(1j * size)
+        return out
+
+    monkeypatch.setattr(reps, "_diagonal_friendly", planted)
+    if size > reps.DEFAULT_TOL:
+        with pytest.raises(reps.RepDecompositionError, match="residuals exceed tol"):
+            decompose_regular(s3)
+        assert len(calls) == 6
+        return
+    rep = decompose_regular(s3)[-1]
+    assert calls == [rep.label]
+    bound = reps._hom_residual_bound(rep, *reps._word_generators(s3))
+    assert rep.hom_residual <= reps.DEFAULT_TOL < bound
+
+
+def _word_length_by_sets(g, gens):
+    """Largest word length over ``gens``, by a python-set walk."""
+    seen, frontier, length = {g.identity}, {g.identity}, 0
+    while True:
+        frontier = {g.mul(x, s) for x in frontier for s in gens} - seen
+        if not frontier:
+            return length, seen
+        seen |= frontier
+        length += 1
+
+
+@pytest.mark.parametrize("desc", NONABELIAN)
+def test_hom_bound_covers_measured_residual(desc):
+    g = build_group(desc)
+    gens, length = reps._word_generators(g)
+    gens = [int(s) for s in gens]
+    assert set(g.generators) <= set(gens)
+    assert all(g.mul(s, s) in gens or g.mul(s, s) == g.identity for s in gens)
+    assert _word_length_by_sets(g, gens) == (length, set(g.elements()))
+    for rep in irreps_of(g):
+        bound = reps._hom_residual_bound(rep, np.array(gens), length)
+        assert rep.hom_residual <= bound <= 1e-11, rep.label
