@@ -25,6 +25,9 @@ def random_subset(group: FiniteGroup, density: float,
 
 def random_subset_of_size(group: FiniteGroup, size: int,
                           rng: np.random.Generator) -> Subset:
+    """A uniformly drawn set of exactly ``size`` elements."""
+    if not 0 <= size <= group.order:
+        raise ValueError(f"set size must lie in [0, {group.order}], got {size}")
     idx = rng.choice(group.order, size=size, replace=False)
     return Subset.from_indices(group, idx)
 
@@ -71,8 +74,8 @@ def remove_random_points(subset: Subset, count: int,
                          rng: np.random.Generator) -> Subset:
     """Drop ``count`` uniformly chosen members."""
     idx = subset.indices
-    if count > idx.size:
-        raise ValueError("cannot remove more points than the set holds")
+    if not 0 <= count <= idx.size:
+        raise ValueError(f"points to remove must lie in [0, {idx.size}], got {count}")
     drop = rng.choice(idx, size=count, replace=False)
     mask = subset.mask.copy()
     mask[drop] = False

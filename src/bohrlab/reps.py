@@ -362,17 +362,19 @@ def _diagonal_friendly(mats: np.ndarray, family: list[int],
 def _word_generators(group: FiniteGroup) -> tuple[np.ndarray, int]:
     """A generating set S and L, the largest word length of an element over S.
 
-    S is ``group.generators`` (the set Light's test checked) closed under
-    squaring, s, s^2, s^4, ..., so a cyclic group of order n has L = O(log n).
-    Word lengths come from one breadth-first walk of right multiplications
-    from the identity.
+    S is ``group.generators`` (the set Light's test checked) with the powers
+    s^(2^j), 2^j < ord(s), of each, which spell every power of s in binary,
+    so a cyclic group of order n has L = O(log n). Word lengths come from one
+    breadth-first walk of right multiplications from the identity.
     """
     table, e = group.table, group.identity
     gens: list[int] = []
     for s in group.generators:
-        while s != e and s not in gens:
-            gens.append(s)
-            s = int(table[s, s])
+        power, order = s, group.element_order(s)
+        for _ in range((order - 1).bit_length()):  # each 2^j < order
+            if power not in gens:
+                gens.append(power)
+            power = int(table[power, power])
     seen = np.zeros(group.order, dtype=bool)
     seen[e] = True
     frontier, length = np.array([e]), 0

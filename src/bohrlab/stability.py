@@ -19,8 +19,9 @@ from .groups import GroupFunction, Subset, check_eps
 
 DEFAULT_BUDGET = 10_000_000
 ORACLE_ORDER_CAP = 12
-# Compatibility rows memoized by one ladder search, in bytes of row bits;
-# rows past it are rebuilt on each use instead of stored
+# Bytes of compatibility-row bits one ladder search holds at once: its memo
+# of n^2-bit rows stops storing there (rows past it are rebuilt on each use),
+# and a local graph is built only when its m^2 bits fit
 ROW_MEMO_BYTES = 64 << 20
 # Entries of F compared per batch of compatibility rows (8 bytes each)
 _ROW_BLOCK_ENTRIES = 1 << 15
@@ -134,13 +135,16 @@ def _max_ladder(F: np.ndarray, eps: float, cap: int, budget: int,
     This bound must not be mixed with an index-order prefix cut such as
     "a_1 minimal": each is sound alone, but together they miss ladders.
 
-    Local subgraphs: a node whose mask holds at most n pairs builds the m x m
-    compatibility matrix of those m pairs from F in one vectorized pass and
-    searches its subtree on m-bit ints. Local bits keep the index order of
-    the pairs, so the traversal is the same as on n^2-bit masks. Larger masks
-    use n^2-bit rows, memoized for the call and built in batches (a mask's
-    missing rows before it is coloured); the memo stops storing rows once it
-    holds ROW_MEMO_BYTES of them, so its size does not grow with the order.
+    Local subgraphs: a node on n^2-bit masks whose m pairs have an m x m
+    compatibility matrix of at most ROW_MEMO_BYTES of bits builds that matrix
+    from F, in blocks of rows, and searches its whole subtree on m-bit ints,
+    each child's mask derived from its parent's local rows. Local bits keep
+    the index order of the pairs, so the traversal is the same as on n^2-bit
+    masks. n^2-bit rows are left to the dive, the n roots and masks too large
+    to go local (the restricted-domain top node at order 256 would need
+    512 MB); they are memoized for the call and built in batches (a mask's
+    missing rows before it is coloured), and the memo stops storing rows once
+    it holds ROW_MEMO_BYTES of them, so its size does not grow with the order.
 
     The budget counts node expansions (one per candidate scan of a partial
     ladder). Returns (best_depth, pairs, exhausted, nodes).
@@ -148,6 +152,7 @@ def _max_ladder(F: np.ndarray, eps: float, cap: int, budget: int,
     if cap < 1:
         return 0, [], True, 0
     n = F.shape[0]
+    local_bits = 8 * ROW_MEMO_BYTES
     base = _int_rows(np.outer(a_allowed, b_allowed).reshape(1, -1))[0]
     rows = _RowMemo(F, eps, ROW_MEMO_BYTES // ((n * n + 7) // 8))
     state = {"nodes": 0, "exhausted": True, "best": 0, "ladder": [], "stop": False}
@@ -185,7 +190,7 @@ def _max_ladder(F: np.ndarray, eps: float, cap: int, budget: int,
             stack.pop()
             return
         if pairs is None:
-            if mask.bit_count() <= n:
+            if mask.bit_count() ** 2 <= local_bits:
                 mask, rows, pairs = _local_graph(F, eps, mask, n)
             else:
                 rows.fill(_set_bits(mask, n * n).tolist())
@@ -286,11 +291,18 @@ def _local_graph(F: np.ndarray, eps: float, mask: int, n: int):
     """The subgraph on a mask's pairs: (all-ones m-bit mask, rows, pairs).
 
     Local vertex i is the i-th set bit of mask, so local index order is the
-    pairs' index order.
+    pairs' index order. Rows are built in blocks of at most
+    _ROW_BLOCK_ENTRIES entries of F, so the float temporaries stay small
+    while the rows themselves take m^2 bits.
     """
     pairs = _set_bits(mask, n * n)
-    e = F[(pairs // n)[:, None], (pairs % n)[None, :]]
-    rows = _int_rows(np.abs(e - e.T) >= eps)
+    a, b = pairs // n, pairs % n
+    step = max(1, _ROW_BLOCK_ENTRIES // len(pairs))
+    rows: list[int] = []
+    for i in range(0, len(pairs), step):
+        # entry (i, j) is F[a_i, b_j] - F[a_j, b_i]
+        diff = F[a[i:i + step, None], b] - F[a, b[i:i + step, None]]
+        rows += _int_rows(np.abs(diff) >= eps)
     return (1 << len(rows)) - 1, rows, pairs.tolist()
 
 

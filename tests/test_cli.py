@@ -123,6 +123,12 @@ def test_search_non_finite_epsilon_errors(tmp_path, capsys, kind, keys, epsilon)
      "max_dim, max_summands and max_candidates must be >= 1"),
     ("bogolyubov", "set_a = interval:-3\nalpha = 0.3\n",
      "interval radius must be >= 0, got -3"),
+    ("bogolyubov", "set_a = random_size:99999999999999999999\nalpha = 0.3\n",
+     "set size must lie in [0, 12], got 99999999999999999999"),
+    ("bogolyubov", "set_a = random_size:-1\nalpha = 0.3\n",
+     "set size must lie in [0, 12], got -1"),
+    ("bogolyubov", "set_a = evens-minus:-2\nalpha = 0.3\n",
+     "points to remove must lie in [0, 6], got -2"),
 ])
 def test_out_of_range_parameters_error(tmp_path, capsys, kind, keys, message):
     cfg = tmp_path / "c.ini"

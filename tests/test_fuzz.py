@@ -1,5 +1,6 @@
 """Property tests of the input boundary: configs drawn from the CLI's key
-table with one fault each, and the library's text formats."""
+table with one fault each, structured set and function specs with numeric
+edge values inside them, and the library's text formats."""
 
 import json
 import string
@@ -65,8 +66,11 @@ def _faulty_configs(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_faulty_configs())
 def test_faulty_configs_keep_the_exit_contract(tmp_path, capsys, case):
+    _check_exit_contract(tmp_path, capsys, *case)
+
+
+def _check_exit_contract(tmp_path, capsys, kind, config, expected):
     # exit 1 gives one stderr line and no report; 0 or 2 give strict JSON
-    kind, config, expected = case
     cfg = tmp_path / "c.ini"
     cfg.write_text("[experiment]\n" + "".join(f"{k} = {v}\n"
                                                 for k, v in config.items()))
@@ -112,3 +116,52 @@ def test_rep_element_lines_return_or_raise_value_error(lines):
         parse_rep("dim 1 order 3\n" + "\n".join(lines), _Z3)
     except ValueError:
         pass
+
+
+# Numeric edge values inside structured specs: negative, zero, beyond every
+# order and every float, non-finite and empty.
+_EDGES = st.sampled_from(["-2", "-1", "0", "1", "3", "0.5", str(10**20), "nan",
+                          "inf", "-inf", "1e400", ""])
+
+
+@st.composite
+def _set_specs(draw):
+    head = draw(st.sampled_from(("random:", "random_size:", "interval:", "evens",
+                                 "halfrange")))
+    spec = head + (draw(_EDGES) if head.endswith(":") else "")
+    if draw(st.booleans()):
+        spec += "-minus:" + draw(_EDGES)
+    return spec
+
+
+@st.composite
+def _function_specs(draw):
+    head = draw(st.sampled_from(("conv", "overlap", "indicator", "constant")))
+    if head == "conv":
+        return f"conv:{draw(_set_specs())}|{draw(_set_specs())}"
+    if head == "constant":
+        return "constant:" + draw(_EDGES)
+    return f"{head}:{draw(_set_specs())}"
+
+
+@st.composite
+def _spec_configs(draw):
+    kind = draw(st.sampled_from(("ladder", "convolve", "two-set")))
+    config = {"group": draw(st.sampled_from(GROUPS))}
+    if kind == "ladder":
+        config.update(function=draw(_function_specs()), epsilon="0.5",
+                      budget="200", cap="4")
+    elif kind == "convolve":
+        config.update(function=draw(_function_specs()),
+                      function_b=draw(_function_specs()))
+    else:
+        config.update(set_a=draw(_set_specs()), set_b=draw(_set_specs()),
+                      alpha="0.5", max_candidates="20")
+    return kind, config
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_spec_configs())
+def test_structured_specs_keep_the_exit_contract(tmp_path, capsys, case):
+    _check_exit_contract(tmp_path, capsys, *case, None)

@@ -497,7 +497,14 @@ def test_hom_bound_covers_measured_residual(desc):
     gens, length = reps._word_generators(g)
     gens = [int(s) for s in gens]
     assert set(g.generators) <= set(gens)
-    assert all(g.mul(s, s) in gens or g.mul(s, s) == g.identity for s in gens)
+    # S holds s^(2^j) for every 2^j < ord(s), s in Light's set, and no more
+    powers = set()
+    for s in g.generators:
+        power, step = s, 1
+        while step < g.element_order(s):
+            powers.add(power)
+            power, step = g.mul(power, power), 2 * step
+    assert set(gens) == powers and len(gens) == len(powers)
     assert _word_length_by_sets(g, gens) == (length, set(g.elements()))
     for rep in irreps_of(g):
         bound = reps._hom_residual_bound(rep, np.array(gens), length)

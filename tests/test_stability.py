@@ -323,18 +323,31 @@ def test_ladder_index_retains_no_memory():
     assert cyclic == 0
 
 
+def _pilot_function(desc, seed):
+    g = build_group(desc)
+    rng = rng_from_seed(seed)
+    return convolve(GroupFunction.indicator(random_subset(g, 0.3, rng)),
+                    GroupFunction.indicator(random_subset(g, 0.3, rng)))
+
+
 def test_row_memo_is_bounded(monkeypatch):
     from bohrlab import stability
-    # at eps 0.07 the search memoizes about 2,800 rows in 1,574 nodes
-    g = build_group("zmod:60")
-    rng = rng_from_seed(1001)
-    f = convolve(GroupFunction.indicator(random_subset(g, 0.3, rng)),
-                 GroupFunction.indicator(random_subset(g, 0.3, rng)))
+    f = _pilot_function("zmod:60", 1001)
     row_bytes = (60 * 60 + 7) // 8
+    # A local graph of m pairs takes m^2 bits, so with ROW_MEMO_BYTES at ten
+    # n^2-bit rows every mask of more than 189 pairs stays on n^2-bit rows: at
+    # eps 0.07 the search then builds about 2,800 distinct rows in 1,574 nodes
+    bound = 10 * row_bytes
+    memos = []
 
-    def run(memo_bytes):
+    def run(memo_bytes, max_rows=None):
+        class Memo(_RowMemo):
+            def __init__(self, F, eps, rows):
+                super().__init__(F, eps, rows if max_rows is None else max_rows)
+                memos.append(self)
+
+        monkeypatch.setattr(stability, "_RowMemo", Memo)
         monkeypatch.setattr(stability, "ROW_MEMO_BYTES", memo_bytes)
-        ladder_index(f, 0.07, cap=8, budget=2000)  # warm imports and caches
         tracemalloc.start()
         try:
             idx = ladder_index(f, 0.07, cap=8, budget=2000)
@@ -342,14 +355,62 @@ def test_row_memo_is_bounded(monkeypatch):
         finally:
             tracemalloc.stop()
         return (idx.k_max, idx.status, idx.nodes, idx.witness.a_seq,
-                idx.witness.b_seq), peak
+                idx.witness.b_seq), peak, len(memos[-1])
 
-    full, full_peak = run(stability.ROW_MEMO_BYTES)
-    bounded, bounded_peak = run(100 * row_bytes)
-    bare, bare_peak = run(0)
-    # rows past the bound are rebuilt, so the search itself is unchanged
-    assert bounded == full and bare == full
-    # the memo stays within its bound (twice it, for int and dict overhead),
-    # while the unbounded run stores far more than the bound
-    assert bounded_peak - bare_peak < 2 * 100 * row_bytes
-    assert full_peak - bare_peak > 4 * 100 * row_bytes
+    _RowMemo = stability._RowMemo
+    ladder_index(f, 0.07, cap=8, budget=2000)  # warm imports and caches
+    local, _, _ = run(stability.ROW_MEMO_BYTES)  # local graphs below the roots
+    rows, _, _ = run(0)  # n^2-bit rows everywhere, none stored
+    bounded, bounded_peak, bounded_rows = run(bound)
+    unbounded, unbounded_peak, unbounded_rows = run(bound, max_rows=1 << 30)
+    bare, bare_peak, bare_rows = run(bound, max_rows=0)
+    # the traversal depends neither on the representation nor on the memo
+    assert local == rows == bounded == unbounded == bare
+    # the memo fills to its bound and stays within it (twice it, for int and
+    # dict overhead), while an unbounded memo stores far more than the bound
+    assert (bounded_rows, bare_rows) == (10, 0) and unbounded_rows > 1000
+    assert bounded_peak - bare_peak < 2 * bound
+    assert unbounded_peak - bare_peak > 50 * bound
+
+
+# (group, seed, nodes, a_seq, b_seq, peak MB) of ladder_index on
+# conv:random:0.3|random:0.3 at eps 0.04, cap 8, budget 10 000, both capped
+# at 8, recorded when only masks of at most n pairs went local and every
+# larger mask below the roots used n^2-bit rows; peak MB is that search's
+# tracemalloc peak. Local graphs below the roots keep the traversal and must
+# at least halve the peak.
+ORDER_256_PINS = [
+    ("zmod:256", 1002, 723, (0, 235, 235, 235, 203, 203, 194, 162),
+     (0, 215, 46, 30, 149, 235, 0, 215), 35.0),
+    ("dihedral:100", 1001, 23, (0, 196, 193, 193, 192, 123, 92, 92),
+     (0, 101, 145, 24, 73, 37, 107, 37), 20.7),
+]
+
+
+@pytest.mark.parametrize("desc,seed,nodes,a_seq,b_seq,peak_mb", ORDER_256_PINS,
+                         ids=["zmod:256-1002", "dihedral:100-1001"])
+def test_order_256_ladder_pinned(monkeypatch, desc, seed, nodes, a_seq, b_seq,
+                                 peak_mb):
+    from bohrlab import stability
+    f = _pilot_function(desc, seed)
+    ladder_index(f, 0.04, cap=2, budget=10)  # warm imports and caches
+    sizes = []
+    local_graph = stability._local_graph
+
+    def recorded(F, eps, mask, n):
+        sizes.append(mask.bit_count())
+        return local_graph(F, eps, mask, n)
+
+    monkeypatch.setattr(stability, "_local_graph", recorded)
+    tracemalloc.start()
+    try:
+        idx = ladder_index(f, 0.04, cap=8, budget=10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (idx.k_max, idx.status, idx.nodes) == (8, "capped", nodes)
+    assert (idx.witness.a_seq, idx.witness.b_seq) == (a_seq, b_seq)
+    assert idx.witness.is_valid_for(f)
+    assert peak < peak_mb * 2**20 / 2
+    # every local graph's m^2 bits fit within ROW_MEMO_BYTES
+    assert sizes and max(sizes) ** 2 <= 8 * stability.ROW_MEMO_BYTES
