@@ -94,7 +94,7 @@ def _build_group(desc: str) -> FiniteGroup:
 
 
 def _parse_set(spec: str, group: FiniteGroup, rng) -> Subset:
-    base, _, minus = spec.partition("-minus:")
+    base, cut, minus = spec.partition("-minus:")
     head, _, rest = base.partition(":")
     if head == "random":
         out = random_subset(group, float(rest), rng)
@@ -112,8 +112,13 @@ def _parse_set(spec: str, group: FiniteGroup, rng) -> Subset:
         out = parse_subset(group, Path(rest).read_text(encoding="utf-8"))
     else:
         raise ConfigError(f"unknown set spec {spec!r}")
-    if minus:
-        out = remove_random_points(out, int(minus), rng)
+    if cut:
+        try:
+            count = int(minus)
+        except ValueError:
+            raise ConfigError(f"set spec {spec!r} needs an integer count "
+                              "after '-minus:'") from None
+        out = remove_random_points(out, count, rng)
     return out
 
 

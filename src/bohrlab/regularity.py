@@ -205,6 +205,25 @@ def _translate_windows(f: GroupFunction, subset: Subset,
         yield g, members, lo, hi - lo + 1
 
 
+def _every_translate_fits(f: GroupFunction, subset: Subset, eps: float) -> bool:
+    """Whether f's value range on every left translate gS of a nonempty S is
+    below eps - WINDOW_GUARD; a one-element S counts as constant.
+
+    max - min over gS is the float the kernel compares for its whole-set
+    window, svals[-1] - svals[0], so this holds exactly when
+    _max_defect(f, subset, eps) == 0.0.
+    """
+    idx = subset.indices
+    if idx.size == 1:
+        return True
+    table, thr = f.group.table, eps - WINDOW_GUARD
+    for blk in _row_blocks(f.group.order, idx.size):
+        vals = f.values[table[blk][:, idx]]
+        if not (vals.max(axis=1) - vals.min(axis=1) < thr).all():
+            return False
+    return True
+
+
 def _max_defect(f: GroupFunction, subset: Subset, eps: float) -> float:
     """max over translates gS of mu(gS) - mu(B'), B' the scalar window."""
     n, size = f.group.order, len(subset)
@@ -241,19 +260,35 @@ def search_regular_bohr(f: GroupFunction, eps: float, zeta: ZetaRule,
     """First Bohr spec (in preference order) whose max translate defect is
     within zeta(delta, n); explicit none-within-budget status otherwise.
 
-    Candidates often realize the same set, so each distinct realized set is
-    scored once; the certificate is built for the accepted spec only.
+    Candidates often realize the same set, so each distinct realized set S is
+    screened once: is f's value range below eps - WINDOW_GUARD on every
+    translate gS? That is the kernel's own whole-window test, so a yes means
+    a max defect of exactly 0.0. After a no, some translate keeps a window of
+    at most |S| - 1 elements, and as the float defect falls with the window
+    length, the max defect is at least |S|/n - (|S| - 1)/n; a candidate whose
+    allowance is below that is rejected without the kernel. Otherwise the
+    exact max defect is computed, once per distinct set. The certificate is
+    built for the accepted spec only.
     """
     check_eps(eps)
+    n = f.group.order
+    fits: dict[bytes, bool] = {}
     max_defects: dict[bytes, float] = {}
 
     def accept(spec: BohrSpec) -> Optional[RegularityCertificate]:
-        key = spec.realized.mask.tobytes()
-        if key not in max_defects:
-            max_defects[key] = _max_defect(f, spec.realized, eps)
+        realized = spec.realized
+        key = realized.mask.tobytes()
+        if key not in fits:
+            fits[key] = _every_translate_fits(f, realized, eps)
         allowance = zeta.value(spec.delta, spec.tau.dim)
-        if not max_defects[key] <= allowance:
-            return None
+        if not fits[key]:
+            size = len(realized)
+            if size / n - (size - 1) / n > allowance:
+                return None
+            if key not in max_defects:
+                max_defects[key] = _max_defect(f, realized, eps)
+            if not max_defects[key] <= allowance:
+                return None
         return replace(translate_defect(f, spec, eps), zeta_budget=allowance)
 
     _, cert, scored = first_accepted(f.group, space, accept)

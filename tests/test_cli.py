@@ -139,6 +139,25 @@ def test_out_of_range_parameters_error(tmp_path, capsys, kind, keys, message):
     assert not (tmp_path / "o.json").exists()
 
 
+@pytest.mark.parametrize("kind, keys, spec", [
+    ("two-set", "set_b = evens\nalpha = 0.4\nset_a = ", "evens-minus:"),
+    ("two-set", "set_b = evens\nalpha = 0.4\nset_a = ", "random_size:12-minus:"),
+    ("bogolyubov", "alpha = 0.3\nset_a = ", "evens-minus:2.5"),
+    ("ladder", "epsilon = 0.1\nfunction = ", "indicator:evens-minus:x"),
+])
+def test_removal_count_must_be_an_integer(tmp_path, capsys, kind, keys, spec):
+    # "-minus:" with no count, or a count that is no integer, is an error,
+    # not a removal of nothing
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[experiment]\ngroup = zmod:12\nseed = 1\n{keys}{spec}\n")
+    code = main([kind, "--config", str(cfg), "--out", str(tmp_path / "o.json")])
+    assert code == 1
+    set_spec = spec.removeprefix("indicator:")
+    assert capsys.readouterr().err == (f"error: set spec {set_spec!r} needs an "
+                                       "integer count after '-minus:'\n")
+    assert not (tmp_path / "o.json").exists()
+
+
 @pytest.mark.parametrize("kind, keys, message", [
     ("ladder", "function = random-uniform\nepsilon = 0.1\nbudget = -5\n",
      "budget must be >= 1, got -5"),

@@ -2,6 +2,7 @@
 table with one fault each, structured set and function specs with numeric
 edge values inside them, and the library's text formats."""
 
+import itertools
 import json
 import string
 
@@ -69,13 +70,19 @@ def test_faulty_configs_keep_the_exit_contract(tmp_path, capsys, case):
     _check_exit_contract(tmp_path, capsys, *case)
 
 
+# Each example writes its config and report under fresh names: on some
+# filesystems overwriting a file costs tens of milliseconds, creating one
+# a few microseconds.
+_EXAMPLE_IDS = itertools.count()
+
+
 def _check_exit_contract(tmp_path, capsys, kind, config, expected):
     # exit 1 gives one stderr line and no report; 0 or 2 give strict JSON
-    cfg = tmp_path / "c.ini"
+    example = next(_EXAMPLE_IDS)
+    cfg = tmp_path / f"c{example}.ini"
     cfg.write_text("[experiment]\n" + "".join(f"{k} = {v}\n"
                                                 for k, v in config.items()))
-    out = tmp_path / "o.json"
-    out.unlink(missing_ok=True)
+    out = tmp_path / f"o{example}.json"
     code = main([kind, "--config", str(cfg), "--out", str(out)])
     err = capsys.readouterr().err
     if expected is not None:

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from bohrlab import (BohrSpec, GroupFunction, SearchSpace, Subset, UnitaryRep,
                      largest_eps_constant_subset, overlap_function, regularity,
                      search_regular_bohr, subgroup_obstruction_check,
                      translate_defect)
+from bohrlab.bohr import first_accepted
 from bohrlab.gen import random_pm1_function, rng_from_seed
 from bohrlab.groups import catalog_descriptors
 from bohrlab.regularity import TranslateDefect, _all_subgroups
@@ -327,19 +329,106 @@ def test_search_scores_each_realized_set_once(z101, monkeypatch):
     distinct = {spec.realized.mask.tobytes()
                 for spec in enumerate_bohr_candidates(z101, space)
                 if len(spec.realized)}
-    kernel = regularity._translate_windows
-    calls = []
+    screened, kernel = [], []
 
-    def counting(f, subset, eps):
-        calls.append(subset.mask.tobytes())
-        return kernel(f, subset, eps)
+    def counting(name, calls):
+        wrapped = getattr(regularity, name)
 
-    monkeypatch.setattr(regularity, "_translate_windows", counting)
+        def call(f, subset, eps):
+            calls.append(subset.mask.tobytes())
+            return wrapped(f, subset, eps)
+        monkeypatch.setattr(regularity, name, call)
+
+    counting("_every_translate_fits", screened)
+    counting("_translate_windows", kernel)
     res = search_regular_bohr(f, 0.1, ZetaRule.constant(1e-6), space)
     assert res.status == "none-within-budget"
     assert res.candidates_scored == 150
-    assert len(calls) == len(distinct) < 150
-    assert set(calls) == distinct
+    assert len(screened) == len(distinct) < 150
+    assert set(screened) == distinct
+    # an allowance below 1/n leaves nothing for the kernel to decide
+    assert kernel == []
+
+    # an allowance of at least 1/n sends sets that fail the screen to the
+    # kernel, once each
+    screened.clear()
+    res = search_regular_bohr(f, 0.1, ZetaRule.constant(0.05), space)
+    assert res.status == "none-within-budget"
+    assert sorted(screened) == sorted(distinct)
+    assert 0 < len(kernel) == len(set(kernel)) and set(kernel) <= distinct
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["zmod:8", "zmod:12", "dihedral:6", "sym:4"]), st.data(),
+       st.sampled_from([1e-13, regularity.WINDOW_GUARD, 0.25, 0.3, 0.5, 1.0]))
+def test_range_screen_is_exact(descriptor, data, eps):
+    # the quarter grid of the kernel test, with eps at or below the guard
+    # and sets of one element drawn too; values 0 and eps - WINDOW_GUARD
+    # alone make every translate's range 0 or exactly the threshold
+    grp, _ = _group_with_trivial_rep(descriptor)
+    n = grp.order
+    grid = data.draw(st.sampled_from([
+        [k / 4 for k in range(-4, 5)] + [eps - regularity.WINDOW_GUARD],
+        [0.0, eps - regularity.WINDOW_GUARD]]))
+    f = GroupFunction(grp, data.draw(st.lists(st.sampled_from(grid),
+                                              min_size=n, max_size=n)))
+    members = data.draw(st.one_of(st.sets(st.integers(0, n - 1), min_size=1,
+                                          max_size=1),
+                                  st.sets(st.integers(0, n - 1), min_size=1)))
+    subset = Subset.from_indices(grp, members)
+    fits = regularity._every_translate_fits(f, subset, eps)
+    assert fits == all(
+        len(t) == 1 or np.ptp(f.values[sorted(t)]) < eps - regularity.WINDOW_GUARD
+        for _, t in _python_translates(grp, members))
+    worst = regularity._max_defect(f, subset, eps)
+    assert fits == (worst == 0.0)
+    size = len(members)
+    if not fits:
+        assert worst >= size / n - (size - 1) / n
+
+
+def _unscreened_search(f, eps, zeta, space):
+    """search_regular_bohr with the exact max defect of every distinct set
+    and no range screen."""
+    max_defects = {}
+
+    def accept(spec):
+        key = spec.realized.mask.tobytes()
+        if key not in max_defects:
+            max_defects[key] = regularity._max_defect(f, spec.realized, eps)
+        allowance = zeta.value(spec.delta, spec.tau.dim)
+        if not max_defects[key] <= allowance:
+            return None
+        return replace(translate_defect(f, spec, eps), zeta_budget=allowance)
+
+    return first_accepted(f.group, space, accept)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["zmod:8", "dihedral:4", "zmod:12", "dihedral:6",
+                        "sym:4"]), st.data(), st.sampled_from([0.25, 0.3, 1.0]))
+def test_screened_search_matches_unscreened(descriptor, data, eps):
+    # allowances on both sides of 1/n, so the kernel decides some candidates;
+    # at order 8 the allowance 1/n equals the bound |S|/n - (|S| - 1)/n
+    grp = build_group(descriptor)
+    n = grp.order
+    grid = [k / 4 for k in range(-4, 5)] + [eps - regularity.WINDOW_GUARD]
+    f = GroupFunction(grp, data.draw(st.lists(st.sampled_from(grid),
+                                              min_size=n, max_size=n)))
+    zeta = data.draw(st.sampled_from([
+        ZetaRule.constant(1e-6), ZetaRule.constant(0.5 / n),
+        ZetaRule.constant(1 / n), ZetaRule.constant(3 / n),
+        ZetaRule.constant(0.25), ZetaRule.power(2 / n, 1.0),
+        ZetaRule.power(0.5, 2.0)]))
+    # short budgets end in none-within-budget, long ones reach an accept
+    space = SearchSpace(max_summands=2,
+                        max_candidates=data.draw(st.sampled_from([4, 15, 60])))
+    res = search_regular_bohr(f, eps, zeta, space)
+    _, cert, scored = _unscreened_search(f, eps, zeta, space)
+    assert res.candidates_scored == scored
+    assert res.status == ("ok" if cert else "none-within-budget")
+    if cert is not None:
+        assert res.certificate.to_json_dict() == cert.to_json_dict()
 
 
 def test_translate_kernel_blocks_agree(z12, z101, zpz_fixture, monkeypatch):
