@@ -34,10 +34,16 @@ from .productsets import (bogolyubov_search, check_alpha, quasirandom_trials,
                           separated_cover, shift_invariance_search,
                           two_set_bogolyubov)
 from .regularity import ZetaRule, search_regular_bohr
-from .reps import direct_sum_hom, irreps_of, min_nontrivial_dim
+from .reps import (direct_sum_hom, irreps_of, max_hom_residual_bound,
+                   min_nontrivial_dim)
 from .stability import DEFAULT_BUDGET, ladder_index
 
 OUT_DIR_ENV = "BOHRLAB_OUT_DIR"
+# Above this order the irreps payload reports the certified bound on the hom
+# residual in place of its measurement over all n^2 pairs: at order 2048 the
+# bounds of all 2,048 characters take about 1 s on a 2-core x86 VM, and
+# their measurements about 30 s
+MEASURED_RESIDUAL_ORDER = 316
 
 
 @dataclass
@@ -181,13 +187,16 @@ def _run_irreps(group, rng, seed):
     payload = {
         "dims": dims,
         "sum_dim_sq": sum(d * d for d in dims),
-        "max_hom_residual": max(rep.hom_residual for rep in irreps),
         "max_unitarity_residual": max(rep.unitarity_residual for rep in irreps),
         "char_orthogonality_defect": float(np.max(np.abs(gram - np.eye(len(irreps))))),
         # an irrep occurs in the regular representation dim times
         "table": [{"index": i, "dim": d, "multiplicity": d}
                   for i, d in enumerate(dims)],
     }
+    if n > MEASURED_RESIDUAL_ORDER:
+        payload["max_hom_residual_bound"] = max_hom_residual_bound(irreps)
+    else:
+        payload["max_hom_residual"] = max(rep.hom_residual for rep in irreps)
     if group.order > 1:
         payload["min_nontrivial_dim"] = min_nontrivial_dim(group, seed)
     return "ok", payload

@@ -26,12 +26,11 @@ _BLOCK_ENTRIES = 1 << 15
 
 @dataclass(frozen=True)
 class ZetaRule:
-    """A defect budget zeta(delta, n), supplied as a constant, the power form
-    gamma * (delta / c)^(n^2), or an explicit table."""
+    """A defect budget zeta(delta, n), supplied as a constant or the power
+    form gamma * (delta / c)^(n^2)."""
 
     kind: str
     params: tuple = ()
-    table_values: Optional[dict] = None
 
     @classmethod
     def constant(cls, value: float) -> "ZetaRule":
@@ -45,26 +44,23 @@ class ZetaRule:
             raise ValueError("zeta parameters must be positive and finite")
         return cls("power", (float(gamma), float(c)))
 
-    @classmethod
-    def table(cls, mapping: dict) -> "ZetaRule":
-        if not all(0 < v < math.inf for v in mapping.values()):
-            raise ValueError("zeta values must be positive and finite")
-        return cls("table", (), dict(mapping))
-
     def value(self, delta: float, n: int) -> float:
         if self.kind == "const":
             return self.params[0]
-        if self.kind == "power":
-            gamma, c = self.params
-            return gamma * (delta / c) ** (n * n)
-        return self.table_values[(delta, n)]
+        gamma, c = self.params
+        try:
+            out = gamma * (delta / c) ** (n * n)
+        except OverflowError:
+            out = math.inf
+        if not math.isfinite(out):
+            raise ValueError(f"zeta rule {self.describe()} overflows at "
+                             f"delta {delta!r}, n {n}")
+        return out
 
     def describe(self) -> str:
         if self.kind == "const":
             return f"const:{self.params[0]!r}"
-        if self.kind == "power":
-            return f"power:{self.params[0]!r},{self.params[1]!r}"
-        return "table"
+        return f"power:{self.params[0]!r},{self.params[1]!r}"
 
     @classmethod
     def parse(cls, text: str) -> "ZetaRule":

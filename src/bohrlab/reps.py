@@ -18,7 +18,6 @@ from .groups import FiniteGroup
 
 DEFAULT_TOL = 1e-9
 CHAR_MATCH_TOL = 1e-6
-SAMPLED_PAIRS = 100_000
 DECOMPOSE_ORDER_CAP = 256
 _CLUSTER_GAP = 1e-7
 _FROB_SLACK = 1e-12
@@ -48,16 +47,13 @@ class UnitaryRep:
     """A map g -> U(n) stored as one n x n complex matrix per element.
 
     ``hom_residual`` is the measured maximum of ||t(ab) - t(a)t(b)||_op over
-    element pairs (exhaustive for order <= 316, sampled above), and
-    ``unitarity_residual`` the maximum of ||t(g)* t(g) - I||_op. Both are
-    measured on first read and cached, unless given to the constructor; a
+    all element pairs, and ``unitarity_residual`` the maximum of
+    ||t(g)* t(g) - I||_op. Both are measured on first read and cached; a
     direct sum reads them as the max over its summands. The identity matrix
     is snapped to exact I so Bohr membership at the identity is exact.
     """
 
-    def __init__(self, group: FiniteGroup, matrices, label: str = "rep", *,
-                 hom_residual: float | None = None,
-                 unitarity_residual: float | None = None):
+    def __init__(self, group: FiniteGroup, matrices, label: str = "rep"):
         matrices = np.array(matrices, dtype=np.complex128, order="C")
         if matrices.ndim != 3 or matrices.shape[0] != group.order \
                 or matrices.shape[1] != matrices.shape[2]:
@@ -71,9 +67,8 @@ class UnitaryRep:
         self.matrices = matrices
         self.label = label
         self.matrices.setflags(write=False)
-        self._hom_residual = None if hom_residual is None else float(hom_residual)
-        self._unitarity_residual = (None if unitarity_residual is None
-                                    else float(unitarity_residual))
+        self._hom_residual: float | None = None
+        self._unitarity_residual: float | None = None
         self._summands: tuple[UnitaryRep, ...] = ()
         self._distances: np.ndarray | None = None
         self._diagonal: bool | None = None
@@ -127,30 +122,24 @@ class UnitaryRep:
 
 
 def measure_hom_residual(rep: UnitaryRep) -> float:
-    """Max over pairs of ||t(ab) - t(a) t(b)||_op.
+    """Max over all n^2 pairs of ||t(ab) - t(a) t(b)||_op.
 
-    Exhaustive while the n^2 pairs number at most SAMPLED_PAIRS (order
-    <= 316), and SAMPLED_PAIRS sampled pairs above. Above dimension 1 the
-    pairs go in chunks of 4,096, and an SVD runs only on a pair whose
-    Frobenius norm can still set the maximum (see ``_max_op_norm``).
+    In dimension 1 the pairs go in blocks of whole rows, at most 2^16 pairs
+    each. Above it they go in chunks of 4,096, and an SVD runs only on a
+    pair whose Frobenius norm can still set the maximum (see
+    ``_max_op_norm``).
     """
     g, mats = rep.group, rep.matrices
     n = g.order
-    if n * n <= SAMPLED_PAIRS:
-        if rep.dim == 1:
-            # einsum rounds each product as the general path does
-            chi = mats[:, 0, 0]
-            return float(np.max(np.abs(chi[g.table] - np.einsum("a,b->ab", chi, chi))))
-        chunks = (np.divmod(np.arange(lo, min(lo + 4096, n * n)), n)
-                  for lo in range(0, n * n, 4096))
-    else:
-        rng = np.random.default_rng(0)
-        a = rng.integers(0, n, SAMPLED_PAIRS)
-        b = rng.integers(0, n, SAMPLED_PAIRS)
-        chunks = ((a[lo:lo + 4096], b[lo:lo + 4096])
-                  for lo in range(0, SAMPLED_PAIRS, 4096))
+    if rep.dim == 1:
+        # einsum rounds each product as the general path does
+        chi, step = mats[:, 0, 0], max(1, (1 << 16) // n)
+        return max(float(np.max(np.abs(chi[g.table[lo:lo + step]]
+                                       - np.einsum("a,b->ab", chi[lo:lo + step], chi))))
+                   for lo in range(0, n, step))
     worst = 0.0
-    for ai, bi in chunks:
+    for lo in range(0, n * n, 4096):
+        ai, bi = np.divmod(np.arange(lo, min(lo + 4096, n * n)), n)
         prod = np.einsum("pij,pjk->pik", mats[ai], mats[bi])
         diff = mats[g.table[ai, bi]] - prod
         worst = _max_op_norm(diff, worst)
@@ -408,6 +397,13 @@ def _hom_residual_bound(rep: UnitaryRep, gens: np.ndarray, length: int) -> float
     for _ in range(length - 1):
         bound = (2.0 + mu) * eta + (1.0 + mu) * bound
     return bound
+
+
+def max_hom_residual_bound(reps: list[UnitaryRep]) -> float:
+    """The largest ``_hom_residual_bound`` of reps of one group: a certified
+    upper bound on their hom residuals from n*|S| pairs each."""
+    gens, length = _word_generators(reps[0].group)
+    return max(_hom_residual_bound(rep, gens, length) for rep in reps)
 
 
 def _char_sort_key(character: np.ndarray, dim: int):

@@ -19,10 +19,9 @@ from .groups import GroupFunction, Subset, check_eps
 
 DEFAULT_BUDGET = 10_000_000
 ORACLE_ORDER_CAP = 12
-# Bytes of compatibility-row bits one ladder search holds at once: its memo
-# of n^2-bit rows stops storing there (rows past it are rebuilt on each use),
-# and a local graph is built only when its m^2 bits fit
-ROW_MEMO_BYTES = 64 << 20
+# Bytes of compatibility-row bits one local graph may take: a mask of m pairs
+# goes local only when its m^2 bits fit
+LOCAL_GRAPH_BYTES = 64 << 20
 # Entries of F compared per batch of compatibility rows (8 bytes each)
 _ROW_BLOCK_ENTRIES = 1 << 15
 
@@ -136,15 +135,15 @@ def _max_ladder(F: np.ndarray, eps: float, cap: int, budget: int,
     "a_1 minimal": each is sound alone, but together they miss ladders.
 
     Local subgraphs: a node on n^2-bit masks whose m pairs have an m x m
-    compatibility matrix of at most ROW_MEMO_BYTES of bits builds that matrix
-    from F, in blocks of rows, and searches its whole subtree on m-bit ints,
-    each child's mask derived from its parent's local rows. Local bits keep
-    the index order of the pairs, so the traversal is the same as on n^2-bit
-    masks. n^2-bit rows are left to the dive, the n roots and masks too large
-    to go local (the restricted-domain top node at order 256 would need
-    512 MB); they are memoized for the call and built in batches (a mask's
-    missing rows before it is coloured), and the memo stops storing rows once
-    it holds ROW_MEMO_BYTES of them, so its size does not grow with the order.
+    compatibility matrix of at most LOCAL_GRAPH_BYTES of bits builds that
+    matrix from F, in blocks of rows, and searches its whole subtree on m-bit
+    ints, each child's mask derived from its parent's local rows. Local bits
+    keep the index order of the pairs, so the traversal is the same as on
+    n^2-bit masks. n^2-bit rows are left to the dive, the n roots and masks
+    too large to go local (the restricted-domain top node at order 256 would
+    need 512 MB). None is stored: the dive builds the row of each pair it
+    adds, the roots' rows are built in blocks and each read once, and a mask
+    too large to go local rebuilds a row on every read.
 
     The budget counts node expansions (one per candidate scan of a partial
     ladder). Returns (best_depth, pairs, exhausted, nodes).
@@ -152,9 +151,9 @@ def _max_ladder(F: np.ndarray, eps: float, cap: int, budget: int,
     if cap < 1:
         return 0, [], True, 0
     n = F.shape[0]
-    local_bits = 8 * ROW_MEMO_BYTES
+    local_bits = 8 * LOCAL_GRAPH_BYTES
     base = _int_rows(np.outer(a_allowed, b_allowed).reshape(1, -1))[0]
-    rows = _RowMemo(F, eps, ROW_MEMO_BYTES // ((n * n + 7) // 8))
+    rows = _RowBuilder(F, eps)
     state = {"nodes": 0, "exhausted": True, "best": 0, "ladder": [], "stop": False}
     stack: list[int] = []  # pair indices of the partial ladder
 
@@ -189,11 +188,8 @@ def _max_ladder(F: np.ndarray, eps: float, cap: int, budget: int,
             enter(cap)
             stack.pop()
             return
-        if pairs is None:
-            if mask.bit_count() ** 2 <= local_bits:
-                mask, rows, pairs = _local_graph(F, eps, mask, n)
-            else:
-                rows.fill(_set_bits(mask, n * n).tolist())
+        if pairs is None and mask.bit_count() ** 2 <= local_bits:
+            mask, rows, pairs = _local_graph(F, eps, mask, n)
         for v, colour in reversed(_colour_classes(mask, rows, state["best"] - depth)):
             if state["stop"] or depth + colour <= state["best"]:
                 return
@@ -213,12 +209,11 @@ def _max_ladder(F: np.ndarray, eps: float, cap: int, budget: int,
             if not (a_allowed.all() and b_allowed.all()):
                 visit(base, rows, None)
             elif enter(0):  # the roots (0, b)
-                rows.fill(range(n))
-                for b in range(n):
+                for b, row in enumerate(_pair_rows(F, eps, range(n))):
                     if state["stop"]:
                         break
                     stack.append(b)
-                    visit(rows[b] & ~((2 << b) - 1), rows, None)
+                    visit(row & ~((2 << b) - 1), rows, None)
                     stack.pop()
     finally:
         # visit reaches itself through its closure cell; break that cycle so
@@ -228,46 +223,35 @@ def _max_ladder(F: np.ndarray, eps: float, cap: int, budget: int,
     return state["best"], pairs, state["exhausted"], state["nodes"]
 
 
-class _RowMemo(dict):
-    """Compatibility rows by pair index, n^2 bits each, built on first use
-    or by fill.
+def _pair_rows(F: np.ndarray, eps: float, pairs):
+    """Yield the n^2-bit compatibility row of each pair, in order.
 
     Bit a'*n + b' of the row of pair (a, b) is set iff
-    |F[a, b'] - F[a', b]| >= eps. Rows past max_rows are rebuilt on each use.
+    |F[a, b'] - F[a', b]| >= eps. Rows are built in blocks of at most
+    _ROW_BLOCK_ENTRIES entries of F, and none is kept once yielded.
     """
-
-    def __init__(self, F: np.ndarray, eps: float, max_rows: int):
-        super().__init__()
-        self.F, self.eps, self.max_rows = F, eps, max_rows
-        # one batch of rows at a time, in buffers that live for the search
-        self.step = max(1, min(F.size, _ROW_BLOCK_ENTRIES // F.size))
-        self.diff = np.empty((self.step,) + F.shape)
-        self.hit = np.empty((self.step,) + F.shape, dtype=bool)
-
-    def __missing__(self, pair: int) -> int:
-        row = self._build([pair])[0]
-        if len(self) < self.max_rows:
-            self[pair] = row
-        return row
-
-    def fill(self, pairs) -> None:
-        """Build the missing rows of pairs in batches, while the memo has room."""
-        todo = [p for p in pairs if p not in self][:max(0, self.max_rows - len(self))]
-        for i in range(0, len(todo), self.step):
-            chunk = todo[i:i + self.step]
-            self.update(zip(chunk, self._build(chunk)))
-
-    def _build(self, pairs: list[int]) -> list[int]:
-        n = self.F.shape[0]
-        diff, hit = self.diff[:len(pairs)], self.hit[:len(pairs)]
-        for i, pair in enumerate(pairs):
+    n = F.shape[0]
+    step = max(1, _ROW_BLOCK_ENTRIES // F.size)
+    diff = np.empty((min(step, len(pairs)),) + F.shape)
+    for i in range(0, len(pairs), step):
+        chunk = pairs[i:i + step]
+        block = diff[:len(chunk)]
+        for j, pair in enumerate(chunk):
             a, b = divmod(pair, n)
-            # diff[i, a', b'] = F[a, b'] - F[a', b]; row by row, since numpy
-            # buffers a broadcast across the whole batch
-            np.subtract(self.F[a], self.F[:, b][:, None], out=diff[i])
-        np.abs(diff, out=diff)
-        np.greater_equal(diff, self.eps, out=hit)
-        return _int_rows(hit.reshape(len(pairs), -1))
+            # block[j, a', b'] = F[a, b'] - F[a', b]; row by row, since numpy
+            # buffers a broadcast across the whole block
+            np.subtract(F[a], F[:, b][:, None], out=block[j])
+        yield from _int_rows(np.abs(block, out=block).reshape(len(block), -1) >= eps)
+
+
+class _RowBuilder:
+    """n^2-bit compatibility rows by pair index, built on each read."""
+
+    def __init__(self, F: np.ndarray, eps: float):
+        self.F, self.eps = F, eps
+
+    def __getitem__(self, pair: int) -> int:
+        return next(_pair_rows(self.F, self.eps, [pair]))
 
 
 def _set_bits(mask: int, nbits: int) -> np.ndarray:

@@ -44,6 +44,15 @@ def test_irreps_payload():
     assert report.payload["max_hom_residual"] <= 1e-9
 
 
+def test_irreps_bound_the_residual_above_order_316():
+    # the measured residual up to order 316, the certified bound above it;
+    # neither is a sampled estimate
+    for n, key, other in ((316, "max_hom_residual", "max_hom_residual_bound"),
+                          (317, "max_hom_residual_bound", "max_hom_residual")):
+        payload = run_experiment({"kind": "irreps", "group": f"zmod:{n}"}).payload
+        assert payload[key] <= 1e-10 and other not in payload
+
+
 def test_bohr_payload():
     report = _run("bohr_z12.ini")
     assert report.status == "ok"
@@ -136,6 +145,22 @@ def test_out_of_range_parameters_error(tmp_path, capsys, kind, keys, message):
     code = main([kind, "--config", str(cfg), "--out", str(tmp_path / "o.json")])
     assert code == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("kind, keys", [
+    ("regularity", "function = random-uniform\nepsilon = 0.1\n"),
+    ("two-set", "set_a = random:0.1\nset_b = random:0.1\nalpha = 0.05\n"),
+], ids=["regularity", "two-set"])
+def test_zeta_power_overflow_errors(tmp_path, capsys, kind, keys):
+    # gamma (delta / c)^(n^2) leaves the float range at the dim-6 irrep
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[experiment]\ngroup = sym:5\n{keys}zeta = power:1e-300,1e-10\n"
+                   "delta_grid = 2.0\nmax_summands = 1\n")
+    code = main([kind, "--config", str(cfg), "--out", str(tmp_path / "o.json")])
+    assert code == 1
+    assert capsys.readouterr().err == ("error: zeta rule power:1e-300,1e-10 "
+                                       "overflows at delta 2.0, n 6\n")
     assert not (tmp_path / "o.json").exists()
 
 

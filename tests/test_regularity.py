@@ -158,8 +158,6 @@ def test_zeta_rules():
     power = ZetaRule.power(0.1, 2.0)
     assert power.value(1.0, 2) == pytest.approx(0.1 * (1 / 2) ** 4)
     assert power.value(2.0, 1) == pytest.approx(0.1)
-    table = ZetaRule.table({(1.0, 2): 0.5})
-    assert table.value(1.0, 2) == 0.5
     assert ZetaRule.parse("const:0.25").value(1, 1) == 0.25
     assert ZetaRule.parse("power:0.1,2.0").params == (0.1, 2.0)
     with pytest.raises(ValueError):
@@ -171,10 +169,13 @@ def test_zeta_rules():
             ZetaRule.power(bad, 1.0)
         with pytest.raises(ValueError, match="positive and finite"):
             ZetaRule.power(0.1, bad)
-        with pytest.raises(ValueError, match="positive and finite"):
-            ZetaRule.table({(1.0, 2): bad})
     round_trip = ZetaRule.parse(power.describe())
     assert round_trip == power
+    # the power form past the float range, by pow and by the product
+    for rule, delta, n in ((power, 1e300, 2), (ZetaRule.power(1e308, 1.0), 2.0, 2)):
+        message = f"overflows at delta {delta!r}, n {n}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            rule.value(delta, n)
 
 
 @pytest.mark.parametrize("text", ["power:1", "power:1,2,3", "power:",

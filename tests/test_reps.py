@@ -9,7 +9,8 @@ from bohrlab import (abelian_characters, build_group, catalog_descriptors,
                      decompose_regular, direct_sum_hom, irreps_of,
                      measure_hom_residual, min_nontrivial_dim, operator_distance)
 from bohrlab import reps
-from bohrlab.reps import SAMPLED_PAIRS, UnitaryRep, export_rep, parse_rep
+from bohrlab.reps import (UnitaryRep, export_rep, max_hom_residual_bound,
+                          parse_rep)
 
 
 def test_abelian_characters_z3():
@@ -226,12 +227,14 @@ def test_parse_rep_checks_lines_before_allocating():
     assert peak < 1 << 20
 
 
-def test_sampled_residual_large_group():
-    # above order 316 the n^2 pairs outnumber the sample
+def test_residual_bound_large_group():
+    # above order 316 the irreps payload reads the certified bound in place
+    # of the exhaustive residual, which it must hold
     g = build_group("zmod:400")
     x = np.arange(g.order)
     rep = UnitaryRep(g, np.exp(2j * np.pi * 3 * x / g.order).reshape(-1, 1, 1))
     assert measure_hom_residual(rep) <= 1e-12
+    assert measure_hom_residual(rep) <= max_hom_residual_bound([rep]) <= 1e-10
 
 
 def _brute_force_residual(rep):
@@ -312,9 +315,8 @@ def test_prefiltered_residual_with_planted_rank1_error():
     assert rep.hom_residual >= 1.0
 
 
-def test_prefiltered_residual_on_sampled_pairs():
+def test_residual_bound_with_planted_error():
     g = build_group("zmod:400")
-    assert g.order ** 2 > SAMPLED_PAIRS
     rng = np.random.default_rng(3)
     u = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
     x = np.arange(g.order)
@@ -323,12 +325,10 @@ def test_prefiltered_residual_on_sampled_pairs():
     diag[:, 1, 1] = np.exp(2j * np.pi * 7 * x / g.order)
     mats = u @ diag @ u.conj().T
     mats[250] += 1e-7 * np.outer(u[:, 0], u[:, 1].conj())
-    rep = UnitaryRep(g, mats, label="sampled")
-    draw = np.random.default_rng(0)
-    a = draw.integers(0, g.order, SAMPLED_PAIRS)
-    b = draw.integers(0, g.order, SAMPLED_PAIRS)
-    assert rep.hom_residual == _unfiltered_residual(rep, a, b)
-    assert rep.hom_residual > 0.5e-7
+    rep = UnitaryRep(g, mats, label="planted")
+    # every pair is measured above order 316 too, and the bound holds it
+    assert rep.hom_residual == _unfiltered_residual(rep, *_all_pairs(g))
+    assert 0.5e-7 < rep.hom_residual <= max_hom_residual_bound([rep])
 
 
 NONABELIAN = [d for d in catalog_descriptors(256) if not build_group(d).is_abelian]
@@ -447,12 +447,6 @@ def test_lazy_residuals_equal_measured_values(monkeypatch):
         # every irrep is measured once, on first read (decompose_regular's
         # gate passes on the generator bound); a sum measures nothing itself
         assert len(calls) == len(irreps), desc
-    # a given value is kept and never measured
-    calls.clear()
-    rep = UnitaryRep(g, irreps[0].matrices, hom_residual=0.25,
-                     unitarity_residual=0.5)
-    assert (rep.hom_residual, rep.unitarity_residual) == (0.25, 0.5)
-    assert calls == []
 
 
 @pytest.mark.parametrize("size", [4e-10, 1e-6, 1e-3], ids=["4e-10", "1e-6", "1e-3"])

@@ -330,65 +330,70 @@ def _pilot_function(desc, seed):
                     GroupFunction.indicator(random_subset(g, 0.3, rng)))
 
 
-def test_row_memo_is_bounded(monkeypatch):
+def test_large_masks_read_rows_without_storing(monkeypatch):
     from bohrlab import stability
     f = _pilot_function("zmod:60", 1001)
-    row_bytes = (60 * 60 + 7) // 8
-    # A local graph of m pairs takes m^2 bits, so with ROW_MEMO_BYTES at ten
-    # n^2-bit rows every mask of more than 189 pairs stays on n^2-bit rows: at
-    # eps 0.07 the search then builds about 2,800 distinct rows in 1,574 nodes
-    bound = 10 * row_bytes
-    memos = []
+    reads = np.zeros(60 * 60, dtype=np.int64)  # n^2-bit row reads per pair
+    pair_rows = stability._pair_rows
 
-    def run(memo_bytes, max_rows=None):
-        class Memo(_RowMemo):
-            def __init__(self, F, eps, rows):
-                super().__init__(F, eps, rows if max_rows is None else max_rows)
-                memos.append(self)
+    def counted(F, eps, pairs):
+        for pair in pairs:
+            reads[pair] += 1
+        return pair_rows(F, eps, pairs)
 
-        monkeypatch.setattr(stability, "_RowMemo", Memo)
-        monkeypatch.setattr(stability, "ROW_MEMO_BYTES", memo_bytes)
-        tracemalloc.start()
-        try:
-            idx = ladder_index(f, 0.07, cap=8, budget=2000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    def run(local_bytes):
+        monkeypatch.setattr(stability, "LOCAL_GRAPH_BYTES", local_bytes)
+        reads[:] = 0
+        idx = ladder_index(f, 0.07, cap=8, budget=2000)
         return (idx.k_max, idx.status, idx.nodes, idx.witness.a_seq,
-                idx.witness.b_seq), peak, len(memos[-1])
+                idx.witness.b_seq), int(reads.sum()), int(np.count_nonzero(reads))
 
-    _RowMemo = stability._RowMemo
     ladder_index(f, 0.07, cap=8, budget=2000)  # warm imports and caches
-    local, _, _ = run(stability.ROW_MEMO_BYTES)  # local graphs below the roots
-    rows, _, _ = run(0)  # n^2-bit rows everywhere, none stored
-    bounded, bounded_peak, bounded_rows = run(bound)
-    unbounded, unbounded_peak, unbounded_rows = run(bound, max_rows=1 << 30)
-    bare, bare_peak, bare_rows = run(bound, max_rows=0)
-    # the traversal depends neither on the representation nor on the memo
-    assert local == rows == bounded == unbounded == bare
-    # the memo fills to its bound and stays within it (twice it, for int and
-    # dict overhead), while an unbounded memo stores far more than the bound
-    assert (bounded_rows, bare_rows) == (10, 0) and unbounded_rows > 1000
-    assert bounded_peak - bare_peak < 2 * bound
-    assert unbounded_peak - bare_peak > 50 * bound
+    monkeypatch.setattr(stability, "_pair_rows", counted)
+    pin = (6, "exact", 1574, (0, 57, 45, 22, 15, 0), (7, 10, 32, 55, 10, 25))
+    local, local_reads, _ = run(stability.LOCAL_GRAPH_BYTES)
+    tracemalloc.start()
+    try:
+        # with no room for a local graph every mask reads n^2-bit rows
+        rows, rows_reads, distinct = run(0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the traversal does not depend on the representation
+    assert local == rows == pin
+    # as shipped, n^2-bit rows serve only the 60 roots and the 4-step dive
+    assert local_reads == 64
+    # each read builds its row afresh: the 2,833 distinct rows, read 39,130
+    # times, take 1.3 MB of bits alone, and none of them is kept
+    assert (rows_reads, distinct) == (39_130, 2_833)
+    assert peak < 1 << 20
 
 
 # (group, seed, nodes, a_seq, b_seq, peak MB) of ladder_index on
-# conv:random:0.3|random:0.3 at eps 0.04, cap 8, budget 10 000, both capped
-# at 8, recorded when only masks of at most n pairs went local and every
-# larger mask below the roots used n^2-bit rows; peak MB is that search's
-# tracemalloc peak. Local graphs below the roots keep the traversal and must
-# at least halve the peak.
+# conv:random:0.3|random:0.3 at eps 0.04, cap 8, budget 10 000, all capped
+# at 8. Peak MB bounds the search's tracemalloc peak: about 0.45 MB above
+# the peak with every n^2-bit row built where it is read, so storing the
+# roots' rows (1 MB at order 200, 2 MB at 256) breaks it, as does the
+# memo of n^2-bit rows these were first recorded with (1.1-2.2 MB more).
 ORDER_256_PINS = [
     ("zmod:256", 1002, 723, (0, 235, 235, 235, 203, 203, 194, 162),
-     (0, 215, 46, 30, 149, 235, 0, 215), 35.0),
+     (0, 215, 46, 30, 149, 235, 0, 215), 4.3),
     ("dihedral:100", 1001, 23, (0, 196, 193, 193, 192, 123, 92, 92),
-     (0, 101, 145, 24, 73, 37, 107, 37), 20.7),
+     (0, 101, 145, 24, 73, 37, 107, 37), 4.0),
+    ("zmod:200", 1002, 178, (0, 199, 176, 176, 137, 137, 114, 85),
+     (0, 194, 109, 194, 191, 171, 62, 171), 3.7),
+    ("zmod:200", 1003, 800, (0, 179, 136, 136, 93, 49, 44, 0),
+     (0, 111, 111, 158, 181, 0, 68, 68), 2.8),
+    ("zmod:200", 1004, 3693, (0, 155, 155, 168, 149, 69, 12, 12),
+     (0, 70, 169, 156, 0, 13, 70, 13), 3.1),
+    ("dihedral:100", 1002, 2992, (0, 171, 171, 89, 89, 83, 83, 50),
+     (0, 120, 134, 120, 84, 109, 84, 54), 3.2),
 ]
 
 
 @pytest.mark.parametrize("desc,seed,nodes,a_seq,b_seq,peak_mb", ORDER_256_PINS,
-                         ids=["zmod:256-1002", "dihedral:100-1001"])
+                         ids=["zmod:256-1002", "dihedral:100-1001", "zmod:200-1002",
+                              "zmod:200-1003", "zmod:200-1004", "dihedral:100-1002"])
 def test_order_256_ladder_pinned(monkeypatch, desc, seed, nodes, a_seq, b_seq,
                                  peak_mb):
     from bohrlab import stability
@@ -411,6 +416,6 @@ def test_order_256_ladder_pinned(monkeypatch, desc, seed, nodes, a_seq, b_seq,
     assert (idx.k_max, idx.status, idx.nodes) == (8, "capped", nodes)
     assert (idx.witness.a_seq, idx.witness.b_seq) == (a_seq, b_seq)
     assert idx.witness.is_valid_for(f)
-    assert peak < peak_mb * 2**20 / 2
-    # every local graph's m^2 bits fit within ROW_MEMO_BYTES
-    assert sizes and max(sizes) ** 2 <= 8 * stability.ROW_MEMO_BYTES
+    assert peak < peak_mb * 2**20
+    # every local graph's m^2 bits fit within LOCAL_GRAPH_BYTES
+    assert sizes and max(sizes) ** 2 <= 8 * stability.LOCAL_GRAPH_BYTES
