@@ -181,7 +181,6 @@ class SearchSpace:
     max_dim: int = 8
     max_summands: int = 3
     max_candidates: int = 5000
-    seed: int = 0
 
     def __post_init__(self):
         if min(self.max_dim, self.max_summands, self.max_candidates) < 1:
@@ -197,7 +196,7 @@ def enumerate_bohr_candidates(group: FiniteGroup,
     ``space.max_candidates`` yields, or once n passes the largest total
     dimension that ``space.max_summands`` irreps reach.
     """
-    irreps = irreps_of(group, space.seed)
+    irreps = irreps_of(group)
     dims = [rep.dim for rep in irreps]
     top_dim = sum(sorted(dims, reverse=True)[:space.max_summands])
     grid = tuple(sorted(set(space.delta_grid), reverse=True))
@@ -215,11 +214,9 @@ def enumerate_bohr_candidates(group: FiniteGroup,
             for combo in combos:
                 if yielded >= space.max_candidates:
                     return
-                rep = rep_cache.get(combo)
-                if rep is None:
-                    rep = direct_sum_hom([irreps[i] for i in combo])
-                    rep_cache[combo] = rep
-                yield bohr_set(group, rep, delta)
+                if combo not in rep_cache:
+                    rep_cache[combo] = direct_sum_hom([irreps[i] for i in combo])
+                yield bohr_set(group, rep_cache[combo], delta)
                 yielded += 1
 
 

@@ -34,8 +34,8 @@ from .productsets import (bogolyubov_search, check_alpha, quasirandom_trials,
                           separated_cover, shift_invariance_search,
                           two_set_bogolyubov)
 from .regularity import ZetaRule, search_regular_bohr
-from .reps import (direct_sum_hom, irreps_of, max_hom_residual_bound,
-                   min_nontrivial_dim)
+from .reps import (RepDecompositionError, char_orthogonality_defect, direct_sum_hom,
+                   irreps_of, max_hom_residual_bound, min_nontrivial_dim)
 from .stability import DEFAULT_BUDGET, ladder_index
 
 OUT_DIR_ENV = "BOHRLAB_OUT_DIR"
@@ -179,31 +179,28 @@ def _run_group_info(group, rng, seed):
 
 
 def _run_irreps(group, rng, seed):
-    irreps = irreps_of(group, seed)
+    irreps = irreps_of(group)
     dims = [rep.dim for rep in irreps]
-    n = group.order
-    chars = [rep.character() for rep in irreps]
-    gram = np.array([[np.vdot(p, q) / n for q in chars] for p in chars])
     payload = {
         "dims": dims,
         "sum_dim_sq": sum(d * d for d in dims),
         "max_unitarity_residual": max(rep.unitarity_residual for rep in irreps),
-        "char_orthogonality_defect": float(np.max(np.abs(gram - np.eye(len(irreps))))),
+        "char_orthogonality_defect": char_orthogonality_defect(irreps),
         # an irrep occurs in the regular representation dim times
         "table": [{"index": i, "dim": d, "multiplicity": d}
                   for i, d in enumerate(dims)],
     }
-    if n > MEASURED_RESIDUAL_ORDER:
+    if group.order > MEASURED_RESIDUAL_ORDER:
         payload["max_hom_residual_bound"] = max_hom_residual_bound(irreps)
     else:
         payload["max_hom_residual"] = max(rep.hom_residual for rep in irreps)
     if group.order > 1:
-        payload["min_nontrivial_dim"] = min_nontrivial_dim(group, seed)
+        payload["min_nontrivial_dim"] = min_nontrivial_dim(group)
     return "ok", payload
 
 
 def _run_bohr(group, rng, seed, summands, delta, nm):
-    irreps = irreps_of(group, seed)
+    irreps = irreps_of(group)
     if not all(0 <= i < len(irreps) for i in summands):
         raise ConfigError(f"summands {summands} must lie in [0, {len(irreps)})")
     tau = direct_sum_hom([irreps[i] for i in summands])
@@ -248,7 +245,7 @@ def _run_convolve(group, rng, seed, function, function_b):
 def _run_regularity(group, rng, seed, function, epsilon, zeta, **space):
     f = _parse_function(function, group, rng)
     res = search_regular_bohr(f, epsilon, ZetaRule.parse(zeta),
-                              SearchSpace(seed=seed, **space))
+                              SearchSpace(**space))
     payload = {"search_status": res.status,
                "candidates_scored": res.candidates_scored}
     if res.certificate is not None:
@@ -263,7 +260,7 @@ def _run_regularity(group, rng, seed, function, epsilon, zeta, **space):
 
 def _run_bogolyubov(group, rng, seed, set_a, alpha, **space):
     a = _parse_set(set_a, group, rng)
-    res = bogolyubov_search(a, alpha, SearchSpace(seed=seed, **space))
+    res = bogolyubov_search(a, alpha, SearchSpace(**space))
     cover = separated_cover(a, alpha)
     payload = {"search_status": res.status,
                "candidates_scored": res.candidates_scored,
@@ -281,7 +278,7 @@ def _run_two_set(group, rng, seed, set_a, set_b, alpha, zeta, **space):
     a = _parse_set(set_a, group, rng)
     b = _parse_set(set_b, group, rng)
     res = two_set_bogolyubov(a, b, alpha, ZetaRule.parse(zeta),
-                             SearchSpace(seed=seed, **space))
+                             SearchSpace(**space))
     payload = {"search_status": res.status, "claim1": res.claim1,
                "candidates_scored": res.candidates_scored}
     if res.spec is not None:
@@ -300,7 +297,7 @@ def _run_quasirandom(group, rng, seed, alpha, trials, size):
              "abc_covers": chk.abc_covers}
             for t, (trial_seed, chk) in enumerate(
                 quasirandom_trials(group, alpha, trials, size, seed))]
-    payload = {"d": min_nontrivial_dim(group, seed), "alpha": alpha,
+    payload = {"d": min_nontrivial_dim(group), "alpha": alpha,
                "size": size, "table": rows,
                "min_ab_density": min(r["ab_density"] for r in rows),
                "all_covers": all(r["abc_covers"] for r in rows)}
@@ -310,7 +307,7 @@ def _run_quasirandom(group, rng, seed, alpha, trials, size):
 def _run_croot_sisask(group, rng, seed, set_a, p, epsilon, min_size, **space):
     ind = GroupFunction.indicator(_parse_set(set_a, group, rng))
     f = convolve(ind, ind)
-    res = shift_invariance_search(f, p, epsilon, SearchSpace(seed=seed, **space),
+    res = shift_invariance_search(f, p, epsilon, SearchSpace(**space),
                                   min_size=min_size)
     payload = {"search_status": res.status,
                "candidates_scored": res.candidates_scored}
@@ -329,7 +326,7 @@ def _run_croot_sisask(group, rng, seed, set_a, p, epsilon, min_size, **space):
 
 COMMON = {"kind": str, "group": str, "seed": 0, "format": "json", "out": "",
           "expect": ""}
-_SPACE = {f.name: f.default for f in fields(SearchSpace) if f.name != "seed"}
+_SPACE = {f.name: f.default for f in fields(SearchSpace)}
 KINDS = {
     "group-info": (_run_group_info, {}),
     "irreps": (_run_irreps, {}),
@@ -450,7 +447,7 @@ def main(argv=None) -> int:
         report = run_experiment(config)
         text = report.to_json() if fmt == "json" else report.to_csv()
         Path(out).write_text(text, encoding="utf-8")
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, RepDecompositionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"{report.status}: wrote {out}")

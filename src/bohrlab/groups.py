@@ -50,6 +50,7 @@ class FiniteGroup:
         self.inverse.setflags(write=False)
         self._abelian: bool | None = None
         self._exponent: int | None = None
+        self._irreps = None  # filled by reps.irreps_of
 
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
@@ -401,44 +402,56 @@ def _perm_parity(p: tuple[int, ...]) -> int:
     return inv % 2
 
 
+# Catalog groups by descriptor, oldest first, while their squared orders sum
+# to at most SHARED_ORDER_SQ: 4 MB of tables and 16 MB of irreps (n^2 entries).
+SHARED_ORDER_SQ = 1 << 20
+_SHARED: dict[str, FiniteGroup] = {}
+
+
 def build_group(descriptor: str) -> FiniteGroup:
-    """Build a validated catalog group from a descriptor string.
+    """A validated group from a descriptor string.
 
     Supported forms: ``zmod:n``, ``product:<d1>,<d2>,...`` (comma-separated
     atomic descriptors), ``dihedral:n``, ``quaternion:8``, ``sym:n`` and
     ``alt:n`` for n <= 5, and ``file:<path>`` for a Cayley-table text file.
+    A catalog descriptor gives one shared object, with its irreps, while it
+    is kept; a ``file:`` table is read on every call, as the file may change.
     """
     descriptor = descriptor.strip()
     head, _, rest = descriptor.partition(":")
+    if head == "file":
+        return from_cayley_table(Path(rest).read_text(encoding="utf-8"), descriptor)
+    if descriptor in _SHARED:
+        return _SHARED[descriptor]
     if head == "zmod":
-        n = _parse_count(rest, descriptor, 1, MAX_ORDER)
-        return FiniteGroup(_cyclic_table(n), descriptor)
-    if head == "product":
+        table = _cyclic_table(_parse_count(rest, descriptor, 1, MAX_ORDER))
+    elif head == "product":
         parts = [p for p in rest.split(",") if p]
         if not parts:
             raise ValueError(f"empty product descriptor {descriptor!r}")
-        tables = [build_group(p).table for p in parts]
-        table = reduce(_product_table, tables)
+        table = reduce(_product_table, [build_group(p).table for p in parts])
         if table.shape[0] > MAX_ORDER:
             raise ValueError(f"product order {table.shape[0]} exceeds cap {MAX_ORDER}")
-        return FiniteGroup(table, descriptor)
-    if head == "dihedral":
-        n = _parse_count(rest, descriptor, 1, MAX_ORDER // 2)
-        return FiniteGroup(_dihedral_table(n), descriptor)
-    if head == "quaternion":
+    elif head == "dihedral":
+        table = _dihedral_table(_parse_count(rest, descriptor, 1, MAX_ORDER // 2))
+    elif head == "quaternion":
         if rest != "8":
             raise ValueError(f"only quaternion:8 is in the catalog, got {descriptor!r}")
-        return FiniteGroup(_quaternion_table(), descriptor)
-    if head in ("sym", "alt"):
+        table = _quaternion_table()
+    elif head in ("sym", "alt"):
         n = _parse_count(rest, descriptor, 1, 5)
         perms = [tuple(p) for p in itertools.permutations(range(n))]
         if head == "alt":
             perms = [p for p in perms if _perm_parity(p) == 0]
-        return FiniteGroup(_permutation_table(perms), descriptor)
-    if head == "file":
-        text = Path(rest).read_text(encoding="utf-8")
-        return from_cayley_table(text, descriptor=descriptor)
-    raise ValueError(f"unknown group descriptor {descriptor!r}")
+        table = _permutation_table(perms)
+    else:
+        raise ValueError(f"unknown group descriptor {descriptor!r}")
+    group = FiniteGroup(table, descriptor)
+    if group.order ** 2 <= SHARED_ORDER_SQ:  # else built but not kept
+        _SHARED[descriptor] = group
+        while sum(g.order ** 2 for g in _SHARED.values()) > SHARED_ORDER_SQ:
+            del _SHARED[next(iter(_SHARED))]
+    return group
 
 
 def _parse_count(text: str, descriptor: str, lo: int, hi: int) -> int:

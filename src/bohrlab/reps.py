@@ -10,8 +10,6 @@ for residuals they never read.
 
 from __future__ import annotations
 
-import weakref
-
 import numpy as np
 
 from .groups import FiniteGroup
@@ -495,11 +493,16 @@ def _decompose_once(group: FiniteGroup, rng: np.random.Generator) -> list[Unitar
                 f"unit={rep.unitarity_residual:.3g}")
         irreps.append(rep)
 
-    chars = [rep.character() for rep in irreps]
-    gram = np.array([[np.vdot(a, b) / n for b in chars] for a in chars])
-    if np.max(np.abs(gram - np.eye(len(irreps)))) > CHAR_MATCH_TOL:
+    if char_orthogonality_defect(irreps) > CHAR_MATCH_TOL:
         raise RepDecompositionError("character orthogonality failed")
     return irreps
+
+
+def char_orthogonality_defect(reps: list[UnitaryRep]) -> float:
+    """max |sum conj(chi_i) chi_j / n - [i = j]| over reps of one group."""
+    chars = np.array([rep.character() for rep in reps])
+    gram = chars.conj() @ chars.T / reps[0].group.order
+    return float(np.max(np.abs(gram - np.eye(len(reps)))))
 
 
 # ---------------------------------------------------------------------------
@@ -531,26 +534,22 @@ def direct_sum_hom(reps: list[UnitaryRep]) -> UnitaryRep:
     return rep
 
 
-_IRREP_CACHE: "weakref.WeakKeyDictionary[FiniteGroup, dict[int, list[UnitaryRep]]]" = \
-    weakref.WeakKeyDictionary()
+def irreps_of(group: FiniteGroup) -> list[UnitaryRep]:
+    """The group's irreducibles, kept on the group object: exact characters
+    when abelian, else ``decompose_regular`` at seed 0. A Bohr set reads only
+    ||t(g) - I||_op, which no change of basis moves, so no seed is needed."""
+    if group._irreps is None:
+        group._irreps = (abelian_characters(group) if group.is_abelian
+                         else decompose_regular(group))
+    return group._irreps
 
 
-def irreps_of(group: FiniteGroup, seed: int = 0) -> list[UnitaryRep]:
-    """Cached irreducibles: exact characters when abelian, else decomposition."""
-    per_group = _IRREP_CACHE.setdefault(group, {})
-    key = -1 if group.is_abelian else seed
-    if key not in per_group:
-        per_group[key] = (abelian_characters(group) if group.is_abelian
-                          else decompose_regular(group, seed=seed))
-    return per_group[key]
-
-
-def min_nontrivial_dim(group: FiniteGroup, seed: int = 0) -> int:
+def min_nontrivial_dim(group: FiniteGroup) -> int:
     """Minimum dimension of an irreducible with non-constant character.
 
     A character's value at the identity is exactly its dimension, as the
     identity matrix is snapped to I."""
-    dims = [rep.dim for rep in irreps_of(group, seed)
+    dims = [rep.dim for rep in irreps_of(group)
             if np.max(np.abs(rep.character() - rep.dim)) > 1e-6]
     if not dims:
         raise ValueError("group has no nontrivial irreducible (trivial group)")

@@ -66,7 +66,7 @@ def test_criterion_02_bohr_structure(catalog100):
     for desc, g in catalog100.items():
         if g.order > 24:
             continue
-        irreps = bl.irreps_of(g, 0)
+        irreps = bl.irreps_of(g)
         reps = list(irreps[:4])
         if len(irreps) >= 2:
             reps.append(bl.direct_sum_hom([irreps[0], irreps[1]]))

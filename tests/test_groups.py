@@ -1,3 +1,4 @@
+import gc
 import itertools
 import tracemalloc
 
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from bohrlab import (FiniteGroup, GroupValidationError, Subset, build_group,
                      catalog_descriptors, from_cayley_table, inverse_set,
-                     product_set, translate_set)
+                     irreps_of, product_set, translate_set)
+from bohrlab import groups
 from bohrlab.gen import interval_subset
 from bohrlab.groups import (GroupFunction, _dihedral_table, _perm_parity,
                             _permutation_table, format_cayley_table,
@@ -349,6 +351,45 @@ def test_catalog_builds_and_validates():
         if desc.startswith(("dihedral:3", "dihedral:4", "sym", "alt:4", "alt:5",
                             "quaternion")):
             assert not g.is_abelian
+
+
+def test_catalog_descriptor_gives_one_shared_group():
+    # validation and irreps are then computed once per descriptor
+    g = build_group("dihedral:12")
+    assert build_group("  dihedral:12\n") is g and build_group("dihedral:12") is g
+    assert build_group("zmod:24") is not build_group("product:zmod:3,zmod:8")
+
+
+def test_file_group_is_read_on_every_call(tmp_path):
+    path = tmp_path / "table.txt"
+    path.write_text(format_cayley_table(build_group("zmod:3")))
+    first = build_group(f"file:{path}")
+    path.write_text(format_cayley_table(build_group("sym:3")))
+    second = build_group(f"file:{path}")
+    assert (first.order, second.order) == (3, 6) and not second.is_abelian
+    assert build_group(f"file:{path}") is not second
+
+
+def test_shared_groups_stay_under_the_order_bound():
+    # each of zmod:600..611 has a squared order above a third of the bound,
+    # so at most two stay kept, and the irreps of the others are freed
+    tracemalloc.start()
+    try:
+        for n in range(600, 612):
+            irreps_of(build_group(f"zmod:{n}"))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(groups._SHARED) <= 2
+    assert sum(g.order ** 2 for g in groups._SHARED.values()) <= groups.SHARED_ORDER_SQ
+    assert held <= 20 << 20
+
+
+def test_group_above_the_bound_is_built_but_not_kept():
+    kept = dict(groups._SHARED)
+    g = build_group("zmod:1100")
+    assert g.order == 1100 and groups._SHARED == kept
 
 
 def test_subset_files_round_trip(z12):

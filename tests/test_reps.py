@@ -1,11 +1,13 @@
 import copy
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from bohrlab import (abelian_characters, build_group, catalog_descriptors,
+from bohrlab import (FiniteGroup, abelian_characters, build_group, catalog_descriptors,
                      decompose_regular, direct_sum_hom, irreps_of,
                      measure_hom_residual, min_nontrivial_dim, operator_distance)
 from bohrlab import reps
@@ -503,3 +505,14 @@ def test_hom_bound_covers_measured_residual(desc):
     for rep in irreps_of(g):
         bound = reps._hom_residual_bound(rep, np.array(gens), length)
         assert rep.hom_residual <= bound <= 1e-11, rep.label
+
+
+@pytest.mark.parametrize("desc", ["zmod:30", "dihedral:15"])
+def test_group_dropped_after_irreps_is_collectable(desc):
+    # the irreps live on the group, so no cache outside it keeps it alive
+    g = FiniteGroup(build_group(desc).table, "unshared")
+    assert irreps_of(g) is irreps_of(g)
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
