@@ -9,19 +9,18 @@ from .groups import (FiniteGroup, GroupFunction, GroupValidationError, Subset,
 from .reps import (UnitaryRep, abelian_characters, decompose_regular,
                    direct_sum_hom, irreps_of, measure_hom_residual,
                    min_nontrivial_dim, operator_distance)
-from .bohr import (BohrSpec, SearchSpace, bohr_set, cover_bound_check,
-                   enumerate_bohr_candidates, greedy_cover, nm_refine,
-                   subgroup_test)
+from .bohr import (BohrSpec, SearchResult, SearchSpace, bohr_set,
+                   cover_bound_check, enumerate_bohr_candidates, greedy_cover,
+                   nm_refine, subgroup_test)
 from .convolve import convolve, convolve_fft_cyclic, lp_norm, overlap_function, shift
 from .stability import (LadderIndex, LadderWitness, StabilityProfile,
                         ladder_index, oracle_ladder_index, stability_profile)
-from .regularity import (RegularityCertificate, RegularitySearchResult, ZetaRule,
+from .regularity import (RegularityCertificate, ZetaRule,
                          largest_eps_constant_subset, search_regular_bohr,
                          subgroup_obstruction_check, translate_defect)
-from .productsets import (BogolyubovResult, CoveringCheck, FourProductResult,
-                          QuasirandomCheck, SeparatedCover,
-                          ShiftInvarianceResult, bogolyubov_search,
-                          four_product_bohr, quasirandom_check,
+from .productsets import (CoveringCheck, FourProductResult, QuasirandomCheck,
+                          SeparatedCover, bogolyubov_search, four_product_bohr,
+                          level_set_claim, quasirandom_check,
                           quasirandom_trials, separated_cover,
                           shift_invariance_search, symmetric_covering_check,
                           translate_covering_check, two_set_bogolyubov)

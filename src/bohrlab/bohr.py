@@ -13,7 +13,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, TypeVar
+from typing import Callable, Generic, Iterator, Optional, TypeVar
 
 import numpy as np
 
@@ -220,23 +220,33 @@ def enumerate_bohr_candidates(group: FiniteGroup,
                 yielded += 1
 
 
+@dataclass(frozen=True)
+class SearchResult(Generic[T]):
+    """A Bohr search's outcome: ``ok`` with the accepted spec and what
+    ``accept`` returned for it, or ``none-within-budget`` with both None."""
+
+    status: str  # "ok" | "none-within-budget"
+    spec: Optional[BohrSpec]
+    found: Optional[T]
+    candidates_scored: int
+
+
 def first_accepted(group: FiniteGroup, space: SearchSpace,
                    accept: Callable[[BohrSpec], Optional[T]],
-                   min_size: int = 1) -> tuple[Optional[BohrSpec], Optional[T], int]:
+                   min_size: int = 1) -> SearchResult[T]:
     """The first candidate, in preference order, that ``accept`` takes.
 
     Every yielded candidate counts as scored; realized sets smaller than
-    max(1, min_size) are skipped. ``accept`` returns None to reject. Returns
-    (spec, result, scored), or (None, None, scored) when the budget runs out.
+    max(1, min_size) are skipped. ``accept`` returns None to reject.
     """
     scored = 0
     for scored, spec in enumerate(enumerate_bohr_candidates(group, space), 1):
         if len(spec.realized) < max(1, min_size):
             continue
-        result = accept(spec)
-        if result is not None:
-            return spec, result, scored
-    return None, None, scored
+        found = accept(spec)
+        if found is not None:
+            return SearchResult("ok", spec, found, scored)
+    return SearchResult("none-within-budget", None, None, scored)
 
 
 def is_symmetric(subset: Subset) -> bool:

@@ -13,11 +13,15 @@ import itertools
 import math
 from functools import reduce
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 MAX_ORDER = 2048
 VALUE_TOL = 1e-12
+# Cap on the entries of one block of rows in a numpy temporary, so that
+# blocked kernels stay a few megabytes even at order 2048
+BLOCK_ENTRIES = 1 << 15
 
 
 class GroupValidationError(ValueError):
@@ -303,6 +307,13 @@ class GroupFunction:
         return f"GroupFunction({self.group.descriptor}, n={self.group.order})"
 
 
+def row_blocks(rows: int, width: int) -> Iterator[slice]:
+    """Slices of range(rows) of at most BLOCK_ENTRIES // width rows (>= 1)."""
+    step = max(1, BLOCK_ENTRIES // max(1, width))
+    for start in range(0, rows, step):
+        yield slice(start, min(start + step, rows))
+
+
 # ---------------------------------------------------------------------------
 # Subset algebra
 
@@ -315,7 +326,7 @@ def product_set(a: Subset, b: Subset) -> Subset:
     ai, bi = a.indices, b.indices
     mask = np.zeros(g.order, dtype=bool)
     if ai.size and bi.size:
-        mask[np.unique(g.table[np.ix_(ai, bi)])] = True
+        mask[g.table[np.ix_(ai, bi)]] = True  # repeats set the same entry
     return Subset(g, mask)
 
 
@@ -403,7 +414,8 @@ def _perm_parity(p: tuple[int, ...]) -> int:
 
 
 # Catalog groups by descriptor, oldest first, while their squared orders sum
-# to at most SHARED_ORDER_SQ: 4 MB of tables and 16 MB of irreps (n^2 entries).
+# to at most SHARED_ORDER_SQ. A kept group holds 4 + 16 + 8 bytes per n^2
+# entry (table, irreps, the distances a Bohr search reads): about 28 MB.
 SHARED_ORDER_SQ = 1 << 20
 _SHARED: dict[str, FiniteGroup] = {}
 
@@ -415,7 +427,8 @@ def build_group(descriptor: str) -> FiniteGroup:
     atomic descriptors), ``dihedral:n``, ``quaternion:8``, ``sym:n`` and
     ``alt:n`` for n <= 5, and ``file:<path>`` for a Cayley-table text file.
     A catalog descriptor gives one shared object, with its irreps, while it
-    is kept; a ``file:`` table is read on every call, as the file may change.
+    is kept (about 28 MB in all, see SHARED_ORDER_SQ); a ``file:`` table is
+    read on every call, as the file may change.
     """
     descriptor = descriptor.strip()
     head, _, rest = descriptor.partition(":")

@@ -9,14 +9,14 @@ flags.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .bohr import (BohrSpec, SearchSpace, bohr_set, first_accepted,
-                   greedy_cover, is_symmetric)
+from .bohr import (BohrSpec, SearchResult, SearchSpace, bohr_set,
+                   first_accepted, greedy_cover, is_symmetric)
 from .convolve import _lp, overlap_function
 from .gen import random_subset_of_size, rng_from_seed
 from .groups import (FiniteGroup, GroupFunction, Subset, check_eps,
@@ -120,18 +120,6 @@ def translate_covering_check(c: Subset, x: Subset, d: Subset,
 # Bogolyubov-type searches
 
 
-@dataclass(frozen=True)
-class BogolyubovResult:
-    alpha: float
-    status: str  # "ok" | "none-within-budget"
-    spec: Optional[BohrSpec]
-    contained: dict = field(default_factory=dict)
-    g_best: Optional[int] = None
-    defect_count: Optional[int] = None
-    claim1: Optional[dict] = None
-    candidates_scored: int = 0
-
-
 def check_alpha(alpha: float) -> None:
     if not 0 < alpha <= 1:  # NaN fails too
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
@@ -145,39 +133,31 @@ def _require_density(a: Subset, alpha: float, name: str = "A") -> Fraction:
     return alpha_fr
 
 
-def bogolyubov_search(a: Subset, alpha: float,
-                      space: SearchSpace = SearchSpace()) -> BogolyubovResult:
-    """First Bohr spec with realized set inside (A A^-1)^2, exhaustively
-    verified; none-within-budget status otherwise."""
-    _require_density(a, alpha)
-    diff = product_set(a, inverse_set(a))
-    target = product_set(diff, diff)
-    spec, _, scored = first_accepted(
-        a.group, space, lambda s: s.realized.is_subset_of(target) or None)
-    if spec is None:
-        return BogolyubovResult(alpha, "none-within-budget", None,
-                                candidates_scored=scored)
-    return BogolyubovResult(alpha, "ok", spec,
-                            contained={"(AA^-1)^2": True},
-                            candidates_scored=scored)
-
-
-def two_set_bogolyubov(a: Subset, b: Subset, alpha: float, zeta: ZetaRule,
-                       space: SearchSpace = SearchSpace()) -> BogolyubovResult:
-    """Two-set Bogolyubov: find U with (i) |gU \\ AB| < zeta(delta,n)|G| for
-    the best g, (ii) A B A^-1 containing a translate of U, and (iii)
-    U <= AB (AB)^-1, all verified exhaustively.
-
-    First asserts, in exact integer arithmetic, that
-    S = {x : (1_A * 1_B)(x) > alpha^2/2} has |S| >= (alpha^2/2)|G|.
-    """
-    grp = a.group
-    if b.group is not grp:
+def _require_pair(a: Subset, b: Subset, alpha: float) -> Fraction:
+    if b.group is not a.group:
         raise ValueError("A and B must live on the same group")
     alpha_fr = _require_density(a, alpha, "A")
     _require_density(b, alpha, "B")
-    eps_fr = alpha_fr ** 2 / 2
+    return alpha_fr
 
+
+def bogolyubov_search(a: Subset, alpha: float,
+                      space: SearchSpace = SearchSpace()) -> SearchResult[bool]:
+    """First Bohr spec with realized set inside (A A^-1)^2, exhaustively
+    verified (found is True); none-within-budget status otherwise."""
+    _require_density(a, alpha)
+    diff = product_set(a, inverse_set(a))
+    target = product_set(diff, diff)
+    return first_accepted(
+        a.group, space, lambda s: s.realized.is_subset_of(target) or None)
+
+
+def level_set_claim(a: Subset, b: Subset, alpha: float) -> dict:
+    """Claim 1 of the two-set theorem, checked in exact integer arithmetic:
+    S = {x : (1_A * 1_B)(x) > alpha^2/2} has |S| >= (alpha^2/2)|G|.
+    Returns {"s_size": |S|, "bound": (alpha^2/2)|G|}."""
+    grp = a.group
+    eps_fr = _require_pair(a, b, alpha) ** 2 / 2
     # integer counts c(x) = |A intersect x B^-1| = |G| (1_A * 1_B)(x)
     binv_rows = b.mask[grp.table[grp.inverse, :]]
     counts = (a.mask.astype(np.int64) @ binv_rows).astype(np.int64)
@@ -186,8 +166,18 @@ def two_set_bogolyubov(a: Subset, b: Subset, alpha: float, zeta: ZetaRule,
     s_size = sum(1 for cx in counts if Fraction(int(cx), grp.order) > eps_fr)
     if Fraction(s_size, grp.order) < eps_fr:
         raise RuntimeError("level-set lower bound failed (should be impossible)")
-    claim1 = {"s_size": s_size, "bound": float(eps_fr) * grp.order}
+    return {"s_size": s_size, "bound": float(eps_fr) * grp.order}
 
+
+def two_set_bogolyubov(a: Subset, b: Subset, alpha: float, zeta: ZetaRule,
+                       space: SearchSpace = SearchSpace()
+                       ) -> SearchResult[tuple[int, int]]:
+    """Two-set Bogolyubov: find U with (i) |gU \\ AB| < zeta(delta,n)|G| for
+    the best g, (ii) A B A^-1 containing a translate of U, and (iii)
+    U <= AB (AB)^-1, all verified exhaustively. Found is (g_best, |gU \\ AB|).
+    """
+    grp = a.group
+    _require_pair(a, b, alpha)
     ab = product_set(a, b)
     aba = product_set(ab, inverse_set(a))
     quad = product_set(ab, inverse_set(ab))
@@ -203,15 +193,7 @@ def two_set_bogolyubov(a: Subset, b: Subset, alpha: float, zeta: ZetaRule,
             return g_best, defect
         return None
 
-    spec, found, scored = first_accepted(grp, space, accept)
-    if found is None:
-        return BogolyubovResult(alpha, "none-within-budget", None,
-                                claim1=claim1, candidates_scored=scored)
-    g_best, defect = found
-    return BogolyubovResult(alpha, "ok", spec,
-                            contained={"i": True, "ii": True, "iii": True},
-                            g_best=g_best, defect_count=defect, claim1=claim1,
-                            candidates_scored=scored)
+    return first_accepted(grp, space, accept)
 
 
 @dataclass(frozen=True)
@@ -238,8 +220,8 @@ def four_product_bohr(a: Subset, alpha: float,
     }
     found: list[BohrSpec] = []
     for target in targets.values():
-        spec, _, _ = first_accepted(
-            grp, space, lambda s: s.realized.is_subset_of(target) or None)
+        spec = first_accepted(
+            grp, space, lambda s: s.realized.is_subset_of(target) or None).spec
         if spec is None:
             return FourProductResult("none-within-budget", None,
                                      tuple(found), False)
@@ -292,22 +274,14 @@ def quasirandom_trials(group: FiniteGroup, alpha: float, trials: int, size: int,
     return out
 
 
-@dataclass(frozen=True)
-class ShiftInvarianceResult:
-    status: str
-    spec: Optional[BohrSpec]
-    sup_norm: Optional[float]
-    degenerate: bool = False
-    candidates_scored: int = 0
-
-
 def shift_invariance_search(f: GroupFunction, p: float, eps: float,
                             space: SearchSpace = SearchSpace(),
-                            min_size: int = 1) -> ShiftInvarianceResult:
-    """First Bohr spec B with sup over t in B of ||f_t - f||_p < eps.
+                            min_size: int = 1) -> SearchResult[float]:
+    """First Bohr spec B with sup over t in B of ||f_t - f||_p < eps, found
+    with that sup.
 
-    The singleton Bohr set trivially passes and is flagged degenerate;
-    ``min_size`` can exclude it (and other small sets).
+    The singleton Bohr set trivially passes; ``min_size`` can exclude it
+    (and other small sets).
     """
     if not 1 <= p < math.inf:  # NaN fails too
         raise ValueError(f"p must lie in [1, inf), got {p}")
@@ -324,10 +298,4 @@ def shift_invariance_search(f: GroupFunction, p: float, eps: float,
                 return None
         return sup
 
-    spec, sup, scored = first_accepted(f.group, space, accept, min_size)
-    if spec is None:
-        return ShiftInvarianceResult("none-within-budget", None, None,
-                                     candidates_scored=scored)
-    return ShiftInvarianceResult("ok", spec, sup,
-                                 degenerate=len(spec.realized) == 1,
-                                 candidates_scored=scored)
+    return first_accepted(f.group, space, accept, min_size)

@@ -15,13 +15,10 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .bohr import BohrSpec, SearchSpace, first_accepted
-from .groups import FiniteGroup, GroupFunction, Subset, check_eps
+from .bohr import BohrSpec, SearchResult, SearchSpace, first_accepted
+from .groups import FiniteGroup, GroupFunction, Subset, check_eps, row_blocks
 
 WINDOW_GUARD = 1e-12
-# Cap on the entries (translates x |S|) of one block of the translate kernel,
-# so its temporaries stay a few megabytes even at order 2048
-_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -110,13 +107,6 @@ class RegularityCertificate:
         }
 
 
-@dataclass(frozen=True)
-class RegularitySearchResult:
-    status: str  # "ok" | "none-within-budget"
-    certificate: Optional[RegularityCertificate]
-    candidates_scored: int
-
-
 def largest_eps_constant_subset(f: GroupFunction, b: Subset, eps: float) -> Subset:
     """A maximum-cardinality B' <= B on which f has value range < eps.
 
@@ -145,12 +135,6 @@ def largest_eps_constant_subset(f: GroupFunction, b: Subset, eps: float) -> Subs
     return Subset.from_indices(b.group, chosen)
 
 
-def _row_blocks(rows: int, width: int) -> Iterator[slice]:
-    step = max(1, _BLOCK_ENTRIES // max(1, width))
-    for start in range(0, rows, step):
-        yield slice(start, start + step)
-
-
 def _translate_windows(f: GroupFunction, subset: Subset,
                        eps: float) -> Iterator[tuple[np.ndarray, ...]]:
     """The window of largest_eps_constant_subset on every distinct left
@@ -168,13 +152,13 @@ def _translate_windows(f: GroupFunction, subset: Subset,
     # the least elements of the left cosets gH
     stab = np.concatenate([
         np.flatnonzero(subset.mask[table[blk, idx]].all(axis=1)) + blk.start
-        for blk in _row_blocks(n, size)])
+        for blk in row_blocks(n, size)])
     firsts = np.concatenate([
         np.flatnonzero(table[blk][:, stab].min(axis=1)
                        == np.arange(n)[blk]) + blk.start
-        for blk in _row_blocks(n, stab.size)])
+        for blk in row_blocks(n, stab.size)])
     thr = eps - WINDOW_GUARD
-    for blk in _row_blocks(firsts.size, size):
+    for blk in row_blocks(firsts.size, size):
         g = firsts[blk]
         rows = np.sort(table[np.ix_(g, idx)], axis=1)
         vals = f.values[rows]
@@ -213,7 +197,7 @@ def _every_translate_fits(f: GroupFunction, subset: Subset, eps: float) -> bool:
     if idx.size == 1:
         return True
     table, thr = f.group.table, eps - WINDOW_GUARD
-    for blk in _row_blocks(f.group.order, idx.size):
+    for blk in row_blocks(f.group.order, idx.size):
         vals = f.values[table[blk][:, idx]]
         if not (vals.max(axis=1) - vals.min(axis=1) < thr).all():
             return False
@@ -252,9 +236,11 @@ def translate_defect(f: GroupFunction, spec: BohrSpec,
 
 
 def search_regular_bohr(f: GroupFunction, eps: float, zeta: ZetaRule,
-                        space: SearchSpace = SearchSpace()) -> RegularitySearchResult:
+                        space: SearchSpace = SearchSpace()
+                        ) -> SearchResult[RegularityCertificate]:
     """First Bohr spec (in preference order) whose max translate defect is
-    within zeta(delta, n); explicit none-within-budget status otherwise.
+    within zeta(delta, n), found with its certificate; explicit
+    none-within-budget status otherwise.
 
     Candidates often realize the same set, so each distinct realized set S is
     screened once: is f's value range below eps - WINDOW_GUARD on every
@@ -287,10 +273,7 @@ def search_regular_bohr(f: GroupFunction, eps: float, zeta: ZetaRule,
                 return None
         return replace(translate_defect(f, spec, eps), zeta_budget=allowance)
 
-    _, cert, scored = first_accepted(f.group, space, accept)
-    if cert is None:
-        return RegularitySearchResult("none-within-budget", None, scored)
-    return RegularitySearchResult("ok", cert, scored)
+    return first_accepted(f.group, space, accept)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, row_blocks
 
 DEFAULT_TOL = 1e-9
 CHAR_MATCH_TOL = 1e-6
@@ -122,22 +122,21 @@ class UnitaryRep:
 def measure_hom_residual(rep: UnitaryRep) -> float:
     """Max over all n^2 pairs of ||t(ab) - t(a) t(b)||_op.
 
-    In dimension 1 the pairs go in blocks of whole rows, at most 2^16 pairs
-    each. Above it they go in chunks of 4,096, and an SVD runs only on a
-    pair whose Frobenius norm can still set the maximum (see
-    ``_max_op_norm``).
+    The pairs go in ``row_blocks``: in dimension 1 of whole rows a, above it
+    of pairs at dim^2 entries each, where an SVD runs only on a pair whose
+    Frobenius norm can still set the maximum (see ``_max_op_norm``).
     """
     g, mats = rep.group, rep.matrices
     n = g.order
     if rep.dim == 1:
         # einsum rounds each product as the general path does
-        chi, step = mats[:, 0, 0], max(1, (1 << 16) // n)
-        return max(float(np.max(np.abs(chi[g.table[lo:lo + step]]
-                                       - np.einsum("a,b->ab", chi[lo:lo + step], chi))))
-                   for lo in range(0, n, step))
+        chi = mats[:, 0, 0]
+        return max(float(np.max(np.abs(chi[g.table[blk]]
+                                       - np.einsum("a,b->ab", chi[blk], chi))))
+                   for blk in row_blocks(n, n))
     worst = 0.0
-    for lo in range(0, n * n, 4096):
-        ai, bi = np.divmod(np.arange(lo, min(lo + 4096, n * n)), n)
+    for blk in row_blocks(n * n, rep.dim ** 2):
+        ai, bi = np.divmod(np.arange(blk.start, blk.stop), n)
         prod = np.einsum("pij,pjk->pik", mats[ai], mats[bi])
         diff = mats[g.table[ai, bi]] - prod
         worst = _max_op_norm(diff, worst)

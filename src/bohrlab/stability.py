@@ -15,15 +15,13 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import GroupFunction, Subset, check_eps
+from .groups import GroupFunction, Subset, check_eps, row_blocks
 
 DEFAULT_BUDGET = 10_000_000
 ORACLE_ORDER_CAP = 12
 # Bytes of compatibility-row bits one local graph may take: a mask of m pairs
 # goes local only when its m^2 bits fit
 LOCAL_GRAPH_BYTES = 64 << 20
-# Entries of F compared per batch of compatibility rows (8 bytes each)
-_ROW_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -227,14 +225,15 @@ def _pair_rows(F: np.ndarray, eps: float, pairs):
     """Yield the n^2-bit compatibility row of each pair, in order.
 
     Bit a'*n + b' of the row of pair (a, b) is set iff
-    |F[a, b'] - F[a', b]| >= eps. Rows are built in blocks of at most
-    _ROW_BLOCK_ENTRIES entries of F, and none is kept once yielded.
+    |F[a, b'] - F[a', b]| >= eps. Rows are built in ``row_blocks`` of n^2
+    entries of F a row, and none is kept once yielded.
     """
     n = F.shape[0]
-    step = max(1, _ROW_BLOCK_ENTRIES // F.size)
-    diff = np.empty((min(step, len(pairs)),) + F.shape)
-    for i in range(0, len(pairs), step):
-        chunk = pairs[i:i + step]
+    diff = None
+    for blk in row_blocks(len(pairs), F.size):
+        chunk = pairs[blk]
+        if diff is None:  # the first block is the largest; the rest reuse it
+            diff = np.empty((len(chunk),) + F.shape)
         block = diff[:len(chunk)]
         for j, pair in enumerate(chunk):
             a, b = divmod(pair, n)
@@ -275,17 +274,16 @@ def _local_graph(F: np.ndarray, eps: float, mask: int, n: int):
     """The subgraph on a mask's pairs: (all-ones m-bit mask, rows, pairs).
 
     Local vertex i is the i-th set bit of mask, so local index order is the
-    pairs' index order. Rows are built in blocks of at most
-    _ROW_BLOCK_ENTRIES entries of F, so the float temporaries stay small
-    while the rows themselves take m^2 bits.
+    pairs' index order. Rows are built in ``row_blocks`` of m entries of F a
+    row, so the float temporaries stay small while the rows themselves take
+    m^2 bits.
     """
     pairs = _set_bits(mask, n * n)
     a, b = pairs // n, pairs % n
-    step = max(1, _ROW_BLOCK_ENTRIES // len(pairs))
     rows: list[int] = []
-    for i in range(0, len(pairs), step):
+    for blk in row_blocks(len(pairs), len(pairs)):
         # entry (i, j) is F[a_i, b_j] - F[a_j, b_i]
-        diff = F[a[i:i + step, None], b] - F[a, b[i:i + step, None]]
+        diff = F[a[blk, None], b] - F[a, b[blk, None]]
         rows += _int_rows(np.abs(diff) >= eps)
     return (1 << len(rows)) - 1, rows, pairs.tolist()
 

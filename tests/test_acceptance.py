@@ -200,7 +200,7 @@ def test_criterion_07_zpz_reproduction(zpz101):
     assert cert_full.max_defect > 0
     res = bl.search_regular_bohr(f, 0.1, ZetaRule.constant(0.001))
     assert res.status == "ok"
-    cert = res.certificate
+    cert = res.found
     assert cert.max_defect == 0.0
     assert cert.spec.kind == "torus"
     members = sorted(int(i) for i in cert.spec.realized.indices)
@@ -339,12 +339,12 @@ def test_criterion_12_croot_sisask():
     res = bl.shift_invariance_search(f, 2, 0.1, min_size=3)
     assert res.status == "ok"
     assert len(res.spec.realized) >= 3
-    assert res.sup_norm < 0.1
+    assert res.found < 0.1
     sup = max(float(np.mean((f.values[g.table[t, :]] - f.values) ** 2) ** 0.5)
               for t in res.spec.realized.indices)
-    assert sup < 0.1 and sup == pytest.approx(res.sup_norm)
+    assert sup < 0.1 and sup == pytest.approx(res.found)
     _report(12, f"shift-invariant Bohr set of size {len(res.spec.realized)} "
-                f"with sup ||f_t - f||_2 = {res.sup_norm:.4f} < 0.1")
+                f"with sup ||f_t - f||_2 = {res.found:.4f} < 0.1")
 
 
 def test_criterion_13_fft_equivalence():

@@ -4,12 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from bohrlab import (SearchSpace, Subset, abelian_characters, bohr_set,
-                     build_group, cover_bound_check, decompose_regular,
-                     direct_sum_hom, enumerate_bohr_candidates, greedy_cover,
-                     inverse_set, irreps_of, nm_refine, subgroup_test,
-                     translate_set)
+from bohrlab import (SearchSpace, Subset, ZetaRule, abelian_characters,
+                     bogolyubov_search, bohr_set, build_group,
+                     cover_bound_check, decompose_regular, direct_sum_hom,
+                     enumerate_bohr_candidates, greedy_cover, inverse_set,
+                     irreps_of, nm_refine, search_regular_bohr,
+                     shift_invariance_search, subgroup_test, translate_set,
+                     two_set_bogolyubov)
 from bohrlab.bohr import NoDiagonalRefinementError
+from bohrlab.gen import evens_subset, random_pm1_function, rng_from_seed
 from bohrlab.regularity import _all_subgroups
 
 
@@ -329,3 +332,31 @@ def test_spec_json(z12, z12_chars):
     assert doc["kind"] == "torus"
     assert doc["realized_members"] == [0, 1, 11]
     assert doc["m"] == 1
+
+
+# On Z/12, each search rejects its first candidate, the whole group (noise is
+# not constant on it, and the evens' product sets are the evens), and each
+# reaches an accept within the default budget
+SEARCHES = {
+    "regularity": lambda noise, evens, space: search_regular_bohr(
+        noise, 0.1, ZetaRule.constant(1e-6), space),
+    "bogolyubov": lambda noise, evens, space: bogolyubov_search(
+        evens, 0.5, space),
+    "two-set": lambda noise, evens, space: two_set_bogolyubov(
+        evens, evens, 0.5, ZetaRule.constant(0.05), space),
+    "croot-sisask": lambda noise, evens, space: shift_invariance_search(
+        noise, 2, 0.05, space),
+}
+
+
+@pytest.mark.parametrize("budget,status", [(1, "none-within-budget"),
+                                           (5000, "ok")])
+@pytest.mark.parametrize("search", sorted(SEARCHES))
+def test_every_search_returns_one_result(z12, search, budget, status):
+    noise = random_pm1_function(z12, rng_from_seed(2))
+    space = SearchSpace(max_candidates=budget)
+    res = SEARCHES[search](noise, evens_subset(z12), space)
+    assert res.status == status
+    assert (res.status == "ok") == (res.spec is not None and res.found is not None)
+    assert res.status == "ok" or (res.spec is None and res.found is None)
+    assert 1 <= res.candidates_scored <= space.max_candidates

@@ -379,11 +379,18 @@ def test_shared_groups_stay_under_the_order_bound():
             irreps_of(build_group(f"zmod:{n}"))
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]
+        # a Bohr search also reads every kept character's distances
+        for g in list(groups._SHARED.values()):
+            for rep in irreps_of(g):
+                rep.identity_distances()
+        gc.collect()
+        held_read = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert len(groups._SHARED) <= 2
     assert sum(g.order ** 2 for g in groups._SHARED.values()) <= groups.SHARED_ORDER_SQ
     assert held <= 20 << 20
+    assert held_read <= 28 << 20
 
 
 def test_group_above_the_bound_is_built_but_not_kept():

@@ -3,6 +3,7 @@ import functools
 import importlib
 import importlib.util
 import json
+import os
 import re
 import subprocess
 import sys
@@ -54,6 +55,18 @@ def test_readme_library_tour_names_exist():
             except AttributeError:
                 missing.append(f"{modname}: {name}")
     assert missing == []
+
+
+def test_readme_quick_example_runs():
+    # the README's quick example is run as written, so API drift fails here
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    after = text.split("Quick example:", 1)[1]
+    code = re.search(r"```python\n(.*?)```", after, re.S).group(1)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("ok ")
 
 
 def _strict_json(path):

@@ -3,10 +3,11 @@ import pytest
 
 from bohrlab import (GroupFunction, Subset, ZetaRule, bogolyubov_search,
                      build_group, convolve, four_product_bohr, inverse_set,
-                     min_nontrivial_dim, product_set, quasirandom_check, quasirandom_trials,
+                     level_set_claim, min_nontrivial_dim, product_set, quasirandom_check, quasirandom_trials,
                      separated_cover, shift_invariance_search,
                      symmetric_covering_check, translate_covering_check,
                      two_set_bogolyubov)
+from bohrlab.cli import run_experiment
 from bohrlab.gen import (evens_subset, random_pm1_function, random_subset,
                          random_subset_of_size, remove_random_points,
                          rng_from_seed)
@@ -102,7 +103,7 @@ def test_translate_covering_hypothesis_gate(z12):
 def test_bogolyubov_full_group(z12):
     res = bogolyubov_search(Subset.full(z12), 1.0)
     assert res.status == "ok"
-    assert res.contained["(AA^-1)^2"]
+    assert res.found is True
 
 
 def test_bogolyubov_evens(z12):
@@ -138,17 +139,29 @@ def test_two_set_full(z12):
     res = two_set_bogolyubov(Subset.full(z12), Subset.full(z12), 1.0,
                              ZetaRule.constant(0.05))
     assert res.status == "ok"
-    assert res.contained == {"i": True, "ii": True, "iii": True}
+    assert res.found == (0, 0)  # (i)-(iii) hold with g_best 0, no defect
 
 
 def test_two_set_evens(z12):
     evens = evens_subset(z12)
     res = two_set_bogolyubov(evens, evens, 0.5, ZetaRule.constant(0.05))
     assert res.status == "ok"
-    assert res.defect_count == 0
-    assert res.claim1["s_size"] >= res.claim1["bound"]
+    assert res.found[1] == 0
+    claim1 = level_set_claim(evens, evens, 0.5)
+    assert claim1["s_size"] >= claim1["bound"]
     members = {int(i) for i in res.spec.realized.indices}
     assert members <= set(range(0, 12, 2))
+
+
+@pytest.mark.parametrize("sparse", ["A", "B"])
+def test_level_set_claim_checks_density_as_the_search_does(z12, sparse):
+    thin, full = Subset.from_indices(z12, [0]), Subset.full(z12)
+    a, b = (thin, full) if sparse == "A" else (full, thin)
+    with pytest.raises(ValueError, match=rf"mu\({sparse}\) = 1/12") as claim:
+        level_set_claim(a, b, 0.5)
+    with pytest.raises(ValueError) as search:
+        two_set_bogolyubov(a, b, 0.5, ZetaRule.constant(0.05))
+    assert str(claim.value) == str(search.value)
 
 
 def test_two_set_claim1_exact_random(a5=None):
@@ -255,8 +268,11 @@ def test_shift_invariance_degenerate_floor():
     res = shift_invariance_search(noise, 2, 0.05)
     assert res.status == "ok"
     assert len(res.spec.realized) == 1
-    assert res.degenerate
-    assert res.sup_norm == 0.0
+    # the runner flags a one-element Bohr set as degenerate
+    report = run_experiment({"kind": "croot-sisask", "group": "zmod:8",
+                             "set_a": "random:0.5", "epsilon": "0.001"})
+    assert report.payload["size"] == 1 and report.payload["degenerate"] is True
+    assert res.found == 0.0
 
 
 def test_shift_invariance_noise_fails_without_singleton():
@@ -274,9 +290,9 @@ def test_shift_invariance_convolution(z101):
     res = shift_invariance_search(f, 2, 0.1, min_size=3)
     assert res.status == "ok"
     assert len(res.spec.realized) >= 3
-    assert res.sup_norm < 0.1
+    assert res.found < 0.1
     # independent sup-norm check
     sup = max(
         float(np.mean(np.abs(f.values[z101.table[t, :]] - f.values) ** 2) ** 0.5)
         for t in res.spec.realized.indices)
-    assert sup == pytest.approx(res.sup_norm)
+    assert sup == pytest.approx(res.found)

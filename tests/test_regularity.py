@@ -15,8 +15,9 @@ from bohrlab import (BohrSpec, GroupFunction, SearchSpace, Subset, UnitaryRep,
                      largest_eps_constant_subset, overlap_function, regularity,
                      search_regular_bohr, subgroup_obstruction_check,
                      translate_defect)
+from bohrlab import groups, irreps_of, ladder_index, measure_hom_residual
 from bohrlab.bohr import first_accepted
-from bohrlab.gen import random_pm1_function, rng_from_seed
+from bohrlab.gen import random_pm1_function, random_subset, rng_from_seed
 from bohrlab.groups import catalog_descriptors
 from bohrlab.regularity import TranslateDefect, _all_subgroups
 
@@ -123,7 +124,7 @@ def test_search_constant_accepts_trivial(z12):
     f = GroupFunction.constant(z12, 0.4)
     res = search_regular_bohr(f, 0.1, ZetaRule.constant(0.001))
     assert res.status == "ok"
-    cert = res.certificate
+    cert = res.found
     assert cert.spec.delta == 2.0
     assert cert.spec.tau.label == "chi0"
     assert len(cert.spec.realized) == 12
@@ -133,7 +134,7 @@ def test_search_constant_accepts_trivial(z12):
 def test_search_zpz_finds_interval_certificate(z101, zpz_fixture):
     res = search_regular_bohr(zpz_fixture, 0.1, ZetaRule.constant(0.001))
     assert res.status == "ok"
-    cert = res.certificate
+    cert = res.found
     assert cert.max_defect == 0.0
     assert cert.spec.kind == "torus"  # abelian: direct sums of characters
     # realized set is a cyclic interval around 0
@@ -148,7 +149,7 @@ def test_search_noise_none_within_budget(z101):
     space = SearchSpace(max_summands=1, max_candidates=150)
     res = search_regular_bohr(f, 0.1, ZetaRule.constant(1e-6), space)
     assert res.status == "none-within-budget"
-    assert res.certificate is None
+    assert res.found is None
     assert res.candidates_scored == 150
 
 
@@ -246,7 +247,7 @@ def test_obstruction_kernel_convolution(klein8):
 
 def test_certificate_json(z101, zpz_fixture):
     res = search_regular_bohr(zpz_fixture, 0.1, ZetaRule.constant(0.001))
-    doc = res.certificate.to_json_dict()
+    doc = res.found.to_json_dict()
     assert set(doc) == {"bohr_spec", "epsilon", "zeta_value", "max_defect",
                         "per_translate"}
     assert doc["max_defect"] == 0.0
@@ -425,21 +426,42 @@ def test_screened_search_matches_unscreened(descriptor, data, eps):
     space = SearchSpace(max_summands=2,
                         max_candidates=data.draw(st.sampled_from([4, 15, 60])))
     res = search_regular_bohr(f, eps, zeta, space)
-    _, cert, scored = _unscreened_search(f, eps, zeta, space)
+    ref = _unscreened_search(f, eps, zeta, space)
+    cert, scored = ref.found, ref.candidates_scored
     assert res.candidates_scored == scored
     assert res.status == ("ok" if cert else "none-within-budget")
     if cert is not None:
-        assert res.certificate.to_json_dict() == cert.to_json_dict()
+        assert res.found.to_json_dict() == cert.to_json_dict()
+
+
+def _pilot_ladder(descriptor, seed):
+    g = build_group(descriptor)
+    rng = rng_from_seed(seed)
+    a, b = random_subset(g, 0.3, rng), random_subset(g, 0.3, rng)
+    f = convolve(GroupFunction.indicator(a), GroupFunction.indicator(b))
+    idx = ladder_index(f, 0.1, cap=8, budget=10_000)
+    return idx.k_max, idx.status, idx.nodes, idx.witness.a_seq, idx.witness.b_seq
 
 
 def test_translate_kernel_blocks_agree(z12, z101, zpz_fixture, monkeypatch):
+    # every blocked kernel splits only independent rows, so tiny blocks give
+    # the same bits, nodes, witnesses and residuals as the default ones
     spec = bohr_set(z101, abelian_characters(z101)[1], 0.5)
     f12 = random_pm1_function(z12, rng_from_seed(5))
     whole = translate_defect(zpz_fixture, spec, 0.1)
     rows = subgroup_obstruction_check(f12, 0.5, index_cap=12).rows
-    monkeypatch.setattr(regularity, "_BLOCK_ENTRIES", 7)
+    ladder = _pilot_ladder("zmod:20", 1003)
+    assert ladder == (3, "exact", 29, (0, 16, 0), (2, 11, 11))  # PILOT_PINS
+    rep = next(r for r in irreps_of(build_group("dihedral:6")) if r.dim >= 2)
+    residual = measure_hom_residual(rep)
+    chi = abelian_characters(z101)[1]
+    residual_1 = measure_hom_residual(chi)
+    monkeypatch.setattr(groups, "BLOCK_ENTRIES", 7)
     assert translate_defect(zpz_fixture, spec, 0.1) == whole
     assert subgroup_obstruction_check(f12, 0.5, index_cap=12).rows == rows
+    assert _pilot_ladder("zmod:20", 1003) == ladder
+    assert measure_hom_residual(rep) == residual
+    assert measure_hom_residual(chi) == residual_1
 
 
 def test_eps_below_window_guard_keeps_single_elements(z12):
