@@ -10,7 +10,9 @@ matrix, independently of the search's roots, masks and rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -132,12 +134,13 @@ def _max_ladder(F: np.ndarray, eps: float, cap: int, budget: int,
     This bound must not be mixed with an index-order prefix cut such as
     "a_1 minimal": each is sound alone, but together they miss ladders.
 
-    Local subgraphs: a node on n^2-bit masks whose m pairs have an m x m
-    compatibility matrix of at most LOCAL_GRAPH_BYTES of bits builds that
-    matrix from F, in blocks of rows, and searches its whole subtree on m-bit
-    ints, each child's mask derived from its parent's local rows. Local bits
-    keep the index order of the pairs, so the traversal is the same as on
-    n^2-bit masks. n^2-bit rows are left to the dive, the n roots and masks
+    Local subgraphs: a node whose m pairs have an m x m compatibility matrix
+    of at most LOCAL_GRAPH_BYTES of bits builds that matrix from F, in blocks
+    of rows, and searches its whole subtree on m-bit ints, each child's mask
+    derived from its parent's local rows. Local bits keep the index order of
+    the pairs, so the traversal is the same as on n^2-bit masks. A root goes
+    local straight from its boolean row; a deeper node on n^2-bit masks from
+    its mask's set bits. n^2-bit rows are left to the dive, roots and masks
     too large to go local (the restricted-domain top node at order 256 would
     need 512 MB). None is stored: the dive builds the row of each pair it
     adds, the roots' rows are built in blocks and each read once, and a mask
@@ -187,7 +190,7 @@ def _max_ladder(F: np.ndarray, eps: float, cap: int, budget: int,
             stack.pop()
             return
         if pairs is None and mask.bit_count() ** 2 <= local_bits:
-            mask, rows, pairs = _local_graph(F, eps, mask, n)
+            mask, rows, pairs = _local_graph(F, eps, _set_bits(mask, n * n), n)
         for v, colour in reversed(_colour_classes(mask, rows, state["best"] - depth)):
             if state["stop"] or depth + colour <= state["best"]:
                 return
@@ -207,11 +210,16 @@ def _max_ladder(F: np.ndarray, eps: float, cap: int, budget: int,
             if not (a_allowed.all() and b_allowed.all()):
                 visit(base, rows, None)
             elif enter(0):  # the roots (0, b)
-                for b, row in enumerate(_pair_rows(F, eps, range(n))):
+                for b, hit in enumerate(_pair_rows(F, eps, range(n))):
                     if state["stop"]:
                         break
                     stack.append(b)
-                    visit(row & ~((2 << b) - 1), rows, None)
+                    later = np.flatnonzero(hit[b + 1:]) + b + 1
+                    if cap > 2 and later.size ** 2 <= local_bits:
+                        # (at cap 2 visit takes the first candidate: no graph)
+                        visit(*_local_graph(F, eps, later, n))
+                    else:
+                        visit(_int_rows(hit[None])[0] & ~((2 << b) - 1), rows, None)
                     stack.pop()
     finally:
         # visit reaches itself through its closure cell; break that cycle so
@@ -222,9 +230,9 @@ def _max_ladder(F: np.ndarray, eps: float, cap: int, budget: int,
 
 
 def _pair_rows(F: np.ndarray, eps: float, pairs):
-    """Yield the n^2-bit compatibility row of each pair, in order.
+    """Yield the boolean n^2-entry compatibility row of each pair, in order.
 
-    Bit a'*n + b' of the row of pair (a, b) is set iff
+    Entry a'*n + b' of the row of pair (a, b) is True iff
     |F[a, b'] - F[a', b]| >= eps. Rows are built in ``row_blocks`` of n^2
     entries of F a row, and none is kept once yielded.
     """
@@ -240,7 +248,7 @@ def _pair_rows(F: np.ndarray, eps: float, pairs):
             # block[j, a', b'] = F[a, b'] - F[a', b]; row by row, since numpy
             # buffers a broadcast across the whole block
             np.subtract(F[a], F[:, b][:, None], out=block[j])
-        yield from _int_rows(np.abs(block, out=block).reshape(len(block), -1) >= eps)
+        yield from np.abs(block, out=block).reshape(len(block), -1) >= eps
 
 
 class _RowBuilder:
@@ -250,41 +258,42 @@ class _RowBuilder:
         self.F, self.eps = F, eps
 
     def __getitem__(self, pair: int) -> int:
-        return next(_pair_rows(self.F, self.eps, [pair]))
+        return _int_rows(next(_pair_rows(self.F, self.eps, [pair]))[None])[0]
 
 
 def _set_bits(mask: int, nbits: int) -> np.ndarray:
     """Indices of the set bits of mask, ascending."""
     octets = np.frombuffer(mask.to_bytes((nbits + 7) // 8, "little"), np.uint8)
-    at = np.flatnonzero(octets)
-    byte, bit = np.nonzero(np.unpackbits(octets[at, None], axis=1, bitorder="little"))
-    return at[byte] * 8 + bit
+    return np.flatnonzero(np.unpackbits(octets, bitorder="little"))
 
 
 def _int_rows(hit: np.ndarray) -> list[int]:
     """2-D boolean array -> one Python int per row, bit j set iff hit[i, j]."""
     packed = np.packbits(hit, axis=1, bitorder="little")
     width = packed.shape[1]
+    if width <= 8:  # rows of at most 64 bits: one little-endian uint64 each
+        words = np.zeros((len(packed), 8), np.uint8)
+        words[:, :width] = packed
+        return words.view("<u8").ravel().tolist()
     data = memoryview(packed).cast("B")
     return [int.from_bytes(data[i:i + width], "little")
             for i in range(0, len(data), width)]
 
 
-def _local_graph(F: np.ndarray, eps: float, mask: int, n: int):
-    """The subgraph on a mask's pairs: (all-ones m-bit mask, rows, pairs).
+def _local_graph(F: np.ndarray, eps: float, pairs: np.ndarray, n: int):
+    """The subgraph on ascending pair indices: (all-ones mask, rows, pairs).
 
-    Local vertex i is the i-th set bit of mask, so local index order is the
-    pairs' index order. Rows are built in ``row_blocks`` of m entries of F a
-    row, so the float temporaries stay small while the rows themselves take
-    m^2 bits.
+    Local vertex i is pairs[i], so local index order is the pairs' index
+    order. Rows are built in ``row_blocks`` of m entries of F a row, so the
+    float temporaries stay small while the rows themselves take m^2 bits.
     """
-    pairs = _set_bits(mask, n * n)
-    a, b = pairs // n, pairs % n
+    b = pairs % n
+    an = pairs - b  # a * n
     rows: list[int] = []
     for blk in row_blocks(len(pairs), len(pairs)):
-        # entry (i, j) is F[a_i, b_j] - F[a_j, b_i]
-        diff = F[a[blk, None], b] - F[a, b[blk, None]]
-        rows += _int_rows(np.abs(diff) >= eps)
+        # entry (i, j) is F[a_i, b_j] - F[a_j, b_i], read at flat index a*n + b
+        diff = F.take(an[blk, None] + b) - F.take(an + b[blk, None])
+        rows += _int_rows(np.abs(diff, out=diff) >= eps)
     return (1 << len(rows)) - 1, rows, pairs.tolist()
 
 
@@ -347,16 +356,24 @@ def ladder_index(f: GroupFunction, eps: float, cap: int = 8,
 
 def stability_profile(f: GroupFunction, eps_grid, cap: int = 8,
                       budget: int = DEFAULT_BUDGET) -> StabilityProfile:
-    """ladder_index across an epsilon grid, monotone by construction."""
+    """ladder_index across an epsilon grid, monotone by construction.
+
+    A ladder at eps is a ladder at every smaller eps, so the index at eps is
+    the longest ladder found at eps or above. It is ``capped`` once that
+    reaches cap, and ``exact`` when an exhausted search at eps or below
+    found no longer one; otherwise it is only a lower bound.
+    """
     _check_budget(budget)
     grid = tuple(sorted(float(e) for e in eps_grid))
-    indices: list[int] = []
+    runs = [ladder_index(f, eps, cap=cap, budget=budget) for eps in grid]
+    indices = list(accumulate(reversed([r.k_max for r in runs]), max))[::-1]
     statuses: list[str] = []
-    for eps in grid:
-        res = ladder_index(f, eps, cap=cap, budget=budget)
-        k = res.k_max if not indices else min(res.k_max, indices[-1])
-        indices.append(k)
-        statuses.append(res.status)
+    bound = math.inf  # least k of an exhausted search at eps or below
+    for res, k in zip(runs, indices):
+        if res.status == "exact":
+            bound = min(bound, res.k_max)
+        statuses.append("capped" if k >= cap else
+                        "exact" if bound == k else "inconclusive")
     return StabilityProfile(grid, tuple(indices), tuple(statuses))
 
 

@@ -195,6 +195,33 @@ def test_profile_monotone_random():
                    for i in range(len(prof.indices) - 1))
 
 
+def test_profile_raises_inconclusive_runs_to_later_ladders():
+    # budget 100 leaves two middle runs inconclusive at 7 while a larger eps
+    # finds 8; that 8-ladder is one at every smaller eps too
+    f = _pilot_function("zmod:20", 1002)
+    grid = (0.02, 0.04, 0.06, 0.08, 0.1, 0.12, 0.15)
+    runs = [ladder_index(f, eps, cap=8, budget=100) for eps in grid]
+    assert [(r.k_max, r.status) for r in runs] == [
+        (8, "capped"), (8, "capped"), (7, "inconclusive"), (7, "inconclusive"),
+        (8, "capped"), (5, "exact"), (5, "exact")]
+    prof = stability_profile(f, grid, cap=8, budget=100)
+    assert prof.indices == (8, 8, 8, 8, 8, 5, 5)
+    assert prof.statuses == ("capped",) * 5 + ("exact", "exact")
+
+
+def test_profile_exact_only_from_an_exhausted_search_at_or_below(monkeypatch, z12):
+    from bohrlab import stability
+    runs = {0.1: (6, "capped"), 0.2: (4, "exact"), 0.3: (4, "inconclusive"),
+            0.4: (3, "inconclusive"), 0.5: (2, "exact")}
+    monkeypatch.setattr(stability, "ladder_index", lambda f, eps, cap, budget:
+                        stability.LadderIndex(*runs[eps], None, 0))
+    prof = stability_profile(GroupFunction.constant(z12, 0.0), list(runs), cap=6)
+    assert prof.indices == (6, 4, 4, 3, 2)
+    # 0.3 is bounded by the exhausted search at 0.2; 0.4 is not (4 > 3), and
+    # the exhausted search at 0.5 bounds nothing below it
+    assert prof.statuses == ("capped", "exact", "exact", "inconclusive", "exact")
+
+
 def test_convolution_more_stable_than_noise():
     g = build_group("zmod:20")
     conv_wins = 0
@@ -369,6 +396,38 @@ def test_large_masks_read_rows_without_storing(monkeypatch):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("block_entries", [None, 200])
+@pytest.mark.parametrize("n", [12, 60])
+def test_local_graph_matches_explicit_adjacency(monkeypatch, n, block_entries):
+    from bohrlab import groups, stability
+    if block_entries is not None:  # several row blocks per graph
+        monkeypatch.setattr(groups, "BLOCK_ENTRIES", block_entries)
+    g = build_group(f"zmod:{n}")
+    rng = rng_from_seed(n)
+    F = stability._pair_table(random_uniform_function(g, rng))
+    for size in (0, 1, 63, 64, 65, 150):
+        pairs = np.sort(rng.choice(n * n, min(size, n * n), replace=False))
+        mask, rows, listed = stability._local_graph(F, 0.5, pairs, n)
+        # as in oracle_ladder_index: adj[i, j] = |F[a_i, b_j] - F[a_j, b_i]| >= eps
+        e1 = F[(pairs // n)[:, None], (pairs % n)[None, :]]
+        adj = np.abs(e1 - e1.T) >= 0.5
+        assert mask == (1 << len(pairs)) - 1
+        assert listed == pairs.tolist()
+        assert rows == [sum(1 << int(j) for j in np.flatnonzero(r)) for r in adj]
+
+
+def test_int_rows_and_set_bits_round_trip():
+    from bohrlab import stability
+    rng = rng_from_seed(7)
+    for width in range(0, 73):  # rows of 0 to 9 bytes
+        hit = rng.random((5, width)) < 0.4
+        ints = stability._int_rows(hit)
+        assert ints == [sum(1 << int(j) for j in np.flatnonzero(r)) for r in hit]
+        for value, r in zip(ints, hit):
+            assert stability._set_bits(value, width).tolist() == np.flatnonzero(r).tolist()
+    assert stability._int_rows(np.zeros((0, 3), dtype=bool)) == []
+
+
 # (group, seed, nodes, a_seq, b_seq, peak MB) of ladder_index on
 # conv:random:0.3|random:0.3 at eps 0.04, cap 8, budget 10 000, all capped
 # at 8. Peak MB bounds the search's tracemalloc peak: about 0.45 MB above
@@ -402,9 +461,9 @@ def test_order_256_ladder_pinned(monkeypatch, desc, seed, nodes, a_seq, b_seq,
     sizes = []
     local_graph = stability._local_graph
 
-    def recorded(F, eps, mask, n):
-        sizes.append(mask.bit_count())
-        return local_graph(F, eps, mask, n)
+    def recorded(F, eps, pairs, n):
+        sizes.append(len(pairs))
+        return local_graph(F, eps, pairs, n)
 
     monkeypatch.setattr(stability, "_local_graph", recorded)
     tracemalloc.start()
