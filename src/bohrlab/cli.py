@@ -447,8 +447,9 @@ def main(argv=None) -> int:
         report = run_experiment(config)
         text = report.to_json() if fmt == "json" else report.to_csv()
         Path(out).write_text(text, encoding="utf-8")
-    except (ConfigError, ValueError, OSError, RepDecompositionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, ValueError, OSError, RepDecompositionError, MemoryError) as exc:
+        # numpy's failed allocations are MemoryErrors; a bare one has no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     print(f"{report.status}: wrote {out}")
     return 0 if report.status == "ok" else 2

@@ -442,9 +442,11 @@ def build_group(descriptor: str) -> FiniteGroup:
         parts = [p for p in rest.split(",") if p]
         if not parts:
             raise ValueError(f"empty product descriptor {descriptor!r}")
-        table = reduce(_product_table, [build_group(p).table for p in parts])
-        if table.shape[0] > MAX_ORDER:
-            raise ValueError(f"product order {table.shape[0]} exceeds cap {MAX_ORDER}")
+        tables = [build_group(p).table for p in parts]
+        order = math.prod(len(t) for t in tables)  # checked before the (n1 n2)^2 table
+        if order > MAX_ORDER:
+            raise ValueError(f"product order {order} exceeds cap {MAX_ORDER}")
+        table = reduce(_product_table, tables)
     elif head == "dihedral":
         table = _dihedral_table(_parse_count(rest, descriptor, 1, MAX_ORDER // 2))
     elif head == "quaternion":

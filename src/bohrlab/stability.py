@@ -112,9 +112,12 @@ def _max_ladder(F: np.ndarray, eps: float, cap: int, budget: int,
 
     Ladders of length k are the k-cliques of the pair-compatibility graph:
     pairs (a, b) and (a', b') are adjacent iff |F[a, b'] - F[a', b]| >= eps.
-    Pair (a, b) is bit a*n + b of a Python int (San Segundo, Rodriguez-Losada
-    and Jimenez, Computers & OR 2011), and a node's candidate mask is its
-    parent's ANDed with the compatibility row of the pair it adds.
+    Pair (a, b) has index a*n + b. Every node searches the subgraph on an
+    ascending array of pair indices, pairs: bit i of its candidate mask, a
+    Python int (San Segundo, Rodriguez-Losada and Jimenez, Computers & OR
+    2011), is pairs[i], and a child's mask is its parent's ANDed with the
+    compatibility row, on the same bits, of the pair it adds. Bits keep the
+    pairs' index order, so the traversal does not depend on the subgraph.
 
     Dive: one greedy index-order descent (always the lowest candidate) runs
     first and is charged to the budget, so a cap reached on that first path
@@ -123,9 +126,9 @@ def _max_ladder(F: np.ndarray, eps: float, cap: int, budget: int,
     Roots: when both domains are the whole group, (a_i, b_i) -> (a_i g,
     g^-1 b_i) keeps every product a_i b_j, so every gap; any ladder therefore
     maps to one containing a pair (0, b) with a = element 0. The roots are
-    the n pairs (0, b), and root (0, b) excludes the earlier roots (0, b'),
-    b' < b, from its subtree. With a restricted domain the search starts
-    from the whole domain mask instead.
+    the n pairs (0, b), and root (0, b) searches the subgraph on its later
+    compatible pairs, which excludes the earlier roots (0, b'), b' < b. With
+    a restricted domain the search starts from the whole domain instead.
 
     Below the roots (MCQ, Tomita and Seki, DMTCS 2003): a node colours its
     mask greedily in index order, each colour class a set of pairwise
@@ -134,27 +137,19 @@ def _max_ladder(F: np.ndarray, eps: float, cap: int, budget: int,
     This bound must not be mixed with an index-order prefix cut such as
     "a_1 minimal": each is sound alone, but together they miss ladders.
 
-    Local subgraphs: a node whose m pairs have an m x m compatibility matrix
-    of at most LOCAL_GRAPH_BYTES of bits builds that matrix from F, in blocks
-    of rows, and searches its whole subtree on m-bit ints, each child's mask
-    derived from its parent's local rows. Local bits keep the index order of
-    the pairs, so the traversal is the same as on n^2-bit masks. A root goes
-    local straight from its boolean row; a deeper node on n^2-bit masks from
-    its mask's set bits. n^2-bit rows are left to the dive, roots and masks
-    too large to go local (the restricted-domain top node at order 256 would
-    need 512 MB). None is stored: the dive builds the row of each pair it
-    adds, the roots' rows are built in blocks and each read once, and a mask
-    too large to go local rebuilds a row on every read.
+    Rows: a node whose mask's m pairs have an m x m compatibility matrix of
+    at most LOCAL_GRAPH_BYTES of bits stores that matrix (``_local_graph``)
+    and searches its whole subtree on it. Until then no row is stored: each
+    is built where it is read, from the pair's n^2-entry row selected at
+    pairs. That serves the dive, and the top node or roots too large to
+    store (the full order-256 domain would need 512 MB); the roots' own
+    rows are built in blocks and each read once.
 
     The budget counts node expansions (one per candidate scan of a partial
     ladder). Returns (best_depth, pairs, exhausted, nodes).
     """
-    if cap < 1:
-        return 0, [], True, 0
     n = F.shape[0]
     local_bits = 8 * LOCAL_GRAPH_BYTES
-    base = _int_rows(np.outer(a_allowed, b_allowed).reshape(1, -1))[0]
-    rows = _RowBuilder(F, eps)
     state = {"nodes": 0, "exhausted": True, "best": 0, "ladder": [], "stop": False}
     stack: list[int] = []  # pair indices of the partial ladder
 
@@ -173,54 +168,52 @@ def _max_ladder(F: np.ndarray, eps: float, cap: int, budget: int,
         state["nodes"] += 1
         return True
 
-    def visit(mask: int, rows, pairs) -> None:
+    def visit(mask: int, pairs, rows) -> None:
         """Branch and bound below the partial ladder on the stack.
 
-        pairs is None while mask and rows are n^2-bit; on a local subgraph
-        it maps local vertex i to its pair index.
+        Bit i of mask and of each of rows is pairs[i].
         """
         depth = len(stack)
         if not enter(depth) or not mask:
             return
         if depth + 1 >= cap:
             # any candidate completes a cap-length ladder
-            low = (mask & -mask).bit_length() - 1
-            stack.append(low if pairs is None else pairs[low])
+            stack.append(pairs[(mask & -mask).bit_length() - 1])
             enter(cap)
             stack.pop()
             return
-        if pairs is None and mask.bit_count() ** 2 <= local_bits:
-            mask, rows, pairs = _local_graph(F, eps, _set_bits(mask, n * n), n)
+        if isinstance(rows, _UnstoredRows) and mask.bit_count() ** 2 <= local_bits:
+            if mask.bit_count() < len(pairs):  # a root's mask has every pair: no copy
+                pairs = pairs[_set_bits(mask, len(pairs))]
+            mask, pairs, rows = _local_graph(F, eps, pairs)
         for v, colour in reversed(_colour_classes(mask, rows, state["best"] - depth)):
             if state["stop"] or depth + colour <= state["best"]:
                 return
-            stack.append(v if pairs is None else pairs[v])
-            visit(mask & rows[v], rows, pairs)
+            stack.append(pairs[v])
+            visit(mask & rows[v], pairs, rows)
             stack.pop()
             mask ^= 1 << v
 
     try:
-        mask = base
+        pairs = np.flatnonzero(np.outer(a_allowed, b_allowed))  # all domain pairs
+        rows = _UnstoredRows(F, eps, pairs)
+        mask = (1 << pairs.size) - 1
         while enter(len(stack)) and mask:  # the dive
             v = (mask & -mask).bit_length() - 1
-            stack.append(v)
+            stack.append(pairs[v])
             mask &= rows[v]
         stack.clear()
-        if not state["stop"]:
-            if not (a_allowed.all() and b_allowed.all()):
-                visit(base, rows, None)
-            elif enter(0):  # the roots (0, b)
-                for b, hit in enumerate(_pair_rows(F, eps, range(n))):
-                    if state["stop"]:
-                        break
-                    stack.append(b)
-                    later = np.flatnonzero(hit[b + 1:]) + b + 1
-                    if cap > 2 and later.size ** 2 <= local_bits:
-                        # (at cap 2 visit takes the first candidate: no graph)
-                        visit(*_local_graph(F, eps, later, n))
-                    else:
-                        visit(_int_rows(hit[None])[0] & ~((2 << b) - 1), rows, None)
-                    stack.pop()
+        if not (state["stop"] or a_allowed.all() and b_allowed.all()):
+            visit((1 << pairs.size) - 1, pairs, rows)  # the restricted domain
+        elif not state["stop"] and enter(0):  # the roots (0, b)
+            del pairs, rows  # the roots never read these n^2 indices (0.5 MB, n = 256)
+            for b, hit in enumerate(_pair_rows(F, eps, range(n))):
+                if state["stop"]:
+                    break
+                stack.append(b)
+                later = np.flatnonzero(hit[b + 1:]) + b + 1
+                visit((1 << later.size) - 1, later, _UnstoredRows(F, eps, later))
+                stack.pop()
     finally:
         # visit reaches itself through its closure cell; break that cycle so
         # reference counting frees the rows now, not a later gc pass
@@ -251,14 +244,16 @@ def _pair_rows(F: np.ndarray, eps: float, pairs):
         yield from np.abs(block, out=block).reshape(len(block), -1) >= eps
 
 
-class _RowBuilder:
-    """n^2-bit compatibility rows by pair index, built on each read."""
+class _UnstoredRows:
+    """Rows on the bits of ascending pairs: row v is pairs[v]'s n^2-entry row
+    from ``_pair_rows`` selected at pairs, built on each read and not kept."""
 
-    def __init__(self, F: np.ndarray, eps: float):
-        self.F, self.eps = F, eps
+    def __init__(self, F: np.ndarray, eps: float, pairs: np.ndarray):
+        self.F, self.eps, self.pairs = F, eps, pairs
 
-    def __getitem__(self, pair: int) -> int:
-        return _int_rows(next(_pair_rows(self.F, self.eps, [pair]))[None])[0]
+    def __getitem__(self, v: int) -> int:
+        hit = next(_pair_rows(self.F, self.eps, self.pairs[v:v + 1]))
+        return _int_rows(hit.take(self.pairs)[None])[0]
 
 
 def _set_bits(mask: int, nbits: int) -> np.ndarray:
@@ -280,21 +275,21 @@ def _int_rows(hit: np.ndarray) -> list[int]:
             for i in range(0, len(data), width)]
 
 
-def _local_graph(F: np.ndarray, eps: float, pairs: np.ndarray, n: int):
-    """The subgraph on ascending pair indices: (all-ones mask, rows, pairs).
+def _local_graph(F: np.ndarray, eps: float, pairs: np.ndarray):
+    """The subgraph on ascending pair indices: (all-ones mask, pairs, rows).
 
-    Local vertex i is pairs[i], so local index order is the pairs' index
-    order. Rows are built in ``row_blocks`` of m entries of F a row, so the
-    float temporaries stay small while the rows themselves take m^2 bits.
+    Bit i of the mask and of every row is pairs[i], returned as a list.
+    Rows are built in ``row_blocks`` of m entries of F a row, so the float
+    temporaries stay small while the rows themselves take m^2 bits.
     """
-    b = pairs % n
+    b = pairs % F.shape[0]
     an = pairs - b  # a * n
     rows: list[int] = []
     for blk in row_blocks(len(pairs), len(pairs)):
         # entry (i, j) is F[a_i, b_j] - F[a_j, b_i], read at flat index a*n + b
         diff = F.take(an[blk, None] + b) - F.take(an + b[blk, None])
         rows += _int_rows(np.abs(diff, out=diff) >= eps)
-    return (1 << len(rows)) - 1, rows, pairs.tolist()
+    return (1 << len(rows)) - 1, pairs.tolist(), rows
 
 
 def _colour_classes(mask: int, rows, skip: int) -> list[tuple[int, int]]:

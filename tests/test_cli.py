@@ -284,6 +284,28 @@ def test_failed_decomposition_ends_with_one_line(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "o.json").exists()
 
 
+def test_product_over_cap_ends_with_one_line(tmp_path, capsys):
+    # the 2048^2-order product table would ask numpy for 128 TiB
+    cfg = _write_config(tmp_path / "c.ini", {"group": "product:zmod:2048,zmod:2048"})
+    code = main(["group-info", "--config", str(cfg), "--out", str(tmp_path / "o.json")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: product order 4194304 exceeds cap 2048\n"
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_allocation_failure_ends_with_one_line(tmp_path, monkeypatch, capsys):
+    def fail(reps):
+        raise MemoryError()
+
+    monkeypatch.setattr(bohrlab.cli, "direct_sum_hom", fail)
+    cfg = _write_config(tmp_path / "c.ini", {"group": "zmod:12", "summands": "1,1",
+                                             "delta": "1.0"})
+    code = main(["bohr", "--config", str(cfg), "--out", str(tmp_path / "o.json")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: MemoryError\n"
+    assert not (tmp_path / "o.json").exists()
+
+
 @pytest.mark.parametrize("group", ["sym:4", "dihedral:12"])
 def test_irreps_payload_does_not_depend_on_the_seed(monkeypatch, group):
     # a fresh group for each seed, so each run decomposes it anew

@@ -360,6 +360,19 @@ def test_catalog_descriptor_gives_one_shared_group():
     assert build_group("zmod:24") is not build_group("product:zmod:3,zmod:8")
 
 
+def test_product_over_cap_raises_before_building_its_table():
+    build_group("zmod:64")  # warm the shared factor
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="product order 4096 exceeds cap 2048"):
+            build_group("product:zmod:64,zmod:64")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 4096^2 product table would take 128 MiB of int64
+    assert peak < 1 << 20
+
+
 def test_file_group_is_read_on_every_call(tmp_path):
     path = tmp_path / "table.txt"
     path.write_text(format_cayley_table(build_group("zmod:3")))

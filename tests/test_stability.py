@@ -314,15 +314,20 @@ def test_pilot_ladder_pinned(desc, seed, k_max, status, nodes, a_seq, b_seq):
     "zmod:12-4-0.8-a_dom0-b_dom0-1678-a_seq0-b_seq0",
     "dihedral:6-9-1.2-a_dom1-b_dom1-701-a_seq1-b_seq1",
 ])
-def test_domain_ladder_pinned(desc, seed, eps, a_dom, b_dom, nodes, a_seq, b_seq):
+def test_domain_ladder_pinned(monkeypatch, desc, seed, eps, a_dom, b_dom, nodes,
+                             a_seq, b_seq):
+    from bohrlab import stability
     g = build_group(desc)
     f = random_uniform_function(g, rng_from_seed(seed))
-    idx = ladder_index(f, eps, cap=8, budget=10_000,
-                       a_domain=Subset.from_indices(g, a_dom),
-                       b_domain=Subset.from_indices(g, b_dom))
-    assert (idx.k_max, idx.status, idx.nodes) == (4, "exact", nodes)
-    assert (idx.witness.a_seq, idx.witness.b_seq) == (a_seq, b_seq)
-    assert idx.witness.is_valid_for(f)
+    # rows never stored, stored once a mask has m <= 126 pairs, and as shipped
+    for local_bytes in (0, 2000, stability.LOCAL_GRAPH_BYTES):
+        monkeypatch.setattr(stability, "LOCAL_GRAPH_BYTES", local_bytes)
+        idx = ladder_index(f, eps, cap=8, budget=10_000,
+                           a_domain=Subset.from_indices(g, a_dom),
+                           b_domain=Subset.from_indices(g, b_dom))
+        assert (idx.k_max, idx.status, idx.nodes) == (4, "exact", nodes)
+        assert (idx.witness.a_seq, idx.witness.b_seq) == (a_seq, b_seq)
+        assert idx.witness.is_valid_for(f)
 
 
 def test_ladder_index_retains_no_memory():
@@ -360,7 +365,7 @@ def _pilot_function(desc, seed):
 def test_large_masks_read_rows_without_storing(monkeypatch):
     from bohrlab import stability
     f = _pilot_function("zmod:60", 1001)
-    reads = np.zeros(60 * 60, dtype=np.int64)  # n^2-bit row reads per pair
+    reads = np.zeros(60 * 60, dtype=np.int64)  # n^2-entry row builds per pair
     pair_rows = stability._pair_rows
 
     def counted(F, eps, pairs):
@@ -379,19 +384,23 @@ def test_large_masks_read_rows_without_storing(monkeypatch):
     monkeypatch.setattr(stability, "_pair_rows", counted)
     pin = (6, "exact", 1574, (0, 57, 45, 22, 15, 0), (7, 10, 32, 55, 10, 25))
     local, local_reads, _ = run(stability.LOCAL_GRAPH_BYTES)
+    # at 2,000 bytes the roots (182 to 216 pairs) read unstored rows, and
+    # their descendants store theirs once m^2 <= 16,000 bits (m <= 126)
+    switched, switched_reads, _ = run(2000)
     tracemalloc.start()
     try:
-        # with no room for a local graph every mask reads n^2-bit rows
+        # with no room for a local graph every row is built where it is read
         rows, rows_reads, distinct = run(0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # the traversal does not depend on the representation
-    assert local == rows == pin
-    # as shipped, n^2-bit rows serve only the 60 roots and the 4-step dive
+    assert local == switched == rows == pin
+    # as shipped, n^2-entry rows serve only the 60 roots and the 4-step dive
     assert local_reads == 64
-    # each read builds its row afresh: the 2,833 distinct rows, read 39,130
-    # times, take 1.3 MB of bits alone, and none of them is kept
+    assert switched_reads == 14_368
+    # each read builds its row afresh from n^2 entries: the 2,833 distinct
+    # rows are read 39,130 times, and none of them is kept
     assert (rows_reads, distinct) == (39_130, 2_833)
     assert peak < 1 << 20
 
@@ -407,7 +416,7 @@ def test_local_graph_matches_explicit_adjacency(monkeypatch, n, block_entries):
     F = stability._pair_table(random_uniform_function(g, rng))
     for size in (0, 1, 63, 64, 65, 150):
         pairs = np.sort(rng.choice(n * n, min(size, n * n), replace=False))
-        mask, rows, listed = stability._local_graph(F, 0.5, pairs, n)
+        mask, listed, rows = stability._local_graph(F, 0.5, pairs)
         # as in oracle_ladder_index: adj[i, j] = |F[a_i, b_j] - F[a_j, b_i]| >= eps
         e1 = F[(pairs // n)[:, None], (pairs % n)[None, :]]
         adj = np.abs(e1 - e1.T) >= 0.5
@@ -461,9 +470,9 @@ def test_order_256_ladder_pinned(monkeypatch, desc, seed, nodes, a_seq, b_seq,
     sizes = []
     local_graph = stability._local_graph
 
-    def recorded(F, eps, pairs, n):
+    def recorded(F, eps, pairs):
         sizes.append(len(pairs))
-        return local_graph(F, eps, pairs, n)
+        return local_graph(F, eps, pairs)
 
     monkeypatch.setattr(stability, "_local_graph", recorded)
     tracemalloc.start()
