@@ -436,37 +436,59 @@ def build_group(descriptor: str) -> FiniteGroup:
         return from_cayley_table(Path(rest).read_text(encoding="utf-8"), descriptor)
     if descriptor in _SHARED:
         return _SHARED[descriptor]
-    if head == "zmod":
-        table = _cyclic_table(_parse_count(rest, descriptor, 1, MAX_ORDER))
-    elif head == "product":
-        parts = [p for p in rest.split(",") if p]
+    if head == "product":
+        parts = [p.strip() for p in rest.split(",") if p]
         if not parts:
             raise ValueError(f"empty product descriptor {descriptor!r}")
-        tables = [build_group(p).table for p in parts]
-        order = math.prod(len(t) for t in tables)  # checked before the (n1 n2)^2 table
-        if order > MAX_ORDER:
+        # a catalog factor's order is read off its descriptor, so a product
+        # over the cap builds no factor table; file: and product: factors
+        # are built (a file is read once)
+        built = {p: build_group(p) for p in parts
+                 if p.partition(":")[0] in ("file", "product")}
+        order = math.prod(built[p].order if p in built else _catalog_order(p)
+                          for p in parts)
+        if order > MAX_ORDER:  # checked before the (n1 n2)^2 table
             raise ValueError(f"product order {order} exceeds cap {MAX_ORDER}")
-        table = reduce(_product_table, tables)
-    elif head == "dihedral":
-        table = _dihedral_table(_parse_count(rest, descriptor, 1, MAX_ORDER // 2))
-    elif head == "quaternion":
-        if rest != "8":
-            raise ValueError(f"only quaternion:8 is in the catalog, got {descriptor!r}")
-        table = _quaternion_table()
-    elif head in ("sym", "alt"):
-        n = _parse_count(rest, descriptor, 1, 5)
-        perms = [tuple(p) for p in itertools.permutations(range(n))]
-        if head == "alt":
-            perms = [p for p in perms if _perm_parity(p) == 0]
-        table = _permutation_table(perms)
+        table = reduce(_product_table, [(built.get(p) or build_group(p)).table
+                                        for p in parts])
     else:
-        raise ValueError(f"unknown group descriptor {descriptor!r}")
+        order = _catalog_order(descriptor)
+        if head == "zmod":
+            table = _cyclic_table(order)
+        elif head == "dihedral":
+            table = _dihedral_table(order // 2)
+        elif head == "quaternion":
+            table = _quaternion_table()
+        else:
+            perms = [tuple(p) for p in itertools.permutations(range(int(rest)))]
+            if head == "alt":
+                perms = [p for p in perms if _perm_parity(p) == 0]
+            table = _permutation_table(perms)
     group = FiniteGroup(table, descriptor)
     if group.order ** 2 <= SHARED_ORDER_SQ:  # else built but not kept
         _SHARED[descriptor] = group
         while sum(g.order ** 2 for g in _SHARED.values()) > SHARED_ORDER_SQ:
             del _SHARED[next(iter(_SHARED))]
     return group
+
+
+def _catalog_order(descriptor: str) -> int:
+    """The order of the group a catalog descriptor (not ``file:`` or
+    ``product:``) names, read off the descriptor and checked against the
+    catalog ranges: zmod n, dihedral 2n, quaternion 8, sym n!, alt n!/2."""
+    head, _, rest = descriptor.partition(":")
+    if head == "zmod":
+        return _parse_count(rest, descriptor, 1, MAX_ORDER)
+    if head == "dihedral":
+        return 2 * _parse_count(rest, descriptor, 1, MAX_ORDER // 2)
+    if head == "quaternion":
+        if rest != "8":
+            raise ValueError(f"only quaternion:8 is in the catalog, got {descriptor!r}")
+        return 8
+    if head in ("sym", "alt"):
+        n = _parse_count(rest, descriptor, 1, 5)
+        return max(1, math.factorial(n) // (2 if head == "alt" else 1))
+    raise ValueError(f"unknown group descriptor {descriptor!r}")
 
 
 def _parse_count(text: str, descriptor: str, lo: int, hi: int) -> int:

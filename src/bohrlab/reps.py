@@ -122,25 +122,39 @@ class UnitaryRep:
 def measure_hom_residual(rep: UnitaryRep) -> float:
     """Max over all n^2 pairs of ||t(ab) - t(a) t(b)||_op.
 
-    The pairs go in ``row_blocks``: in dimension 1 of whole rows a, above it
-    of pairs at dim^2 entries each, where an SVD runs only on a pair whose
-    Frobenius norm can still set the maximum (see ``_max_op_norm``).
+    The pairs go in ``row_blocks`` of whole rows a. Above dimension 1 each
+    block's products are one matrix product (``_residual_blocks``), and an
+    SVD runs only on a pair whose Frobenius norm can still set the maximum
+    (see ``_max_op_norm``).
     """
     g, mats = rep.group, rep.matrices
     n = g.order
     if rep.dim == 1:
-        # einsum rounds each product as the general path does
         chi = mats[:, 0, 0]
         return max(float(np.max(np.abs(chi[g.table[blk]]
                                        - np.einsum("a,b->ab", chi[blk], chi))))
                    for blk in row_blocks(n, n))
     worst = 0.0
-    for blk in row_blocks(n * n, rep.dim ** 2):
-        ai, bi = np.divmod(np.arange(blk.start, blk.stop), n)
-        prod = np.einsum("pij,pjk->pik", mats[ai], mats[bi])
-        diff = mats[g.table[ai, bi]] - prod
-        worst = _max_op_norm(diff, worst)
+    for batch in _residual_blocks(rep):
+        worst = _max_op_norm(batch, worst)
     return worst
+
+
+def _residual_blocks(rep: UnitaryRep):
+    """t(ab) - t(a) t(b) over all pairs (a, b) in row-major order, yielded
+    as (p, d, d) batches of whole rows a.
+
+    A block of r rows is one (d*r x d) @ (d x n*d) product, rows (i, a) of
+    t(a)[i, :] against columns (b, k) of t(b)[:, k], and t(ab) is gathered
+    in the same [i, a, b, k] layout; each batch is a view of that array.
+    """
+    g, mats, d = rep.group, rep.matrices, rep.dim
+    n = g.order
+    cols = np.ascontiguousarray(mats.transpose(1, 0, 2))  # [j, b, k]
+    for rows in row_blocks(n, n * d * d):
+        prod = mats[rows].transpose(1, 0, 2).reshape(-1, d) @ cols.reshape(d, n * d)
+        diff = np.take(cols, g.table[rows], axis=1) - prod.reshape(d, -1, n, d)
+        yield diff.reshape(d, -1, d).transpose(1, 0, 2)
 
 
 def _max_op_norm(batch: np.ndarray, worst: float) -> float:
@@ -152,8 +166,8 @@ def _max_op_norm(batch: np.ndarray, worst: float) -> float:
     can sit an ulp above its computed Frobenius norm. Each SVD is the one
     the whole batch would run, so the result is bitwise the unfiltered max.
     """
-    flat = batch.reshape(len(batch), -1).view(np.float64)
-    frob = np.sqrt(np.einsum("pi,pi->p", flat, flat))
+    flat = batch.view(np.float64)  # a view, as its last axis is contiguous
+    frob = np.sqrt(np.einsum("pij,pij->p", flat, flat))
     if batch.shape[-1] == 1 or not np.all(np.isfinite(frob)):
         # no SVD to save; or let the SVD raise on NaN as it would unfiltered
         return max(worst, float(np.max(_op_norms(batch))))
@@ -287,20 +301,32 @@ def _split_invariant(mats: np.ndarray, rng: np.random.Generator,
     if depth > 12:
         raise RepDecompositionError("splitting recursion failed to converge")
 
+    # columns (g, j) of t(g)[:, j], so sum_g t(g) h t(g)^H is one product
+    cols = mats.transpose(1, 0, 2).reshape(d, n * d)
     for _ in range(4):
         h = _random_hermitian(d, rng)
-        avg = np.einsum("gij,jk,glk->il", mats, h, mats.conj()) / n
+        th = (mats.reshape(n * d, d) @ h).reshape(n, d, d)
+        avg = th.transpose(1, 0, 2).reshape(d, n * d) @ cols.conj().T / n
         w, v = np.linalg.eigh(avg)
         clusters = _eig_clusters(w)
         if len(clusters) > 1:
             bases = []
             for idx in clusters:
                 q = np.linalg.qr(v[:, idx])[0]
-                sub = np.einsum("ji,gjk,kl->gil", q.conj(), mats, q)
+                sub = _rebase(mats, q)
                 for inner in _split_invariant(sub, rng, depth + 1):
                     bases.append(q @ inner)
             return bases
     raise RepDecompositionError("eigenvalue clustering failed to separate")
+
+
+def _rebase(mats: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """q^H t(g) q for every g of an (n, m, m) stack and an (m, k) q, as two
+    matrix products over the whole stack."""
+    n, m, k = mats.shape[0], q.shape[0], q.shape[1]
+    tq = (mats.reshape(n * m, m) @ q).reshape(n, m, k)
+    out = q.conj().T @ tq.transpose(1, 0, 2).reshape(m, n * k)
+    return np.ascontiguousarray(out.reshape(k, n, k).transpose(1, 0, 2))
 
 
 def _commuting_family(commutators: np.ndarray, kernel: np.ndarray) -> list[int]:
@@ -328,21 +354,21 @@ def _diagonal_friendly(mats: np.ndarray, family: list[int],
                        rng: np.random.Generator) -> np.ndarray:
     """Rebase an irrep so the commuting ``family`` of its images is diagonal.
 
-    Jointly diagonalizes the family via a generic Hermitian combination.
+    Jointly diagonalizes the family via a generic Hermitian combination
+    sum_c x_c (c + c^H) + i y_c (c - c^H) = s + s^H, s = sum_c (x_c + i y_c) c,
+    with one normal pair (x_c, y_c) drawn per member in family order.
     Column phases are normalized for determinism.
     """
     d = mats.shape[1]
-    h = np.zeros((d, d), dtype=np.complex128)
-    for c in mats[family]:
-        x, y = rng.standard_normal(2)
-        h += x * (c + c.conj().T) + y * 1j * (c - c.conj().T)
-    _, v = np.linalg.eigh(h)
+    xy = rng.standard_normal((len(family), 2))
+    s = ((xy[:, 0] + 1j * xy[:, 1]) @ mats[family].reshape(-1, d * d)).reshape(d, d)
+    _, v = np.linalg.eigh(s + s.conj().T)
     for col in range(d):
         pivot = int(np.argmax(np.abs(v[:, col])))
         p = v[pivot, col]
         if abs(p) > 0:
             v[:, col] *= np.conj(p) / abs(p)
-    return np.einsum("ji,gjk,kl->gil", v.conj(), mats, v)
+    return _rebase(mats, v)
 
 
 def _word_generators(group: FiniteGroup) -> tuple[np.ndarray, int]:
@@ -403,6 +429,11 @@ def max_hom_residual_bound(reps: list[UnitaryRep]) -> float:
     return max(_hom_residual_bound(rep, gens, length) for rep in reps)
 
 
+def _is_known(chi: np.ndarray, chars: np.ndarray) -> bool:
+    """Whether ``chi`` is within CHAR_MATCH_TOL of a row of ``chars``."""
+    return bool(np.any(np.max(np.abs(chars - chi), axis=1) < CHAR_MATCH_TOL))
+
+
 def _char_sort_key(character: np.ndarray, dim: int):
     rounded = tuple((round(float(z.real), 8), round(float(z.imag), 8))
                     for z in character)
@@ -413,12 +444,16 @@ def decompose_regular(group: FiniteGroup, seed: int = 0) -> list[UnitaryRep]:
     """Complete list of inequivalent irreducibles of the regular representation.
 
     Algorithm: average a random Hermitian matrix over conjugation by the
-    regular representation (a projection onto its commutant), split the
-    averaged matrix's eigenspaces into invariant subspaces, recurse until
-    each carries an irreducible, then deduplicate by character. Verifies
+    regular representation (a projection onto its commutant, in O(n^2) by
+    ``_commutant_projection``), split the averaged matrix's eigenspaces into
+    invariant subspaces, recurse until each carries an irreducible, then
+    deduplicate by character; an eigenspace whose character, read off its
+    projection, was already found is skipped before its matrices are built.
+    Every basis change is a matrix product over the whole stack. Verifies
     sum(dim^2) = |G| exactly and residuals <= 1e-9, trying six seeds. The
     hom residual is certified by ``_hom_residual_bound`` from n * |S| pairs
-    and measured over all pairs only when that bound exceeds 1e-9, so the
+    and measured over all pairs only when that bound exceeds 1e-9 (by one
+    matrix product per row block, see ``measure_hom_residual``), so the
     check passes exactly when the measured residual would.
     """
     n = group.order
@@ -435,6 +470,17 @@ def decompose_regular(group: FiniteGroup, seed: int = 0) -> list[UnitaryRep]:
         f"decomposition failed after 6 seeds: {last_err}")
 
 
+def _commutant_projection(group: FiniteGroup, h: np.ndarray) -> np.ndarray:
+    """mean_g rho(g) h rho(g)^-1 for the left regular representation rho.
+
+    Entry (i, j) is mean_g h[g^-1 i, g^-1 j]; with k = g^-1 i it is
+    c(x) = mean_k h[k, kx] at x = i^-1 j, so n^2 gathers give every entry.
+    """
+    table = group.table
+    c = np.take_along_axis(h, table, axis=1).mean(axis=0)
+    return c[table[group.inverse, :]]
+
+
 def _decompose_once(group: FiniteGroup, rng: np.random.Generator) -> list[UnitaryRep]:
     n = group.order
     left_inv = group.table[group.inverse, :]  # row g: h -> g^-1 h
@@ -442,29 +488,35 @@ def _decompose_once(group: FiniteGroup, rng: np.random.Generator) -> list[Unitar
     if n == 1:
         return [UnitaryRep(group, np.ones((1, 1, 1)), label="irrep0")]
 
-    # Project a random Hermitian onto the commutant of the regular rep.
-    h = _random_hermitian(n, rng)
-    avg = np.zeros_like(h)
-    for g in group.elements():
-        pre = left_inv[g]
-        avg += h[np.ix_(pre, pre)]
-    avg /= n
-
-    w, v = np.linalg.eigh(avg)
+    w, v = np.linalg.eigh(_commutant_projection(group, _random_hermitian(n, rng)))
     clusters = _eig_clusters(w)
     if len(clusters) == 1 and n > 1:
         raise RepDecompositionError("top-level eigenvalues did not separate")
 
+    # P = QQ^H projects onto an invariant subspace, so it commutes with rho
+    # and P[i, j] = p(i^-1 j) with p = P[e, :]: the cluster's character
+    # chi(g) = sum_h P[g^-1 h, h] is sum_h p(h^-1 g h). Its rounding is far
+    # below CHAR_MATCH_TOL; a match is a copy of a found irrep (a reducible
+    # cluster has <chi, chi> >= 2), and a miss only builds a copy's matrices.
+    conjugates = group.table[left_inv, np.arange(n)[:, None]]  # [h, g] = h^-1 g h
+    known = np.empty((n, n), dtype=np.complex128)  # the characters found so far
     found: list[tuple[np.ndarray, np.ndarray]] = []  # (character, matrices)
     for idx in clusters:
         q = np.linalg.qr(v[:, idx])[0]
-        # sigma(g) = Q^H rho(g) Q with rho(g) the left-multiplication permutation
-        sub = np.einsum("ji,gjk->gik", q.conj(), q[left_inv, :])
+        p = q[group.identity] @ q.conj().T
+        if _is_known(np.take(p, conjugates).sum(axis=0), known[:len(found)]):
+            continue  # a copy of a found irrep: no matrices, no rng draw
+        # sigma(g) = Q^H rho(g) Q = Q[gh]^H Q with rho(g) the left-multiplication
+        # permutation: rows (k, g) of Q^H[k, gh] in one product
+        m = len(idx)
+        qh = np.take(q.conj().T, group.table, axis=1).reshape(m * n, n)
+        sub = np.ascontiguousarray((qh @ q).reshape(m, n, m).transpose(1, 0, 2))
         for basis in _split_invariant(sub, rng):
-            mats = np.einsum("ji,gjk,kl->gil", basis.conj(), sub, basis)
+            mats = _rebase(sub, basis)
             chi = np.trace(mats, axis1=1, axis2=2)
-            if any(np.max(np.abs(chi - c0)) < CHAR_MATCH_TOL for c0, _ in found):
+            if _is_known(chi, known[:len(found)]):
                 continue
+            known[len(found)] = chi
             found.append((chi, mats))
 
     if sum(m.shape[1] ** 2 for _, m in found) != n:

@@ -623,6 +623,25 @@ def test_fixture_payloads_identical_across_processes(tmp_path, path):
     assert len(set(reports)) == 1
 
 
+def test_irreps_payloads_identical_across_blas_thread_counts(tmp_path):
+    # at the orders labbench decomposes most, the irrep matrices do not
+    # depend on how BLAS splits its products between threads (from order
+    # 100 up, the order-n eigh and qr make them differ in the last bits)
+    code = ("import json\nfrom bohrlab.cli import run_experiment\n"
+            "for group in ('sym:4', 'dihedral:12', 'alt:5', 'dihedral:30'):\n"
+            "    report = run_experiment({'kind': 'irreps', 'group': group})\n"
+            "    print(json.dumps(report.payload, sort_keys=True))\n")
+    outputs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, cwd=tmp_path,
+                              env=_child_env(OPENBLAS_NUM_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == 4
+    assert outputs[0] == outputs[1]
+
+
 def test_candidate_walk_ends_past_reachable_dimension(tmp_path):
     # Z/12 has twelve 1-dim irreps, so no candidate of at most three
     # summands has dimension above 3; a huge max_dim must end the same walk

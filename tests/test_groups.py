@@ -373,6 +373,37 @@ def test_product_over_cap_raises_before_building_its_table():
     assert peak < 1 << 20
 
 
+def test_product_order_is_read_before_any_factor_is_built():
+    # an order-2048 factor alone is a 32 MiB table, validated before use
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="product order 4194304 exceeds cap 2048"):
+            build_group("product:zmod:2048,zmod:2048")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("desc,order", [
+    ("zmod:7", 7), ("dihedral:9", 18), ("quaternion:8", 8), ("sym:1", 1),
+    ("sym:4", 24), ("alt:1", 1), ("alt:2", 1), ("alt:3", 3), ("alt:5", 60)])
+def test_catalog_order_read_off_descriptor_is_built_order(desc, order):
+    assert groups._catalog_order(desc) == order == build_group(desc).order
+
+
+def test_product_reads_file_factors(tmp_path):
+    path = tmp_path / "s3.txt"
+    path.write_text(format_cayley_table(build_group("sym:3")))
+    g = build_group(f"product:zmod:2,file:{path}")
+    assert g.order == 12 and not g.is_abelian
+    with pytest.raises(ValueError, match="product order 6144 exceeds cap 2048"):
+        build_group(f"product:file:{path},zmod:1024")
+    path.write_text("not a table")
+    with pytest.raises(ValueError):
+        build_group(f"product:zmod:2048,file:{path}")
+
+
 def test_file_group_is_read_on_every_call(tmp_path):
     path = tmp_path / "table.txt"
     path.write_text(format_cayley_table(build_group("zmod:3")))

@@ -265,29 +265,30 @@ def test_residual_exhaustive_on_dihedral50_irreps():
                    - _brute_force_residual(ir)) <= 1e-15
 
 
-def _unfiltered_residual(rep, a, b):
+def _pair_differences(rep):
+    """Batches of t(ab) - t(a) t(b) over all pairs, from the library's own
+    products: the dimension-1 outer product, and above it one matrix product
+    per row block."""
+    if rep.dim > 1:
+        yield from reps._residual_blocks(rep)
+        return
+    chi, table = rep.matrices[:, 0, 0], rep.group.table
+    yield (chi[table] - np.einsum("a,b->ab", chi, chi)).reshape(-1, 1, 1)
+
+
+def _unfiltered_residual(rep):
     """The residual without the Frobenius prefilter: every pair's operator
-    norm, from the library's own product, in its 4,096-pair chunks."""
-    mats, table = rep.matrices, rep.group.table
-    worst = 0.0
-    for lo in range(0, len(a), 4096):
-        ai, bi = a[lo:lo + 4096], b[lo:lo + 4096]
-        diff = mats[table[ai, bi]] - np.einsum("pij,pjk->pik", mats[ai], mats[bi])
-        norms = (np.abs(diff[:, 0, 0]) if rep.dim == 1
-                 else np.linalg.svd(diff, compute_uv=False)[:, 0])
-        worst = max(worst, float(np.max(norms)))
-    return worst
-
-
-def _all_pairs(group):
-    return np.divmod(np.arange(group.order ** 2), group.order)
+    norm, from the library's own products."""
+    return max(float(np.max(np.abs(diff[:, 0, 0]) if rep.dim == 1
+                            else np.linalg.svd(diff, compute_uv=False)[:, 0]))
+               for diff in _pair_differences(rep))
 
 
 @pytest.mark.parametrize("desc", ["dihedral:50", "alt:5"])
 def test_prefiltered_residual_equals_unfiltered(desc):
     g = build_group(desc)
     for ir in decompose_regular(g):
-        assert ir.hom_residual == _unfiltered_residual(ir, *_all_pairs(g))
+        assert ir.hom_residual == _unfiltered_residual(ir)
 
 
 def test_prefiltered_residual_with_planted_full_rank_error(a5):
@@ -296,7 +297,7 @@ def test_prefiltered_residual_with_planted_full_rank_error(a5):
     mats = three.matrices.copy()
     mats[17] += 1e-3 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
     rep = UnitaryRep(a5, mats, label="planted")
-    assert rep.hom_residual == _unfiltered_residual(rep, *_all_pairs(a5))
+    assert rep.hom_residual == _unfiltered_residual(rep)
     assert rep.hom_residual > 1e-4
 
 
@@ -309,11 +310,10 @@ def test_prefiltered_residual_with_planted_rank1_error():
     mats = two.matrices.copy()
     mats[1, 0, 1] += 1.0
     rep = UnitaryRep(g, mats, label="planted")
-    a, b = _all_pairs(g)
-    diff = mats[g.table[a, b]] - np.einsum("pij,pjk->pik", mats[a], mats[b])
+    diff = np.concatenate(list(_pair_differences(rep)))
     svd = np.linalg.svd(diff, compute_uv=False)[:, 0]
     assert np.any(svd > np.linalg.norm(diff, axis=(1, 2)))
-    assert rep.hom_residual == _unfiltered_residual(rep, a, b)
+    assert rep.hom_residual == _unfiltered_residual(rep)
     assert rep.hom_residual >= 1.0
 
 
@@ -329,7 +329,7 @@ def test_residual_bound_with_planted_error():
     mats[250] += 1e-7 * np.outer(u[:, 0], u[:, 1].conj())
     rep = UnitaryRep(g, mats, label="planted")
     # every pair is measured above order 316 too, and the bound holds it
-    assert rep.hom_residual == _unfiltered_residual(rep, *_all_pairs(g))
+    assert rep.hom_residual == _unfiltered_residual(rep)
     assert 0.5e-7 < rep.hom_residual <= max_hom_residual_bound([rep])
 
 
@@ -361,20 +361,21 @@ def _float_commuting_family(mats):
 
 
 def _float_diagonal_friendly(mats, rng):
-    """The rebasing with the family picked by float commutators."""
+    """The rebasing with the family picked by float commutators: the
+    Hermitian sum of x c + x c^H + i y c - i y c^H over the family is
+    s + s^H with s = sum (x + i y) c, and the basis change is the library's
+    product."""
     d = mats.shape[1]
-    h = np.zeros((d, d), dtype=np.complex128)
-    for c in _float_commuting_family(mats):
-        c = mats[c]
-        x, y = rng.standard_normal(2)
-        h += x * (c + c.conj().T) + y * 1j * (c - c.conj().T)
-    _, v = np.linalg.eigh(h)
+    family = _float_commuting_family(mats)
+    xy = rng.standard_normal((len(family), 2))
+    s = ((xy[:, 0] + 1j * xy[:, 1]) @ mats[family].reshape(-1, d * d)).reshape(d, d)
+    _, v = np.linalg.eigh(s + s.conj().T)
     for col in range(d):
         pivot = int(np.argmax(np.abs(v[:, col])))
         p = v[pivot, col]
         if abs(p) > 0:
             v[:, col] *= np.conj(p) / abs(p)
-    return np.einsum("ji,gjk,kl->gil", v.conj(), mats, v)
+    return reps._rebase(mats, v)
 
 
 @pytest.mark.parametrize("desc", NONABELIAN)
@@ -400,6 +401,76 @@ def test_commuting_family_matches_pairwise_loop(desc, monkeypatch):
         ours = real(mats, family, ours_rng)
         assert ours.tobytes() == _float_diagonal_friendly(mats, rng).tobytes()
         assert ours_rng.bit_generator.state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize("count", [0, 1, 7])
+def test_one_family_draw_is_the_per_member_draws(count):
+    """One (count, 2) normal draw gives the pairs, and leaves the generator
+    in the state, of count draws of two."""
+    one, each = np.random.default_rng(9), np.random.default_rng(9)
+    drawn = one.standard_normal((count, 2))
+    pairs = [each.standard_normal(2) for _ in range(count)]
+    assert drawn.tobytes() == np.array(pairs, dtype=np.float64).reshape(count, 2).tobytes()
+    assert one.bit_generator.state == each.bit_generator.state
+
+
+def _loop_projection(group, h):
+    """mean_g rho(g) h rho(g)^-1, by one n x n gather per element g."""
+    left_inv = group.table[group.inverse, :]
+    avg = np.zeros_like(h)
+    for g in group.elements():
+        pre = left_inv[g]
+        avg += h[np.ix_(pre, pre)]
+    return avg / group.order
+
+
+@pytest.mark.parametrize("desc", NONABELIAN)
+def test_commutant_projection_matches_per_element_loop(desc):
+    g = build_group(desc)
+    h = reps._random_hermitian(g.order, np.random.default_rng(0))
+    avg = reps._commutant_projection(g, h)
+    assert np.max(np.abs(avg - _loop_projection(g, h))) <= 1e-12
+
+
+@pytest.mark.parametrize("desc", NONABELIAN + ["dihedral:100", "dihedral:128"])
+def test_decomposition_needs_no_reseed(desc, monkeypatch):
+    attempts = []
+    real = reps._decompose_once
+
+    def counted(group, rng):
+        attempts.append(group.descriptor)
+        return real(group, rng)
+
+    monkeypatch.setattr(reps, "_decompose_once", counted)
+    g = build_group(desc)
+    for seed in range(3):
+        attempts.clear()
+        irreps = decompose_regular(g, seed=seed)
+        assert attempts == [desc], seed
+        assert sum(ir.dim ** 2 for ir in irreps) == g.order
+
+
+@pytest.mark.parametrize("desc", ["sym:3", "quaternion:8", "alt:5"])
+def test_split_invariant_splits_a_rotated_direct_sum(desc):
+    """The recursive split, which no catalog decomposition reaches, takes a
+    direct sum of irreps with one repeated, in a random unitary basis, to
+    orthonormal invariant subspaces that each carry an irreducible."""
+    g = build_group(desc)
+    irreps = decompose_regular(g)
+    total = direct_sum_hom(irreps + irreps[-1:])
+    rng = np.random.default_rng(4)
+    d = total.dim
+    u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    mats = u @ total.matrices @ u.conj().T
+    bases = reps._split_invariant(mats, rng)
+    assert sorted(b.shape[1] for b in bases) == sorted(
+        [ir.dim for ir in irreps] + [irreps[-1].dim])
+    for b in bases:
+        assert np.max(np.abs(b.conj().T @ b - np.eye(b.shape[1]))) < 1e-10
+        sub = reps._rebase(mats, b)
+        assert np.max(np.abs(mats @ b - b @ sub)) < 1e-9  # t(g) b = b sigma(g)
+        chi = np.trace(sub, axis1=1, axis2=2)
+        assert abs(np.mean(np.abs(chi) ** 2) - 1.0) < 1e-6
 
 
 def _count_hom_residuals(monkeypatch):
