@@ -8,7 +8,7 @@ from .groups import (FiniteGroup, GroupFunction, GroupValidationError, Subset,
                      inverse_set, product_set, translate_set)
 from .reps import (UnitaryRep, abelian_characters, decompose_regular,
                    direct_sum_hom, irreps_of, measure_hom_residual,
-                   min_nontrivial_dim, operator_distance)
+                   min_nontrivial_dim)
 from .bohr import (BohrSpec, SearchResult, SearchSpace, bohr_set,
                    cover_bound_check, enumerate_bohr_candidates, greedy_cover,
                    nm_refine, subgroup_test)

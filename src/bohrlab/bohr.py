@@ -36,7 +36,7 @@ class NoDiagonalRefinementError(ValueError):
 class BohrSpec:
     """A realized Bohr neighborhood: homomorphism, radius, and element set.
 
-    ``kind`` is ``torus`` when every matrix of tau is diagonal, ``nm`` for a
+    ``kind`` is ``torus`` when every summand of tau has dim 1, ``nm`` for a
     refinement through a diagonal normal subgroup, and ``unitary`` otherwise.
     For ``nm``, ``nm_subgroup`` is K <= G, the elements with diagonal tau(g),
     and ``m`` its index: tau(K) is the diagonal part of the image, and
@@ -82,7 +82,8 @@ def bohr_set(group: FiniteGroup, tau: UnitaryRep, delta: float) -> BohrSpec:
     if boundary.size:
         logger.debug("bohr_set %s delta=%g: excluded boundary elements %s",
                      tau.label, delta, boundary.tolist())
-    kind = "torus" if tau.is_diagonal else "unitary"
+    # an irreducible of dim >= 2 has no basis making all its matrices diagonal
+    kind = "torus" if tau.dim == (len(tau.summands) or 1) else "unitary"
     return BohrSpec(tau=tau, delta=float(delta), kind=kind,
                     realized=Subset(group, mask),
                     boundary_excluded=tuple(int(b) for b in boundary))

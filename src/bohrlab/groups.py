@@ -193,7 +193,10 @@ class Subset:
     @classmethod
     def from_indices(cls, group: FiniteGroup, indices) -> "Subset":
         mask = np.zeros(group.order, dtype=bool)
-        idx = np.asarray(list(indices), dtype=np.int64)
+        try:
+            idx = np.asarray(list(indices), dtype=np.int64)
+        except OverflowError:  # an index beyond int64 is out of range
+            raise ValueError("subset index out of range") from None
         if idx.size and (idx.min() < 0 or idx.max() >= group.order):
             raise ValueError("subset index out of range")
         mask[idx] = True
@@ -527,12 +530,6 @@ def from_cayley_table(text: str, descriptor: str = "table") -> FiniteGroup:
     return FiniteGroup(table, descriptor)
 
 
-def format_cayley_table(group: FiniteGroup) -> str:
-    lines = [str(group.order)]
-    lines += [" ".join(str(int(x)) for x in row) for row in group.table]
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Text formats for subsets and functions
 
@@ -542,20 +539,12 @@ def parse_subset(group: FiniteGroup, text: str) -> Subset:
     return Subset.from_indices(group, (int(t) for t in text.split()))
 
 
-def format_subset(subset: Subset) -> str:
-    return " ".join(str(int(i)) for i in subset.indices) + "\n"
-
-
 def parse_function(group: FiniteGroup, text: str) -> GroupFunction:
     """Parse n lines holding one decimal real in [-1,1] per element index."""
     vals = [float(t) for t in text.split()]
     if len(vals) != group.order:
         raise ValueError(f"expected {group.order} values, got {len(vals)}")
     return GroupFunction(group, vals)
-
-
-def format_function(fn: GroupFunction) -> str:
-    return "\n".join(repr(float(v)) for v in fn.values) + "\n"
 
 
 # ---------------------------------------------------------------------------

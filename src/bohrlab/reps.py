@@ -2,13 +2,15 @@
 
 Provides exact characters for abelian groups, a randomized decomposition of
 the regular representation into irreducibles for any group of order <= 256,
-block-diagonal direct sums, and operator-norm diagnostics. Every stored
-homomorphism carries residuals, measured on first read and cached, so
+and direct sums that read distances and residuals off their summands. Every
+stored homomorphism carries residuals, measured on first read and cached, so
 downstream consumers can trust (and re-check) it numerically without paying
 for residuals they never read.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -25,15 +27,6 @@ class RepDecompositionError(RuntimeError):
     """Raised when irreducible decomposition fails after all reseeds."""
 
 
-def operator_distance(mat: np.ndarray) -> float:
-    """Distance ||M - I||_op, the largest singular value of M - I."""
-    mat = np.asarray(mat, dtype=np.complex128)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    delta = mat - np.eye(mat.shape[0])
-    return float(np.linalg.svd(delta, compute_uv=False)[0])
-
-
 def _op_norms(batch: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix in a (..., d, d) batch."""
     if batch.shape[-1] == 1:
@@ -46,10 +39,12 @@ class UnitaryRep:
 
     ``hom_residual`` is the measured maximum of ||t(ab) - t(a)t(b)||_op over
     all element pairs, and ``unitarity_residual`` the maximum of
-    ||t(g)* t(g) - I||_op. Both are measured on first read and cached; a
-    direct sum reads them as the max over its summands. The identity matrix
-    is snapped to exact I so Bohr membership at the identity is exact.
+    ||t(g)* t(g) - I||_op. Both are measured on first read and cached. The
+    identity matrix is snapped to exact I so Bohr membership at the identity
+    is exact. ``summands`` is empty: a plain rep is its own one summand.
     """
+
+    summands: tuple[UnitaryRep, ...] = ()
 
     def __init__(self, group: FiniteGroup, matrices, label: str = "rep"):
         matrices = np.array(matrices, dtype=np.complex128, order="C")
@@ -65,30 +60,15 @@ class UnitaryRep:
         self.matrices = matrices
         self.label = label
         self.matrices.setflags(write=False)
-        self._hom_residual: float | None = None
-        self._unitarity_residual: float | None = None
-        self._summands: tuple[UnitaryRep, ...] = ()
         self._distances: np.ndarray | None = None
-        self._diagonal: bool | None = None
 
-    @property
+    @functools.cached_property
     def hom_residual(self) -> float:
-        if self._hom_residual is None:
-            self._hom_residual = (
-                max(r.hom_residual for r in self._summands) if self._summands
-                else measure_hom_residual(self))
-        return self._hom_residual
+        return measure_hom_residual(self)
 
-    @property
+    @functools.cached_property
     def unitarity_residual(self) -> float:
-        if self._unitarity_residual is None:
-            self._unitarity_residual = (
-                max(r.unitarity_residual for r in self._summands)
-                if self._summands else measure_unitarity_residual(self))
-        return self._unitarity_residual
-
-    def matrix(self, g: int) -> np.ndarray:
-        return self.matrices[g]
+        return measure_unitarity_residual(self)
 
     def character(self) -> np.ndarray:
         return np.trace(self.matrices, axis1=1, axis2=2)
@@ -102,17 +82,6 @@ class UnitaryRep:
             d.setflags(write=False)
             self._distances = d
         return self._distances
-
-    @property
-    def is_diagonal(self) -> bool:
-        """True when every stored matrix is diagonal (torus-valued)."""
-        if self._diagonal is None:
-            off = self.matrices * (1.0 - np.eye(self.dim))
-            self._diagonal = bool(np.max(np.abs(off)) < 1e-9)
-        return self._diagonal
-
-    def kernel_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.identity_distances() <= DEFAULT_TOL)
 
     def __repr__(self) -> str:
         return (f"UnitaryRep({self.label}, dim={self.dim}, "
@@ -560,29 +529,54 @@ def char_orthogonality_defect(reps: list[UnitaryRep]) -> float:
 # Direct sums, caching, quasirandomness degree
 
 
-def direct_sum_hom(reps: list[UnitaryRep]) -> UnitaryRep:
-    """Block-diagonal direct sum of homomorphisms over one group.
+class DirectSum(UnitaryRep):
+    """A block-diagonal direct sum held as its summands (a sum's, flattened).
 
-    The operator distance to the identity of a block-diagonal matrix is the
-    max over blocks, so residuals of the sum are the max of the inputs',
-    read from them when the sum's residuals are first read.
+    A block-diagonal matrix's operator norm is the max of its blocks', so
+    ||t(g) - I||_op and both residuals are the max of the summands'. The
+    dense ``matrices`` are built on first read, which no Bohr search does.
     """
-    if not reps:
-        raise ValueError("direct_sum_hom needs at least one representation")
-    group = reps[0].group
-    if any(r.group is not group for r in reps):
-        raise ValueError("direct_sum_hom requires representations of one group")
-    if len(reps) == 1:
-        return reps[0]
-    dim = sum(r.dim for r in reps)
-    mats = np.zeros((group.order, dim, dim), dtype=np.complex128)
-    at = 0
-    for r in reps:
-        mats[:, at:at + r.dim, at:at + r.dim] = r.matrices
-        at += r.dim
-    rep = UnitaryRep(group, mats, label="+".join(r.label for r in reps))
-    rep._summands = tuple(reps)
-    return rep
+
+    def __init__(self, reps: list[UnitaryRep]):
+        if not reps:
+            raise ValueError("direct_sum_hom needs at least one representation")
+        self.group = reps[0].group
+        if any(r.group is not self.group for r in reps):
+            raise ValueError("direct_sum_hom requires representations of one group")
+        self.summands = tuple(s for r in reps for s in (r.summands or (r,)))
+        self.dim = sum(s.dim for s in self.summands)
+        self.label = "+".join(s.label for s in self.summands)
+        self._distances = None
+
+    @property
+    def hom_residual(self) -> float:
+        return max(s.hom_residual for s in self.summands)
+
+    @property
+    def unitarity_residual(self) -> float:
+        return max(s.unitarity_residual for s in self.summands)
+
+    def identity_distances(self) -> np.ndarray:
+        if self._distances is None:
+            d = np.maximum.reduce([s.identity_distances() for s in self.summands])
+            d.setflags(write=False)
+            self._distances = d
+        return self._distances
+
+    @functools.cached_property
+    def matrices(self) -> np.ndarray:
+        mats = np.zeros((self.group.order, self.dim, self.dim), dtype=np.complex128)
+        ends = np.cumsum([s.dim for s in self.summands])
+        for s, end in zip(self.summands, ends):
+            mats[:, end - s.dim:end, end - s.dim:end] = s.matrices
+        mats.setflags(write=False)
+        return mats
+
+
+def direct_sum_hom(reps: list[UnitaryRep]) -> UnitaryRep:
+    """Direct sum of homomorphisms over one group: the rep itself when there
+    is one, else their ``DirectSum``."""
+    return reps[0] if len(reps) == 1 else DirectSum(reps)
 
 
 def irreps_of(group: FiniteGroup) -> list[UnitaryRep]:
@@ -605,41 +599,3 @@ def min_nontrivial_dim(group: FiniteGroup) -> int:
     if not dims:
         raise ValueError("group has no nontrivial irreducible (trivial group)")
     return min(dims)
-
-
-# ---------------------------------------------------------------------------
-# Export format
-
-
-def export_rep(rep: UnitaryRep) -> str:
-    """Serialize: header 'dim n order m', then per element one line of
-    n^2 're im' pairs in row-major order."""
-    lines = [f"dim {rep.dim} order {rep.group.order}"]
-    for g in rep.group.elements():
-        flat = rep.matrices[g].reshape(-1)
-        lines.append(" ".join(f"{float(z.real)!r} {float(z.imag)!r}" for z in flat))
-    return "\n".join(lines) + "\n"
-
-
-def parse_rep(text: str, group: FiniteGroup, label: str = "imported") -> UnitaryRep:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty rep text: expected a 'dim n order m' header")
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "dim" or head[2] != "order":
-        raise ValueError(f"bad rep header {lines[0]!r}")
-    dim, order = int(head[1]), int(head[3])
-    if dim < 1:
-        raise ValueError(f"rep dim must be >= 1, got {dim}")
-    if order != group.order:
-        raise ValueError(f"rep order {order} != group order {group.order}")
-    if len(lines) != order + 1:
-        raise ValueError(f"expected {order} element lines, got {len(lines) - 1}")
-    # every line is checked before the matrices are allocated, so a header
-    # cannot ask for more memory than its text holds
-    rows = [[float(t) for t in line.split()] for line in lines[1:]]
-    for g, vals in enumerate(rows):
-        if len(vals) != 2 * dim * dim:
-            raise ValueError(f"element {g}: expected {2 * dim * dim} floats")
-    mats = np.array(rows).view(np.complex128).reshape(order, dim, dim)
-    return UnitaryRep(group, mats, label=label)

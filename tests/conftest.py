@@ -3,6 +3,22 @@ import pytest
 from bohrlab import build_group
 
 
+# Writers for the text formats the CLI reads, for tests that make input files.
+
+def format_cayley_table(group) -> str:
+    lines = [str(group.order)]
+    lines += [" ".join(str(int(x)) for x in row) for row in group.table]
+    return "\n".join(lines) + "\n"
+
+
+def format_subset(subset) -> str:
+    return " ".join(str(int(i)) for i in subset.indices) + "\n"
+
+
+def format_function(fn) -> str:
+    return "\n".join(repr(float(v)) for v in fn.values) + "\n"
+
+
 @pytest.fixture(scope="session")
 def z4():
     return build_group("zmod:4")

@@ -1,12 +1,14 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bohrlab import (SearchSpace, Subset, ZetaRule, abelian_characters,
                      bogolyubov_search, bohr_set, build_group,
-                     cover_bound_check, decompose_regular, direct_sum_hom,
+                     catalog_descriptors, cover_bound_check,
+                     decompose_regular, direct_sum_hom,
                      enumerate_bohr_candidates, greedy_cover, inverse_set,
                      irreps_of, nm_refine, search_regular_bohr,
                      shift_invariance_search, subgroup_test, translate_set,
@@ -102,7 +104,8 @@ def test_nm_refine_abelian_is_whole_image(z12, z12_chars):
 def test_nm_refine_quaternion(q8):
     irr = decompose_regular(q8)
     two = next(i for i in irr if i.dim == 2)
-    assert list(two.kernel_indices()) == [q8.identity]  # faithful
+    faithful = np.flatnonzero(two.identity_distances() <= 1e-9)
+    assert faithful.tolist() == [q8.identity]
     spec, m = nm_refine(q8, two, 1.0)
     assert m == 2
     assert len(spec.nm_subgroup) == 4
@@ -210,7 +213,8 @@ def test_nm_refine_index_by_matrices(desc):
         assert m == len(distinct) // len(diagonal)
         assert len(distinct) % len(diagonal) == 0
         # |K| = |tau(K)| * |ker tau|
-        assert len(spec.nm_subgroup) == len(diagonal) * len(rep.kernel_indices())
+        kernel = np.flatnonzero(rep.identity_distances() <= 1e-9)
+        assert len(spec.nm_subgroup) == len(diagonal) * len(kernel)
     assert refined > 0
 
 
@@ -307,6 +311,33 @@ def test_enumeration_preference_order():
         got = [(s.tau.label, s.delta)
                for s in enumerate_bohr_candidates(g, space)]
         assert got == expected, desc
+
+
+@pytest.mark.parametrize("desc", catalog_descriptors(24))
+def test_torus_kind_exactly_when_every_matrix_is_diagonal(desc):
+    # the reference: every dense matrix of tau is diagonal within 1e-9
+    g = build_group(desc)
+    irreps = irreps_of(g)
+    reps = list(irreps) + [direct_sum_hom(list(pair))
+                           for pair in itertools.combinations(irreps, 2)]
+    for rep in reps:
+        off = rep.matrices * (1.0 - np.eye(rep.dim))
+        diagonal = bool(np.max(np.abs(off)) < 1e-9)
+        assert (bohr_set(g, rep, 1.0).kind == "torus") == diagonal, rep.label
+
+
+def test_exhaustive_enumeration_holds_no_block_matrices():
+    # a direct sum keeps its summands' distances, not an (n, D, D) stack
+    g = build_group("dihedral:50")
+    irreps_of(g)
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in enumerate_bohr_candidates(g, SearchSpace()))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count > 0
+    assert peak < 8 << 20, peak
 
 
 def test_nm_contained_in_plain(q8):

@@ -268,7 +268,8 @@ def test_table_file_order_out_of_range_errors(tmp_path, capsys):
 
 def test_failed_decomposition_ends_with_one_line(tmp_path, monkeypatch, capsys):
     # a file: group is never shared, so its irreps are decomposed here
-    from bohrlab.groups import build_group, format_cayley_table
+    from bohrlab.groups import build_group
+    from conftest import format_cayley_table
 
     def fail(group, rng):
         raise bohrlab.reps.RepDecompositionError("eigenvalues did not separate")
@@ -482,7 +483,7 @@ def test_search_fixture_outcomes_pinned(name):
 
 
 def test_file_based_inputs(tmp_path, z12):
-    from bohrlab.groups import format_cayley_table, format_subset
+    from conftest import format_cayley_table, format_subset
     from bohrlab import Subset
 
     table_path = tmp_path / "z12.txt"
@@ -500,7 +501,7 @@ def test_file_based_inputs(tmp_path, z12):
 def test_file_inputs_close_their_handles(tmp_path, z12, monkeypatch):
     # an unclosed file warns from its finalizer, where a ResourceWarning
     # raised as an error can only reach sys.unraisablehook
-    from bohrlab.groups import format_cayley_table, format_function, format_subset
+    from conftest import format_cayley_table, format_function, format_subset
     from bohrlab import GroupFunction, Subset
 
     table_path = tmp_path / "z12.txt"

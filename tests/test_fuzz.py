@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from bohrlab import build_group, from_cayley_table
 from bohrlab.cli import COMMON, KINDS, main
 from bohrlab.groups import parse_function, parse_subset
-from bohrlab.reps import parse_rep
 
 GROUPS = ("zmod:1", "zmod:5", "zmod:12", "dihedral:3", "dihedral:6",
           "quaternion:8", "sym:3", "alt:4", "product:zmod:2,zmod:6")
@@ -107,22 +106,11 @@ _Z3 = build_group("zmod:3")
 @given(_TEXTS)
 def test_text_formats_return_or_raise_value_error(text):
     for parse in (from_cayley_table, lambda t: parse_subset(_Z3, t),
-                  lambda t: parse_function(_Z3, t), lambda t: parse_rep(t, _Z3)):
+                  lambda t: parse_function(_Z3, t)):
         try:
             parse(text)
         except ValueError:
             pass
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.lists(_TOKENS, min_size=2, max_size=2).map(" ".join),
-                min_size=3, max_size=3))
-def test_rep_element_lines_return_or_raise_value_error(lines):
-    # a valid header, so the element lines themselves are parsed
-    try:
-        parse_rep("dim 1 order 3\n" + "\n".join(lines), _Z3)
-    except ValueError:
-        pass
 
 
 # Numeric edge values inside structured specs: negative, zero, beyond every

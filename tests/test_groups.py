@@ -13,9 +13,8 @@ from bohrlab import (FiniteGroup, GroupValidationError, Subset, build_group,
 from bohrlab import groups
 from bohrlab.gen import interval_subset
 from bohrlab.groups import (GroupFunction, _dihedral_table, _perm_parity,
-                            _permutation_table, format_cayley_table,
-                            format_function, format_subset, parse_function,
-                            parse_subset)
+                            _permutation_table, parse_function, parse_subset)
+from conftest import format_cayley_table, format_function, format_subset
 
 # order-5 loop: Latin square with identity 0 that fails associativity at (1,1,2)
 NONASSOC_LOOP = """5
@@ -447,6 +446,13 @@ def test_subset_files_round_trip(z12):
     a = Subset.from_indices(z12, [0, 3, 7])
     assert parse_subset(z12, format_subset(a)) == a
     assert parse_subset(z12, "") == Subset.empty(z12)
+
+
+@pytest.mark.parametrize("text", ["12", "-1", str(2**63), str(-2**63 - 1)])
+def test_subset_file_rejects_out_of_range_indices(z12, text):
+    # an index beyond int64 overflows numpy; it is out of range like any other
+    with pytest.raises(ValueError, match="subset index out of range"):
+        parse_subset(z12, text)
 
 
 def test_function_files_round_trip(z12):

@@ -1,18 +1,22 @@
 import copy
 import gc
+import itertools
 import math
-import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from bohrlab import (FiniteGroup, abelian_characters, build_group, catalog_descriptors,
-                     decompose_regular, direct_sum_hom, irreps_of,
-                     measure_hom_residual, min_nontrivial_dim, operator_distance)
+from bohrlab import (FiniteGroup, abelian_characters, bohr_set, build_group,
+                     catalog_descriptors, decompose_regular, direct_sum_hom,
+                     irreps_of, measure_hom_residual, min_nontrivial_dim)
 from bohrlab import reps
-from bohrlab.reps import (UnitaryRep, export_rep, max_hom_residual_bound,
-                          parse_rep)
+from bohrlab.bohr import DEFAULT_DELTA_GRID
+from bohrlab.reps import DirectSum, UnitaryRep, max_hom_residual_bound
+
+
+def _op_norm(mat):
+    return np.linalg.svd(mat, compute_uv=False)[0]
 
 
 def test_abelian_characters_z3():
@@ -114,21 +118,67 @@ def test_direct_sum_single_is_same(z12):
     assert direct_sum_hom([rep]) is rep
 
 
+def test_direct_sum_rejects_no_reps_and_mixed_groups(z12, z6):
+    with pytest.raises(ValueError, match="at least one"):
+        direct_sum_hom([])
+    with pytest.raises(ValueError, match="of one group"):
+        direct_sum_hom([abelian_characters(z12)[1], abelian_characters(z6)[1]])
+
+
 def test_direct_sum_two_characters(z12):
     chars = abelian_characters(z12)
     combined = direct_sum_hom([chars[1], chars[2]])
     assert combined.dim == 2
+    eye = np.eye(1)
     for x in z12.elements():
-        d1 = operator_distance(chars[1].matrix(x))
-        d2 = operator_distance(chars[2].matrix(x))
-        assert operator_distance(combined.matrix(x)) == pytest.approx(max(d1, d2))
+        d1 = _op_norm(chars[1].matrices[x] - eye)
+        d2 = _op_norm(chars[2].matrices[x] - eye)
+        assert _op_norm(combined.matrices[x] - np.eye(2)) == pytest.approx(max(d1, d2))
+
+
+def _small_sums(irreps, max_dim=8):
+    """Every pair and triple of irreps of total dim <= max_dim."""
+    return [pick for count in (2, 3)
+            for pick in itertools.combinations(irreps, count)
+            if sum(r.dim for r in pick) <= max_dim]
+
+
+@pytest.mark.parametrize("desc", ["zmod:12", "quaternion:8", "sym:4", "alt:5",
+                                  "dihedral:30"])
+def test_direct_sum_distances_match_dense_svd(desc):
+    """A direct sum's distances, read off its summands, are those of an SVD
+    of its dense block matrices, and so are its Bohr sets at every grid
+    delta."""
+    g = build_group(desc)
+    irreps = irreps_of(g)
+    sums = [direct_sum_hom(list(pick)) for pick in _small_sums(irreps)]
+    sums.append(direct_sum_hom([direct_sum_hom(irreps[:2]), irreps[-1]]))
+    for total in sums:
+        dense = UnitaryRep(g, total.matrices, label=total.label)
+        gap = np.max(np.abs(total.identity_distances()
+                            - np.linalg.svd(total.matrices - np.eye(total.dim),
+                                            compute_uv=False)[:, 0]))
+        assert gap <= 1e-14, (desc, total.label, gap)
+        for delta in DEFAULT_DELTA_GRID:
+            assert (bohr_set(g, total, delta).realized
+                    == bohr_set(g, dense, delta).realized), (total.label, delta)
+
+
+def test_nested_direct_sum_lists_its_irreps_once(s3):
+    a, b, c = irreps_of(s3)
+    nested = direct_sum_hom([direct_sum_hom([a, b]), c])
+    assert isinstance(nested, DirectSum)
+    assert nested.summands == (a, b, c)
+    assert nested.label == f"{a.label}+{b.label}+{c.label}"
+    assert nested.dim == a.dim + b.dim + c.dim
 
 
 def test_direct_sum_all_s3_irreps_is_faithful(s3):
     irr = decompose_regular(s3)
     total = direct_sum_hom(irr)
     assert total.dim == 4
-    assert list(total.kernel_indices()) == [s3.identity]
+    kernel = np.flatnonzero(total.identity_distances() <= 1e-9)
+    assert kernel.tolist() == [s3.identity]
 
 
 def test_hom_residuals():
@@ -142,14 +192,13 @@ def test_hom_residuals():
         assert ir.unitarity_residual <= 1e-9
 
 
-def test_operator_distance_examples():
-    assert operator_distance(np.eye(3)) == pytest.approx(0.0)
-    for dim in (1, 2, 4):
-        assert operator_distance(-np.eye(dim)) == pytest.approx(2.0)
-    m = np.diag([np.exp(2j * np.pi / 12), 1.0])
-    assert operator_distance(m) == pytest.approx(2 * math.sin(math.pi / 12))
-    with pytest.raises(ValueError):
-        operator_distance(np.ones((2, 3)))
+def test_operator_distance_examples(z12):
+    # identity_distances() holds ||t(g) - I||_op for every g
+    chi1 = abelian_characters(z12)[1]
+    dist = chi1.identity_distances()
+    assert dist[0] == 0.0
+    assert dist[1] == pytest.approx(2 * math.sin(math.pi / 12))
+    assert dist[6] == pytest.approx(2.0)
 
 
 def test_min_nontrivial_dims(s3):
@@ -166,8 +215,8 @@ def test_metric_bi_invariance():
                              + 1j * rng.standard_normal((dim, dim)))[0]
             v = np.linalg.qr(rng.standard_normal((dim, dim))
                              + 1j * rng.standard_normal((dim, dim)))[0]
-            lhs = np.linalg.svd(u @ m @ v - u @ v, compute_uv=False)[0]
-            assert lhs == pytest.approx(operator_distance(m), abs=1e-10)
+            lhs = _op_norm(u @ m @ v - u @ v)
+            assert lhs == pytest.approx(_op_norm(m - np.eye(dim)), abs=1e-10)
 
 
 def test_sum_dim_sq_catalog_small():
@@ -179,54 +228,17 @@ def test_sum_dim_sq_catalog_small():
 
 def test_identity_snapped(q8):
     for ir in decompose_regular(q8):
-        assert np.array_equal(ir.matrix(q8.identity), np.eye(ir.dim))
-
-
-def test_export_parse_round_trip(s3):
-    irr = decompose_regular(s3)
-    two = next(i for i in irr if i.dim == 2)
-    text = export_rep(two)
-    back = parse_rep(text, s3)
-    assert back.dim == 2
-    assert np.max(np.abs(back.matrices - two.matrices)) < 1e-15
-    assert back.hom_residual <= 1e-9
+        assert np.array_equal(ir.matrices[q8.identity], np.eye(ir.dim))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-def test_parse_rep_rejects_non_finite_entries(dim, bad):
+def test_rep_rejects_non_finite_entries(dim, bad):
     g = build_group("zmod:3")
-    ident = " ".join("1.0 0.0" if i == j else "0.0 0.0"
-                     for i in range(dim) for j in range(dim))
-    broken = f"{bad} 0.0" + ident[len("1.0 0.0"):]
-    text = f"dim {dim} order 3\n{ident}\n{broken}\n{ident}\n"
+    mats = np.tile(np.eye(dim, dtype=np.complex128), (3, 1, 1))
+    mats[1, 0, 0] = float(bad)
     with pytest.raises(ValueError, match="finite entries"):
-        parse_rep(text, g)
-
-
-@pytest.mark.parametrize("text", ["", "\n\n", "  \n\t\n"])
-def test_parse_rep_rejects_empty_text(text):
-    with pytest.raises(ValueError, match="empty rep text"):
-        parse_rep(text, build_group("zmod:3"))
-
-
-@pytest.mark.parametrize("dim", [0, -2])
-def test_parse_rep_rejects_non_positive_dim(dim):
-    with pytest.raises(ValueError, match=f"rep dim must be >= 1, got {dim}"):
-        parse_rep(f"dim {dim} order 1\n\n", build_group("zmod:1"))
-
-
-def test_parse_rep_checks_lines_before_allocating():
-    # the header alone asks for 3 * 30000^2 complex entries (40 GiB)
-    text = "dim 30000 order 3\n1.0 0.0\n1.0 0.0\n1.0 0.0\n"
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match="element 0: expected 1800000000 floats"):
-            parse_rep(text, build_group("zmod:3"))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+        UnitaryRep(g, mats)
 
 
 def test_residual_bound_large_group():
