@@ -18,8 +18,8 @@ from .stability import (LadderIndex, LadderWitness, StabilityProfile,
 from .regularity import (RegularityCertificate, ZetaRule,
                          largest_eps_constant_subset, search_regular_bohr,
                          subgroup_obstruction_check, translate_defect)
-from .productsets import (CoveringCheck, FourProductResult, QuasirandomCheck,
-                          SeparatedCover, bogolyubov_search, four_product_bohr,
+from .productsets import (CoveringCheck, QuasirandomCheck, SeparatedCover,
+                          bogolyubov_search, four_product_bohr,
                           level_set_claim, quasirandom_check,
                           quasirandom_trials, separated_cover,
                           shift_invariance_search, symmetric_covering_check,

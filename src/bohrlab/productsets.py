@@ -196,19 +196,15 @@ def two_set_bogolyubov(a: Subset, b: Subset, alpha: float, zeta: ZetaRule,
     return first_accepted(grp, space, accept)
 
 
-@dataclass(frozen=True)
-class FourProductResult:
-    status: str
-    spec: Optional[BohrSpec]
-    per_product: tuple
-    contained: bool
-
-
 def four_product_bohr(a: Subset, alpha: float,
-                      space: SearchSpace = SearchSpace()) -> FourProductResult:
+                      space: SearchSpace = SearchSpace()
+                      ) -> SearchResult[tuple[BohrSpec, ...]]:
     """Find one Bohr spec inside all four product sets
     (AA^-1)^2, (A^-1 A)^2, A^2 A^-2, A^-2 A^2, by combining per-product specs
-    block-diagonally at the smallest of their radii."""
+    block-diagonally at the smallest of their radii. The spec is the combined
+    one, found is the four per-product specs, and the candidates scored are
+    those of all the walks run; a combined set outside a product set raises
+    RuntimeError."""
     _require_density(a, alpha)
     grp = a.group
     ainv = inverse_set(a)
@@ -219,20 +215,20 @@ def four_product_bohr(a: Subset, alpha: float,
         "A^-2A^2": product_set(product_set(ainv, ainv), product_set(a, a)),
     }
     found: list[BohrSpec] = []
+    scored = 0
     for target in targets.values():
-        spec = first_accepted(
-            grp, space, lambda s: s.realized.is_subset_of(target) or None).spec
-        if spec is None:
-            return FourProductResult("none-within-budget", None,
-                                     tuple(found), False)
-        found.append(spec)
+        res = first_accepted(
+            grp, space, lambda s: s.realized.is_subset_of(target) or None)
+        scored += res.candidates_scored
+        if res.spec is None:
+            return SearchResult("none-within-budget", None, None, scored)
+        found.append(res.spec)
     combined_tau = direct_sum_hom([s.tau for s in found])
     delta = min(s.delta for s in found)
     combined = bohr_set(grp, combined_tau, delta)
-    contained = all(combined.realized.is_subset_of(t) for t in targets.values())
-    if not contained:
+    if not all(combined.realized.is_subset_of(t) for t in targets.values()):
         raise RuntimeError("combined Bohr set escaped the intersection")
-    return FourProductResult("ok", combined, tuple(found), True)
+    return SearchResult("ok", combined, tuple(found), scored)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,8 @@ _FROB_SLACK = 1e-12
 
 
 class RepDecompositionError(RuntimeError):
-    """Raised when irreducible decomposition fails after all reseeds."""
+    """Raised when a decomposition attempt fails, and by
+    ``decompose_regular`` when all six seeds have failed."""
 
 
 def _op_norms(batch: np.ndarray) -> np.ndarray:
@@ -74,11 +75,14 @@ class UnitaryRep:
         return np.trace(self.matrices, axis1=1, axis2=2)
 
     def identity_distances(self) -> np.ndarray:
-        """Per-element ||t(g) - I||_op, cached."""
+        """Per-element ||t(g) - I||_op, cached; for a direct sum, the max of
+        its summands' (a block-diagonal matrix's norm is its blocks' max)."""
         if self._distances is None:
-            delta = self.matrices - np.eye(self.dim)
-            d = _op_norms(delta)
-            d[self.group.identity] = 0.0
+            if self.summands:
+                d = np.maximum.reduce([s.identity_distances() for s in self.summands])
+            else:
+                d = _op_norms(self.matrices - np.eye(self.dim))
+                d[self.group.identity] = 0.0
             d.setflags(write=False)
             self._distances = d
         return self._distances
@@ -255,40 +259,6 @@ def _eig_clusters(w: np.ndarray) -> list[np.ndarray]:
     return clusters
 
 
-def _split_invariant(mats: np.ndarray, rng: np.random.Generator,
-                     depth: int = 0) -> list[np.ndarray]:
-    """Recursively split a unitary rep (dense (n,d,d) stack) into irreducibles.
-
-    Returns a list of (d, d_i) basis matrices whose columns span invariant
-    irreducible subspaces. Irreducibility is detected by <chi,chi> = 1.
-    """
-    n, d = mats.shape[0], mats.shape[1]
-    chi = np.trace(mats, axis1=1, axis2=2)
-    norm = float(np.mean(np.abs(chi) ** 2))
-    if abs(norm - 1.0) < 1e-6:
-        return [np.eye(d, dtype=np.complex128)]
-    if depth > 12:
-        raise RepDecompositionError("splitting recursion failed to converge")
-
-    # columns (g, j) of t(g)[:, j], so sum_g t(g) h t(g)^H is one product
-    cols = mats.transpose(1, 0, 2).reshape(d, n * d)
-    for _ in range(4):
-        h = _random_hermitian(d, rng)
-        th = (mats.reshape(n * d, d) @ h).reshape(n, d, d)
-        avg = th.transpose(1, 0, 2).reshape(d, n * d) @ cols.conj().T / n
-        w, v = np.linalg.eigh(avg)
-        clusters = _eig_clusters(w)
-        if len(clusters) > 1:
-            bases = []
-            for idx in clusters:
-                q = np.linalg.qr(v[:, idx])[0]
-                sub = _rebase(mats, q)
-                for inner in _split_invariant(sub, rng, depth + 1):
-                    bases.append(q @ inner)
-            return bases
-    raise RepDecompositionError("eigenvalue clustering failed to separate")
-
-
 def _rebase(mats: np.ndarray, q: np.ndarray) -> np.ndarray:
     """q^H t(g) q for every g of an (n, m, m) stack and an (m, k) q, as two
     matrix products over the whole stack."""
@@ -409,17 +379,20 @@ def _char_sort_key(character: np.ndarray, dim: int):
     return (dim, rounded)
 
 
-def decompose_regular(group: FiniteGroup, seed: int = 0) -> list[UnitaryRep]:
+def decompose_regular(group: FiniteGroup) -> list[UnitaryRep]:
     """Complete list of inequivalent irreducibles of the regular representation.
 
     Algorithm: average a random Hermitian matrix over conjugation by the
     regular representation (a projection onto its commutant, in O(n^2) by
-    ``_commutant_projection``), split the averaged matrix's eigenspaces into
-    invariant subspaces, recurse until each carries an irreducible, then
-    deduplicate by character; an eigenspace whose character, read off its
-    projection, was already found is skipped before its matrices are built.
-    Every basis change is a matrix product over the whole stack. Verifies
-    sum(dim^2) = |G| exactly and residuals <= 1e-9, trying six seeds. The
+    ``_commutant_projection``) and take each eigenvalue cluster of the
+    average as one invariant subspace. On each isotypic block the average
+    is I_d (x) X, so a generic cluster carries one copy of one irrep. A
+    cluster whose character, read off its projection, was already found is
+    skipped before its matrices are built; a new cluster whose character
+    has <chi, chi> != 1 fails the attempt. Every basis change is a matrix
+    product over the whole stack. Verifies sum(dim^2) = |G| exactly and
+    residuals <= 1e-9. A failed attempt retries with the next of the seeds
+    0 to 5, the only recovery, so the result is a function of the group. The
     hom residual is certified by ``_hom_residual_bound`` from n * |S| pairs
     and measured over all pairs only when that bound exceeds 1e-9 (by one
     matrix product per row block, see ``measure_hom_residual``), so the
@@ -429,8 +402,8 @@ def decompose_regular(group: FiniteGroup, seed: int = 0) -> list[UnitaryRep]:
     if n > DECOMPOSE_ORDER_CAP:
         raise ValueError(f"decompose_regular caps at order {DECOMPOSE_ORDER_CAP}")
     last_err: Exception | None = None
-    for attempt in range(6):
-        rng = np.random.default_rng(seed + attempt)
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
         try:
             return _decompose_once(group, rng)
         except RepDecompositionError as exc:
@@ -459,14 +432,14 @@ def _decompose_once(group: FiniteGroup, rng: np.random.Generator) -> list[Unitar
 
     w, v = np.linalg.eigh(_commutant_projection(group, _random_hermitian(n, rng)))
     clusters = _eig_clusters(w)
-    if len(clusters) == 1 and n > 1:
+    if len(clusters) == 1:
         raise RepDecompositionError("top-level eigenvalues did not separate")
 
     # P = QQ^H projects onto an invariant subspace, so it commutes with rho
     # and P[i, j] = p(i^-1 j) with p = P[e, :]: the cluster's character
     # chi(g) = sum_h P[g^-1 h, h] is sum_h p(h^-1 g h). Its rounding is far
-    # below CHAR_MATCH_TOL; a match is a copy of a found irrep (a reducible
-    # cluster has <chi, chi> >= 2), and a miss only builds a copy's matrices.
+    # below CHAR_MATCH_TOL; a match is a copy of a found irrep, and a miss
+    # builds the cluster's matrices, which must carry an irreducible.
     conjugates = group.table[left_inv, np.arange(n)[:, None]]  # [h, g] = h^-1 g h
     known = np.empty((n, n), dtype=np.complex128)  # the characters found so far
     found: list[tuple[np.ndarray, np.ndarray]] = []  # (character, matrices)
@@ -474,19 +447,17 @@ def _decompose_once(group: FiniteGroup, rng: np.random.Generator) -> list[Unitar
         q = np.linalg.qr(v[:, idx])[0]
         p = q[group.identity] @ q.conj().T
         if _is_known(np.take(p, conjugates).sum(axis=0), known[:len(found)]):
-            continue  # a copy of a found irrep: no matrices, no rng draw
+            continue  # a copy of a found irrep: no matrices
         # sigma(g) = Q^H rho(g) Q = Q[gh]^H Q with rho(g) the left-multiplication
         # permutation: rows (k, g) of Q^H[k, gh] in one product
         m = len(idx)
         qh = np.take(q.conj().T, group.table, axis=1).reshape(m * n, n)
-        sub = np.ascontiguousarray((qh @ q).reshape(m, n, m).transpose(1, 0, 2))
-        for basis in _split_invariant(sub, rng):
-            mats = _rebase(sub, basis)
-            chi = np.trace(mats, axis1=1, axis2=2)
-            if _is_known(chi, known[:len(found)]):
-                continue
-            known[len(found)] = chi
-            found.append((chi, mats))
+        mats = np.ascontiguousarray((qh @ q).reshape(m, n, m).transpose(1, 0, 2))
+        chi = np.trace(mats, axis1=1, axis2=2)
+        if abs(float(np.mean(np.abs(chi) ** 2)) - 1.0) >= CHAR_MATCH_TOL:
+            raise RepDecompositionError("an eigenvalue cluster is reducible")
+        known[len(found)] = chi
+        found.append((chi, mats))
 
     if sum(m.shape[1] ** 2 for _, m in found) != n:
         raise RepDecompositionError(
@@ -556,13 +527,6 @@ class DirectSum(UnitaryRep):
     def unitarity_residual(self) -> float:
         return max(s.unitarity_residual for s in self.summands)
 
-    def identity_distances(self) -> np.ndarray:
-        if self._distances is None:
-            d = np.maximum.reduce([s.identity_distances() for s in self.summands])
-            d.setflags(write=False)
-            self._distances = d
-        return self._distances
-
     @functools.cached_property
     def matrices(self) -> np.ndarray:
         mats = np.zeros((self.group.order, self.dim, self.dim), dtype=np.complex128)
@@ -581,8 +545,9 @@ def direct_sum_hom(reps: list[UnitaryRep]) -> UnitaryRep:
 
 def irreps_of(group: FiniteGroup) -> list[UnitaryRep]:
     """The group's irreducibles, kept on the group object: exact characters
-    when abelian, else ``decompose_regular`` at seed 0. A Bohr set reads only
-    ||t(g) - I||_op, which no change of basis moves, so no seed is needed."""
+    when abelian, else ``decompose_regular``, which depends on the group
+    alone. A Bohr set reads only ||t(g) - I||_op, which no change of basis
+    moves."""
     if group._irreps is None:
         group._irreps = (abelian_characters(group) if group.is_abelian
                          else decompose_regular(group))

@@ -44,7 +44,7 @@ def test_criterion_01_group_rep_soundness(catalog100):
     for desc, g in catalog100.items():
         if g.order > 60:
             continue
-        irreps = bl.decompose_regular(g, seed=0)
+        irreps = bl.decompose_regular(g)
         dims = [ir.dim for ir in irreps]
         assert sum(d * d for d in dims) == g.order, desc
         for ir in irreps:

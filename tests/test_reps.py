@@ -87,7 +87,7 @@ def test_decompose_z3():
 
 
 def test_decompose_s3(s3):
-    irr = decompose_regular(s3, seed=0)
+    irr = decompose_regular(s3)
     dims = sorted(i.dim for i in irr)
     assert dims == [1, 1, 2]
     assert sum(d * d for d in dims) == 6
@@ -99,7 +99,7 @@ def test_decompose_s3(s3):
 
 
 def test_decompose_alt5(a5):
-    irr = decompose_regular(a5, seed=0)
+    irr = decompose_regular(a5)
     assert sorted(i.dim for i in irr) == [1, 3, 3, 4, 5]
     assert min_nontrivial_dim(a5) == 3
 
@@ -405,7 +405,7 @@ def test_commuting_family_matches_pairwise_loop(desc, monkeypatch):
     monkeypatch.setattr(reps, "_diagonal_friendly", record)
     g = build_group(desc)
     for seed in range(3):
-        decompose_regular(g, seed=seed)
+        reps._decompose_once(g, np.random.default_rng(seed))
     assert calls and all(mats.shape[1] > 1 for mats, _, _ in calls)
     for mats, family, rng in calls:
         assert family == _float_commuting_family(mats) == _loop_commuting_family(mats)
@@ -455,34 +455,40 @@ def test_decomposition_needs_no_reseed(desc, monkeypatch):
 
     monkeypatch.setattr(reps, "_decompose_once", counted)
     g = build_group(desc)
+    decompose_regular(g)
+    assert attempts == [desc]
     for seed in range(3):
-        attempts.clear()
-        irreps = decompose_regular(g, seed=seed)
-        assert attempts == [desc], seed
-        assert sum(ir.dim ** 2 for ir in irreps) == g.order
+        irreps = real(g, np.random.default_rng(seed))
+        assert sum(ir.dim ** 2 for ir in irreps) == g.order, seed
 
 
-@pytest.mark.parametrize("desc", ["sym:3", "quaternion:8", "alt:5"])
-def test_split_invariant_splits_a_rotated_direct_sum(desc):
-    """The recursive split, which no catalog decomposition reaches, takes a
-    direct sum of irreps with one repeated, in a random unitary basis, to
-    orthonormal invariant subspaces that each carry an irreducible."""
-    g = build_group(desc)
-    irreps = decompose_regular(g)
-    total = direct_sum_hom(irreps + irreps[-1:])
-    rng = np.random.default_rng(4)
-    d = total.dim
-    u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
-    mats = u @ total.matrices @ u.conj().T
-    bases = reps._split_invariant(mats, rng)
-    assert sorted(b.shape[1] for b in bases) == sorted(
-        [ir.dim for ir in irreps] + [irreps[-1].dim])
-    for b in bases:
-        assert np.max(np.abs(b.conj().T @ b - np.eye(b.shape[1]))) < 1e-10
-        sub = reps._rebase(mats, b)
-        assert np.max(np.abs(mats @ b - b @ sub)) < 1e-9  # t(g) b = b sigma(g)
-        chi = np.trace(sub, axis1=1, axis2=2)
-        assert abs(np.mean(np.abs(chi) ** 2) - 1.0) < 1e-6
+def test_reducible_cluster_fails_the_attempt():
+    """dihedral:51 at seed 2 has a 4-dim eigenvalue cluster holding two
+    2-dim irreps: the attempt fails rather than splitting it."""
+    g = build_group("dihedral:51")
+    with pytest.raises(reps.RepDecompositionError, match="reducible"):
+        reps._decompose_once(g, np.random.default_rng(2))
+
+
+def test_failed_attempt_retries_the_next_seed(monkeypatch):
+    """A failed first attempt leaves the bytes of the attempt at seed 1."""
+    g = build_group("sym:4")
+    real = reps._decompose_once
+    calls = []
+
+    def fail_first(group, rng):
+        calls.append(group.descriptor)
+        if len(calls) == 1:
+            raise reps.RepDecompositionError("planted")
+        return real(group, rng)
+
+    monkeypatch.setattr(reps, "_decompose_once", fail_first)
+    got = decompose_regular(g)
+    want = real(g, np.random.default_rng(1))
+    assert len(calls) == 2
+    assert [r.label for r in got] == [r.label for r in want]
+    assert all(a.matrices.tobytes() == b.matrices.tobytes()
+               for a, b in zip(got, want, strict=True))
 
 
 def _count_hom_residuals(monkeypatch):
