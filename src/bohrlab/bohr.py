@@ -233,16 +233,15 @@ class SearchResult(Generic[T]):
 
 
 def first_accepted(group: FiniteGroup, space: SearchSpace,
-                   accept: Callable[[BohrSpec], Optional[T]],
-                   min_size: int = 1) -> SearchResult[T]:
+                   accept: Callable[[BohrSpec], Optional[T]]) -> SearchResult[T]:
     """The first candidate, in preference order, that ``accept`` takes.
 
-    Every yielded candidate counts as scored; realized sets smaller than
-    max(1, min_size) are skipped. ``accept`` returns None to reject.
+    Every yielded candidate counts as scored; empty realized sets are
+    skipped. ``accept`` returns None to reject.
     """
     scored = 0
     for scored, spec in enumerate(enumerate_bohr_candidates(group, space), 1):
-        if len(spec.realized) < max(1, min_size):
+        if len(spec.realized) == 0:
             continue
         found = accept(spec)
         if found is not None:

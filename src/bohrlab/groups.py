@@ -237,9 +237,6 @@ class Subset:
         self._check_group(other)
         return Subset(self.group, self.mask & ~other.mask)
 
-    def complement(self) -> "Subset":
-        return Subset(self.group, ~self.mask)
-
     def is_subset_of(self, other: "Subset") -> bool:
         self._check_group(other)
         return bool((~self.mask | other.mask).all())
@@ -377,25 +374,12 @@ def _dihedral_table(n: int) -> np.ndarray:
     return np.block([[plus, n + plus], [n + minus, minus]])
 
 
-_QUAT_UNITS = ("1", "i", "j", "k")
-_QUAT_MULT = {
-    ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
-    ("i", "1"): (1, "i"), ("i", "i"): (-1, "1"), ("i", "j"): (1, "k"), ("i", "k"): (-1, "j"),
-    ("j", "1"): (1, "j"), ("j", "i"): (-1, "k"), ("j", "j"): (-1, "1"), ("j", "k"): (1, "i"),
-    ("k", "1"): (1, "k"), ("k", "i"): (1, "j"), ("k", "j"): (-1, "i"), ("k", "k"): (-1, "1"),
-}
-
-
 def _quaternion_table() -> np.ndarray:
-    # element 2u + (0 if sign +1 else 1) for unit index u: 1,-1,i,-i,j,-j,k,-k
-    elems = [(s, u) for u in _QUAT_UNITS for s in (1, -1)]
-    index = {e: i for i, e in enumerate(elems)}
-    table = np.zeros((8, 8), dtype=np.int32)
-    for a, (sa, ua) in enumerate(elems):
-        for b, (sb, ub) in enumerate(elems):
-            sm, um = _QUAT_MULT[(ua, ub)]
-            table[a, b] = index[(sa * sb * sm, um)]
-    return table
+    # element 2u + (1 if negated) for u over 1, i, j, k, as 2x2 matrices with exact products
+    one, i, j = np.eye(2), np.diag([1j, -1j]), np.array([[0, 1], [-1, 0]])
+    elems = np.array([s * u for u in (one, i, j, i @ j) for s in (1, -1)])
+    prods = elems[:, None, None] @ elems[None, :, None]   # (a, b, 1, 2, 2)
+    return np.argmax((prods == elems).all(axis=(3, 4)), axis=2).astype(np.int32)
 
 
 def _permutation_table(perms: list[tuple[int, ...]]) -> np.ndarray:

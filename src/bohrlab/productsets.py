@@ -199,36 +199,35 @@ def two_set_bogolyubov(a: Subset, b: Subset, alpha: float, zeta: ZetaRule,
 def four_product_bohr(a: Subset, alpha: float,
                       space: SearchSpace = SearchSpace()
                       ) -> SearchResult[tuple[BohrSpec, ...]]:
-    """Find one Bohr spec inside all four product sets
-    (AA^-1)^2, (A^-1 A)^2, A^2 A^-2, A^-2 A^2, by combining per-product specs
-    block-diagonally at the smallest of their radii. The spec is the combined
-    one, found is the four per-product specs, and the candidates scored are
-    those of all the walks run; a combined set outside a product set raises
-    RuntimeError."""
+    """Find one Bohr spec inside all four product sets (AA^-1)^2, (A^-1 A)^2,
+    A^2 A^-2, A^-2 A^2 by combining per-product specs block-diagonally at the
+    smallest of their radii. One candidate walk gives each product set its
+    first spec inside it, stopping once all four have one. The spec is the
+    combined one, found the four per-product specs, candidates scored the
+    walk's; a combined set outside a product set raises RuntimeError."""
     _require_density(a, alpha)
     grp = a.group
     ainv = inverse_set(a)
-    targets = {
-        "(AA^-1)^2": product_set(product_set(a, ainv), product_set(a, ainv)),
-        "(A^-1A)^2": product_set(product_set(ainv, a), product_set(ainv, a)),
-        "A^2A^-2": product_set(product_set(a, a), product_set(ainv, ainv)),
-        "A^-2A^2": product_set(product_set(ainv, ainv), product_set(a, a)),
-    }
-    found: list[BohrSpec] = []
-    scored = 0
-    for target in targets.values():
-        res = first_accepted(
-            grp, space, lambda s: s.realized.is_subset_of(target) or None)
-        scored += res.candidates_scored
-        if res.spec is None:
-            return SearchResult("none-within-budget", None, None, scored)
-        found.append(res.spec)
-    combined_tau = direct_sum_hom([s.tau for s in found])
-    delta = min(s.delta for s in found)
-    combined = bohr_set(grp, combined_tau, delta)
-    if not all(combined.realized.is_subset_of(t) for t in targets.values()):
+    targets = (product_set(product_set(a, ainv), product_set(a, ainv)),
+               product_set(product_set(ainv, a), product_set(ainv, a)),
+               product_set(product_set(a, a), product_set(ainv, ainv)),
+               product_set(product_set(ainv, ainv), product_set(a, a)))
+    found: list[Optional[BohrSpec]] = [None] * len(targets)
+
+    def accept(spec: BohrSpec) -> Optional[bool]:
+        for i, target in enumerate(targets):
+            if found[i] is None and spec.realized.is_subset_of(target):
+                found[i] = spec
+        return all(found) or None
+
+    res = first_accepted(grp, space, accept)
+    if res.spec is None:
+        return SearchResult("none-within-budget", None, None, res.candidates_scored)
+    combined = bohr_set(grp, direct_sum_hom([s.tau for s in found]),
+                        min(s.delta for s in found))
+    if not all(combined.realized.is_subset_of(t) for t in targets):
         raise RuntimeError("combined Bohr set escaped the intersection")
-    return SearchResult("ok", combined, tuple(found), scored)
+    return SearchResult("ok", combined, tuple(found), res.candidates_scored)
 
 
 @dataclass(frozen=True)
@@ -277,7 +276,7 @@ def shift_invariance_search(f: GroupFunction, p: float, eps: float,
     with that sup.
 
     The singleton Bohr set trivially passes; ``min_size`` can exclude it
-    (and other small sets).
+    (and other small sets), which still count as scored.
     """
     if not 1 <= p < math.inf:  # NaN fails too
         raise ValueError(f"p must lie in [1, inf), got {p}")
@@ -287,6 +286,8 @@ def shift_invariance_search(f: GroupFunction, p: float, eps: float,
             f"min_size must lie in [1, {f.group.order}], got {min_size}")
 
     def accept(spec: BohrSpec) -> Optional[float]:
+        if len(spec.realized) < min_size:
+            return None
         sup = 0.0
         for t in spec.realized.indices:
             sup = max(sup, _lp(f.values[f.group.table[t, :]] - f.values, p))
@@ -294,4 +295,4 @@ def shift_invariance_search(f: GroupFunction, p: float, eps: float,
                 return None
         return sup
 
-    return first_accepted(f.group, space, accept, min_size)
+    return first_accepted(f.group, space, accept)

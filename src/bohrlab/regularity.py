@@ -295,10 +295,6 @@ class ObstructionReport:
     index_cap: int
     rows: tuple[SubgroupDefectRow, ...]
 
-    @property
-    def any_pass(self) -> bool:
-        return any(r.passes for r in self.rows)
-
 
 def _generated(group: FiniteGroup, elems) -> frozenset[int]:
     """The subgroup generated by elems: S = elems + {e} gains SS by table

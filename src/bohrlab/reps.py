@@ -174,39 +174,30 @@ def cyclic_decomposition(group: FiniteGroup) -> tuple[list[int], list[int], np.n
         raise ValueError("cyclic decomposition requires an abelian group")
     n = group.order
     orders = group.element_orders()
-    by_order = sorted(group.elements(), key=lambda a: (-orders[a], a))
+    by_order = np.argsort(-orders, kind="stable")  # largest order first, then index
 
     gens: list[int] = []
-    gen_orders: list[int] = []
-    span = {group.identity: ()}
-    while len(span) < n:
-        pick = None
-        for cand in by_order:
-            if cand in span:
-                continue
+    # element span[r] has exponents exps[r] in gens: span element outer, power inner
+    span, exps = np.array([group.identity]), np.zeros((1, 0), dtype=np.int64)
+    while span.size < n:
+        in_span = np.isin(np.arange(n), span)
+        for cand in by_order[~in_span[by_order]].tolist():
             cyc, x = [group.identity], cand
             while x != group.identity:
                 cyc.append(x)
                 x = group.mul(x, cand)
-            if all(c == group.identity or c not in span for c in cyc):
-                pick = (cand, cyc)
+            if not in_span[cyc[1:]].any():
                 break
-        if pick is None:  # cannot happen for a genuine abelian group
+        else:  # cannot happen for a genuine abelian group
             raise RuntimeError("greedy cyclic decomposition failed")
-        cand, cyc = pick
-        new_span = {}
-        for elem, coord in span.items():
-            for e, c in enumerate(cyc):
-                new_span[group.mul(elem, c)] = coord + (e,)
-        span = new_span
+        exps = np.column_stack([np.repeat(exps, len(cyc), axis=0),
+                                np.tile(np.arange(len(cyc)), span.size)])
+        span = group.table[span[:, None], cyc].ravel()
         gens.append(cand)
-        gen_orders.append(len(cyc))
 
     coords = np.zeros((n, max(1, len(gens))), dtype=np.int64)
-    for elem, coord in span.items():
-        if coord:
-            coords[elem, :] = coord
-    return gens, gen_orders, coords
+    coords[span, :len(gens)] = exps
+    return gens, [int(orders[g]) for g in gens], coords
 
 
 def abelian_characters(group: FiniteGroup) -> list[UnitaryRep]:
@@ -224,10 +215,7 @@ def abelian_characters(group: FiniteGroup) -> list[UnitaryRep]:
 
     # digits[k] holds the mixed-radix digits of k, most significant first;
     # row k of phase sums digit * coordinate / m factor by factor
-    digits = np.empty((n, len(radices)), dtype=np.int64)
-    rem = np.arange(n, dtype=np.int64)
-    for j in reversed(range(len(radices))):
-        rem, digits[:, j] = np.divmod(rem, radices[j])
+    digits = np.array(np.unravel_index(np.arange(n), radices)).T
     phase = np.zeros((n, n))
     for j, m in enumerate(radices):
         phase += digits[:, j, None] * coords[None, :, j] / m
@@ -249,14 +237,9 @@ def _random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
 def _eig_clusters(w: np.ndarray) -> list[np.ndarray]:
     """Split sorted eigenvalues into clusters merged at gaps < 1e-7 * scale."""
     order = np.argsort(w)
-    ws = w[order]
     scale = max(1.0, float(np.max(np.abs(w))))
-    breaks = np.flatnonzero(np.diff(ws) > _CLUSTER_GAP * scale)
-    clusters, start = [], 0
-    for b in list(breaks) + [len(ws) - 1]:
-        clusters.append(order[start:b + 1])
-        start = b + 1
-    return clusters
+    breaks = np.flatnonzero(np.diff(w[order]) > _CLUSTER_GAP * scale)
+    return np.split(order, breaks + 1)
 
 
 def _rebase(mats: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -98,6 +98,22 @@ def test_quaternion8():
     assert sum(1 for a in g.elements() if g.element_order(a) == 2) == 1
 
 
+def test_quaternion8_layout():
+    """Element 2u + (1 for a minus sign) for u over 1, i, j, k."""
+    table = build_group("quaternion:8").table
+    assert table[2, 4] == 6  # i j = k
+    assert table[4, 2] == 7  # j i = -k
+    assert table[2, 2] == 1  # i^2 = -1
+    assert table.tolist() == [[0, 1, 2, 3, 4, 5, 6, 7],
+                              [1, 0, 3, 2, 5, 4, 7, 6],
+                              [2, 3, 1, 0, 6, 7, 5, 4],
+                              [3, 2, 0, 1, 7, 6, 4, 5],
+                              [4, 5, 7, 6, 1, 0, 2, 3],
+                              [5, 4, 6, 7, 0, 1, 3, 2],
+                              [6, 7, 4, 5, 3, 2, 1, 0],
+                              [7, 6, 5, 4, 2, 3, 0, 1]]
+
+
 def test_from_cayley_table_z2():
     g = from_cayley_table("2\n0 1\n1 0\n")
     assert g.order == 2

@@ -7,6 +7,7 @@ from bohrlab import (GroupFunction, Subset, ZetaRule, bogolyubov_search,
                      separated_cover, shift_invariance_search,
                      symmetric_covering_check, translate_covering_check,
                      two_set_bogolyubov)
+from bohrlab.bohr import SearchSpace, first_accepted
 from bohrlab.cli import run_experiment
 from bohrlab.gen import (evens_subset, random_pm1_function, random_subset,
                          random_subset_of_size, remove_random_points,
@@ -189,9 +190,31 @@ def test_four_product_abelian_coincides(z12):
     single = bogolyubov_search(evens, 0.5)
     assert res.status == "ok"
     assert res.spec.realized == single.spec.realized
-    # abelian, so the four product sets are one, and each walk is bogolyubov's
+    # abelian, so the four product sets are one and the one walk is bogolyubov's
     assert [s.realized for s in res.found] == [single.spec.realized] * 4
-    assert res.candidates_scored == 4 * single.candidates_scored
+    assert res.candidates_scored == single.candidates_scored
+
+
+@pytest.mark.parametrize("desc,seed", [
+    ("dihedral:6", 1), ("dihedral:6", 2), ("alt:4", 0), ("alt:4", 1),
+    ("alt:4", 3), ("alt:4", 5), ("product:zmod:2,sym:3", 1)])
+def test_four_product_one_walk_matches_four_walks(desc, seed):
+    """Cases whose four product sets take different first specs: the one walk
+    finds each walk's spec and scores as many candidates as the longest."""
+    g = build_group(desc)
+    a = random_subset_of_size(g, max(1, int(0.3 * g.order)), rng_from_seed(seed))
+    res = four_product_bohr(a, (len(a) - 0.5) / g.order)
+    ainv = inverse_set(a)
+    targets = [product_set(product_set(x, y), product_set(z, w)) for x, y, z, w in (
+        (a, ainv, a, ainv), (ainv, a, ainv, a), (a, a, ainv, ainv), (ainv, ainv, a, a))]
+    walks = [first_accepted(g, SearchSpace(),
+                            lambda s, t=t: s.realized.is_subset_of(t) or None)
+             for t in targets]
+    assert res.status == "ok"
+    assert len({(s.tau.label, s.delta) for s in res.found}) > 1
+    assert [(s.tau.label, s.delta, s.realized) for s in res.found] == [
+        (w.spec.tau.label, w.spec.delta, w.spec.realized) for w in walks]
+    assert res.candidates_scored == max(w.candidates_scored for w in walks)
 
 
 def test_four_product_dihedral6():

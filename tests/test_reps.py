@@ -75,6 +75,26 @@ def test_abelian_characters_match_per_character_loop(desc):
         assert rep.matrices.reshape(-1).tobytes() == values.tobytes()
 
 
+@pytest.mark.parametrize("desc,gens,orders", [
+    ("product:zmod:6,zmod:4,zmod:10", [51, 5, 120], [60, 2, 2]),
+    ("product:zmod:2,zmod:4,zmod:8,zmod:16", [1, 16, 128, 512], [16, 8, 4, 2]),
+    ("product:zmod:3,zmod:9,zmod:27", [1, 27, 243], [27, 9, 3]),
+    ("product:zmod:12,zmod:18", [19, 39], [36, 6])])
+def test_cyclic_decomposition_pinned(desc, gens, orders):
+    g = build_group(desc)
+    got_gens, got_orders, coords = reps.cyclic_decomposition(g)
+    assert (got_gens, got_orders) == (gens, orders)
+    assert [g.element_order(x) for x in gens] == orders
+    assert ((coords >= 0) & (coords < orders)).all()
+    # coords[x] rebuilds x as the product of gens[j] ** coords[x, j]
+    for x in g.elements():
+        y = g.identity
+        for gen, e in zip(gens, coords[x]):
+            for _ in range(e):
+                y = g.mul(y, gen)
+        assert y == x
+
+
 def test_abelian_characters_rejects_nonabelian(s3):
     with pytest.raises(ValueError):
         abelian_characters(s3)
