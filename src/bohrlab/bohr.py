@@ -17,7 +17,7 @@ from typing import Callable, Generic, Iterator, Optional, TypeVar
 
 import numpy as np
 
-from .groups import FiniteGroup, Subset, inverse_set
+from .groups import BLOCK_ENTRIES, FiniteGroup, Subset, inverse_set
 from .reps import UnitaryRep, direct_sum_hom, irreps_of
 
 logger = logging.getLogger("bohrlab.bohr")
@@ -70,23 +70,36 @@ def bohr_set(group: FiniteGroup, tau: UnitaryRep, delta: float) -> BohrSpec:
     """The (delta, U(n))-Bohr neighborhood {g : ||tau(g) - I||_op < delta}.
 
     Membership is strict (open ball); elements whose distance sits within
-    1e-12 of delta are excluded and logged as boundary cases.
+    1e-12 of delta are excluded and logged as boundary cases. This is the
+    one-candidate case of the block kernel the candidate walk uses.
     """
     if tau.group is not group:
         raise ValueError("tau is not a representation of the given group")
+    return next(_bohr_sets(group, [tau], delta))
+
+
+def _bohr_sets(group: FiniteGroup, taus: list[UnitaryRep],
+               delta: float) -> Iterator[BohrSpec]:
+    """The Bohr sets of a block of reps of ``group`` at one delta.
+
+    The block's identity distances are stacked and compared with delta in
+    one pass; each spec is built only when it is taken. Raises ValueError on
+    the first ``next`` for a delta outside (0, 2].
+    """
     if not 0.0 < delta <= 2.0:
         raise ValueError(f"delta must lie in (0, 2], got {delta}")
-    dist = tau.identity_distances()
-    boundary = np.flatnonzero(np.abs(dist - delta) <= BOUNDARY_TOL)
-    mask = dist < delta - BOUNDARY_TOL
-    if boundary.size:
-        logger.debug("bohr_set %s delta=%g: excluded boundary elements %s",
-                     tau.label, delta, boundary.tolist())
-    # an irreducible of dim >= 2 has no basis making all its matrices diagonal
-    kind = "torus" if tau.dim == (len(tau.summands) or 1) else "unitary"
-    return BohrSpec(tau=tau, delta=float(delta), kind=kind,
-                    realized=Subset(group, mask),
-                    boundary_excluded=tuple(int(b) for b in boundary))
+    dist = np.array([tau.identity_distances() for tau in taus])
+    inside = dist < delta - BOUNDARY_TOL
+    near = np.abs(dist - delta) <= BOUNDARY_TOL
+    for tau, mask, row, any_near in zip(taus, inside, near, near.any(axis=1)):
+        boundary = tuple(np.flatnonzero(row).tolist()) if any_near else ()
+        if boundary:
+            logger.debug("bohr_set %s delta=%g: excluded boundary elements %s",
+                         tau.label, delta, list(boundary))
+        # an irreducible of dim >= 2 has no basis making all its matrices diagonal
+        kind = "torus" if tau.dim == (len(tau.summands) or 1) else "unitary"
+        yield BohrSpec(tau=tau, delta=float(delta), kind=kind,
+                       realized=Subset(group, mask), boundary_excluded=boundary)
 
 
 def greedy_cover(group: FiniteGroup, b: Subset) -> tuple[int, list[int]]:
@@ -196,29 +209,38 @@ def enumerate_bohr_candidates(group: FiniteGroup,
     irrep summands, then lexicographic irrep indices. Stops after
     ``space.max_candidates`` yields, or once n passes the largest total
     dimension that ``space.max_summands`` irreps reach.
+
+    Each (n, delta) level is realized a block of candidates at a time by the
+    kernel behind ``bohr_set``. Blocks start at 8 candidates and double, up
+    to max(1, BLOCK_ENTRIES // |G|), so a search that accepts early builds
+    few direct sums past its accepted candidate; none passes the budget.
     """
     irreps = irreps_of(group)
     dims = [rep.dim for rep in irreps]
     top_dim = sum(sorted(dims, reverse=True)[:space.max_summands])
     grid = tuple(sorted(set(space.delta_grid), reverse=True))
     rep_cache: dict[tuple[int, ...], UnitaryRep] = {}
-    yielded = 0
+    widest = max(1, BLOCK_ENTRIES // group.order)
+    size, left = min(8, widest), space.max_candidates
     for n in range(1, min(space.max_dim, top_dim) + 1):
-        if yielded >= space.max_candidates:
-            return
         # at most n summands, as each has dim >= 1; lex order is preference order
         combos = [combo
                   for count in range(1, min(n, space.max_summands) + 1)
                   for combo in itertools.combinations(range(len(irreps)), count)
                   if sum(dims[i] for i in combo) == n]
         for delta in grid:
-            for combo in combos:
-                if yielded >= space.max_candidates:
-                    return
-                if combo not in rep_cache:
-                    rep_cache[combo] = direct_sum_hom([irreps[i] for i in combo])
-                yield bohr_set(group, rep_cache[combo], delta)
-                yielded += 1
+            start = 0
+            while start < len(combos) and left > 0:
+                block = combos[start:start + min(size, left)]
+                for combo in block:
+                    if combo not in rep_cache:
+                        rep_cache[combo] = direct_sum_hom([irreps[i] for i in combo])
+                yield from _bohr_sets(group, [rep_cache[c] for c in block], delta)
+                start += len(block)
+                left -= len(block)
+                size = min(2 * size, widest)
+        if left == 0:
+            return
 
 
 @dataclass(frozen=True)

@@ -189,6 +189,7 @@ class Subset:
         self.mask = mask
         self.mask.setflags(write=False)
         self._indices: np.ndarray | None = None
+        self._len: int | None = None
 
     @classmethod
     def from_indices(cls, group: FiniteGroup, indices) -> "Subset":
@@ -246,7 +247,9 @@ class Subset:
             raise ValueError("subsets belong to different groups")
 
     def __len__(self) -> int:
-        return int(self.mask.sum())
+        if self._len is None:  # the mask is read-only, so the count holds
+            self._len = int(self.mask.sum())
+        return self._len
 
     def __contains__(self, g: int) -> bool:
         return bool(self.mask[g])

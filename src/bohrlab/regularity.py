@@ -191,12 +191,16 @@ def _every_translate_fits(f: GroupFunction, subset: Subset, eps: float) -> bool:
 
     max - min over gS is the float the kernel compares for its whole-set
     window, svals[-1] - svals[0], so this holds exactly when
-    _max_defect(f, subset, eps) == 0.0.
+    _max_defect(f, subset, eps) == 0.0. S itself, the translate eS, is tried
+    first: most sets fail there, before any translate is gathered.
     """
     idx = subset.indices
     if idx.size == 1:
         return True
     table, thr = f.group.table, eps - WINDOW_GUARD
+    own = f.values[idx]
+    if not own.max() - own.min() < thr:
+        return False
     for blk in row_blocks(f.group.order, idx.size):
         vals = f.values[table[blk][:, idx]]
         if not (vals.max(axis=1) - vals.min(axis=1) < thr).all():

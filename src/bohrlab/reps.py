@@ -182,11 +182,12 @@ def cyclic_decomposition(group: FiniteGroup) -> tuple[list[int], list[int], np.n
     while span.size < n:
         in_span = np.isin(np.arange(n), span)
         for cand in by_order[~in_span[by_order]].tolist():
+            # cand's powers meet the span only in e if the first one in it is e
             cyc, x = [group.identity], cand
-            while x != group.identity:
+            while not in_span[x]:
                 cyc.append(x)
                 x = group.mul(x, cand)
-            if not in_span[cyc[1:]].any():
+            if x == group.identity:
                 break
         else:  # cannot happen for a genuine abelian group
             raise RuntimeError("greedy cyclic decomposition failed")

@@ -13,6 +13,7 @@ from bohrlab import (SearchSpace, Subset, ZetaRule, abelian_characters,
                      irreps_of, nm_refine, search_regular_bohr,
                      shift_invariance_search, subgroup_test, translate_set,
                      two_set_bogolyubov)
+from bohrlab import bohr
 from bohrlab.bohr import NoDiagonalRefinementError
 from bohrlab.gen import evens_subset, random_pm1_function, rng_from_seed
 from bohrlab.regularity import _all_subgroups
@@ -47,9 +48,13 @@ def test_klein_kernel(klein8):
 
 
 def test_delta_range_validated(z12, z12_chars):
-    for bad in (0.0, -1.0, 2.5):
-        with pytest.raises(ValueError):
+    # bohr_set checks when called, though the kernel behind it is lazy
+    for bad in (0.0, -1.0, 2.5, math.nan):
+        with pytest.raises(ValueError, match="delta must lie"):
             bohr_set(z12, z12_chars[1], bad)
+    other = abelian_characters(build_group("zmod:6"))[1]
+    with pytest.raises(ValueError, match="representation of the given group"):
+        bohr_set(z12, other, 1.0)
 
 
 def test_greedy_cover_examples(z12):
@@ -311,6 +316,66 @@ def test_enumeration_preference_order():
         got = [(s.tau.label, s.delta)
                for s in enumerate_bohr_candidates(g, space)]
         assert got == expected, desc
+
+
+def _scalar_spec(tau, delta):
+    """The per-candidate membership test, element by element."""
+    dist = tau.identity_distances()
+    mask = np.array([d < delta - bohr.BOUNDARY_TOL for d in dist.tolist()])
+    boundary = tuple(g for g, d in enumerate(dist.tolist())
+                     if abs(d - delta) <= bohr.BOUNDARY_TOL)
+    flat = all(s.dim == 1 for s in (tau.summands or (tau,)))
+    return mask, float(delta), "torus" if flat else "unitary", boundary
+
+
+@pytest.mark.parametrize("desc", ["zmod:12", "zmod:101", "dihedral:12", "sym:4",
+                                  "alt:5", "quaternion:8",
+                                  "product:zmod:2,zmod:6"])
+def test_block_kernel_matches_scalar_reference(desc, monkeypatch):
+    g = build_group(desc)
+    specs = list(enumerate_bohr_candidates(g, SearchSpace()))
+    assert specs
+    for spec in specs:
+        mask, delta, kind, boundary = _scalar_spec(spec.tau, spec.delta)
+        assert np.array_equal(spec.realized.mask, mask), spec.tau.label
+        assert (spec.delta, spec.kind, spec.boundary_excluded) == (
+            delta, kind, boundary), spec.tau.label
+    # blocks of one candidate give the same walk
+    monkeypatch.setattr(bohr, "BLOCK_ENTRIES", 1)
+    single = list(enumerate_bohr_candidates(g, SearchSpace()))
+    assert [(s.tau.label, s.delta, s.kind, s.boundary_excluded, s.realized)
+            for s in single] == [
+        (s.tau.label, s.delta, s.kind, s.boundary_excluded, s.realized)
+        for s in specs]
+
+
+def test_boundary_candidates_share_a_block(z12, z12_chars):
+    # at delta 1.0, chi1 and chi2 have elements at distance exactly 1, while
+    # chi0 and chi3 have none; the first block of the walk holds all four
+    expected = {"chi0": (), "chi1": (2, 10), "chi2": (1, 5, 7, 11), "chi3": ()}
+    block = list(bohr._bohr_sets(z12, z12_chars[:4], 1.0))
+    walk = enumerate_bohr_candidates(z12, SearchSpace(delta_grid=(1.0,)))
+    for spec, walked in zip(block, walk):
+        assert spec.boundary_excluded == expected[spec.tau.label]
+        assert (walked.tau.label, walked.boundary_excluded,
+                walked.realized) == (spec.tau.label, spec.boundary_excluded,
+                                     spec.realized)
+        alone = bohr_set(z12, spec.tau, 1.0)
+        assert (alone.realized, alone.boundary_excluded) == (
+            spec.realized, spec.boundary_excluded)
+    assert sorted(block[1].realized.indices) == [0, 1, 11]
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 7, 8, 9, 17, 150])
+def test_budget_cuts_the_walk_exactly(z12, budget):
+    # blocks hold 8, 16, 32, ... candidates, so these budgets end a walk at
+    # and next to a block edge
+    full = [(s.tau.label, s.delta)
+            for s in enumerate_bohr_candidates(z12, SearchSpace())]
+    got = [(s.tau.label, s.delta) for s in enumerate_bohr_candidates(
+        z12, SearchSpace(max_candidates=budget))]
+    assert got == full[:budget]
+    assert len(got) == budget
 
 
 @pytest.mark.parametrize("desc", catalog_descriptors(24))

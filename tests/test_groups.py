@@ -326,6 +326,17 @@ def test_translate_examples(z4):
         assert len(translate_set(g, a, "right")) == len(a)
 
 
+def test_len_counts_the_mask(z12):
+    a = Subset.from_indices(z12, [0, 3, 5, 11])
+    b = Subset.from_indices(z12, [3, 4, 5])
+    subsets = [Subset.empty(z12), Subset.full(z12), a, b,
+               a.intersection(b), a.union(b), Subset.from_indices(z12, [])]
+    for s in subsets:
+        assert len(s) == int(s.mask.sum())
+        assert len(s) == int(s.mask.sum())  # the cached count
+    assert [len(s) for s in subsets] == [0, 12, 4, 3, 2, 5, 0]
+
+
 def test_group_mismatch_errors(z4, z6):
     a = Subset.from_indices(z4, [0])
     b = Subset.from_indices(z6, [0])

@@ -389,6 +389,35 @@ def test_range_screen_is_exact(descriptor, data, eps):
         assert worst >= size / n - (size - 1) / n
 
 
+@pytest.mark.parametrize("descriptor", ["zmod:101", "dihedral:30", "alt:5"])
+def test_screen_agrees_with_python_translates(descriptor):
+    # uniform values in [-1, 1): eps 2.5 fits every translate, 0.1 few;
+    # the planted set is constant under f, so only its translates can fail
+    grp = build_group(descriptor)
+    n = grp.order
+    rng = np.random.default_rng(11)
+    values = rng.uniform(-1.0, 1.0, n)
+    planted = rng.choice(n, 4, replace=False)
+    values[planted] = 0.3
+    f = GroupFunction(grp, values)
+    member_sets = [[int(rng.integers(n))], list(range(n)), planted.tolist(),
+                   rng.choice(n, 2, replace=False).tolist(),
+                   rng.choice(n, 7, replace=False).tolist()]
+    own_fits_only = 0
+    for members in member_sets:
+        subset = Subset.from_indices(grp, members)
+        for eps in (0.1, 0.5, 2.5):
+            thr = eps - regularity.WINDOW_GUARD
+            brute = [len(t) == 1 or np.ptp(f.values[sorted(t)]) < thr
+                     for _, t in _python_translates(grp, members)]
+            fits = regularity._every_translate_fits(f, subset, eps)
+            assert fits == all(brute), (members, eps)
+            assert fits == (regularity._max_defect(f, subset, eps) == 0.0)
+            own = len(members) == 1 or np.ptp(values[members]) < thr
+            own_fits_only += own and not fits
+    assert own_fits_only > 0
+
+
 def _unscreened_search(f, eps, zeta, space):
     """search_regular_bohr with the exact max defect of every distinct set
     and no range screen."""
