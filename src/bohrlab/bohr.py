@@ -9,9 +9,12 @@ exists in the stored basis.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import logging
 import math
+import threading
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Generic, Iterator, Optional, TypeVar
 
@@ -86,8 +89,7 @@ def _bohr_sets(group: FiniteGroup, taus: list[UnitaryRep],
     one pass; each spec is built only when it is taken. Raises ValueError on
     the first ``next`` for a delta outside (0, 2].
     """
-    if not 0.0 < delta <= 2.0:
-        raise ValueError(f"delta must lie in (0, 2], got {delta}")
+    _check_delta(delta)
     dist = np.array([tau.identity_distances() for tau in taus])
     inside = dist < delta - BOUNDARY_TOL
     near = np.abs(dist - delta) <= BOUNDARY_TOL
@@ -100,6 +102,11 @@ def _bohr_sets(group: FiniteGroup, taus: list[UnitaryRep],
         kind = "torus" if tau.dim == (len(tau.summands) or 1) else "unitary"
         yield BohrSpec(tau=tau, delta=float(delta), kind=kind,
                        realized=Subset(group, mask), boundary_excluded=boundary)
+
+
+def _check_delta(delta: float) -> None:
+    if not 0.0 < delta <= 2.0:
+        raise ValueError(f"delta must lie in (0, 2], got {delta}")
 
 
 def greedy_cover(group: FiniteGroup, b: Subset) -> tuple[int, list[int]]:
@@ -189,7 +196,11 @@ def cover_bound_check(spec: BohrSpec) -> tuple[int, int, bool]:
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Budgeted enumeration space over direct sums of computed irreducibles."""
+    """Budgeted enumeration space over direct sums of computed irreducibles.
+
+    Every delta of the grid is checked here, so a search's outcome does not
+    depend on how far its walk gets before it reaches a bad one.
+    """
 
     delta_grid: tuple[float, ...] = DEFAULT_DELTA_GRID
     max_dim: int = 8
@@ -199,6 +210,127 @@ class SearchSpace:
     def __post_init__(self):
         if min(self.max_dim, self.max_summands, self.max_candidates) < 1:
             raise ValueError("max_dim, max_summands and max_candidates must be >= 1")
+        if not self.delta_grid:
+            raise ValueError("delta_grid must hold at least one delta")
+        for delta in self.delta_grid:
+            _check_delta(delta)
+
+
+# Every group's stored walks together hold at most STORED_ENTRIES entries,
+# a spec of a group of order n counting n + 64: its n-byte mask, at most 16
+# bytes per element more for the member indices a search reads and its
+# direct sum's distances, and about 1 KB of objects. So they stay under
+# ~9 MB however many groups build_group keeps; the oldest stream is dropped
+# first.
+STORED_ENTRIES = 1 << 19
+_LOCK = threading.Lock()  # guards every stream and _STREAMS
+_STREAMS: list[weakref.ref] = []  # oldest first; a stream dies with its group
+
+
+class _Walk:
+    """The candidate walk of one group under one key, resumable from its
+    position: the total dimension n, the index of delta in the grid and the
+    offset into the level's combos. ``taus`` holds the direct sums of the
+    level's combos built so far, which every later delta of the level reuses.
+    """
+
+    def __init__(self, group: FiniteGroup, key: tuple):
+        self.group = group
+        self.grid, max_dim, self.max_summands = key
+        self.irreps = irreps_of(group)
+        dims = sorted((rep.dim for rep in self.irreps), reverse=True)
+        self.top = min(max_dim, sum(dims[:self.max_summands]))
+        self.n, self.d, self.start = 0, len(self.grid) - 1, 0
+        self.combos: list[tuple[int, ...]] = []
+        self.taus: list[UnitaryRep] = []
+
+    def _combos(self, n: int) -> list[tuple[int, ...]]:
+        # at most n summands, as each has dim >= 1; lex order is preference order
+        return [combo
+                for count in range(1, min(n, self.max_summands) + 1)
+                for combo in itertools.combinations(range(len(self.irreps)), count)
+                if sum(self.irreps[i].dim for i in combo) == n]
+
+    def block(self, count: int) -> list[BohrSpec]:
+        """The next at most ``count`` candidates, all of one (n, delta)
+        level; empty once the walk is done."""
+        while self.start == len(self.combos):
+            if self.d + 1 < len(self.grid):
+                self.d, self.start = self.d + 1, 0
+            elif self.n < self.top:
+                combos = self._combos(self.n + 1)
+                self.n, self.d, self.start = self.n + 1, 0, 0
+                self.combos, self.taus = combos, []
+            else:
+                return []
+        stop = min(self.start + count, len(self.combos))
+        taus = self.taus[self.start:stop] if self.d else [
+            direct_sum_hom([self.irreps[i] for i in combo])
+            for combo in self.combos[self.start:stop]]
+        specs = list(_bohr_sets(self.group, taus, self.grid[self.d]))
+        if not self.d:
+            self.taus = self.taus + taus  # rebound, so a copied walk keeps its own
+        self.start = stop
+        return specs
+
+
+class _Stream:
+    """A group's stored walk under one key: the specs it produced so far,
+    and the walk positioned after the last of them. A stream that is
+    dropped, or cannot grow within STORED_ENTRIES, stops growing."""
+
+    def __init__(self, group: FiniteGroup, key: tuple):
+        self.group, self.key = group, key
+        self.cost = group.order + 64  # entries per spec, see STORED_ENTRIES
+        self.specs: list[BohrSpec] = []
+        self.walk: Optional[_Walk] = None
+        self.growing = True
+
+    def entries(self) -> int:
+        return len(self.specs) * self.cost
+
+
+def _stream(group: FiniteGroup, key: tuple) -> _Stream:
+    with _LOCK:
+        stream = group._streams.get(key)
+        if stream is None:
+            stream = group._streams[key] = _Stream(group, key)
+            _STREAMS.append(weakref.ref(stream))
+        return stream
+
+
+def _room(stream: _Stream, count: int) -> bool:
+    """Whether ``count`` more specs may be stored on ``stream``, dropping
+    the oldest other streams to make room. Called under _LOCK."""
+    need = count * stream.cost
+    if not stream.growing or stream.entries() + need > STORED_ENTRIES:
+        stream.growing = False
+        return False
+    live = [s for s in (ref() for ref in _STREAMS) if s is not None]
+    total = sum(s.entries() for s in live) + need
+    for old in [s for s in live if s is not stream]:
+        if total <= STORED_ENTRIES:
+            break
+        total -= old.entries()
+        old.growing = False
+        live.remove(old)
+        del old.group._streams[old.key]  # a registered stream is its group's
+    _STREAMS[:] = [weakref.ref(s) for s in live]
+    return True
+
+
+def _extend(stream: _Stream, count: int) -> tuple[list[BohrSpec], Optional[_Walk]]:
+    """The stream's next block of at most ``count`` specs, stored if it
+    fits, with None; else the block and the walk past it, to go on with
+    unstored. A block that raises leaves the stream as it was. Called under
+    _LOCK."""
+    walk = copy.copy(stream.walk or _Walk(stream.group, stream.key))
+    block = walk.block(count)
+    if not _room(stream, len(block)):
+        return block, walk
+    stream.walk = walk
+    stream.specs += block
+    return block, None
 
 
 def enumerate_bohr_candidates(group: FiniteGroup,
@@ -210,37 +342,36 @@ def enumerate_bohr_candidates(group: FiniteGroup,
     ``space.max_candidates`` yields, or once n passes the largest total
     dimension that ``space.max_summands`` irreps reach.
 
-    Each (n, delta) level is realized a block of candidates at a time by the
-    kernel behind ``bohr_set``. Blocks start at 8 candidates and double, up
-    to max(1, BLOCK_ENTRIES // |G|), so a search that accepts early builds
-    few direct sums past its accepted candidate; none passes the budget.
+    The walk depends on the group and on the key (the sorted distinct delta
+    grid, max_dim, max_summands) alone, so the group stores the specs it
+    produces: a later walk replays them, cut at its own budget, and extends
+    the stored walk only past them. Each (n, delta) level is realized a
+    block of candidates at a time by the kernel behind ``bohr_set``. A
+    walk's new blocks start at 8 candidates and double, up to
+    max(1, BLOCK_ENTRIES // |G|), so a search that accepts early builds few
+    candidates past it; none passes its budget. A walk that finds its
+    stream full goes on from the stream's position without storing.
     """
-    irreps = irreps_of(group)
-    dims = [rep.dim for rep in irreps]
-    top_dim = sum(sorted(dims, reverse=True)[:space.max_summands])
-    grid = tuple(sorted(set(space.delta_grid), reverse=True))
-    rep_cache: dict[tuple[int, ...], UnitaryRep] = {}
+    key = (tuple(sorted(set(space.delta_grid), reverse=True)),
+           space.max_dim, space.max_summands)
+    stream = _stream(group, key)
     widest = max(1, BLOCK_ENTRIES // group.order)
-    size, left = min(8, widest), space.max_candidates
-    for n in range(1, min(space.max_dim, top_dim) + 1):
-        # at most n summands, as each has dim >= 1; lex order is preference order
-        combos = [combo
-                  for count in range(1, min(n, space.max_summands) + 1)
-                  for combo in itertools.combinations(range(len(irreps)), count)
-                  if sum(dims[i] for i in combo) == n]
-        for delta in grid:
-            start = 0
-            while start < len(combos) and left > 0:
-                block = combos[start:start + min(size, left)]
-                for combo in block:
-                    if combo not in rep_cache:
-                        rep_cache[combo] = direct_sum_hom([irreps[i] for i in combo])
-                yield from _bohr_sets(group, [rep_cache[c] for c in block], delta)
-                start += len(block)
-                left -= len(block)
-                size = min(2 * size, widest)
-        if left == 0:
+    size, done, walk = min(8, widest), 0, None
+    while done < space.max_candidates:
+        left = space.max_candidates - done
+        if walk is None:
+            with _LOCK:
+                block = stream.specs[done:done + left]
+                if not block:
+                    block, walk = _extend(stream, min(size, left))
+                    size = min(2 * size, widest)
+        else:
+            block = walk.block(min(size, left))
+            size = min(2 * size, widest)
+        if not block:
             return
+        yield from block
+        done += len(block)
 
 
 @dataclass(frozen=True)

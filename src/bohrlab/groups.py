@@ -55,6 +55,7 @@ class FiniteGroup:
         self._abelian: bool | None = None
         self._exponent: int | None = None
         self._irreps = None  # filled by reps.irreps_of
+        self._streams = {}  # stored candidate walks, see bohr.enumerate_bohr_candidates
 
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
@@ -83,15 +84,29 @@ class FiniteGroup:
         return k
 
     def element_orders(self) -> np.ndarray:
-        """Order of every element, from one power walk over all of them."""
-        elems = power = np.arange(self.order)
-        orders = np.ones(self.order, dtype=np.int64)
-        live = power != self.identity
-        while live.any():
-            power = self.table[power, elems]
-            orders += live
-            live &= power != self.identity
+        """Order of every element: the least divisor d of |G| with g^d = e,
+        found from d = |G| by dividing out each prime p of |G| while
+        g^(d/p) = e."""
+        n = self.order
+        primes = [p for p in range(2, n + 1)
+                  if n % p == 0 and all(p % q for q in range(2, p))]
+        orders = np.full(n, n, dtype=np.int64)
+        for p in primes:
+            live = np.arange(n)
+            while live.size:
+                live = live[orders[live] % p == 0]
+                live = live[self._powers(live, orders[live] // p) == self.identity]
+                orders[live] //= p
         return orders
+
+    def _powers(self, elems: np.ndarray, exps: np.ndarray) -> np.ndarray:
+        """elems[i] ** exps[i] for every i, by square-and-multiply."""
+        result = np.full(len(elems), self.identity, dtype=self.table.dtype)
+        while exps.any():
+            odd = exps % 2 == 1
+            result[odd] = self.table[result[odd], elems[odd]]
+            elems, exps = self.table[elems, elems], exps // 2
+        return result
 
     def exponent(self) -> int:
         if self._exponent is None:
@@ -406,6 +421,8 @@ def _perm_parity(p: tuple[int, ...]) -> int:
 # Catalog groups by descriptor, oldest first, while their squared orders sum
 # to at most SHARED_ORDER_SQ. A kept group holds 4 + 16 + 8 bytes per n^2
 # entry (table, irreps, the distances a Bohr search reads): about 28 MB.
+# Its stored candidate walks come on top, within the process-wide
+# bohr.STORED_ENTRIES (about 9 MB for every group together).
 SHARED_ORDER_SQ = 1 << 20
 _SHARED: dict[str, FiniteGroup] = {}
 
@@ -416,9 +433,9 @@ def build_group(descriptor: str) -> FiniteGroup:
     Supported forms: ``zmod:n``, ``product:<d1>,<d2>,...`` (comma-separated
     atomic descriptors), ``dihedral:n``, ``quaternion:8``, ``sym:n`` and
     ``alt:n`` for n <= 5, and ``file:<path>`` for a Cayley-table text file.
-    A catalog descriptor gives one shared object, with its irreps, while it
-    is kept (about 28 MB in all, see SHARED_ORDER_SQ); a ``file:`` table is
-    read on every call, as the file may change.
+    A catalog descriptor gives one shared object, with its irreps and stored
+    candidate walks, while it is kept (see SHARED_ORDER_SQ); a ``file:``
+    table is read on every call, as the file may change.
     """
     descriptor = descriptor.strip()
     head, _, rest = descriptor.partition(":")

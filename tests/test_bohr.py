@@ -1,11 +1,15 @@
+import dataclasses
+import gc
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from bohrlab import (SearchSpace, Subset, ZetaRule, abelian_characters,
+from bohrlab import (FiniteGroup, SearchSpace, Subset, ZetaRule, abelian_characters,
                      bogolyubov_search, bohr_set, build_group,
                      catalog_descriptors, cover_bound_check,
                      decompose_regular, direct_sum_hom,
@@ -318,6 +322,11 @@ def test_enumeration_preference_order():
         assert got == expected, desc
 
 
+def _spec_key(spec):
+    return (spec.tau.label, spec.delta, spec.kind, spec.boundary_excluded,
+            spec.realized.mask.tobytes())
+
+
 def _scalar_spec(tau, delta):
     """The per-candidate membership test, element by element."""
     dist = tau.identity_distances()
@@ -340,13 +349,12 @@ def test_block_kernel_matches_scalar_reference(desc, monkeypatch):
         assert np.array_equal(spec.realized.mask, mask), spec.tau.label
         assert (spec.delta, spec.kind, spec.boundary_excluded) == (
             delta, kind, boundary), spec.tau.label
-    # blocks of one candidate give the same walk
+    # blocks of one candidate give the same walk; an unshared group has no
+    # stored walk to replay, so this one runs the kernel
     monkeypatch.setattr(bohr, "BLOCK_ENTRIES", 1)
-    single = list(enumerate_bohr_candidates(g, SearchSpace()))
-    assert [(s.tau.label, s.delta, s.kind, s.boundary_excluded, s.realized)
-            for s in single] == [
-        (s.tau.label, s.delta, s.kind, s.boundary_excluded, s.realized)
-        for s in specs]
+    single = list(enumerate_bohr_candidates(FiniteGroup(g.table, desc),
+                                            SearchSpace()))
+    assert [_spec_key(s) for s in single] == [_spec_key(s) for s in specs]
 
 
 def test_boundary_candidates_share_a_block(z12, z12_chars):
@@ -403,6 +411,153 @@ def test_exhaustive_enumeration_holds_no_block_matrices():
         tracemalloc.stop()
     assert count > 0
     assert peak < 8 << 20, peak
+
+
+REPLAY_GROUPS = ["zmod:12", "zmod:101", "dihedral:12", "sym:4", "alt:5",
+                 "product:zmod:2,zmod:6"]
+REPLAY_SPACES = {"default": SearchSpace(),
+                 "one summand": SearchSpace(max_summands=1, max_candidates=150),
+                 "custom grid": SearchSpace(delta_grid=(0.3, 1.7, 1.0, 0.3),
+                                            max_dim=4, max_candidates=300)}
+
+
+@pytest.mark.parametrize("space", sorted(REPLAY_SPACES))
+@pytest.mark.parametrize("desc", REPLAY_GROUPS)
+def test_replay_matches_an_unshared_walk(desc, space):
+    # the shared group stores its walk on the first call and replays it on
+    # the next, cut at each budget; an unshared copy walks afresh
+    space = REPLAY_SPACES[space]
+    g = build_group(desc)
+    fresh = [_spec_key(s) for s in enumerate_bohr_candidates(
+        FiniteGroup(g.table, desc), space)]
+    assert fresh
+    for budget in (len(fresh), 1, 9, len(fresh) // 2 + 1, len(fresh)):
+        cut = dataclasses.replace(space, max_candidates=budget)
+        assert [_spec_key(s) for s in enumerate_bohr_candidates(g, cut)] == \
+            fresh[:budget]
+
+
+def _limit_to(monkeypatch, group, specs):
+    """Let the stored walks hold ``specs`` specs of ``group`` in all."""
+    monkeypatch.setattr(bohr, "STORED_ENTRIES", specs * (group.order + 64))
+
+
+@pytest.mark.parametrize("desc", REPLAY_GROUPS)
+def test_walks_past_the_storage_limit(desc, monkeypatch):
+    # budgets below, at and past a limit of 40 specs: a walk replays the
+    # stored 40 and builds only the candidates after them, unstored
+    g = build_group(desc)
+    fresh = [_spec_key(s) for s in enumerate_bohr_candidates(
+        FiniteGroup(g.table, desc), SearchSpace())]
+    unshared = FiniteGroup(g.table, desc)
+    _limit_to(monkeypatch, unshared, 40)
+    built = []
+    real_bohr_sets = bohr._bohr_sets
+    monkeypatch.setattr(bohr, "_bohr_sets", lambda group, taus, delta: (
+        built.extend(taus), real_bohr_sets(group, taus, delta))[1])
+    stored = 0
+    for budget in (39, 40, 41, 200, len(fresh), 200):
+        built.clear()
+        walk = enumerate_bohr_candidates(unshared, SearchSpace(max_candidates=budget))
+        assert [_spec_key(s) for s in walk] == fresh[:budget]
+        assert len(built) == max(0, min(budget, len(fresh)) - stored)
+        stored = sum(len(s.specs) for s in unshared._streams.values())
+        assert stored <= 40
+    assert stored == min(40, len(fresh))
+
+
+def test_storage_limit_drops_the_oldest_stream(monkeypatch):
+    groups = [FiniteGroup(build_group(d).table, d)
+              for d in ("zmod:12", "zmod:13", "zmod:14")]
+    monkeypatch.setattr(bohr, "STORED_ENTRIES", 250 * (12 + 64))
+    space = SearchSpace(max_candidates=100)
+    for g in groups:
+        assert sum(1 for _ in enumerate_bohr_candidates(g, space)) == 100
+    # three walks of 100 specs do not fit together: the first is dropped
+    assert not groups[0]._streams
+    assert [len(s.specs) for g in groups[1:] for s in g._streams.values()] == [
+        100, 100]
+    live = [s for s in (ref() for ref in bohr._STREAMS) if s is not None]
+    assert sum(s.entries() for s in live) <= bohr.STORED_ENTRIES
+    # a dropped stream's group walks afresh, and stores again
+    assert sum(1 for _ in enumerate_bohr_candidates(groups[0], space)) == 100
+    assert not groups[1]._streams and len(groups[0]._streams) == 1
+
+
+def test_a_stream_dies_with_its_group():
+    g = FiniteGroup(build_group("zmod:30").table, "zmod:30")
+    list(enumerate_bohr_candidates(g, SearchSpace(max_candidates=50)))
+    ref = bohr._STREAMS[-1]
+    assert ref() is next(iter(g._streams.values()))
+    del g
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.parametrize("limit", [None, 25])
+@pytest.mark.parametrize("desc", ["zmod:101", "dihedral:30"])
+def test_threads_walk_one_group_at_once(desc, limit, monkeypatch):
+    # four threads extend one stored walk at once, switching often; each
+    # sees the serial sequence, with and without a storage limit inside it
+    g = build_group(desc)
+    space = SearchSpace(max_candidates=400)
+    serial = [_spec_key(s) for s in enumerate_bohr_candidates(
+        FiniteGroup(g.table, desc), space)]
+    shared = FiniteGroup(g.table, desc)
+    if limit:
+        _limit_to(monkeypatch, shared, limit)
+    irreps_of(shared)
+    start = threading.Barrier(4)
+    got = [None] * 4
+
+    def walk(i):
+        start.wait(timeout=60)
+        got[i] = [_spec_key(s) for s in enumerate_bohr_candidates(shared, space)]
+
+    threads = [threading.Thread(target=walk, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [serial] * 4
+    # a lost or doubled block would break the stored prefix
+    (stream,) = shared._streams.values()
+    assert [_spec_key(s) for s in stream.specs] == serial[:len(stream.specs)]
+    assert len(stream.specs) <= (limit or 400)
+
+
+def test_failed_walk_stores_nothing(monkeypatch):
+    # a block that raises past a stored prefix leaves the stream as it was
+    g = FiniteGroup(build_group("zmod:12").table, "zmod:12")
+    list(enumerate_bohr_candidates(g, SearchSpace(max_candidates=10)))
+    (stream,) = g._streams.values()
+    stored, walk = list(stream.specs), stream.walk
+
+    def fail(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(bohr, "_bohr_sets", fail)
+    with pytest.raises(MemoryError):
+        list(enumerate_bohr_candidates(g, SearchSpace(max_candidates=30)))
+    assert stream.specs == stored and stream.walk is walk
+    monkeypatch.undo()
+    fresh = [_spec_key(s) for s in enumerate_bohr_candidates(
+        FiniteGroup(g.table, "zmod:12"), SearchSpace(max_candidates=30))]
+    assert [_spec_key(s) for s in enumerate_bohr_candidates(
+        g, SearchSpace(max_candidates=30))] == fresh
+
+
+@pytest.mark.parametrize("grid", [(), (2.0, -1.0), (2.0, math.nan),
+                                  (2.0, math.inf), (0.0,), (3.0, 1.0)])
+def test_search_space_checks_the_grid(grid):
+    with pytest.raises(ValueError, match="delta"):
+        SearchSpace(delta_grid=grid)
 
 
 def test_nm_contained_in_plain(q8):

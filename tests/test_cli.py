@@ -148,6 +148,28 @@ def test_out_of_range_parameters_error(tmp_path, capsys, kind, keys, message):
     assert not (tmp_path / "o.json").exists()
 
 
+@pytest.mark.parametrize("kind, keys, grid", [
+    ("bogolyubov", "set_a = evens\nalpha = 0.5\n", "2.0,-1"),
+    ("bogolyubov", "set_a = evens\nalpha = 0.5\n", "2.0,nan"),
+    ("bogolyubov", "set_a = evens\nalpha = 0.5\n", "2.0,inf"),
+    ("regularity", "function = random-uniform\nepsilon = 0.1\n", "3.0,1.0"),
+])
+def test_bad_delta_grid_errors_wherever_the_walk_stops(tmp_path, capsys, kind,
+                                                       keys, grid):
+    # the bogolyubov search accepts at delta 2.0, before it reaches -1; each
+    # config runs twice in one process, so a stored walk cannot hide the fault
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[experiment]\ngroup = zmod:12\nseed = 1\n{keys}"
+                   f"delta_grid = {grid}\n")
+    for _ in range(2):
+        code = main([kind, "--config", str(cfg), "--out", str(tmp_path / "o.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: delta must lie in (0, 2], got ")
+        assert err.count("\n") == 1
+    assert not (tmp_path / "o.json").exists()
+
+
 @pytest.mark.parametrize("kind, keys", [
     ("regularity", "function = random-uniform\nepsilon = 0.1\n"),
     ("two-set", "set_a = random:0.1\nset_b = random:0.1\nalpha = 0.05\n"),

@@ -24,6 +24,12 @@ SMALL = {"budget": "200", "cap": "4", "max_candidates": "20", "trials": "3",
          "seed": "3", "expect": "none"}
 
 
+# Delta grids with one delta outside (0, 2], first or after a good one
+_BAD_GRIDS = st.tuples(st.sampled_from(["", "2.0,", "1.0,0.5,"]),
+                       st.sampled_from(["-1", "0", "2.5", "nan", "inf", "-inf"])
+                       ).map("".join)
+
+
 def _reject_constant(token):
     raise ValueError(f"{token} is not JSON")
 
@@ -38,7 +44,14 @@ def _faulty_configs(draw):
                    if isinstance(d, type) and k in REQUIRED})
     config.update({k: v for k, v in SMALL.items()
                    if k in keys and draw(st.booleans())})
-    fault = draw(st.sampled_from(("drop", "misspell", "non-numeric")))
+    fault = draw(st.sampled_from(("drop", "misspell", "non-numeric", "grid")))
+    if fault == "grid":
+        if "delta_grid" not in keys:
+            return kind, config, None
+        # a check of the sets or alpha may fail first, so the run must end
+        # with exit 1 and one line, whichever message it gives
+        config["delta_grid"] = draw(_BAD_GRIDS)
+        return kind, config, "error: "
     if fault == "drop":
         key = draw(st.sampled_from([k for k in config if isinstance(keys[k], type)]))
         del config[key]

@@ -271,6 +271,28 @@ def test_light_test_rejects_one_intercalate_swap_on_z300():
     assert t[t[x, s], y] != t[x, t[s, y]]
 
 
+def _walked_orders(g):
+    """Every element's order by the plain power walk, one table gather of
+    all elements per power, up to the exponent."""
+    elems = power = np.arange(g.order)
+    orders = np.ones(g.order, dtype=np.int64)
+    live = power != g.identity
+    while live.any():
+        power = g.table[power, elems]
+        orders += live
+        live &= power != g.identity
+    return orders
+
+
+@pytest.mark.parametrize("desc", catalog_descriptors(256)
+                         + ["zmod:2048", "product:zmod:2,zmod:1024"])
+def test_element_orders_match_the_power_walk(desc):
+    g = build_group(desc)
+    orders = g.element_orders()
+    assert orders.dtype == np.int64
+    assert np.array_equal(orders, _walked_orders(g))
+
+
 def test_element_orders_match_element_order():
     for desc in catalog_descriptors(100):
         g = build_group(desc)
