@@ -303,10 +303,14 @@ class ObstructionReport:
 def _generated(group: FiniteGroup, elems) -> frozenset[int]:
     """The subgroup generated by elems: S = elems + {e} gains SS by table
     lookup until it stops growing (in a finite group, closure under products
-    brings inverses)."""
-    s = np.unique(np.array([*elems, group.identity]))
+    brings inverses). Members are marked in an order-entry mask, not
+    deduplicated with np.unique, whose first call imports numpy.ma."""
+    mark = np.zeros(group.order, dtype=bool)
+    mark[[*elems, group.identity]] = True
+    s = np.flatnonzero(mark)
     while True:
-        grown = np.unique(group.table[np.ix_(s, s)])
+        mark[group.table[np.ix_(s, s)]] = True
+        grown = np.flatnonzero(mark)
         if grown.size == s.size:
             return frozenset(s.tolist())
         s = grown

@@ -207,21 +207,23 @@ def abelian_characters(group: FiniteGroup) -> list[UnitaryRep]:
     For each cyclic factor of order m the fundamental character sends the
     generator to exp(2*pi*i/m); products are indexed mixed-radix so that on
     zmod:n the k-th character is x -> exp(2*pi*i*k*x/n).
+
+    The phase is exact: with e the exponent (the lcm of the factor orders),
+    character k takes x to exp(2*pi*i*p/e) for the integer p = sum of
+    digit * (e/m) * coordinate, mod e. So x and its inverse get conjugate
+    values and equal distances, and every Bohr set is symmetric.
     """
     if not group.is_abelian:
         raise ValueError("abelian_characters requires an abelian group")
     gens, gen_orders, coords = cyclic_decomposition(group)
     n = group.order
-    radices = gen_orders if gens else [1]
+    radices = np.array(gen_orders if gens else [1])
+    e = int(np.lcm.reduce(radices))
 
-    # digits[k] holds the mixed-radix digits of k, most significant first;
-    # row k of phase sums digit * coordinate / m factor by factor
+    # digits[k] holds the mixed-radix digits of k, most significant first
     digits = np.array(np.unravel_index(np.arange(n), radices)).T
-    phase = np.zeros((n, n))
-    for j, m in enumerate(radices):
-        phase += digits[:, j, None] * coords[None, :, j] / m
-    values = np.exp(2j * np.pi * phase)
-    values[:, group.identity] = 1.0
+    phase = (digits * (e // radices)) @ coords.T % e
+    values = np.exp(2j * np.pi * np.arange(e) / e)[phase]
     return [UnitaryRep(group, values[k].reshape(n, 1, 1), label=f"chi{k}")
             for k in range(n)]
 
@@ -314,8 +316,10 @@ def _word_generators(group: FiniteGroup) -> tuple[np.ndarray, int]:
     seen[e] = True
     frontier, length = np.array([e]), 0
     while True:
-        step = np.unique(table[np.ix_(frontier, gens)])
-        frontier = step[~seen[step]]
+        # a mask, not np.unique, whose first call imports numpy.ma
+        step = np.zeros(group.order, dtype=bool)
+        step[table[np.ix_(frontier, gens)]] = True
+        frontier = np.flatnonzero(step & ~seen)
         if not len(frontier):
             return np.array(gens, dtype=np.int64), length
         seen[frontier] = True

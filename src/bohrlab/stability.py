@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Optional
 
 import numpy as np
@@ -115,9 +115,11 @@ def _max_ladder(F: np.ndarray, eps: float, cap: int, budget: int,
     Pair (a, b) has index a*n + b. Every node searches the subgraph on an
     ascending array of pair indices, pairs: bit i of its candidate mask, a
     Python int (San Segundo, Rodriguez-Losada and Jimenez, Computers & OR
-    2011), is pairs[i], and a child's mask is its parent's ANDed with the
-    compatibility row, on the same bits, of the pair it adds. Bits keep the
-    pairs' index order, so the traversal does not depend on the subgraph.
+    2011), is pairs[i]. Rows are non-neighbour rows: bit j of the row of
+    pair v, on the same bits, is set iff pair j is not compatible with v
+    and j != v. A child's mask is its parent's, less the pair it adds,
+    ANDed with the complement of that pair's row. Bits keep the pairs'
+    index order, so the traversal does not depend on the subgraph.
 
     Dive: one greedy index-order descent (always the lowest candidate) runs
     first and is charged to the budget, so a cap reached on that first path
@@ -137,7 +139,7 @@ def _max_ladder(F: np.ndarray, eps: float, cap: int, budget: int,
     This bound must not be mixed with an index-order prefix cut such as
     "a_1 minimal": each is sound alone, but together they miss ladders.
 
-    Rows: a node whose mask's m pairs have an m x m compatibility matrix of
+    Rows: a node whose mask's m pairs have an m x m non-neighbour matrix of
     at most LOCAL_GRAPH_BYTES of bits stores that matrix (``_local_graph``)
     and searches its whole subtree on it. Until then no row is stored: each
     is built where it is read, from the pair's n^2-entry row selected at
@@ -168,10 +170,10 @@ def _max_ladder(F: np.ndarray, eps: float, cap: int, budget: int,
         state["nodes"] += 1
         return True
 
-    def visit(mask: int, pairs, rows) -> None:
+    def visit(mask: int, pairs, apart) -> None:
         """Branch and bound below the partial ladder on the stack.
 
-        Bit i of mask and of each of rows is pairs[i].
+        Bit i of mask and of each row of apart is pairs[i].
         """
         depth = len(stack)
         if not enter(depth) or not mask:
@@ -182,31 +184,32 @@ def _max_ladder(F: np.ndarray, eps: float, cap: int, budget: int,
             enter(cap)
             stack.pop()
             return
-        if isinstance(rows, _UnstoredRows) and mask.bit_count() ** 2 <= local_bits:
+        if isinstance(apart, _UnstoredRows) and mask.bit_count() ** 2 <= local_bits:
             if mask.bit_count() < len(pairs):  # a root's mask has every pair: no copy
                 pairs = pairs[_set_bits(mask, len(pairs))]
-            mask, pairs, rows = _local_graph(F, eps, pairs)
-        for v, colour in reversed(_colour_classes(mask, rows, state["best"] - depth)):
+            mask, pairs, apart = _local_graph(F, eps, pairs)
+        for v, colour in reversed(_colour_classes(mask, apart, state["best"] - depth)):
             if state["stop"] or depth + colour <= state["best"]:
                 return
             stack.append(pairs[v])
-            visit(mask & rows[v], pairs, rows)
-            stack.pop()
             mask ^= 1 << v
+            visit(mask & ~apart[v], pairs, apart)
+            stack.pop()
 
     try:
         pairs = np.flatnonzero(np.outer(a_allowed, b_allowed))  # all domain pairs
-        rows = _UnstoredRows(F, eps, pairs)
+        apart = _UnstoredRows(F, eps, pairs)
         mask = (1 << pairs.size) - 1
         while enter(len(stack)) and mask:  # the dive
             v = (mask & -mask).bit_length() - 1
             stack.append(pairs[v])
-            mask &= rows[v]
+            mask ^= 1 << v
+            mask &= ~apart[v]
         stack.clear()
         if not (state["stop"] or a_allowed.all() and b_allowed.all()):
-            visit((1 << pairs.size) - 1, pairs, rows)  # the restricted domain
+            visit((1 << pairs.size) - 1, pairs, apart)  # the restricted domain
         elif not state["stop"] and enter(0):  # the roots (0, b)
-            del pairs, rows  # the roots never read these n^2 indices (0.5 MB, n = 256)
+            del pairs, apart  # the roots never read these n^2 indices (0.5 MB, n = 256)
             for b, hit in enumerate(_pair_rows(F, eps, range(n))):
                 if state["stop"]:
                     break
@@ -245,15 +248,19 @@ def _pair_rows(F: np.ndarray, eps: float, pairs):
 
 
 class _UnstoredRows:
-    """Rows on the bits of ascending pairs: row v is pairs[v]'s n^2-entry row
-    from ``_pair_rows`` selected at pairs, built on each read and not kept."""
+    """Non-neighbour rows on the bits of ascending pairs, as ``_local_graph``
+    returns them: row v is the complement of pairs[v]'s n^2-entry row from
+    ``_pair_rows``, selected at pairs, with bit v clear. Each is built on
+    read and not kept."""
 
     def __init__(self, F: np.ndarray, eps: float, pairs: np.ndarray):
         self.F, self.eps, self.pairs = F, eps, pairs
 
     def __getitem__(self, v: int) -> int:
         hit = next(_pair_rows(self.F, self.eps, self.pairs[v:v + 1]))
-        return _int_rows(hit.take(self.pairs)[None])[0]
+        near = ~hit.take(self.pairs)
+        near[v] = False
+        return _int_rows(near[None])[0]
 
 
 def _set_bits(mask: int, nbits: int) -> np.ndarray:
@@ -270,35 +277,45 @@ def _int_rows(hit: np.ndarray) -> list[int]:
         words = np.zeros((len(packed), 8), np.uint8)
         words[:, :width] = packed
         return words.view("<u8").ravel().tolist()
-    data = memoryview(packed).cast("B")
-    return [int.from_bytes(data[i:i + width], "little")
-            for i in range(0, len(data), width)]
+    # wider rows: one bytes object per row, read in one pass over the buffer
+    chunks = packed.view(np.dtype((np.void, width))).ravel().tolist()
+    return list(map(int.from_bytes, chunks, repeat("little")))
 
 
 def _local_graph(F: np.ndarray, eps: float, pairs: np.ndarray):
-    """The subgraph on ascending pair indices: (all-ones mask, pairs, rows).
+    """The subgraph on ascending pair indices: (all-ones mask, pairs, apart).
 
     Bit i of the mask and of every row is pairs[i], returned as a list.
-    Rows are built in ``row_blocks`` of m entries of F a row, so the float
-    temporaries stay small while the rows themselves take m^2 bits.
+    apart holds non-neighbour rows: bit j of row i is set iff pairs i and j
+    are not compatible and j != i, i.e. |F[a_i, b_j] - F[a_j, b_i]| < eps.
+    Since ``GroupFunction`` rejects non-finite values and ``check_eps``
+    keeps eps finite and positive, that < is exactly the complement of the
+    search's >= eps. Each block of rows gathers rows of F, then columns, so
+    the float temporaries (``row_blocks`` of max(m, n) entries a row) stay
+    within BLOCK_ENTRIES while the rows themselves take m^2 bits.
     """
-    b = pairs % F.shape[0]
-    an = pairs - b  # a * n
-    rows: list[int] = []
-    for blk in row_blocks(len(pairs), len(pairs)):
-        # entry (i, j) is F[a_i, b_j] - F[a_j, b_i], read at flat index a*n + b
-        diff = F.take(an[blk, None] + b) - F.take(an + b[blk, None])
-        rows += _int_rows(np.abs(diff, out=diff) >= eps)
-    return (1 << len(rows)) - 1, pairs.tolist(), rows
+    n, m = F.shape[0], len(pairs)
+    a, b = np.divmod(pairs, n)
+    apart: list[int] = []
+    for blk in row_blocks(m, max(m, n)):
+        # entry (i, j) is F[a_i, b_j] - F[a_j, b_i]
+        diff = F.take(a[blk], axis=0).take(b, axis=1)
+        diff -= F.take(b[blk], axis=1).T.take(a, axis=1)
+        near = np.abs(diff, out=diff) < eps
+        near.reshape(-1)[blk.start::m + 1] = False  # entries (i, blk.start + i)
+        apart += _int_rows(near)
+    return (1 << m) - 1, pairs.tolist(), apart
 
 
-def _colour_classes(mask: int, rows, skip: int) -> list[tuple[int, int]]:
+def _colour_classes(mask: int, apart, skip: int) -> list[tuple[int, int]]:
     """Greedy colouring in index order: (vertex, colour) for colours > skip.
 
     Colour c is the set of vertices, taken in index order, that are adjacent
     to no vertex already given colour c, so a clique among the vertices of
-    colours <= c has at most c of them. Pairs are listed by ascending colour;
-    those of colour <= skip cannot extend the best ladder and are left out.
+    colours <= c has at most c of them. apart[v] is v's non-neighbour row
+    (bit v clear), so one AND leaves the vertices still free for colour c.
+    Pairs are listed by ascending colour; those of colour <= skip cannot
+    extend the best ladder and are left out.
     """
     out = []
     colour = 0
@@ -310,8 +327,7 @@ def _colour_classes(mask: int, rows, skip: int) -> list[tuple[int, int]]:
             v = low.bit_length() - 1
             if colour > skip:
                 out.append((v, colour))
-            avail &= ~rows[v]
-            avail ^= low
+            avail &= apart[v]
             mask ^= low
     return out
 

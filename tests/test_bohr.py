@@ -37,6 +37,27 @@ def test_z12_chi1_delta1(z12, z12_chars):
     assert z12.identity in spec.realized
 
 
+@pytest.mark.parametrize("desc", [
+    "zmod:12", "zmod:101", "zmod:360", "zmod:1024", "zmod:2048",
+    "product:zmod:12,zmod:18", "product:zmod:32,zmod:64"])
+def test_character_bohr_sets_are_exact_and_symmetric(desc):
+    # at delta = 2 sin(pi j / e) a character's Bohr set is exactly the x whose
+    # integer phase p (chi(x) = exp(2 pi i p / e)) has min(p, e - p) < j; the
+    # elements at p = +-j lie on the boundary and are excluded
+    g = build_group(desc)
+    e = int(g.element_orders().max())
+    for rep in abelian_characters(g):
+        values = rep.matrices[:, 0, 0]
+        p = np.rint(np.angle(values) * e / (2 * np.pi)).astype(np.int64) % e
+        turns = np.minimum(p, e - p)
+        for j in (1, e // 6, e // 3, e // 2):
+            spec = bohr_set(g, rep, 2 * math.sin(math.pi * j / e))
+            mask = spec.realized.mask
+            assert np.array_equal(mask, mask[g.inverse]), (rep.label, j)
+            assert np.array_equal(mask, turns < j), (rep.label, j)
+            assert set(np.flatnonzero(turns == j).tolist()) <= set(spec.boundary_excluded)
+
+
 def test_trivial_rep_full_group(z12, z12_chars):
     spec = bohr_set(z12, z12_chars[0], 2.0)
     assert len(spec.realized) == 12

@@ -62,6 +62,21 @@ def test_bohr_payload():
                                     "cover_actual": 4, "bound_ok": True}
 
 
+def test_bohr_set_on_zmod_2048_is_symmetric(tmp_path):
+    # delta = 2 sin(341 pi / 2048): elements 341 and 1707 = -341 lie exactly on
+    # the boundary of chi2047's Bohr set, so both are out and the set is symmetric
+    cfg = _write_config(tmp_path / "bohr.ini", {
+        "kind": "bohr", "group": "zmod:2048", "summands": 2047,
+        "delta": 0.9991142250901637})
+    out = tmp_path / "bohr.json"
+    assert main(["bohr", "--config", str(cfg), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())["payload"]
+    members = set(payload["spec"]["realized_members"])
+    assert 341 not in members and 1707 not in members
+    assert members == {(-x) % 2048 for x in members}
+    assert payload["size"] == 681
+
+
 def test_bohr_nonabelian_nm():
     # quaternion:8 irreps sort with the 2-dim irrep last (index 4)
     report = run_experiment({"kind": "bohr", "group": "quaternion:8",
@@ -663,6 +678,24 @@ def test_irreps_payloads_identical_across_blas_thread_counts(tmp_path):
         outputs.append(proc.stdout)
     assert len(outputs[0].splitlines()) == 4
     assert outputs[0] == outputs[1]
+
+
+def test_experiments_leave_numpy_ma_unimported(tmp_path):
+    # numpy 2's np.unique imports numpy.ma on its first call, about 6 ms of
+    # every CLI process; one experiment of every kind must not pay it
+    code = ("import json, sys\n"
+            "from bohrlab.cli import load_config, run_experiment\n"
+            "kinds = set()\n"
+            "for path in sys.argv[1:]:\n"
+            "    config = load_config(path)\n"
+            "    kinds.add(config['kind'])\n"
+            "    run_experiment(config)\n"
+            "print(json.dumps([sorted(kinds), 'numpy.ma' in sys.modules]))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *map(str, sorted(FIXTURES.glob("*.ini")))],
+        capture_output=True, text=True, cwd=tmp_path, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [sorted(KINDS), False]
 
 
 def test_candidate_walk_ends_past_reachable_dimension(tmp_path):

@@ -45,8 +45,9 @@ def test_character_orthogonality_exact():
 
 
 def _characters_one_at_a_time(group):
-    """Reference: each character's phase row built in its own loop."""
+    """Reference: each character's integer phase row built in its own loop."""
     _, radices, coords = reps.cyclic_decomposition(group)
+    e = math.lcm(*radices)
     out = []
     for k in range(group.order):
         digits, rem = [], k
@@ -54,12 +55,10 @@ def _characters_one_at_a_time(group):
             digits.append(rem % m)
             rem //= m
         digits.reverse()
-        phase = np.zeros(group.order)
+        phase = np.zeros(group.order, dtype=np.int64)
         for j, m in enumerate(radices):
-            phase += digits[j] * coords[:, j] / m
-        values = np.exp(2j * np.pi * phase)
-        values[group.identity] = 1.0
-        out.append(values)
+            phase += digits[j] * (e // m) * coords[:, j]
+        out.append(np.exp(2j * np.pi * (phase % e) / e))
     return out
 
 

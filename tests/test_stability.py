@@ -416,13 +416,47 @@ def test_local_graph_matches_explicit_adjacency(monkeypatch, n, block_entries):
     F = stability._pair_table(random_uniform_function(g, rng))
     for size in (0, 1, 63, 64, 65, 150):
         pairs = np.sort(rng.choice(n * n, min(size, n * n), replace=False))
-        mask, listed, rows = stability._local_graph(F, 0.5, pairs)
+        mask, listed, apart = stability._local_graph(F, 0.5, pairs)
         # as in oracle_ladder_index: adj[i, j] = |F[a_i, b_j] - F[a_j, b_i]| >= eps
         e1 = F[(pairs // n)[:, None], (pairs % n)[None, :]]
         adj = np.abs(e1 - e1.T) >= 0.5
+        # the rows are non-neighbour rows: the complement, diagonal clear
+        non = ~adj
+        np.fill_diagonal(non, False)
         assert mask == (1 << len(pairs)) - 1
         assert listed == pairs.tolist()
-        assert rows == [sum(1 << int(j) for j in np.flatnonzero(r)) for r in adj]
+        assert apart == [sum(1 << int(j) for j in np.flatnonzero(r)) for r in non]
+
+
+def _greedy_colouring(adj, members, skip):
+    """Reference: colour c takes each still uncoloured member, in index
+    order, that has no neighbour among the members already given colour c."""
+    out, left, colour = [], list(members), 0
+    while left:
+        colour += 1
+        cls, rest = [], []
+        for v in left:
+            (rest if adj[v, cls].any() else cls).append(v)
+        out += [(v, colour) for v in cls if colour > skip]
+        left = rest
+    return out
+
+
+def test_colour_classes_match_greedy_colouring_of_adjacency():
+    from bohrlab import stability
+    rng = rng_from_seed(11)
+    for size in (0, 1, 2, 5, 17, 64, 65, 150):
+        for density in (0.1, 0.5, 0.9):
+            upper = np.triu(rng.random((size, size)) < density, 1)
+            adj = upper | upper.T
+            non = ~adj
+            np.fill_diagonal(non, False)
+            apart = [sum(1 << int(j) for j in np.flatnonzero(r)) for r in non]
+            members = np.flatnonzero(rng.random(size) < 0.7)
+            mask = sum(1 << int(v) for v in members)
+            for skip in range(4):
+                assert (stability._colour_classes(mask, apart, skip)
+                        == _greedy_colouring(adj, members, skip))
 
 
 def test_int_rows_and_set_bits_round_trip():
