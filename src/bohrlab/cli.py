@@ -30,7 +30,7 @@ from .gen import (evens_subset, halfrange_subset, interval_subset,
                   remove_random_points, rng_from_seed)
 from .groups import (FiniteGroup, GroupFunction, Subset, build_group,
                      parse_function, parse_subset)
-from .productsets import (bogolyubov_search, check_alpha, level_set_claim,
+from .productsets import (bogolyubov_search, density_size, level_set_claim,
                           quasirandom_trials, separated_cover,
                           shift_invariance_search, two_set_bogolyubov)
 from .regularity import ZetaRule, search_regular_bohr
@@ -154,8 +154,13 @@ def _parse_function(spec: str, group: FiniteGroup, rng) -> GroupFunction:
     raise ConfigError(f"unknown function spec {spec!r}")
 
 
+_LEAVES = frozenset({int, float, str, bool, type(None)})
+
+
 def _py(obj):
     """Convert numpy scalars/arrays into plain python for JSON."""
+    if type(obj) in _LEAVES:  # not isinstance: np.float64 subclasses float
+        return obj
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.floating):
@@ -291,8 +296,7 @@ def _run_two_set(group, rng, seed, set_a, set_b, alpha, zeta, **space):
 
 def _run_quasirandom(group, rng, seed, alpha, trials, size):
     if size is None:
-        check_alpha(alpha)  # before alpha * |G| can overflow
-        size = int(np.ceil(alpha * group.order))
+        size = density_size(alpha, group.order)
     rows = [{"trial": t, "seed": trial_seed, "ab_density": chk.ab_density,
              "abc_covers": chk.abc_covers}
             for t, (trial_seed, chk) in enumerate(

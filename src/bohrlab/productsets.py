@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -45,18 +44,20 @@ def separated_cover(a: Subset, alpha: float) -> SeparatedCover:
     elements in index order. Verifies G = F.S and |F| <= 2/alpha.
     """
     grp = a.group
-    alpha_fr = _require_density(a, alpha)
-    eps_fr = alpha_fr ** 2 / 2
+    p, q = _require_density(a, alpha)
+    cut = _half_square_cut(p, q, grp.order)
     counts = overlap_function(a).values * grp.order  # |A intersect xA|, integral
     counts = np.rint(counts).astype(np.int64)
-    s_mask = np.array([Fraction(int(c), grp.order) > eps_fr for c in counts])
+    s_mask = counts > cut
+    # mu(gA intersect hA) = overlap(g^-1 h): each h put in F blocks every g
+    # too close to it, h itself included, as mu(A) >= alpha > alpha^2/2
     f_elems: list[int] = []
-    for g in grp.elements():
-        # mu(gA intersect hA) = overlap(g^-1 h)
-        if all(Fraction(int(counts[grp.table[grp.inverse[g], h]]), grp.order) <= eps_fr
-               for h in f_elems):
-            f_elems.append(g)
-    if Fraction(len(f_elems)) * alpha_fr > 2:
+    blocked = np.zeros(grp.order, dtype=bool)
+    while not blocked.all():
+        h = int(np.argmin(blocked))
+        f_elems.append(h)
+        blocked |= counts[grp.table[grp.inverse, h]] > cut
+    if len(f_elems) * p > 2 * q:
         raise RuntimeError("separated set exceeds the 2/alpha bound")
     covered = np.zeros(grp.order, dtype=bool)
     s_idx = np.flatnonzero(s_mask)
@@ -64,7 +65,8 @@ def separated_cover(a: Subset, alpha: float) -> SeparatedCover:
         covered[grp.table[g, s_idx]] = True
     if not covered.all():
         raise RuntimeError("F.S failed to cover the group")
-    return SeparatedCover(threshold=float(eps_fr), s_set=Subset(grp, s_mask),
+    return SeparatedCover(threshold=p * p / (2 * q * q),
+                          s_set=Subset(grp, s_mask),
                           f_elements=tuple(f_elems), covers=True)
 
 
@@ -125,20 +127,34 @@ def check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
 
 
-def _require_density(a: Subset, alpha: float, name: str = "A") -> Fraction:
+def density_size(alpha: float, order: int) -> int:
+    """The least size of a subset of measure at least alpha in a group of
+    ``order`` elements: ceil(alpha * order), exact for the float alpha."""
     check_alpha(alpha)
-    alpha_fr = Fraction(alpha)
-    if Fraction(len(a), a.group.order) < alpha_fr:
+    p, q = float(alpha).as_integer_ratio()
+    return -(-p * order // q)
+
+
+def _half_square_cut(p: int, q: int, order: int) -> int:
+    """floor(alpha^2 |G| / 2) for alpha = p / q: an integer count c has
+    c / |G| > alpha^2 / 2 exactly when c > this cut."""
+    return p * p * order // (2 * q * q)
+
+
+def _require_density(a: Subset, alpha: float,
+                     name: str = "A") -> tuple[int, int]:
+    """Check mu(A) >= alpha; return alpha as the integer ratio (p, q)."""
+    if len(a) < density_size(alpha, a.group.order):
         raise ValueError(f"mu({name}) = {len(a)}/{a.group.order} < alpha = {alpha}")
-    return alpha_fr
+    return float(alpha).as_integer_ratio()
 
 
-def _require_pair(a: Subset, b: Subset, alpha: float) -> Fraction:
+def _require_pair(a: Subset, b: Subset, alpha: float) -> tuple[int, int]:
     if b.group is not a.group:
         raise ValueError("A and B must live on the same group")
-    alpha_fr = _require_density(a, alpha, "A")
+    ratio = _require_density(a, alpha, "A")
     _require_density(b, alpha, "B")
-    return alpha_fr
+    return ratio
 
 
 def bogolyubov_search(a: Subset, alpha: float,
@@ -157,16 +173,16 @@ def level_set_claim(a: Subset, b: Subset, alpha: float) -> dict:
     S = {x : (1_A * 1_B)(x) > alpha^2/2} has |S| >= (alpha^2/2)|G|.
     Returns {"s_size": |S|, "bound": (alpha^2/2)|G|}."""
     grp = a.group
-    eps_fr = _require_pair(a, b, alpha) ** 2 / 2
+    p, q = _require_pair(a, b, alpha)
     # integer counts c(x) = |A intersect x B^-1| = |G| (1_A * 1_B)(x)
     binv_rows = b.mask[grp.table[grp.inverse, :]]
     counts = (a.mask.astype(np.int64) @ binv_rows).astype(np.int64)
     if int(counts.sum()) != len(a) * len(b):  # Fubini, exact
         raise RuntimeError("convolution counts do not sum to |A||B|")
-    s_size = sum(1 for cx in counts if Fraction(int(cx), grp.order) > eps_fr)
-    if Fraction(s_size, grp.order) < eps_fr:
+    s_size = int(np.count_nonzero(counts > _half_square_cut(p, q, grp.order)))
+    if 2 * q * q * s_size < p * p * grp.order:  # |S|/|G| < alpha^2/2
         raise RuntimeError("level-set lower bound failed (should be impossible)")
-    return {"s_size": s_size, "bound": float(eps_fr) * grp.order}
+    return {"s_size": s_size, "bound": p * p / (2 * q * q) * grp.order}
 
 
 def two_set_bogolyubov(a: Subset, b: Subset, alpha: float, zeta: ZetaRule,
@@ -285,12 +301,16 @@ def shift_invariance_search(f: GroupFunction, p: float, eps: float,
         raise ValueError(
             f"min_size must lie in [1, {f.group.order}], got {min_size}")
 
+    norms: dict[int, float] = {}  # ||f_t - f||_p by t, across candidates
+
     def accept(spec: BohrSpec) -> Optional[float]:
         if len(spec.realized) < min_size:
             return None
         sup = 0.0
-        for t in spec.realized.indices:
-            sup = max(sup, _lp(f.values[f.group.table[t, :]] - f.values, p))
+        for t in spec.realized.indices.tolist():
+            if t not in norms:
+                norms[t] = _lp(f.values[f.group.table[t, :]] - f.values, p)
+            sup = max(sup, norms[t])
             if sup >= eps:
                 return None
         return sup

@@ -140,10 +140,11 @@ def _translate_windows(f: GroupFunction, subset: Subset,
     """The window of largest_eps_constant_subset on every distinct left
     translate gS of a nonempty S, scored a block of translates at a time.
 
-    Yields blocks (g, members, lo, length): g holds, in increasing order, the
-    first element giving each translate; row k of members lists g_k S sorted
-    by (value, element), and members[k, lo[k]:lo[k] + length[k]] is the
-    window the scalar routine picks.
+    Yields blocks (g, members, svals, lo, length): g holds, in increasing
+    order, the first element giving each translate; row k of members lists
+    g_k S sorted by (value, element), svals[k] their values, and
+    members[k, lo[k]:lo[k] + length[k]] is the window the scalar routine
+    picks.
     """
     grp, idx = f.group, subset.indices
     table, n, size = grp.table, grp.order, idx.size
@@ -182,7 +183,7 @@ def _translate_windows(f: GroupFunction, subset: Subset,
         start = np.minimum(start, his)
         hi = np.argmax(his - start, axis=1)  # the first longest window
         lo = start[np.arange(g.size), hi]
-        yield g, members, lo, hi - lo + 1
+        yield g, members, svals, lo, hi - lo + 1
 
 
 def _every_translate_fits(f: GroupFunction, subset: Subset, eps: float) -> bool:
@@ -212,7 +213,7 @@ def _max_defect(f: GroupFunction, subset: Subset, eps: float) -> float:
     """max over translates gS of mu(gS) - mu(B'), B' the scalar window."""
     n, size = f.group.order, len(subset)
     return max(float(np.max(size / n - length / n))
-               for _, _, _, length in _translate_windows(f, subset, eps))
+               for *_, length in _translate_windows(f, subset, eps))
 
 
 def translate_defect(f: GroupFunction, spec: BohrSpec,
@@ -224,15 +225,19 @@ def translate_defect(f: GroupFunction, spec: BohrSpec,
         raise ValueError("Bohr set is empty")
     n = f.group.order
     entries: list[TranslateDefect] = []
-    for g, members, lo, length in _translate_windows(f, realized, eps):
-        for k in range(g.size):
-            chosen = np.sort(members[k, lo[k]:lo[k] + length[k]])
-            on = f.values[chosen]
-            entries.append(TranslateDefect(
-                rep_element=int(g[k]),
-                defect=realized.measure - int(length[k]) / n,
-                value_range=float(on.max() - on.min()),
-                subset_indices=tuple(int(i) for i in chosen)))
+    for g, members, svals, lo, length in _translate_windows(f, realized, eps):
+        k = np.arange(g.size)
+        # a sorted window's range is last less first, the floats of max -
+        # min; + 0.0 turns the -0.0 of zeros of both signs into max - min's 0.0
+        ranges = svals[k, lo + length - 1] - svals[k, lo] + 0.0
+        # elements outside the window (set to n) sort past those inside
+        cols = np.arange(members.shape[1])
+        inside = (cols >= lo[:, None]) & (cols < (lo + length)[:, None])
+        chosen = np.sort(np.where(inside, members, n), axis=1).tolist()
+        entries.extend(map(
+            TranslateDefect, g.tolist(),
+            (realized.measure - length / n).tolist(), ranges.tolist(),
+            (tuple(row[:m]) for row, m in zip(chosen, length.tolist()))))
     max_defect = max(e.defect for e in entries)
     return RegularityCertificate(spec=spec, epsilon=eps,
                                  per_translate=tuple(entries),

@@ -153,9 +153,11 @@ def _max_op_norm(batch: np.ndarray, worst: float) -> float:
 
 
 def measure_unitarity_residual(rep: UnitaryRep) -> float:
+    """Max over all elements of ||t(g)* t(g) - I||_op, through
+    ``_max_op_norm``'s Frobenius filter."""
     mats = rep.matrices
     gram = np.einsum("pji,pjk->pik", mats.conj(), mats)
-    return float(np.max(_op_norms(gram - np.eye(rep.dim))))
+    return _max_op_norm(gram - np.eye(rep.dim), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +341,7 @@ def _hom_residual_bound(rep: UnitaryRep, gens: np.ndarray, length: int) -> float
     I, so E(g, e) = 0, and the bound is c_L.
     """
     mats, table = rep.matrices, rep.group.table
-    diff = mats[table[:, gens]] - np.einsum("gij,sjk->gsik", mats, mats[gens])
+    diff = mats[table[:, gens]] - mats[:, None] @ mats[gens]
     flat = diff.reshape(-1, rep.dim * rep.dim).view(np.float64)
     eta = float(np.sqrt(np.max(np.einsum("pi,pi->p", flat, flat))))
     mu = rep.unitarity_residual
@@ -361,10 +363,12 @@ def _is_known(chi: np.ndarray, chars: np.ndarray) -> bool:
     return bool(np.any(np.max(np.abs(chars - chi), axis=1) < CHAR_MATCH_TOL))
 
 
-def _char_sort_key(character: np.ndarray, dim: int):
-    rounded = tuple((round(float(z.real), 8), round(float(z.imag), 8))
-                    for z in character)
-    return (dim, rounded)
+def _char_order(chars: np.ndarray, dims: list[int]) -> np.ndarray:
+    """The order that sorts irreps by dimension, then by character rounded
+    to 8 decimals, compared element by element, real part first."""
+    rounded = np.round(chars, 8)
+    keys = np.stack([rounded.real, rounded.imag], axis=2).reshape(len(dims), -1)
+    return np.lexsort((*keys.T[::-1], dims))
 
 
 def decompose_regular(group: FiniteGroup) -> list[UnitaryRep]:
@@ -452,7 +456,8 @@ def _decompose_once(group: FiniteGroup, rng: np.random.Generator) -> list[Unitar
             f"dimension check failed: sum dim^2 = "
             f"{sum(m.shape[1] ** 2 for _, m in found)} != {n}")
 
-    found.sort(key=lambda cm: _char_sort_key(cm[0], cm[1].shape[1]))
+    order = _char_order(known[:len(found)], [m.shape[1] for _, m in found])
+    found = [found[i] for i in order]
     commutators = group.table[group.table, group.inverse[group.table.T]]
     gens, length = _word_generators(group)
     irreps = []

@@ -1,4 +1,5 @@
-"""The benchmark's seed-101 payload digests, pinned.
+"""The benchmark's payload digests, pinned: every workload at seed 101, and
+nonabelian-mix at seed 7 too.
 
 One child process with one BLAS thread (the irreps payload of dihedral:50
 depends on the thread count) builds each workload's experiment list and
@@ -24,6 +25,8 @@ DIGESTS = {
     "ladder-pilot":
         "2e0718f8dc181a7def3749591aa63cbb20e373725e6c058f4d3d50ff028a6526",
 }
+SEED_7_NONABELIAN = \
+    "e3f040e0a18e41c4c3ec7104b552c3643b03fa93b6fd724a6e0af954923bba10"
 
 # The walks the runs leave stored, as (group, specs): every one fits the
 # storage limit (about 229k of bohr.STORED_ENTRIES = 524k entries) and none
@@ -40,8 +43,8 @@ import workloads
 from bohrlab import cli, groups
 
 digests = {}
-for workload in sys.argv[2:]:
-    configs = workloads.build(workload, 101, 30)
+for workload in sys.argv[3:]:
+    configs = workloads.build(workload, int(sys.argv[2]), 30)
     for _ in range(2):
         digest = hashlib.sha256()
         for config in configs:
@@ -58,13 +61,22 @@ print(json.dumps({"digests": digests, "streams": streams}))
 """
 
 
-def test_seed_101_digests_hold_on_a_replay(tmp_path):
+def _run_child(tmp_path, seed, workloads):
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, str(LABBENCH), *DIGESTS],
+        [sys.executable, "-c", CHILD, str(LABBENCH), str(seed), *workloads],
         capture_output=True, text=True, cwd=tmp_path,
         env=_child_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                        MKL_NUM_THREADS="1"))
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_seed_101_digests_hold_on_a_replay(tmp_path):
+    out = _run_child(tmp_path, 101, DIGESTS)
     assert out["digests"] == {w: [d, d] for w, d in DIGESTS.items()}
     assert out["streams"] == [[*stream, True] for stream in STREAMS]
+
+
+def test_seed_7_nonabelian_digest_holds_on_a_replay(tmp_path):
+    out = _run_child(tmp_path, 7, ["nonabelian-mix"])
+    assert out["digests"] == {"nonabelian-mix": [SEED_7_NONABELIAN] * 2}

@@ -7,10 +7,11 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bohrlab
-from bohrlab.cli import (COMMON, KINDS, ConfigError, load_config, main,
+from bohrlab.cli import (COMMON, KINDS, ConfigError, _py, load_config, main,
                          replay_report, run_experiment)
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -272,6 +273,20 @@ def test_quasirandom_alpha_out_of_range_errors(tmp_path, capsys, alpha, size):
     assert not (tmp_path / "o.json").exists()
 
 
+@pytest.mark.parametrize("group, alpha, size", [
+    ("zmod:10", "0.1", 2), ("dihedral:5", "0.2", 3), ("dihedral:10", "0.4", 9)])
+def test_quasirandom_default_size_meets_the_density_check(tmp_path, capsys,
+                                                         group, alpha, size):
+    # the float alpha lies above alpha * |G|'s integer, so the float ceil
+    # falls one short of the exact ceil the density check asks for
+    cfg = _write_config(tmp_path / "q.ini", {"kind": "quasirandom", "group": group,
+                                             "alpha": alpha, "trials": 2})
+    out = tmp_path / "o.json"
+    assert main(["quasirandom", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(out.read_text())["payload"]["size"] == size
+
+
 def test_quasirandom_computes_d_once(monkeypatch):
     # d belongs to the group: ten trials still ask for it once
     calls = []
@@ -289,6 +304,43 @@ def test_quasirandom_computes_d_once(monkeypatch):
     assert len(report.payload["table"]) == 10
     assert report.payload["d"] == 3
     assert len(calls) == 1
+
+
+def _py_recursion(obj):
+    """The payload conversion with no builtin fast path: every node goes
+    through the numpy checks."""
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_py_recursion(x) for x in obj]
+    if isinstance(obj, dict):
+        return {k: _py_recursion(v) for k, v in obj.items()}
+    return obj
+
+
+def _typed(obj):
+    """obj with the exact type of every node beside it."""
+    if isinstance(obj, list):
+        return list, [_typed(x) for x in obj]
+    if isinstance(obj, dict):
+        return dict, {k: _typed(v) for k, v in obj.items()}
+    return type(obj), obj
+
+
+def test_payload_conversion_matches_the_plain_recursion():
+    payload = {
+        "int": 3, "float": 0.25, "str": "ok", "bool": True, "none": None,
+        "np_int": np.int64(-7), "np_int32": np.int32(5),
+        "np_float": np.float64(0.1), "np_float32": np.float32(1.5),
+        "np_bool": np.bool_(False),
+        "ints": np.arange(4), "floats": np.linspace(0.0, 1.0, 3),
+        "matrix": np.eye(2), "tuple": (np.int64(1), 2.0, ("x", np.float64(3.0))),
+        "nested": {"list": [np.float64(2.5), {"deep": (np.int64(9), None)}],
+                   "empty": {}, "rows": [{"a": np.int64(1)}, {"b": 0.5}]},
+    }
+    assert _typed(_py(payload)) == _typed(_py_recursion(payload))
 
 
 def test_table_file_order_out_of_range_errors(tmp_path, capsys):

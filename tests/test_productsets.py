@@ -1,3 +1,6 @@
+from collections import Counter
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from bohrlab import (GroupFunction, Subset, ZetaRule, bogolyubov_search,
                      two_set_bogolyubov)
 from bohrlab.bohr import SearchSpace, first_accepted
 from bohrlab.cli import run_experiment
+from bohrlab.convolve import _lp
 from bohrlab.gen import (evens_subset, random_pm1_function, random_subset,
                          random_subset_of_size, remove_random_points,
                          rng_from_seed)
@@ -49,6 +53,51 @@ def test_separated_cover_random_sweep():
 def test_separated_cover_precondition(z12):
     with pytest.raises(ValueError):
         separated_cover(Subset.from_indices(z12, [0]), 0.5)
+
+
+def _fraction_separated_cover(a, alpha):
+    """S, F and the threshold of separated_cover, from set intersections
+    and one Fraction per comparison; also the counts |A intersect xA|."""
+    grp, members = a.group, set(a.indices.tolist())
+    n, eps = grp.order, Fraction(alpha) ** 2 / 2
+    counts = [len(members & {int(grp.table[x, y]) for y in members})
+              for x in range(n)]
+    s_set = [x for x in range(n) if Fraction(counts[x], n) > eps]
+    f_elems = []
+    for g in range(n):
+        if all(Fraction(counts[grp.table[grp.inverse[g], h]], n) <= eps
+               for h in f_elems):
+            f_elems.append(g)
+    return s_set, f_elems, float(eps), counts
+
+
+def test_level_sets_match_fractions_on_the_cut():
+    # alpha^2 |G| / 2 = 3 at alpha 0.5 on order 24, so counts of exactly 3
+    # sit on the cut, where > and >= part; at alpha 0.3 it is 1.08, where
+    # floor and ceil part
+    on_cut = {"separated": 0, "level": 0}
+    for desc in ("zmod:24", "dihedral:12", "sym:4"):
+        g = build_group(desc)
+        for t in range(10):
+            a = (Subset.from_indices(g, [(t + i) % 24 for i in range(12)]) if t < 2
+                 else random_subset_of_size(g, 12 + t % 3, rng_from_seed(300 + t)))
+            b = random_subset_of_size(g, 12 + t % 4, rng_from_seed(400 + t))
+            # (1_A * 1_B)(x) |G| counts the pairs (x', y) in A x B with x'y = x
+            pairs = Counter(int(g.table[x, y]) for x in a.indices for y in b.indices)
+            level = [pairs[x] for x in range(g.order)]
+            for alpha in (0.5, 0.3):
+                s_set, f_elems, threshold, counts = _fraction_separated_cover(a, alpha)
+                cov = separated_cover(a, alpha)
+                assert cov.s_set.indices.tolist() == s_set
+                assert cov.f_elements == tuple(f_elems)
+                assert cov.threshold == threshold
+                eps = Fraction(alpha) ** 2 / 2
+                assert level_set_claim(a, b, alpha) == {
+                    "s_size": sum(Fraction(c, g.order) > eps for c in level),
+                    "bound": float(eps) * g.order}
+            on_cut["separated"] += counts.count(3)
+            on_cut["level"] += level.count(3)
+    assert min(on_cut.values()) > 0
 
 
 def test_symmetric_covering_example(z12):
@@ -322,3 +371,34 @@ def test_shift_invariance_convolution(z101):
         float(np.mean(np.abs(f.values[z101.table[t, :]] - f.values) ** 2) ** 0.5)
         for t in res.spec.realized.indices)
     assert sup == pytest.approx(res.found)
+
+
+@pytest.mark.parametrize("desc, p", [("zmod:101", 2.0), ("dihedral:30", 1.0),
+                                     ("alt:5", 3.0)])
+def test_shift_norm_memo_matches_the_loop(desc, p):
+    # the memo reuses each t's norm across candidates: same sup, spec and
+    # candidate count as computing every norm afresh
+    g = build_group(desc)
+    ind = GroupFunction.indicator(random_subset(g, 0.5, rng_from_seed(11)))
+    f = convolve(ind, ind)
+    outcomes = set()
+    for eps in (0.02, 0.1, 0.3):
+        def accept(spec):
+            if len(spec.realized) < 3:
+                return None
+            sup = 0.0
+            for t in spec.realized.indices:
+                sup = max(sup, _lp(f.values[g.table[t, :]] - f.values, p))
+                if sup >= eps:
+                    return None
+            return sup
+
+        res = shift_invariance_search(f, p, eps, min_size=3)
+        ref = first_accepted(g, SearchSpace(), accept)
+        assert res.status == ref.status
+        assert res.candidates_scored == ref.candidates_scored
+        assert repr(res.found) == repr(ref.found)
+        if res.spec is not None:
+            assert res.spec.to_json_dict() == ref.spec.to_json_dict()
+        outcomes.add(res.status)
+    assert outcomes == {"ok", "none-within-budget"}

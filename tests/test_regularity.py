@@ -325,6 +325,36 @@ def test_translate_kernel_matches_scalar_windows(descriptor, data, eps):
         assert row.passes == (worst <= zeta)
 
 
+def _bits(entry):
+    return (entry.rep_element, repr(entry.defect), repr(entry.value_range),
+            entry.subset_indices)
+
+
+@pytest.mark.parametrize("descriptor", ["dihedral:30", "alt:5", "sym:4", "zmod:101"])
+def test_translate_defect_matches_scalar_windows_bitwise(descriptor):
+    # values on a grid of eighths, so windows tie and values sit exactly
+    # 0.25 apart, the gap the first eps guards; zeros of both signs are the
+    # commonest value, so the 0.1 windows are often zeros alone
+    grp, trivial = _group_with_trivial_rep(descriptor)
+    rng = np.random.default_rng(23)
+    grid = [-0.5, -0.25, -0.0, -0.0, 0.0, 0.0, 0.125, 0.25, 0.75]
+    f = GroupFunction(grp, rng.choice(grid, size=grp.order))
+    signed_zero_windows = 0
+    for eps in (0.25 + regularity.WINDOW_GUARD, 0.1, 1e-13):
+        for size in (1, 4, grp.order // 3, grp.order - 1):
+            members = rng.choice(grp.order, size=size, replace=False)
+            spec = BohrSpec(tau=trivial, delta=1.0, kind="torus",
+                            realized=Subset.from_indices(grp, members))
+            cert = translate_defect(f, spec, eps)
+            expected = [_reference_defect(f, g, t, eps)
+                        for g, t in _python_translates(grp, members)]
+            assert list(map(_bits, cert.per_translate)) == list(map(_bits, expected))
+            signed_zero_windows += sum(
+                len(set(np.signbit(f.values[list(e.subset_indices)]))) == 2
+                and e.value_range == 0.0 for e in expected)
+    assert signed_zero_windows > 0
+
+
 def test_search_scores_each_realized_set_once(z101, monkeypatch):
     f = random_pm1_function(z101, rng_from_seed(1))
     space = SearchSpace(max_summands=1, max_candidates=150)

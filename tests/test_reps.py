@@ -367,6 +367,71 @@ def test_residual_bound_with_planted_error():
 NONABELIAN = [d for d in catalog_descriptors(256) if not build_group(d).is_abelian]
 
 
+def _unfiltered_unitarity(rep):
+    """max ||t(g)* t(g) - I||_op with an SVD of every element's matrix."""
+    mats = rep.matrices
+    gram = np.einsum("pji,pjk->pik", mats.conj(), mats)
+    return float(np.max(reps._op_norms(gram - np.eye(rep.dim))))
+
+
+@pytest.mark.parametrize("desc", catalog_descriptors(256))
+def test_prefiltered_unitarity_equals_unfiltered(desc):
+    for ir in irreps_of(build_group(desc)):
+        assert reps.measure_unitarity_residual(ir) == _unfiltered_unitarity(ir)
+
+
+def test_prefiltered_unitarity_with_planted_rank1_error():
+    # the same rank-1 non-unitarity c vv* in every element makes every
+    # t(g)* t(g) - I one rank-1 matrix up to rounding; the largest computed
+    # SVD value is not the one of the largest computed Frobenius norm, and
+    # sits above that norm, so the prune needs its slack
+    g = build_group("sym:4")
+    ir = [r for r in decompose_regular(g) if r.dim > 1][-1]
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(ir.dim) + 1j * rng.standard_normal(ir.dim)
+    v /= np.linalg.norm(v)
+    c = rng.uniform(0.1, 1.0)
+    rep = UnitaryRep(g, ir.matrices @ (np.eye(ir.dim) + c * np.outer(v, v.conj())),
+                     label="planted")
+    gram = np.einsum("pji,pjk->pik", rep.matrices.conj(), rep.matrices) - np.eye(ir.dim)
+    svd = np.linalg.svd(gram, compute_uv=False)[:, 0]
+    frob = np.linalg.norm(gram, axis=(1, 2))
+    assert svd.max() > svd[np.argmax(frob)] and svd.max() > frob.max()
+    assert reps.measure_unitarity_residual(rep) == _unfiltered_unitarity(rep)
+
+
+def _char_sort_key(character, dim):
+    """The irreps' sort key before one numpy rounding pass replaced it: the
+    dimension, then each character value's parts by Python round."""
+    rounded = tuple((round(float(z.real), 8), round(float(z.imag), 8))
+                    for z in character)
+    return (dim, rounded)
+
+
+@pytest.mark.parametrize("desc", NONABELIAN + ["dihedral:100", "dihedral:128"])
+def test_irreps_order_matches_python_round_key(desc, monkeypatch):
+    seen = []
+    real = reps._char_order
+
+    def record(chars, dims):
+        order = real(chars, dims)
+        seen.append((chars.copy(), list(dims), order))
+        return order
+
+    monkeypatch.setattr(reps, "_char_order", record)
+    irreps = decompose_regular(build_group(desc))
+    [(chars, dims, order)] = seen
+    expected = sorted(range(len(dims)), key=lambda i: _char_sort_key(chars[i], dims[i]))
+    assert order.tolist() == expected
+    # found in the reverse order, the irreps sort the same way
+    back = np.arange(len(dims))[::-1]
+    assert back[real(chars[back], [dims[i] for i in back])].tolist() == expected
+    assert [(ir.label, ir.dim) for ir in irreps] == [
+        (f"irrep{k}", dims[i]) for k, i in enumerate(expected)]
+    for ir, i in zip(irreps, expected):
+        assert np.max(np.abs(ir.character() - chars[i])) < 1e-9
+
+
 def _loop_commuting_family(mats):
     chosen = []
     for g in range(mats.shape[0]):
