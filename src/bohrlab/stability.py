@@ -106,8 +106,8 @@ def _domain_mask(f: GroupFunction, domain: Optional[Subset]) -> np.ndarray:
     return domain.mask
 
 
-def _max_ladder(F: np.ndarray, eps: float, cap: int, budget: int,
-                a_allowed: np.ndarray, b_allowed: np.ndarray):
+def _max_ladder(F: np.ndarray, table: np.ndarray, eps: float, cap: int,
+                budget: int, a_allowed: np.ndarray, b_allowed: np.ndarray):
     """Branch-and-bound maximum-ladder search on bit-parallel pair masks.
 
     Ladders of length k are the k-cliques of the pair-compatibility graph:
@@ -125,12 +125,18 @@ def _max_ladder(F: np.ndarray, eps: float, cap: int, budget: int,
     first and is charged to the budget, so a cap reached on that first path
     costs at most cap nodes; the ladder it finds is the first lower bound.
 
-    Roots: when both domains are the whole group, (a_i, b_i) -> (a_i g,
-    g^-1 b_i) keeps every product a_i b_j, so every gap; any ladder therefore
-    maps to one containing a pair (0, b) with a = element 0. The roots are
-    the n pairs (0, b), and root (0, b) searches the subgraph on its later
-    compatible pairs, which excludes the earlier roots (0, b'), b' < b. With
-    a restricted domain the search starts from the whole domain instead.
+    Roots: when both domains are the whole group (table is its
+    multiplication table), (a_i, b_i) -> (a_i g, g^-1 b_i) keeps every
+    product a_i b_j, so every gap, and so each pair's diagonal product a b.
+    Let key(a, b) be the b* with 0 b* = a b, element 0 times b* (0 need not
+    be the identity, so the key goes through row 0 of the table: a pair
+    (0, b) has key b). Take any ladder and its pair (a, b) of least key c;
+    g = a^-1 0 maps it to (0, c), since 0 (g^-1 b) = a b = 0 c, and every
+    other pair keeps its key, which is >= c. So root (0, b) searches only
+    its compatible pairs p != (0, b) with key(p) >= b; ties use >=, since
+    two pairs of one ladder may share a diagonal product. This contains the
+    rule "index > b": a root (0, b') has key b', and b' < b is left out.
+    With a restricted domain the search starts from the whole domain instead.
 
     Below the roots (MCQ, Tomita and Seki, DMTCS 2003): a node colours its
     mask greedily in index order, each colour class a set of pairwise
@@ -210,12 +216,15 @@ def _max_ladder(F: np.ndarray, eps: float, cap: int, budget: int,
             visit((1 << pairs.size) - 1, pairs, apart)  # the restricted domain
         elif not state["stop"] and enter(0):  # the roots (0, b)
             del pairs, apart  # the roots never read these n^2 indices (0.5 MB, n = 256)
+            products = table.ravel()
+            rank = np.argsort(table[0])  # rank[x] = the b* with 0 b* = x
             for b, hit in enumerate(_pair_rows(F, eps, range(n))):
                 if state["stop"]:
                     break
                 stack.append(b)
-                later = np.flatnonzero(hit[b + 1:]) + b + 1
-                visit((1 << later.size) - 1, later, _UnstoredRows(F, eps, later))
+                rest = np.flatnonzero(hit)  # (0, b) itself has gap 0: not in hit
+                rest = rest[rank[products.take(rest)] >= b]
+                visit((1 << rest.size) - 1, rest, _UnstoredRows(F, eps, rest))
                 stack.pop()
     finally:
         # visit reaches itself through its closure cell; break that cycle so
@@ -356,7 +365,8 @@ def ladder_index(f: GroupFunction, eps: float, cap: int = 8,
     _check_budget(budget)
     F = _pair_table(f)
     best, pairs, exhausted, nodes = _max_ladder(
-        F, eps, cap, budget, _domain_mask(f, a_domain), _domain_mask(f, b_domain))
+        F, f.group.table, eps, cap, budget,
+        _domain_mask(f, a_domain), _domain_mask(f, b_domain))
     witness = _witness_from(f, pairs, eps) if pairs else None
     if best >= cap:
         return LadderIndex(best, "capped", witness, nodes)

@@ -23,7 +23,7 @@ DIGESTS = {
     "nonabelian-mix":
         "79b2fcfe05677aeb483c0eea328f82c5470d0d248b5ba9e57f73d674e9c10bf6",
     "ladder-pilot":
-        "2e0718f8dc181a7def3749591aa63cbb20e373725e6c058f4d3d50ff028a6526",
+        "b1934bc9666148b41a06ad604a7bfa1a6706eaa6dc8a1432668faa007b0ba76d",
 }
 SEED_7_NONABELIAN = \
     "e3f040e0a18e41c4c3ec7104b552c3643b03fa93b6fd724a6e0af954923bba10"

@@ -5,9 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bohrlab import (GroupFunction, Subset, build_group, catalog_descriptors,
-                     convolve, ladder_index, oracle_ladder_index,
-                     stability_profile)
+from bohrlab import (FiniteGroup, GroupFunction, Subset, build_group,
+                     catalog_descriptors, convolve, ladder_index,
+                     oracle_ladder_index, stability_profile)
 from bohrlab.gen import (random_pm1_function, random_subset,
                          random_uniform_function, rng_from_seed)
 
@@ -111,6 +111,37 @@ def test_restricted_domain_oracle_equivalence(desc):
                     assert b_dom.mask[list(idx.witness.b_seq)].all()
 
 
+def _relabelled(g, perm):
+    """g with element x renamed perm[x]: perm[t[inv][:, inv]], inv = perm^-1."""
+    inv = np.argsort(perm)
+    return FiniteGroup(perm[g.table[inv][:, inv]], f"{g.descriptor}~relabelled")
+
+
+@pytest.mark.parametrize("desc", ["zmod:12", "dihedral:6", "alt:4", "zmod:8"])
+def test_roots_on_relabelled_groups_match_oracle(desc):
+    # element 0 is not the identity here, so a pair's key (the b* with
+    # 0 b* = a b) differs from its product a b: a filter on the product
+    # alone, not keyed through row 0, reports false exact results
+    g = build_group(desc)
+    for seed in range(10):
+        rng = rng_from_seed(seed)
+        perm = rng.permutation(g.order)
+        if perm[g.identity] == 0:  # keep the identity off element 0
+            perm = np.roll(perm, 1)
+        h = _relabelled(g, perm)
+        assert h.identity != 0
+        # quarter values put gaps exactly on eps, where >= decides
+        f = GroupFunction(h, rng.integers(0, 4, size=h.order) / 4)
+        for eps in (0.5, 0.75):
+            idx = ladder_index(f, eps, cap=8)
+            assert idx.k_max == oracle_ladder_index(f, eps, cap=8), (seed, eps)
+            if idx.status == "exact":
+                assert idx.k_max == oracle_ladder_index(f, eps), (seed, eps)
+            else:
+                assert (idx.status, idx.k_max) == ("capped", 8), (seed, eps)
+            assert idx.witness.is_valid_for(f)
+
+
 def test_colour_bound_without_prefix_cut():
     # branching in colour order while also cutting roots to "a_1 minimal"
     # reports exact 2 here, where the longest ladder has length 3
@@ -196,17 +227,19 @@ def test_profile_monotone_random():
 
 
 def test_profile_raises_inconclusive_runs_to_later_ladders():
-    # budget 100 leaves two middle runs inconclusive at 7 while a larger eps
-    # finds 8; that 8-ladder is one at every smaller eps too
-    f = _pilot_function("zmod:20", 1002)
+    # budget 100 leaves two middle runs inconclusive at 6 while a larger eps
+    # finds 7; that 7-ladder is one at every smaller eps too. It lifts them
+    # to 7 but not to exact: no search at or below their eps was exhausted
+    f = _pilot_function("zmod:20", 1025)
     grid = (0.02, 0.04, 0.06, 0.08, 0.1, 0.12, 0.15)
     runs = [ladder_index(f, eps, cap=8, budget=100) for eps in grid]
     assert [(r.k_max, r.status) for r in runs] == [
-        (8, "capped"), (8, "capped"), (7, "inconclusive"), (7, "inconclusive"),
-        (8, "capped"), (5, "exact"), (5, "exact")]
+        (8, "capped"), (8, "capped"), (6, "inconclusive"), (6, "inconclusive"),
+        (7, "exact"), (3, "exact"), (3, "exact")]
     prof = stability_profile(f, grid, cap=8, budget=100)
-    assert prof.indices == (8, 8, 8, 8, 8, 5, 5)
-    assert prof.statuses == ("capped",) * 5 + ("exact", "exact")
+    assert prof.indices == (8, 8, 7, 7, 7, 3, 3)
+    assert prof.statuses == ("capped", "capped", "inconclusive", "inconclusive",
+                             "exact", "exact", "exact")
 
 
 def test_profile_exact_only_from_an_exhausted_search_at_or_below(monkeypatch, z12):
@@ -252,23 +285,24 @@ def test_witness_json(z4):
 
 # (group, seed, k_max, status, nodes, a_seq, b_seq) of ladder_index on
 # conv:random:0.3|random:0.3 at eps 0.1, cap 8, budget 10 000, recorded with
-# the branch-and-bound search (greedy dive, translation roots, colour bound):
+# the branch-and-bound search (greedy dive, translation roots keyed by their
+# diagonal products, colour bound):
 # the traversal, and so every node count and witness, must not change.
 PILOT_PINS = [
-    ("zmod:20", 1000, 5, "exact", 342, (0, 0, 1, 2, 7), (0, 16, 16, 9, 9)),
-    ("zmod:20", 1003, 3, "exact", 29, (0, 16, 0), (2, 11, 11)),
+    ("zmod:20", 1000, 5, "exact", 146, (0, 0, 1, 2, 7), (0, 16, 16, 9, 9)),
+    ("zmod:20", 1003, 3, "exact", 27, (0, 16, 0), (2, 11, 11)),
     ("zmod:20", 1029, 8, "capped", 16, (0, 18, 18, 16, 15, 15, 13, 0),
      (0, 9, 11, 11, 17, 2, 9, 17)),
-    ("dihedral:10", 1001, 7, "exact", 163, (0, 18, 15, 18, 15, 9, 0),
+    ("dihedral:10", 1001, 7, "exact", 68, (0, 18, 15, 18, 15, 9, 0),
      (0, 19, 3, 6, 6, 15, 10)),
     ("dihedral:10", 1002, 8, "capped", 8, (0, 0, 0, 1, 2, 2, 19, 19),
      (0, 8, 11, 8, 11, 18, 1, 13)),
     ("dihedral:10", 1028, 3, "exact", 25, (0, 0, 18), (0, 8, 8)),
     ("dihedral:30", 1000, 1, "exact", 63, (0,), (0,)),
-    ("dihedral:30", 1001, 3, "exact", 108, (0, 0, 10), (0, 35, 35)),
-    ("zmod:60", 1001, 3, "exact", 72, (0, 57, 53), (2, 55, 58)),
+    ("dihedral:30", 1001, 3, "exact", 80, (0, 0, 10), (0, 35, 35)),
+    ("zmod:60", 1001, 3, "exact", 67, (0, 57, 53), (2, 55, 58)),
     ("zmod:60", 1020, 2, "exact", 64, (0, 8), (0, 17)),
-    ("alt:5", 1002, 4, "exact", 74, (0, 20, 9, 9), (11, 47, 47, 49)),
+    ("alt:5", 1002, 4, "exact", 72, (0, 20, 9, 9), (11, 47, 47, 49)),
     ("alt:5", 1043, 2, "exact", 64, (0, 28), (0, 58)),
 ]
 
@@ -382,10 +416,11 @@ def test_large_masks_read_rows_without_storing(monkeypatch):
 
     ladder_index(f, 0.07, cap=8, budget=2000)  # warm imports and caches
     monkeypatch.setattr(stability, "_pair_rows", counted)
-    pin = (6, "exact", 1574, (0, 57, 45, 22, 15, 0), (7, 10, 32, 55, 10, 25))
+    pin = (6, "exact", 566, (0, 57, 45, 22, 15, 0), (7, 10, 32, 55, 10, 25))
     local, local_reads, _ = run(stability.LOCAL_GRAPH_BYTES)
-    # at 2,000 bytes the roots (182 to 216 pairs) read unstored rows, and
-    # their descendants store theirs once m^2 <= 16,000 bits (m <= 126)
+    # at 2,000 bytes the 20 roots of more than 126 pairs (of 2 to 216) read
+    # unstored rows, and their descendants store theirs once m^2 <= 16,000
+    # bits (m <= 126)
     switched, switched_reads, _ = run(2000)
     tracemalloc.start()
     try:
@@ -398,10 +433,10 @@ def test_large_masks_read_rows_without_storing(monkeypatch):
     assert local == switched == rows == pin
     # as shipped, n^2-entry rows serve only the 60 roots and the 4-step dive
     assert local_reads == 64
-    assert switched_reads == 14_368
-    # each read builds its row afresh from n^2 entries: the 2,833 distinct
-    # rows are read 39,130 times, and none of them is kept
-    assert (rows_reads, distinct) == (39_130, 2_833)
+    assert switched_reads == 4_089
+    # each read builds its row afresh from n^2 entries: the 1,921 distinct
+    # rows are read 13,847 times, and none of them is kept
+    assert (rows_reads, distinct) == (13_847, 1_921)
     assert peak < 1 << 20
 
 
@@ -521,3 +556,14 @@ def test_order_256_ladder_pinned(monkeypatch, desc, seed, nodes, a_seq, b_seq,
     assert peak < peak_mb * 2**20
     # every local graph's m^2 bits fit within LOCAL_GRAPH_BYTES
     assert sizes and max(sizes) ** 2 <= 8 * stability.LOCAL_GRAPH_BYTES
+
+
+def test_order_256_ladder_exhausted_within_budget():
+    # every root searches only the pairs of key >= its own, which leaves
+    # this proof small enough to end exact inside the 10,000-node budget
+    f = _pilot_function("zmod:256", 1005)
+    idx = ladder_index(f, 0.04, cap=8, budget=10_000)
+    assert (idx.k_max, idx.status, idx.nodes) == (5, "exact", 2715)
+    assert idx.witness.a_seq == (0, 240, 251, 84, 83)
+    assert idx.witness.b_seq == (0, 147, 163, 147, 163)
+    assert idx.witness.is_valid_for(f)
