@@ -163,13 +163,17 @@ def nm_refine(group: FiniteGroup, tau: UnitaryRep,
     the correspondence theorem tau(K) is a normal subgroup of index m in
     tau(G) exactly when K is a normal subgroup of index m in G. Then the
     (delta, n, m)-Bohr set is B(tau, delta) intersect K, contained in the
-    plain Bohr set. Raises NoDiagonalRefinementError otherwise.
+    plain Bohr set. Raises NoDiagonalRefinementError otherwise. A torus is
+    diagonal everywhere, so its K is G and its matrices are not read.
     """
     base = bohr_set(group, tau, delta)
-    off_diag = tau.matrices * (1.0 - np.eye(tau.dim))
-    k_sub = Subset(group, np.max(np.abs(off_diag), axis=(1, 2)) <= DIAGONAL_TOL)
-    if subgroup_test(k_sub) != (True, True):
-        raise NoDiagonalRefinementError("no diagonal refinement in given basis")
+    if base.kind == "torus":
+        k_sub = Subset(group, np.ones(group.order, dtype=bool))
+    else:
+        off_diag = tau.matrices * (1.0 - np.eye(tau.dim))
+        k_sub = Subset(group, np.max(np.abs(off_diag), axis=(1, 2)) <= DIAGONAL_TOL)
+        if subgroup_test(k_sub) != (True, True):
+            raise NoDiagonalRefinementError("no diagonal refinement in given basis")
     m = group.order // len(k_sub)
     spec = BohrSpec(tau=tau, delta=float(delta), kind="nm",
                     realized=base.realized.intersection(k_sub),

@@ -1,11 +1,13 @@
 """Numerical unitary representation theory for small finite groups.
 
-Provides exact characters for abelian groups, a randomized decomposition of
-the regular representation into irreducibles for any group of order <= 256,
-and direct sums that read distances and residuals off their summands. Every
-stored homomorphism carries residuals, measured on first read and cached, so
-downstream consumers can trust (and re-check) it numerically without paying
-for residuals they never read.
+Provides exact characters for abelian groups, each held as its integer phase
+row, a randomized decomposition of the regular representation into
+irreducibles for any group of order <= 256, and direct sums that read
+distances and residuals off their summands. A character's distances come
+from one table of e values and its matrices are built on first read, which
+no Bohr search does. Every stored homomorphism carries residuals, measured
+on first read and cached, so downstream consumers can trust (and re-check)
+it numerically without paying for residuals they never read.
 """
 
 from __future__ import annotations
@@ -81,11 +83,14 @@ class UnitaryRep:
             if self.summands:
                 d = np.maximum.reduce([s.identity_distances() for s in self.summands])
             else:
-                d = _op_norms(self.matrices - np.eye(self.dim))
+                d = self._own_distances()
                 d[self.group.identity] = 0.0
             d.setflags(write=False)
             self._distances = d
         return self._distances
+
+    def _own_distances(self) -> np.ndarray:
+        return _op_norms(self.matrices - np.eye(self.dim))
 
     def __repr__(self) -> str:
         return (f"UnitaryRep({self.label}, dim={self.dim}, "
@@ -203,7 +208,33 @@ def cyclic_decomposition(group: FiniteGroup) -> tuple[list[int], list[int], np.n
     return gens, [int(orders[g]) for g in gens], coords
 
 
-def abelian_characters(group: FiniteGroup) -> list[UnitaryRep]:
+class Character(UnitaryRep):
+    """A one-dimensional character x -> roots[phases[x]], held as its
+    integer phase row. A group's characters share ``roots``, the e-th roots
+    of unity exp(2*pi*i*j/e), and ``table`` = |roots - 1|, so the distance
+    row ``table[phases]`` is bitwise the dense |chi(x) - 1|. The matrices
+    are built on first read, which no Bohr search does.
+    """
+
+    dim = 1
+
+    def __init__(self, group: FiniteGroup, phases: np.ndarray, roots: np.ndarray,
+                 table: np.ndarray, label: str):
+        self.group, self.phases, self.label = group, phases, label
+        self._roots, self._table = roots, table
+        self._distances = None
+
+    def _own_distances(self) -> np.ndarray:
+        return self._table[self.phases]
+
+    @functools.cached_property
+    def matrices(self) -> np.ndarray:
+        mats = self._roots[self.phases].reshape(-1, 1, 1)
+        mats.setflags(write=False)
+        return mats
+
+
+def abelian_characters(group: FiniteGroup) -> list[Character]:
     """All |G| one-dimensional characters of an abelian group.
 
     For each cyclic factor of order m the fundamental character sends the
@@ -213,7 +244,10 @@ def abelian_characters(group: FiniteGroup) -> list[UnitaryRep]:
     The phase is exact: with e the exponent (the lcm of the factor orders),
     character k takes x to exp(2*pi*i*p/e) for the integer p = sum of
     digit * (e/m) * coordinate, mod e. So x and its inverse get conjugate
-    values and equal distances, and every Bohr set is symmetric.
+    values and equal distances, and every Bohr set is symmetric. The n x n
+    phases are stored in the smallest unsigned dtype that holds e - 1,
+    computed in row blocks as int32, which holds each sum before its
+    reduction: it is below (number of factors) * e * n <= log2(n) * n^2.
     """
     if not group.is_abelian:
         raise ValueError("abelian_characters requires an abelian group")
@@ -224,9 +258,17 @@ def abelian_characters(group: FiniteGroup) -> list[UnitaryRep]:
 
     # digits[k] holds the mixed-radix digits of k, most significant first
     digits = np.array(np.unravel_index(np.arange(n), radices)).T
-    phase = (digits * (e // radices)) @ coords.T % e
-    values = np.exp(2j * np.pi * np.arange(e) / e)[phase]
-    return [UnitaryRep(group, values[k].reshape(n, 1, 1), label=f"chi{k}")
+    weights = (digits * (e // radices)).astype(np.int32)
+    coords_t = np.ascontiguousarray(coords.T, dtype=np.int32)
+    phases = np.empty((n, n), dtype=np.min_scalar_type(e - 1))
+    for rows in row_blocks(n, n):
+        p = weights[rows] @ coords_t
+        p -= p // e * e  # p % e, but int32 division by a scalar is faster
+        phases[rows] = p
+    phases.setflags(write=False)
+    roots = np.exp(2j * np.pi * np.arange(e) / e)
+    table = np.abs(roots - 1.0)
+    return [Character(group, phases[k], roots, table, label=f"chi{k}")
             for k in range(n)]
 
 
@@ -551,9 +593,11 @@ def min_nontrivial_dim(group: FiniteGroup) -> int:
     """Minimum dimension of an irreducible with non-constant character.
 
     A character's value at the identity is exactly its dimension, as the
-    identity matrix is snapped to I."""
+    identity matrix is snapped to I. At dimension 1, |chi(g) - 1| is the
+    distance row, so no matrices are read."""
     dims = [rep.dim for rep in irreps_of(group)
-            if np.max(np.abs(rep.character() - rep.dim)) > 1e-6]
+            if np.max(rep.identity_distances() if rep.dim == 1
+                      else np.abs(rep.character() - rep.dim)) > 1e-6]
     if not dims:
         raise ValueError("group has no nontrivial irreducible (trivial group)")
     return min(dims)

@@ -80,3 +80,34 @@ def test_seed_101_digests_hold_on_a_replay(tmp_path):
 def test_seed_7_nonabelian_digest_holds_on_a_replay(tmp_path):
     out = _run_child(tmp_path, 7, ["nonabelian-mix"])
     assert out["digests"] == {"nonabelian-mix": [SEED_7_NONABELIAN] * 2}
+
+
+TRACED = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import spans, workloads
+from bohrlab import cli
+
+configs = workloads.build(sys.argv[3], int(sys.argv[2]), 30)
+cli.run_experiment({"kind": "group-info", "group": "zmod:12"})
+recorder = spans.Recorder()
+spans.install(recorder)
+for config in configs:
+    cli.run_experiment(config)
+names = [recorder.names[span[0]] for span in recorder.spans]
+print(json.dumps({name: names.count(name) for name in sorted(set(names))}))
+"""
+
+
+def test_seed_101_abelian_search_traces_every_distance_read(tmp_path):
+    # a rep class that overrode UnitaryRep.identity_distances would take
+    # its reads out of the benchmark's reps.distances span and counter
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED, str(LABBENCH), "101", "abelian-search"],
+        capture_output=True, text=True, cwd=tmp_path,
+        env=_child_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                       MKL_NUM_THREADS="1"))
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(proc.stdout)
+    assert calls["reps.distances"] == 1053
+    assert calls["reps.irreps"] == 6

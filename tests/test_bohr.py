@@ -434,6 +434,24 @@ def test_exhaustive_enumeration_holds_no_block_matrices():
     assert peak < 8 << 20, peak
 
 
+def test_abelian_searches_leave_the_character_matrices_unbuilt():
+    # a Bohr search reads each character's distance row, never its matrices,
+    # and a torus's (delta, n, m) refinement is all of G without them
+    z200 = FiniteGroup(build_group("zmod:200").table, "zmod:200")
+    assert sum(1 for _ in enumerate_bohr_candidates(z200, SearchSpace())) == 5000
+    z101 = FiniteGroup(build_group("zmod:101").table, "zmod:101")
+    f = random_pm1_function(z101, rng_from_seed(1))
+    res = search_regular_bohr(f, 0.1, ZetaRule.constant(1e-6),
+                              SearchSpace(max_summands=1, max_candidates=150))
+    assert res.status == "none-within-budget"
+    chars = irreps_of(z101)
+    spec, m = nm_refine(z101, direct_sum_hom(chars[1:3]), 0.5)
+    assert m == 1 and spec.nm_subgroup.mask.all()
+    assert spec.realized == bohr_set(z101, direct_sum_hom(chars[1:3]), 0.5).realized
+    for g in (z200, z101):
+        assert not any("matrices" in vars(rep) for rep in irreps_of(g))
+
+
 REPLAY_GROUPS = ["zmod:12", "zmod:101", "dihedral:12", "sym:4", "alt:5",
                  "product:zmod:2,zmod:6"]
 REPLAY_SPACES = {"default": SearchSpace(),

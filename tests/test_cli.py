@@ -750,6 +750,31 @@ def test_experiments_leave_numpy_ma_unimported(tmp_path):
     assert json.loads(proc.stdout) == [sorted(KINDS), False]
 
 
+def test_second_zmod101_searches_report_what_a_fresh_process_does(tmp_path):
+    # the first searches leave distance rows on the shared zmod:101's
+    # characters (and no matrices); the second ones must not see a difference
+    configs = [{"kind": "regularity", "group": "zmod:101",
+                "function": "random-pm1", "epsilon": "0.1",
+                "zeta": "const:0.000001", "max_summands": "1",
+                "max_candidates": "150", "seed": "1"},
+               {"kind": "bohr", "group": "zmod:101", "summands": "1,2,40",
+                "delta": "0.9", "nm": "true"}]
+    code = ("import json, sys\nfrom bohrlab.cli import run_experiment\n"
+            "for config in json.loads(sys.argv[1]):\n"
+            "    report = run_experiment(config)\n"
+            "    print(json.dumps([report.status, report.payload], sort_keys=True))\n")
+
+    def run(batch):
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(batch)],
+                              capture_output=True, text=True, cwd=tmp_path,
+                              env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()
+
+    fresh = [line for config in configs for line in run([config])]
+    assert run(configs * 2) == fresh * 2
+
+
 def test_candidate_walk_ends_past_reachable_dimension(tmp_path):
     # Z/12 has twelve 1-dim irreps, so no candidate of at most three
     # summands has dimension above 3; a huge max_dim must end the same walk

@@ -2,6 +2,7 @@ import copy
 import gc
 import itertools
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -48,7 +49,6 @@ def _characters_one_at_a_time(group):
     """Reference: each character's integer phase row built in its own loop."""
     _, radices, coords = reps.cyclic_decomposition(group)
     e = math.lcm(*radices)
-    out = []
     for k in range(group.order):
         digits, rem = [], k
         for m in reversed(radices):
@@ -58,20 +58,90 @@ def _characters_one_at_a_time(group):
         phase = np.zeros(group.order, dtype=np.int64)
         for j, m in enumerate(radices):
             phase += digits[j] * (e // m) * coords[:, j]
-        out.append(np.exp(2j * np.pi * (phase % e) / e))
-    return out
+        yield np.exp(2j * np.pi * (phase % e) / e)
 
 
-@pytest.mark.parametrize("desc", [
+# the exact-phase groups, and one abelian table whose identity is not element 0
+PHASE_GROUPS = ["zmod:1", "zmod:2", "zmod:12", "zmod:101", "zmod:200",
+                "zmod:1024", "zmod:2048", "product:zmod:2,zmod:2",
+                "product:zmod:12,zmod:18", "product:zmod:32,zmod:64",
+                "relabelled:product:zmod:12,zmod:18"]
+
+
+def _phase_group(desc):
+    """``desc``'s group; after ``relabelled:``, its table with the elements
+    renamed by a fixed random permutation that moves the identity."""
+    head, _, rest = desc.partition(":")
+    if head != "relabelled":
+        return build_group(desc)
+    table = build_group(rest).table
+    perm = np.random.default_rng(0).permutation(len(table))
+    renamed = np.empty_like(table)
+    renamed[np.ix_(perm, perm)] = perm[table]
+    group = FiniteGroup(renamed, desc)
+    assert group.identity != 0
+    return group
+
+
+def _drained(chars):
+    """Yield and drop each character in turn, so at most one character's
+    lazily built matrices are alive at a time."""
+    chars.reverse()
+    while chars:
+        yield chars.pop()
+
+
+@pytest.mark.parametrize("desc", list(dict.fromkeys([
     *(d for d in catalog_descriptors(100) if build_group(d).is_abelian),
-    "zmod:101", "zmod:200", "zmod:256"])
+    *PHASE_GROUPS, "zmod:256"])))
 def test_abelian_characters_match_per_character_loop(desc):
-    g = build_group(desc)
+    g = _phase_group(desc)
     chars = abelian_characters(g)
-    expected = _characters_one_at_a_time(g)
-    assert len(chars) == len(expected)
-    for rep, values in zip(chars, expected):
+    assert len(chars) == g.order
+    for rep, values in zip(_drained(chars), _characters_one_at_a_time(g),
+                           strict=True):
         assert rep.matrices.reshape(-1).tobytes() == values.tobytes()
+        assert not rep.matrices.flags.writeable
+
+
+@pytest.mark.parametrize("desc", PHASE_GROUPS)
+def test_phase_distances_match_the_dense_characters(desc):
+    # a character's distance row is read off its phases, without matrices;
+    # it is bitwise the dense rep's ||chi(g) - 1||, zero at the identity
+    g = _phase_group(desc)
+    chars = abelian_characters(g)
+    for rep in _drained(chars):
+        dist = rep.identity_distances()
+        assert "matrices" not in vars(rep)
+        assert dist[g.identity] == 0.0
+        assert dist.tobytes() == reps._op_norms(rep.matrices - np.eye(1)).tobytes()
+        assert dist.tobytes() == UnitaryRep(g, rep.matrices).identity_distances().tobytes()
+
+
+def test_no_rep_class_overrides_identity_distances():
+    # labbench times and counts the one UnitaryRep.identity_distances; an
+    # override would take its calls out of the reps.distances span
+    classes = [c for c in vars(reps).values()
+               if isinstance(c, type) and issubclass(c, UnitaryRep)]
+    assert {UnitaryRep, DirectSum, reps.Character} <= set(classes)
+    assert [c for c in classes
+            if c is not UnitaryRep and "identity_distances" in vars(c)] == []
+
+
+def test_order_2048_characters_stay_small():
+    # n^2 phases in 2 bytes and n^2 distances in 8, about 40 MiB with the
+    # row blocks' temporaries; a bound that may only go down
+    g = build_group("zmod:2048")
+    tracemalloc.start()
+    try:
+        chars = abelian_characters(g)
+        for rep in chars:
+            rep.identity_distances()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not any("matrices" in vars(rep) for rep in chars)
+    assert peak <= 48 << 20, peak
 
 
 @pytest.mark.parametrize("desc,gens,orders", [
