@@ -154,27 +154,10 @@ def _parse_function(spec: str, group: FiniteGroup, rng) -> GroupFunction:
     raise ConfigError(f"unknown function spec {spec!r}")
 
 
-_LEAVES = frozenset({int, float, str, bool, type(None)})
-
-
-def _py(obj):
-    """Convert numpy scalars/arrays into plain python for JSON."""
-    if type(obj) in _LEAVES:  # not isinstance: np.float64 subclasses float
-        return obj
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return [_py(x) for x in obj]
-    if isinstance(obj, dict):
-        return {k: _py(v) for k, v in obj.items()}
-    return obj
-
-
 # ---------------------------------------------------------------------------
 # Experiment kinds. A runner takes the group, the seeded generator, the seed
-# and its kind's keys as typed keyword values.
+# and its kind's keys as typed keyword values, and returns its status and a
+# payload built from dict, list, str, int, float, bool and None alone.
 
 
 def _run_group_info(group, rng, seed):
@@ -407,7 +390,7 @@ def run_experiment(config: dict) -> Report:
     status, payload = runner(group, rng, seed, **{k: values[k] for k in keys})
     elapsed = time.perf_counter() - start
     return Report(config=dict(sorted(config.items())), status=status,
-                  payload=_py(payload), wall_clock_s=elapsed)
+                  payload=payload, wall_clock_s=elapsed)
 
 
 def replay_report(report_doc: dict) -> bool:

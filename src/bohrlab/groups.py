@@ -43,17 +43,16 @@ class FiniteGroup:
 
     def __init__(self, table, descriptor: str = "table"):
         table = np.array(table, dtype=np.int32, order="C")
-        self.generators = _validate_table(table)
+        self.identity, self.generators = _validate_table(table)
         self.table = table
         self.order = int(table.shape[0])
-        self.identity = _find_identity(table)
         self.inverse = np.ascontiguousarray(
             np.argmax(table == self.identity, axis=1).astype(np.int32))
         self.descriptor = descriptor
         self.table.setflags(write=False)
         self.inverse.setflags(write=False)
         self._abelian: bool | None = None
-        self._exponent: int | None = None
+        self._orders: np.ndarray | None = None
         self._irreps = None  # filled by reps.irreps_of
         self._streams = {}  # stored candidate walks, see bohr.enumerate_bohr_candidates
 
@@ -84,9 +83,12 @@ class FiniteGroup:
         return k
 
     def element_orders(self) -> np.ndarray:
-        """Order of every element, as a product over the primes p of |G|:
-        with p^a the largest power of p dividing |G|, g^(|G|/p^a) has order
-        the p-part of g's order, counted by taking p-th powers until e."""
+        """Order of every element, computed once and kept read-only, as a
+        product over the primes p of |G|: with p^a the largest power of p
+        dividing |G|, g^(|G|/p^a) has order the p-part of g's order, counted
+        by taking p-th powers until e."""
+        if self._orders is not None:
+            return self._orders
         n = self.order
         primes = [p for p in range(2, n + 1)
                   if n % p == 0 and all(p % q for q in range(2, p))]
@@ -102,6 +104,8 @@ class FiniteGroup:
                 live, h = live[keep], h[keep]
                 orders[live] *= p
                 h = self._power(h, p)
+        orders.setflags(write=False)
+        self._orders = orders
         return orders
 
     def _power(self, elems: np.ndarray, k: int) -> np.ndarray:
@@ -116,17 +120,15 @@ class FiniteGroup:
             elems = self.table[elems, elems]
 
     def exponent(self) -> int:
-        if self._exponent is None:
-            self._exponent = reduce(math.lcm, self.element_orders().tolist(), 1)
-        return self._exponent
+        return int(np.lcm.reduce(self.element_orders()))
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.descriptor!r}, order={self.order})"
 
 
-def _validate_table(table: np.ndarray) -> tuple[int, ...]:
+def _validate_table(table: np.ndarray) -> tuple[int, tuple[int, ...]]:
     """Raise ``GroupValidationError`` unless ``table`` is a group's Cayley
-    table; return the generating set Light's test checked."""
+    table; return its identity and the generating set Light's test checked."""
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise GroupValidationError(f"table must be square, got shape {table.shape}")
     n = table.shape[0]
@@ -149,7 +151,12 @@ def _validate_table(table: np.ndarray) -> tuple[int, ...]:
             raise GroupValidationError(
                 f"not a Latin square: {name} {bad} is not a permutation", witness=bad)
 
-    return _check_associative(table, _find_identity(table))
+    hits = np.flatnonzero((table == ident).all(axis=1)
+                          & (table == ident[:, None]).all(axis=0))
+    if hits.size == 0:
+        raise GroupValidationError("no identity element")
+    identity = int(hits[0])
+    return identity, _check_associative(table, identity)
 
 
 def _check_associative(table: np.ndarray, identity: int) -> tuple[int, ...]:
@@ -175,29 +182,29 @@ def _check_associative(table: np.ndarray, identity: int) -> tuple[int, ...]:
             x, y = (int(v) for v in np.argwhere(lhs != rhs)[0])
             raise GroupValidationError(
                 f"not associative at ({x},{s},{y})", witness=(x, s, y))
-        # grow the closure of the checked elements by squaring it
         checked.append(s)
         inside[s] = True
-        closed = np.flatnonzero(inside)
-        while len(closed) < n:
-            inside[np.take(table[closed], closed, axis=1)] = True
-            if inside.sum() == len(closed):
-                break
-            closed = np.flatnonzero(inside)
-        if len(closed) == n:
+        if closure(table, inside).size == n:
             break
     return tuple(checked)
 
 
-def _find_identity(table: np.ndarray) -> int:
-    n = table.shape[0]
-    ident = np.arange(n, dtype=table.dtype)
-    rows = (table == ident[None, :]).all(axis=1)
-    cols = (table == ident[:, None]).all(axis=0)
-    hits = np.flatnonzero(rows & cols)
-    if hits.size == 0:
-        raise GroupValidationError("no identity element")
-    return int(hits[0])
+def closure(table: np.ndarray, mark: np.ndarray) -> np.ndarray:
+    """Close the marked elements of a Cayley table under products, in place.
+
+    S gains SS by table lookup until it stops growing or is the whole
+    group; a nonempty S then holds the subgroup it generates (in a finite
+    group, closure under products brings e and inverses). Returns the
+    members in increasing order.
+    """
+    s = np.flatnonzero(mark)
+    while s.size < mark.size:
+        mark[np.take(table[s], s, axis=1)] = True
+        grown = np.flatnonzero(mark)
+        if grown.size == s.size:
+            break
+        s = grown
+    return s
 
 
 class Subset:

@@ -224,10 +224,10 @@ def four_product_bohr(a: Subset, alpha: float,
     _require_density(a, alpha)
     grp = a.group
     ainv = inverse_set(a)
-    targets = (product_set(product_set(a, ainv), product_set(a, ainv)),
-               product_set(product_set(ainv, a), product_set(ainv, a)),
-               product_set(product_set(a, a), product_set(ainv, ainv)),
-               product_set(product_set(ainv, ainv), product_set(a, a)))
+    diff, rdiff = product_set(a, ainv), product_set(ainv, a)
+    square, isquare = product_set(a, a), product_set(ainv, ainv)
+    targets = (product_set(diff, diff), product_set(rdiff, rdiff),
+               product_set(square, isquare), product_set(isquare, square))
     found: list[Optional[BohrSpec]] = [None] * len(targets)
 
     def accept(spec: BohrSpec) -> Optional[bool]:

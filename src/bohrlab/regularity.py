@@ -16,7 +16,8 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .bohr import BohrSpec, SearchResult, SearchSpace, first_accepted
-from .groups import FiniteGroup, GroupFunction, Subset, check_eps, row_blocks
+from .groups import (FiniteGroup, GroupFunction, Subset, check_eps, closure,
+                     row_blocks)
 
 WINDOW_GUARD = 1e-12
 
@@ -305,33 +306,23 @@ class ObstructionReport:
     rows: tuple[SubgroupDefectRow, ...]
 
 
-def _generated(group: FiniteGroup, elems) -> frozenset[int]:
-    """The subgroup generated by elems: S = elems + {e} gains SS by table
-    lookup until it stops growing (in a finite group, closure under products
-    brings inverses). Members are marked in an order-entry mask, not
-    deduplicated with np.unique, whose first call imports numpy.ma."""
-    mark = np.zeros(group.order, dtype=bool)
-    mark[[*elems, group.identity]] = True
-    s = np.flatnonzero(mark)
-    while True:
-        mark[group.table[np.ix_(s, s)]] = True
-        grown = np.flatnonzero(mark)
-        if grown.size == s.size:
-            return frozenset(s.tolist())
-        s = grown
-
-
 def _all_subgroups(group: FiniteGroup) -> list[frozenset[int]]:
     """Every subgroup, as joins of cyclic subgroups (order <= 60)."""
     if group.order > 60:
         raise ValueError("subgroup enumeration caps at order 60")
-    cyclics = {_generated(group, [g]) for g in group.elements()}
+
+    def generated(elems) -> frozenset[int]:
+        mark = np.zeros(group.order, dtype=bool)
+        mark[list(elems)] = True
+        return frozenset(closure(group.table, mark).tolist())
+
+    cyclics = {generated([g]) for g in group.elements()}
     subgroups = set(cyclics)
     worklist = list(cyclics)
     while worklist:
         h = worklist.pop()
         for c in cyclics:
-            joined = _generated(group, h | c)
+            joined = generated(h | c)
             if joined not in subgroups:
                 subgroups.add(joined)
                 worklist.append(joined)

@@ -77,14 +77,11 @@ class UnitaryRep:
         return np.trace(self.matrices, axis1=1, axis2=2)
 
     def identity_distances(self) -> np.ndarray:
-        """Per-element ||t(g) - I||_op, cached; for a direct sum, the max of
-        its summands' (a block-diagonal matrix's norm is its blocks' max)."""
+        """Per-element ||t(g) - I||_op from ``_own_distances``, exactly 0
+        at the identity, cached and read-only."""
         if self._distances is None:
-            if self.summands:
-                d = np.maximum.reduce([s.identity_distances() for s in self.summands])
-            else:
-                d = self._own_distances()
-                d[self.group.identity] = 0.0
+            d = self._own_distances()
+            d[self.group.identity] = 0.0
             d.setflags(write=False)
             self._distances = d
         return self._distances
@@ -348,10 +345,10 @@ def _word_generators(group: FiniteGroup) -> tuple[np.ndarray, int]:
     so a cyclic group of order n has L = O(log n). Word lengths come from one
     breadth-first walk of right multiplications from the identity.
     """
-    table, e = group.table, group.identity
+    table, e, orders = group.table, group.identity, group.element_orders()
     gens: list[int] = []
     for s in group.generators:
-        power, order = s, group.element_order(s)
+        power, order = s, int(orders[s])
         for _ in range((order - 1).bit_length()):  # each 2^j < order
             if power not in gens:
                 gens.append(power)
@@ -554,6 +551,9 @@ class DirectSum(UnitaryRep):
         self.label = "+".join(s.label for s in self.summands)
         self._distances = None
 
+    def _own_distances(self) -> np.ndarray:
+        return np.maximum.reduce([s.identity_distances() for s in self.summands])
+
     @property
     def hom_residual(self) -> float:
         return max(s.hom_residual for s in self.summands)
@@ -590,14 +590,13 @@ def irreps_of(group: FiniteGroup) -> list[UnitaryRep]:
 
 
 def min_nontrivial_dim(group: FiniteGroup) -> int:
-    """Minimum dimension of an irreducible with non-constant character.
+    """Minimum dimension of a nontrivial irreducible.
 
-    A character's value at the identity is exactly its dimension, as the
-    identity matrix is snapped to I. At dimension 1, |chi(g) - 1| is the
-    distance row, so no matrices are read."""
+    An irreducible of dimension >= 2 is never trivial; one of dimension 1 is
+    trivial when its distance row |chi(g) - 1| vanishes. No character or
+    matrix is read."""
     dims = [rep.dim for rep in irreps_of(group)
-            if np.max(rep.identity_distances() if rep.dim == 1
-                      else np.abs(rep.character() - rep.dim)) > 1e-6]
+            if rep.dim > 1 or np.max(rep.identity_distances()) > 1e-6]
     if not dims:
         raise ValueError("group has no nontrivial irreducible (trivial group)")
     return min(dims)

@@ -7,12 +7,13 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import bohrlab
-from bohrlab.cli import (COMMON, KINDS, ConfigError, _py, load_config, main,
+from bohrlab.cli import (COMMON, KINDS, ConfigError, load_config, main,
                          replay_report, run_experiment)
+
+from test_guards import _labbench_workloads
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -306,41 +307,32 @@ def test_quasirandom_computes_d_once(monkeypatch):
     assert len(calls) == 1
 
 
-def _py_recursion(obj):
-    """The payload conversion with no builtin fast path: every node goes
-    through the numpy checks."""
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return [_py_recursion(x) for x in obj]
-    if isinstance(obj, dict):
-        return {k: _py_recursion(v) for k, v in obj.items()}
-    return obj
+def assert_plain(obj, where="payload"):
+    """Fail unless every node of obj has one of the exact types a payload
+    may hold: dict with str keys, list, str, int, float, bool or None.
+    run_experiment reports the runner's dict as built, so a numpy scalar
+    would reach the JSON writer as it is (np.float64 subclasses float)."""
+    if type(obj) is dict:
+        for key, value in obj.items():
+            assert type(key) is str, f"{where}: key {key!r}"
+            assert_plain(value, f"{where}.{key}")
+    elif type(obj) is list:
+        for i, value in enumerate(obj):
+            assert_plain(value, f"{where}[{i}]")
+    else:
+        assert type(obj) in (str, int, float, bool, type(None)), \
+            f"{where}: {type(obj).__name__}"
 
 
-def _typed(obj):
-    """obj with the exact type of every node beside it."""
-    if isinstance(obj, list):
-        return list, [_typed(x) for x in obj]
-    if isinstance(obj, dict):
-        return dict, {k: _typed(v) for k, v in obj.items()}
-    return type(obj), obj
-
-
-def test_payload_conversion_matches_the_plain_recursion():
-    payload = {
-        "int": 3, "float": 0.25, "str": "ok", "bool": True, "none": None,
-        "np_int": np.int64(-7), "np_int32": np.int32(5),
-        "np_float": np.float64(0.1), "np_float32": np.float32(1.5),
-        "np_bool": np.bool_(False),
-        "ints": np.arange(4), "floats": np.linspace(0.0, 1.0, 3),
-        "matrix": np.eye(2), "tuple": (np.int64(1), 2.0, ("x", np.float64(3.0))),
-        "nested": {"list": [np.float64(2.5), {"deep": (np.int64(9), None)}],
-                   "empty": {}, "rows": [{"a": np.int64(1)}, {"b": 0.5}]},
-    }
-    assert _typed(_py(payload)) == _typed(_py_recursion(payload))
+def test_payloads_hold_plain_json_types():
+    # the 12 fixtures and the benchmark's seed-101 experiment lists
+    configs = [load_config(str(path)) for path in sorted(FIXTURES.glob("*.ini"))]
+    assert len(configs) >= 12
+    workloads = _labbench_workloads()
+    for name in workloads.WORKLOADS:
+        configs += workloads.build(name, 101, 30)
+    for config in configs:
+        assert_plain(run_experiment(config).payload)
 
 
 def test_table_file_order_out_of_range_errors(tmp_path, capsys):

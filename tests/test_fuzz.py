@@ -6,12 +6,15 @@ import itertools
 import json
 import string
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bohrlab import build_group, from_cayley_table
-from bohrlab.cli import COMMON, KINDS, main
+from bohrlab import build_group, cli, from_cayley_table
+from bohrlab.cli import COMMON, KINDS, main, run_experiment
 from bohrlab.groups import parse_function, parse_subset
+
+from test_cli import assert_plain
 
 GROUPS = ("zmod:1", "zmod:5", "zmod:12", "dihedral:3", "dihedral:6",
           "quaternion:8", "sym:3", "alt:4", "product:zmod:2,zmod:6")
@@ -95,7 +98,15 @@ def _check_exit_contract(tmp_path, capsys, kind, config, expected):
     cfg.write_text("[experiment]\n" + "".join(f"{k} = {v}\n"
                                                 for k, v in config.items()))
     out = tmp_path / f"o{example}.json"
-    code = main([kind, "--config", str(cfg), "--out", str(out)])
+    reports = []  # the report objects, so their payloads' own types are walked
+
+    def recorded(config):
+        reports.append(run_experiment(config))
+        return reports[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "run_experiment", recorded)
+        code = main([kind, "--config", str(cfg), "--out", str(out)])
     err = capsys.readouterr().err
     if expected is not None:
         assert code == 1, (config, err)
@@ -106,6 +117,7 @@ def _check_exit_contract(tmp_path, capsys, kind, config, expected):
     else:
         assert code in (0, 2), (config, err)
         json.loads(out.read_text(), parse_constant=_reject_constant)
+        assert_plain(reports[-1].payload)
 
 
 _TOKENS = st.sampled_from(["0", "1", "2", "3", "4", "-1", "0.5", "-0.5", "2.5",

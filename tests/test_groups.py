@@ -300,6 +300,38 @@ def test_element_orders_match_element_order():
                                                for a in g.elements()], desc
 
 
+def test_element_orders_are_computed_once_and_read_only():
+    g = build_group("dihedral:6")
+    orders = g.element_orders()
+    assert g.element_orders() is orders
+    with pytest.raises(ValueError):
+        orders[1] = 5
+
+
+def _python_closure(g, members):
+    s = set(members)
+    while True:
+        grown = s | {g.mul(a, b) for a in s for b in s}
+        if grown == s:
+            return s
+        s = grown
+
+
+@pytest.mark.parametrize("desc", catalog_descriptors(60))
+def test_closure_matches_python_sets(desc):
+    g = build_group(desc)
+    rng = np.random.default_rng(g.order)
+    subsets = [[], [g.identity]] + [
+        rng.choice(g.order, size=min(k, g.order), replace=False).tolist()
+        for k in (1, 1, 2, 2, 3)]
+    for members in subsets:
+        mark = np.zeros(g.order, dtype=bool)
+        mark[members] = True
+        got = groups.closure(g.table, mark)
+        assert got.tolist() == sorted(_python_closure(g, members)), members
+        assert np.array_equal(np.flatnonzero(mark), got)
+
+
 def test_from_cayley_table_rejects_missing_identity():
     # Latin square with no two-sided identity
     with pytest.raises(GroupValidationError, match="identity"):

@@ -10,6 +10,7 @@ from bohrlab import (GroupFunction, Subset, ZetaRule, bogolyubov_search,
                      separated_cover, shift_invariance_search,
                      symmetric_covering_check, translate_covering_check,
                      two_set_bogolyubov)
+from bohrlab import productsets
 from bohrlab.bohr import SearchSpace, first_accepted
 from bohrlab.cli import run_experiment
 from bohrlab.convolve import _lp
@@ -242,6 +243,17 @@ def test_four_product_abelian_coincides(z12):
     # abelian, so the four product sets are one and the one walk is bogolyubov's
     assert [s.realized for s in res.found] == [single.spec.realized] * 4
     assert res.candidates_scored == single.candidates_scored
+
+
+def test_four_product_builds_each_product_once(monkeypatch):
+    # AA^-1, A^-1A, AA and A^-1A^-1 once each, then the four targets
+    calls = []
+    monkeypatch.setattr(productsets, "product_set",
+                        lambda x, y: calls.append(1) or product_set(x, y))
+    g = build_group("dihedral:6")
+    a = random_subset_of_size(g, 4, rng_from_seed(1))
+    assert four_product_bohr(a, 4 / g.order).status == "ok"
+    assert len(calls) == 8
 
 
 @pytest.mark.parametrize("desc,seed", [
