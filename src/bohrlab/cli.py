@@ -35,15 +35,10 @@ from .productsets import (bogolyubov_search, density_size, level_set_claim,
                           shift_invariance_search, two_set_bogolyubov)
 from .regularity import ZetaRule, search_regular_bohr
 from .reps import (RepDecompositionError, char_orthogonality_defect, direct_sum_hom,
-                   irreps_of, max_hom_residual_bound, min_nontrivial_dim)
+                   irreps_of, min_nontrivial_dim)
 from .stability import DEFAULT_BUDGET, ladder_index
 
 OUT_DIR_ENV = "BOHRLAB_OUT_DIR"
-# Above this order the irreps payload reports the certified bound on the hom
-# residual in place of its measurement over all n^2 pairs: at order 2048 the
-# bounds of all 2,048 characters take about 1 s on a 2-core x86 VM, and
-# their measurements about 30 s
-MEASURED_RESIDUAL_ORDER = 316
 
 
 @dataclass
@@ -172,16 +167,13 @@ def _run_irreps(group, rng, seed):
     payload = {
         "dims": dims,
         "sum_dim_sq": sum(d * d for d in dims),
+        "max_hom_residual": max(rep.hom_residual for rep in irreps),
         "max_unitarity_residual": max(rep.unitarity_residual for rep in irreps),
         "char_orthogonality_defect": char_orthogonality_defect(irreps),
         # an irrep occurs in the regular representation dim times
         "table": [{"index": i, "dim": d, "multiplicity": d}
                   for i, d in enumerate(dims)],
     }
-    if group.order > MEASURED_RESIDUAL_ORDER:
-        payload["max_hom_residual_bound"] = max_hom_residual_bound(irreps)
-    else:
-        payload["max_hom_residual"] = max(rep.hom_residual for rep in irreps)
     if group.order > 1:
         payload["min_nontrivial_dim"] = min_nontrivial_dim(group)
     return "ok", payload

@@ -3,11 +3,12 @@
 Provides exact characters for abelian groups, each held as its integer phase
 row, a randomized decomposition of the regular representation into
 irreducibles for any group of order <= 256, and direct sums that read
-distances and residuals off their summands. A character's distances come
-from one table of e values and its matrices are built on first read, which
-no Bohr search does. Every stored homomorphism carries residuals, measured
-on first read and cached, so downstream consumers can trust (and re-check)
-it numerically without paying for residuals they never read.
+distances and residuals off their summands. A character's distances and
+residuals come from its image in Z/e, and its matrices are built on first
+read, which no Bohr search or certificate does. Every stored homomorphism
+carries residuals, computed on first read and cached, so downstream
+consumers can trust (and re-check) it numerically without paying for
+residuals they never read.
 """
 
 from __future__ import annotations
@@ -102,17 +103,20 @@ def measure_hom_residual(rep: UnitaryRep) -> float:
     SVD runs only on a pair whose Frobenius norm can still set the maximum
     (see ``_max_op_norm``).
     """
-    g, mats = rep.group, rep.matrices
-    n = g.order
     if rep.dim == 1:
-        chi = mats[:, 0, 0]
-        return max(float(np.max(np.abs(chi[g.table[blk]]
-                                       - np.einsum("a,b->ab", chi[blk], chi))))
-                   for blk in row_blocks(n, n))
+        return _scalar_hom_residual(rep.matrices[:, 0, 0], rep.group.table)
     worst = 0.0
     for batch in _residual_blocks(rep):
         worst = _max_op_norm(batch, worst)
     return worst
+
+
+def _scalar_hom_residual(chi: np.ndarray, table: np.ndarray) -> float:
+    """max |chi(ab) - chi(a) chi(b)| over all pairs of a one-dimensional
+    ``chi``, ab = table[a, b], in ``row_blocks`` of rows a."""
+    return max(float(np.max(np.abs(chi[table[blk]]
+                                   - np.einsum("a,b->ab", chi[blk], chi))))
+               for blk in row_blocks(len(chi), len(chi)))
 
 
 def _residual_blocks(rep: UnitaryRep):
@@ -157,9 +161,12 @@ def _max_op_norm(batch: np.ndarray, worst: float) -> float:
 def measure_unitarity_residual(rep: UnitaryRep) -> float:
     """Max over all elements of ||t(g)* t(g) - I||_op, through
     ``_max_op_norm``'s Frobenius filter."""
-    mats = rep.matrices
+    return _unitarity_residual(rep.matrices)
+
+
+def _unitarity_residual(mats: np.ndarray) -> float:
     gram = np.einsum("pji,pjk->pik", mats.conj(), mats)
-    return _max_op_norm(gram - np.eye(rep.dim), 0.0)
+    return _max_op_norm(gram - np.eye(mats.shape[1]), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -210,25 +217,46 @@ class Character(UnitaryRep):
     integer phase row. A group's characters share ``roots``, the e-th roots
     of unity exp(2*pi*i*j/e), and ``table`` = |roots - 1|, so the distance
     row ``table[phases]`` is bitwise the dense |chi(x) - 1|. The matrices
-    are built on first read, which no Bohr search does.
+    are built on first read, which no Bohr search does; ``residuals()``
+    gives both residuals from the character's image (``abelian_characters``).
     """
 
     dim = 1
 
     def __init__(self, group: FiniteGroup, phases: np.ndarray, roots: np.ndarray,
-                 table: np.ndarray, label: str):
+                 table: np.ndarray, residuals, label: str):
         self.group, self.phases, self.label = group, phases, label
-        self._roots, self._table = roots, table
+        self._roots, self._table, self._residuals = roots, table, residuals
         self._distances = None
 
     def _own_distances(self) -> np.ndarray:
         return self._table[self.phases]
+
+    hom_residual = property(lambda self: self._residuals()[0])
+    unitarity_residual = property(lambda self: self._residuals()[1])
 
     @functools.cached_property
     def matrices(self) -> np.ndarray:
         mats = self._roots[self.phases].reshape(-1, 1, 1)
         mats.setflags(write=False)
         return mats
+
+
+def _check_coords(group: FiniteGroup, coords: np.ndarray, radices: np.ndarray) -> None:
+    """Raise ``RepDecompositionError`` unless x -> coords[x] is an
+    isomorphism of G onto the product of the Z/m, m in ``radices``.
+
+    It must be a bijection onto the digit tuples, and additive on the n*|S|
+    pairs (g, s), s in ``group.generators``: with associativity validated,
+    coords[g s_1...s_k] = coords[g s_1...s_(k-1)] + coords[s_k] by induction
+    on k, and every element is such a word.
+    """
+    coords, gens = coords % radices, list(group.generators)
+    flat = np.ravel_multi_index(tuple(coords.T), radices)
+    sums = (coords[:, None, :] + coords[gens]) % radices
+    if not (np.array_equal(np.sort(flat), np.arange(int(np.prod(radices))))
+            and np.array_equal(coords[group.table[:, gens]], sums)):
+        raise RepDecompositionError("character coordinates are not an isomorphism")
 
 
 def abelian_characters(group: FiniteGroup) -> list[Character]:
@@ -245,12 +273,16 @@ def abelian_characters(group: FiniteGroup) -> list[Character]:
     phases are stored in the smallest unsigned dtype that holds e - 1,
     computed in row blocks as int32, which holds each sum before its
     reduction: it is below (number of factors) * e * n <= log2(n) * n^2.
+    As ``coords`` is an isomorphism (``_check_coords``), character k maps G
+    onto the multiples of gcd(e, weights[k]); the measured residuals on them
+    alone are bitwise its own, so each is computed once per image.
     """
     if not group.is_abelian:
         raise ValueError("abelian_characters requires an abelian group")
     gens, gen_orders, coords = cyclic_decomposition(group)
     n = group.order
     radices = np.array(gen_orders if gens else [1])
+    _check_coords(group, coords, radices)
     e = int(np.lcm.reduce(radices))
 
     # digits[k] holds the mixed-radix digits of k, most significant first
@@ -265,8 +297,17 @@ def abelian_characters(group: FiniteGroup) -> list[Character]:
     phases.setflags(write=False)
     roots = np.exp(2j * np.pi * np.arange(e) / e)
     table = np.abs(roots - 1.0)
-    return [Character(group, phases[k], roots, table, label=f"chi{k}")
-            for k in range(n)]
+
+    @functools.cache
+    def residuals(step: int) -> tuple[float, float]:
+        # the image's roots, contiguous as chi's values, and Z/m's table as a view
+        image, m = roots[::step].copy(), e // step
+        circulant = np.lib.stride_tricks.sliding_window_view(np.arange(2 * m) % m, m)
+        return _scalar_hom_residual(image, circulant), _unitarity_residual(image[:, None, None])
+
+    steps = np.gcd.reduce(weights, axis=1, initial=e).tolist()
+    return [Character(group, phases[k], roots, table, functools.partial(residuals, step),
+                      label=f"chi{k}") for k, step in enumerate(steps)]
 
 
 # ---------------------------------------------------------------------------
@@ -388,13 +429,6 @@ def _hom_residual_bound(rep: UnitaryRep, gens: np.ndarray, length: int) -> float
     for _ in range(length - 1):
         bound = (2.0 + mu) * eta + (1.0 + mu) * bound
     return bound
-
-
-def max_hom_residual_bound(reps: list[UnitaryRep]) -> float:
-    """The largest ``_hom_residual_bound`` of reps of one group: a certified
-    upper bound on their hom residuals from n*|S| pairs each."""
-    gens, length = _word_generators(reps[0].group)
-    return max(_hom_residual_bound(rep, gens, length) for rep in reps)
 
 
 def _is_known(chi: np.ndarray, chars: np.ndarray) -> bool:
@@ -522,9 +556,16 @@ def _decompose_once(group: FiniteGroup, rng: np.random.Generator) -> list[Unitar
 
 
 def char_orthogonality_defect(reps: list[UnitaryRep]) -> float:
-    """max |sum conj(chi_i) chi_j / n - [i = j]| over reps of one group."""
+    """max |sum conj(chi_i) chi_j / n - [i = j]| over reps of one group; on an
+    abelian group's ``irreps_of``, conj(chi_i) chi_j = chi_(j-i), so it is
+    max_k |mean chi_k - [chi_k trivial]|, by row sums in blocks, no BLAS."""
+    group, n = reps[0].group, reps[0].group.order
+    if group.is_abelian and reps is group._irreps:
+        phases, roots = np.array([rep.phases for rep in reps]), reps[0]._roots
+        return max(float(np.max(np.abs(roots[phases[b]].mean(axis=1) - ~phases[b].any(axis=1))))
+                   for b in row_blocks(n, n))
     chars = np.array([rep.character() for rep in reps])
-    gram = chars.conj() @ chars.T / reps[0].group.order
+    gram = chars.conj() @ chars.T / n
     return float(np.max(np.abs(gram - np.eye(len(reps)))))
 
 

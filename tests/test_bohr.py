@@ -19,6 +19,7 @@ from bohrlab import (FiniteGroup, SearchSpace, Subset, ZetaRule, abelian_charact
                      two_set_bogolyubov)
 from bohrlab import bohr
 from bohrlab.bohr import NoDiagonalRefinementError
+from bohrlab.cli import KINDS
 from bohrlab.gen import evens_subset, random_pm1_function, rng_from_seed
 from bohrlab.regularity import _all_subgroups
 
@@ -436,7 +437,8 @@ def test_exhaustive_enumeration_holds_no_block_matrices():
 
 def test_abelian_searches_leave_the_character_matrices_unbuilt():
     # a Bohr search reads each character's distance row, never its matrices,
-    # and a torus's (delta, n, m) refinement is all of G without them
+    # and a torus's (delta, n, m) refinement is all of G without them; the
+    # irreps kind reads its certificates off the integer phases
     z200 = FiniteGroup(build_group("zmod:200").table, "zmod:200")
     assert sum(1 for _ in enumerate_bohr_candidates(z200, SearchSpace())) == 5000
     z101 = FiniteGroup(build_group("zmod:101").table, "zmod:101")
@@ -448,7 +450,10 @@ def test_abelian_searches_leave_the_character_matrices_unbuilt():
     spec, m = nm_refine(z101, direct_sum_hom(chars[1:3]), 0.5)
     assert m == 1 and spec.nm_subgroup.mask.all()
     assert spec.realized == bohr_set(z101, direct_sum_hom(chars[1:3]), 0.5).realized
-    for g in (z200, z101):
+    z317 = FiniteGroup(build_group("zmod:317").table, "zmod:317")
+    status, payload = KINDS["irreps"][0](z317, None, 0)
+    assert status == "ok" and payload["max_hom_residual"] <= 1e-10
+    for g in (z200, z101, z317):
         assert not any("matrices" in vars(rep) for rep in irreps_of(g))
 
 

@@ -13,7 +13,7 @@ import bohrlab
 from bohrlab.cli import (COMMON, KINDS, ConfigError, load_config, main,
                          replay_report, run_experiment)
 
-from test_guards import _labbench_workloads
+from test_guards import _labbench_module, _labbench_workloads
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -46,13 +46,22 @@ def test_irreps_payload():
     assert report.payload["max_hom_residual"] <= 1e-9
 
 
-def test_irreps_bound_the_residual_above_order_316():
-    # the measured residual up to order 316, the certified bound above it;
-    # neither is a sampled estimate
-    for n, key, other in ((316, "max_hom_residual", "max_hom_residual_bound"),
-                          (317, "max_hom_residual_bound", "max_hom_residual")):
+def test_irreps_report_the_hom_residual_at_every_order():
+    # one payload shape at every order: the residual over all pairs, which
+    # the characters' integer certificate makes cheap, never a looser bound
+    for n in (316, 317):
         payload = run_experiment({"kind": "irreps", "group": f"zmod:{n}"}).payload
-        assert payload[key] <= 1e-10 and other not in payload
+        assert payload["max_hom_residual"] <= 1e-10
+        assert not [key for key in payload if "bound" in key]
+
+
+@pytest.mark.parametrize("desc", ["zmod:317", "zmod:1024"])
+def test_labbench_checker_passes_large_abelian_irreps(desc):
+    checker = _labbench_module("verify").Checker(
+        lambda d: bohrlab.build_group(d).table)
+    config = {"kind": "irreps", "group": desc}
+    report = run_experiment(config)
+    assert checker.check(report.config, report.status, report.payload) == []
 
 
 def test_bohr_payload():
@@ -708,9 +717,11 @@ def test_fixture_payloads_identical_across_processes(tmp_path, path):
 def test_irreps_payloads_identical_across_blas_thread_counts(tmp_path):
     # at the orders labbench decomposes most, the irrep matrices do not
     # depend on how BLAS splits its products between threads (from order
-    # 100 up, the order-n eigh and qr make them differ in the last bits)
+    # 100 up, the order-n eigh and qr make them differ in the last bits);
+    # an abelian group's certificates use no BLAS at any order
     code = ("import json\nfrom bohrlab.cli import run_experiment\n"
-            "for group in ('sym:4', 'dihedral:12', 'alt:5', 'dihedral:30'):\n"
+            "for group in ('sym:4', 'dihedral:12', 'alt:5', 'dihedral:30',\n"
+            "              'zmod:129', 'zmod:317'):\n"
             "    report = run_experiment({'kind': 'irreps', 'group': group})\n"
             "    print(json.dumps(report.payload, sort_keys=True))\n")
     outputs = []
@@ -720,7 +731,7 @@ def test_irreps_payloads_identical_across_blas_thread_counts(tmp_path):
                               env=_child_env(OPENBLAS_NUM_THREADS=threads))
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
-    assert len(outputs[0].splitlines()) == 4
+    assert len(outputs[0].splitlines()) == 6
     assert outputs[0] == outputs[1]
 
 

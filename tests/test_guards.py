@@ -116,13 +116,17 @@ def test_committed_bench_files_are_well_formed():
             assert run["correct"] is True and run["failed"] == 0, path.name
 
 
-def _labbench_workloads():
-    # read-only use of the benchmark's experiment lists
+def _labbench_module(name):
+    # read-only use of the benchmark's experiment lists and checker
     spec = importlib.util.spec_from_file_location(
-        "labbench_workloads", ROOT / "labbench" / "workloads.py")
+        f"labbench_{name}", ROOT / "labbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _labbench_workloads():
+    return _labbench_module("workloads")
 
 
 def test_fixture_configs_resolve():

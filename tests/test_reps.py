@@ -13,7 +13,7 @@ from bohrlab import (FiniteGroup, abelian_characters, bohr_set, build_group,
                      irreps_of, measure_hom_residual, min_nontrivial_dim)
 from bohrlab import reps
 from bohrlab.bohr import DEFAULT_DELTA_GRID
-from bohrlab.reps import DirectSum, UnitaryRep, max_hom_residual_bound
+from bohrlab.reps import DirectSum, UnitaryRep
 
 
 def _op_norm(mat):
@@ -167,6 +167,42 @@ def test_cyclic_decomposition_pinned(desc, gens, orders):
 def test_abelian_characters_rejects_nonabelian(s3):
     with pytest.raises(ValueError):
         abelian_characters(s3)
+
+
+DIFFERENTIAL_GROUPS = ["zmod:1", "zmod:2", "zmod:12", "zmod:101", "zmod:128",
+                       "zmod:129", "zmod:200", "zmod:256", "zmod:316",
+                       "product:zmod:12,zmod:18", "product:zmod:2,zmod:128",
+                       "product:zmod:4,zmod:4"]
+
+
+@pytest.mark.parametrize("desc", DIFFERENTIAL_GROUPS)
+def test_character_residuals_are_the_measured_ones(desc):
+    # read off each character's image in Z/e, the residuals are bitwise the
+    # ones measured over every pair and element of its matrices
+    g = FiniteGroup(build_group(desc).table, desc)
+    for chi in abelian_characters(g):
+        assert chi.hom_residual == measure_hom_residual(chi), chi.label
+        assert chi.unitarity_residual == reps.measure_unitarity_residual(chi), chi.label
+
+
+@pytest.mark.parametrize("corrupt", ["swap", "duplicate"])
+def test_abelian_characters_reject_corrupted_coords(monkeypatch, corrupt):
+    # two rows swapped keep a bijection but break additivity; a duplicated
+    # row breaks the bijection
+    real = reps.cyclic_decomposition
+
+    def corrupted(group):
+        gens, orders, coords = real(group)
+        coords = coords.copy()
+        if corrupt == "swap":
+            coords[[1, 2]] = coords[[2, 1]]
+        else:
+            coords[2] = coords[1]
+        return gens, orders, coords
+
+    monkeypatch.setattr(reps, "cyclic_decomposition", corrupted)
+    with pytest.raises(reps.RepDecompositionError, match="not an isomorphism"):
+        abelian_characters(FiniteGroup(build_group("zmod:12").table, "zmod:12"))
 
 
 def test_decompose_z3():
@@ -331,13 +367,14 @@ def test_rep_rejects_non_finite_entries(dim, bad):
 
 
 def test_residual_bound_large_group():
-    # above order 316 the irreps payload reads the certified bound in place
-    # of the exhaustive residual, which it must hold
+    # decompose_regular's gate passes an irrep on the generator bound
+    # without measuring every pair, so the bound must hold the measurement
     g = build_group("zmod:400")
     x = np.arange(g.order)
     rep = UnitaryRep(g, np.exp(2j * np.pi * 3 * x / g.order).reshape(-1, 1, 1))
     assert measure_hom_residual(rep) <= 1e-12
-    assert measure_hom_residual(rep) <= max_hom_residual_bound([rep]) <= 1e-10
+    bound = reps._hom_residual_bound(rep, *reps._word_generators(g))
+    assert measure_hom_residual(rep) <= bound <= 1e-10
 
 
 def _brute_force_residual(rep):
@@ -429,9 +466,10 @@ def test_residual_bound_with_planted_error():
     mats = u @ diag @ u.conj().T
     mats[250] += 1e-7 * np.outer(u[:, 0], u[:, 1].conj())
     rep = UnitaryRep(g, mats, label="planted")
-    # every pair is measured above order 316 too, and the bound holds it
+    # every pair is measured on a group of order 400 too, and the bound holds it
     assert rep.hom_residual == _unfiltered_residual(rep)
-    assert 0.5e-7 < rep.hom_residual <= max_hom_residual_bound([rep])
+    assert 0.5e-7 < rep.hom_residual <= reps._hom_residual_bound(
+        rep, *reps._word_generators(g))
 
 
 NONABELIAN = [d for d in catalog_descriptors(256) if not build_group(d).is_abelian]
@@ -690,8 +728,9 @@ def test_lazy_residuals_equal_measured_values(monkeypatch):
             assert total.unitarity_residual == max(r.unitarity_residual
                                                    for r in pick)
         # every irrep is measured once, on first read (decompose_regular's
-        # gate passes on the generator bound); a sum measures nothing itself
-        assert len(calls) == len(irreps), desc
+        # gate passes on the generator bound), and a character never, as it
+        # reads its residuals off its image; a sum measures nothing itself
+        assert len(calls) == (0 if g.is_abelian else len(irreps)), desc
 
 
 @pytest.mark.parametrize("size", [4e-10, 1e-6, 1e-3], ids=["4e-10", "1e-6", "1e-3"])
