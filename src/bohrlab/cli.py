@@ -405,7 +405,9 @@ def main(argv=None) -> int:
                        help="report format (default from config, else json)")
         k.add_argument("--seed", type=int, help="override the config seed")
         k.add_argument("--budget", type=int,
-                       help="override the search budget (nodes or candidates)")
+                       help="override the search budget: ladder nodes (each "
+                            "builds at most one row and one local graph) or "
+                            "candidates scored")
     args = parser.parse_args(argv)
 
     try:

@@ -558,9 +558,11 @@ def _decompose_once(group: FiniteGroup, rng: np.random.Generator) -> list[Unitar
 def char_orthogonality_defect(reps: list[UnitaryRep]) -> float:
     """max |sum conj(chi_i) chi_j / n - [i = j]| over reps of one group; on an
     abelian group's ``irreps_of``, conj(chi_i) chi_j = chi_(j-i), so it is
-    max_k |mean chi_k - [chi_k trivial]|, by row sums in blocks, no BLAS."""
+    max_k |mean chi_k - [chi_k trivial]|, by row sums in blocks, no BLAS.
+    That holds for any list of the same reps in the same order, a copy too:
+    reps compare by identity."""
     group, n = reps[0].group, reps[0].group.order
-    if group.is_abelian and reps is group._irreps:
+    if group.is_abelian and list(reps) == group._irreps:
         phases, roots = np.array([rep.phases for rep in reps]), reps[0]._roots
         return max(float(np.max(np.abs(roots[phases[b]].mean(axis=1) - ~phases[b].any(axis=1))))
                    for b in row_blocks(n, n))

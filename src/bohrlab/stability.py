@@ -119,7 +119,7 @@ def _max_ladder(F: np.ndarray, table: np.ndarray, eps: float, cap: int,
     pair v, on the same bits, is set iff pair j is not compatible with v
     and j != v. A child's mask is its parent's, less the pair it adds,
     ANDed with the complement of that pair's row. Bits keep the pairs'
-    index order, so the traversal does not depend on the subgraph.
+    index order, so narrowing a mask's pairs to its set bits reorders none.
 
     Dive: one greedy index-order descent (always the lowest candidate) runs
     first and is charged to the budget, so a cap reached on that first path
@@ -142,16 +142,21 @@ def _max_ladder(F: np.ndarray, table: np.ndarray, eps: float, cap: int,
     mask greedily in index order, each colour class a set of pairwise
     incompatible pairs, branches in reverse colour order, prunes once
     depth + colour <= best, and drops each branched pair from its mask.
-    This bound must not be mixed with an index-order prefix cut such as
-    "a_1 minimal": each is sound alone, but together they miss ladders.
+    This bound must not be mixed with a global index-order prefix cut such
+    as "a_1 minimal": each is sound alone, but together they miss ladders.
 
-    Rows: a node whose mask's m pairs have an m x m non-neighbour matrix of
-    at most LOCAL_GRAPH_BYTES of bits stores that matrix (``_local_graph``)
-    and searches its whole subtree on it. Until then no row is stored: each
-    is built where it is read, from the pair's n^2-entry row selected at
-    pairs. That serves the dive, and the top node or roots too large to
-    store (the full order-256 domain would need 512 MB); the roots' own
-    rows are built in blocks and each read once.
+    Rows: a node whose m pairs have an m x m non-neighbour matrix of at
+    most LOCAL_GRAPH_BYTES of bits stores that matrix (``_local_graph``)
+    and searches its whole subtree on it, colouring as above. A larger node
+    (the full order-256 domain would need 512 MB) does not colour: it
+    branches on its pairs in index order, drops each branched pair from its
+    own mask as the colouring branch does, and stops once
+    depth + popcount(mask) <= best (Carraghan and Pardalos, Oper. Res.
+    Lett. 1990). It builds only the branched pair's row, from 2m entries of
+    F (``_apart_row``), as the dive does; each root builds its own n^2-entry
+    row. Each row is built for a node the budget charges (a dive step
+    before it, a child after), so a budget of N nodes builds at most N + 1
+    rows and N local graphs.
 
     The budget counts node expansions (one per candidate scan of a partial
     ladder). Returns (best_depth, pairs, exhausted, nodes).
@@ -179,7 +184,8 @@ def _max_ladder(F: np.ndarray, table: np.ndarray, eps: float, cap: int,
     def visit(mask: int, pairs, apart) -> None:
         """Branch and bound below the partial ladder on the stack.
 
-        Bit i of mask and of each row of apart is pairs[i].
+        Bit i of mask and of each row of apart is pairs[i]; apart is None
+        until a node stores its rows.
         """
         depth = len(stack)
         if not enter(depth) or not mask:
@@ -190,41 +196,50 @@ def _max_ladder(F: np.ndarray, table: np.ndarray, eps: float, cap: int,
             enter(cap)
             stack.pop()
             return
-        if isinstance(apart, _UnstoredRows) and mask.bit_count() ** 2 <= local_bits:
+        if apart is None:
             if mask.bit_count() < len(pairs):  # a root's mask has every pair: no copy
                 pairs = pairs[_set_bits(mask, len(pairs))]
-            mask, pairs, apart = _local_graph(F, eps, pairs)
-        for v, colour in reversed(_colour_classes(mask, apart, state["best"] - depth)):
-            if state["stop"] or depth + colour <= state["best"]:
+            m = len(pairs)
+            mask = (1 << m) - 1
+            if m * m <= local_bits:
+                mask, pairs, apart = _local_graph(F, eps, pairs)
+        # a node too large to store branches in index order, bounded by the
+        # pairs left, and builds one row a branch
+        branches = (zip(range(m), range(m, 0, -1)) if apart is None else
+                    reversed(_colour_classes(mask, apart, state["best"] - depth)))
+        for v, bound in branches:
+            if state["stop"] or depth + bound <= state["best"]:
                 return
             stack.append(pairs[v])
             mask ^= 1 << v
-            visit(mask & ~apart[v], pairs, apart)
+            row = _apart_row(F, eps, pairs, v) if apart is None else apart[v]
+            visit(mask & ~row, pairs, apart)
             stack.pop()
 
     try:
         pairs = np.flatnonzero(np.outer(a_allowed, b_allowed))  # all domain pairs
-        apart = _UnstoredRows(F, eps, pairs)
         mask = (1 << pairs.size) - 1
         while enter(len(stack)) and mask:  # the dive
             v = (mask & -mask).bit_length() - 1
             stack.append(pairs[v])
             mask ^= 1 << v
-            mask &= ~apart[v]
+            mask &= ~_apart_row(F, eps, pairs, v)
         stack.clear()
         if not (state["stop"] or a_allowed.all() and b_allowed.all()):
-            visit((1 << pairs.size) - 1, pairs, apart)  # the restricted domain
+            visit((1 << pairs.size) - 1, pairs, None)  # the restricted domain
         elif not state["stop"] and enter(0):  # the roots (0, b)
-            del pairs, apart  # the roots never read these n^2 indices (0.5 MB, n = 256)
+            del pairs  # the roots never read these n^2 indices (0.5 MB, n = 256)
             products = table.ravel()
             rank = np.argsort(table[0])  # rank[x] = the b* with 0 b* = x
-            for b, hit in enumerate(_pair_rows(F, eps, range(n))):
+            for b in range(n):
                 if state["stop"]:
                     break
                 stack.append(b)
-                rest = np.flatnonzero(hit)  # (0, b) itself has gap 0: not in hit
+                # entry a' n + b' is |F[0, b'] - F[a', b]| >= eps; (0, b)
+                # itself has gap 0, so it is not among them
+                rest = np.flatnonzero(np.abs(F[0] - F[:, b, None]) >= eps)
                 rest = rest[rank[products.take(rest)] >= b]
-                visit((1 << rest.size) - 1, rest, _UnstoredRows(F, eps, rest))
+                visit((1 << rest.size) - 1, rest, None)
                 stack.pop()
     finally:
         # visit reaches itself through its closure cell; break that cycle so
@@ -232,44 +247,6 @@ def _max_ladder(F: np.ndarray, table: np.ndarray, eps: float, cap: int,
         del visit
     pairs = [divmod(p, n) for p in state["ladder"]]
     return state["best"], pairs, state["exhausted"], state["nodes"]
-
-
-def _pair_rows(F: np.ndarray, eps: float, pairs):
-    """Yield the boolean n^2-entry compatibility row of each pair, in order.
-
-    Entry a'*n + b' of the row of pair (a, b) is True iff
-    |F[a, b'] - F[a', b]| >= eps. Rows are built in ``row_blocks`` of n^2
-    entries of F a row, and none is kept once yielded.
-    """
-    n = F.shape[0]
-    diff = None
-    for blk in row_blocks(len(pairs), F.size):
-        chunk = pairs[blk]
-        if diff is None:  # the first block is the largest; the rest reuse it
-            diff = np.empty((len(chunk),) + F.shape)
-        block = diff[:len(chunk)]
-        for j, pair in enumerate(chunk):
-            a, b = divmod(pair, n)
-            # block[j, a', b'] = F[a, b'] - F[a', b]; row by row, since numpy
-            # buffers a broadcast across the whole block
-            np.subtract(F[a], F[:, b][:, None], out=block[j])
-        yield from np.abs(block, out=block).reshape(len(block), -1) >= eps
-
-
-class _UnstoredRows:
-    """Non-neighbour rows on the bits of ascending pairs, as ``_local_graph``
-    returns them: row v is the complement of pairs[v]'s n^2-entry row from
-    ``_pair_rows``, selected at pairs, with bit v clear. Each is built on
-    read and not kept."""
-
-    def __init__(self, F: np.ndarray, eps: float, pairs: np.ndarray):
-        self.F, self.eps, self.pairs = F, eps, pairs
-
-    def __getitem__(self, v: int) -> int:
-        hit = next(_pair_rows(self.F, self.eps, self.pairs[v:v + 1]))
-        near = ~hit.take(self.pairs)
-        near[v] = False
-        return _int_rows(near[None])[0]
 
 
 def _set_bits(mask: int, nbits: int) -> np.ndarray:
@@ -314,6 +291,15 @@ def _local_graph(F: np.ndarray, eps: float, pairs: np.ndarray):
         near.reshape(-1)[blk.start::m + 1] = False  # entries (i, blk.start + i)
         apart += _int_rows(near)
     return (1 << m) - 1, pairs.tolist(), apart
+
+
+def _apart_row(F: np.ndarray, eps: float, pairs: np.ndarray, v: int) -> int:
+    """Row v of the non-neighbour matrix ``_local_graph`` builds on pairs,
+    gathered from the same 2m entries of F by the same subtraction."""
+    a, b = np.divmod(pairs, F.shape[0])
+    near = np.abs(F[a[v]].take(b) - F[:, b[v]].take(a)) < eps
+    near[v] = False
+    return _int_rows(near[None])[0]
 
 
 def _colour_classes(mask: int, apart, skip: int) -> list[tuple[int, int]]:

@@ -1,5 +1,5 @@
 """The benchmark's payload digests, pinned: every workload at seed 101, and
-nonabelian-mix at seed 7 too.
+nonabelian-mix at seed 7 too; and the canonical payload of each fixture.
 
 One child process with one BLAS thread (the irreps payload of dihedral:50
 depends on the thread count) builds each workload's experiment list and
@@ -16,6 +16,7 @@ from pathlib import Path
 from test_cli import _child_env
 
 LABBENCH = Path(__file__).resolve().parents[1] / "labbench"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 DIGESTS = {
     "abelian-search":
@@ -27,6 +28,35 @@ DIGESTS = {
 }
 SEED_7_NONABELIAN = \
     "e3f040e0a18e41c4c3ec7104b552c3643b03fa93b6fd724a6e0af954923bba10"
+
+# sha256 of each fixture's ``Report.payload_canonical()``, the same at one
+# and at two BLAS threads
+FIXTURE_DIGESTS = {
+    "bogolyubov_z200.ini":
+        "cd060284e24b0932e07400bf888e3d3b7755bd7a61acf79d6681d31068f544ab",
+    "bohr_z12.ini":
+        "2ae7b09d7c7fa301ea01b40611079dd46db5a3121d8216e9ba1cd9b13a8219cb",
+    "convolve_z16.ini":
+        "93eb81c0dd140d526075d172dce5e57ffb60278c096ed44d6a89821c303b4cb0",
+    "croot_sisask_z101.ini":
+        "3ed023e67224395955c6f4fe7b593bd0dbf3463395c10257df43a5011b2f3b19",
+    "group_info_z12.ini":
+        "b26d465515589843c36b5b0e30d9b8c384b6975dcfc9a2b4b9f70e5775f4f9e6",
+    "irreps_s4.ini":
+        "ddf314a52d2c48ea0efbad7d1fa913acf7c051f29ed44ff15df913e8a798cd86",
+    "ladder_budget1.ini":
+        "49da45520cc1ee379c94e95f546095303c0042e6f6af822a5eaf6e0122a0c3c8",
+    "ladder_z4.ini":
+        "f5021fa781bd5886112fd4428092371491138290ec3e36ae8c8298ba99da5a79",
+    "quasirandom_a5.ini":
+        "a299fbaec915ae05790af7c5497cf5a3c41c06d6ba7f91f558a7b92d8bf201c0",
+    "regularity_noise_expect_none.ini":
+        "d330ebbb77ea16f74ac0fd908d133e305cd6518a756439fdfa84140092e08d7a",
+    "regularity_zpz.ini":
+        "9fff77d6ad060eb82f9906cf0db6b74d3394d2f100b0c122e7b422c8d724ab47",
+    "two_set_z12.ini":
+        "22fa3998cbdb90886afbcf6d9f1e3a8665041d15c5db926de9840e4d99aa9e8e",
+}
 
 # The walks the runs leave stored, as (group, specs): every one fits the
 # storage limit (about 229k of bohr.STORED_ENTRIES = 524k entries) and none
@@ -61,9 +91,21 @@ print(json.dumps({"digests": digests, "streams": streams}))
 """
 
 
-def _run_child(tmp_path, seed, workloads):
+FIXTURE_CHILD = """
+import hashlib, json, sys
+from pathlib import Path
+from bohrlab import cli
+
+print(json.dumps({
+    path.name: hashlib.sha256(cli.run_experiment(cli.load_config(str(path)))
+                              .payload_canonical().encode()).hexdigest()
+    for path in sorted(Path(sys.argv[1]).glob("*.ini"))}))
+"""
+
+
+def _run_child(tmp_path, *args, code=CHILD):
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, str(LABBENCH), str(seed), *workloads],
+        [sys.executable, "-c", code, *map(str, args)],
         capture_output=True, text=True, cwd=tmp_path,
         env=_child_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                        MKL_NUM_THREADS="1"))
@@ -72,14 +114,19 @@ def _run_child(tmp_path, seed, workloads):
 
 
 def test_seed_101_digests_hold_on_a_replay(tmp_path):
-    out = _run_child(tmp_path, 101, DIGESTS)
+    out = _run_child(tmp_path, LABBENCH, 101, *DIGESTS)
     assert out["digests"] == {w: [d, d] for w, d in DIGESTS.items()}
     assert out["streams"] == [[*stream, True] for stream in STREAMS]
 
 
 def test_seed_7_nonabelian_digest_holds_on_a_replay(tmp_path):
-    out = _run_child(tmp_path, 7, ["nonabelian-mix"])
+    out = _run_child(tmp_path, LABBENCH, 7, "nonabelian-mix")
     assert out["digests"] == {"nonabelian-mix": [SEED_7_NONABELIAN] * 2}
+
+
+def test_fixture_payload_digests(tmp_path):
+    out = _run_child(tmp_path, FIXTURES, code=FIXTURE_CHILD)
+    assert out == FIXTURE_DIGESTS
 
 
 TRACED = """

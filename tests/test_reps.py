@@ -45,6 +45,17 @@ def test_character_orthogonality_exact():
     assert np.max(np.abs(gram - np.eye(12))) < 1e-12
 
 
+@pytest.mark.parametrize("desc", ["zmod:12", "zmod:101", "zmod:317"])
+def test_orthogonality_defect_depends_on_the_reps_not_the_list(desc):
+    # a copy of the group's characters, in the same order, is the same input
+    g = build_group(desc)
+    chars = irreps_of(g)
+    defect = reps.char_orthogonality_defect(chars)
+    assert reps.char_orthogonality_defect(list(chars)) == defect
+    assert reps.char_orthogonality_defect(tuple(chars)) == defect
+    assert defect < 1e-12
+
+
 def _characters_one_at_a_time(group):
     """Reference: each character's integer phase row built in its own loop."""
     _, radices, coords = reps.cyclic_decomposition(group)

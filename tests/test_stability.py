@@ -1,5 +1,6 @@
 import gc
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from bohrlab import (FiniteGroup, GroupFunction, Subset, build_group,
                      catalog_descriptors, convolve, ladder_index,
                      oracle_ladder_index, stability_profile)
-from bohrlab.gen import (random_pm1_function, random_subset,
+from bohrlab.gen import (interval_subset, random_pm1_function, random_subset,
                          random_uniform_function, rng_from_seed)
 
 
@@ -339,29 +340,64 @@ def test_pilot_ladder_pinned(desc, seed, k_max, status, nodes, a_seq, b_seq):
     assert idx.witness.is_valid_for(f)
 
 
-@pytest.mark.parametrize("desc,seed,eps,a_dom,b_dom,nodes,a_seq,b_seq", [
-    ("zmod:12", 4, 0.8, [0, 1, 2, 3, 5, 7, 8, 11], [1, 2, 4, 6, 9, 10], 23,
-     (11, 11, 11, 8), (2, 4, 1, 4)),
-    ("dihedral:6", 9, 1.2, [0, 2, 3, 6, 7, 10], [0, 1, 4, 5, 8, 9, 11], 13,
-     (0, 0, 6, 7), (0, 8, 8, 1)),
+# (LOCAL_GRAPH_BYTES, nodes, a_seq, b_seq), None being the shipped setting.
+# At 2,000 bytes a mask is stored once it has m <= 126 pairs, as every mask
+# here does; at 0 bytes none is, so every node branches in index order.
+@pytest.mark.parametrize("desc,seed,eps,a_dom,b_dom,pins", [
+    ("zmod:12", 4, 0.8, [0, 1, 2, 3, 5, 7, 8, 11], [1, 2, 4, 6, 9, 10],
+     [(None, 23, (11, 11, 11, 8), (2, 4, 1, 4)),
+      (2000, 23, (11, 11, 11, 8), (2, 4, 1, 4)),
+      (0, 394, (0, 2, 2, 11), (1, 1, 2, 1))]),
+    ("dihedral:6", 9, 1.2, [0, 2, 3, 6, 7, 10], [0, 1, 4, 5, 8, 9, 11],
+     [(None, 13, (0, 0, 6, 7), (0, 8, 8, 1)),
+      (2000, 13, (0, 0, 6, 7), (0, 8, 8, 1)),
+      (0, 174, (0, 0, 6, 7), (0, 8, 8, 1))]),
 ], ids=[  # fixed labels, as for PILOT_IDS
     "zmod:12-4-0.8-a_dom0-b_dom0-1678-a_seq0-b_seq0",
     "dihedral:6-9-1.2-a_dom1-b_dom1-701-a_seq1-b_seq1",
 ])
-def test_domain_ladder_pinned(monkeypatch, desc, seed, eps, a_dom, b_dom, nodes,
-                             a_seq, b_seq):
+def test_domain_ladder_pinned(monkeypatch, desc, seed, eps, a_dom, b_dom, pins):
     from bohrlab import stability
     g = build_group(desc)
     f = random_uniform_function(g, rng_from_seed(seed))
-    # rows never stored, stored once a mask has m <= 126 pairs, and as shipped
-    for local_bytes in (0, 2000, stability.LOCAL_GRAPH_BYTES):
-        monkeypatch.setattr(stability, "LOCAL_GRAPH_BYTES", local_bytes)
+    a_domain, b_domain = Subset.from_indices(g, a_dom), Subset.from_indices(g, b_dom)
+    assert oracle_ladder_index(f, eps, a_domain=a_domain, b_domain=b_domain) == 4
+    shipped = stability.LOCAL_GRAPH_BYTES
+    for local_bytes, nodes, a_seq, b_seq in pins:
+        monkeypatch.setattr(stability, "LOCAL_GRAPH_BYTES",
+                            shipped if local_bytes is None else local_bytes)
         idx = ladder_index(f, eps, cap=8, budget=10_000,
-                           a_domain=Subset.from_indices(g, a_dom),
-                           b_domain=Subset.from_indices(g, b_dom))
+                           a_domain=a_domain, b_domain=b_domain)
         assert (idx.k_max, idx.status, idx.nodes) == (4, "exact", nodes)
         assert (idx.witness.a_seq, idx.witness.b_seq) == (a_seq, b_seq)
         assert idx.witness.is_valid_for(f)
+
+
+@pytest.mark.parametrize("local_bytes", [0, 40, 2000])
+def test_unstored_nodes_match_oracle(monkeypatch, local_bytes):
+    # as criterion 08, with masks too large to store: at 0 bytes every node
+    # branches in index order under depth + |mask| <= best, at 40 bytes
+    # (m <= 17) and 2,000 (m <= 126) the top nodes do and their descendants
+    # colour stored local graphs
+    from bohrlab import stability
+    monkeypatch.setattr(stability, "LOCAL_GRAPH_BYTES", local_bytes)
+    cap = 5
+    for desc in catalog_descriptors(12):
+        g = build_group(desc)
+        for seed in range(6):
+            rng = rng_from_seed(seed)
+            f = random_uniform_function(g, rng)
+            for a_dom in (None, random_subset(g, 0.6, rng)):
+                for eps in (0.25, 0.5, 1.0):
+                    case = (desc, seed, a_dom is None, eps)
+                    idx = ladder_index(f, eps, cap=cap, a_domain=a_dom)
+                    assert idx.k_max == oracle_ladder_index(
+                        f, eps, cap=cap, a_domain=a_dom), case
+                    if idx.status == "exact":
+                        assert idx.k_max == oracle_ladder_index(
+                            f, eps, a_domain=a_dom), case
+                    else:
+                        assert (idx.status, idx.k_max) == ("capped", cap), case
 
 
 def test_ladder_index_retains_no_memory():
@@ -399,44 +435,43 @@ def _pilot_function(desc, seed):
 def test_large_masks_read_rows_without_storing(monkeypatch):
     from bohrlab import stability
     f = _pilot_function("zmod:60", 1001)
-    reads = np.zeros(60 * 60, dtype=np.int64)  # n^2-entry row builds per pair
-    pair_rows = stability._pair_rows
+    built = [0]  # single rows of 2m entries of F each
+    apart_row = stability._apart_row
 
-    def counted(F, eps, pairs):
-        for pair in pairs:
-            reads[pair] += 1
-        return pair_rows(F, eps, pairs)
+    def counted(F, eps, pairs, v):
+        built[0] += 1
+        return apart_row(F, eps, pairs, v)
 
-    def run(local_bytes):
+    def run(local_bytes, budget):
         monkeypatch.setattr(stability, "LOCAL_GRAPH_BYTES", local_bytes)
-        reads[:] = 0
-        idx = ladder_index(f, 0.07, cap=8, budget=2000)
-        return (idx.k_max, idx.status, idx.nodes, idx.witness.a_seq,
-                idx.witness.b_seq), int(reads.sum()), int(np.count_nonzero(reads))
+        built[0] = 0
+        idx = ladder_index(f, 0.07, cap=8, budget=budget)
+        assert idx.witness.is_valid_for(f)
+        return idx, built[0]
 
     ladder_index(f, 0.07, cap=8, budget=2000)  # warm imports and caches
-    monkeypatch.setattr(stability, "_pair_rows", counted)
-    pin = (6, "exact", 566, (0, 57, 45, 22, 15, 0), (7, 10, 32, 55, 10, 25))
-    local, local_reads, _ = run(stability.LOCAL_GRAPH_BYTES)
-    # at 2,000 bytes the 20 roots of more than 126 pairs (of 2 to 216) read
-    # unstored rows, and their descendants store theirs once m^2 <= 16,000
-    # bits (m <= 126)
-    switched, switched_reads, _ = run(2000)
+    monkeypatch.setattr(stability, "_apart_row", counted)
+    # as shipped every node below the roots stores its local graph, so only
+    # the 4-step dive builds single rows
+    local, local_rows = run(stability.LOCAL_GRAPH_BYTES, 2000)
+    assert (local.k_max, local.status, local.nodes, local.witness.a_seq,
+            local.witness.b_seq, local_rows) == (
+        6, "exact", 566, (0, 57, 45, 22, 15, 0), (7, 10, 32, 55, 10, 25), 4)
+    # at 2,000 bytes the 20 roots of more than 126 pairs (of 2 to 216) branch
+    # in index order; at 0 bytes every node does. Each branch builds one row
+    # and charges its child a node, so the budget bounds the rows built.
+    switched, switched_rows = run(2000, 10**7)
     tracemalloc.start()
     try:
-        # with no room for a local graph every row is built where it is read
-        rows, rows_reads, distinct = run(0)
+        unstored, unstored_rows = run(0, 10**7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the traversal does not depend on the representation
-    assert local == switched == rows == pin
-    # as shipped, n^2-entry rows serve only the 60 roots and the 4-step dive
-    assert local_reads == 64
-    assert switched_reads == 4_089
-    # each read builds its row afresh from n^2 entries: the 1,921 distinct
-    # rows are read 13,847 times, and none of them is kept
-    assert (rows_reads, distinct) == (13_847, 1_921)
+    assert (switched.k_max, switched.status, switched.nodes) == (6, "exact", 3_688)
+    assert (unstored.k_max, unstored.status, unstored.nodes) == (6, "exact", 21_418)
+    assert switched_rows <= switched.nodes + 1
+    assert unstored_rows <= unstored.nodes + 1
+    # none of the rows is kept
     assert peak < 1 << 20
 
 
@@ -461,6 +496,8 @@ def test_local_graph_matches_explicit_adjacency(monkeypatch, n, block_entries):
         assert mask == (1 << len(pairs)) - 1
         assert listed == pairs.tolist()
         assert apart == [sum(1 << int(j) for j in np.flatnonzero(r)) for r in non]
+        # the one-row helper of unstored nodes builds the same rows
+        assert [stability._apart_row(F, 0.5, pairs, v) for v in range(len(pairs))] == apart
 
 
 def _greedy_colouring(adj, members, skip):
@@ -567,3 +604,36 @@ def test_order_256_ladder_exhausted_within_budget():
     assert idx.witness.a_seq == (0, 240, 251, 84, 83)
     assert idx.witness.b_seq == (0, 147, 163, 147, 163)
     assert idx.witness.is_valid_for(f)
+
+
+def test_budget_bounds_the_rows_of_oversized_roots(monkeypatch):
+    # the root (0, 0) of an interval indicator on zmod:256 has about 32,000
+    # compatible pairs, too many for a local graph's m^2 bits, and colouring
+    # it would read the row of every one. Branching in index order builds
+    # one row a branch and charges its child a node, as each root's own
+    # n^2-entry row is charged, so the rows follow the budget.
+    from bohrlab import stability
+    built = [0]
+    apart_row = stability._apart_row
+
+    def counted(F, eps, pairs, v):
+        built[0] += 1
+        return apart_row(F, eps, pairs, v)
+
+    monkeypatch.setattr(stability, "_apart_row", counted)
+    g = build_group("zmod:256")
+    f = GroupFunction.indicator(interval_subset(g, 64))
+    for budget, pin in ((10, (5, "inconclusive", 10)), (50, (8, "capped", 13))):
+        built[0] = 0
+        start = time.perf_counter()
+        idx = ladder_index(f, 0.5, cap=8, budget=budget)
+        assert time.perf_counter() - start <= 5.0
+        assert (idx.k_max, idx.status, idx.nodes) == pin
+        assert idx.witness.is_valid_for(f)
+        assert built[0] <= idx.nodes + 1
+    g = build_group("zmod:1024")
+    f = GroupFunction.indicator(interval_subset(g, 256))
+    start = time.perf_counter()
+    idx = ladder_index(f, 0.5, cap=8, budget=10)
+    assert time.perf_counter() - start <= 5.0
+    assert (idx.status, idx.nodes) == ("inconclusive", 10)
