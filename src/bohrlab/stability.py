@@ -136,6 +136,14 @@ def _max_ladder(F: np.ndarray, table: np.ndarray, eps: float, cap: int,
     its compatible pairs p != (0, b) with key(p) >= b; ties use >=, since
     two pairs of one ladder may share a diagonal product. This contains the
     rule "index > b": a root (0, b') has key b', and b' < b is left out.
+    The roots' pairs come from one base set (``_root_pairs``): the a' with
+    a' b = a'' 0 has F[a', b] = F[a'', 0], so root b's compatible pairs are
+    S = {(a'', b') : |F[0, b'] - F[a'', 0]| >= eps} with a'' lifted to a' by
+    right division, each gap bitwise the one a direct scan computes, and a
+    search scans n^2 gaps once, not once a root. Roots are lifted
+    max(1, BLOCK_ENTRIES // |S|) at a time, each block when the search
+    reaches it, so the temporaries stay within BLOCK_ENTRIES entries (or one
+    root's |S|) and a search that stops lifts no further block.
     With a restricted domain the search starts from the whole domain instead.
 
     Below the roots (MCQ, Tomita and Seki, DMTCS 2003): a node colours its
@@ -153,10 +161,9 @@ def _max_ladder(F: np.ndarray, table: np.ndarray, eps: float, cap: int,
     own mask as the colouring branch does, and stops once
     depth + popcount(mask) <= best (Carraghan and Pardalos, Oper. Res.
     Lett. 1990). It builds only the branched pair's row, from 2m entries of
-    F (``_apart_row``), as the dive does; each root builds its own n^2-entry
-    row. Each row is built for a node the budget charges (a dive step
-    before it, a child after), so a budget of N nodes builds at most N + 1
-    rows and N local graphs.
+    F (``_apart_row``), as the dive does. Each row is built for a node the
+    budget charges (a dive step before it, a child after), so a budget of
+    N nodes builds at most N + 1 rows and N local graphs.
 
     The budget counts node expansions (one per candidate scan of a partial
     ladder). Returns (best_depth, pairs, exhausted, nodes).
@@ -229,24 +236,38 @@ def _max_ladder(F: np.ndarray, table: np.ndarray, eps: float, cap: int,
             visit((1 << pairs.size) - 1, pairs, None)  # the restricted domain
         elif not state["stop"] and enter(0):  # the roots (0, b)
             del pairs  # the roots never read these n^2 indices (0.5 MB, n = 256)
-            products = table.ravel()
-            rank = np.argsort(table[0])  # rank[x] = the b* with 0 b* = x
-            for b in range(n):
-                if state["stop"]:
-                    break
+            for b, rest in _root_pairs(F, table, eps):
                 stack.append(b)
-                # entry a' n + b' is |F[0, b'] - F[a', b]| >= eps; (0, b)
-                # itself has gap 0, so it is not among them
-                rest = np.flatnonzero(np.abs(F[0] - F[:, b, None]) >= eps)
-                rest = rest[rank[products.take(rest)] >= b]
                 visit((1 << rest.size) - 1, rest, None)
                 stack.pop()
+                if state["stop"]:  # lift no further block of roots
+                    break
     finally:
         # visit reaches itself through its closure cell; break that cycle so
         # reference counting frees the rows now, not a later gc pass
         del visit
     pairs = [divmod(p, n) for p in state["ladder"]]
     return state["best"], pairs, state["exhausted"], state["nodes"]
+
+
+def _root_pairs(F: np.ndarray, table: np.ndarray, eps: float):
+    """Yield (b, rest) for the roots (0, b) in order: rest holds, ascending,
+    the indices of the pairs compatible with (0, b) whose key is >= b, lifted
+    from one base set as ``_max_ladder``'s Roots paragraph sets out."""
+    n = F.shape[0]
+    base_a, base_b = np.nonzero(np.abs(F[0] - F[:, 0, None]) >= eps)
+    base_x = table[base_a, 0]  # a'' 0
+    over = np.empty_like(table)  # over[b, x] = the a' with a' b = x
+    over[np.arange(n), table] = np.arange(n)[:, None]
+    products = table.ravel()
+    rank = np.argsort(table[0])  # rank[x] = the b* with 0 b* = x, the key of x
+    for blk in row_blocks(n, base_a.size):
+        roots = np.arange(blk.start, blk.stop)
+        lifted = over[blk].take(base_x, axis=1) * n + base_b
+        lifted.sort(axis=1)  # bits keep index order
+        keep = rank.take(products.take(lifted)) >= roots[:, None]
+        for b, pairs, kept in zip(roots.tolist(), lifted, keep):
+            yield b, pairs[kept]
 
 
 def _set_bits(mask: int, nbits: int) -> np.ndarray:

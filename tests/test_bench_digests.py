@@ -1,5 +1,6 @@
-"""The benchmark's payload digests, pinned: every workload at seed 101, and
-nonabelian-mix at seed 7 too; and the canonical payload of each fixture.
+"""The benchmark's payload digests, pinned: every workload at seed 101,
+nonabelian-mix and ladder-pilot at seed 7 too; and the canonical payload of
+each fixture.
 
 One child process with one BLAS thread (the irreps payload of dihedral:50
 depends on the thread count) builds each workload's experiment list and
@@ -28,6 +29,9 @@ DIGESTS = {
 }
 SEED_7_NONABELIAN = \
     "e3f040e0a18e41c4c3ec7104b552c3643b03fa93b6fd724a6e0af954923bba10"
+# 90 ladder searches of 6,237 nodes in all
+SEED_7_LADDER = \
+    "b932f43d8fafa55eb8c42210931b1418b968167a8136280fc0ae510095dcf464"
 
 # sha256 of each fixture's ``Report.payload_canonical()``, the same at one
 # and at two BLAS threads
@@ -122,6 +126,11 @@ def test_seed_101_digests_hold_on_a_replay(tmp_path):
 def test_seed_7_nonabelian_digest_holds_on_a_replay(tmp_path):
     out = _run_child(tmp_path, LABBENCH, 7, "nonabelian-mix")
     assert out["digests"] == {"nonabelian-mix": [SEED_7_NONABELIAN] * 2}
+
+
+def test_seed_7_ladder_digest_holds_on_a_replay(tmp_path):
+    out = _run_child(tmp_path, LABBENCH, 7, "ladder-pilot")
+    assert out["digests"] == {"ladder-pilot": [SEED_7_LADDER] * 2}
 
 
 def test_fixture_payload_digests(tmp_path):

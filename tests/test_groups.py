@@ -271,6 +271,51 @@ def test_light_test_rejects_one_intercalate_swap_on_z300():
     assert t[t[x, s], y] != t[x, t[s, y]]
 
 
+def _broken_z300_tables():
+    """Tables of Z/300 that fail validation past their first block of rows:
+    rows 200 and 250 swapped at column 57 (its column stays a permutation),
+    columns 210 and 260 swapped at row 33 (its row stays one), and an
+    intercalate swap on rows 101 and 251, columns 102 and 252, which keeps
+    a Latin square with identity 0 but breaks associativity."""
+    z = build_group("zmod:300").table
+    rows, cols, swap = z.copy(), z.copy(), z.copy()
+    rows[[200, 250], 57] = rows[[250, 200], 57]
+    cols[33, [210, 260]] = cols[33, [260, 210]]
+    for r in (101, 251):
+        swap[r, [102, 252]] = swap[r, [252, 102]]
+    return [rows, cols, swap]
+
+
+@pytest.mark.parametrize("block_entries", [None, 1, 1000])
+def test_blocked_validation_reports_the_first_failure(monkeypatch, block_entries):
+    # blocks of 109 rows as shipped, of one row, and of three rows must all
+    # report the failure an unblocked row-major scan meets first
+    if block_entries is not None:
+        monkeypatch.setattr(groups, "BLOCK_ENTRIES", block_entries)
+    found = []
+    for t in _broken_z300_tables():
+        with pytest.raises(GroupValidationError) as err:
+            FiniteGroup(t)
+        found.append((str(err.value), err.value.witness))
+    assert found == [
+        ("not a Latin square: row 200 is not a permutation", 200),
+        ("not a Latin square: column 210 is not a permutation", 210),
+        ("not associative at (100,1,102)", (100, 1, 102))]
+
+
+def test_validation_peak_stays_within_a_few_blocks():
+    # an order-2048 table is 16 MiB of int32; validating it whole took
+    # transposed copies, sorts and products of 16 MiB each (a 76 MiB peak)
+    table = build_group("zmod:2048").table.copy()
+    tracemalloc.start()
+    try:
+        FiniteGroup(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
+
+
 def _walked_orders(g):
     """Every element's order by the plain power walk, one table gather of
     all elements per power, up to the exponent."""

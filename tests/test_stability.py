@@ -606,6 +606,74 @@ def test_order_256_ladder_exhausted_within_budget():
     assert idx.witness.is_valid_for(f)
 
 
+def _direct_root_pairs(F, table, eps):
+    """Reference: each root (0, b) scans its n^2 gaps |F[0, b'] - F[a', b]|
+    and keeps the compatible pairs a' n + b' whose key is >= b."""
+    rank = np.argsort(table[0])
+    for b in range(F.shape[0]):
+        rest = np.flatnonzero(np.abs(F[0] - F[:, b, None]) >= eps)
+        yield b, rest[rank[table.ravel().take(rest)] >= b]
+
+
+def _root_pair_cases():
+    for desc in catalog_descriptors(60):
+        g = build_group(desc)
+        rng = rng_from_seed(g.order)
+        yield random_uniform_function(g, rng), 0.25
+        # quarter values put gaps exactly on eps, where >= decides
+        yield GroupFunction(g, rng.integers(0, 4, size=g.order) / 4), 0.5
+    for desc in ["zmod:12", "dihedral:6", "alt:4", "zmod:8"]:
+        g = build_group(desc)
+        rng = rng_from_seed(5)
+        perm = rng.permutation(g.order)
+        if perm[g.identity] == 0:  # keep the identity off element 0
+            perm = np.roll(perm, 1)
+        h = _relabelled(g, perm)
+        assert h.identity != 0
+        values = rng.integers(0, 4, size=h.order) / 4
+        yield GroupFunction(h, values), 0.5
+        yield GroupFunction(h, values), 0.75
+    for desc, seed, *_ in ORDER_256_PINS:
+        yield _pilot_function(desc, seed), 0.04
+    # the roots of an interval indicator on zmod:256 share a base set of
+    # 32,766 pairs, one root a block
+    yield GroupFunction.indicator(interval_subset(build_group("zmod:256"), 64)), 0.5
+
+
+@pytest.mark.parametrize("block_entries", [None, 500])
+def test_root_pairs_match_direct_gaps(monkeypatch, block_entries):
+    from bohrlab import groups, stability
+    if block_entries is not None:  # many blocks of roots per search
+        monkeypatch.setattr(groups, "BLOCK_ENTRIES", block_entries)
+    for f, eps in _root_pair_cases():
+        F, table = stability._pair_table(f), f.group.table
+        lifted = list(stability._root_pairs(F, table, eps))
+        direct = list(_direct_root_pairs(F, table, eps))
+        assert [b for b, _ in lifted] == list(range(f.group.order))
+        for (b, rest), (_, want) in zip(lifted, direct):
+            assert np.array_equal(rest, want), (f.group.descriptor, eps, b)
+
+
+def test_a_stopped_search_lifts_no_further_roots(monkeypatch):
+    # the root (0, 0) of an interval indicator on zmod:256 spends the whole
+    # budget of 10 below itself; its base set takes one root a block, so
+    # lifting the next root would cost a block the search never reads
+    from bohrlab import stability
+    yielded = []
+    root_pairs = stability._root_pairs
+
+    def counted(F, table, eps):
+        for b, rest in root_pairs(F, table, eps):
+            yielded.append(b)
+            yield b, rest
+
+    monkeypatch.setattr(stability, "_root_pairs", counted)
+    f = GroupFunction.indicator(interval_subset(build_group("zmod:256"), 64))
+    idx = ladder_index(f, 0.5, cap=8, budget=10)
+    assert (idx.k_max, idx.status, idx.nodes) == (5, "inconclusive", 10)
+    assert yielded == [0]
+
+
 def test_budget_bounds_the_rows_of_oversized_roots(monkeypatch):
     # the root (0, 0) of an interval indicator on zmod:256 has about 32,000
     # compatible pairs, too many for a local graph's m^2 bits, and colouring
