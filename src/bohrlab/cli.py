@@ -397,7 +397,8 @@ def main(argv=None) -> int:
         prog="bohrlab", description="Finite-group Bohr/stability experiment runner")
     sub = parser.add_subparsers(dest="kind", required=True)
     for kind in KINDS:
-        k = sub.add_parser(kind, help=f"run a {kind} experiment")
+        article = "an" if kind[0] in "aeiou" else "a"
+        k = sub.add_parser(kind, help=f"run {article} {kind} experiment")
         k.add_argument("--config", required=True, help="key=value config file")
         k.add_argument("--out", help="output path (default from config or $%s)"
                                      % OUT_DIR_ENV)

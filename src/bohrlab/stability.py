@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import groups
 from .groups import GroupFunction, Subset, check_eps, row_blocks
 
 DEFAULT_BUDGET = 10_000_000
@@ -24,6 +25,8 @@ ORACLE_ORDER_CAP = 12
 # Bytes of compatibility-row bits one local graph may take: a mask of m pairs
 # goes local only when its m^2 bits fit
 LOCAL_GRAPH_BYTES = 64 << 20
+# 2**j at index j, the weight of bit j of a row of at most 64 bits
+_BIT_WEIGHTS = np.left_shift(1, np.arange(64, dtype=np.uint64))
 
 
 @dataclass(frozen=True)
@@ -152,6 +155,12 @@ def _max_ladder(F: np.ndarray, table: np.ndarray, eps: float, cap: int,
     depth + colour <= best, and drops each branched pair from its mask.
     This bound must not be mixed with a global index-order prefix cut such
     as "a_1 minimal": each is sound alone, but together they miss ladders.
+    A node returns right after it is charged when depth + popcount(mask)
+    <= best: a colouring of mask has at most popcount(mask) colours, so it
+    would prune every branch, as would the first bound of a node too large
+    to store, which is popcount(mask) itself. Such a node builds no local
+    graph and colours nothing, and every node count and ladder stays the
+    same.
 
     Rows: a node whose m pairs have an m x m non-neighbour matrix of at
     most LOCAL_GRAPH_BYTES of bits stores that matrix (``_local_graph``)
@@ -194,9 +203,9 @@ def _max_ladder(F: np.ndarray, table: np.ndarray, eps: float, cap: int,
         Bit i of mask and of each row of apart is pairs[i]; apart is None
         until a node stores its rows.
         """
-        depth = len(stack)
-        if not enter(depth) or not mask:
-            return
+        depth, size = len(stack), mask.bit_count()
+        if not enter(depth) or depth + size <= state["best"]:
+            return  # every branch would be pruned (an empty mask too)
         if depth + 1 >= cap:
             # any candidate completes a cap-length ladder
             stack.append(pairs[(mask & -mask).bit_length() - 1])
@@ -204,7 +213,7 @@ def _max_ladder(F: np.ndarray, table: np.ndarray, eps: float, cap: int,
             stack.pop()
             return
         if apart is None:
-            if mask.bit_count() < len(pairs):  # a root's mask has every pair: no copy
+            if size < len(pairs):  # a root's mask has every pair: no copy
                 pairs = pairs[_set_bits(mask, len(pairs))]
             m = len(pairs)
             mask = (1 << m) - 1
@@ -278,14 +287,12 @@ def _set_bits(mask: int, nbits: int) -> np.ndarray:
 
 def _int_rows(hit: np.ndarray) -> list[int]:
     """2-D boolean array -> one Python int per row, bit j set iff hit[i, j]."""
-    packed = np.packbits(hit, axis=1, bitorder="little")
-    width = packed.shape[1]
-    if width <= 8:  # rows of at most 64 bits: one little-endian uint64 each
-        words = np.zeros((len(packed), 8), np.uint8)
-        words[:, :width] = packed
-        return words.view("<u8").ravel().tolist()
+    width = hit.shape[1]
+    if width <= 64:  # one exact uint64 a row: a sum of distinct powers of two
+        return (hit @ _BIT_WEIGHTS[:width]).tolist()
     # wider rows: one bytes object per row, read in one pass over the buffer
-    chunks = packed.view(np.dtype((np.void, width))).ravel().tolist()
+    packed = np.packbits(hit, axis=1, bitorder="little")
+    chunks = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
     return list(map(int.from_bytes, chunks, repeat("little")))
 
 
@@ -300,17 +307,25 @@ def _local_graph(F: np.ndarray, eps: float, pairs: np.ndarray):
     search's >= eps. Each block of rows gathers rows of F, then columns, so
     the float temporaries (``row_blocks`` of max(m, n) entries a row) stay
     within BLOCK_ENTRIES while the rows themselves take m^2 bits.
+
+    A graph whose m rows make one such block (m * max(m, n) <=
+    BLOCK_ENTRIES, read at call time) gathers E = F[a][:, b] once and
+    takes E - E.T: E[j, i] is F[a_j, b_i], so each entry is the same
+    subtraction of the same two floats as a block's second gather gives,
+    and the rows are bitwise those of the blocked path.
     """
     n, m = F.shape[0], len(pairs)
     a, b = np.divmod(pairs, n)
+    if m * max(m, n) <= groups.BLOCK_ENTRIES:  # one row block
+        # entry (i, j) of the gather is F[a_i, b_j], and F[a_j, b_i] its (j, i)
+        diff = F.take(a, axis=0).take(b, axis=1)
+        return (1 << m) - 1, pairs.tolist(), _near_rows(diff - diff.T, eps, 0)
     apart: list[int] = []
     for blk in row_blocks(m, max(m, n)):
         # entry (i, j) is F[a_i, b_j] - F[a_j, b_i]
         diff = F.take(a[blk], axis=0).take(b, axis=1)
         diff -= F.take(b[blk], axis=1).T.take(a, axis=1)
-        near = np.abs(diff, out=diff) < eps
-        near.reshape(-1)[blk.start::m + 1] = False  # entries (i, blk.start + i)
-        apart += _int_rows(near)
+        apart += _near_rows(diff, eps, blk.start)
     return (1 << m) - 1, pairs.tolist(), apart
 
 
@@ -318,9 +333,15 @@ def _apart_row(F: np.ndarray, eps: float, pairs: np.ndarray, v: int) -> int:
     """Row v of the non-neighbour matrix ``_local_graph`` builds on pairs,
     gathered from the same 2m entries of F by the same subtraction."""
     a, b = np.divmod(pairs, F.shape[0])
-    near = np.abs(F[a[v]].take(b) - F[:, b[v]].take(a)) < eps
-    near[v] = False
-    return _int_rows(near[None])[0]
+    return _near_rows((F[a[v]].take(b) - F[:, b[v]].take(a))[None], eps, v)[0]
+
+
+def _near_rows(diff: np.ndarray, eps: float, start: int) -> list[int]:
+    """Non-neighbour rows of a block of gaps whose row i is pair start + i:
+    bit j is set iff |diff[i, j]| < eps and j != start + i. Overwrites diff."""
+    near = np.abs(diff, out=diff) < eps
+    near.reshape(-1)[start::diff.shape[1] + 1] = False  # entries (i, start + i)
+    return _int_rows(near)
 
 
 def _colour_classes(mask: int, apart, skip: int) -> list[tuple[int, int]]:

@@ -105,6 +105,14 @@ def test_bohr_nm_simple_group_errors(tmp_path):
     assert code == 1
 
 
+def test_help_uses_an_before_a_vowel(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    out = capsys.readouterr().out
+    assert "run an irreps experiment" in out
+    assert "run a ladder experiment" in out
+
+
 @pytest.mark.parametrize("summands", ["99", "-1"])
 def test_bohr_summand_index_out_of_range(tmp_path, capsys, summands):
     cfg = tmp_path / "bohr.ini"

@@ -340,6 +340,28 @@ def test_pilot_ladder_pinned(desc, seed, k_max, status, nodes, a_seq, b_seq):
     assert idx.witness.is_valid_for(f)
 
 
+def test_no_node_colours_what_cannot_beat_best(monkeypatch):
+    # a node with depth + |mask| <= best returns before it builds a local
+    # graph or colours: every colour would be <= skip = best - depth, so the
+    # colouring would only prune every branch. The pins still hold.
+    from bohrlab import stability
+    skipped = []  # (|mask|, skip) of colourings that can branch nowhere
+    colour_classes = stability._colour_classes
+
+    def checked(mask, apart, skip):
+        if mask.bit_count() <= skip:
+            skipped.append((mask.bit_count(), skip))
+        return colour_classes(mask, apart, skip)
+
+    monkeypatch.setattr(stability, "_colour_classes", checked)
+    for desc, seed, k_max, status, nodes, a_seq, b_seq in PILOT_PINS:
+        f = _pilot_function(desc, seed)
+        idx = ladder_index(f, 0.1, cap=8, budget=10_000)
+        assert (idx.k_max, idx.status, idx.nodes) == (k_max, status, nodes)
+        assert (idx.witness.a_seq, idx.witness.b_seq) == (a_seq, b_seq)
+        assert skipped == [], desc
+
+
 # (LOCAL_GRAPH_BYTES, nodes, a_seq, b_seq), None being the shipped setting.
 # At 2,000 bytes a mask is stored once it has m <= 126 pairs, as every mask
 # here does; at 0 bytes none is, so every node branches in index order.
@@ -481,12 +503,28 @@ def test_local_graph_matches_explicit_adjacency(monkeypatch, n, block_entries):
     from bohrlab import groups, stability
     if block_entries is not None:  # several row blocks per graph
         monkeypatch.setattr(groups, "BLOCK_ENTRIES", block_entries)
+    blocks = []  # the number of row blocks of each blocked graph
+    row_blocks = stability.row_blocks
+
+    def counted(rows, width):
+        got = list(row_blocks(rows, width))
+        blocks.append(len(got))
+        return iter(got)
+
+    monkeypatch.setattr(stability, "row_blocks", counted)
     g = build_group(f"zmod:{n}")
     rng = rng_from_seed(n)
     F = stability._pair_table(random_uniform_function(g, rng))
-    for size in (0, 1, 63, 64, 65, 150):
+    # at the shipped 32,768 entries, 181 pairs (32,761 entries) are the
+    # largest one-block graph and 182 the smallest of two blocks
+    for size in (0, 1, 63, 64, 65, 150) + ((181, 182) if n == 60 else ()):
         pairs = np.sort(rng.choice(n * n, min(size, n * n), replace=False))
+        blocks.clear()
         mask, listed, apart = stability._local_graph(F, 0.5, pairs)
+        if block_entries is None:  # one block, E - E.T, up to 181 pairs
+            assert blocks == ([2] if size == 182 else [])
+        else:  # both gathers run from 63 pairs up, a few rows a block
+            assert len(blocks) == (size > 1) and all(k > 1 for k in blocks)
         # as in oracle_ladder_index: adj[i, j] = |F[a_i, b_j] - F[a_j, b_i]| >= eps
         e1 = F[(pairs // n)[:, None], (pairs % n)[None, :]]
         adj = np.abs(e1 - e1.T) >= 0.5
