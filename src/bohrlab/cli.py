@@ -86,11 +86,16 @@ def load_config(path: str) -> dict:
         raise ConfigError(" ".join(f"malformed config: {exc}".split())) from None
 
 
+def _existing(path: str, what: str) -> str:
+    """``path``, or a ConfigError naming the missing ``what`` file."""
+    if not os.path.exists(path):
+        raise ConfigError(f"referenced {what} file does not exist: {path}")
+    return path
+
+
 def _build_group(desc: str) -> FiniteGroup:
     if desc.startswith("file:"):
-        path = desc[len("file:"):]
-        if not os.path.exists(path):
-            raise ConfigError(f"referenced table file does not exist: {path}")
+        _existing(desc[len("file:"):], "table")
     return build_group(desc)
 
 
@@ -108,9 +113,7 @@ def _parse_set(spec: str, group: FiniteGroup, rng) -> Subset:
     elif head == "interval":
         out = interval_subset(group, int(rest))
     elif head == "file":
-        if not os.path.exists(rest):
-            raise ConfigError(f"referenced set file does not exist: {rest}")
-        out = parse_subset(group, Path(rest).read_text(encoding="utf-8"))
+        out = parse_subset(group, Path(_existing(rest, "set")).read_text(encoding="utf-8"))
     else:
         raise ConfigError(f"unknown set spec {spec!r}")
     if cut:
@@ -143,9 +146,8 @@ def _parse_function(spec: str, group: FiniteGroup, rng) -> GroupFunction:
     if head == "constant":
         return GroupFunction.constant(group, float(rest))
     if head == "file":
-        if not os.path.exists(rest):
-            raise ConfigError(f"referenced function file does not exist: {rest}")
-        return parse_function(group, Path(rest).read_text(encoding="utf-8"))
+        path = Path(_existing(rest, "function"))
+        return parse_function(group, path.read_text(encoding="utf-8"))
     raise ConfigError(f"unknown function spec {spec!r}")
 
 

@@ -42,7 +42,11 @@ class FiniteGroup:
     """
 
     def __init__(self, table, descriptor: str = "table"):
-        table = np.array(table, dtype=np.int32, order="C")
+        # a read-only int32 C array that owns its data is kept as it is
+        if not (isinstance(table, np.ndarray) and table.dtype == np.int32
+                and table.flags.c_contiguous and table.flags.owndata
+                and not table.flags.writeable):
+            table = np.array(table, dtype=np.int32, order="C")
         self.identity, self.generators = _validate_table(table)
         self.table = table
         self.order = int(table.shape[0])
@@ -394,7 +398,9 @@ def translate_set(g: int, a: Subset, side: str = "left") -> Subset:
 
 def _cyclic_table(n: int) -> np.ndarray:
     idx = np.arange(n, dtype=np.int32)
-    return (idx[:, None] + idx[None, :]) % n
+    table = np.add.outer(idx, idx)
+    table %= n
+    return table
 
 
 def _product_table(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
@@ -493,6 +499,7 @@ def build_group(descriptor: str) -> FiniteGroup:
             if head == "alt":
                 perms = [p for p in perms if _perm_parity(p) == 0]
             table = _permutation_table(perms)
+    table.setflags(write=False)  # a fresh table: the group keeps it uncopied
     group = FiniteGroup(table, descriptor)
     if group.order ** 2 <= SHARED_ORDER_SQ:  # else built but not kept
         _SHARED[descriptor] = group
@@ -552,7 +559,9 @@ def from_cayley_table(text: str, descriptor: str = "table") -> FiniteGroup:
     if len(entries) != n * n:
         raise GroupValidationError(
             f"expected {n * n} entries for order {n}, got {len(entries)}")
-    table = np.asarray(entries, dtype=np.int32).reshape(n, n)
+    table = np.empty((n, n), dtype=np.int32)
+    table.ravel()[:] = entries
+    table.setflags(write=False)  # a fresh table: the group keeps it uncopied
     return FiniteGroup(table, descriptor)
 
 

@@ -378,38 +378,9 @@ def _diagonal_friendly(mats: np.ndarray, family: list[int],
     return _rebase(mats, v)
 
 
-def _word_generators(group: FiniteGroup) -> tuple[np.ndarray, int]:
-    """A generating set S and L, the largest word length of an element over S.
-
-    S is ``group.generators`` (the set Light's test checked) with the powers
-    s^(2^j), 2^j < ord(s), of each, which spell every power of s in binary,
-    so a cyclic group of order n has L = O(log n). Word lengths come from one
-    breadth-first walk of right multiplications from the identity.
-    """
-    table, e, orders = group.table, group.identity, group.element_orders()
-    gens: list[int] = []
-    for s in group.generators:
-        power, order = s, int(orders[s])
-        for _ in range((order - 1).bit_length()):  # each 2^j < order
-            if power not in gens:
-                gens.append(power)
-            power = int(table[power, power])
-    seen = np.zeros(group.order, dtype=bool)
-    seen[e] = True
-    frontier, length = np.array([e]), 0
-    while True:
-        # a mask, not np.unique, whose first call imports numpy.ma
-        step = np.zeros(group.order, dtype=bool)
-        step[table[np.ix_(frontier, gens)]] = True
-        frontier = np.flatnonzero(step & ~seen)
-        if not len(frontier):
-            return np.array(gens, dtype=np.int64), length
-        seen[frontier] = True
-        length += 1
-
-
-def _hom_residual_bound(rep: UnitaryRep, gens: np.ndarray, length: int) -> float:
-    """An upper bound on ``rep.hom_residual`` from the n*|S| pairs (g, s).
+def _hom_residual_bound(rep: UnitaryRep) -> float:
+    """An upper bound on ``rep.hom_residual`` from the n*|S| pairs (g, s),
+    s in ``group.generators``.
 
     Write E(x, y) = t(xy) - t(x)t(y). With eta = max ||E(g, s)|| over g in
     G and s in S (Frobenius, which bounds the operator norm), mu the
@@ -417,16 +388,18 @@ def _hom_residual_bound(rep: UnitaryRep, gens: np.ndarray, length: int) -> float
     h of length j over S,
         E(g, h) = E(g, h')t(s) + E(gh', s) - t(g)E(h', s)
     gives ||E(g, h)|| <= c_j with c_1 = eta and
-    c_j = (2 + mu) eta + (1 + mu) c_{j-1}. The identity is stored as exact
-    I, so E(g, e) = 0, and the bound is c_L.
+    c_j = (2 + mu) eta + (1 + mu) c_{j-1}. Every element is such a word of
+    length at most n - 1, as the words of length at most j reach at least
+    j + 1 elements until they reach all of G, and the identity is stored as
+    exact I, so E(g, e) = 0; the bound is c_(n-1).
     """
-    mats, table = rep.matrices, rep.group.table
+    mats, table, gens = rep.matrices, rep.group.table, list(rep.group.generators)
     diff = mats[table[:, gens]] - mats[:, None] @ mats[gens]
     flat = diff.reshape(-1, rep.dim * rep.dim).view(np.float64)
     eta = float(np.sqrt(np.max(np.einsum("pi,pi->p", flat, flat))))
     mu = rep.unitarity_residual
     bound = eta
-    for _ in range(length - 1):
+    for _ in range(rep.group.order - 2):
         bound = (2.0 + mu) * eta + (1.0 + mu) * bound
     return bound
 
@@ -458,10 +431,11 @@ def decompose_regular(group: FiniteGroup) -> list[UnitaryRep]:
     product over the whole stack. Verifies sum(dim^2) = |G| exactly and
     residuals <= 1e-9. A failed attempt retries with the next of the seeds
     0 to 5, the only recovery, so the result is a function of the group. The
-    hom residual is certified by ``_hom_residual_bound`` from n * |S| pairs
-    and measured over all pairs only when that bound exceeds 1e-9 (by one
-    matrix product per row block, see ``measure_hom_residual``), so the
-    check passes exactly when the measured residual would.
+    hom residual is certified by ``_hom_residual_bound`` from the n * |S|
+    pairs (g, s), s in ``group.generators``, and words of length n - 1, and
+    measured over all pairs only when that bound exceeds 1e-9 (by one matrix
+    product per row block, see ``measure_hom_residual``), so the check
+    passes exactly when the measured residual would.
     """
     n = group.order
     if n > DECOMPOSE_ORDER_CAP:
@@ -532,7 +506,6 @@ def _decompose_once(group: FiniteGroup, rng: np.random.Generator) -> list[Unitar
     order = _char_order(known[:len(found)], [m.shape[1] for _, m in found])
     found = [found[i] for i in order]
     commutators = group.table[group.table, group.inverse[group.table.T]]
-    gens, length = _word_generators(group)
     irreps = []
     for i, (chi, mats) in enumerate(found):
         d = mats.shape[1]
@@ -543,7 +516,7 @@ def _decompose_once(group: FiniteGroup, rng: np.random.Generator) -> list[Unitar
         # the bound is at least the measured residual; when it is too loose
         # to pass, every pair is measured, as the gate's decision requires
         if rep.unitarity_residual > DEFAULT_TOL or (
-                _hom_residual_bound(rep, gens, length) > DEFAULT_TOL
+                _hom_residual_bound(rep) > DEFAULT_TOL
                 and rep.hom_residual > DEFAULT_TOL):
             raise RepDecompositionError(
                 f"residuals exceed tol: hom={rep.hom_residual:.3g} "

@@ -628,6 +628,23 @@ def test_missing_referenced_path_errors(tmp_path):
                         "set_a": f"file:{tmp_path}/nope.txt", "alpha": "0.5"})
 
 
+@pytest.mark.parametrize("what, kind, keys", [
+    ("table", "group-info", {"group": "file:{}"}),
+    ("set", "bogolyubov", {"group": "zmod:12", "set_a": "file:{}", "alpha": "0.5"}),
+    ("function", "convolve", {"group": "zmod:12", "function": "file:{}",
+                              "function_b": "constant:1"}),
+])
+def test_missing_referenced_file_ends_with_one_line(tmp_path, capsys, what, kind, keys):
+    missing = tmp_path / "nope.txt"
+    cfg = _write_config(tmp_path / "c.ini",
+                        {k: v.format(missing) for k, v in keys.items()})
+    code = main([kind, "--config", str(cfg), "--out", str(tmp_path / "o.json")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: referenced {what} file does not exist: {missing}\n")
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_replay_round_trip(tmp_path):
     report = _run("regularity_zpz.ini")
     path = tmp_path / "report.json"

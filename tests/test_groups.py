@@ -316,6 +316,21 @@ def test_validation_peak_stays_within_a_few_blocks():
     assert peak <= 32 * 2**20
 
 
+def test_group_copies_a_writable_table_and_shares_a_read_only_one():
+    table = groups._cyclic_table(6)
+    g = FiniteGroup(table)
+    table[0, 0] = 5  # a later write to the caller's array
+    assert g.table is not table and g.mul(0, 0) == 0
+    assert g.table.tolist() == groups._cyclic_table(6).tolist()
+    table = groups._cyclic_table(6)
+    table.setflags(write=False)
+    assert FiniteGroup(table).table is table
+    wide = table.astype(np.int64)
+    wide.setflags(write=False)
+    for other in (table[:], wide):  # a read-only view or dtype is copied too
+        assert FiniteGroup(other).table is not other
+
+
 def _walked_orders(g):
     """Every element's order by the plain power walk, one table gather of
     all elements per power, up to the exponent."""

@@ -27,6 +27,38 @@ def test_no_assert_statements_in_library():
     assert found == []
 
 
+def _bound_names(stmt):
+    """The names a module-level statement binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+
+def _read_names(stmt):
+    """The names a statement reads: loaded names, attributes, imports."""
+    return ({n.id for n in ast.walk(stmt)
+             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
+            | {a.name for n in ast.walk(stmt) if isinstance(n, ast.ImportFrom)
+               for a in n.names})
+
+
+def test_private_module_names_are_read_in_src():
+    # a private module-level name that nothing in src/ reads outside its own
+    # definition is dead, as a helper is once a refactor retires its callers
+    private, read = set(), set()
+    for path in sorted(Path(bohrlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for stmt in tree.body:
+            bound = _bound_names(stmt)
+            private |= {f"{path.name}:{name}" for name in bound
+                        if name.startswith("_") and not name.startswith("__")}
+            read |= _read_names(stmt) - bound
+    assert sorted(p for p in private if p.split(":")[1] not in read) == []
+
+
 def test_benchmark_span_targets_are_bound():
     # the benchmark's traced run wraps named library functions; install
     # raises when one of them is deleted or no longer bound anywhere

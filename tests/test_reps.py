@@ -384,7 +384,7 @@ def test_residual_bound_large_group():
     x = np.arange(g.order)
     rep = UnitaryRep(g, np.exp(2j * np.pi * 3 * x / g.order).reshape(-1, 1, 1))
     assert measure_hom_residual(rep) <= 1e-12
-    bound = reps._hom_residual_bound(rep, *reps._word_generators(g))
+    bound = reps._hom_residual_bound(rep)
     assert measure_hom_residual(rep) <= bound <= 1e-10
 
 
@@ -479,8 +479,7 @@ def test_residual_bound_with_planted_error():
     rep = UnitaryRep(g, mats, label="planted")
     # every pair is measured on a group of order 400 too, and the bound holds it
     assert rep.hom_residual == _unfiltered_residual(rep)
-    assert 0.5e-7 < rep.hom_residual <= reps._hom_residual_bound(
-        rep, *reps._word_generators(g))
+    assert 0.5e-7 < rep.hom_residual <= reps._hom_residual_bound(rep)
 
 
 NONABELIAN = [d for d in catalog_descriptors(256) if not build_group(d).is_abelian]
@@ -765,39 +764,28 @@ def test_decompose_gate_catches_planted_error(monkeypatch, s3, size):
         return
     rep = decompose_regular(s3)[-1]
     assert calls == [rep.label]
-    bound = reps._hom_residual_bound(rep, *reps._word_generators(s3))
+    bound = reps._hom_residual_bound(rep)
     assert rep.hom_residual <= reps.DEFAULT_TOL < bound
 
 
-def _word_length_by_sets(g, gens):
-    """Largest word length over ``gens``, by a python-set walk."""
-    seen, frontier, length = {g.identity}, {g.identity}, 0
-    while True:
-        frontier = {g.mul(x, s) for x in frontier for s in gens} - seen
-        if not frontier:
-            return length, seen
-        seen |= frontier
-        length += 1
+# the nonabelian catalog groups and larger ones up to DECOMPOSE_ORDER_CAP
+BOUND_GROUPS = NONABELIAN + ["sym:5", "dihedral:100", "dihedral:128",
+                             "product:sym:4,zmod:8", "product:sym:3,zmod:40"]
 
 
-@pytest.mark.parametrize("desc", NONABELIAN)
+@pytest.mark.parametrize("desc", BOUND_GROUPS)
 def test_hom_bound_covers_measured_residual(desc):
-    g = build_group(desc)
-    gens, length = reps._word_generators(g)
-    gens = [int(s) for s in gens]
-    assert set(g.generators) <= set(gens)
-    # S holds s^(2^j) for every 2^j < ord(s), s in Light's set, and no more
-    powers = set()
-    for s in g.generators:
-        power, step = s, 1
-        while step < g.element_order(s):
-            powers.add(power)
-            power, step = g.mul(power, power), 2 * step
-    assert set(gens) == powers and len(gens) == len(powers)
-    assert _word_length_by_sets(g, gens) == (length, set(g.elements()))
-    for rep in irreps_of(g):
-        bound = reps._hom_residual_bound(rep, np.array(gens), length)
+    for rep in irreps_of(build_group(desc)):
+        bound = reps._hom_residual_bound(rep)
         assert rep.hom_residual <= bound <= 1e-11, rep.label
+
+
+@pytest.mark.parametrize("desc", BOUND_GROUPS)
+def test_decompose_certifies_on_generators_alone(monkeypatch, desc):
+    # the generator bound passes every irrep, so no pair is measured
+    calls = _count_hom_residuals(monkeypatch)
+    assert len(decompose_regular(build_group(desc))) > 1
+    assert calls == []
 
 
 @pytest.mark.parametrize("desc", ["zmod:30", "dihedral:15"])
