@@ -78,30 +78,126 @@ def bohr_set(group: FiniteGroup, tau: UnitaryRep, delta: float) -> BohrSpec:
     """
     if tau.group is not group:
         raise ValueError("tau is not a representation of the given group")
-    return next(_bohr_sets(group, [tau], delta))
+    masks, boundary = _realize(group, [tau], delta)
+    return _spec(tau, delta, Subset(group, masks[0]), boundary.get(0, ()))
 
 
-def _bohr_sets(group: FiniteGroup, taus: list[UnitaryRep],
-               delta: float) -> Iterator[BohrSpec]:
-    """The Bohr sets of a block of reps of ``group`` at one delta.
+def _realize(group: FiniteGroup, taus: list[UnitaryRep], delta: float
+             ) -> tuple[np.ndarray, dict[int, tuple[int, ...]]]:
+    """The Bohr sets of a block of reps of ``group`` at one delta: a boolean
+    matrix with a row per rep, and the boundary elements each row excludes,
+    by row where there are any.
 
     The block's identity distances are stacked and compared with delta in
-    one pass; each spec is built only when it is taken. Raises ValueError on
-    the first ``next`` for a delta outside (0, 2].
+    one pass. Raises ValueError for a delta outside (0, 2].
     """
     _check_delta(delta)
-    dist = np.array([tau.identity_distances() for tau in taus])
-    inside = dist < delta - BOUNDARY_TOL
+    dist = np.array([tau.identity_distances() for tau in taus]).reshape(
+        len(taus), group.order)
     near = np.abs(dist - delta) <= BOUNDARY_TOL
-    for tau, mask, row, any_near in zip(taus, inside, near, near.any(axis=1)):
-        boundary = tuple(np.flatnonzero(row).tolist()) if any_near else ()
-        if boundary:
-            logger.debug("bohr_set %s delta=%g: excluded boundary elements %s",
-                         tau.label, delta, list(boundary))
-        # an irreducible of dim >= 2 has no basis making all its matrices diagonal
-        kind = "torus" if tau.dim == (len(tau.summands) or 1) else "unitary"
-        yield BohrSpec(tau=tau, delta=float(delta), kind=kind,
-                       realized=Subset(group, mask), boundary_excluded=boundary)
+    boundary = {}
+    for i in np.flatnonzero(near.any(axis=1)).tolist():
+        boundary[i] = tuple(np.flatnonzero(near[i]).tolist())
+        logger.debug("bohr_set %s delta=%g: excluded boundary elements %s",
+                     taus[i].label, delta, list(boundary[i]))
+    masks = dist < delta - BOUNDARY_TOL
+    masks.setflags(write=False)  # a Subset may keep a row as its mask
+    return masks, boundary
+
+
+def _spec(tau: UnitaryRep, delta: float, realized: Subset,
+          boundary: tuple[int, ...]) -> BohrSpec:
+    # an irreducible of dim >= 2 has no basis making all its matrices diagonal
+    kind = "torus" if tau.dim == (len(tau.summands) or 1) else "unitary"
+    return BohrSpec(tau=tau, delta=float(delta), kind=kind, realized=realized,
+                    boundary_excluded=boundary)
+
+
+def _append(buf: np.ndarray, count: int, new: np.ndarray) -> np.ndarray:
+    """``buf`` with ``new`` written past its first ``count`` rows, moved to
+    a buffer of twice the rows when it has no room. Rows already written are
+    never written again, so views of them stay valid."""
+    if count + len(new) > len(buf):
+        grown = np.empty((max(2 * len(buf), count + len(new)),) + buf.shape[1:],
+                         dtype=buf.dtype)
+        grown[:count] = buf[:count]
+        buf = grown
+    buf[count:count + len(new)] = new
+    return buf
+
+
+class _Rows:
+    """Candidates as rows, in walk order: their realized sets as one
+    read-only boolean matrix ``masks`` (a row per candidate, a column per
+    element) with their ``sizes`` beside it, and by row its direct sum,
+    delta and excluded boundary elements. A row's BohrSpec is built when
+    first asked for and kept, so a replay returns the same object; its
+    Subset is a view of the row."""
+
+    def __init__(self, group: FiniteGroup):
+        self.group = group
+        self.taus: list[UnitaryRep] = []
+        self.deltas: list[float] = []
+        self.boundary: dict[int, tuple[int, ...]] = {}
+        self.specs: list[Optional[BohrSpec]] = []
+        self._masks = self.masks = np.zeros((0, group.order), dtype=bool)
+        self._sizes = self.sizes = np.zeros(0, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.taus)
+
+    def extend(self, taus: list[UnitaryRep], delta: float, masks: np.ndarray,
+               boundary: dict[int, tuple[int, ...]]) -> None:
+        """Append a block of the walk: reps at one delta, their realized
+        masks and boundary elements, as ``_realize`` gives them."""
+        count = len(self.taus)
+        self._masks = _append(self._masks, count, masks)
+        self._sizes = _append(self._sizes, count, masks.sum(axis=1))
+        self.boundary.update((count + i, b) for i, b in boundary.items())
+        self.deltas += [float(delta)] * len(taus)
+        self.specs += [None] * len(taus)
+        self.taus += taus
+        self.masks, self.sizes = self._masks[:len(self)], self._sizes[:len(self)]
+        self.masks.setflags(write=False)
+        self.sizes.setflags(write=False)
+
+    def spec(self, i: int) -> BohrSpec:
+        spec = self.specs[i]
+        if spec is None:
+            with _LOCK:  # one spec per row, however many threads ask
+                if self.specs[i] is None:
+                    self.specs[i] = _spec(self.taus[i], self.deltas[i],
+                                          Subset(self.group, self.masks[i]),
+                                          self.boundary.get(i, ()))
+                spec = self.specs[i]
+        return spec
+
+
+class CandidateSpan:
+    """Consecutive candidates of a walk, as rows: ``realized`` holds their
+    realized sets as a read-only boolean matrix (a row per candidate, a
+    column per element) and ``sizes`` their sizes; ``deltas`` and ``dims``
+    list their radii and total dimensions. ``spec(i)`` is row i's
+    BohrSpec."""
+
+    def __init__(self, rows: _Rows, start: int, stop: int):
+        self._rows, self._start, self._stop = rows, start, stop
+        self.realized = rows.masks[start:stop]
+        self.sizes = rows.sizes[start:stop]
+
+    def __len__(self) -> int:
+        return self._stop - self._start
+
+    @property
+    def deltas(self) -> list[float]:
+        return self._rows.deltas[self._start:self._stop]
+
+    @property
+    def dims(self) -> list[int]:
+        return [tau.dim for tau in self._rows.taus[self._start:self._stop]]
+
+    def spec(self, i: int) -> BohrSpec:
+        return self._rows.spec(self._start + i)
 
 
 def _check_delta(delta: float) -> None:
@@ -221,13 +317,14 @@ class SearchSpace:
 
 
 # Every group's stored walks together hold at most STORED_ENTRIES entries,
-# a spec of a group of order n counting n + 64: its n-byte mask, at most 16
-# bytes per element more for the member indices a search reads and its
-# direct sum's distances, and about 1 KB of objects. So they stay under
-# ~9 MB however many groups build_group keeps; the oldest stream is dropped
-# first.
+# a candidate of a group of order n counting n + 64: its n-byte row of the
+# realized matrix, at most 16 bytes per element more for the member indices
+# a search reads and its direct sum's distances, and about 1 KB for its
+# size, delta and dimension, its direct sum and its spec once one is built.
+# So they stay under ~9 MB however many groups build_group keeps; the oldest
+# stream is dropped first.
 STORED_ENTRIES = 1 << 19
-_LOCK = threading.Lock()  # guards every stream and _STREAMS
+_LOCK = threading.Lock()  # guards every stream, its rows, and _STREAMS
 _STREAMS: list[weakref.ref] = []  # oldest first; a stream dies with its group
 
 
@@ -255,9 +352,10 @@ class _Walk:
                 for combo in itertools.combinations(range(len(self.irreps)), count)
                 if sum(self.irreps[i].dim for i in combo) == n]
 
-    def block(self, count: int) -> list[BohrSpec]:
+    def block(self, count: int) -> tuple:
         """The next at most ``count`` candidates, all of one (n, delta)
-        level; empty once the walk is done."""
+        level, as (reps, delta, masks, boundary) for ``_Rows.extend``; no
+        reps once the walk is done."""
         while self.start == len(self.combos):
             if self.d + 1 < len(self.grid):
                 self.d, self.start = self.d + 1, 0
@@ -266,32 +364,33 @@ class _Walk:
                 self.n, self.d, self.start = self.n + 1, 0, 0
                 self.combos, self.taus = combos, []
             else:
-                return []
+                break
         stop = min(self.start + count, len(self.combos))
         taus = self.taus[self.start:stop] if self.d else [
             direct_sum_hom([self.irreps[i] for i in combo])
             for combo in self.combos[self.start:stop]]
-        specs = list(_bohr_sets(self.group, taus, self.grid[self.d]))
+        delta = self.grid[self.d]
+        block = (taus, delta, *_realize(self.group, taus, delta))
         if not self.d:
             self.taus = self.taus + taus  # rebound, so a copied walk keeps its own
         self.start = stop
-        return specs
+        return block
 
 
 class _Stream:
-    """A group's stored walk under one key: the specs it produced so far,
-    and the walk positioned after the last of them. A stream that is
-    dropped, or cannot grow within STORED_ENTRIES, stops growing."""
+    """A group's stored walk under one key: the candidates it produced so
+    far, as rows, and the walk positioned after the last of them. A stream
+    that is dropped, or cannot grow within STORED_ENTRIES, stops growing."""
 
     def __init__(self, group: FiniteGroup, key: tuple):
         self.group, self.key = group, key
-        self.cost = group.order + 64  # entries per spec, see STORED_ENTRIES
-        self.specs: list[BohrSpec] = []
+        self.cost = group.order + 64  # entries per candidate, see STORED_ENTRIES
+        self.rows = _Rows(group)
         self.walk: Optional[_Walk] = None
         self.growing = True
 
     def entries(self) -> int:
-        return len(self.specs) * self.cost
+        return len(self.rows) * self.cost
 
 
 def _stream(group: FiniteGroup, key: tuple) -> _Stream:
@@ -304,8 +403,8 @@ def _stream(group: FiniteGroup, key: tuple) -> _Stream:
 
 
 def _room(stream: _Stream, count: int) -> bool:
-    """Whether ``count`` more specs may be stored on ``stream``, dropping
-    the oldest other streams to make room. Called under _LOCK."""
+    """Whether ``count`` more candidates may be stored on ``stream``,
+    dropping the oldest other streams to make room. Called under _LOCK."""
     need = count * stream.cost
     if not stream.growing or stream.entries() + need > STORED_ENTRIES:
         stream.growing = False
@@ -323,18 +422,66 @@ def _room(stream: _Stream, count: int) -> bool:
     return True
 
 
-def _extend(stream: _Stream, count: int) -> tuple[list[BohrSpec], Optional[_Walk]]:
-    """The stream's next block of at most ``count`` specs, stored if it
-    fits, with None; else the block and the walk past it, to go on with
+def _extend(stream: _Stream, count: int) -> tuple[CandidateSpan, Optional[_Walk]]:
+    """The stream's next block of at most ``count`` candidates, stored if
+    it fits, with None; else the block and the walk past it, to go on with
     unstored. A block that raises leaves the stream as it was. Called under
     _LOCK."""
     walk = copy.copy(stream.walk or _Walk(stream.group, stream.key))
     block = walk.block(count)
-    if not _room(stream, len(block)):
-        return block, walk
+    if not _room(stream, len(block[0])):
+        return _unstored(stream.group, block), walk
     stream.walk = walk
-    stream.specs += block
-    return block, None
+    start = len(stream.rows)
+    stream.rows.extend(*block)
+    return CandidateSpan(stream.rows, start, len(stream.rows)), None
+
+
+def _unstored(group: FiniteGroup, block: tuple) -> CandidateSpan:
+    rows = _Rows(group)
+    rows.extend(*block)
+    return CandidateSpan(rows, 0, len(rows))
+
+
+def _spans(group: FiniteGroup, space: SearchSpace) -> Iterator[CandidateSpan]:
+    """The candidate walk of ``space`` on ``group``, a span at a time.
+
+    The walk depends on the group and on the key (the sorted distinct delta
+    grid, max_dim, max_summands) alone, so the group stores the candidates
+    it produces: a later walk replays them, cut at its own budget, and
+    extends the stored walk only past them. Each (n, delta) level is
+    realized a block of candidates at a time by the kernel behind
+    ``bohr_set``. A walk's new blocks start at 8 candidates and double, up
+    to max(1, BLOCK_ENTRIES // |G|), so a search that accepts early builds
+    few candidates past it; none passes its budget. A walk that finds its
+    stream full goes on from the stream's position without storing. Each
+    new block is one span; stored candidates are replayed in spans that
+    grow the same way, from 8, and may cross levels.
+    """
+    key = (tuple(sorted(set(space.delta_grid), reverse=True)),
+           space.max_dim, space.max_summands)
+    stream = _stream(group, key)
+    widest = max(1, BLOCK_ENTRIES // group.order)
+    size = replay = min(8, widest)
+    done, walk = 0, None
+    while done < space.max_candidates:
+        left = space.max_candidates - done
+        if walk is None:
+            with _LOCK:
+                if done < len(stream.rows):
+                    span = CandidateSpan(stream.rows, done, min(
+                        len(stream.rows), done + min(replay, left)))
+                    replay = min(2 * replay, widest)
+                else:
+                    span, walk = _extend(stream, min(size, left))
+                    size = min(2 * size, widest)
+        else:
+            span = _unstored(group, walk.block(min(size, left)))
+            size = min(2 * size, widest)
+        if not len(span):
+            return
+        yield span
+        done += len(span)
 
 
 def enumerate_bohr_candidates(group: FiniteGroup,
@@ -344,38 +491,13 @@ def enumerate_bohr_candidates(group: FiniteGroup,
     Order: smaller total dimension n first, then larger delta, then fewer
     irrep summands, then lexicographic irrep indices. Stops after
     ``space.max_candidates`` yields, or once n passes the largest total
-    dimension that ``space.max_summands`` irreps reach.
-
-    The walk depends on the group and on the key (the sorted distinct delta
-    grid, max_dim, max_summands) alone, so the group stores the specs it
-    produces: a later walk replays them, cut at its own budget, and extends
-    the stored walk only past them. Each (n, delta) level is realized a
-    block of candidates at a time by the kernel behind ``bohr_set``. A
-    walk's new blocks start at 8 candidates and double, up to
-    max(1, BLOCK_ENTRIES // |G|), so a search that accepts early builds few
-    candidates past it; none passes its budget. A walk that finds its
-    stream full goes on from the stream's position without storing.
+    dimension that ``space.max_summands`` irreps reach. The candidates come
+    from the group's stored walk (see ``_spans``); a stored candidate's
+    spec is built once and yielded again on every replay.
     """
-    key = (tuple(sorted(set(space.delta_grid), reverse=True)),
-           space.max_dim, space.max_summands)
-    stream = _stream(group, key)
-    widest = max(1, BLOCK_ENTRIES // group.order)
-    size, done, walk = min(8, widest), 0, None
-    while done < space.max_candidates:
-        left = space.max_candidates - done
-        if walk is None:
-            with _LOCK:
-                block = stream.specs[done:done + left]
-                if not block:
-                    block, walk = _extend(stream, min(size, left))
-                    size = min(2 * size, widest)
-        else:
-            block = walk.block(min(size, left))
-            size = min(2 * size, widest)
-        if not block:
-            return
-        yield from block
-        done += len(block)
+    for span in _spans(group, space):
+        for i in range(len(span)):
+            yield span.spec(i)
 
 
 @dataclass(frozen=True)
@@ -390,19 +512,30 @@ class SearchResult(Generic[T]):
 
 
 def first_accepted(group: FiniteGroup, space: SearchSpace,
-                   accept: Callable[[BohrSpec], Optional[T]]) -> SearchResult[T]:
+                   accept: Callable[[BohrSpec], Optional[T]],
+                   screen: Callable[[CandidateSpan], np.ndarray]
+                   ) -> SearchResult[T]:
     """The first candidate, in preference order, that ``accept`` takes.
 
-    Every yielded candidate counts as scored; empty realized sets are
-    skipped. ``accept`` returns None to reject.
+    Every candidate of the walk up to the accepted one counts as scored;
+    empty realized sets are skipped. ``accept`` returns None to reject.
+
+    The walk is read a span of candidates at a time (see ``_spans``).
+    ``screen(span)`` runs once per span and returns a boolean mask over its
+    rows: False marks a candidate that ``accept`` rejects, decided on the
+    floats ``accept`` itself compares, so dropping it changes no result.
+    A screen raises nothing, and what it reads of the search's state may
+    only grow more certain while the span is read. ``accept`` runs in order
+    on the rows the screen keeps, so a BohrSpec is built for those alone.
     """
     scored = 0
-    for scored, spec in enumerate(enumerate_bohr_candidates(group, space), 1):
-        if len(spec.realized) == 0:
-            continue
-        found = accept(spec)
-        if found is not None:
-            return SearchResult("ok", spec, found, scored)
+    for span in _spans(group, space):
+        for i in (screen(span) & (span.sizes > 0)).nonzero()[0].tolist():
+            spec = span.spec(i)
+            found = accept(spec)
+            if found is not None:
+                return SearchResult("ok", spec, found, scored + i + 1)
+        scored += len(span)
     return SearchResult("none-within-budget", None, None, scored)
 
 

@@ -141,9 +141,8 @@ def _validate_table(table: np.ndarray) -> tuple[int, tuple[int, ...]]:
     if n > MAX_ORDER:
         raise GroupValidationError(f"order {n} exceeds cap {MAX_ORDER}")
     if table.min() < 0 or table.max() >= n:
-        bad = np.argwhere((table < 0) | (table >= n))[0]
-        raise GroupValidationError(
-            f"entry out of range at {tuple(bad)}", witness=tuple(int(x) for x in bad))
+        bad = tuple(int(x) for x in np.argwhere((table < 0) | (table >= n))[0])
+        raise GroupValidationError(f"entry out of range at {bad}", witness=bad)
 
     ident = np.arange(n, dtype=np.int32)
     for lines, name in ((table, "row"), (table.T, "column")):
@@ -218,10 +217,16 @@ def closure(table: np.ndarray, mark: np.ndarray) -> np.ndarray:
 
 
 class Subset:
-    """Immutable subset of a FiniteGroup, stored as a boolean mask."""
+    """Immutable subset of a FiniteGroup, stored as a boolean mask.
+
+    A read-only, C-contiguous boolean mask is kept as given, so whoever
+    owns its data must never write it; any other mask is copied.
+    """
 
     def __init__(self, group: FiniteGroup, mask):
-        mask = np.array(mask, dtype=bool, order="C")
+        if not (isinstance(mask, np.ndarray) and mask.dtype == bool
+                and mask.flags.c_contiguous and not mask.flags.writeable):
+            mask = np.array(mask, dtype=bool, order="C")
         if mask.shape != (group.order,):
             raise ValueError(f"mask length {mask.shape} != order {group.order}")
         self.group = group
@@ -232,13 +237,15 @@ class Subset:
 
     @classmethod
     def from_indices(cls, group: FiniteGroup, indices) -> "Subset":
-        mask = np.zeros(group.order, dtype=bool)
-        try:
-            idx = np.asarray(list(indices), dtype=np.int64)
-        except OverflowError:  # an index beyond int64 is out of range
-            raise ValueError("subset index out of range") from None
+        idx = indices
+        if not (isinstance(idx, np.ndarray) and idx.dtype.kind in "iu"):
+            try:
+                idx = np.asarray(list(indices), dtype=np.int64)
+            except OverflowError:  # an index beyond int64 is out of range
+                raise ValueError("subset index out of range") from None
         if idx.size and (idx.min() < 0 or idx.max() >= group.order):
             raise ValueError("subset index out of range")
+        mask = np.zeros(group.order, dtype=bool)
         mask[idx] = True
         return cls(group, mask)
 
@@ -537,30 +544,46 @@ def _parse_count(text: str, descriptor: str, lo: int, hi: int) -> int:
     return n
 
 
+def _table_tokens(text: str) -> Iterator[str]:
+    """The whitespace-separated tokens of ``text``, split a line at a time
+    so that only one line's tokens are held as strings."""
+    return itertools.chain.from_iterable(map(str.split, text.splitlines()))
+
+
 def from_cayley_table(text: str, descriptor: str = "table") -> FiniteGroup:
     """Parse and validate a Cayley table.
 
     Format: first line is the order n, then n lines of n whitespace-separated
     element indices, row a listing the products a*b.
     """
-    tokens = text.split()
-    if not tokens:
-        raise GroupValidationError("empty table text")
+    tokens = _table_tokens(text)
     try:
-        n = int(tokens[0])
+        n = int(next(tokens))
+    except StopIteration:
+        raise GroupValidationError("empty table text") from None
     except ValueError as exc:
         raise GroupValidationError(f"non-integer token in table: {exc}") from None
     if not 1 <= n <= MAX_ORDER:
         raise GroupValidationError(f"table order {n} outside [1, {MAX_ORDER}]")
     try:
-        entries = [int(t) for t in tokens[1:]]
+        try:
+            entries = np.fromiter(map(int, tokens), dtype=np.int64)
+        except OverflowError:
+            # an entry beyond int64 lies outside [0, n) too: parse again,
+            # each entry clamped to [-1, n], so that the check places it
+            entries = np.fromiter(
+                (min(max(int(t), -1), n)
+                 for t in itertools.islice(_table_tokens(text), 1, None)),
+                dtype=np.int64)
     except ValueError as exc:
         raise GroupValidationError(f"non-integer token in table: {exc}") from None
-    if len(entries) != n * n:
+    if entries.size != n * n:
         raise GroupValidationError(
-            f"expected {n * n} entries for order {n}, got {len(entries)}")
+            f"expected {n * n} entries for order {n}, got {entries.size}")
     table = np.empty((n, n), dtype=np.int32)
-    table.ravel()[:] = entries
+    # an entry outside [-1, n] is clamped into int32 and stays outside [0, n),
+    # so _validate_table names the first bad entry as for any other
+    table.ravel()[:] = np.clip(entries, -1, n, out=entries)
     table.setflags(write=False)  # a fresh table: the group keeps it uncopied
     return FiniteGroup(table, descriptor)
 

@@ -14,13 +14,13 @@ from typing import Optional
 
 import numpy as np
 
-from .bohr import (BohrSpec, SearchResult, SearchSpace, bohr_set,
-                   first_accepted, greedy_cover, is_symmetric)
+from .bohr import (BohrSpec, CandidateSpan, SearchResult, SearchSpace,
+                   bohr_set, first_accepted, greedy_cover, is_symmetric)
 from .convolve import _lp, overlap_function
 from .gen import random_subset_of_size, rng_from_seed
 from .groups import (FiniteGroup, GroupFunction, Subset, check_eps,
                      inverse_set, product_set)
-from .regularity import ZetaRule
+from .regularity import ZetaRule, _allowances
 from .reps import direct_sum_hom
 
 
@@ -157,6 +157,12 @@ def _require_pair(a: Subset, b: Subset, alpha: float) -> tuple[int, int]:
     return ratio
 
 
+def _inside(span: CandidateSpan, outside: np.ndarray) -> np.ndarray:
+    """Which candidates of a span realize a set that meets no element of
+    ``outside``, a mask: the complement of a target set."""
+    return ~(span.realized & outside).any(axis=1)
+
+
 def bogolyubov_search(a: Subset, alpha: float,
                       space: SearchSpace = SearchSpace()) -> SearchResult[bool]:
     """First Bohr spec with realized set inside (A A^-1)^2, exhaustively
@@ -164,8 +170,10 @@ def bogolyubov_search(a: Subset, alpha: float,
     _require_density(a, alpha)
     diff = product_set(a, inverse_set(a))
     target = product_set(diff, diff)
+    outside = ~target.mask
     return first_accepted(
-        a.group, space, lambda s: s.realized.is_subset_of(target) or None)
+        a.group, space, lambda s: s.realized.is_subset_of(target) or None,
+        lambda span: _inside(span, outside))
 
 
 def level_set_claim(a: Subset, b: Subset, alpha: float) -> dict:
@@ -209,7 +217,14 @@ def two_set_bogolyubov(a: Subset, b: Subset, alpha: float, zeta: ZetaRule,
             return g_best, defect
         return None
 
-    return first_accepted(grp, space, accept)
+    outside_quad = ~quad.mask
+
+    def screen(span: CandidateSpan) -> np.ndarray:
+        # accept evaluates zeta before its containments, so a row whose
+        # zeta raises goes to it
+        return _inside(span, outside_quad) | np.isnan(_allowances(zeta, span))
+
+    return first_accepted(grp, space, accept, screen)
 
 
 def four_product_bohr(a: Subset, alpha: float,
@@ -229,6 +244,7 @@ def four_product_bohr(a: Subset, alpha: float,
     targets = (product_set(diff, diff), product_set(rdiff, rdiff),
                product_set(square, isquare), product_set(isquare, square))
     found: list[Optional[BohrSpec]] = [None] * len(targets)
+    outsides = [~t.mask for t in targets]
 
     def accept(spec: BohrSpec) -> Optional[bool]:
         for i, target in enumerate(targets):
@@ -236,7 +252,14 @@ def four_product_bohr(a: Subset, alpha: float,
                 found[i] = spec
         return all(found) or None
 
-    res = first_accepted(grp, space, accept)
+    def screen(span: CandidateSpan) -> np.ndarray:
+        keep = np.zeros(len(span), dtype=bool)
+        for outside, spec in zip(outsides, found):
+            if spec is None:
+                keep |= _inside(span, outside)
+        return keep
+
+    res = first_accepted(grp, space, accept, screen)
     if res.spec is None:
         return SearchResult("none-within-budget", None, None, res.candidates_scored)
     combined = bohr_set(grp, direct_sum_hom([s.tau for s in found]),
@@ -302,6 +325,7 @@ def shift_invariance_search(f: GroupFunction, p: float, eps: float,
             f"min_size must lie in [1, {f.group.order}], got {min_size}")
 
     norms: dict[int, float] = {}  # ||f_t - f||_p by t, across candidates
+    reaches = np.zeros(f.group.order, dtype=bool)  # the t with norms[t] >= eps
 
     def accept(spec: BohrSpec) -> Optional[float]:
         if len(spec.realized) < min_size:
@@ -310,9 +334,13 @@ def shift_invariance_search(f: GroupFunction, p: float, eps: float,
         for t in spec.realized.indices.tolist():
             if t not in norms:
                 norms[t] = _lp(f.values[f.group.table[t, :]] - f.values, p)
+                reaches[t] = norms[t] >= eps
             sup = max(sup, norms[t])
             if sup >= eps:
                 return None
         return sup
 
-    return first_accepted(f.group, space, accept)
+    def screen(span: CandidateSpan) -> np.ndarray:
+        return (span.sizes >= min_size) & ~(span.realized & reaches).any(axis=1)
+
+    return first_accepted(f.group, space, accept, screen)

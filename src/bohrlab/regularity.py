@@ -9,13 +9,15 @@ the first whose worst translate defect fits the zeta budget.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 import numpy as np
 
-from .bohr import BohrSpec, SearchResult, SearchSpace, first_accepted
+from .bohr import (BohrSpec, CandidateSpan, SearchResult, SearchSpace,
+                   first_accepted)
 from .groups import (FiniteGroup, GroupFunction, Subset, check_eps, closure,
                      row_blocks)
 
@@ -245,6 +247,24 @@ def translate_defect(f: GroupFunction, spec: BohrSpec,
                                  max_defect=max_defect)
 
 
+def _allowances(zeta: ZetaRule, span: CandidateSpan) -> np.ndarray | float:
+    """zeta(delta, n) for each row of a candidate span, NaN where the rule
+    raises, evaluated once per run of rows with equal (delta, n); a float
+    when the rule is constant."""
+    if zeta.kind == "const":
+        return zeta.params[0]
+    out = np.empty(len(span))
+    start = 0
+    for (delta, dim), run in itertools.groupby(zip(span.deltas, span.dims)):
+        stop = start + sum(1 for _ in run)
+        try:
+            out[start:stop] = zeta.value(delta, dim)
+        except ValueError:  # accept raises it, in order
+            out[start:stop] = np.nan
+        start = stop
+    return out
+
+
 def search_regular_bohr(f: GroupFunction, eps: float, zeta: ZetaRule,
                         space: SearchSpace = SearchSpace()
                         ) -> SearchResult[RegularityCertificate]:
@@ -261,11 +281,27 @@ def search_regular_bohr(f: GroupFunction, eps: float, zeta: ZetaRule,
     allowance is below that is rejected without the kernel. Otherwise the
     exact max defect is computed, once per distinct set. The certificate is
     built for the accepted spec only.
+
+    Most sets fail on S itself, the first translate screened, and most
+    allowances are below the bound that then follows; the walk's screen
+    drops those candidates a span at a time, before any spec is built.
     """
     check_eps(eps)
     n = f.group.order
+    thr = eps - WINDOW_GUARD
     fits: dict[bytes, bool] = {}
     max_defects: dict[bytes, float] = {}
+    # |S|/n - (|S| - 1)/n by |S|: the floats accept compares; a set of
+    # fewer than two elements fits
+    bound = np.arange(n + 1) / n - (np.arange(n + 1) - 1) / n
+    bound[:2] = -np.inf
+
+    signed = np.stack([f.values, -f.values])[:, None, :]
+
+    def screen(span: CandidateSpan) -> np.ndarray:
+        # max - min of f on S, the floats _every_translate_fits compares first
+        lo, neg_hi = np.where(span.realized, signed, np.inf).min(axis=2)
+        return (-neg_hi - lo < thr) | ~(bound[span.sizes] > _allowances(zeta, span))
 
     def accept(spec: BohrSpec) -> Optional[RegularityCertificate]:
         realized = spec.realized
@@ -283,7 +319,7 @@ def search_regular_bohr(f: GroupFunction, eps: float, zeta: ZetaRule,
                 return None
         return replace(translate_defect(f, spec, eps), zeta_budget=allowance)
 
-    return first_accepted(f.group, space, accept)
+    return first_accepted(f.group, space, accept, screen)
 
 
 # ---------------------------------------------------------------------------

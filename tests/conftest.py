@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from bohrlab import build_group
@@ -17,6 +18,12 @@ def format_subset(subset) -> str:
 
 def format_function(fn) -> str:
     return "\n".join(repr(float(v)) for v in fn.values) + "\n"
+
+
+def pass_all(span):
+    """The screen for a direct ``bohr.first_accepted`` call that keeps every
+    candidate, so that ``accept`` alone decides."""
+    return np.ones(len(span), dtype=bool)
 
 
 @pytest.fixture(scope="session")

@@ -89,7 +89,7 @@ for workload in sys.argv[3:]:
                 continue
             digest.update(json.dumps(payload, sort_keys=True).encode() + b"\\n")
         digests.setdefault(workload, []).append(digest.hexdigest())
-streams = sorted((g.descriptor, len(s.specs), s.growing)
+streams = sorted((g.descriptor, len(s.rows), s.growing)
                  for g in groups._SHARED.values() for s in g._streams.values())
 print(json.dumps({"digests": digests, "streams": streams}))
 """
@@ -155,15 +155,29 @@ print(json.dumps({name: names.count(name) for name in sorted(set(names))}))
 """
 
 
-def test_seed_101_abelian_search_traces_every_distance_read(tmp_path):
-    # a rep class that overrode UnitaryRep.identity_distances would take
-    # its reads out of the benchmark's reps.distances span and counter
+def _traced_calls(tmp_path, workload):
+    """Span counts by name of a traced seed-101 run of ``workload``."""
     proc = subprocess.run(
-        [sys.executable, "-c", TRACED, str(LABBENCH), "101", "abelian-search"],
+        [sys.executable, "-c", TRACED, str(LABBENCH), "101", workload],
         capture_output=True, text=True, cwd=tmp_path,
         env=_child_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                        MKL_NUM_THREADS="1"))
     assert proc.returncode == 0, proc.stderr
-    calls = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_seed_101_abelian_search_traces_every_distance_read(tmp_path):
+    # a rep class that overrode UnitaryRep.identity_distances would take
+    # its reads out of the benchmark's reps.distances span and counter
+    calls = _traced_calls(tmp_path, "abelian-search")
     assert calls["reps.distances"] == 1053
+    assert calls["reps.direct_sum"] == 398
     assert calls["reps.irreps"] == 6
+
+
+def test_seed_101_nonabelian_mix_traces_every_distance_read(tmp_path):
+    # the walk reads each candidate's distances and builds each level's
+    # direct sums whether or not a search builds the candidate's spec
+    calls = _traced_calls(tmp_path, "nonabelian-mix")
+    assert calls["reps.distances"] == 570
+    assert calls["reps.direct_sum"] == 86

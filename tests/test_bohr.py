@@ -383,7 +383,9 @@ def test_boundary_candidates_share_a_block(z12, z12_chars):
     # at delta 1.0, chi1 and chi2 have elements at distance exactly 1, while
     # chi0 and chi3 have none; the first block of the walk holds all four
     expected = {"chi0": (), "chi1": (2, 10), "chi2": (1, 5, 7, 11), "chi3": ()}
-    block = list(bohr._bohr_sets(z12, z12_chars[:4], 1.0))
+    rows = bohr._Rows(z12)
+    rows.extend(z12_chars[:4], 1.0, *bohr._realize(z12, z12_chars[:4], 1.0))
+    block = [rows.spec(i) for i in range(len(rows))]
     walk = enumerate_bohr_candidates(z12, SearchSpace(delta_grid=(1.0,)))
     for spec, walked in zip(block, walk):
         assert spec.boundary_excluded == expected[spec.tau.label]
@@ -496,16 +498,16 @@ def test_walks_past_the_storage_limit(desc, monkeypatch):
     unshared = FiniteGroup(g.table, desc)
     _limit_to(monkeypatch, unshared, 40)
     built = []
-    real_bohr_sets = bohr._bohr_sets
-    monkeypatch.setattr(bohr, "_bohr_sets", lambda group, taus, delta: (
-        built.extend(taus), real_bohr_sets(group, taus, delta))[1])
+    real_realize = bohr._realize
+    monkeypatch.setattr(bohr, "_realize", lambda group, taus, delta: (
+        built.extend(taus), real_realize(group, taus, delta))[1])
     stored = 0
     for budget in (39, 40, 41, 200, len(fresh), 200):
         built.clear()
         walk = enumerate_bohr_candidates(unshared, SearchSpace(max_candidates=budget))
         assert [_spec_key(s) for s in walk] == fresh[:budget]
         assert len(built) == max(0, min(budget, len(fresh)) - stored)
-        stored = sum(len(s.specs) for s in unshared._streams.values())
+        stored = sum(len(s.rows) for s in unshared._streams.values())
         assert stored <= 40
     assert stored == min(40, len(fresh))
 
@@ -519,7 +521,7 @@ def test_storage_limit_drops_the_oldest_stream(monkeypatch):
         assert sum(1 for _ in enumerate_bohr_candidates(g, space)) == 100
     # three walks of 100 specs do not fit together: the first is dropped
     assert not groups[0]._streams
-    assert [len(s.specs) for g in groups[1:] for s in g._streams.values()] == [
+    assert [len(s.rows) for g in groups[1:] for s in g._streams.values()] == [
         100, 100]
     live = [s for s in (ref() for ref in bohr._STREAMS) if s is not None]
     assert sum(s.entries() for s in live) <= bohr.STORED_ENTRIES
@@ -572,8 +574,9 @@ def test_threads_walk_one_group_at_once(desc, limit, monkeypatch):
     assert got == [serial] * 4
     # a lost or doubled block would break the stored prefix
     (stream,) = shared._streams.values()
-    assert [_spec_key(s) for s in stream.specs] == serial[:len(stream.specs)]
-    assert len(stream.specs) <= (limit or 400)
+    stored = [_spec_key(stream.rows.spec(i)) for i in range(len(stream.rows))]
+    assert stored == serial[:len(stored)]
+    assert len(stored) <= (limit or 400)
 
 
 def test_failed_walk_stores_nothing(monkeypatch):
@@ -581,15 +584,16 @@ def test_failed_walk_stores_nothing(monkeypatch):
     g = FiniteGroup(build_group("zmod:12").table, "zmod:12")
     list(enumerate_bohr_candidates(g, SearchSpace(max_candidates=10)))
     (stream,) = g._streams.values()
-    stored, walk = list(stream.specs), stream.walk
+    stored, walk = list(stream.rows.taus), stream.walk
 
     def fail(*args):
         raise MemoryError
 
-    monkeypatch.setattr(bohr, "_bohr_sets", fail)
+    monkeypatch.setattr(bohr, "_realize", fail)
     with pytest.raises(MemoryError):
         list(enumerate_bohr_candidates(g, SearchSpace(max_candidates=30)))
-    assert stream.specs == stored and stream.walk is walk
+    assert stream.rows.taus == stored and stream.walk is walk
+    assert len(stream.rows.masks) == len(stored)
     monkeypatch.undo()
     fresh = [_spec_key(s) for s in enumerate_bohr_candidates(
         FiniteGroup(g.table, "zmod:12"), SearchSpace(max_candidates=30))]

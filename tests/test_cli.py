@@ -645,6 +645,18 @@ def test_missing_referenced_file_ends_with_one_line(tmp_path, capsys, what, kind
     assert not (tmp_path / "o.json").exists()
 
 
+@pytest.mark.parametrize("entry", ["2147483648", "-2147483649", "99999999999",
+                                   "99999999999999999999999"])
+def test_table_entry_beyond_int32_ends_with_one_line(tmp_path, capsys, entry):
+    table = tmp_path / "table.txt"
+    table.write_text(f"2\n0 1\n1 {entry}\n")
+    cfg = _write_config(tmp_path / "c.ini", {"group": f"file:{table}"})
+    code = main(["group-info", "--config", str(cfg), "--out", str(tmp_path / "o.json")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: entry out of range at (1, 1)\n"
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_replay_round_trip(tmp_path):
     report = _run("regularity_zpz.ini")
     path = tmp_path / "report.json"

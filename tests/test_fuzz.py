@@ -121,7 +121,8 @@ def _check_exit_contract(tmp_path, capsys, kind, config, expected):
 
 
 _TOKENS = st.sampled_from(["0", "1", "2", "3", "4", "-1", "0.5", "-0.5", "2.5",
-                           "nan", "inf", "1e400", "x", "dim", "order", "99999"])
+                           "nan", "inf", "1e400", "x", "dim", "order", "99999",
+                           "2147483648", "-2147483649"])
 _LINES = st.lists(st.lists(_TOKENS, max_size=9).map(" ".join), max_size=6)
 _TEXTS = st.one_of(st.text(max_size=30), _LINES.map("\n".join))
 _Z3 = build_group("zmod:3")

@@ -406,6 +406,86 @@ def test_cayley_round_trip(s3):
     assert np.array_equal(g2.table, s3.table)
 
 
+def _list_table_parse(text):
+    """The table from_cayley_table builds from ``text``, or its error
+    message, with the entries parsed through lists of tokens and ints."""
+    try:
+        tokens = text.split()
+        if not tokens:
+            raise GroupValidationError("empty table text")
+        try:
+            n = int(tokens[0])
+        except ValueError as exc:
+            raise GroupValidationError(f"non-integer token in table: {exc}") from None
+        if not 1 <= n <= groups.MAX_ORDER:
+            raise GroupValidationError(
+                f"table order {n} outside [1, {groups.MAX_ORDER}]")
+        try:
+            entries = [int(t) for t in tokens[1:]]
+        except ValueError as exc:
+            raise GroupValidationError(f"non-integer token in table: {exc}") from None
+        if len(entries) != n * n:
+            raise GroupValidationError(
+                f"expected {n * n} entries for order {n}, got {len(entries)}")
+        return FiniteGroup(np.array(entries, dtype=np.int32).reshape(n, n)).table.tolist()
+    except GroupValidationError as exc:
+        return str(exc)
+
+
+# what int() reads (signs, underscores, other decimal digits), whitespace
+# that ends a line, and each error before the table is built
+TABLE_TEXTS = [
+    "2\n0 1\n1 0\n", "2\n+0 +1\n+1 -0", "2\n0_0 1\n1 0",
+    "2\n\u0660 \u0661\n\u0661 \u0660", "2\u20280 1\x1c1 0\x851\r0", "  2 0 1 1 0  ",
+    "", "\n \t\n", "x 0 1 1 0", "2.0\n0 1\n1 0", "2\n0 1\n1 x",
+    "2\n0 1\n1 0.5", "2\n0 1\n1", "2\n0 1\n1 0 0", "0", "2049",
+    "2\n0 1\n1 5", "2\n0 1\n1 -1", "2\n0 1\n1 99999999999999999999999 x",
+    "2\n0 1\n1 99999999999999999999999 0 0", "2\n0 1\n1 1",
+]
+
+
+@pytest.mark.parametrize("text", TABLE_TEXTS)
+def test_table_parse_matches_the_list_parse(text):
+    try:
+        got = from_cayley_table(text).table.tolist()
+    except GroupValidationError as exc:
+        got = str(exc)
+    assert got == _list_table_parse(text)
+
+
+def test_table_parse_holds_no_list_of_entries():
+    # parsed through lists of its million tokens and ints, this 4 MiB table
+    # peaked at 96.5 MiB
+    z1024 = build_group("zmod:1024")
+    text = format_cayley_table(z1024)
+    tracemalloc.start()
+    try:
+        g = from_cayley_table(text, "zmod:1024")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(g.table, z1024.table)
+    assert peak < 48 << 20, peak
+
+
+@pytest.mark.parametrize("indices", [range(2, 9, 3), range(0), range(10, 14),
+                                     range(-1, 2), range(2**63, 2**63 + 2)])
+def test_from_indices_reads_every_form_alike(z12, indices):
+    forms = [list(indices), indices, (i for i in indices)]
+    if all(-2**63 <= i < 2**63 for i in indices):
+        forms.append(np.array(list(indices), dtype=np.int64))
+    if all(0 <= i < 2**64 for i in indices):
+        forms.append(np.array(list(indices), dtype=np.uint64))
+    outcomes = []
+    for form in forms:
+        try:
+            outcomes.append(Subset.from_indices(z12, form))
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    assert len(forms) >= 4
+    assert all(outcome == outcomes[0] for outcome in outcomes), outcomes
+
+
 def test_unknown_descriptor_errors():
     with pytest.raises(ValueError):
         build_group("frobnicate:5")

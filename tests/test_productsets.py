@@ -18,6 +18,8 @@ from bohrlab.gen import (evens_subset, random_pm1_function, random_subset,
                          random_subset_of_size, remove_random_points,
                          rng_from_seed)
 
+from conftest import pass_all
+
 
 def _brute_product(group, a_idx, b_idx):
     return {int(group.table[x, y]) for x in a_idx for y in b_idx}
@@ -269,7 +271,8 @@ def test_four_product_one_walk_matches_four_walks(desc, seed):
     targets = [product_set(product_set(x, y), product_set(z, w)) for x, y, z, w in (
         (a, ainv, a, ainv), (ainv, a, ainv, a), (a, a, ainv, ainv), (ainv, ainv, a, a))]
     walks = [first_accepted(g, SearchSpace(),
-                            lambda s, t=t: s.realized.is_subset_of(t) or None)
+                            lambda s, t=t: s.realized.is_subset_of(t) or None,
+                            pass_all)
              for t in targets]
     assert res.status == "ok"
     assert len({(s.tau.label, s.delta) for s in res.found}) > 1
@@ -406,7 +409,7 @@ def test_shift_norm_memo_matches_the_loop(desc, p):
             return sup
 
         res = shift_invariance_search(f, p, eps, min_size=3)
-        ref = first_accepted(g, SearchSpace(), accept)
+        ref = first_accepted(g, SearchSpace(), accept, pass_all)
         assert res.status == ref.status
         assert res.candidates_scored == ref.candidates_scored
         assert repr(res.found) == repr(ref.found)
