@@ -107,97 +107,11 @@ def _realize(group: FiniteGroup, taus: list[UnitaryRep], delta: float
 
 def _spec(tau: UnitaryRep, delta: float, realized: Subset,
           boundary: tuple[int, ...]) -> BohrSpec:
+    """The spec of tau's Bohr set at delta, realized by ``_realize``."""
     # an irreducible of dim >= 2 has no basis making all its matrices diagonal
     kind = "torus" if tau.dim == (len(tau.summands) or 1) else "unitary"
     return BohrSpec(tau=tau, delta=float(delta), kind=kind, realized=realized,
                     boundary_excluded=boundary)
-
-
-def _append(buf: np.ndarray, count: int, new: np.ndarray) -> np.ndarray:
-    """``buf`` with ``new`` written past its first ``count`` rows, moved to
-    a buffer of twice the rows when it has no room. Rows already written are
-    never written again, so views of them stay valid."""
-    if count + len(new) > len(buf):
-        grown = np.empty((max(2 * len(buf), count + len(new)),) + buf.shape[1:],
-                         dtype=buf.dtype)
-        grown[:count] = buf[:count]
-        buf = grown
-    buf[count:count + len(new)] = new
-    return buf
-
-
-class _Rows:
-    """Candidates as rows, in walk order: their realized sets as one
-    read-only boolean matrix ``masks`` (a row per candidate, a column per
-    element) with their ``sizes`` beside it, and by row its direct sum,
-    delta and excluded boundary elements. A row's BohrSpec is built when
-    first asked for and kept, so a replay returns the same object; its
-    Subset is a view of the row."""
-
-    def __init__(self, group: FiniteGroup):
-        self.group = group
-        self.taus: list[UnitaryRep] = []
-        self.deltas: list[float] = []
-        self.boundary: dict[int, tuple[int, ...]] = {}
-        self.specs: list[Optional[BohrSpec]] = []
-        self._masks = self.masks = np.zeros((0, group.order), dtype=bool)
-        self._sizes = self.sizes = np.zeros(0, dtype=np.int64)
-
-    def __len__(self) -> int:
-        return len(self.taus)
-
-    def extend(self, taus: list[UnitaryRep], delta: float, masks: np.ndarray,
-               boundary: dict[int, tuple[int, ...]]) -> None:
-        """Append a block of the walk: reps at one delta, their realized
-        masks and boundary elements, as ``_realize`` gives them."""
-        count = len(self.taus)
-        self._masks = _append(self._masks, count, masks)
-        self._sizes = _append(self._sizes, count, masks.sum(axis=1))
-        self.boundary.update((count + i, b) for i, b in boundary.items())
-        self.deltas += [float(delta)] * len(taus)
-        self.specs += [None] * len(taus)
-        self.taus += taus
-        self.masks, self.sizes = self._masks[:len(self)], self._sizes[:len(self)]
-        self.masks.setflags(write=False)
-        self.sizes.setflags(write=False)
-
-    def spec(self, i: int) -> BohrSpec:
-        spec = self.specs[i]
-        if spec is None:
-            with _LOCK:  # one spec per row, however many threads ask
-                if self.specs[i] is None:
-                    self.specs[i] = _spec(self.taus[i], self.deltas[i],
-                                          Subset(self.group, self.masks[i]),
-                                          self.boundary.get(i, ()))
-                spec = self.specs[i]
-        return spec
-
-
-class CandidateSpan:
-    """Consecutive candidates of a walk, as rows: ``realized`` holds their
-    realized sets as a read-only boolean matrix (a row per candidate, a
-    column per element) and ``sizes`` their sizes; ``deltas`` and ``dims``
-    list their radii and total dimensions. ``spec(i)`` is row i's
-    BohrSpec."""
-
-    def __init__(self, rows: _Rows, start: int, stop: int):
-        self._rows, self._start, self._stop = rows, start, stop
-        self.realized = rows.masks[start:stop]
-        self.sizes = rows.sizes[start:stop]
-
-    def __len__(self) -> int:
-        return self._stop - self._start
-
-    @property
-    def deltas(self) -> list[float]:
-        return self._rows.deltas[self._start:self._stop]
-
-    @property
-    def dims(self) -> list[int]:
-        return [tau.dim for tau in self._rows.taus[self._start:self._stop]]
-
-    def spec(self, i: int) -> BohrSpec:
-        return self._rows.spec(self._start + i)
 
 
 def _check_delta(delta: float) -> None:
@@ -319,13 +233,100 @@ class SearchSpace:
 # Every group's stored walks together hold at most STORED_ENTRIES entries,
 # a candidate of a group of order n counting n + 64: its n-byte row of the
 # realized matrix, at most 16 bytes per element more for the member indices
-# a search reads and its direct sum's distances, and about 1 KB for its
-# size, delta and dimension, its direct sum and its spec once one is built.
-# So they stay under ~9 MB however many groups build_group keeps; the oldest
+# a search reads and its direct sum's distances, and about 1 KB for its size
+# and delta, its share of its direct sum and its spec once one is built. So
+# they stay under ~9 MB however many groups build_group keeps; the oldest
 # stream is dropped first.
 STORED_ENTRIES = 1 << 19
 _LOCK = threading.Lock()  # guards every stream, its rows, and _STREAMS
 _STREAMS: list[weakref.ref] = []  # oldest first; a stream dies with its group
+
+
+def _append(buf: np.ndarray, count: int, new: np.ndarray) -> np.ndarray:
+    """``buf`` with ``new`` written past its first ``count`` rows, moved to
+    a buffer of twice the rows when it has no room. Rows already written are
+    never written again, so views of them stay valid."""
+    if count + len(new) > len(buf):
+        grown = np.empty((max(2 * len(buf), count + len(new)),) + buf.shape[1:],
+                         dtype=buf.dtype)
+        grown[:count] = buf[:count]
+        buf = grown
+    buf[count:count + len(new)] = new
+    return buf
+
+
+class _Rows:
+    """Candidates as rows, in walk order: their realized sets as one
+    read-only boolean matrix ``masks`` (a row per candidate, a column per
+    element) with their ``sizes`` beside it, and by row its direct sum,
+    delta and excluded boundary elements. A row's BohrSpec is built when
+    first asked for and kept, so a replay returns the same object; its
+    Subset is a view of the row."""
+
+    def __init__(self, group: FiniteGroup):
+        self.group = group
+        self.taus: list[UnitaryRep] = []
+        self.deltas: list[float] = []
+        self.boundary: dict[int, tuple[int, ...]] = {}
+        self.specs: list[Optional[BohrSpec]] = []
+        self._masks = self.masks = np.zeros((0, group.order), dtype=bool)
+        self._sizes = self.sizes = np.zeros(0, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.taus)
+
+    def extend(self, taus: list[UnitaryRep], delta: float, masks: np.ndarray,
+               boundary: dict[int, tuple[int, ...]]) -> None:
+        """Append a block of the walk: reps at one delta, their realized
+        masks and boundary elements, as ``_realize`` gives them."""
+        count = len(self.taus)
+        self._masks = _append(self._masks, count, masks)
+        self._sizes = _append(self._sizes, count, masks.sum(axis=1))
+        self.boundary.update((count + i, b) for i, b in boundary.items())
+        self.deltas += [float(delta)] * len(taus)
+        self.specs += [None] * len(taus)
+        self.taus += taus
+        self.masks, self.sizes = self._masks[:len(self)], self._sizes[:len(self)]
+        self.masks.setflags(write=False)
+        self.sizes.setflags(write=False)
+
+    def spec(self, i: int) -> BohrSpec:
+        spec = self.specs[i]
+        if spec is None:
+            with _LOCK:  # one spec per row, however many threads ask
+                if self.specs[i] is None:
+                    self.specs[i] = _spec(self.taus[i], self.deltas[i],
+                                          Subset(self.group, self.masks[i]),
+                                          self.boundary.get(i, ()))
+                spec = self.specs[i]
+        return spec
+
+
+class CandidateSpan:
+    """Consecutive candidates of a walk, as rows: ``realized`` holds their
+    realized sets as a read-only boolean matrix (a row per candidate, a
+    column per element) and ``sizes`` their sizes; ``deltas`` and ``dims``
+    list their radii and total dimensions. ``spec(i)`` is row i's
+    BohrSpec."""
+
+    def __init__(self, rows: _Rows, start: int, stop: int):
+        self._rows, self._start, self._stop = rows, start, stop
+        self.realized = rows.masks[start:stop]
+        self.sizes = rows.sizes[start:stop]
+
+    def __len__(self) -> int:
+        return self._stop - self._start
+
+    @property
+    def deltas(self) -> list[float]:
+        return self._rows.deltas[self._start:self._stop]
+
+    @property
+    def dims(self) -> list[int]:
+        return [tau.dim for tau in self._rows.taus[self._start:self._stop]]
+
+    def spec(self, i: int) -> BohrSpec:
+        return self._rows.spec(self._start + i)
 
 
 class _Walk:
@@ -438,6 +439,7 @@ def _extend(stream: _Stream, count: int) -> tuple[CandidateSpan, Optional[_Walk]
 
 
 def _unstored(group: FiniteGroup, block: tuple) -> CandidateSpan:
+    """A block of the walk as a span of rows no stream stores."""
     rows = _Rows(group)
     rows.extend(*block)
     return CandidateSpan(rows, 0, len(rows))
@@ -521,12 +523,15 @@ def first_accepted(group: FiniteGroup, space: SearchSpace,
     empty realized sets are skipped. ``accept`` returns None to reject.
 
     The walk is read a span of candidates at a time (see ``_spans``).
-    ``screen(span)`` runs once per span and returns a boolean mask over its
-    rows: False marks a candidate that ``accept`` rejects, decided on the
-    floats ``accept`` itself compares, so dropping it changes no result.
-    A screen raises nothing, and what it reads of the search's state may
-    only grow more certain while the span is read. ``accept`` runs in order
-    on the rows the screen keeps, so a BohrSpec is built for those alone.
+    ``screen(span)`` runs once per span, before ``accept`` sees any of its
+    rows, and returns a boolean mask over them; ``accept`` then runs in
+    order on the rows it keeps, so a BohrSpec is built for those alone.
+    The screen's contract: a row it drops is one that ``accept`` rejects,
+    decided on the same floats that ``accept`` compares, and still rejects
+    after running on the span's earlier rows. A screen raises nothing; it
+    keeps a row whose test would raise, so that ``accept`` raises in order.
+    The accepted candidate and the count scored are then those of a loop
+    that calls ``accept`` on every candidate.
     """
     scored = 0
     for span in _spans(group, space):

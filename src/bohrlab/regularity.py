@@ -291,17 +291,16 @@ def search_regular_bohr(f: GroupFunction, eps: float, zeta: ZetaRule,
     thr = eps - WINDOW_GUARD
     fits: dict[bytes, bool] = {}
     max_defects: dict[bytes, float] = {}
-    # |S|/n - (|S| - 1)/n by |S|: the floats accept compares; a set of
+    # |S|/n - (|S| - 1)/n by |S|, the floats accept compares; a set of
     # fewer than two elements fits
     bound = np.arange(n + 1) / n - (np.arange(n + 1) - 1) / n
     bound[:2] = -np.inf
 
-    signed = np.stack([f.values, -f.values])[:, None, :]
-
     def screen(span: CandidateSpan) -> np.ndarray:
         # max - min of f on S, the floats _every_translate_fits compares first
-        lo, neg_hi = np.where(span.realized, signed, np.inf).min(axis=2)
-        return (-neg_hi - lo < thr) | ~(bound[span.sizes] > _allowances(zeta, span))
+        lo = np.where(span.realized, f.values, np.inf).min(axis=1)
+        hi = np.where(span.realized, f.values, -np.inf).max(axis=1)
+        return (hi - lo < thr) | ~(bound[span.sizes] > _allowances(zeta, span))
 
     def accept(spec: BohrSpec) -> Optional[RegularityCertificate]:
         realized = spec.realized

@@ -554,11 +554,12 @@ def test_threads_walk_one_group_at_once(desc, limit, monkeypatch):
         _limit_to(monkeypatch, shared, limit)
     irreps_of(shared)
     start = threading.Barrier(4)
-    got = [None] * 4
+    got, specs = [None] * 4, [None] * 4
 
     def walk(i):
         start.wait(timeout=60)
-        got[i] = [_spec_key(s) for s in enumerate_bohr_candidates(shared, space)]
+        specs[i] = list(enumerate_bohr_candidates(shared, space))
+        got[i] = [_spec_key(s) for s in specs[i]]
 
     threads = [threading.Thread(target=walk, args=(i,)) for i in range(4)]
     interval = sys.getswitchinterval()
@@ -577,6 +578,9 @@ def test_threads_walk_one_group_at_once(desc, limit, monkeypatch):
     stored = [_spec_key(stream.rows.spec(i)) for i in range(len(stream.rows))]
     assert stored == serial[:len(stored)]
     assert len(stored) <= (limit or 400)
+    # a stored row's spec is built once, whichever thread asked first
+    for i in range(len(stored)):
+        assert all(walked[i] is stream.rows.specs[i] for walked in specs)
 
 
 def test_failed_walk_stores_nothing(monkeypatch):

@@ -18,7 +18,7 @@ from bohrlab import (BohrSpec, FiniteGroup, GroupFunction, SearchSpace, ZetaRule
                      two_set_bogolyubov)
 from bohrlab import bohr, productsets, regularity
 from bohrlab.bohr import SearchResult, enumerate_bohr_candidates
-from bohrlab.convolve import overlap_function
+from bohrlab.convolve import _lp, overlap_function
 from bohrlab.gen import (random_pm1_function, random_subset,
                          random_subset_of_size, rng_from_seed)
 
@@ -59,8 +59,14 @@ def _searches(desc, seed):
                         lambda f=f, zeta=zeta: search_regular_bohr(f, 0.1, zeta, SPACE)))
         out.append((f"regularity {name} raising", lambda f=f: search_regular_bohr(
             f, 0.1, RAISING, only_2)))
-        for eps, min_size in ((0.1, 1), (0.3, 3)):
-            out.append((f"croot-sisask {name} {eps} {min_size}",
+        # below WINDOW_GUARD only one-element sets fit
+        out.append((f"regularity {name} eps 1e-13", lambda f=f: search_regular_bohr(
+            f, 1e-13, ZetaRule.constant(1e-6), SPACE)))
+        # eps at quantiles of the shift norms, so that some shifts reach it
+        norms = [_lp(f.values[g.table[t]] - f.values, 2) for t in range(1, n)]
+        for q, min_size in ((0.1, 1), (0.3, 1), (0.5, 3)):
+            eps = float(np.quantile(norms, q))
+            out.append((f"croot-sisask {name} {q} {min_size}",
                         lambda f=f, eps=eps, m=min_size: shift_invariance_search(
                             f, 2, eps, SPACE, min_size=m)))
     # dense sets have product sets of all of G, sets of three elements have
