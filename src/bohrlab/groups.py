@@ -237,6 +237,8 @@ class Subset:
 
     @classmethod
     def from_indices(cls, group: FiniteGroup, indices) -> "Subset":
+        """The subset of the given elements: an integer array as it is, any
+        other iterable of ints read through a list."""
         idx = indices
         if not (isinstance(idx, np.ndarray) and idx.dtype.kind in "iu"):
             try:
