@@ -100,9 +100,7 @@ def _realize(group: FiniteGroup, taus: list[UnitaryRep], delta: float
         boundary[i] = tuple(np.flatnonzero(near[i]).tolist())
         logger.debug("bohr_set %s delta=%g: excluded boundary elements %s",
                      taus[i].label, delta, list(boundary[i]))
-    masks = dist < delta - BOUNDARY_TOL
-    masks.setflags(write=False)  # a Subset may keep a row as its mask
-    return masks, boundary
+    return dist < delta - BOUNDARY_TOL, boundary
 
 
 def _spec(tau: UnitaryRep, delta: float, realized: Subset,
@@ -261,7 +259,8 @@ class _Rows:
     element) with their ``sizes`` beside it, and by row its direct sum,
     delta and excluded boundary elements. A row's BohrSpec is built when
     first asked for and kept, so a replay returns the same object; its
-    Subset is a view of the row."""
+    Subset owns a copy of the row, so a spec kept past its stream holds
+    its own n bytes, not the stream's matrix."""
 
     def __init__(self, group: FiniteGroup):
         self.group = group

@@ -217,16 +217,10 @@ def closure(table: np.ndarray, mark: np.ndarray) -> np.ndarray:
 
 
 class Subset:
-    """Immutable subset of a FiniteGroup, stored as a boolean mask.
-
-    A read-only, C-contiguous boolean mask is kept as given, so whoever
-    owns its data must never write it; any other mask is copied.
-    """
+    """Immutable subset of a FiniteGroup, stored as a boolean mask."""
 
     def __init__(self, group: FiniteGroup, mask):
-        if not (isinstance(mask, np.ndarray) and mask.dtype == bool
-                and mask.flags.c_contiguous and not mask.flags.writeable):
-            mask = np.array(mask, dtype=bool, order="C")
+        mask = np.array(mask, dtype=bool, order="C")
         if mask.shape != (group.order,):
             raise ValueError(f"mask length {mask.shape} != order {group.order}")
         self.group = group

@@ -157,9 +157,9 @@ def _require_pair(a: Subset, b: Subset, alpha: float) -> tuple[int, int]:
     return ratio
 
 
-def _inside(span: CandidateSpan, outside: np.ndarray) -> np.ndarray:
+def _avoids(span: CandidateSpan, outside: np.ndarray) -> np.ndarray:
     """Which candidates of a span realize a set that meets no element of
-    ``outside``, a mask: the complement of a target set."""
+    ``outside``, a mask: the sets inside the target it complements."""
     return ~(span.realized & outside).any(axis=1)
 
 
@@ -173,7 +173,7 @@ def bogolyubov_search(a: Subset, alpha: float,
     outside = ~target.mask
     return first_accepted(
         a.group, space, lambda s: s.realized.is_subset_of(target) or None,
-        lambda span: _inside(span, outside))
+        lambda span: _avoids(span, outside))
 
 
 def level_set_claim(a: Subset, b: Subset, alpha: float) -> dict:
@@ -222,7 +222,7 @@ def two_set_bogolyubov(a: Subset, b: Subset, alpha: float, zeta: ZetaRule,
     def screen(span: CandidateSpan) -> np.ndarray:
         # accept evaluates zeta before its containments, so a row whose
         # zeta raises goes to it
-        return _inside(span, outside_quad) | np.isnan(_allowances(zeta, span))
+        return _avoids(span, outside_quad) | np.isnan(_allowances(zeta, span))
 
     return first_accepted(grp, space, accept, screen)
 
@@ -256,7 +256,7 @@ def four_product_bohr(a: Subset, alpha: float,
         keep = np.zeros(len(span), dtype=bool)
         for outside, spec in zip(outsides, found):
             if spec is None:
-                keep |= _inside(span, outside)
+                keep |= _avoids(span, outside)
         return keep
 
     res = first_accepted(grp, space, accept, screen)
