@@ -2,9 +2,9 @@
 
 Every search hands ``bohr.first_accepted`` a screen that drops, a span of
 candidates at a time, candidates its ``accept`` rejects. These tests call
-``accept`` on every dropped row, and compare each search with the
-per-candidate loop ``first_accepted`` was before it read spans, kept here
-as the reference.
+``accept`` on every dropped row, and compare each search with a loop that
+calls ``accept`` on every candidate of the walk, kept here as the
+reference.
 """
 
 import math
