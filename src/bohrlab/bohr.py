@@ -13,6 +13,7 @@ import copy
 import itertools
 import logging
 import math
+import operator
 import threading
 import weakref
 from dataclasses import dataclass, field
@@ -220,6 +221,12 @@ class SearchSpace:
     max_candidates: int = 5000
 
     def __post_init__(self):
+        for name in ("max_dim", "max_summands", "max_candidates"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got "
+                                 f"{getattr(self, name)!r}") from None
         if min(self.max_dim, self.max_summands, self.max_candidates) < 1:
             raise ValueError("max_dim, max_summands and max_candidates must be >= 1")
         if not self.delta_grid:
@@ -229,103 +236,58 @@ class SearchSpace:
 
 
 # Every group's stored walks together hold at most STORED_ENTRIES entries,
-# a candidate of a group of order n counting n + 64: its n-byte row of the
-# realized matrix, at most 16 bytes per element more for the member indices
-# a search reads and its direct sum's distances, and about 1 KB for its size
-# and delta, its share of its direct sum and its spec once one is built. So
+# a candidate of a group of order n counting n + 64: its n-byte row of its
+# span's realized matrix, at most 16 bytes per element more for the member
+# indices a search reads and its direct sum's distances, and about 1 KB for
+# its size, its share of its direct sum and its spec once one is built. So
 # they stay under ~9 MB however many groups build_group keeps; the oldest
 # stream is dropped first.
 STORED_ENTRIES = 1 << 19
-_LOCK = threading.Lock()  # guards every stream, its rows, and _STREAMS
+_LOCK = threading.Lock()  # guards every stream, its spans' specs, and _STREAMS
 _STREAMS: list[weakref.ref] = []  # oldest first; a stream dies with its group
 
 
-def _append(buf: np.ndarray, count: int, new: np.ndarray) -> np.ndarray:
-    """``buf`` with ``new`` written past its first ``count`` rows, moved to
-    a buffer of twice the rows when it has no room. Rows already written are
-    never written again, so views of them stay valid."""
-    if count + len(new) > len(buf):
-        grown = np.empty((max(2 * len(buf), count + len(new)),) + buf.shape[1:],
-                         dtype=buf.dtype)
-        grown[:count] = buf[:count]
-        buf = grown
-    buf[count:count + len(new)] = new
-    return buf
+class CandidateSpan:
+    """A block of the walk: candidates of one (n, delta) level, in walk
+    order. ``taus`` are their direct sums, each of total dimension ``dim``,
+    ``realized`` their realized sets as a read-only boolean matrix (a row
+    per candidate, a column per element) and ``sizes`` their sizes;
+    ``boundary`` maps a row to the boundary elements it excludes, where
+    there are any. ``spec(i)`` is row i's BohrSpec, built when first asked
+    for and kept, so a replay returns the same object; its Subset owns a
+    copy of the row, so a spec kept past its stream holds its own n bytes,
+    not the span's matrix."""
 
-
-class _Rows:
-    """Candidates as rows, in walk order: their realized sets as one
-    read-only boolean matrix ``masks`` (a row per candidate, a column per
-    element) with their ``sizes`` beside it, and by row its direct sum,
-    delta and excluded boundary elements. A row's BohrSpec is built when
-    first asked for and kept, so a replay returns the same object; its
-    Subset owns a copy of the row, so a spec kept past its stream holds
-    its own n bytes, not the stream's matrix."""
-
-    def __init__(self, group: FiniteGroup):
-        self.group = group
-        self.taus: list[UnitaryRep] = []
-        self.deltas: list[float] = []
-        self.boundary: dict[int, tuple[int, ...]] = {}
-        self.specs: list[Optional[BohrSpec]] = []
-        self._masks = self.masks = np.zeros((0, group.order), dtype=bool)
-        self._sizes = self.sizes = np.zeros(0, dtype=np.int64)
+    def __init__(self, taus: list[UnitaryRep], delta: float,
+                 realized: np.ndarray, boundary: dict[int, tuple[int, ...]]):
+        self.taus, self.delta, self.boundary = taus, float(delta), boundary
+        self.dim = taus[0].dim if taus else 0
+        self.realized, self.sizes = realized, realized.sum(axis=1)
+        realized.setflags(write=False)
+        self.sizes.setflags(write=False)
+        self.specs: list[Optional[BohrSpec]] = [None] * len(taus)
 
     def __len__(self) -> int:
         return len(self.taus)
 
-    def extend(self, taus: list[UnitaryRep], delta: float, masks: np.ndarray,
-               boundary: dict[int, tuple[int, ...]]) -> None:
-        """Append a block of the walk: reps at one delta, their realized
-        masks and boundary elements, as ``_realize`` gives them."""
-        count = len(self.taus)
-        self._masks = _append(self._masks, count, masks)
-        self._sizes = _append(self._sizes, count, masks.sum(axis=1))
-        self.boundary.update((count + i, b) for i, b in boundary.items())
-        self.deltas += [float(delta)] * len(taus)
-        self.specs += [None] * len(taus)
-        self.taus += taus
-        self.masks, self.sizes = self._masks[:len(self)], self._sizes[:len(self)]
-        self.masks.setflags(write=False)
-        self.sizes.setflags(write=False)
+    def head(self, count: int) -> CandidateSpan:
+        """The span's first ``count`` candidates, sharing its specs."""
+        head = copy.copy(self)
+        head.taus = self.taus[:count]
+        head.realized, head.sizes = self.realized[:count], self.sizes[:count]
+        return head
 
     def spec(self, i: int) -> BohrSpec:
         spec = self.specs[i]
         if spec is None:
             with _LOCK:  # one spec per row, however many threads ask
                 if self.specs[i] is None:
-                    self.specs[i] = _spec(self.taus[i], self.deltas[i],
-                                          Subset(self.group, self.masks[i]),
+                    tau = self.taus[i]
+                    self.specs[i] = _spec(tau, self.delta,
+                                          Subset(tau.group, self.realized[i]),
                                           self.boundary.get(i, ()))
                 spec = self.specs[i]
         return spec
-
-
-class CandidateSpan:
-    """Consecutive candidates of a walk, as rows: ``realized`` holds their
-    realized sets as a read-only boolean matrix (a row per candidate, a
-    column per element) and ``sizes`` their sizes; ``deltas`` and ``dims``
-    list their radii and total dimensions. ``spec(i)`` is row i's
-    BohrSpec."""
-
-    def __init__(self, rows: _Rows, start: int, stop: int):
-        self._rows, self._start, self._stop = rows, start, stop
-        self.realized = rows.masks[start:stop]
-        self.sizes = rows.sizes[start:stop]
-
-    def __len__(self) -> int:
-        return self._stop - self._start
-
-    @property
-    def deltas(self) -> list[float]:
-        return self._rows.deltas[self._start:self._stop]
-
-    @property
-    def dims(self) -> list[int]:
-        return [tau.dim for tau in self._rows.taus[self._start:self._stop]]
-
-    def spec(self, i: int) -> BohrSpec:
-        return self._rows.spec(self._start + i)
 
 
 class _Walk:
@@ -352,10 +314,9 @@ class _Walk:
                 for combo in itertools.combinations(range(len(self.irreps)), count)
                 if sum(self.irreps[i].dim for i in combo) == n]
 
-    def block(self, count: int) -> tuple:
+    def block(self, count: int) -> CandidateSpan:
         """The next at most ``count`` candidates, all of one (n, delta)
-        level, as (reps, delta, masks, boundary) for ``_Rows.extend``; no
-        reps once the walk is done."""
+        level, realized as one span; an empty span once the walk is done."""
         while self.start == len(self.combos):
             if self.d + 1 < len(self.grid):
                 self.d, self.start = self.d + 1, 0
@@ -370,27 +331,29 @@ class _Walk:
             direct_sum_hom([self.irreps[i] for i in combo])
             for combo in self.combos[self.start:stop]]
         delta = self.grid[self.d]
-        block = (taus, delta, *_realize(self.group, taus, delta))
+        span = CandidateSpan(taus, delta, *_realize(self.group, taus, delta))
         if not self.d:
             self.taus = self.taus + taus  # rebound, so a copied walk keeps its own
         self.start = stop
-        return block
+        return span
 
 
 class _Stream:
-    """A group's stored walk under one key: the candidates it produced so
-    far, as rows, and the walk positioned after the last of them. A stream
-    that is dropped, or cannot grow within STORED_ENTRIES, stops growing."""
+    """A group's stored walk under one key: the spans it produced so far,
+    ``count`` candidates in all, and the walk positioned after the last of
+    them. A stream that is dropped, or cannot grow within STORED_ENTRIES,
+    stops growing."""
 
     def __init__(self, group: FiniteGroup, key: tuple):
         self.group, self.key = group, key
         self.cost = group.order + 64  # entries per candidate, see STORED_ENTRIES
-        self.rows = _Rows(group)
+        self.spans: list[CandidateSpan] = []
+        self.count = 0
         self.walk: Optional[_Walk] = None
         self.growing = True
 
     def entries(self) -> int:
-        return len(self.rows) * self.cost
+        return self.count * self.cost
 
 
 def _stream(group: FiniteGroup, key: tuple) -> _Stream:
@@ -428,59 +391,52 @@ def _extend(stream: _Stream, count: int) -> tuple[CandidateSpan, Optional[_Walk]
     unstored. A block that raises leaves the stream as it was. Called under
     _LOCK."""
     walk = copy.copy(stream.walk or _Walk(stream.group, stream.key))
-    block = walk.block(count)
-    if not _room(stream, len(block[0])):
-        return _unstored(stream.group, block), walk
+    span = walk.block(count)
+    if not _room(stream, len(span)):
+        return span, walk
     stream.walk = walk
-    start = len(stream.rows)
-    stream.rows.extend(*block)
-    return CandidateSpan(stream.rows, start, len(stream.rows)), None
-
-
-def _unstored(group: FiniteGroup, block: tuple) -> CandidateSpan:
-    """A block of the walk as a span of rows no stream stores."""
-    rows = _Rows(group)
-    rows.extend(*block)
-    return CandidateSpan(rows, 0, len(rows))
+    stream.spans.append(span)  # an empty span, stored once, ends every replay
+    stream.count += len(span)
+    return span, None
 
 
 def _spans(group: FiniteGroup, space: SearchSpace) -> Iterator[CandidateSpan]:
-    """The candidate walk of ``space`` on ``group``, a span at a time.
+    """The candidate walk of ``space`` on ``group``, a span at a time: each
+    span is one block of one (n, delta) level.
 
     The walk depends on the group and on the key (the sorted distinct delta
-    grid, max_dim, max_summands) alone, so the group stores the candidates
-    it produces: a later walk replays them, cut at its own budget, and
-    extends the stored walk only past them. Each (n, delta) level is
-    realized a block of candidates at a time by the kernel behind
-    ``bohr_set``. A walk's new blocks start at 8 candidates and double, up
-    to max(1, BLOCK_ENTRIES // |G|), so a search that accepts early builds
-    few candidates past it; none passes its budget. A walk that finds its
-    stream full goes on from the stream's position without storing. Each
-    new block is one span; stored candidates are replayed in spans that
-    grow the same way, from 8, and may cross levels.
+    grid, max_dim, max_summands) alone, so the group stores the spans it
+    produces: a later walk replays them in order, the last cut at its own
+    budget, and extends the stored walk only past them. Each block is
+    realized by the kernel behind ``bohr_set``. A walk's new blocks start
+    at 8 candidates and double, up to max(1, BLOCK_ENTRIES // |G|), so a
+    search that accepts early builds few candidates past it; none passes
+    its budget. A walk that finds its stream full goes on from the stream's
+    position without storing.
     """
     key = (tuple(sorted(set(space.delta_grid), reverse=True)),
            space.max_dim, space.max_summands)
     stream = _stream(group, key)
     widest = max(1, BLOCK_ENTRIES // group.order)
-    size = replay = min(8, widest)
-    done, walk = 0, None
+    size = min(8, widest)
+    done, replayed, walk = 0, 0, None
     while done < space.max_candidates:
         left = space.max_candidates - done
         if walk is None:
             with _LOCK:
-                if done < len(stream.rows):
-                    span = CandidateSpan(stream.rows, done, min(
-                        len(stream.rows), done + min(replay, left)))
-                    replay = min(2 * replay, widest)
+                if replayed < len(stream.spans):
+                    span = stream.spans[replayed]
                 else:
                     span, walk = _extend(stream, min(size, left))
                     size = min(2 * size, widest)
+                replayed += 1
         else:
-            span = _unstored(group, walk.block(min(size, left)))
+            span = walk.block(min(size, left))
             size = min(2 * size, widest)
         if not len(span):
             return
+        if len(span) > left:
+            span = span.head(left)
         yield span
         done += len(span)
 
@@ -521,10 +477,11 @@ def first_accepted(group: FiniteGroup, space: SearchSpace,
     Every candidate of the walk up to the accepted one counts as scored;
     empty realized sets are skipped. ``accept`` returns None to reject.
 
-    The walk is read a span of candidates at a time (see ``_spans``).
-    ``screen(span)`` runs once per span, before ``accept`` sees any of its
-    rows, and returns a boolean mask over them; ``accept`` then runs in
-    order on the rows it keeps, so a BohrSpec is built for those alone.
+    The walk is read a span at a time, each span a block of candidates of
+    one (n, delta) level (see ``_spans``). ``screen(span)`` runs once per
+    span, before ``accept`` sees any of its rows, and returns a boolean
+    mask over them; ``accept`` then runs in order on the rows it keeps, so
+    a BohrSpec is built for those alone.
     The screen's contract: a row it drops is one that ``accept`` rejects,
     decided on the same floats that ``accept`` compares, and still rejects
     after running on the span's earlier rows. A screen raises nothing; it

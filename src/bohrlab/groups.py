@@ -58,7 +58,7 @@ class FiniteGroup:
         self._abelian: bool | None = None
         self._orders: np.ndarray | None = None
         self._irreps = None  # filled by reps.irreps_of
-        self._streams = {}  # stored candidate walks, see bohr.enumerate_bohr_candidates
+        self._streams = {}  # stored candidate walks, see bohr._spans
 
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])

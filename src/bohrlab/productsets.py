@@ -20,7 +20,7 @@ from .convolve import _lp, overlap_function
 from .gen import random_subset_of_size, rng_from_seed
 from .groups import (FiniteGroup, GroupFunction, Subset, check_eps,
                      inverse_set, product_set)
-from .regularity import ZetaRule, _allowances
+from .regularity import ZetaRule, _allowance
 from .reps import direct_sum_hom
 
 
@@ -222,7 +222,7 @@ def two_set_bogolyubov(a: Subset, b: Subset, alpha: float, zeta: ZetaRule,
     def screen(span: CandidateSpan) -> np.ndarray:
         # accept evaluates zeta before its containments, so a row whose
         # zeta raises goes to it
-        return _avoids(span, outside_quad) | np.isnan(_allowances(zeta, span))
+        return _avoids(span, outside_quad) | math.isnan(_allowance(zeta, span))
 
     return first_accepted(grp, space, accept, screen)
 

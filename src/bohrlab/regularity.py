@@ -9,7 +9,6 @@ the first whose worst translate defect fits the zeta budget.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
@@ -247,22 +246,13 @@ def translate_defect(f: GroupFunction, spec: BohrSpec,
                                  max_defect=max_defect)
 
 
-def _allowances(zeta: ZetaRule, span: CandidateSpan) -> np.ndarray | float:
-    """zeta(delta, n) for each row of a candidate span, NaN where the rule
-    raises, evaluated once per run of rows with equal (delta, n); a float
-    when the rule is constant."""
-    if zeta.kind == "const":
-        return zeta.params[0]
-    out = np.empty(len(span))
-    start = 0
-    for (delta, dim), run in itertools.groupby(zip(span.deltas, span.dims)):
-        stop = start + sum(1 for _ in run)
-        try:
-            out[start:stop] = zeta.value(delta, dim)
-        except ValueError:  # accept raises it, in order
-            out[start:stop] = np.nan
-        start = stop
-    return out
+def _allowance(zeta: ZetaRule, span: CandidateSpan) -> float:
+    """zeta(delta, n) for every row of a candidate span, NaN where the rule
+    raises."""
+    try:
+        return zeta.value(span.delta, span.dim)
+    except ValueError:  # accept raises it, in order
+        return math.nan
 
 
 def search_regular_bohr(f: GroupFunction, eps: float, zeta: ZetaRule,
@@ -300,7 +290,7 @@ def search_regular_bohr(f: GroupFunction, eps: float, zeta: ZetaRule,
         # max - min of f on S, the floats _every_translate_fits compares first
         lo = np.where(span.realized, f.values, np.inf).min(axis=1)
         hi = np.where(span.realized, f.values, -np.inf).max(axis=1)
-        return (hi - lo < thr) | ~(bound[span.sizes] > _allowances(zeta, span))
+        return (hi - lo < thr) | ~(bound[span.sizes] > _allowance(zeta, span))
 
     def accept(spec: BohrSpec) -> Optional[RegularityCertificate]:
         realized = spec.realized

@@ -89,7 +89,7 @@ for workload in sys.argv[3:]:
                 continue
             digest.update(json.dumps(payload, sort_keys=True).encode() + b"\\n")
         digests.setdefault(workload, []).append(digest.hexdigest())
-streams = sorted((g.descriptor, len(s.rows), s.growing)
+streams = sorted((g.descriptor, s.count, s.growing)
                  for g in groups._SHARED.values() for s in g._streams.values())
 print(json.dumps({"digests": digests, "streams": streams}))
 """

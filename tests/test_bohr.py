@@ -383,9 +383,9 @@ def test_boundary_candidates_share_a_block(z12, z12_chars):
     # at delta 1.0, chi1 and chi2 have elements at distance exactly 1, while
     # chi0 and chi3 have none; the first block of the walk holds all four
     expected = {"chi0": (), "chi1": (2, 10), "chi2": (1, 5, 7, 11), "chi3": ()}
-    rows = bohr._Rows(z12)
-    rows.extend(z12_chars[:4], 1.0, *bohr._realize(z12, z12_chars[:4], 1.0))
-    block = [rows.spec(i) for i in range(len(rows))]
+    span = bohr.CandidateSpan(z12_chars[:4], 1.0,
+                              *bohr._realize(z12, z12_chars[:4], 1.0))
+    block = [span.spec(i) for i in range(len(span))]
     walk = enumerate_bohr_candidates(z12, SearchSpace(delta_grid=(1.0,)))
     for spec, walked in zip(block, walk):
         assert spec.boundary_excluded == expected[spec.tau.label]
@@ -483,6 +483,38 @@ def test_replay_matches_an_unshared_walk(desc, space):
             fresh[:budget]
 
 
+@pytest.mark.parametrize("space", sorted(REPLAY_SPACES))
+@pytest.mark.parametrize("desc", REPLAY_GROUPS)
+def test_spans_hold_one_level_each(desc, space, monkeypatch):
+    # every span is a block of one (n, delta) level: on a fresh walk, a full
+    # replay, replays cut at budgets 1, 9 and half the walk, most inside a
+    # stored span, and a walk past a storage limit of 40; a replay hands out
+    # the stored spans' own specs
+    space = REPLAY_SPACES[space]
+    table = build_group(desc).table
+    fresh = [_spec_key(s) for s in enumerate_bohr_candidates(
+        FiniteGroup(table, desc), space)]
+    g = FiniteGroup(table, desc)
+    budgets = [len(fresh), len(fresh), 1, 9, len(fresh) // 2 + 1]
+    walks = [list(bohr._spans(g, dataclasses.replace(space, max_candidates=b)))
+             for b in budgets]
+    (stream,) = g._streams.values()
+    limited = FiniteGroup(table, desc)
+    _limit_to(monkeypatch, limited, 40)
+    walks.append(list(bohr._spans(limited, space)))
+    budgets.append(len(fresh))
+    for walk, budget in zip(walks, budgets):
+        specs = [span.spec(i) for span in walk for i in range(len(span))]
+        assert [_spec_key(s) for s in specs] == fresh[:budget]
+        for span in walk:
+            assert all(tau.dim == span.dim for tau in span.taus)
+            assert all(span.spec(i).delta == span.delta
+                       for i in range(len(span)))
+    for walk in walks[1:5]:
+        for stored, span in zip(stream.spans, walk):
+            assert all(span.spec(i) is stored.spec(i) for i in range(len(span)))
+
+
 def _limit_to(monkeypatch, group, specs):
     """Let the stored walks hold ``specs`` specs of ``group`` in all."""
     monkeypatch.setattr(bohr, "STORED_ENTRIES", specs * (group.order + 64))
@@ -507,7 +539,7 @@ def test_walks_past_the_storage_limit(desc, monkeypatch):
         walk = enumerate_bohr_candidates(unshared, SearchSpace(max_candidates=budget))
         assert [_spec_key(s) for s in walk] == fresh[:budget]
         assert len(built) == max(0, min(budget, len(fresh)) - stored)
-        stored = sum(len(s.rows) for s in unshared._streams.values())
+        stored = sum(s.count for s in unshared._streams.values())
         assert stored <= 40
     assert stored == min(40, len(fresh))
 
@@ -521,7 +553,7 @@ def test_storage_limit_drops_the_oldest_stream(monkeypatch):
         assert sum(1 for _ in enumerate_bohr_candidates(g, space)) == 100
     # three walks of 100 specs do not fit together: the first is dropped
     assert not groups[0]._streams
-    assert [len(s.rows) for g in groups[1:] for s in g._streams.values()] == [
+    assert [s.count for g in groups[1:] for s in g._streams.values()] == [
         100, 100]
     live = [s for s in (ref() for ref in bohr._STREAMS) if s is not None]
     assert sum(s.entries() for s in live) <= bohr.STORED_ENTRIES
@@ -575,12 +607,12 @@ def test_threads_walk_one_group_at_once(desc, limit, monkeypatch):
     assert got == [serial] * 4
     # a lost or doubled block would break the stored prefix
     (stream,) = shared._streams.values()
-    stored = [_spec_key(stream.rows.spec(i)) for i in range(len(stream.rows))]
-    assert stored == serial[:len(stored)]
-    assert len(stored) <= (limit or 400)
+    stored = [span.spec(i) for span in stream.spans for i in range(len(span))]
+    assert [_spec_key(s) for s in stored] == serial[:len(stored)]
+    assert len(stored) == stream.count <= (limit or 400)
     # a stored row's spec is built once, whichever thread asked first
-    for i in range(len(stored)):
-        assert all(walked[i] is stream.rows.specs[i] for walked in specs)
+    for i, spec in enumerate(stored):
+        assert all(walked[i] is spec for walked in specs)
 
 
 def test_failed_walk_stores_nothing(monkeypatch):
@@ -588,7 +620,7 @@ def test_failed_walk_stores_nothing(monkeypatch):
     g = FiniteGroup(build_group("zmod:12").table, "zmod:12")
     list(enumerate_bohr_candidates(g, SearchSpace(max_candidates=10)))
     (stream,) = g._streams.values()
-    stored, walk = list(stream.rows.taus), stream.walk
+    spans, count, walk = list(stream.spans), stream.count, stream.walk
 
     def fail(*args):
         raise MemoryError
@@ -596,8 +628,8 @@ def test_failed_walk_stores_nothing(monkeypatch):
     monkeypatch.setattr(bohr, "_realize", fail)
     with pytest.raises(MemoryError):
         list(enumerate_bohr_candidates(g, SearchSpace(max_candidates=30)))
-    assert stream.rows.taus == stored and stream.walk is walk
-    assert len(stream.rows.masks) == len(stored)
+    assert stream.spans == spans and stream.walk is walk
+    assert stream.count == count == sum(map(len, spans))
     monkeypatch.undo()
     fresh = [_spec_key(s) for s in enumerate_bohr_candidates(
         FiniteGroup(g.table, "zmod:12"), SearchSpace(max_candidates=30))]
@@ -610,6 +642,15 @@ def test_failed_walk_stores_nothing(monkeypatch):
 def test_search_space_checks_the_grid(grid):
     with pytest.raises(ValueError, match="delta"):
         SearchSpace(delta_grid=grid)
+
+
+@pytest.mark.parametrize("field,value", [("max_dim", 2.5),
+                                         ("max_summands", 1.5),
+                                         ("max_candidates", 20.0),
+                                         ("max_candidates", "20")])
+def test_search_space_takes_integer_counts(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SearchSpace(**{field: value})
 
 
 def test_nm_contained_in_plain(q8):

@@ -159,14 +159,15 @@ def test_replay_builds_specs_only_for_rows_the_screen_keeps(monkeypatch):
     for _ in bohr._spans(g, space):
         pass
     (stream,) = g._streams.values()
-    assert len(stream.rows) == 150 and stream.rows.specs == [None] * 150
+    assert stream.count == 150
+    assert all(spec is None for span in stream.spans for spec in span.specs)
     kept = set()
 
     def recording(group, space, accept, screen):
         def record(span):
             keep = screen(span)
             nonempty = keep & (span.sizes > 0)
-            kept.update(span._start + i for i in np.flatnonzero(nonempty).tolist())
+            kept.update((span, i) for i in np.flatnonzero(nonempty).tolist())
             return keep
         return bohr.first_accepted(group, space, accept, record)
 
@@ -178,6 +179,7 @@ def test_replay_builds_specs_only_for_rows_the_screen_keeps(monkeypatch):
     res = search_regular_bohr(GroupFunction(g, values), 0.5,
                               ZetaRule.constant(1e-6), space)
     assert res.status == "none-within-budget" and res.candidates_scored == 150
-    built = {i for i, spec in enumerate(stream.rows.specs) if spec is not None}
+    built = {(span, i) for span in stream.spans
+             for i, spec in enumerate(span.specs) if spec is not None}
     assert built == kept
     assert 0 < len(kept) < 150 // 4
