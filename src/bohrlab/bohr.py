@@ -9,19 +9,16 @@ exists in the stored basis.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import logging
 import math
 import operator
-import threading
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Generic, Iterator, Optional, TypeVar
 
 import numpy as np
 
-from .groups import BLOCK_ENTRIES, FiniteGroup, Subset, inverse_set
+from .groups import BLOCK_ENTRIES, FiniteGroup, Subset, inverse_set, row_blocks
 from .reps import UnitaryRep, direct_sum_hom, irreps_of
 
 logger = logging.getLogger("bohrlab.bohr")
@@ -74,42 +71,30 @@ def bohr_set(group: FiniteGroup, tau: UnitaryRep, delta: float) -> BohrSpec:
     """The (delta, U(n))-Bohr neighborhood {g : ||tau(g) - I||_op < delta}.
 
     Membership is strict (open ball); elements whose distance sits within
-    1e-12 of delta are excluded and logged as boundary cases. This is the
-    one-candidate case of the block kernel the candidate walk uses.
+    1e-12 of delta are excluded and logged as boundary cases. The candidate
+    walk makes the same comparisons through its level table.
     """
     if tau.group is not group:
         raise ValueError("tau is not a representation of the given group")
-    masks, boundary = _realize(group, [tau], delta)
-    return _spec(tau, delta, Subset(group, masks[0]), boundary.get(0, ()))
-
-
-def _realize(group: FiniteGroup, taus: list[UnitaryRep], delta: float
-             ) -> tuple[np.ndarray, dict[int, tuple[int, ...]]]:
-    """The Bohr sets of a block of reps of ``group`` at one delta: a boolean
-    matrix with a row per rep, and the boundary elements each row excludes,
-    by row where there are any.
-
-    The block's identity distances are stacked and compared with delta in
-    one pass. Raises ValueError for a delta outside (0, 2].
-    """
     _check_delta(delta)
-    dist = np.array([tau.identity_distances() for tau in taus]).reshape(
-        len(taus), group.order)
-    near = np.abs(dist - delta) <= BOUNDARY_TOL
-    boundary = {}
-    for i in np.flatnonzero(near.any(axis=1)).tolist():
-        boundary[i] = tuple(np.flatnonzero(near[i]).tolist())
+    dist = tau.identity_distances()
+    return _spec(tau, delta, dist, dist < delta - BOUNDARY_TOL)
+
+
+def _spec(tau: UnitaryRep, delta: float, dist: np.ndarray,
+          realized: np.ndarray) -> BohrSpec:
+    """The spec of tau's Bohr set at delta, given tau's distance row and
+    the mask ``dist < delta - BOUNDARY_TOL``; the elements whose distance
+    is within BOUNDARY_TOL of delta are logged as the boundary it
+    excludes."""
+    boundary = tuple(np.flatnonzero(np.abs(dist - delta) <= BOUNDARY_TOL).tolist())
+    if boundary:
         logger.debug("bohr_set %s delta=%g: excluded boundary elements %s",
-                     taus[i].label, delta, list(boundary[i]))
-    return dist < delta - BOUNDARY_TOL, boundary
-
-
-def _spec(tau: UnitaryRep, delta: float, realized: Subset,
-          boundary: tuple[int, ...]) -> BohrSpec:
-    """The spec of tau's Bohr set at delta, realized by ``_realize``."""
+                     tau.label, delta, list(boundary))
     # an irreducible of dim >= 2 has no basis making all its matrices diagonal
     kind = "torus" if tau.dim == (len(tau.summands) or 1) else "unitary"
-    return BohrSpec(tau=tau, delta=float(delta), kind=kind, realized=realized,
+    return BohrSpec(tau=tau, delta=float(delta), kind=kind,
+                    realized=Subset(tau.group, realized),
                     boundary_excluded=boundary)
 
 
@@ -235,210 +220,110 @@ class SearchSpace:
             _check_delta(delta)
 
 
-# Every group's stored walks together hold at most STORED_ENTRIES entries,
-# a candidate of a group of order n counting n + 64: its n-byte row of its
-# span's realized matrix, at most 16 bytes per element more for the member
-# indices a search reads and its direct sum's distances, and about 1 KB for
-# its size, its share of its direct sum and its spec once one is built. So
-# they stay under ~9 MB however many groups build_group keeps; the oldest
-# stream is dropped first.
-STORED_ENTRIES = 1 << 19
-_LOCK = threading.Lock()  # guards every stream, its spans' specs, and _STREAMS
-_STREAMS: list[weakref.ref] = []  # oldest first; a stream dies with its group
-
-
 class CandidateSpan:
     """A block of the walk: candidates of one (n, delta) level, in walk
-    order. ``taus`` are their direct sums, each of total dimension ``dim``,
-    ``realized`` their realized sets as a read-only boolean matrix (a row
-    per candidate, a column per element) and ``sizes`` their sizes;
-    ``boundary`` maps a row to the boundary elements it excludes, where
-    there are any. ``spec(i)`` is row i's BohrSpec, built when first asked
-    for and kept, so a replay returns the same object; its Subset owns a
-    copy of the row, so a spec kept past its stream holds its own n bytes,
-    not the span's matrix."""
+    order. Row i is the direct sum of the irreps ``combos[i]`` indexes
+    (increasing, padded by repeating the last index), of total dimension
+    ``dim``; ``realized`` holds the rows' realized sets as a boolean matrix
+    (a row per candidate, a column per element) and ``sizes`` their sizes.
+    ``spec(i)`` builds row i's direct sum and BohrSpec, so a search builds
+    them only for the rows it reads."""
 
-    def __init__(self, taus: list[UnitaryRep], delta: float,
-                 realized: np.ndarray, boundary: dict[int, tuple[int, ...]]):
-        self.taus, self.delta, self.boundary = taus, float(delta), boundary
-        self.dim = taus[0].dim if taus else 0
+    def __init__(self, irreps: list[UnitaryRep], combos: np.ndarray,
+                 delta: float, dim: int, realized: np.ndarray):
+        self.irreps, self.combos = irreps, combos
+        self.delta, self.dim = float(delta), dim
         self.realized, self.sizes = realized, realized.sum(axis=1)
-        realized.setflags(write=False)
-        self.sizes.setflags(write=False)
-        self.specs: list[Optional[BohrSpec]] = [None] * len(taus)
 
     def __len__(self) -> int:
-        return len(self.taus)
-
-    def head(self, count: int) -> CandidateSpan:
-        """The span's first ``count`` candidates, sharing its specs."""
-        head = copy.copy(self)
-        head.taus = self.taus[:count]
-        head.realized, head.sizes = self.realized[:count], self.sizes[:count]
-        return head
+        return len(self.combos)
 
     def spec(self, i: int) -> BohrSpec:
-        spec = self.specs[i]
-        if spec is None:
-            with _LOCK:  # one spec per row, however many threads ask
-                if self.specs[i] is None:
-                    tau = self.taus[i]
-                    self.specs[i] = _spec(tau, self.delta,
-                                          Subset(tau.group, self.realized[i]),
-                                          self.boundary.get(i, ()))
-                spec = self.specs[i]
-        return spec
+        tau = direct_sum_hom([self.irreps[k]
+                              for k in sorted(set(self.combos[i].tolist()))])
+        return _spec(tau, self.delta, tau.identity_distances(), self.realized[i])
 
 
-class _Walk:
-    """The candidate walk of one group under one key, resumable from its
-    position: the total dimension n, the index of delta in the grid and the
-    offset into the level's combos. ``taus`` holds the direct sums of the
-    level's combos built so far, which every later delta of the level reuses.
+def _level_table(group: FiniteGroup, irreps: list[UnitaryRep],
+                 grid: tuple[float, ...]) -> np.ndarray:
+    """The level table L of the irreps under the grid delta_0 > delta_1 >
+    ...: L[k, g] counts the i with d_k(g) < delta_i - BOUNDARY_TOL, d_k
+    being irrep k's distance row, in the smallest unsigned dtype that holds
+    len(grid).
+
+    Those thresholds do not increase with i, so d_k(g) < delta_i -
+    BOUNDARY_TOL exactly when L[k, g] > i. A direct sum's distance is the
+    max of its summands', so a candidate C realizes at delta_i exactly
+    {g : min over k in C of L[k, g] > i}, on the floats ``bohr_set``
+    compares. The group keeps the table of the last grid it was searched
+    under. A table is built in row blocks, and published whole by one
+    assignment.
     """
-
-    def __init__(self, group: FiniteGroup, key: tuple):
-        self.group = group
-        self.grid, max_dim, self.max_summands = key
-        self.irreps = irreps_of(group)
-        dims = sorted((rep.dim for rep in self.irreps), reverse=True)
-        self.top = min(max_dim, sum(dims[:self.max_summands]))
-        self.n, self.d, self.start = 0, len(self.grid) - 1, 0
-        self.combos: list[tuple[int, ...]] = []
-        self.taus: list[UnitaryRep] = []
-
-    def _combos(self, n: int) -> list[tuple[int, ...]]:
-        # at most n summands, as each has dim >= 1; lex order is preference order
-        return [combo
-                for count in range(1, min(n, self.max_summands) + 1)
-                for combo in itertools.combinations(range(len(self.irreps)), count)
-                if sum(self.irreps[i].dim for i in combo) == n]
-
-    def block(self, count: int) -> CandidateSpan:
-        """The next at most ``count`` candidates, all of one (n, delta)
-        level, realized as one span; an empty span once the walk is done."""
-        while self.start == len(self.combos):
-            if self.d + 1 < len(self.grid):
-                self.d, self.start = self.d + 1, 0
-            elif self.n < self.top:
-                combos = self._combos(self.n + 1)
-                self.n, self.d, self.start = self.n + 1, 0, 0
-                self.combos, self.taus = combos, []
-            else:
-                break
-        stop = min(self.start + count, len(self.combos))
-        taus = self.taus[self.start:stop] if self.d else [
-            direct_sum_hom([self.irreps[i] for i in combo])
-            for combo in self.combos[self.start:stop]]
-        delta = self.grid[self.d]
-        span = CandidateSpan(taus, delta, *_realize(self.group, taus, delta))
-        if not self.d:
-            self.taus = self.taus + taus  # rebound, so a copied walk keeps its own
-        self.start = stop
-        return span
+    slot = group._levels
+    if slot is not None and slot[0] == grid:
+        return slot[1]
+    table = np.zeros((len(irreps), group.order),
+                     dtype=np.min_scalar_type(len(grid)))
+    for rows in row_blocks(len(irreps), group.order):
+        dist = np.array([rep.identity_distances() for rep in irreps[rows]])
+        for delta in grid:
+            table[rows] += dist < delta - BOUNDARY_TOL
+    group._levels = (grid, table)
+    return table
 
 
-class _Stream:
-    """A group's stored walk under one key: the spans it produced so far,
-    ``count`` candidates in all, and the walk positioned after the last of
-    them. A stream that is dropped, or cannot grow within STORED_ENTRIES,
-    stops growing."""
-
-    def __init__(self, group: FiniteGroup, key: tuple):
-        self.group, self.key = group, key
-        self.cost = group.order + 64  # entries per candidate, see STORED_ENTRIES
-        self.spans: list[CandidateSpan] = []
-        self.count = 0
-        self.walk: Optional[_Walk] = None
-        self.growing = True
-
-    def entries(self) -> int:
-        return self.count * self.cost
-
-
-def _stream(group: FiniteGroup, key: tuple) -> _Stream:
-    with _LOCK:
-        stream = group._streams.get(key)
-        if stream is None:
-            stream = group._streams[key] = _Stream(group, key)
-            _STREAMS.append(weakref.ref(stream))
-        return stream
-
-
-def _room(stream: _Stream, count: int) -> bool:
-    """Whether ``count`` more candidates may be stored on ``stream``,
-    dropping the oldest other streams to make room. Called under _LOCK."""
-    need = count * stream.cost
-    if not stream.growing or stream.entries() + need > STORED_ENTRIES:
-        stream.growing = False
-        return False
-    live = [s for s in (ref() for ref in _STREAMS) if s is not None]
-    total = sum(s.entries() for s in live) + need
-    for old in [s for s in live if s is not stream]:
-        if total <= STORED_ENTRIES:
-            break
-        total -= old.entries()
-        old.growing = False
-        live.remove(old)
-        del old.group._streams[old.key]  # a registered stream is its group's
-    _STREAMS[:] = [weakref.ref(s) for s in live]
-    return True
-
-
-def _extend(stream: _Stream, count: int) -> tuple[CandidateSpan, Optional[_Walk]]:
-    """The stream's next block of at most ``count`` candidates, stored if
-    it fits, with None; else the block and the walk past it, to go on with
-    unstored. A block that raises leaves the stream as it was. Called under
-    _LOCK."""
-    walk = copy.copy(stream.walk or _Walk(stream.group, stream.key))
-    span = walk.block(count)
-    if not _room(stream, len(span)):
-        return span, walk
-    stream.walk = walk
-    stream.spans.append(span)  # an empty span, stored once, ends every replay
-    stream.count += len(span)
-    return span, None
+def _combos(group: FiniteGroup, irreps: list[UnitaryRep], n: int,
+            width: int) -> np.ndarray:
+    """Level n's combos of at most ``width`` <= n summands: every set of
+    that many irreps of total dimension n, fewer summands first, then
+    lexicographic, one row each of increasing indices padded to ``width``
+    by repeating the last. Generated straight into the array and kept on
+    the group."""
+    combos = group._combos.get((n, width))
+    if combos is None:
+        dims = [rep.dim for rep in irreps]
+        rows = (combo + combo[-1:] * (width - count)
+                for count in range(1, width + 1) if count * max(dims) >= n
+                for combo in itertools.combinations(range(len(irreps)), count)
+                if sum(dims[k] for k in combo) == n)
+        combos = np.fromiter(itertools.chain.from_iterable(rows),
+                             np.min_scalar_type(len(irreps) - 1)
+                             ).reshape(-1, width)
+        group._combos[(n, width)] = combos
+    return combos
 
 
 def _spans(group: FiniteGroup, space: SearchSpace) -> Iterator[CandidateSpan]:
     """The candidate walk of ``space`` on ``group``, a span at a time: each
-    span is one block of one (n, delta) level.
+    span is one block of one (n, delta) level, realized from the group's
+    level table (see ``_level_table``).
 
-    The walk depends on the group and on the key (the sorted distinct delta
-    grid, max_dim, max_summands) alone, so the group stores the spans it
-    produces: a later walk replays them in order, the last cut at its own
-    budget, and extends the stored walk only past them. Each block is
-    realized by the kernel behind ``bohr_set``. A walk's new blocks start
-    at 8 candidates and double, up to max(1, BLOCK_ENTRIES // |G|), so a
-    search that accepts early builds few candidates past it; none passes
-    its budget. A walk that finds its stream full goes on from the stream's
-    position without storing.
+    Blocks start at 8 candidates and double, up to max(1, BLOCK_ENTRIES //
+    |G|); each ends at its level's edge and at the budget, so a search that
+    accepts early realizes few candidates past it. Every search walks
+    afresh: what it reads off the group (its irreps, level table and
+    combos) depends on the group and the sorted distinct grid alone.
     """
-    key = (tuple(sorted(set(space.delta_grid), reverse=True)),
-           space.max_dim, space.max_summands)
-    stream = _stream(group, key)
+    grid = tuple(sorted(set(space.delta_grid), reverse=True))
+    irreps = irreps_of(group)
+    levels = _level_table(group, irreps, grid)
+    dims = sorted([rep.dim for rep in irreps], reverse=True)
+    top = min(space.max_dim, sum(dims[:space.max_summands]))
     widest = max(1, BLOCK_ENTRIES // group.order)
-    size = min(8, widest)
-    done, replayed, walk = 0, 0, None
-    while done < space.max_candidates:
-        left = space.max_candidates - done
-        if walk is None:
-            with _LOCK:
-                if replayed < len(stream.spans):
-                    span = stream.spans[replayed]
-                else:
-                    span, walk = _extend(stream, min(size, left))
-                    size = min(2 * size, widest)
-                replayed += 1
-        else:
-            span = walk.block(min(size, left))
-            size = min(2 * size, widest)
-        if not len(span):
+    size, left = min(8, widest), space.max_candidates
+    for n in range(1, top + 1):
+        if not left:
             return
-        if len(span) > left:
-            span = span.head(left)
-        yield span
-        done += len(span)
+        # at most n summands, as each has dim >= 1
+        combos = _combos(group, irreps, n, min(n, space.max_summands))
+        for i, delta in enumerate(grid):
+            start = 0
+            while left and start < len(combos):
+                block = combos[start:start + min(size, left)]
+                realized = np.minimum.reduce(levels.take(block.T, axis=0)) > i
+                yield CandidateSpan(irreps, block, delta, n, realized)
+                start, left = start + len(block), left - len(block)
+                size = min(2 * size, widest)
 
 
 def enumerate_bohr_candidates(group: FiniteGroup,
@@ -448,9 +333,8 @@ def enumerate_bohr_candidates(group: FiniteGroup,
     Order: smaller total dimension n first, then larger delta, then fewer
     irrep summands, then lexicographic irrep indices. Stops after
     ``space.max_candidates`` yields, or once n passes the largest total
-    dimension that ``space.max_summands`` irreps reach. The candidates come
-    from the group's stored walk (see ``_spans``); a stored candidate's
-    spec is built once and yielded again on every replay.
+    dimension that ``space.max_summands`` irreps reach. Each call walks
+    afresh (see ``_spans``) and builds a spec per candidate it yields.
     """
     for span in _spans(group, space):
         for i in range(len(span)):
@@ -478,10 +362,10 @@ def first_accepted(group: FiniteGroup, space: SearchSpace,
     empty realized sets are skipped. ``accept`` returns None to reject.
 
     The walk is read a span at a time, each span a block of candidates of
-    one (n, delta) level (see ``_spans``). ``screen(span)`` runs once per
-    span, before ``accept`` sees any of its rows, and returns a boolean
-    mask over them; ``accept`` then runs in order on the rows it keeps, so
-    a BohrSpec is built for those alone.
+    one (n, delta) level of a fresh walk (see ``_spans``). ``screen(span)``
+    runs once per span, before ``accept`` sees any of its rows, and returns
+    a boolean mask over them; ``accept`` then runs in order on the rows it
+    keeps, so a direct sum and a BohrSpec are built for those alone.
     The screen's contract: a row it drops is one that ``accept`` rejects,
     decided on the same floats that ``accept`` compares, and still rejects
     after running on the span's earlier rows. A screen raises nothing; it

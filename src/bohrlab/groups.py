@@ -58,7 +58,8 @@ class FiniteGroup:
         self._abelian: bool | None = None
         self._orders: np.ndarray | None = None
         self._irreps = None  # filled by reps.irreps_of
-        self._streams = {}  # stored candidate walks, see bohr._spans
+        self._levels = None  # (grid, level table), see bohr._level_table
+        self._combos = {}  # the Bohr walk's combos by level, see bohr._combos
 
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
@@ -448,12 +449,15 @@ def _perm_parity(p: tuple[int, ...]) -> int:
 
 
 # Catalog groups by descriptor, oldest first, while their squared orders sum
-# to at most SHARED_ORDER_SQ. A kept group holds at most 4 + 16 + 8 bytes per
-# n^2 entry (table, nonabelian irreps' matrices, the distances a Bohr search
-# reads): about 28 MB. Abelian characters hold 1 or 2 bytes of phase and 8 of
-# distance per entry, and 16 more only once their matrices are read.
-# Its stored candidate walks come on top, within the process-wide
-# bohr.STORED_ENTRIES (about 9 MB for every group together).
+# to at most SHARED_ORDER_SQ. A kept group holds at most 4 + 16 + 8 + 1 bytes
+# per n^2 entry (table, nonabelian irreps' matrices, the distances a Bohr
+# search reads, and its level table of 1 byte per irrep and element for a
+# grid of up to 255 radii): about 29 MB. Abelian characters hold 1 or 2
+# bytes of phase and 8 of distance per entry, and 16 more only once their
+# matrices are read. The combos of each level a Bohr walk entered come on
+# top, 1 or 2 bytes per summand: at most 2 bytes per entry for the pairs of
+# an abelian group, and about n^3 / 6 combos at the level past them, which
+# only a budget past every pair reaches.
 SHARED_ORDER_SQ = 1 << 20
 _SHARED: dict[str, FiniteGroup] = {}
 
@@ -464,8 +468,8 @@ def build_group(descriptor: str) -> FiniteGroup:
     Supported forms: ``zmod:n``, ``product:<d1>,<d2>,...`` (comma-separated
     atomic descriptors), ``dihedral:n``, ``quaternion:8``, ``sym:n`` and
     ``alt:n`` for n <= 5, and ``file:<path>`` for a Cayley-table text file.
-    A catalog descriptor gives one shared object, with its irreps and stored
-    candidate walks, while it is kept (see SHARED_ORDER_SQ); a ``file:``
+    A catalog descriptor gives one shared object, with its irreps, level
+    table and combos, while it is kept (see SHARED_ORDER_SQ); a ``file:``
     table is read on every call, as the file may change.
     """
     descriptor = descriptor.strip()

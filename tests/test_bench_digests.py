@@ -5,8 +5,8 @@ each fixture.
 One child process with one BLAS thread (the irreps payload of dihedral:50
 depends on the thread count) builds each workload's experiment list and
 runs it twice through ``cli.run_experiment``, hashing the payloads as the
-benchmark's child process does. The second pass replays every candidate
-walk the first one stored on the shared groups.
+benchmark's child process does. The second pass searches the shared groups
+with the irreps, level tables and combos the first one left on them.
 """
 
 import json
@@ -62,19 +62,11 @@ FIXTURE_DIGESTS = {
         "22fa3998cbdb90886afbcf6d9f1e3a8665041d15c5db926de9840e4d99aa9e8e",
 }
 
-# The walks the runs leave stored, as (group, specs): every one fits the
-# storage limit (about 229k of bohr.STORED_ENTRIES = 524k entries) and none
-# stopped growing. A walk stores whole blocks, so these counts include the
-# candidates a search built past the one it accepted.
-STREAMS = [["alt:5", 11], ["dihedral:12", 61], ["dihedral:30", 128],
-           ["sym:4", 175], ["zmod:101", 150], ["zmod:101", 707],
-           ["zmod:12", 8], ["zmod:200", 60], ["zmod:200", 120], ["zmod:60", 8]]
-
 CHILD = """
 import hashlib, json, sys
 sys.path.insert(0, sys.argv[1])
 import workloads
-from bohrlab import cli, groups
+from bohrlab import cli
 
 digests = {}
 for workload in sys.argv[3:]:
@@ -89,9 +81,7 @@ for workload in sys.argv[3:]:
                 continue
             digest.update(json.dumps(payload, sort_keys=True).encode() + b"\\n")
         digests.setdefault(workload, []).append(digest.hexdigest())
-streams = sorted((g.descriptor, s.count, s.growing)
-                 for g in groups._SHARED.values() for s in g._streams.values())
-print(json.dumps({"digests": digests, "streams": streams}))
+print(json.dumps(digests))
 """
 
 
@@ -119,18 +109,17 @@ def _run_child(tmp_path, *args, code=CHILD):
 
 def test_seed_101_digests_hold_on_a_replay(tmp_path):
     out = _run_child(tmp_path, LABBENCH, 101, *DIGESTS)
-    assert out["digests"] == {w: [d, d] for w, d in DIGESTS.items()}
-    assert out["streams"] == [[*stream, True] for stream in STREAMS]
+    assert out == {w: [d, d] for w, d in DIGESTS.items()}
 
 
 def test_seed_7_nonabelian_digest_holds_on_a_replay(tmp_path):
     out = _run_child(tmp_path, LABBENCH, 7, "nonabelian-mix")
-    assert out["digests"] == {"nonabelian-mix": [SEED_7_NONABELIAN] * 2}
+    assert out == {"nonabelian-mix": [SEED_7_NONABELIAN] * 2}
 
 
 def test_seed_7_ladder_digest_holds_on_a_replay(tmp_path):
     out = _run_child(tmp_path, LABBENCH, 7, "ladder-pilot")
-    assert out["digests"] == {"ladder-pilot": [SEED_7_LADDER] * 2}
+    assert out == {"ladder-pilot": [SEED_7_LADDER] * 2}
 
 
 def test_fixture_payload_digests(tmp_path):
@@ -170,14 +159,14 @@ def test_seed_101_abelian_search_traces_every_distance_read(tmp_path):
     # a rep class that overrode UnitaryRep.identity_distances would take
     # its reads out of the benchmark's reps.distances span and counter
     calls = _traced_calls(tmp_path, "abelian-search")
-    assert calls["reps.distances"] == 1053
-    assert calls["reps.direct_sum"] == 398
-    assert calls["reps.irreps"] == 6
+    assert calls["reps.distances"] == 387
+    assert calls["reps.direct_sum"] == 14
+    assert calls["reps.irreps"] == 24  # one per search
 
 
 def test_seed_101_nonabelian_mix_traces_every_distance_read(tmp_path):
-    # the walk reads each candidate's distances and builds each level's
-    # direct sums whether or not a search builds the candidate's spec
+    # a level table reads each irrep's distances; a search builds a direct
+    # sum, and reads its distances, for each row its screen keeps alone
     calls = _traced_calls(tmp_path, "nonabelian-mix")
-    assert calls["reps.distances"] == 570
-    assert calls["reps.direct_sum"] == 86
+    assert calls["reps.distances"] == 255
+    assert calls["reps.direct_sum"] == 116

@@ -1,5 +1,4 @@
 import dataclasses
-import gc
 import itertools
 import math
 import sys
@@ -9,8 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bohrlab import (FiniteGroup, SearchSpace, Subset, ZetaRule, abelian_characters,
-                     bogolyubov_search, bohr_set, build_group,
+from bohrlab import (FiniteGroup, GroupFunction, SearchSpace, Subset, ZetaRule,
+                     abelian_characters, bogolyubov_search, bohr_set, build_group,
                      catalog_descriptors, cover_bound_check,
                      decompose_regular, direct_sum_hom,
                      enumerate_bohr_candidates, greedy_cover, inverse_set,
@@ -20,7 +19,8 @@ from bohrlab import (FiniteGroup, SearchSpace, Subset, ZetaRule, abelian_charact
 from bohrlab import bohr
 from bohrlab.bohr import NoDiagonalRefinementError
 from bohrlab.cli import KINDS
-from bohrlab.gen import evens_subset, random_pm1_function, rng_from_seed
+from bohrlab.gen import (evens_subset, random_pm1_function,
+                         random_subset_of_size, rng_from_seed)
 from bohrlab.regularity import _all_subgroups
 
 
@@ -359,33 +359,62 @@ def _scalar_spec(tau, delta):
     return mask, float(delta), "torus" if flat else "unitary", boundary
 
 
-@pytest.mark.parametrize("desc", ["zmod:12", "zmod:101", "dihedral:12", "sym:4",
-                                  "alt:5", "quaternion:8",
-                                  "product:zmod:2,zmod:6"])
-def test_block_kernel_matches_scalar_reference(desc, monkeypatch):
+REPLAY_GROUPS = ["zmod:12", "zmod:101", "dihedral:12", "sym:4", "alt:5",
+                 "product:zmod:2,zmod:6"]
+REPLAY_SPACES = {"default": SearchSpace(),
+                 "one summand": SearchSpace(max_summands=1, max_candidates=150),
+                 "custom grid": SearchSpace(delta_grid=(0.3, 1.7, 1.0, 0.3),
+                                            max_dim=4, max_candidates=300)}
+
+
+@pytest.mark.parametrize("desc,space", [
+    pytest.param(desc, space, id=desc if space == "default" else f"{desc}-{space}")
+    for desc in ["zmod:12", "zmod:101", "dihedral:12", "sym:4", "alt:5",
+                 "quaternion:8", "product:zmod:2,zmod:6"]
+    for space in sorted(REPLAY_SPACES)])
+def test_block_kernel_matches_scalar_reference(desc, space, monkeypatch):
+    space = REPLAY_SPACES[space]
     g = build_group(desc)
-    specs = list(enumerate_bohr_candidates(g, SearchSpace()))
+    specs = list(enumerate_bohr_candidates(g, space))
     assert specs
     for spec in specs:
         mask, delta, kind, boundary = _scalar_spec(spec.tau, spec.delta)
         assert np.array_equal(spec.realized.mask, mask), spec.tau.label
         assert (spec.delta, spec.kind, spec.boundary_excluded) == (
             delta, kind, boundary), spec.tau.label
-    # blocks of one candidate give the same walk; an unshared group has no
-    # stored walk to replay, so this one runs the kernel
+    # blocks of one candidate give the same walk, on a group that builds
+    # its own level table
     monkeypatch.setattr(bohr, "BLOCK_ENTRIES", 1)
-    single = list(enumerate_bohr_candidates(FiniteGroup(g.table, desc),
-                                            SearchSpace()))
+    single = list(enumerate_bohr_candidates(FiniteGroup(g.table, desc), space))
     assert [_spec_key(s) for s in single] == [_spec_key(s) for s in specs]
+
+
+@pytest.mark.parametrize("desc", ["zmod:101", "sym:4"])
+def test_each_grid_walks_as_on_a_fresh_group(desc):
+    # a group keeps the level table of its last grid only: walking grid A,
+    # then B, then A again replaces it twice, and each walk is a fresh
+    # group's
+    table = build_group(desc).table
+    g = FiniteGroup(table, desc)
+    grids = [(2.0, 0.5, 0.1), (1.7, 1.0, 0.3), (2.0, 0.5, 0.1)]
+    for grid in grids:
+        space = SearchSpace(delta_grid=grid, max_candidates=400)
+        fresh = [_spec_key(s) for s in enumerate_bohr_candidates(
+            FiniteGroup(table, desc), space)]
+        assert [_spec_key(s) for s in enumerate_bohr_candidates(g, space)] \
+            == fresh
+        assert g._levels[0] == grid
 
 
 def test_boundary_candidates_share_a_block(z12, z12_chars):
     # at delta 1.0, chi1 and chi2 have elements at distance exactly 1, while
-    # chi0 and chi3 have none; the first block of the walk holds all four
+    # chi0 and chi3 have none; the walk's first block at delta 1.0 holds all
+    # four
     expected = {"chi0": (), "chi1": (2, 10), "chi2": (1, 5, 7, 11), "chi3": ()}
-    span = bohr.CandidateSpan(z12_chars[:4], 1.0,
-                              *bohr._realize(z12, z12_chars[:4], 1.0))
-    block = [span.spec(i) for i in range(len(span))]
+    span = next(span for span in bohr._spans(z12, SearchSpace())
+                if span.delta == 1.0)
+    block = [span.spec(i) for i in range(4)]
+    assert [spec.tau.label for spec in block] == list(expected)
     walk = enumerate_bohr_candidates(z12, SearchSpace(delta_grid=(1.0,)))
     for spec, walked in zip(block, walk):
         assert spec.boundary_excluded == expected[spec.tau.label]
@@ -459,19 +488,12 @@ def test_abelian_searches_leave_the_character_matrices_unbuilt():
         assert not any("matrices" in vars(rep) for rep in irreps_of(g))
 
 
-REPLAY_GROUPS = ["zmod:12", "zmod:101", "dihedral:12", "sym:4", "alt:5",
-                 "product:zmod:2,zmod:6"]
-REPLAY_SPACES = {"default": SearchSpace(),
-                 "one summand": SearchSpace(max_summands=1, max_candidates=150),
-                 "custom grid": SearchSpace(delta_grid=(0.3, 1.7, 1.0, 0.3),
-                                            max_dim=4, max_candidates=300)}
-
-
 @pytest.mark.parametrize("space", sorted(REPLAY_SPACES))
 @pytest.mark.parametrize("desc", REPLAY_GROUPS)
 def test_replay_matches_an_unshared_walk(desc, space):
-    # the shared group stores its walk on the first call and replays it on
-    # the next, cut at each budget; an unshared copy walks afresh
+    # the shared group keeps its level table and combos from the first call
+    # and walks again on them, cut at each budget; an unshared copy builds
+    # its own
     space = REPLAY_SPACES[space]
     g = build_group(desc)
     fresh = [_spec_key(s) for s in enumerate_bohr_candidates(
@@ -485,115 +507,59 @@ def test_replay_matches_an_unshared_walk(desc, space):
 
 @pytest.mark.parametrize("space", sorted(REPLAY_SPACES))
 @pytest.mark.parametrize("desc", REPLAY_GROUPS)
-def test_spans_hold_one_level_each(desc, space, monkeypatch):
-    # every span is a block of one (n, delta) level: on a fresh walk, a full
-    # replay, replays cut at budgets 1, 9 and half the walk, most inside a
-    # stored span, and a walk past a storage limit of 40; a replay hands out
-    # the stored spans' own specs
+def test_spans_hold_one_level_each(desc, space):
+    # every span is a block of one (n, delta) level, on walks cut at
+    # budgets 1, 9 and half the walk, most inside a span, and on the whole
+    # walk
     space = REPLAY_SPACES[space]
-    table = build_group(desc).table
+    g = build_group(desc)
     fresh = [_spec_key(s) for s in enumerate_bohr_candidates(
-        FiniteGroup(table, desc), space)]
-    g = FiniteGroup(table, desc)
-    budgets = [len(fresh), len(fresh), 1, 9, len(fresh) // 2 + 1]
-    walks = [list(bohr._spans(g, dataclasses.replace(space, max_candidates=b)))
-             for b in budgets]
-    (stream,) = g._streams.values()
-    limited = FiniteGroup(table, desc)
-    _limit_to(monkeypatch, limited, 40)
-    walks.append(list(bohr._spans(limited, space)))
-    budgets.append(len(fresh))
-    for walk, budget in zip(walks, budgets):
+        FiniteGroup(g.table, desc), space)]
+    for budget in (len(fresh), 1, 9, len(fresh) // 2 + 1):
+        walk = list(bohr._spans(g, dataclasses.replace(space, max_candidates=budget)))
         specs = [span.spec(i) for span in walk for i in range(len(span))]
         assert [_spec_key(s) for s in specs] == fresh[:budget]
         for span in walk:
-            assert all(tau.dim == span.dim for tau in span.taus)
-            assert all(span.spec(i).delta == span.delta
+            assert all(span.spec(i).tau.dim == span.dim
+                       and span.spec(i).delta == span.delta
                        for i in range(len(span)))
-    for walk in walks[1:5]:
-        for stored, span in zip(stream.spans, walk):
-            assert all(span.spec(i) is stored.spec(i) for i in range(len(span)))
 
 
-def _limit_to(monkeypatch, group, specs):
-    """Let the stored walks hold ``specs`` specs of ``group`` in all."""
-    monkeypatch.setattr(bohr, "STORED_ENTRIES", specs * (group.order + 64))
-
-
-@pytest.mark.parametrize("desc", REPLAY_GROUPS)
-def test_walks_past_the_storage_limit(desc, monkeypatch):
-    # budgets below, at and past a limit of 40 specs: a walk replays the
-    # stored 40 and builds only the candidates after them, unstored
-    g = build_group(desc)
-    fresh = [_spec_key(s) for s in enumerate_bohr_candidates(
-        FiniteGroup(g.table, desc), SearchSpace())]
-    unshared = FiniteGroup(g.table, desc)
-    _limit_to(monkeypatch, unshared, 40)
-    built = []
-    real_realize = bohr._realize
-    monkeypatch.setattr(bohr, "_realize", lambda group, taus, delta: (
-        built.extend(taus), real_realize(group, taus, delta))[1])
-    stored = 0
-    for budget in (39, 40, 41, 200, len(fresh), 200):
-        built.clear()
-        walk = enumerate_bohr_candidates(unshared, SearchSpace(max_candidates=budget))
-        assert [_spec_key(s) for s in walk] == fresh[:budget]
-        assert len(built) == max(0, min(budget, len(fresh)) - stored)
-        stored = sum(s.count for s in unshared._streams.values())
-        assert stored <= 40
-    assert stored == min(40, len(fresh))
-
-
-def test_storage_limit_drops_the_oldest_stream(monkeypatch):
-    groups = [FiniteGroup(build_group(d).table, d)
-              for d in ("zmod:12", "zmod:13", "zmod:14")]
-    monkeypatch.setattr(bohr, "STORED_ENTRIES", 250 * (12 + 64))
-    space = SearchSpace(max_candidates=100)
-    for g in groups:
-        assert sum(1 for _ in enumerate_bohr_candidates(g, space)) == 100
-    # three walks of 100 specs do not fit together: the first is dropped
-    assert not groups[0]._streams
-    assert [s.count for g in groups[1:] for s in g._streams.values()] == [
-        100, 100]
-    live = [s for s in (ref() for ref in bohr._STREAMS) if s is not None]
-    assert sum(s.entries() for s in live) <= bohr.STORED_ENTRIES
-    # a dropped stream's group walks afresh, and stores again
-    assert sum(1 for _ in enumerate_bohr_candidates(groups[0], space)) == 100
-    assert not groups[1]._streams and len(groups[0]._streams) == 1
-
-
-def test_a_stream_dies_with_its_group():
-    g = FiniteGroup(build_group("zmod:30").table, "zmod:30")
-    list(enumerate_bohr_candidates(g, SearchSpace(max_candidates=50)))
-    ref = bohr._STREAMS[-1]
-    assert ref() is next(iter(g._streams.values()))
-    del g
-    gc.collect()
-    assert ref() is None
-
-
-@pytest.mark.parametrize("limit", [None, 25])
 @pytest.mark.parametrize("desc", ["zmod:101", "dihedral:30"])
-def test_threads_walk_one_group_at_once(desc, limit, monkeypatch):
-    # four threads extend one stored walk at once, switching often; each
-    # sees the serial sequence, with and without a storage limit inside it
-    g = build_group(desc)
-    space = SearchSpace(max_candidates=400)
-    serial = [_spec_key(s) for s in enumerate_bohr_candidates(
-        FiniteGroup(g.table, desc), space)]
-    shared = FiniteGroup(g.table, desc)
-    if limit:
-        _limit_to(monkeypatch, shared, limit)
-    irreps_of(shared)
+def test_threads_walk_one_group_at_once(desc):
+    # four threads run two searches each under two grids on one cold shared
+    # group, switching often, so its level table is built and replaced
+    # under them; each gets the results of serial searches on fresh groups
+    table = build_group(desc).table
+    values = random_pm1_function(FiniteGroup(table, desc), rng_from_seed(1)).values
+    members = random_subset_of_size(FiniteGroup(table, desc), 4,
+                                    rng_from_seed(3)).indices
+    grids = [SearchSpace(max_candidates=400),
+             SearchSpace(delta_grid=(1.5, 0.75, 0.3), max_candidates=400)]
+
+    def searches(g, order):
+        f = GroupFunction(g, values)
+        a = Subset.from_indices(g, members)
+        out = []
+        for space in (grids[k] for k in order):
+            for res in (search_regular_bohr(f, 0.1, ZetaRule.constant(1e-6), space),
+                        bogolyubov_search(a, 2 / g.order, space)):
+                out.append((res.status, res.candidates_scored,
+                            res.spec and _spec_key(res.spec)))
+        return out
+
+    orders = [(0, 1), (1, 0), (0, 1), (1, 0)]
+    serial = [searches(FiniteGroup(table, desc), order) for order in orders]
+    assert {scored for run in serial for _, scored, _ in run} != {1}
+    shared = FiniteGroup(table, desc)
     start = threading.Barrier(4)
-    got, specs = [None] * 4, [None] * 4
+    got = [None] * 4
 
-    def walk(i):
+    def run(i):
         start.wait(timeout=60)
-        specs[i] = list(enumerate_bohr_candidates(shared, space))
-        got[i] = [_spec_key(s) for s in specs[i]]
+        got[i] = searches(shared, orders[i])
 
-    threads = [threading.Thread(target=walk, args=(i,)) for i in range(4)]
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -604,37 +570,35 @@ def test_threads_walk_one_group_at_once(desc, limit, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert got == [serial] * 4
-    # a lost or doubled block would break the stored prefix
-    (stream,) = shared._streams.values()
-    stored = [span.spec(i) for span in stream.spans for i in range(len(span))]
-    assert [_spec_key(s) for s in stored] == serial[:len(stored)]
-    assert len(stored) == stream.count <= (limit or 400)
-    # a stored row's spec is built once, whichever thread asked first
-    for i, spec in enumerate(stored):
-        assert all(walked[i] is spec for walked in specs)
+    assert got == serial
 
 
 def test_failed_walk_stores_nothing(monkeypatch):
-    # a block that raises past a stored prefix leaves the stream as it was
+    # a level table build that raises after some of its rows leaves the
+    # group's last table in place, and the next search is a fresh group's
     g = FiniteGroup(build_group("zmod:12").table, "zmod:12")
     list(enumerate_bohr_candidates(g, SearchSpace(max_candidates=10)))
-    (stream,) = g._streams.values()
-    spans, count, walk = list(stream.spans), stream.count, stream.walk
+    levels = g._levels
+    space = SearchSpace(delta_grid=(1.5, 0.5), max_candidates=30)
+    rep_type = type(irreps_of(g)[0])
+    real = rep_type.identity_distances
+    read = []
 
-    def fail(*args):
-        raise MemoryError
+    def fail(rep):
+        read.append(rep)
+        if len(read) > 5:
+            raise MemoryError
+        return real(rep)
 
-    monkeypatch.setattr(bohr, "_realize", fail)
+    monkeypatch.setattr(rep_type, "identity_distances", fail)
     with pytest.raises(MemoryError):
-        list(enumerate_bohr_candidates(g, SearchSpace(max_candidates=30)))
-    assert stream.spans == spans and stream.walk is walk
-    assert stream.count == count == sum(map(len, spans))
+        list(enumerate_bohr_candidates(g, space))
+    assert g._levels is levels
     monkeypatch.undo()
     fresh = [_spec_key(s) for s in enumerate_bohr_candidates(
-        FiniteGroup(g.table, "zmod:12"), SearchSpace(max_candidates=30))]
-    assert [_spec_key(s) for s in enumerate_bohr_candidates(
-        g, SearchSpace(max_candidates=30))] == fresh
+        FiniteGroup(g.table, "zmod:12"), space)]
+    assert [_spec_key(s) for s in enumerate_bohr_candidates(g, space)] == fresh
+    assert g._levels[0] == space.delta_grid
 
 
 @pytest.mark.parametrize("grid", [(), (2.0, -1.0), (2.0, math.nan),

@@ -191,7 +191,8 @@ def test_out_of_range_parameters_error(tmp_path, capsys, kind, keys, message):
 def test_bad_delta_grid_errors_wherever_the_walk_stops(tmp_path, capsys, kind,
                                                        keys, grid):
     # the bogolyubov search accepts at delta 2.0, before it reaches -1; each
-    # config runs twice in one process, so a stored walk cannot hide the fault
+    # config runs twice in one process, so state kept on the group cannot
+    # hide the fault
     cfg = tmp_path / "c.ini"
     cfg.write_text(f"[experiment]\ngroup = zmod:12\nseed = 1\n{keys}"
                    f"delta_grid = {grid}\n")

@@ -151,17 +151,16 @@ def test_raising_zeta_raises_in_order():
                             SearchSpace(delta_grid=(2.0,), max_candidates=300))
 
 
-def test_replay_builds_specs_only_for_rows_the_screen_keeps(monkeypatch):
-    # walk a fresh group's stream without searching: every row is stored and
-    # no spec is built; the search then replays it
+def test_builds_specs_only_for_rows_the_screen_keeps(monkeypatch):
     g = FiniteGroup(build_group("zmod:101").table, "zmod:101")
     space = SearchSpace(max_summands=1, max_candidates=150)
-    for _ in bohr._spans(g, space):
-        pass
-    (stream,) = g._streams.values()
-    assert stream.count == 150
-    assert all(spec is None for span in stream.spans for spec in span.specs)
-    kept = set()
+    # the rows the screen keeps, and every CandidateSpan.spec call
+    kept, built = set(), []
+    real_spec = bohr.CandidateSpan.spec
+
+    def spec(span, i):
+        built.append((span, i))
+        return real_spec(span, i)
 
     def recording(group, space, accept, screen):
         def record(span):
@@ -171,6 +170,7 @@ def test_replay_builds_specs_only_for_rows_the_screen_keeps(monkeypatch):
             return keep
         return bohr.first_accepted(group, space, accept, record)
 
+    monkeypatch.setattr(bohr.CandidateSpan, "spec", spec)
     monkeypatch.setattr(regularity, "first_accepted", recording)
     # f is constant off three elements: the screen keeps the sets that miss
     # them, and accept rejects those too, as some translate meets them
@@ -179,7 +179,5 @@ def test_replay_builds_specs_only_for_rows_the_screen_keeps(monkeypatch):
     res = search_regular_bohr(GroupFunction(g, values), 0.5,
                               ZetaRule.constant(1e-6), space)
     assert res.status == "none-within-budget" and res.candidates_scored == 150
-    built = {(span, i) for span in stream.spans
-             for i, spec in enumerate(span.specs) if spec is not None}
-    assert built == kept
+    assert set(built) == kept and len(built) == len(kept)  # once each
     assert 0 < len(kept) < 150 // 4
