@@ -525,17 +525,19 @@ def test_spans_hold_one_level_each(desc, space):
                        for i in range(len(span)))
 
 
+@pytest.mark.parametrize("budget", [None, 25])
 @pytest.mark.parametrize("desc", ["zmod:101", "dihedral:30"])
-def test_threads_walk_one_group_at_once(desc):
+def test_threads_walk_one_group_at_once(desc, budget):
     # four threads run two searches each under two grids on one cold shared
     # group, switching often, so its level table is built and replaced
-    # under them; each gets the results of serial searches on fresh groups
+    # under them; each gets the results of serial searches on fresh groups,
+    # with the whole budget of 400 candidates and with walks cut at 25
     table = build_group(desc).table
     values = random_pm1_function(FiniteGroup(table, desc), rng_from_seed(1)).values
     members = random_subset_of_size(FiniteGroup(table, desc), 4,
                                     rng_from_seed(3)).indices
-    grids = [SearchSpace(max_candidates=400),
-             SearchSpace(delta_grid=(1.5, 0.75, 0.3), max_candidates=400)]
+    grids = [SearchSpace(max_candidates=budget or 400),
+             SearchSpace(delta_grid=(1.5, 0.75, 0.3), max_candidates=budget or 400)]
 
     def searches(g, order):
         f = GroupFunction(g, values)
