@@ -295,35 +295,30 @@ def _combos(group: FiniteGroup, irreps: list[UnitaryRep], n: int,
 
 def _spans(group: FiniteGroup, space: SearchSpace) -> Iterator[CandidateSpan]:
     """The candidate walk of ``space`` on ``group``, a span at a time: each
-    span is one block of one (n, delta) level, realized from the group's
-    level table (see ``_level_table``).
-
-    Blocks start at 8 candidates and double, up to max(1, BLOCK_ENTRIES //
-    |G|); each ends at its level's edge and at the budget, so a search that
-    accepts early realizes few candidates past it. Every search walks
-    afresh: what it reads off the group (its irreps, level table and
-    combos) depends on the group and the sorted distinct grid alone.
+    span holds the next max(1, BLOCK_ENTRIES // |G|) candidates of one
+    (n, delta) level, fewer at the level's edge and at the budget, realized
+    from the group's level table (see ``_level_table``). Every search walks
+    afresh: what it reads off the group (its irreps, level table and combos)
+    depends on the group and the sorted distinct grid alone.
     """
     grid = tuple(sorted(set(space.delta_grid), reverse=True))
     irreps = irreps_of(group)
     levels = _level_table(group, irreps, grid)
     dims = sorted([rep.dim for rep in irreps], reverse=True)
     top = min(space.max_dim, sum(dims[:space.max_summands]))
-    widest = max(1, BLOCK_ENTRIES // group.order)
-    size, left = min(8, widest), space.max_candidates
+    size, left = max(1, BLOCK_ENTRIES // group.order), space.max_candidates
     for n in range(1, top + 1):
         if not left:
             return
         # at most n summands, as each has dim >= 1
         combos = _combos(group, irreps, n, min(n, space.max_summands))
         for i, delta in enumerate(grid):
-            start = 0
-            while left and start < len(combos):
-                block = combos[start:start + min(size, left)]
+            walked = combos[:left]
+            for start in range(0, len(walked), size):
+                block = walked[start:start + size]
                 realized = np.minimum.reduce(levels.take(block.T, axis=0)) > i
                 yield CandidateSpan(irreps, block, delta, n, realized)
-                start, left = start + len(block), left - len(block)
-                size = min(2 * size, widest)
+            left -= len(walked)
 
 
 def enumerate_bohr_candidates(group: FiniteGroup,
@@ -366,12 +361,13 @@ def first_accepted(group: FiniteGroup, space: SearchSpace,
     runs once per span, before ``accept`` sees any of its rows, and returns
     a boolean mask over them; ``accept`` then runs in order on the rows it
     keeps, so a direct sum and a BohrSpec are built for those alone.
-    The screen's contract: a row it drops is one that ``accept`` rejects,
-    decided on the same floats that ``accept`` compares, and still rejects
-    after running on the span's earlier rows. A screen raises nothing; it
-    keeps a row whose test would raise, so that ``accept`` raises in order.
-    The accepted candidate and the count scored are then those of a loop
-    that calls ``accept`` on every candidate.
+    The screen's contract: it reads only its span and values fixed before
+    the walk, so where spans end changes no mask; a row it drops is one
+    that ``accept`` rejects, whatever ran before it, decided on the same
+    floats that ``accept`` compares. A screen raises nothing; it keeps a
+    row whose test would raise, so that ``accept`` raises in order. The
+    accepted candidate and the count scored are then those of a loop that
+    calls ``accept`` on every candidate.
     """
     scored = 0
     for span in _spans(group, space):

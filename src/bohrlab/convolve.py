@@ -1,7 +1,7 @@
 """Convolutions, overlap functions, shifts, and L^p norms.
 
 All integrals are exact sums under the normalized counting measure; nothing
-is sampled. Convolution output is not clamped: |f*g| <= 1 holds
+is sampled. Convolution output is not clamped: |f*g| <= max|f| max|g| holds
 mathematically and a post-check guards the numerics.
 """
 
@@ -23,10 +23,7 @@ def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
         raise ValueError("convolve requires functions on the same group")
     # row t of shifted holds g(t^-1 x) over x
     shifted = g.values[grp.table[grp.inverse, :]]
-    out = f.values @ shifted / grp.order
-    if not np.max(np.abs(out)) <= 1.0 + _GUARD:  # NaN fails too
-        raise RuntimeError("convolution output left [-1, 1]")
-    return GroupFunction(grp, out)
+    return _checked(f, g, f.values @ shifted / grp.order)
 
 
 def overlap_function(a: Subset) -> GroupFunction:
@@ -51,10 +48,17 @@ def convolve_fft_cyclic(f: GroupFunction, g: GroupFunction) -> GroupFunction:
     if not grp.descriptor.startswith("zmod:"):
         raise ValueError(f"FFT path requires a zmod group, got {grp.descriptor!r}")
     n = grp.order
-    out = np.fft.irfft(np.fft.rfft(f.values) * np.fft.rfft(g.values), n=n) / n
-    if not np.max(np.abs(out)) <= 1.0 + _GUARD:  # NaN fails too
-        raise RuntimeError("convolution output left [-1, 1]")
-    return GroupFunction(grp, out)
+    return _checked(f, g, np.fft.irfft(np.fft.rfft(f.values)
+                                       * np.fft.rfft(g.values), n=n) / n)
+
+
+def _checked(f: GroupFunction, g: GroupFunction, out: np.ndarray) -> GroupFunction:
+    """f*g from its values ``out``, held to max|f| max|g| + _GUARD; a result
+    past 1 + VALUE_TOL is GroupFunction's ValueError."""
+    bound = np.max(np.abs(f.values)) * np.max(np.abs(g.values))
+    if not np.max(np.abs(out)) <= bound + _GUARD:  # NaN fails too
+        raise RuntimeError("convolution output left max|f| max|g|")
+    return GroupFunction(f.group, out)
 
 
 def shift(f: GroupFunction, t: int) -> GroupFunction:

@@ -16,10 +16,10 @@ import numpy as np
 
 from .bohr import (BohrSpec, CandidateSpan, SearchResult, SearchSpace,
                    bohr_set, first_accepted, greedy_cover, is_symmetric)
-from .convolve import _lp, overlap_function
+from .convolve import overlap_function
 from .gen import random_subset_of_size, rng_from_seed
-from .groups import (FiniteGroup, GroupFunction, Subset, check_eps,
-                     inverse_set, product_set)
+from .groups import (BLOCK_ENTRIES, FiniteGroup, GroupFunction, Subset,
+                     check_eps, inverse_set, product_set, row_blocks)
 from .regularity import ZetaRule, _allowance
 from .reps import direct_sum_hom
 
@@ -252,16 +252,11 @@ def four_product_bohr(a: Subset, alpha: float,
                 found[i] = spec
         return all(found) or None
 
-    def screen(span: CandidateSpan) -> np.ndarray:
-        keep = np.zeros(len(span), dtype=bool)
-        for outside, spec in zip(outsides, found):
-            if spec is None:
-                keep |= _avoids(span, outside)
-        return keep
-
-    res = first_accepted(grp, space, accept, screen)
+    # a row inside no product set completes nothing
+    res = first_accepted(grp, space, accept, lambda span: np.any(
+        [_avoids(span, outside) for outside in outsides], axis=0))
     if res.spec is None:
-        return SearchResult("none-within-budget", None, None, res.candidates_scored)
+        return res
     combined = bohr_set(grp, direct_sum_hom([s.tau for s in found]),
                         min(s.delta for s in found))
     if not all(combined.realized.is_subset_of(t) for t in targets):
@@ -312,10 +307,12 @@ def shift_invariance_search(f: GroupFunction, p: float, eps: float,
                             space: SearchSpace = SearchSpace(),
                             min_size: int = 1) -> SearchResult[float]:
     """First Bohr spec B with sup over t in B of ||f_t - f||_p < eps, found
-    with that sup.
+    with that sup: the first Bohr set inside f's almost-periods.
 
-    The singleton Bohr set trivially passes; ``min_size`` can exclude it
-    (and other small sets), which still count as scored.
+    Every t's norm is computed before the walk, so the screen is the exact
+    test: the size, and no shift whose norm reaches eps. The singleton Bohr
+    set trivially passes; ``min_size`` can exclude it (and other small
+    sets), which still count as scored.
     """
     if not 1 <= p < math.inf:  # NaN fails too
         raise ValueError(f"p must lie in [1, inf), got {p}")
@@ -323,24 +320,27 @@ def shift_invariance_search(f: GroupFunction, p: float, eps: float,
     if not 1 <= min_size <= f.group.order:
         raise ValueError(
             f"min_size must lie in [1, {f.group.order}], got {min_size}")
-
-    norms: dict[int, float] = {}  # ||f_t - f||_p by t, across candidates
-    reaches = np.zeros(f.group.order, dtype=bool)  # the t with norms[t] >= eps
+    norms = _shift_norms(f, p)
+    far = norms >= eps
 
     def accept(spec: BohrSpec) -> Optional[float]:
-        if len(spec.realized) < min_size:
-            return None
-        sup = 0.0
-        for t in spec.realized.indices.tolist():
-            if t not in norms:
-                norms[t] = _lp(f.values[f.group.table[t, :]] - f.values, p)
-                reaches[t] = norms[t] >= eps
-            sup = max(sup, norms[t])
-            if sup >= eps:
-                return None
-        return sup
+        sup = float(norms[spec.realized.indices].max(initial=0.0))
+        return sup if len(spec.realized) >= min_size and sup < eps else None
 
-    def screen(span: CandidateSpan) -> np.ndarray:
-        return (span.sizes >= min_size) & ~(span.realized & reaches).any(axis=1)
+    return first_accepted(f.group, space, accept, lambda span: (
+        (span.sizes >= min_size) & _avoids(span, far)))
 
-    return first_accepted(f.group, space, accept, screen)
+
+def _shift_norms(f: GroupFunction, p: float) -> np.ndarray:
+    """||f_t - f||_p for every t, bitwise ``_lp``'s: a row block at a time in
+    one buffer, each root taken alone (an array power rounds some apart)."""
+    n, table = f.group.order, f.group.table
+    norms, buf = np.empty(n), np.empty((min(n, max(1, BLOCK_ENTRIES // n)), n))
+    for rows in row_blocks(n, n):
+        diff = np.take(f.values, table[rows], out=buf[:rows.stop - rows.start],
+                       mode="clip")  # "raise" would buffer the output
+        diff -= f.values
+        np.abs(diff, out=diff)
+        diff **= p
+        norms[rows] = [m ** (1.0 / p) for m in diff.mean(axis=1)]
+    return norms

@@ -429,8 +429,8 @@ def test_boundary_candidates_share_a_block(z12, z12_chars):
 
 @pytest.mark.parametrize("budget", [1, 2, 3, 7, 8, 9, 17, 150])
 def test_budget_cuts_the_walk_exactly(z12, budget):
-    # blocks hold 8, 16, 32, ... candidates, so these budgets end a walk at
-    # and next to a block edge
+    # z12's spans are whole levels, of 12 candidates at n = 1 and 66 at
+    # n = 2: budgets up to 17 end a walk inside a span, 150 at a span's edge
     full = [(s.tau.label, s.delta)
             for s in enumerate_bohr_candidates(z12, SearchSpace())]
     got = [(s.tau.label, s.delta) for s in enumerate_bohr_candidates(

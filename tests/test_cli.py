@@ -384,6 +384,22 @@ def test_failed_decomposition_ends_with_one_line(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "o.json").exists()
 
 
+@pytest.mark.parametrize("desc, a, b", [
+    ("zmod:4", "1.000000000001", "1.000000000001"),
+    ("zmod:16", "-1.000000000001", "1.000000000001"),
+])
+def test_convolution_past_one_ends_with_one_line(tmp_path, capsys, desc, a, b):
+    # each value is within VALUE_TOL of [-1, 1], their convolution is not;
+    # the direct path ends the run before the FFT path, which
+    # test_convolve.py checks on its own
+    cfg = _write_config(tmp_path / "c.ini", {"group": desc, "function": f"constant:{a}",
+                                             "function_b": f"constant:{b}"})
+    code = main(["convolve", "--config", str(cfg), "--out", str(tmp_path / "o.json")])
+    err = capsys.readouterr().err
+    assert code == 1 and not (tmp_path / "o.json").exists()
+    assert err.startswith("error: values exceed [-1,1] bound") and err.count("\n") == 1
+
+
 def test_product_over_cap_ends_with_one_line(tmp_path, capsys):
     # the 2048^2-order product table would ask numpy for 128 TiB
     cfg = _write_config(tmp_path / "c.ini", {"group": "product:zmod:2048,zmod:2048"})

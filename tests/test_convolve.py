@@ -89,6 +89,16 @@ def test_fft_constant(z12):
     assert np.allclose(convolve_fft_cyclic(a, b).values, 0.25)
 
 
+@pytest.mark.parametrize("conv", [convolve, convolve_fft_cyclic])
+def test_convolution_past_one_is_a_value_error(conv):
+    # inputs a hair past [-1, 1] meet the max|f| max|g| guard, and their
+    # result is one GroupFunction rejects
+    g = build_group("zmod:16")
+    f, h = GroupFunction.constant(g, -1 - 1e-12), GroupFunction.constant(g, 1 + 1e-12)
+    with pytest.raises(ValueError, match="exceed"):
+        conv(f, h)
+
+
 def test_fft_rejects_noncyclic(s3):
     f = GroupFunction.constant(s3, 1.0)
     with pytest.raises(ValueError):

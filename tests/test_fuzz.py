@@ -139,10 +139,11 @@ def test_text_formats_return_or_raise_value_error(text):
             pass
 
 
-# Numeric edge values inside structured specs: negative, zero, beyond every
-# order and every float, non-finite and empty.
-_EDGES = st.sampled_from(["-2", "-1", "0", "1", "3", "0.5", str(10**20), "nan",
-                          "inf", "-inf", "1e400", ""])
+# Numeric edge values inside structured specs: negative, zero, a hair past
+# +-1, beyond every order and every float, non-finite and empty.
+_EDGES = st.sampled_from(["-2", "-1", "0", "1", "3", "0.5", "1.000000000001",
+                          "-1.000000000001", str(10**20), "nan", "inf", "-inf",
+                          "1e400", ""])
 
 
 @st.composite

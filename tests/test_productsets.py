@@ -388,6 +388,18 @@ def test_shift_invariance_convolution(z101):
     assert sup == pytest.approx(res.found)
 
 
+@pytest.mark.parametrize("desc", ["zmod:101", "alt:5", "dihedral:30", "zmod:2048"])
+def test_shift_norms_are_lp_bitwise(desc):
+    # the norms a croot-sisask search computes before its walk are the
+    # floats _lp gives each shift alone; zmod:2048 takes 128 row blocks
+    g = build_group(desc)
+    ind = GroupFunction.indicator(random_subset(g, 0.5, rng_from_seed(5)))
+    f = convolve(ind, ind)
+    for p in (1, 1.5, 2, 2.5, 3):
+        want = [_lp(f.values[g.table[t, :]] - f.values, p) for t in range(g.order)]
+        assert productsets._shift_norms(f, p).tolist() == want, p
+
+
 @pytest.mark.parametrize("desc, p", [("zmod:101", 2.0), ("dihedral:30", 1.0),
                                      ("alt:5", 3.0)])
 def test_shift_norm_memo_matches_the_loop(desc, p):

@@ -2,9 +2,9 @@
 
 Every search hands ``bohr.first_accepted`` a screen that drops, a span of
 candidates at a time, candidates its ``accept`` rejects. These tests call
-``accept`` on every dropped row, and compare each search with a loop that
-calls ``accept`` on every candidate of the walk, kept here as the
-reference.
+``accept`` on every dropped row, ask every screen again once its search
+has ended, and compare each search with a loop that calls ``accept`` on
+every candidate of the walk, kept here as the reference.
 """
 
 import math
@@ -140,6 +140,32 @@ def test_screened_searches_match_the_per_candidate_loop(desc, monkeypatch):
     for (name, _), got, want in zip(searches, screened, reference):
         assert got == want, name
     assert {o[0] for o in reference} >= {"ok", "none-within-budget"}
+
+
+@pytest.mark.parametrize("desc", ["zmod:101", "dihedral:30", "alt:5"])
+def test_screens_read_nothing_the_walk_writes(desc, monkeypatch):
+    # a screen asked again once its search has ended gives each span the
+    # mask it gave during the walk, so where spans end changes no mask
+    seen = []
+
+    def recording(group, space, accept, screen):
+        def record(span):
+            keep = screen(span)
+            seen.append((screen, span, keep.copy()))
+            return keep
+        return bohr.first_accepted(group, space, accept, record)
+
+    _searching_with(monkeypatch, recording)
+    names = set()
+    for seed in (1, 2):
+        for name, search in _searches(desc, seed):
+            seen.clear()
+            _outcome(search)
+            for screen, span, keep in seen:
+                assert np.array_equal(screen(span), keep), name
+            names.add(name.split()[0])
+    assert names == {"regularity", "croot-sisask", "bogolyubov", "two-set",
+                     "four-product"}
 
 
 def test_raising_zeta_raises_in_order():
