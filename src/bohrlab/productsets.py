@@ -17,7 +17,7 @@ import numpy as np
 from .bohr import (BohrSpec, CandidateSpan, SearchResult, SearchSpace,
                    bohr_set, first_accepted, greedy_cover, is_symmetric)
 from .convolve import overlap_function
-from .gen import random_subset_of_size, rng_from_seed
+from .gen import rng_from_seed
 from .groups import (BLOCK_ENTRIES, FiniteGroup, GroupFunction, Subset,
                      check_eps, inverse_set, product_set, row_blocks)
 from .regularity import ZetaRule, _allowance
@@ -288,18 +288,39 @@ def quasirandom_trials(group: FiniteGroup, alpha: float, trials: int, size: int,
     """``trials`` quasirandom checks of three random ``size``-subsets each.
 
     Trial t draws A, B, C in turn from seed ``seed * 100003 + t`` and is
-    returned as (that seed, its check).
+    returned as (that seed, ``quasirandom_check`` of those sets). The draws
+    are made per trial; the checks run a block of trials at a time, with
+    one gather for every trial's AB and one for ABC, each of at most
+    BLOCK_ENTRIES entries (one trial at least).
     """
     if not trials >= 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if not 1 <= size <= group.order:
-        raise ValueError(f"size must lie in [1, {group.order}], got {size}")
-    out = []
-    for t in range(trials):
-        trial_seed = seed * 100003 + t
-        rng = rng_from_seed(trial_seed)
-        a, b, c = (random_subset_of_size(group, size, rng) for _ in range(3))
-        out.append((trial_seed, quasirandom_check(a, b, c, alpha)))
+    n = group.order
+    if not 1 <= size <= n:
+        raise ValueError(f"size must lie in [1, {n}], got {size}")
+    if size < density_size(alpha, n):
+        raise ValueError(f"mu(A) = {size}/{n} < alpha = {alpha}")
+    table, out = group.table, []
+    # the ABC gather takes n * size entries a trial, the AB one size * size
+    for rows in row_blocks(trials, n * size):
+        seeds = range(seed * 100003 + rows.start, seed * 100003 + rows.stop)
+        k = len(seeds)
+        a, b, c = draws = np.empty((3, k, size), dtype=np.int64)
+        for i, trial_seed in enumerate(seeds):
+            rng = rng_from_seed(trial_seed)  # as random_subset_of_size draws
+            draws[:, i] = [rng.choice(n, size=size, replace=False)
+                           for _ in range(3)]
+        at = np.arange(0, k * n, n)  # each trial's row in the flat masks
+        ab = np.zeros(k * n, dtype=bool)
+        prods = table[a[:, :, None], b[:, None, :]]
+        prods += at[:, None, None]
+        ab[prods] = True
+        # g in ABC iff g c^-1 in AB for some c in C
+        idx = table[:, group.inverse[c]]
+        idx += at[:, None]
+        covers = ab[idx].any(axis=2).all(axis=0)
+        out += [(s, QuasirandomCheck(int(m) / n, bool(cov))) for s, m, cov
+                in zip(seeds, ab.reshape(k, n).sum(axis=1), covers)]
     return out
 
 

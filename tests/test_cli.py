@@ -292,6 +292,15 @@ def test_quasirandom_alpha_out_of_range_errors(tmp_path, capsys, alpha, size):
     assert not (tmp_path / "o.json").exists()
 
 
+def test_quasirandom_size_below_the_density_errors(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "q.ini", {"kind": "quasirandom", "group": "zmod:12",
+                                             "alpha": "0.5", "size": 5})
+    code = main(["quasirandom", "--config", str(cfg), "--out", str(tmp_path / "o.json")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: mu(A) = 5/12 < alpha = 0.5\n"
+    assert not (tmp_path / "o.json").exists()
+
+
 @pytest.mark.parametrize("group, alpha, size", [
     ("zmod:10", "0.1", 2), ("dihedral:5", "0.2", 3), ("dihedral:10", "0.4", 9)])
 def test_quasirandom_default_size_meets_the_density_check(tmp_path, capsys,

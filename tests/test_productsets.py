@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from bohrlab import (GroupFunction, Subset, ZetaRule, bogolyubov_search,
                      separated_cover, shift_invariance_search,
                      symmetric_covering_check, translate_covering_check,
                      two_set_bogolyubov)
-from bohrlab import productsets
+from bohrlab import groups, productsets
 from bohrlab.bohr import SearchSpace, first_accepted
 from bohrlab.cli import run_experiment
 from bohrlab.convolve import _lp
@@ -345,6 +346,59 @@ def test_quasirandom_trials_range_checked(z12, trials, size, message):
         quasirandom_trials(z12, 0.3, trials, size)
 
 
+# per group: alpha, so that zmod:12's small sets leave some ABC short of G
+QUASIRANDOM_GROUPS = {"zmod:12": 0.2, "zmod:60": 0.35, "alt:5": 0.35,
+                      "dihedral:30": 0.35, "sym:5": 0.35}
+
+
+@pytest.mark.parametrize("block", ["default", "three-trial", "one-entry"])
+@pytest.mark.parametrize("trials", [1, 10, 100])
+@pytest.mark.parametrize("desc", sorted(QUASIRANDOM_GROUPS))
+def test_quasirandom_blocks_match_the_per_trial_check(monkeypatch, desc,
+                                                     trials, block):
+    # blocks of three split 1, 10 and 100 trials with a one-trial block
+    # last; a one-entry budget still takes a trial a block
+    g = build_group(desc)
+    alpha = QUASIRANDOM_GROUPS[desc]
+    size = productsets.density_size(alpha, g.order)
+    if block != "default":
+        monkeypatch.setattr(groups, "BLOCK_ENTRIES",
+                            3 * g.order * size if block == "three-trial" else 1)
+    rows = quasirandom_trials(g, alpha, trials, size, seed=5)
+    assert [s for s, _ in rows] == list(range(500015, 500015 + trials))
+    for trial_seed, chk in rows:
+        rng = rng_from_seed(trial_seed)
+        a, b, c = (random_subset_of_size(g, size, rng) for _ in range(3))
+        assert chk == quasirandom_check(a, b, c, alpha)
+        assert type(chk.ab_density) is float and type(chk.abc_covers) is bool
+    if desc == "zmod:12" and trials == 100:
+        assert {chk.abc_covers for _, chk in rows} == {True, False}
+
+
+def test_quasirandom_trials_density_error(z12, monkeypatch):
+    # the error comes before any trial is drawn
+    monkeypatch.setattr(productsets, "rng_from_seed", None)
+    with pytest.raises(ValueError) as err:
+        quasirandom_trials(z12, 0.5, 3, 5)
+    assert str(err.value) == "mu(A) = 5/12 < alpha = 0.5"
+
+
+def test_quasirandom_trials_memory_is_one_block(a5):
+    # 2,000 trials at once would gather 2000 * 60 * 21 table entries (10 MB
+    # as int32); a block at a time, the peak beyond the returned list stays
+    # within two 8-byte words per BLOCK_ENTRIES entry
+    quasirandom_trials(a5, 0.35, 2, 21)  # first-call allocations
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rows = quasirandom_trials(a5, 0.35, 2000, 21)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 2000 and held > before
+    assert peak - held <= 16 * groups.BLOCK_ENTRIES
+
+
 @pytest.mark.parametrize("min_size", [0, -4, 13])
 def test_shift_invariance_min_size_range_checked(z12, min_size):
     f = GroupFunction.constant(z12, 0.5)
@@ -403,8 +457,8 @@ def test_shift_norms_are_lp_bitwise(desc):
 @pytest.mark.parametrize("desc, p", [("zmod:101", 2.0), ("dihedral:30", 1.0),
                                      ("alt:5", 3.0)])
 def test_shift_norm_memo_matches_the_loop(desc, p):
-    # the memo reuses each t's norm across candidates: same sup, spec and
-    # candidate count as computing every norm afresh
+    # the search against the per-t ``_lp`` loop: same sup, spec and
+    # candidate count as computing each candidate's norms afresh
     g = build_group(desc)
     ind = GroupFunction.indicator(random_subset(g, 0.5, rng_from_seed(11)))
     f = convolve(ind, ind)
