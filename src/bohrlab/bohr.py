@@ -87,7 +87,7 @@ def _spec(tau: UnitaryRep, delta: float, dist: np.ndarray,
     the mask ``dist < delta - BOUNDARY_TOL``; the elements whose distance
     is within BOUNDARY_TOL of delta are logged as the boundary it
     excludes."""
-    boundary = tuple(np.flatnonzero(np.abs(dist - delta) <= BOUNDARY_TOL).tolist())
+    boundary = tuple((np.abs(dist - delta) <= BOUNDARY_TOL).nonzero()[0].tolist())
     if boundary:
         logger.debug("bohr_set %s delta=%g: excluded boundary elements %s",
                      tau.label, delta, list(boundary))
@@ -222,26 +222,42 @@ class SearchSpace:
 
 class CandidateSpan:
     """A block of the walk: candidates of one (n, delta) level, in walk
-    order. Row i is the direct sum of the irreps ``combos[i]`` indexes
-    (increasing, padded by repeating the last index), of total dimension
-    ``dim``; ``realized`` holds the rows' realized sets as a boolean matrix
-    (a row per candidate, a column per element) and ``sizes`` their sizes.
+    order, or whole radius rounds of one small level. The span's rows run
+    through ``combos`` once per radius, from the grid's delta ``first``
+    on: row i is the direct sum of the irreps ``combos[i % len(combos)]``
+    indexes (increasing, padded by repeating the last index), of total
+    dimension ``dim``, at radius ``grid[first + i // len(combos)]``.
+    ``realized`` holds the rows' realized sets as a boolean matrix (a row
+    per candidate, a column per element) and ``sizes`` their sizes.
     ``spec(i)`` builds row i's direct sum and BohrSpec, so a search builds
     them only for the rows it reads."""
 
     def __init__(self, irreps: list[UnitaryRep], combos: np.ndarray,
-                 delta: float, dim: int, realized: np.ndarray):
-        self.irreps, self.combos = irreps, combos
-        self.delta, self.dim = float(delta), dim
+                 grid: tuple[float, ...], first: int, dim: int,
+                 realized: np.ndarray):
+        self.irreps, self.combos, self.grid = irreps, combos, grid
+        self.first, self.dim = first, dim
+        self.rounds = -(-len(realized) // len(combos))
         self.realized, self.sizes = realized, realized.sum(axis=1)
 
     def __len__(self) -> int:
-        return len(self.combos)
+        return len(self.realized)
+
+    def per_row(self, values: np.ndarray) -> np.ndarray:
+        """``values``, one per delta of the grid, at each row's radius."""
+        return np.repeat(values[self.first:self.first + self.rounds],
+                         len(self.combos))[:len(self)]
+
+    @property
+    def radii(self) -> np.ndarray:
+        """Each row's radius."""
+        return self.per_row(np.array(self.grid, dtype=float))
 
     def spec(self, i: int) -> BohrSpec:
-        tau = direct_sum_hom([self.irreps[k]
-                              for k in sorted(set(self.combos[i].tolist()))])
-        return _spec(tau, self.delta, tau.identity_distances(), self.realized[i])
+        combo, step = self.combos[i % len(self.combos)], i // len(self.combos)
+        tau = direct_sum_hom([self.irreps[k] for k in sorted(set(combo.tolist()))])
+        return _spec(tau, self.grid[self.first + step], tau.identity_distances(),
+                     self.realized[i])
 
 
 def _level_table(group: FiniteGroup, irreps: list[UnitaryRep],
@@ -294,12 +310,19 @@ def _combos(group: FiniteGroup, irreps: list[UnitaryRep], n: int,
 
 
 def _spans(group: FiniteGroup, space: SearchSpace) -> Iterator[CandidateSpan]:
-    """The candidate walk of ``space`` on ``group``, a span at a time: each
-    span holds the next max(1, BLOCK_ENTRIES // |G|) candidates of one
-    (n, delta) level, fewer at the level's edge and at the budget, realized
-    from the group's level table (see ``_level_table``). Every search walks
-    afresh: what it reads off the group (its irreps, level table and combos)
-    depends on the group and the sorted distinct grid alone.
+    """The candidate walk of ``space`` on ``group``, a span at a time,
+    realized from the group's level table (see ``_level_table``). A level
+    is walked radius-major: every combo at delta_0, then at delta_1, and so
+    on. With size = max(1, BLOCK_ENTRIES // |G|), a level of ``count``
+    combos whose rounds = size // len(grid) // count is at least 1 is
+    walked ``rounds`` whole radius rounds a span (at most size // len(grid)
+    rows), from one realization of its combos, their min level row, round i
+    being ``mins > i``; only the walk's first round, level 1 at delta_0, is
+    a span of its own. A larger level is walked a radius at a time, cut
+    into spans of ``size`` combos. Spans end early at the budget. Every
+    search walks afresh: what it reads off the group (its irreps, level
+    table and combos) depends on the group and the sorted distinct grid
+    alone.
     """
     grid = tuple(sorted(set(space.delta_grid), reverse=True))
     irreps = irreps_of(group)
@@ -312,12 +335,36 @@ def _spans(group: FiniteGroup, space: SearchSpace) -> Iterator[CandidateSpan]:
             return
         # at most n summands, as each has dim >= 1
         combos = _combos(group, irreps, n, min(n, space.max_summands))
-        for i, delta in enumerate(grid):
+        count = len(combos)
+        rounds = size // len(grid) // count if count else 0
+        if rounds:
+            walked = min(left, count * len(grid))
+            block = combos[:walked]
+            mins = np.minimum.reduce(levels.take(block.T, axis=0))
+            start = 0
+            if n == 1:
+                # the walk's first round is a span of its own: a search
+                # that accepts in it, as most containment searches do,
+                # realizes no later round
+                start = min(count, walked)
+                yield CandidateSpan(irreps, block, grid, 0, n, mins[:start] > 0)
+            for start in range(start, walked, rounds * count):
+                rows = min(rounds * count, walked - start)
+                first = start // count
+                # each round's index, in the table's dtype (a mixed compare
+                # is slower)
+                steps = np.arange(first, first - (-rows // count),
+                                  dtype=levels.dtype)[:, None, None]
+                realized = (mins > steps).reshape(-1, group.order)[:rows]
+                yield CandidateSpan(irreps, block, grid, first, n, realized)
+            left -= walked
+            continue
+        for i in range(len(grid)):
             walked = combos[:left]
             for start in range(0, len(walked), size):
                 block = walked[start:start + size]
                 realized = np.minimum.reduce(levels.take(block.T, axis=0)) > i
-                yield CandidateSpan(irreps, block, delta, n, realized)
+                yield CandidateSpan(irreps, block, grid, i, n, realized)
             left -= len(walked)
 
 
@@ -357,13 +404,16 @@ def first_accepted(group: FiniteGroup, space: SearchSpace,
     empty realized sets are skipped. ``accept`` returns None to reject.
 
     The walk is read a span at a time, each span a block of candidates of
-    one (n, delta) level of a fresh walk (see ``_spans``). ``screen(span)``
-    runs once per span, before ``accept`` sees any of its rows, and returns
-    a boolean mask over them; ``accept`` then runs in order on the rows it
-    keeps, so a direct sum and a BohrSpec are built for those alone.
+    one (n, delta) level, or whole radius rounds of one small level, of a
+    fresh walk (see ``_spans``); a span's rows may so hold several radii,
+    given by ``span.per_row``. ``screen(span)`` runs once per span, before
+    ``accept`` sees any of its rows, and returns a boolean mask over them;
+    ``accept`` then runs in order on the rows it keeps, so a direct sum and
+    a BohrSpec are built for those alone.
     The screen's contract: it reads only its span and values fixed before
-    the walk, so where spans end changes no mask; a row it drops is one
-    that ``accept`` rejects, whatever ran before it, decided on the same
+    the walk (or memos of what the span's grid and dim fix, such as zeta
+    over the grid), so where spans end changes no mask; a row it drops is
+    one that ``accept`` rejects, whatever ran before it, decided on the same
     floats that ``accept`` compares. A screen raises nothing; it keeps a
     row whose test would raise, so that ``accept`` raises in order. The
     accepted candidate and the count scored are then those of a loop that

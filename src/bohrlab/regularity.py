@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -55,6 +55,12 @@ class ZetaRule:
             raise ValueError(f"zeta rule {self.describe()} overflows at "
                              f"delta {delta!r}, n {n}")
         return out
+
+    @property
+    def never_raises(self) -> bool:
+        """Whether ``value`` raises at no (delta, n): a constant rule's value
+        is its parameter."""
+        return self.kind == "const"
 
     def describe(self) -> str:
         if self.kind == "const":
@@ -142,21 +148,25 @@ def _translate_windows(f: GroupFunction, subset: Subset,
     """The window of largest_eps_constant_subset on every distinct left
     translate gS of a nonempty S, scored a block of translates at a time.
 
-    Yields blocks (g, members, svals, lo, length): g holds, in increasing
-    order, the first element giving each translate; row k of members lists
-    g_k S sorted by (value, element), svals[k] their values, and
-    members[k, lo[k]:lo[k] + length[k]] is the window the scalar routine
-    picks.
+    Yields blocks (g, window, length, ranges): g holds, in increasing order,
+    the first element giving each translate; row k of window lists the
+    length[k] elements of the window the scalar routine picks on g_k S, in
+    increasing order, then n for each element of g_k S outside it; ranges[k]
+    is the window's value range, max - min as that routine's floats. A block
+    where every translate fits whole, max - min < eps - WINDOW_GUARD, takes
+    no sort by value and no window search: as float subtraction is
+    monotone, no pair of a translate's values then reaches the threshold,
+    so every window holds all of gS.
     """
     grp, idx = f.group, subset.indices
     table, n, size = grp.table, grp.order, idx.size
     # gS = hS iff h^-1 g lies in the stabilizer H = {x : xS = S} (xS <= S
     # suffices, as |xS| = |S|), so the first elements of the translates are
-    # the least elements of the left cosets gH
+    # the least elements of the left cosets gH, every element when H = {e}
     stab = np.concatenate([
         np.flatnonzero(subset.mask[table[blk, idx]].all(axis=1)) + blk.start
         for blk in row_blocks(n, size)])
-    firsts = np.concatenate([
+    firsts = np.arange(n) if stab.size == 1 else np.concatenate([
         np.flatnonzero(table[blk][:, stab].min(axis=1)
                        == np.arange(n)[blk]) + blk.start
         for blk in row_blocks(n, stab.size)])
@@ -165,27 +175,47 @@ def _translate_windows(f: GroupFunction, subset: Subset,
         g = firsts[blk]
         rows = np.sort(table[np.ix_(g, idx)], axis=1)
         vals = f.values[rows]
+        # + 0.0 turns the -0.0 of zeros of both signs into 0.0, so that the
+        # range does not depend on which zero is the max or the min
+        spread = vals.max(axis=1) - vals.min(axis=1) + 0.0
+        if (spread < thr).all():
+            yield g, rows, np.full(g.size, size, dtype=np.int64), spread
+            continue
         # a stable sort of the values of ascending elements is the scalar
         # routine's lexsort by (value, element)
         order = np.argsort(vals, axis=1, kind="stable")
         members = np.take_along_axis(rows, order, axis=1)
         svals = np.take_along_axis(vals, order, axis=1)
-        # start[k, hi]: the first lo < hi failing svals[hi] - svals[lo] >=
-        # thr, else hi, as in the scalar window; the predicate holds on a
-        # prefix of lo, so a binary search over [0, hi] finds it
-        his = np.arange(size)
-        start = np.zeros(svals.shape, dtype=np.int64)
-        stop = np.broadcast_to(his, svals.shape)
-        for _ in range(size.bit_length()):
-            mid = (start + stop) // 2
-            hit = svals - np.take_along_axis(svals, mid, axis=1) >= thr
-            start = np.where(hit, mid + 1, start)
-            stop = np.where(hit, stop, mid)
-        # start passes hi only where thr <= 0
-        start = np.minimum(start, his)
-        hi = np.argmax(his - start, axis=1)  # the first longest window
-        lo = start[np.arange(g.size), hi]
-        yield g, members, svals, lo, hi - lo + 1
+        lo, length = _longest_windows(svals, thr)
+        k = np.arange(g.size)
+        # elements outside the window (set to n) sort past those inside
+        cols = np.arange(size)
+        inside = (cols >= lo[:, None]) & (cols < (lo + length)[:, None])
+        yield (g, np.sort(np.where(inside, members, n), axis=1), length,
+               svals[k, lo + length - 1] - svals[k, lo] + 0.0)
+
+
+def _longest_windows(svals: np.ndarray, thr: float) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, length) of the first longest window of each row of sorted
+    values, a window holding no pair that reaches ``thr``, found by binary
+    search."""
+    # start[k, hi]: the first lo < hi failing svals[hi] - svals[lo] >= thr,
+    # else hi, as in the scalar window; the predicate holds on a prefix of
+    # lo, so a binary search over [0, hi] finds it
+    size = svals.shape[1]
+    his = np.arange(size)
+    start = np.zeros(svals.shape, dtype=np.int64)
+    stop = np.broadcast_to(his, svals.shape)
+    for _ in range(size.bit_length()):
+        mid = (start + stop) // 2
+        hit = svals - np.take_along_axis(svals, mid, axis=1) >= thr
+        start = np.where(hit, mid + 1, start)
+        stop = np.where(hit, stop, mid)
+    # start passes hi only where thr <= 0
+    start = np.minimum(start, his)
+    hi = np.argmax(his - start, axis=1)  # the first longest window
+    lo = start[np.arange(len(svals)), hi]
+    return lo, hi - lo + 1
 
 
 def _every_translate_fits(f: GroupFunction, subset: Subset, eps: float) -> bool:
@@ -193,9 +223,9 @@ def _every_translate_fits(f: GroupFunction, subset: Subset, eps: float) -> bool:
     below eps - WINDOW_GUARD; a one-element S counts as constant.
 
     max - min over gS is the float the kernel compares for its whole-set
-    window, svals[-1] - svals[0], so this holds exactly when
-    _max_defect(f, subset, eps) == 0.0. S itself, the translate eS, is tried
-    first: most sets fail there, before any translate is gathered.
+    window, so this holds exactly when _max_defect(f, subset, eps) == 0.0.
+    S itself, the translate eS, is tried first: most sets fail there, before
+    any translate is gathered.
     """
     idx = subset.indices
     if idx.size == 1:
@@ -215,7 +245,7 @@ def _max_defect(f: GroupFunction, subset: Subset, eps: float) -> float:
     """max over translates gS of mu(gS) - mu(B'), B' the scalar window."""
     n, size = f.group.order, len(subset)
     return max(float(np.max(size / n - length / n))
-               for *_, length in _translate_windows(f, subset, eps))
+               for _, _, length, _ in _translate_windows(f, subset, eps))
 
 
 def translate_defect(f: GroupFunction, spec: BohrSpec,
@@ -227,30 +257,36 @@ def translate_defect(f: GroupFunction, spec: BohrSpec,
         raise ValueError("Bohr set is empty")
     n = f.group.order
     entries: list[TranslateDefect] = []
-    for g, members, svals, lo, length in _translate_windows(f, realized, eps):
-        k = np.arange(g.size)
-        # a sorted window's range is last less first, the floats of max -
-        # min; + 0.0 turns the -0.0 of zeros of both signs into max - min's 0.0
-        ranges = svals[k, lo + length - 1] - svals[k, lo] + 0.0
-        # elements outside the window (set to n) sort past those inside
-        cols = np.arange(members.shape[1])
-        inside = (cols >= lo[:, None]) & (cols < (lo + length)[:, None])
-        chosen = np.sort(np.where(inside, members, n), axis=1).tolist()
+    for g, window, length, ranges in _translate_windows(f, realized, eps):
         entries.extend(map(
             TranslateDefect, g.tolist(),
             (realized.measure - length / n).tolist(), ranges.tolist(),
-            (tuple(row[:m]) for row, m in zip(chosen, length.tolist()))))
+            (tuple(row[:m]) for row, m in zip(window.tolist(), length.tolist()))))
     max_defect = max(e.defect for e in entries)
     return RegularityCertificate(spec=spec, epsilon=eps,
                                  per_translate=tuple(entries),
                                  max_defect=max_defect)
 
 
-def _allowance(zeta: ZetaRule, span: CandidateSpan) -> float:
-    """zeta(delta, n) for every row of a candidate span, NaN where the rule
-    raises."""
+def _allowance(zeta: ZetaRule) -> Callable[[CandidateSpan], np.ndarray]:
+    """A search's allowances: for a span, zeta(delta_i, n) at each row's
+    radius delta_i, NaN where the rule raises. zeta is computed once per
+    level dimension n, over the whole grid, and kept for the search's later
+    spans."""
+    by_dim: dict[int, np.ndarray] = {}
+
+    def rows(span: CandidateSpan) -> np.ndarray:
+        over_grid = by_dim.get(span.dim)
+        if over_grid is None:
+            over_grid = by_dim[span.dim] = np.array(
+                [_zeta_or_nan(zeta, delta, span.dim) for delta in span.grid])
+        return span.per_row(over_grid)
+    return rows
+
+
+def _zeta_or_nan(zeta: ZetaRule, delta: float, n: int) -> float:
     try:
-        return zeta.value(span.delta, span.dim)
+        return zeta.value(delta, n)
     except ValueError:  # accept raises it, in order
         return math.nan
 
@@ -285,12 +321,21 @@ def search_regular_bohr(f: GroupFunction, eps: float, zeta: ZetaRule,
     # fewer than two elements fits
     bound = np.arange(n + 1) / n - (np.arange(n + 1) - 1) / n
     bound[:2] = -np.inf
+    allowances = _allowance(zeta)
+    # f's values in increasing order: a row's min and max on S are the
+    # values of its first and last member in this order
+    order = np.argsort(f.values, kind="stable")
+    ranked = f.values[order]
 
     def screen(span: CandidateSpan) -> np.ndarray:
-        # max - min of f on S, the floats _every_translate_fits compares first
-        lo = np.where(span.realized, f.values, np.inf).min(axis=1)
-        hi = np.where(span.realized, f.values, -np.inf).max(axis=1)
-        return (hi - lo < thr) | ~(bound[span.sizes] > _allowance(zeta, span))
+        # max - min of f on S, the floats _every_translate_fits compares
+        # first, but for the sign of a zero difference, which no compare
+        # with thr sees (an empty row reads some other value, and
+        # first_accepted skips it)
+        in_order = span.realized[:, order]
+        lo = ranked[in_order.argmax(axis=1)]
+        hi = ranked[n - 1 - in_order[:, ::-1].argmax(axis=1)]
+        return (hi - lo < thr) | ~(bound[span.sizes] > allowances(span))
 
     def accept(spec: BohrSpec) -> Optional[RegularityCertificate]:
         realized = spec.realized

@@ -1,6 +1,7 @@
 """The benchmark's payload digests, pinned: every workload at seed 101,
 nonabelian-mix and ladder-pilot at seed 7 too; and the canonical payload of
-each fixture.
+each fixture. Also the spans the seed-101 nonabelian regularity searches
+read, a work counter of the candidate walk.
 
 One child process with one BLAS thread (the irreps payload of dihedral:50
 depends on the thread count) builds each workload's experiment list and
@@ -14,7 +15,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+from bohrlab import bohr
+from bohrlab.cli import run_experiment
 from test_cli import _child_env
+from test_guards import _labbench_workloads
 
 LABBENCH = Path(__file__).resolve().parents[1] / "labbench"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -171,3 +175,26 @@ def test_seed_101_nonabelian_mix_traces_every_distance_read(tmp_path):
     # sum, and reads its distances, for each row its screen keeps alone
     pinned = {"reps.distances": 241, "reps.direct_sum": 102}
     assert _traced_calls(tmp_path, "nonabelian-mix", pinned) == pinned
+
+
+def test_seed_101_regularity_searches_walk_few_spans(monkeypatch):
+    # the nonabelian-mix regularity searches accept on small levels, each
+    # read as whole radius rounds a span; they walked 16 spans on sym:4 and
+    # 12 on dihedral:30 a radius at a time, to the same candidate
+    real = bohr._spans
+    walked = []
+
+    def counting(group, space):
+        for span in real(group, space):
+            walked.append(span)
+            yield span
+
+    monkeypatch.setattr(bohr, "_spans", counting)
+    got = {}
+    for config in _labbench_workloads().build("nonabelian-mix", 101, 30):
+        if config["kind"] == "regularity" and config["group"] in (
+                "sym:4", "dihedral:30"):
+            walked.clear()
+            scored = run_experiment(config).payload["candidates_scored"]
+            got.setdefault(config["group"], set()).add((len(walked), scored))
+    assert got == {"sym:4": {(4, 33)}, "dihedral:30": {(4, 110)}}

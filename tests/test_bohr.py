@@ -408,12 +408,13 @@ def test_each_grid_walks_as_on_a_fresh_group(desc):
 
 def test_boundary_candidates_share_a_block(z12, z12_chars):
     # at delta 1.0, chi1 and chi2 have elements at distance exactly 1, while
-    # chi0 and chi3 have none; the walk's first block at delta 1.0 holds all
-    # four
+    # chi0 and chi3 have none; the walk's first span holding rows at delta
+    # 1.0 holds all four
     expected = {"chi0": (), "chi1": (2, 10), "chi2": (1, 5, 7, 11), "chi3": ()}
     span = next(span for span in bohr._spans(z12, SearchSpace())
-                if span.delta == 1.0)
-    block = [span.spec(i) for i in range(4)]
+                if (span.radii == 1.0).any())
+    rows = np.flatnonzero(span.radii == 1.0)[:4].tolist()
+    block = [span.spec(i) for i in rows]
     assert [spec.tau.label for spec in block] == list(expected)
     walk = enumerate_bohr_candidates(z12, SearchSpace(delta_grid=(1.0,)))
     for spec, walked in zip(block, walk):
@@ -429,8 +430,9 @@ def test_boundary_candidates_share_a_block(z12, z12_chars):
 
 @pytest.mark.parametrize("budget", [1, 2, 3, 7, 8, 9, 17, 150])
 def test_budget_cuts_the_walk_exactly(z12, budget):
-    # z12's spans are whole levels, of 12 candidates at n = 1 and 66 at
-    # n = 2: budgets up to 17 end a walk inside a span, 150 at a span's edge
+    # z12's levels hold 12 candidates at n = 1 and 66 at n = 2, each span
+    # whole radius rounds of one level: budgets up to 17 end a walk inside
+    # a round, 150 at a round's edge
     full = [(s.tau.label, s.delta)
             for s in enumerate_bohr_candidates(z12, SearchSpace())]
     got = [(s.tau.label, s.delta) for s in enumerate_bohr_candidates(
@@ -508,21 +510,35 @@ def test_replay_matches_an_unshared_walk(desc, space):
 @pytest.mark.parametrize("space", sorted(REPLAY_SPACES))
 @pytest.mark.parametrize("desc", REPLAY_GROUPS)
 def test_spans_hold_one_level_each(desc, space):
-    # every span is a block of one (n, delta) level, on walks cut at
-    # budgets 1, 9 and half the walk, most inside a span, and on the whole
-    # walk
+    # every span is a block of one (n, delta) level, or whole radius rounds
+    # of one level, on walks cut at budgets 1, 9 and half the walk, most
+    # inside a span, and on the whole walk
     space = REPLAY_SPACES[space]
     g = build_group(desc)
     fresh = [_spec_key(s) for s in enumerate_bohr_candidates(
         FiniteGroup(g.table, desc), space)]
+    grid = sorted(set(space.delta_grid), reverse=True)
+    size = max(1, bohr.BLOCK_ENTRIES // g.order)
     for budget in (len(fresh), 1, 9, len(fresh) // 2 + 1):
         walk = list(bohr._spans(g, dataclasses.replace(space, max_candidates=budget)))
         specs = [span.spec(i) for span in walk for i in range(len(span))]
         assert [_spec_key(s) for s in specs] == fresh[:budget]
         for span in walk:
+            radii = span.radii.tolist()
             assert all(span.spec(i).tau.dim == span.dim
-                       and span.spec(i).delta == span.delta
+                       and span.spec(i).delta == radii[i]
                        for i in range(len(span)))
+            assert radii == sorted(radii, reverse=True)
+            if len(set(radii)) > 1:
+                # whole rounds of the level, in walk order, the last cut
+                # at the budget only
+                level = bohr._combos(g, irreps_of(g), span.dim,
+                                     min(span.dim, space.max_summands))
+                assert np.array_equal(span.combos, level)
+                rounds = len(set(radii))
+                assert len(span) == rounds * len(level) or span is walk[-1]
+                assert len(span) > (rounds - 1) * len(level)
+                assert rounds * len(level) <= size // len(grid)
 
 
 @pytest.mark.parametrize("budget", [None, 25])

@@ -357,6 +357,82 @@ def test_translate_defect_matches_scalar_windows_bitwise(descriptor):
     assert signed_zero_windows > 0
 
 
+def _windows_bitwise(f, members, eps, monkeypatch):
+    """translate_defect of f on S at eps, checked bitwise against the scalar
+    window of every translate and, block by block, against the kernel that
+    sorts every translate by value and searches its window; returns how
+    many blocks took that search, and of how many."""
+    grp, trivial = _group_with_trivial_rep(f.group.descriptor)
+    spec = BohrSpec(tau=trivial, delta=1.0, kind="torus",
+                    realized=Subset.from_indices(grp, members))
+    cert = translate_defect(f, spec, eps)
+    expected = [_reference_defect(f, g, t, eps)
+                for g, t in _python_translates(grp, members)]
+    assert list(map(_bits, cert.per_translate)) == list(map(_bits, expected))
+    searched = []
+    real = regularity._longest_windows
+
+    def counting(svals, thr):
+        searched.append(len(svals))
+        return real(svals, thr)
+    monkeypatch.setattr(regularity, "_longest_windows", counting)
+    blocks = list(regularity._translate_windows(f, spec.realized, eps))
+    monkeypatch.setattr(regularity, "_longest_windows", real)
+    idx, n = spec.realized.indices, grp.order
+    for g, window, length, ranges in blocks:
+        rows = np.sort(grp.table[np.ix_(g, idx)], axis=1)
+        vals = f.values[rows]
+        order = np.argsort(vals, axis=1, kind="stable")
+        by_value = np.take_along_axis(rows, order, axis=1)
+        svals = np.take_along_axis(vals, order, axis=1)
+        lo, want = real(svals, eps - regularity.WINDOW_GUARD)
+        k = np.arange(g.size)
+        assert length.dtype == want.dtype and np.array_equal(length, want)
+        assert ranges.dtype == svals.dtype and ranges.tobytes() == (
+            svals[k, lo + want - 1] - svals[k, lo] + 0.0).tobytes()
+        assert window.tolist() == [
+            sorted(row[a:a + m]) + [n] * (idx.size - m)
+            for row, a, m in zip(by_value.tolist(), lo.tolist(), want.tolist())]
+    return len(searched), len(blocks)
+
+
+@pytest.mark.parametrize("block_rows", [None, 3])
+@pytest.mark.parametrize("descriptor", ["dihedral:30", "alt:5", "sym:4", "zmod:101"])
+def test_whole_windows_match_the_window_search_bitwise(descriptor, block_rows,
+                                                       monkeypatch):
+    # f is mid everywhere but top at x and 0 at y, both in the translate
+    # g0 S. With top one ulp below thr every translate fits whole and no
+    # block is searched; with top at thr, the translates holding both x and
+    # y miss it by one ulp and their blocks are searched. Zeros of both
+    # signs fit whole, with range 0.0. Below WINDOW_GUARD, thr <= 0, every
+    # block is searched, constant f too.
+    grp, _ = _group_with_trivial_rep(descriptor)
+    rng = np.random.default_rng(44)
+    eps = 0.1
+    thr = eps - regularity.WINDOW_GUARD
+    members = rng.choice(grp.order, size=grp.order // 4, replace=False)
+    g0 = int(rng.integers(grp.order))
+    x, y = grp.table[g0, members[:2]].tolist()
+    if block_rows:  # blocks of three translates
+        monkeypatch.setattr(groups, "BLOCK_ENTRIES", block_rows * len(members))
+    for top, searched in ((np.nextafter(thr, 0.0), False), (thr, True)):
+        values = np.full(grp.order, thr / 2)
+        values[[x, y]] = top, 0.0
+        assert (top - 0.0 < thr) != searched and top - thr / 2 < thr
+        blocks, total = _windows_bitwise(GroupFunction(grp, values), members,
+                                         eps, monkeypatch)
+        assert (blocks > 0) == searched
+        # in blocks of three, the translates that fit are not searched
+        assert blocks < total or not block_rows
+    zeros = GroupFunction(grp, rng.choice([-0.0, 0.0], size=grp.order))
+    assert _windows_bitwise(zeros, members, eps, monkeypatch)[0] == 0
+    constant = GroupFunction.constant(grp, 0.0)
+    for tiny in (1e-13, regularity.WINDOW_GUARD):
+        assert tiny - regularity.WINDOW_GUARD <= 0
+        blocks, total = _windows_bitwise(constant, members, tiny, monkeypatch)
+        assert blocks == total
+
+
 def test_search_scores_each_realized_set_once(z101, monkeypatch):
     f = random_pm1_function(z101, rng_from_seed(1))
     space = SearchSpace(max_summands=1, max_candidates=150)

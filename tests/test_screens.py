@@ -16,11 +16,14 @@ from bohrlab import (BohrSpec, FiniteGroup, GroupFunction, SearchSpace, ZetaRule
                      bogolyubov_search, build_group, four_product_bohr,
                      search_regular_bohr, shift_invariance_search,
                      two_set_bogolyubov)
-from bohrlab import bohr, productsets, regularity
+from bohrlab import bohr, cli, productsets, regularity
 from bohrlab.bohr import SearchResult, enumerate_bohr_candidates
+from bohrlab.cli import main
 from bohrlab.convolve import _lp, overlap_function
 from bohrlab.gen import (random_pm1_function, random_subset,
                          random_subset_of_size, rng_from_seed)
+
+from test_cli import _write_config
 
 GROUPS = ["zmod:101", "zmod:200", "dihedral:12", "dihedral:30", "sym:4", "alt:5"]
 SPACE = SearchSpace(max_candidates=300)
@@ -207,3 +210,67 @@ def test_builds_specs_only_for_rows_the_screen_keeps(monkeypatch):
     assert res.status == "none-within-budget" and res.candidates_scored == 150
     assert set(built) == kept and len(built) == len(kept)  # once each
     assert 0 < len(kept) < 150 // 4
+
+
+# zeta rules that overflow at the two larger radii of a grid but not at the
+# smallest, at level n: n = 8 on sym:4 (one combo, 2 + 3 + 3) and n = 3 on
+# zmod:12 (220 combos), each level walked as one span of its three rounds
+MERGED_RAISING = {
+    "sym:4": ("power:1e-300,2.85e-05", "2.0,1.95,1.8", 8),
+    "zmod:12": ("power:1e-300,1e-34", "2.0,1.9,1.5", 3),
+}
+
+
+@pytest.mark.parametrize("kind, keys", [
+    ("regularity", {"function": "random-uniform", "epsilon": "0.1"}),
+    # AB is one element, so no set of two or more has a translate inside it
+    ("two-set", {"set_a": "random_size:1", "set_b": "random_size:1",
+                 "alpha": "0.04"}),
+], ids=["regularity", "two-set"])
+@pytest.mark.parametrize("desc", sorted(MERGED_RAISING))
+def test_zeta_raising_inside_a_merged_span(desc, kind, keys, tmp_path, capsys,
+                                           monkeypatch):
+    rule, grid, n = MERGED_RAISING[desc]
+    config = {"kind": kind, "group": desc, "seed": "1", "zeta": rule,
+              "delta_grid": grid, **keys}
+    message = f"zeta rule {rule} overflows at delta 2.0, n {n}"
+    cfg = _write_config(tmp_path / "c.ini", config)
+    out = tmp_path / "o.json"
+    assert main([kind, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+    def raised_at(first_accepted):
+        """The error and the candidate accept raised it at, and the last
+        span screened."""
+        seen = {}
+
+        def recording(group, space, accept, screen):
+            def record_accept(spec):
+                seen["spec"] = spec.to_json_dict()
+                return accept(spec)
+
+            def record_screen(span):
+                seen["span"] = span
+                return screen(span)
+            return first_accepted(group, space, record_accept, record_screen)
+
+        _searching_with(monkeypatch, recording)
+        with pytest.raises(ValueError) as exc:
+            cli.run_experiment(config)
+        return str(exc.value), seen["spec"], seen.get("span")
+
+    got, spec, span = raised_at(bohr.first_accepted)
+    want, ref_spec, _ = raised_at(_reference_first_accepted)
+    assert got == want == message
+    assert spec == ref_spec and spec["delta"] == 2.0
+    # the span that raised holds the level's three rounds, and zeta raises
+    # at two of its radii only
+    zeta = ZetaRule.parse(rule)
+    radii = sorted(set(span.radii.tolist()), reverse=True)
+    assert span.dim == n and radii == [float(d) for d in grid.split(",")]
+    assert len(span) == 3 * len(span.combos)
+    for delta in radii[:2]:
+        with pytest.raises(ValueError, match="overflows"):
+            zeta.value(delta, n)
+    assert math.isfinite(zeta.value(radii[2], n))
