@@ -188,17 +188,19 @@ def cyclic_decomposition(group: FiniteGroup) -> tuple[list[int], list[int], np.n
     by_order = np.argsort(-orders, kind="stable")  # largest order first, then index
 
     gens: list[int] = []
+    e, product = group.identity, group.table.item  # x * y as a Python int
     # element span[r] has exponents exps[r] in gens: span element outer, power inner
-    span, exps = np.array([group.identity]), np.zeros((1, 0), dtype=np.int64)
+    span, exps = np.array([e]), np.zeros((1, 0), dtype=np.int64)
     while span.size < n:
         in_span = np.isin(np.arange(n), span)
+        member = in_span.tolist()  # a list reads one bool a power faster
         for cand in by_order[~in_span[by_order]].tolist():
             # cand's powers meet the span only in e if the first one in it is e
-            cyc, x = [group.identity], cand
-            while not in_span[x]:
+            cyc, x = [e], cand
+            while not member[x]:
                 cyc.append(x)
-                x = group.mul(x, cand)
-            if x == group.identity:
+                x = product(x, cand)
+            if x == e:
                 break
         else:  # cannot happen for a genuine abelian group
             raise RuntimeError("greedy cyclic decomposition failed")

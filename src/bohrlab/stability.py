@@ -25,6 +25,10 @@ ORACLE_ORDER_CAP = 12
 # Bytes of compatibility-row bits one local graph may take: a mask of m pairs
 # goes local only when its m^2 bits fit
 LOCAL_GRAPH_BYTES = 64 << 20
+# Roots of 1 to this many kept pairs build their local graphs a batch of
+# roots at a time (``_root_pairs``): R roots padded to the batch's largest,
+# M pairs, take R * M^2 <= BLOCK_ENTRIES // 4 (8,192) floats
+SMALL_ROOT_PAIRS = 40
 # 2**j at index j, the weight of bit j of a row of at most 64 bits
 _BIT_WEIGHTS = np.left_shift(1, np.arange(64, dtype=np.uint64))
 
@@ -169,10 +173,19 @@ def _max_ladder(F: np.ndarray, table: np.ndarray, eps: float, cap: int,
     branches on its pairs in index order, drops each branched pair from its
     own mask as the colouring branch does, and stops once
     depth + popcount(mask) <= best (Carraghan and Pardalos, Oper. Res.
-    Lett. 1990). It builds only the branched pair's row, from 2m entries of
-    F (``_apart_row``), as the dive does. Each row is built for a node the
-    budget charges (a dive step before it, a child after), so a budget of
-    N nodes builds at most N + 1 rows and N local graphs.
+    Lett. 1990). It splits its pair indices into (a, b) once and builds
+    only the branched pair's row, from 2m entries of F (``_apart_row``), as
+    the dive does on its one split of the domain. Each row is built for a
+    node the budget charges (a dive step before it, a child after), so a
+    budget of N nodes builds at most N + 1 rows and N local graphs of more
+    than SMALL_ROOT_PAIRS pairs. A root of 1 to SMALL_ROOT_PAIRS pairs
+    whose m^2 bits fit takes its matrix from a batch (``_root_pairs``):
+    consecutive such roots of the block already lifted, while their count
+    times the square of their most pairs stays within BLOCK_ENTRIES // 4,
+    are built in one pass when the search reaches the batch's first root,
+    each bitwise its ``_local_graph``. So those graphs are built only within
+    a lifted block, at most one batch ahead of the search, and a root's
+    node is charged, and can return, before it reads its rows.
 
     The budget counts node expansions (one per candidate scan of a partial
     ladder). Returns (best_depth, pairs, exhausted, nodes).
@@ -219,6 +232,8 @@ def _max_ladder(F: np.ndarray, table: np.ndarray, eps: float, cap: int,
             mask = (1 << m) - 1
             if m * m <= local_bits:
                 mask, pairs, apart = _local_graph(F, eps, pairs)
+            else:
+                a, b = np.divmod(pairs, n)  # split once: one row a branch
         # a node too large to store branches in index order, bounded by the
         # pairs left, and builds one row a branch
         branches = (zip(range(m), range(m, 0, -1)) if apart is None else
@@ -228,26 +243,28 @@ def _max_ladder(F: np.ndarray, table: np.ndarray, eps: float, cap: int,
                 return
             stack.append(pairs[v])
             mask ^= 1 << v
-            row = _apart_row(F, eps, pairs, v) if apart is None else apart[v]
+            row = _apart_row(F, eps, a, b, v) if apart is None else apart[v]
             visit(mask & ~row, pairs, apart)
             stack.pop()
 
     try:
         pairs = np.flatnonzero(np.outer(a_allowed, b_allowed))  # all domain pairs
         mask = (1 << pairs.size) - 1
+        dive_a, dive_b = np.divmod(pairs, n)
         while enter(len(stack)) and mask:  # the dive
             v = (mask & -mask).bit_length() - 1
             stack.append(pairs[v])
             mask ^= 1 << v
-            mask &= ~_apart_row(F, eps, pairs, v)
+            mask &= ~_apart_row(F, eps, dive_a, dive_b, v)
+        del dive_a, dive_b  # 1 MB at n = 256, which the roots never read
         stack.clear()
         if not (state["stop"] or a_allowed.all() and b_allowed.all()):
             visit((1 << pairs.size) - 1, pairs, None)  # the restricted domain
         elif not state["stop"] and enter(0):  # the roots (0, b)
             del pairs  # the roots never read these n^2 indices (0.5 MB, n = 256)
-            for b, rest in _root_pairs(F, table, eps):
+            for b, rest, apart in _root_pairs(F, table, eps):
                 stack.append(b)
-                visit((1 << rest.size) - 1, rest, None)
+                visit((1 << len(rest)) - 1, rest, apart)
                 stack.pop()
                 if state["stop"]:  # lift no further block of roots
                     break
@@ -260,9 +277,12 @@ def _max_ladder(F: np.ndarray, table: np.ndarray, eps: float, cap: int,
 
 
 def _root_pairs(F: np.ndarray, table: np.ndarray, eps: float):
-    """Yield (b, rest) for the roots (0, b) in order: rest holds, ascending,
-    the indices of the pairs compatible with (0, b) whose key is >= b, lifted
-    from one base set as ``_max_ladder``'s Roots paragraph sets out."""
+    """Yield (b, rest, apart) for the roots (0, b) in order: rest holds,
+    ascending, the indices of the pairs compatible with (0, b) whose key is
+    >= b, lifted from one base set as ``_max_ladder``'s Roots paragraph sets
+    out. apart is None, or, for a root of 1 to SMALL_ROOT_PAIRS pairs whose
+    m^2 bits fit LOCAL_GRAPH_BYTES, the rows ``_local_graph`` would build,
+    with rest its pair list (``_root_graphs``)."""
     n = F.shape[0]
     base_a, base_b = np.nonzero(np.abs(F[0] - F[:, 0, None]) >= eps)
     base_x = table[base_a, 0]  # a'' 0
@@ -270,13 +290,76 @@ def _root_pairs(F: np.ndarray, table: np.ndarray, eps: float):
     over[np.arange(n), table] = np.arange(n)[:, None]
     products = table.ravel()
     rank = np.argsort(table[0])  # rank[x] = the b* with 0 b* = x, the key of x
+    most = min(SMALL_ROOT_PAIRS, math.isqrt(8 * LOCAL_GRAPH_BYTES))
+    entries = groups.BLOCK_ENTRIES // 4  # a batch's padded R * M^2 floats
     for blk in row_blocks(n, base_a.size):
         roots = np.arange(blk.start, blk.stop)
         lifted = over[blk].take(base_x, axis=1) * n + base_b
         lifted.sort(axis=1)  # bits keep index order
         keep = rank.take(products.take(lifted)) >= roots[:, None]
-        for b, pairs, kept in zip(roots.tolist(), lifted, keep):
-            yield b, pairs[kept]
+        sizes = np.count_nonzero(keep, axis=1)
+        batched = (sizes > 0) & (sizes <= most)
+        # the small roots' kept pairs, root after root: each batch a slice
+        small_pairs = lifted[keep & batched[:, None]]
+        batches = _batches(np.flatnonzero(batched).tolist(), sizes.tolist(), entries)
+        ready: dict = {}  # offset -> (pairs, apart) of the batch being read
+        start = 0  # of the next batch's pairs in small_pairs
+        for i, (b, pairs, kept, graph) in enumerate(
+                zip(roots.tolist(), lifted, keep, batched.tolist())):
+            if not graph:
+                yield b, pairs[kept], None
+                continue
+            if not ready:  # the search has reached the next batch
+                batch = next(batches)
+                m = sizes[batch]
+                stop = start + int(m.sum())
+                ready = dict(zip(batch, _root_graphs(F, eps, small_pairs[start:stop], m)))
+                start = stop
+            yield b, *ready.pop(i)
+
+
+def _batches(todo: list[int], sizes: list[int], entries: int):
+    """Split the ascending root offsets todo into runs whose padded R * M^2
+    entries (M the run's most pairs) stay within entries, one root at
+    least."""
+    run: list[int] = []
+    width = 0  # the most pairs of the run and root i
+    for i in todo:
+        width = max(width, sizes[i])
+        if run and (len(run) + 1) * width * width > entries:
+            yield run
+            run, width = [], sizes[i]
+        run.append(i)
+    if run:
+        yield run
+
+
+def _root_graphs(F: np.ndarray, eps: float, pairs: np.ndarray,
+                 m: np.ndarray) -> list[tuple[list[int], list[int]]]:
+    """(pairs, apart) of each of R roots whose ascending pair indices are
+    the runs of m[r] entries of pairs, the pair list and rows
+    ``_local_graph`` returns on them, built in one padded (R, M, M) pass.
+
+    Row r of the pad lists root r's m_r pairs, then pads with pair 0. Entry
+    (r, i, j) of the flat gather is F[a_ri, b_rj] and its (r, j, i) is
+    F[a_rj, b_ri], so each gap is the same subtraction of the same two
+    floats as E - E.T; the diagonal and the padded columns are cleared, and
+    each root keeps its first m_r rows.
+    """
+    n = F.shape[0]
+    width = int(m.max())
+    slot = np.arange(width) < m[:, None]  # row r: m_r pairs, then padding
+    pad = np.zeros(slot.shape, dtype=pairs.dtype)
+    pad[slot] = pairs
+    b = pad % n
+    gaps = F.take((pad - b)[:, :, None] + b[:, None, :])  # pad - b = a n
+    diff = gaps - gaps.transpose(0, 2, 1)
+    near = np.abs(diff, out=diff) < eps
+    near &= slot[:, None, :]
+    near.reshape(len(m), -1)[:, ::width + 1] = False  # entries (r, i, i)
+    rows = _int_rows(near.reshape(-1, width))
+    return [(listed[:k], rows[r * width:r * width + k])
+            for r, (k, listed) in enumerate(zip(m.tolist(), pad.tolist()))]
 
 
 def _set_bits(mask: int, nbits: int) -> np.ndarray:
@@ -329,10 +412,10 @@ def _local_graph(F: np.ndarray, eps: float, pairs: np.ndarray):
     return (1 << m) - 1, pairs.tolist(), apart
 
 
-def _apart_row(F: np.ndarray, eps: float, pairs: np.ndarray, v: int) -> int:
-    """Row v of the non-neighbour matrix ``_local_graph`` builds on pairs,
-    gathered from the same 2m entries of F by the same subtraction."""
-    a, b = np.divmod(pairs, F.shape[0])
+def _apart_row(F: np.ndarray, eps: float, a: np.ndarray, b: np.ndarray,
+               v: int) -> int:
+    """Row v of the non-neighbour matrix ``_local_graph`` builds on the pairs
+    a * n + b, gathered from the same 2m entries of F by the same subtraction."""
     return _near_rows((F[a[v]].take(b) - F[:, b[v]].take(a))[None], eps, v)[0]
 
 
@@ -354,16 +437,22 @@ def _colour_classes(mask: int, apart, skip: int) -> list[tuple[int, int]]:
     Pairs are listed by ascending colour; those of colour <= skip cannot
     extend the best ladder and are left out.
     """
-    out = []
     colour = 0
+    while mask and colour < skip:  # classes that cannot branch: no record
+        colour += 1
+        avail = mask
+        while avail:
+            low = avail & -avail
+            avail &= apart[low.bit_length() - 1]
+            mask ^= low
+    out = []
     while mask:
         colour += 1
         avail = mask
         while avail:
             low = avail & -avail
             v = low.bit_length() - 1
-            if colour > skip:
-                out.append((v, colour))
+            out.append((v, colour))
             avail &= apart[v]
             mask ^= low
     return out

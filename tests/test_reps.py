@@ -175,6 +175,47 @@ def test_cyclic_decomposition_pinned(desc, gens, orders):
         assert y == x
 
 
+def _cyclic_decomposition_by_mul(group):
+    """Reference: the greedy decomposition walking each candidate's powers
+    with ``group.mul`` and a numpy membership array."""
+    n = group.order
+    orders = group.element_orders()
+    by_order = np.argsort(-orders, kind="stable")
+    gens = []
+    span, exps = np.array([group.identity]), np.zeros((1, 0), dtype=np.int64)
+    while span.size < n:
+        in_span = np.isin(np.arange(n), span)
+        for cand in by_order[~in_span[by_order]].tolist():
+            cyc, x = [group.identity], cand
+            while not in_span[x]:
+                cyc.append(x)
+                x = group.mul(x, cand)
+            if x == group.identity:
+                break
+        exps = np.column_stack([np.repeat(exps, len(cyc), axis=0),
+                                np.tile(np.arange(len(cyc)), span.size)])
+        span = group.table[span[:, None], cyc].ravel()
+        gens.append(cand)
+    coords = np.zeros((n, max(1, len(gens))), dtype=np.int64)
+    coords[span, :len(gens)] = exps
+    return gens, [int(orders[g]) for g in gens], coords
+
+
+@pytest.mark.parametrize("desc", [
+    *(f"zmod:{n}" for n in (*range(1, 65), 96, 100, 128, 200, 210, 256, 360,
+                            512, 720, 1000, 1024, 2048)),
+    *(d for d in catalog_descriptors(10**6) if d.startswith("product:")),
+    "product:zmod:6,zmod:4,zmod:10", "product:zmod:2,zmod:4,zmod:8,zmod:16",
+    "product:zmod:12,zmod:18", "product:zmod:32,zmod:64"])
+def test_cyclic_decomposition_matches_the_mul_walk(desc):
+    g = build_group(desc)
+    gens, orders, coords = reps.cyclic_decomposition(g)
+    want_gens, want_orders, want_coords = _cyclic_decomposition_by_mul(g)
+    assert (gens, orders) == (want_gens, want_orders)
+    assert coords.dtype == want_coords.dtype
+    assert np.array_equal(coords, want_coords)
+
+
 def test_abelian_characters_rejects_nonabelian(s3):
     with pytest.raises(ValueError):
         abelian_characters(s3)

@@ -422,29 +422,48 @@ def test_unstored_nodes_match_oracle(monkeypatch, local_bytes):
                         assert (idx.status, idx.k_max) == ("capped", cap), case
 
 
-def test_ladder_index_retains_no_memory():
-    g = build_group("zmod:60")
-    rng = rng_from_seed(1001)
-    f = convolve(GroupFunction.indicator(random_subset(g, 0.3, rng)),
-                 GroupFunction.indicator(random_subset(g, 0.3, rng)))
-    ladder_index(f, 0.1, cap=8, budget=2000)  # warm imports and caches
-    gc.collect()
-    was_enabled = gc.isenabled()
-    gc.disable()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        ladder_index(f, 0.1, cap=8, budget=2000)
-        retained = tracemalloc.get_traced_memory()[0] - before
-        cyclic = gc.collect()
-    finally:
-        tracemalloc.stop()
-        if was_enabled:
-            gc.enable()
-    # the search's masks and compatibility rows must be freed by reference
-    # counting alone, not left in a cycle for the next gen-2 collection
-    assert retained < 16_384
-    assert cyclic == 0
+def test_ladder_index_retains_no_memory(monkeypatch):
+    # seed 1005 at cap 3 stops at its second batched root, with the rest of
+    # that root's batch built and never read
+    from bohrlab import stability
+    built, read = [0], [0]
+    root_graphs, root_pairs = stability._root_graphs, stability._root_pairs
+
+    def counted_graphs(F, eps, pairs, m):
+        built[0] += len(m)
+        return root_graphs(F, eps, pairs, m)
+
+    def counted_roots(F, table, eps):
+        for b, rest, apart in root_pairs(F, table, eps):
+            read[0] += apart is not None
+            yield b, rest, apart
+
+    for seed, cap in ((1001, 8), (1005, 3)):
+        f = _pilot_function("zmod:60", seed)
+        built[0] = read[0] = 0
+        monkeypatch.setattr(stability, "_root_graphs", counted_graphs)
+        monkeypatch.setattr(stability, "_root_pairs", counted_roots)
+        idx = ladder_index(f, 0.1, cap=cap, budget=2000)  # warms imports and caches
+        monkeypatch.undo()
+        if cap == 3:
+            assert idx.status == "capped" and built[0] > read[0] > 0
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ladder_index(f, 0.1, cap=cap, budget=2000)
+            retained = tracemalloc.get_traced_memory()[0] - before
+            cyclic = gc.collect()
+        finally:
+            tracemalloc.stop()
+            if was_enabled:
+                gc.enable()
+        # the search's masks and compatibility rows must be freed by reference
+        # counting alone, not left in a cycle for the next gen-2 collection
+        assert retained < 16_384, seed
+        assert cyclic == 0, seed
 
 
 def _pilot_function(desc, seed):
@@ -460,9 +479,9 @@ def test_large_masks_read_rows_without_storing(monkeypatch):
     built = [0]  # single rows of 2m entries of F each
     apart_row = stability._apart_row
 
-    def counted(F, eps, pairs, v):
+    def counted(F, eps, a, b, v):
         built[0] += 1
-        return apart_row(F, eps, pairs, v)
+        return apart_row(F, eps, a, b, v)
 
     def run(local_bytes, budget):
         monkeypatch.setattr(stability, "LOCAL_GRAPH_BYTES", local_bytes)
@@ -535,7 +554,8 @@ def test_local_graph_matches_explicit_adjacency(monkeypatch, n, block_entries):
         assert listed == pairs.tolist()
         assert apart == [sum(1 << int(j) for j in np.flatnonzero(r)) for r in non]
         # the one-row helper of unstored nodes builds the same rows
-        assert [stability._apart_row(F, 0.5, pairs, v) for v in range(len(pairs))] == apart
+        a, b = np.divmod(pairs, n)
+        assert [stability._apart_row(F, 0.5, a, b, v) for v in range(len(pairs))] == apart
 
 
 def _greedy_colouring(adj, members, skip):
@@ -567,6 +587,42 @@ def test_colour_classes_match_greedy_colouring_of_adjacency():
             for skip in range(4):
                 assert (stability._colour_classes(mask, apart, skip)
                         == _greedy_colouring(adj, members, skip))
+
+
+def _colour_classes_per_vertex(mask, apart, skip):
+    """Reference: the colouring loop that tests every vertex against skip."""
+    out = []
+    colour = 0
+    while mask:
+        colour += 1
+        avail = mask
+        while avail:
+            low = avail & -avail
+            v = low.bit_length() - 1
+            if colour > skip:
+                out.append((v, colour))
+            avail &= apart[v]
+            mask ^= low
+    return out
+
+
+def test_colour_classes_match_the_per_vertex_loop():
+    # the classes of colour <= skip are coloured without a record; the list
+    # and its order must stay those of the loop that tests each vertex
+    from bohrlab import stability
+    rng = rng_from_seed(79)
+    for size in (1, 2, 3, 17, 40, 64, 65, 129, 300):
+        for density in (0.05, 0.5, 0.95):
+            upper = np.triu(rng.random((size, size)) < density, 1)
+            non = ~(upper | upper.T)
+            np.fill_diagonal(non, False)
+            apart = stability._int_rows(non)
+            mask = stability._int_rows(rng.random((1, size)) < 0.8)[0]
+            full = _colour_classes_per_vertex(mask, apart, -1)
+            colours = max((c for _, c in full), default=0)
+            for skip in range(-1, colours + 2):
+                assert (stability._colour_classes(mask, apart, skip)
+                        == _colour_classes_per_vertex(mask, apart, skip)), (size, density, skip)
 
 
 def test_int_rows_and_set_bits_round_trip():
@@ -653,7 +709,9 @@ def _direct_root_pairs(F, table, eps):
         yield b, rest[rank[table.ravel().take(rest)] >= b]
 
 
-def _root_pair_cases():
+def _small_root_pair_cases():
+    """The catalog groups up to order 60 and the relabelled groups, with
+    quarter-valued functions whose gaps fall exactly on eps."""
     for desc in catalog_descriptors(60):
         g = build_group(desc)
         rng = rng_from_seed(g.order)
@@ -671,6 +729,10 @@ def _root_pair_cases():
         values = rng.integers(0, 4, size=h.order) / 4
         yield GroupFunction(h, values), 0.5
         yield GroupFunction(h, values), 0.75
+
+
+def _root_pair_cases():
+    yield from _small_root_pair_cases()
     for desc, seed, *_ in ORDER_256_PINS:
         yield _pilot_function(desc, seed), 0.04
     # the roots of an interval indicator on zmod:256 share a base set of
@@ -687,9 +749,56 @@ def test_root_pairs_match_direct_gaps(monkeypatch, block_entries):
         F, table = stability._pair_table(f), f.group.table
         lifted = list(stability._root_pairs(F, table, eps))
         direct = list(_direct_root_pairs(F, table, eps))
-        assert [b for b, _ in lifted] == list(range(f.group.order))
-        for (b, rest), (_, want) in zip(lifted, direct):
+        assert [b for b, *_ in lifted] == list(range(f.group.order))
+        for (b, rest, _), (_, want) in zip(lifted, direct):
             assert np.array_equal(rest, want), (f.group.descriptor, eps, b)
+
+
+@pytest.mark.parametrize("block_entries,local_bytes", [(None, None), (500, None), (None, 0)])
+def test_batched_root_graphs_match_local_graphs(monkeypatch, block_entries, local_bytes):
+    # a root of 1 to SMALL_ROOT_PAIRS kept pairs takes its rows from a batch
+    # of roots built in one pass: the pair list and rows _local_graph builds
+    # on the same pairs, bit for bit, and the mask of all m pairs. At 500
+    # entries a batch holds at most 125 padded entries; at 0 bytes no local
+    # graph is stored, so no root is batched.
+    from bohrlab import groups, stability
+    if block_entries is not None:
+        monkeypatch.setattr(groups, "BLOCK_ENTRIES", block_entries)
+    if local_bytes is not None:
+        monkeypatch.setattr(stability, "LOCAL_GRAPH_BYTES", local_bytes)
+    batches = []  # (roots, most pairs) a batch
+    root_graphs = stability._root_graphs
+
+    def counted(F, eps, pairs, m):
+        batches.append((len(m), int(m.max())))
+        return root_graphs(F, eps, pairs, m)
+
+    monkeypatch.setattr(stability, "_root_graphs", counted)
+    bound = stability.SMALL_ROOT_PAIRS
+    sizes = set()  # kept pairs of the roots seen
+    stored = 0  # roots that took their rows from a batch
+    for f, eps in _small_root_pair_cases():
+        F, table = stability._pair_table(f), f.group.table
+        for b, rest, apart in stability._root_pairs(F, table, eps):
+            case = (f.group.descriptor, eps, b)
+            m = len(rest)
+            sizes.add(m)
+            if m == 0 or m > bound or local_bytes == 0:
+                assert apart is None, case
+                continue
+            mask, listed, want = stability._local_graph(F, eps, np.array(rest))
+            assert mask == (1 << m) - 1, case
+            assert (rest, apart) == (listed, want), case
+            stored += 1
+    assert {0, 1, bound, bound + 1} <= sizes
+    if local_bytes == 0:
+        assert batches == []
+    else:  # each batched root built once, some batches of several roots,
+        # and one of several pads to at most BLOCK_ENTRIES // 4 entries
+        assert sum(r for r, _ in batches) == stored
+        assert max(r for r, _ in batches) > 1
+        entries = groups.BLOCK_ENTRIES // 4
+        assert all(r * w * w <= entries for r, w in batches if r > 1)
 
 
 def test_a_stopped_search_lifts_no_further_roots(monkeypatch):
@@ -701,9 +810,9 @@ def test_a_stopped_search_lifts_no_further_roots(monkeypatch):
     root_pairs = stability._root_pairs
 
     def counted(F, table, eps):
-        for b, rest in root_pairs(F, table, eps):
+        for b, *graph in root_pairs(F, table, eps):
             yielded.append(b)
-            yield b, rest
+            yield b, *graph
 
     monkeypatch.setattr(stability, "_root_pairs", counted)
     f = GroupFunction.indicator(interval_subset(build_group("zmod:256"), 64))
@@ -722,9 +831,9 @@ def test_budget_bounds_the_rows_of_oversized_roots(monkeypatch):
     built = [0]
     apart_row = stability._apart_row
 
-    def counted(F, eps, pairs, v):
+    def counted(F, eps, a, b, v):
         built[0] += 1
-        return apart_row(F, eps, pairs, v)
+        return apart_row(F, eps, a, b, v)
 
     monkeypatch.setattr(stability, "_apart_row", counted)
     g = build_group("zmod:256")
