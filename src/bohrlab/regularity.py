@@ -10,6 +10,7 @@ the first whose worst translate defect fits the zeta budget.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional
 
@@ -218,27 +219,32 @@ def _longest_windows(svals: np.ndarray, thr: float) -> tuple[np.ndarray, np.ndar
     return lo, hi - lo + 1
 
 
-def _every_translate_fits(f: GroupFunction, subset: Subset, eps: float) -> bool:
-    """Whether f's value range on every left translate gS of a nonempty S is
-    below eps - WINDOW_GUARD; a one-element S counts as constant.
-
-    max - min over gS is the float the kernel compares for its whole-set
-    window, so this holds exactly when _max_defect(f, subset, eps) == 0.0.
-    S itself, the translate eS, is tried first: most sets fail there, before
-    any translate is gathered.
-    """
-    idx = subset.indices
-    if idx.size == 1:
-        return True
-    table, thr = f.group.table, eps - WINDOW_GUARD
-    own = f.values[idx]
-    if not own.max() - own.min() < thr:
-        return False
-    for blk in row_blocks(f.group.order, idx.size):
-        vals = f.values[table[blk][:, idx]]
-        if not (vals.max(axis=1) - vals.min(axis=1) < thr).all():
+def _defect_within(f: GroupFunction, subset: Subset, eps: float,
+                   allowance: float) -> bool:
+    """Whether _max_defect(f, subset, eps) <= allowance, on the same floats,
+    scanning S = eS first, then every gS in blocks, up to the first
+    translate past the allowance. A translate of range below eps -
+    WINDOW_GUARD fits whole, at defect 0.0; any other keeps at most |S| - 1
+    elements, a defect of at least |S|/n - (|S| - 1)/n. Repeated translates
+    share their values, so none is deduplicated; np.sort orders them as the
+    kernel's stable argsort does, up to -0.0 and 0.0, which compare alike."""
+    grp, idx = f.group, subset.indices
+    n, size = grp.order, idx.size
+    if size == 1:
+        return 0.0 <= allowance
+    thr = eps - WINDOW_GUARD
+    floor = size / n - (size - 1) / n
+    for blk in (slice(grp.identity, grp.identity + 1), *row_blocks(n, size)):
+        vals = f.values[grp.table[blk][:, idx]]
+        wide = ~(vals.max(axis=1) - vals.min(axis=1) < thr)
+        if not wide.any():
+            continue
+        if floor > allowance:
             return False
-    return True
+        _, length = _longest_windows(np.sort(vals[wide], axis=1), thr)
+        if (size / n - length / n > allowance).any():
+            return False
+    return 0.0 <= allowance
 
 
 def _max_defect(f: GroupFunction, subset: Subset, eps: float) -> float:
@@ -253,6 +259,8 @@ def translate_defect(f: GroupFunction, spec: BohrSpec,
     """Defect mu(gB) - mu(B') on a transversal of the distinct translates gB."""
     check_eps(eps)
     realized = spec.realized
+    if realized.group is not f.group:
+        raise ValueError("function and Bohr spec live on different groups")
     if len(realized) == 0:
         raise ValueError("Bohr set is empty")
     n = f.group.order
@@ -298,27 +306,19 @@ def search_regular_bohr(f: GroupFunction, eps: float, zeta: ZetaRule,
     within zeta(delta, n), found with its certificate; explicit
     none-within-budget status otherwise.
 
-    Candidates often realize the same set, so each distinct realized set S is
-    screened once: is f's value range below eps - WINDOW_GUARD on every
-    translate gS? That is the kernel's own whole-window test, so a yes means
-    a max defect of exactly 0.0. After a no, some translate keeps a window of
-    at most |S| - 1 elements, and as the float defect falls with the window
-    length, the max defect is at least |S|/n - (|S| - 1)/n; a candidate whose
-    allowance is below that is rejected without the kernel. Otherwise the
-    exact max defect is computed, once per distinct set. The certificate is
-    built for the accepted spec only.
-
-    Most sets fail on S itself, the first translate screened, and most
-    allowances are below the bound that then follows; the walk's screen
-    drops those candidates a span at a time, before any spec is built.
+    Each distinct (realized set S, allowance) reaching ``accept`` is decided
+    once, by a scan of S and then every translate gS that stops at the first
+    translate past the allowance (_defect_within); only the accepted spec
+    runs the certificate kernel. The walk's screen drops, a span at a time,
+    the rows that S itself decides: f's range on S reaches eps -
+    WINDOW_GUARD, and the allowance is below |S|/n - (|S| - 1)/n.
     """
     check_eps(eps)
     n = f.group.order
     thr = eps - WINDOW_GUARD
-    fits: dict[bytes, bool] = {}
-    max_defects: dict[bytes, float] = {}
-    # |S|/n - (|S| - 1)/n by |S|, the floats accept compares; a set of
-    # fewer than two elements fits
+    rejected: set[tuple[bytes, float]] = set()
+    # |S|/n - (|S| - 1)/n by |S|, the floats _defect_within compares; a set
+    # of fewer than two elements fits
     bound = np.arange(n + 1) / n - (np.arange(n + 1) - 1) / n
     bound[:2] = -np.inf
     allowances = _allowance(zeta)
@@ -328,29 +328,21 @@ def search_regular_bohr(f: GroupFunction, eps: float, zeta: ZetaRule,
     ranked = f.values[order]
 
     def screen(span: CandidateSpan) -> np.ndarray:
-        # max - min of f on S, the floats _every_translate_fits compares
-        # first, but for the sign of a zero difference, which no compare
-        # with thr sees (an empty row reads some other value, and
-        # first_accepted skips it)
+        # max - min of f on S, the floats _defect_within compares first, but
+        # for the sign of a zero difference, which no compare with thr sees
+        # (an empty row reads some other value, and first_accepted skips it)
         in_order = span.realized[:, order]
         lo = ranked[in_order.argmax(axis=1)]
         hi = ranked[n - 1 - in_order[:, ::-1].argmax(axis=1)]
         return (hi - lo < thr) | ~(bound[span.sizes] > allowances(span))
 
     def accept(spec: BohrSpec) -> Optional[RegularityCertificate]:
-        realized = spec.realized
-        key = realized.mask.tobytes()
-        if key not in fits:
-            fits[key] = _every_translate_fits(f, realized, eps)
         allowance = zeta.value(spec.delta, spec.tau.dim)
-        if not fits[key]:
-            size = len(realized)
-            if size / n - (size - 1) / n > allowance:
-                return None
-            if key not in max_defects:
-                max_defects[key] = _max_defect(f, realized, eps)
-            if not max_defects[key] <= allowance:
-                return None
+        key = spec.realized.mask.tobytes(), allowance
+        if key in rejected or not _defect_within(f, spec.realized, eps,
+                                                 allowance):
+            rejected.add(key)
+            return None
         return replace(translate_defect(f, spec, eps), zeta_budget=allowance)
 
     return first_accepted(f.group, space, accept, screen)
@@ -410,20 +402,27 @@ def subgroup_obstruction_check(f: GroupFunction, eps: float, index_cap: int,
     """Per-subgroup defect table for all subgroups of index <= index_cap.
 
     A subgroup passes when f is zeta-almost eps-constant on all of its cosets
-    (zeta defaults to eps). Cyclic groups of prime order shortcut to {G};
-    otherwise subgroups are enumerated by brute force for order <= 60.
+    (zeta defaults to eps, and must be nonnegative and finite). A group of
+    prime order has the subgroups G and {e} alone; otherwise subgroups are
+    enumerated by brute force for order <= 60.
     """
     check_eps(eps)
     grp = f.group
     if zeta is None:
         zeta = eps
+    if not 0 <= zeta < math.inf:  # NaN fails too
+        raise ValueError("zeta must be nonnegative and finite")
+    try:
+        valid_cap = operator.index(index_cap) >= 1
+    except TypeError:
+        valid_cap = False
+    if not valid_cap:
+        raise ValueError(f"index_cap must be an integer >= 1, got {index_cap!r}")
     if _is_prime(grp.order):
-        candidates = [frozenset(grp.elements())]
-        if index_cap >= grp.order:
-            candidates.append(frozenset({grp.identity}))
+        subgroups = [frozenset(grp.elements()), frozenset({grp.identity})]
     else:
-        candidates = [h for h in _all_subgroups(grp)
-                      if grp.order // len(h) <= index_cap]
+        subgroups = _all_subgroups(grp)
+    candidates = [h for h in subgroups if grp.order // len(h) <= index_cap]
     rows = []
     for h in candidates:
         worst = _max_defect(f, Subset.from_indices(grp, h), eps)

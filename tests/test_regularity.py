@@ -1,8 +1,11 @@
 import functools
+import hashlib
 import itertools
 import math
 import re
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,11 +20,14 @@ from bohrlab import (BohrSpec, GroupFunction, SearchSpace, Subset, UnitaryRep,
                      translate_defect)
 from bohrlab import groups, irreps_of, ladder_index, measure_hom_residual
 from bohrlab.bohr import first_accepted
+from bohrlab.cli import load_config, run_experiment
 from bohrlab.gen import random_pm1_function, random_subset, rng_from_seed
 from bohrlab.groups import catalog_descriptors
 from bohrlab.regularity import TranslateDefect, _all_subgroups
 
 from conftest import pass_all
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 @pytest.fixture(scope="module")
@@ -444,12 +450,12 @@ def test_search_scores_each_realized_set_once(z101, monkeypatch):
     def counting(name, calls):
         wrapped = getattr(regularity, name)
 
-        def call(f, subset, eps):
+        def call(f, subset, eps, *allowance):
             calls.append(subset.mask.tobytes())
-            return wrapped(f, subset, eps)
+            return wrapped(f, subset, eps, *allowance)
         monkeypatch.setattr(regularity, name, call)
 
-    counting("_every_translate_fits", screened)
+    counting("_defect_within", screened)
     counting("_translate_windows", kernel)
     res = search_regular_bohr(f, 0.1, ZetaRule.constant(1e-6), space)
     assert res.status == "none-within-budget"
@@ -465,13 +471,13 @@ def test_search_scores_each_realized_set_once(z101, monkeypatch):
     # and leaves nothing for the kernel to decide
     assert kernel == []
 
-    # an allowance of at least 1/n sends sets that fail the screen to the
-    # kernel, once each
+    # an allowance of at least 1/n sends every distinct set to accept, and
+    # each is decided there once; the kernel runs only for a certificate
     screened.clear()
     res = search_regular_bohr(f, 0.1, ZetaRule.constant(0.05), space)
     assert res.status == "none-within-budget"
     assert sorted(screened) == sorted(distinct)
-    assert 0 < len(kernel) == len(set(kernel)) and set(kernel) <= distinct
+    assert kernel == []
 
 
 @settings(max_examples=80, deadline=None)
@@ -492,7 +498,7 @@ def test_range_screen_is_exact(descriptor, data, eps):
                                           max_size=1),
                                   st.sets(st.integers(0, n - 1), min_size=1)))
     subset = Subset.from_indices(grp, members)
-    fits = regularity._every_translate_fits(f, subset, eps)
+    fits = regularity._defect_within(f, subset, eps, 0.0)
     assert fits == all(
         len(t) == 1 or np.ptp(f.values[sorted(t)]) < eps - regularity.WINDOW_GUARD
         for _, t in _python_translates(grp, members))
@@ -524,7 +530,7 @@ def test_screen_agrees_with_python_translates(descriptor):
             thr = eps - regularity.WINDOW_GUARD
             brute = [len(t) == 1 or np.ptp(f.values[sorted(t)]) < thr
                      for _, t in _python_translates(grp, members)]
-            fits = regularity._every_translate_fits(f, subset, eps)
+            fits = regularity._defect_within(f, subset, eps, 0.0)
             assert fits == all(brute), (members, eps)
             assert fits == (regularity._max_defect(f, subset, eps) == 0.0)
             own = len(members) == 1 or np.ptp(values[members]) < thr
@@ -617,3 +623,114 @@ def test_eps_below_window_guard_keeps_single_elements(z12):
     cert = translate_defect(f, spec, 1e-13)
     assert all(len(t.subset_indices) == 1 for t in cert.per_translate)
     assert cert.max_defect == pytest.approx(3 / 12)
+
+
+def test_translate_defect_rejects_a_spec_on_another_group():
+    # a sym:4 spec realizes indices that all exist on zmod:24, a zmod:12 one
+    # fewer than f's n; both are rejected before any translate is read
+    f = random_pm1_function(build_group("zmod:24"), rng_from_seed(3))
+    for descriptor in ("sym:4", "zmod:12"):
+        spec = bohr_set(*_group_with_trivial_rep(descriptor), 0.5)
+        with pytest.raises(ValueError, match="different groups"):
+            translate_defect(f, spec, 0.1)
+
+
+@pytest.mark.parametrize("descriptor", ["zmod:7", "zmod:101", "zmod:12",
+                                        "dihedral:6"])
+def test_obstruction_cap_filters_every_subgroup(descriptor):
+    # prime orders list G then {e}; the others list _all_subgroups' order;
+    # each cap keeps the rows of index at most the cap, G at every cap
+    grp = build_group(descriptor)
+    n = grp.order
+    f = random_pm1_function(grp, rng_from_seed(2))
+    full = subgroup_obstruction_check(f, 0.5, index_cap=n).rows
+    if n in (7, 101):
+        assert [row.index for row in full] == [1, n]
+    else:
+        assert [set(row.members) for row in full] == _all_subgroups(grp)
+    for cap in (1, 2, n, np.int64(2)):
+        rows = subgroup_obstruction_check(f, 0.5, index_cap=cap).rows
+        assert rows == tuple(row for row in full if row.index <= cap)
+        assert 1 in [row.index for row in rows]
+
+
+def test_obstruction_rejects_bad_caps_and_zetas(z12):
+    f = GroupFunction.constant(z12, 0.25)
+    for cap in (0, -1, 1.5, 2.0, "2", None):
+        with pytest.raises(ValueError, match="index_cap must be an integer >= 1"):
+            subgroup_obstruction_check(f, 0.5, index_cap=cap)
+    for zeta in (math.nan, -1e-300, -math.inf, math.inf):
+        with pytest.raises(ValueError, match="zeta must be nonnegative and finite"):
+            subgroup_obstruction_check(f, 0.5, index_cap=2, zeta=zeta)
+    # a zeta of 0.0 passes the exact-zero defects of a constant f
+    rows = subgroup_obstruction_check(f, 0.5, index_cap=12, zeta=0.0).rows
+    assert rows and all(row.max_defect == 0.0 and row.passes for row in rows)
+
+
+def _allowances_around(defects, floor, n):
+    """0.0, the floor, each defect, the floats next to the floor and to each
+    defect on both sides, 1/n and infinity."""
+    points = {floor, *defects}
+    return sorted({0.0, 1 / n, math.inf, *points,
+                   *(np.nextafter(p, side) for p in points
+                     for side in (-math.inf, math.inf))})
+
+
+@pytest.mark.parametrize("block_entries", [None, 400])
+@pytest.mark.parametrize("descriptor", ["zmod:200", "dihedral:30", "alt:5",
+                                        "sym:4", "product:zmod:12,zmod:18"])
+def test_defect_decision_matches_the_exact_max(descriptor, block_entries,
+                                               monkeypatch):
+    # uniform values and quarter values with zeros of both signs; eps 1e-13
+    # puts the threshold below 0, where no two values share a window. The
+    # planted f is 0.5 but for 1 and 0 on x and y, which the translate by
+    # the last element holds: at eps 0.5 the translates holding both are the
+    # only ones that fail
+    grp = build_group(descriptor)
+    n = grp.order
+    rng = np.random.default_rng(49)
+    if block_entries:  # a few translates per block
+        monkeypatch.setattr(groups, "BLOCK_ENTRIES", block_entries)
+    quarters = [k / 4 for k in range(-4, 5)] + [-0.0]
+    functions = [GroupFunction(grp, rng.uniform(-1.0, 1.0, n)),
+                 GroupFunction(grp, rng.choice(quarters, n))]
+    member_sets = [[int(rng.integers(n))], list(range(n))] + [
+        rng.choice(n, size, replace=False).tolist()
+        for size in (2, 3, 6, n // 10, n // 3)]
+    cases = list(itertools.product(functions, member_sets))
+    for members in member_sets[2:5]:
+        planted = np.full(n, 0.5)
+        planted[grp.table[n - 1, members[:2]]] = 1.0, 0.0
+        cases.append((GroupFunction(grp, planted), members))
+    outcomes = set()
+    for (f, members), eps in itertools.product(cases, (1e-13, 0.1, 0.5)):
+        subset = Subset.from_indices(grp, members)
+        size = len(subset)
+        worst = regularity._max_defect(f, subset, eps)
+        defects = {float(d) for _, _, length, _ in
+                   regularity._translate_windows(f, subset, eps)
+                   for d in size / n - length / n}
+        assert worst == max(defects)
+        for allowance in _allowances_around(defects, size / n - (size - 1) / n, n):
+            within = regularity._defect_within(f, subset, eps, allowance)
+            assert within == (worst <= allowance), (members, eps, allowance)
+            outcomes.add(within)
+    assert outcomes == {True, False}
+
+
+def test_regularity_zpz_on_zmod_1024_stays_fast(monkeypatch):
+    # the fixture's keys on zmod:1024: zeta 0.001 is above 1/n, so the walk's
+    # screen keeps the sets that fail on S, and accept decides 1,032 distinct
+    # ones; a fresh group cache keeps zmod:1024 from evicting the groups other
+    # tests share
+    monkeypatch.setattr(groups, "_SHARED", {})
+    config = load_config(str(FIXTURES / "regularity_zpz.ini"))
+    config["group"] = "zmod:1024"
+    start = time.perf_counter()
+    report = run_experiment(config)
+    elapsed = time.perf_counter() - start
+    assert report.status == "ok"
+    assert report.payload["candidates_scored"] == 3074
+    assert hashlib.sha256(report.payload_canonical().encode()).hexdigest() == (
+        "a818bbc2a2cfc61bcd113aae2336b3c719b55dd387cb00b86820c5bf07325131")
+    assert elapsed < 5.0
