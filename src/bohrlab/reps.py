@@ -13,7 +13,11 @@ residuals they never read.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
+import threading
+from pathlib import Path
 
 import numpy as np
 
@@ -29,6 +33,50 @@ _FROB_SLACK = 1e-12
 class RepDecompositionError(RuntimeError):
     """Raised when a decomposition attempt fails, and by
     ``decompose_regular`` when all six seeds have failed."""
+
+
+_BLAS_LOCK = threading.RLock()
+
+
+@functools.cache
+def _blas_thread_calls():
+    """(get, set) of the thread count of the OpenBLAS that numpy's wheel
+    bundles in ``numpy.libs``, found by name on first use, or None."""
+    libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block at one BLAS thread, restoring the count after it.
+
+    How OpenBLAS splits a product between threads moves its last bits, and
+    a decomposition's eigenvectors with them, so the irreps and their
+    residuals are computed at one thread whatever the process runs at. The
+    count is process-wide, hence the lock. Without a setter it runs as is.
+    """
+    with _BLAS_LOCK:
+        calls = _blas_thread_calls()
+        if calls is None:
+            yield
+            return
+        get, put = calls
+        before = get()
+        put(1)
+        try:
+            yield
+        finally:
+            put(before)
 
 
 def _op_norms(batch: np.ndarray) -> np.ndarray:
@@ -98,16 +146,19 @@ class UnitaryRep:
 def measure_hom_residual(rep: UnitaryRep) -> float:
     """Max over all n^2 pairs of ||t(ab) - t(a) t(b)||_op.
 
-    The pairs go in ``row_blocks`` of whole rows a. Above dimension 1 each
-    block's products are one matrix product (``_residual_blocks``), and an
-    SVD runs only on a pair whose Frobenius norm can still set the maximum
-    (see ``_max_op_norm``).
+    The pairs go in ``row_blocks`` of whole rows a, each block's complex
+    temporaries at most ``BLOCK_ENTRIES // 4`` entries (128 KiB). Above
+    dimension 1 each block's products are one matrix product
+    (``_residual_blocks``), run at one BLAS thread, and an SVD runs only on
+    a pair whose Frobenius norm can still set the maximum (see
+    ``_max_op_norm``).
     """
     if rep.dim == 1:
         return _scalar_hom_residual(rep.matrices[:, 0, 0], rep.group.table)
     worst = 0.0
-    for batch in _residual_blocks(rep):
-        worst = _max_op_norm(batch, worst)
+    with _one_blas_thread():
+        for batch in _residual_blocks(rep):
+            worst = _max_op_norm(batch, worst)
     return worst
 
 
@@ -116,7 +167,7 @@ def _scalar_hom_residual(chi: np.ndarray, table: np.ndarray) -> float:
     ``chi``, ab = table[a, b], in ``row_blocks`` of rows a."""
     return max(float(np.max(np.abs(chi[table[blk]]
                                    - np.einsum("a,b->ab", chi[blk], chi))))
-               for blk in row_blocks(len(chi), len(chi)))
+               for blk in row_blocks(len(chi), 4 * len(chi)))
 
 
 def _residual_blocks(rep: UnitaryRep):
@@ -130,7 +181,7 @@ def _residual_blocks(rep: UnitaryRep):
     g, mats, d = rep.group, rep.matrices, rep.dim
     n = g.order
     cols = np.ascontiguousarray(mats.transpose(1, 0, 2))  # [j, b, k]
-    for rows in row_blocks(n, n * d * d):
+    for rows in row_blocks(n, 4 * n * d * d):
         prod = mats[rows].transpose(1, 0, 2).reshape(-1, d) @ cols.reshape(d, n * d)
         diff = np.take(cols, g.table[rows], axis=1) - prod.reshape(d, -1, n, d)
         yield diff.reshape(d, -1, d).transpose(1, 0, 2)
@@ -429,26 +480,30 @@ def decompose_regular(group: FiniteGroup) -> list[UnitaryRep]:
     is I_d (x) X, so a generic cluster carries one copy of one irrep. A
     cluster whose character, read off its projection, was already found is
     skipped before its matrices are built; a new cluster whose character
-    has <chi, chi> != 1 fails the attempt. Every basis change is a matrix
-    product over the whole stack. Verifies sum(dim^2) = |G| exactly and
-    residuals <= 1e-9. A failed attempt retries with the next of the seeds
-    0 to 5, the only recovery, so the result is a function of the group. The
-    hom residual is certified by ``_hom_residual_bound`` from the n * |S|
-    pairs (g, s), s in ``group.generators``, and words of length n - 1, and
-    measured over all pairs only when that bound exceeds 1e-9 (by one matrix
-    product per row block, see ``measure_hom_residual``), so the check
-    passes exactly when the measured residual would.
+    has <chi, chi> != 1 fails the attempt. Characters are matched at the
+    least element of each conjugacy class. A cluster's matrices are one
+    product per row block of elements, and each later basis change is a
+    matrix product over the whole stack; all of it runs at one BLAS thread.
+    Verifies sum(dim^2) = |G| exactly and residuals <= 1e-9. A failed
+    attempt retries with the next of the seeds 0 to 5, the only recovery,
+    so the result is a function of the group. The hom residual is certified
+    by ``_hom_residual_bound`` from the n * |S| pairs (g, s), s in
+    ``group.generators``, and words of length n - 1, and measured over all
+    pairs only when that bound exceeds 1e-9 (by one matrix product per row
+    block, see ``measure_hom_residual``), so the check passes exactly when
+    the measured residual would.
     """
     n = group.order
     if n > DECOMPOSE_ORDER_CAP:
         raise ValueError(f"decompose_regular caps at order {DECOMPOSE_ORDER_CAP}")
     last_err: Exception | None = None
-    for seed in range(6):
-        rng = np.random.default_rng(seed)
-        try:
-            return _decompose_once(group, rng)
-        except RepDecompositionError as exc:
-            last_err = exc
+    with _one_blas_thread():
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            try:
+                return _decompose_once(group, rng)
+            except RepDecompositionError as exc:
+                last_err = exc
     raise RepDecompositionError(
         f"decomposition failed after 6 seeds: {last_err}")
 
@@ -464,10 +519,18 @@ def _commutant_projection(group: FiniteGroup, h: np.ndarray) -> np.ndarray:
     return c[table[group.inverse, :]]
 
 
-def _decompose_once(group: FiniteGroup, rng: np.random.Generator) -> list[UnitaryRep]:
+def _class_conjugates(group: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
+    """The least element c_i of each conjugacy class, in increasing order,
+    and the (n, k) array of h^-1 c_i h at [h, i]."""
     n = group.order
     left_inv = group.table[group.inverse, :]  # row g: h -> g^-1 h
+    conjugates = group.table[left_inv, np.arange(n)[:, None]]  # [h, g] = h^-1 g h
+    classes = np.flatnonzero(conjugates.min(axis=0) == np.arange(n))
+    return classes, conjugates[:, classes]
 
+
+def _decompose_once(group: FiniteGroup, rng: np.random.Generator) -> list[UnitaryRep]:
+    n = group.order
     if n == 1:
         return [UnitaryRep(group, np.ones((1, 1, 1)), label="irrep0")]
 
@@ -480,9 +543,10 @@ def _decompose_once(group: FiniteGroup, rng: np.random.Generator) -> list[Unitar
     # and P[i, j] = p(i^-1 j) with p = P[e, :]: the cluster's character
     # chi(g) = sum_h P[g^-1 h, h] is sum_h p(h^-1 g h). Its rounding is far
     # below CHAR_MATCH_TOL; a match is a copy of a found irrep, and a miss
-    # builds the cluster's matrices, which must carry an irreducible.
-    conjugates = group.table[left_inv, np.arange(n)[:, None]]  # [h, g] = h^-1 g h
-    known = np.empty((n, n), dtype=np.complex128)  # the characters found so far
+    # builds the cluster's matrices, which must carry an irreducible. As a
+    # class function, a character is compared at one element per class.
+    classes, conjugates = _class_conjugates(group)
+    known = np.empty((n, len(classes)), dtype=np.complex128)  # found so far
     found: list[tuple[np.ndarray, np.ndarray]] = []  # (character, matrices)
     for idx in clusters:
         q = np.linalg.qr(v[:, idx])[0]
@@ -490,14 +554,17 @@ def _decompose_once(group: FiniteGroup, rng: np.random.Generator) -> list[Unitar
         if _is_known(np.take(p, conjugates).sum(axis=0), known[:len(found)]):
             continue  # a copy of a found irrep: no matrices
         # sigma(g) = Q^H rho(g) Q = Q[gh]^H Q with rho(g) the left-multiplication
-        # permutation: rows (k, g) of Q^H[k, gh] in one product
+        # permutation: rows (k, g) of Q^H[k, gh], one product per row block of g
         m = len(idx)
-        qh = np.take(q.conj().T, group.table, axis=1).reshape(m * n, n)
-        mats = np.ascontiguousarray((qh @ q).reshape(m, n, m).transpose(1, 0, 2))
+        qh = q.conj().T
+        mats = np.empty((n, m, m), dtype=np.complex128)
+        for rows in row_blocks(n, 4 * m * n):
+            blk = np.take(qh, group.table[rows], axis=1).reshape(-1, n) @ q
+            mats[rows] = blk.reshape(m, -1, m).transpose(1, 0, 2)
         chi = np.trace(mats, axis1=1, axis2=2)
         if abs(float(np.mean(np.abs(chi) ** 2)) - 1.0) >= CHAR_MATCH_TOL:
             raise RepDecompositionError("an eigenvalue cluster is reducible")
-        known[len(found)] = chi
+        known[len(found)] = chi[classes]
         found.append((chi, mats))
 
     if sum(m.shape[1] ** 2 for _, m in found) != n:
@@ -505,7 +572,8 @@ def _decompose_once(group: FiniteGroup, rng: np.random.Generator) -> list[Unitar
             f"dimension check failed: sum dim^2 = "
             f"{sum(m.shape[1] ** 2 for _, m in found)} != {n}")
 
-    order = _char_order(known[:len(found)], [m.shape[1] for _, m in found])
+    order = _char_order(np.array([chi for chi, _ in found]),
+                        [m.shape[1] for _, m in found])
     found = [found[i] for i in order]
     commutators = group.table[group.table, group.inverse[group.table.T]]
     irreps = []

@@ -3,10 +3,10 @@ nonabelian-mix and ladder-pilot at seed 7 too; and the canonical payload of
 each fixture. Also the spans the seed-101 nonabelian regularity searches
 read, a work counter of the candidate walk.
 
-One child process with one BLAS thread (the irreps payload of dihedral:50
-depends on the thread count) builds each workload's experiment list and
-runs it twice through ``cli.run_experiment``, hashing the payloads as the
-benchmark's child process does. The second pass searches the shared groups
+One child process with one BLAS thread, as the benchmark's, builds each
+workload's experiment list and runs it twice through ``cli.run_experiment``,
+hashing the payloads as the benchmark's child process does; nonabelian-mix
+also at two threads. The second pass searches the shared groups
 with the irreps, level tables and combos the first one left on them.
 """
 
@@ -101,12 +101,12 @@ print(json.dumps({
 """
 
 
-def _run_child(tmp_path, *args, code=CHILD):
+def _run_child(tmp_path, *args, code=CHILD, threads="1"):
     proc = subprocess.run(
         [sys.executable, "-c", code, *map(str, args)],
         capture_output=True, text=True, cwd=tmp_path,
-        env=_child_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                       MKL_NUM_THREADS="1"))
+        env=_child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads))
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -114,6 +114,13 @@ def _run_child(tmp_path, *args, code=CHILD):
 def test_seed_101_digests_hold_on_a_replay(tmp_path):
     out = _run_child(tmp_path, LABBENCH, 101, *DIGESTS)
     assert out == {w: [d, d] for w, d in DIGESTS.items()}
+
+
+def test_seed_101_nonabelian_digest_holds_at_two_blas_threads(tmp_path):
+    # the benchmark's child runs at one BLAS thread; the decompositions
+    # pin it themselves, so the payloads do not depend on the process's count
+    out = _run_child(tmp_path, LABBENCH, 101, "nonabelian-mix", threads="2")
+    assert out == {"nonabelian-mix": [DIGESTS["nonabelian-mix"]] * 2}
 
 
 def test_seed_7_nonabelian_digest_holds_on_a_replay(tmp_path):

@@ -778,24 +778,77 @@ def test_fixture_payloads_identical_across_processes(tmp_path, path):
 
 
 def test_irreps_payloads_identical_across_blas_thread_counts(tmp_path):
-    # at the orders labbench decomposes most, the irrep matrices do not
-    # depend on how BLAS splits its products between threads (from order
-    # 100 up, the order-n eigh and qr make them differ in the last bits);
-    # an abelian group's certificates use no BLAS at any order
-    code = ("import json\nfrom bohrlab.cli import run_experiment\n"
-            "for group in ('sym:4', 'dihedral:12', 'alt:5', 'dihedral:30',\n"
-            "              'zmod:129', 'zmod:317'):\n"
-            "    report = run_experiment({'kind': 'irreps', 'group': group})\n"
+    # a nonabelian decomposition and its residual sweeps run at one BLAS
+    # thread whatever the process runs at (from order 100 up, how BLAS
+    # splits the order-n eigh and qr between threads moves their last
+    # bits); an abelian group's certificates use no BLAS at any order
+    configs = [{"kind": "irreps", "group": group}
+               for group in ("sym:4", "dihedral:12", "alt:5", "dihedral:30",
+                             "zmod:129", "zmod:317", "dihedral:50", "sym:5",
+                             "product:sym:4,zmod:8")]
+    configs += [{"kind": "bohr", "group": "dihedral:50", "summands": "1,5,20",
+                 "delta": "0.9", "nm": "true"},
+                {"kind": "regularity", "group": "dihedral:50",
+                 "function": "random-pm1", "epsilon": "0.1",
+                 "zeta": "const:0.000001", "max_summands": "1",
+                 "max_candidates": "150", "seed": "1"}]
+    code = ("import json, sys\nfrom bohrlab.cli import run_experiment\n"
+            "for config in json.loads(sys.argv[1]):\n"
+            "    report = run_experiment(config)\n"
             "    print(json.dumps(report.payload, sort_keys=True))\n")
     outputs = []
     for threads in ("1", "2"):
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, cwd=tmp_path,
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(configs)],
+                              capture_output=True, text=True, cwd=tmp_path,
                               env=_child_env(OPENBLAS_NUM_THREADS=threads))
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
-    assert len(outputs[0].splitlines()) == 6
+    assert len(outputs[0].splitlines()) == len(configs)
     assert outputs[0] == outputs[1]
+
+
+def test_decomposition_runs_at_one_blas_thread_and_restores_the_count(tmp_path):
+    # in a process at two threads: one thread inside every attempt and every
+    # matrix sweep, two again after them, also after all six attempts fail
+    code = ("import json\nfrom bohrlab import build_group, reps\n"
+            "calls = reps._blas_thread_calls()\n"
+            "if calls is None:\n"
+            "    print('null')\n"
+            "    raise SystemExit\n"
+            "get, seen = calls[0], []\n"
+            "real, sweep = reps._decompose_once, reps._residual_blocks\n"
+            "def attempt(group, rng):\n"
+            "    seen.append(get())\n"
+            "    return real(group, rng)\n"
+            "def blocks(rep):\n"
+            "    seen.append(get())\n"
+            "    return sweep(rep)\n"
+            "reps._decompose_once, reps._residual_blocks = attempt, blocks\n"
+            "irreps = reps.decompose_regular(build_group('sym:4'))\n"
+            "after = [get()]\n"
+            "for rep in irreps:\n"
+            "    rep.hom_residual\n"
+            "after.append(get())\n"
+            "def fail(group, rng):\n"
+            "    seen.append(get())\n"
+            "    raise reps.RepDecompositionError('planted')\n"
+            "reps._decompose_once = fail\n"
+            "try:\n"
+            "    reps.decompose_regular(build_group('sym:3'))\n"
+            "except reps.RepDecompositionError:\n"
+            "    after.append(get())\n"
+            "print(json.dumps([seen, after]))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, cwd=tmp_path,
+                          env=_child_env(OPENBLAS_NUM_THREADS="2"))
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    if result is None:
+        pytest.skip("numpy bundles no OpenBLAS with a thread-count setter")
+    seen, after = result
+    # one attempt and three sweeps above dimension 1, then six failed attempts
+    assert seen == [1] * 10
+    assert after == [2, 2, 2]
 
 
 def test_experiments_leave_numpy_ma_unimported(tmp_path):

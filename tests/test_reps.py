@@ -11,7 +11,7 @@ import pytest
 from bohrlab import (FiniteGroup, abelian_characters, bohr_set, build_group,
                      catalog_descriptors, decompose_regular, direct_sum_hom,
                      irreps_of, measure_hom_residual, min_nontrivial_dim)
-from bohrlab import reps
+from bohrlab import groups, reps
 from bohrlab.bohr import DEFAULT_DELTA_GRID
 from bohrlab.reps import DirectSum, UnitaryRep
 
@@ -524,6 +524,62 @@ def test_residual_bound_with_planted_error():
 
 
 NONABELIAN = [d for d in catalog_descriptors(256) if not build_group(d).is_abelian]
+BLOCKED = NONABELIAN + ["dihedral:100", "sym:5"]
+
+
+@pytest.mark.parametrize("desc", BLOCKED)
+def test_hom_residuals_do_not_depend_on_the_block_size(desc, monkeypatch):
+    # sweep blocks of a few rows a, the shipped quarter-size blocks and one
+    # block of every pair give each irrep bitwise the same residual
+    irreps = decompose_regular(build_group(desc))
+    shipped = [measure_hom_residual(ir) for ir in irreps]
+    for entries in (400, 1 << 22):
+        monkeypatch.setattr(groups, "BLOCK_ENTRIES", entries)
+        assert [measure_hom_residual(ir) for ir in irreps] == shipped, entries
+
+
+@pytest.mark.parametrize("desc", BLOCKED)
+def test_blocked_cluster_products_equal_one_product(desc, monkeypatch):
+    # at 1 << 22 entries each cluster's Q^H rho(g) Q is one product over
+    # every g of the group
+    g = build_group(desc)
+    shipped = [ir.matrices.tobytes() for ir in decompose_regular(g)]
+    monkeypatch.setattr(groups, "BLOCK_ENTRIES", 1 << 22)
+    assert [ir.matrices.tobytes() for ir in decompose_regular(g)] == shipped
+
+
+@pytest.mark.parametrize("desc", BLOCKED)
+def test_class_representatives_are_the_least_of_each_class(desc):
+    g = build_group(desc)
+    table, inverse = g.table.tolist(), g.inverse.tolist()
+
+    def conjugacy_class(x):
+        return {table[table[inverse[h]][x]][h] for h in range(g.order)}
+
+    classes, conjugates = reps._class_conjugates(g)
+    members = [set(column) for column in conjugates.T.tolist()]
+    assert members == [conjugacy_class(c) for c in classes.tolist()]
+    assert [min(m) for m in members] == classes.tolist()
+    # pairwise disjoint, and together all of G
+    assert sorted(x for m in members for x in m) == list(range(g.order))
+
+
+def test_cold_dihedral128_irreps_stay_small():
+    # each cluster's matrices and every residual sweep go in quarter-size
+    # row blocks, and characters are compared at one element per class;
+    # one n^2 gather per cluster peaked near 9 MiB. A bound that may only
+    # go down.
+    g = build_group("dihedral:128")
+    tracemalloc.start()
+    try:
+        irreps = decompose_regular(g)
+        for ir in irreps:
+            assert ir.hom_residual <= reps.DEFAULT_TOL
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(irreps) == 67
+    assert peak <= 6.5 * (1 << 20), peak
 
 
 def _unfiltered_unitarity(rep):
