@@ -317,8 +317,7 @@ def _spans(group: FiniteGroup, space: SearchSpace) -> Iterator[CandidateSpan]:
     combos whose rounds = size // len(grid) // count is at least 1 is
     walked ``rounds`` whole radius rounds a span (at most size // len(grid)
     rows), from one realization of its combos, their min level row, round i
-    being ``mins > i``; only the walk's first round, level 1 at delta_0, is
-    a span of its own. A larger level is walked a radius at a time, cut
+    being ``mins > i``. A larger level is walked a radius at a time, cut
     into spans of ``size`` combos. Spans end early at the budget. Every
     search walks afresh: what it reads off the group (its irreps, level
     table and combos) depends on the group and the sorted distinct grid
@@ -341,14 +340,7 @@ def _spans(group: FiniteGroup, space: SearchSpace) -> Iterator[CandidateSpan]:
             walked = min(left, count * len(grid))
             block = combos[:walked]
             mins = np.minimum.reduce(levels.take(block.T, axis=0))
-            start = 0
-            if n == 1:
-                # the walk's first round is a span of its own: a search
-                # that accepts in it, as most containment searches do,
-                # realizes no later round
-                start = min(count, walked)
-                yield CandidateSpan(irreps, block, grid, 0, n, mins[:start] > 0)
-            for start in range(start, walked, rounds * count):
+            for start in range(0, walked, rounds * count):
                 rows = min(rounds * count, walked - start)
                 first = start // count
                 # each round's index, in the table's dtype (a mixed compare

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from functools import reduce
 from pathlib import Path
 from typing import Iterator
@@ -61,14 +62,27 @@ class FiniteGroup:
         self._levels = None  # (grid, level table), see bohr._level_table
         self._combos = {}  # the Bohr walk's combos by level, see bohr._combos
 
+    def _check_elements(self, *elements: int) -> None:
+        """Raise ValueError unless each element is an index 0..order-1 (a
+        negative one would wrap round the table)."""
+        try:
+            valid = all(0 <= operator.index(a) < self.order for a in elements)
+        except TypeError:
+            valid = False
+        if not valid:
+            raise ValueError("element index out of range")
+
     def mul(self, a: int, b: int) -> int:
+        self._check_elements(a, b)
         return int(self.table[a, b])
 
     def inv(self, a: int) -> int:
+        self._check_elements(a)
         return int(self.inverse[a])
 
     def conjugate(self, g: int, a: int) -> int:
         """Return g * a * g^-1."""
+        self._check_elements(g, a)
         return int(self.table[self.table[g, a], self.inverse[g]])
 
     def elements(self) -> range:
@@ -81,6 +95,7 @@ class FiniteGroup:
         return self._abelian
 
     def element_order(self, a: int) -> int:
+        self._check_elements(a)
         k, x = 1, int(a)
         while x != self.identity:
             x = int(self.table[x, a])
@@ -386,6 +401,7 @@ def inverse_set(a: Subset) -> Subset:
 def translate_set(g: int, a: Subset, side: str = "left") -> Subset:
     """Return gA (side='left') or Ag (side='right'); measure is preserved."""
     grp = a.group
+    grp._check_elements(g)
     mask = np.zeros(grp.order, dtype=bool)
     if side == "left":
         mask[grp.table[g, a.indices]] = True

@@ -221,12 +221,9 @@ def two_set_bogolyubov(a: Subset, b: Subset, alpha: float, zeta: ZetaRule,
     allowances = _allowance(zeta)
 
     def screen(span: CandidateSpan) -> np.ndarray:
-        keep = _avoids(span, outside_quad)
-        if zeta.never_raises:
-            return keep
         # accept evaluates zeta before its containments, so a row whose
         # zeta raises goes to it
-        return keep | np.isnan(allowances(span))
+        return _avoids(span, outside_quad) | np.isnan(allowances(span))
 
     return first_accepted(grp, space, accept, screen)
 

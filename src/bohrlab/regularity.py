@@ -57,12 +57,6 @@ class ZetaRule:
                              f"delta {delta!r}, n {n}")
         return out
 
-    @property
-    def never_raises(self) -> bool:
-        """Whether ``value`` raises at no (delta, n): a constant rule's value
-        is its parameter."""
-        return self.kind == "const"
-
     def describe(self) -> str:
         if self.kind == "const":
             return f"const:{self.params[0]!r}"

@@ -11,6 +11,7 @@ matrix, independently of the search's roots, masks and rows.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from typing import Optional
@@ -113,8 +114,9 @@ def _domain_mask(f: GroupFunction, domain: Optional[Subset]) -> np.ndarray:
     return domain.mask
 
 
-def _max_ladder(F: np.ndarray, table: np.ndarray, eps: float, cap: int,
-                budget: int, a_allowed: np.ndarray, b_allowed: np.ndarray):
+def _max_ladder(F: np.ndarray, table: np.ndarray, inverse: np.ndarray,
+                eps: float, cap: int, budget: int, a_allowed: np.ndarray,
+                b_allowed: np.ndarray):
     """Branch-and-bound maximum-ladder search on bit-parallel pair masks.
 
     Ladders of length k are the k-cliques of the pair-compatibility graph:
@@ -135,22 +137,21 @@ def _max_ladder(F: np.ndarray, table: np.ndarray, eps: float, cap: int,
     Roots: when both domains are the whole group (table is its
     multiplication table), (a_i, b_i) -> (a_i g, g^-1 b_i) keeps every
     product a_i b_j, so every gap, and so each pair's diagonal product a b.
-    Let key(a, b) be the b* with 0 b* = a b, element 0 times b* (0 need not
-    be the identity, so the key goes through row 0 of the table: a pair
-    (0, b) has key b). Take any ladder and its pair (a, b) of least key c;
-    g = a^-1 0 maps it to (0, c), since 0 (g^-1 b) = a b = 0 c, and every
-    other pair keeps its key, which is >= c. So root (0, b) searches only
-    its compatible pairs p != (0, b) with key(p) >= b; ties use >=, since
-    two pairs of one ladder may share a diagonal product. This contains the
+    Let key(a, b) be b* = 0^-1 a b, so 0 b* = a b and a pair (0, b) has
+    key b. Take any ladder and its pair (a, b) of least key c; g = a^-1 0
+    maps it to (0, c), since 0 (g^-1 b) = a b = 0 c, and every other pair
+    keeps its key, which is >= c. So root (0, b) searches only its
+    compatible pairs p != (0, b) with key(p) >= b; ties use >=, since two
+    pairs of one ladder may share a diagonal product. This contains the
     rule "index > b": a root (0, b') has key b', and b' < b is left out.
     The roots' pairs come from one base set (``_root_pairs``): the a' with
     a' b = a'' 0 has F[a', b] = F[a'', 0], so root b's compatible pairs are
-    S = {(a'', b') : |F[0, b'] - F[a'', 0]| >= eps} with a'' lifted to a' by
-    right division, each gap bitwise the one a direct scan computes, and a
-    search scans n^2 gaps once, not once a root. Roots are lifted
-    max(1, BLOCK_ENTRIES // |S|) at a time, each block when the search
-    reaches it, so the temporaries stay within BLOCK_ENTRIES entries (or one
-    root's |S|) and a search that stops lifts no further block.
+    S = {(a'', b') : |F[0, b'] - F[a'', 0]| >= eps} with a'' lifted to
+    a' = (a'' 0) b^-1 through inverse, each gap bitwise the one a direct
+    scan computes, and a search scans n^2 gaps once, not once a root. Roots
+    are lifted max(1, BLOCK_ENTRIES // |S|) at a time, each block when the
+    search reaches it, so the temporaries stay within BLOCK_ENTRIES entries
+    (or one root's |S|) and a search that stops lifts no further block.
     With a restricted domain the search starts from the whole domain instead.
 
     Below the roots (MCQ, Tomita and Seki, DMTCS 2003): a node colours its
@@ -262,7 +263,7 @@ def _max_ladder(F: np.ndarray, table: np.ndarray, eps: float, cap: int,
             visit((1 << pairs.size) - 1, pairs, None)  # the restricted domain
         elif not state["stop"] and enter(0):  # the roots (0, b)
             del pairs  # the roots never read these n^2 indices (0.5 MB, n = 256)
-            for b, rest, apart in _root_pairs(F, table, eps):
+            for b, rest, apart in _root_pairs(F, table, inverse, eps):
                 stack.append(b)
                 visit((1 << len(rest)) - 1, rest, apart)
                 stack.pop()
@@ -276,25 +277,25 @@ def _max_ladder(F: np.ndarray, table: np.ndarray, eps: float, cap: int,
     return state["best"], pairs, state["exhausted"], state["nodes"]
 
 
-def _root_pairs(F: np.ndarray, table: np.ndarray, eps: float):
+def _root_pairs(F: np.ndarray, table: np.ndarray, inverse: np.ndarray,
+                eps: float):
     """Yield (b, rest, apart) for the roots (0, b) in order: rest holds,
     ascending, the indices of the pairs compatible with (0, b) whose key is
-    >= b, lifted from one base set as ``_max_ladder``'s Roots paragraph sets
-    out. apart is None, or, for a root of 1 to SMALL_ROOT_PAIRS pairs whose
-    m^2 bits fit LOCAL_GRAPH_BYTES, the rows ``_local_graph`` would build,
-    with rest its pair list (``_root_graphs``)."""
+    >= b, lifted through inverse from one base set (``_max_ladder``, Roots).
+    apart is None, or, for a root of 1 to SMALL_ROOT_PAIRS pairs whose m^2
+    bits fit LOCAL_GRAPH_BYTES, the rows ``_local_graph`` would build, with
+    rest its pair list (``_root_graphs``)."""
     n = F.shape[0]
     base_a, base_b = np.nonzero(np.abs(F[0] - F[:, 0, None]) >= eps)
     base_x = table[base_a, 0]  # a'' 0
-    over = np.empty_like(table)  # over[b, x] = the a' with a' b = x
-    over[np.arange(n), table] = np.arange(n)[:, None]
     products = table.ravel()
-    rank = np.argsort(table[0])  # rank[x] = the b* with 0 b* = x, the key of x
+    rank = table[inverse[0]]  # rank[x] = 0^-1 x, the key of x
     most = min(SMALL_ROOT_PAIRS, math.isqrt(8 * LOCAL_GRAPH_BYTES))
     entries = groups.BLOCK_ENTRIES // 4  # a batch's padded R * M^2 floats
     for blk in row_blocks(n, base_a.size):
         roots = np.arange(blk.start, blk.stop)
-        lifted = over[blk].take(base_x, axis=1) * n + base_b
+        # a' = (a'' 0) b^-1, read off the table's columns inverse[b]
+        lifted = table.take(inverse[blk], axis=1).T.take(base_x, axis=1) * n + base_b
         lifted.sort(axis=1)  # bits keep index order
         keep = rank.take(products.take(lifted)) >= roots[:, None]
         sizes = np.count_nonzero(keep, axis=1)
@@ -458,10 +459,15 @@ def _colour_classes(mask: int, apart, skip: int) -> list[tuple[int, int]]:
     return out
 
 
-def _check_budget(budget: int) -> None:
-    """A budget below one node ends every search inconclusive unsearched."""
-    if not budget >= 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+def _check_count(name: str, value: int) -> None:
+    """cap counts pairs and budget nodes, so each is an integer, and >= 1: a
+    budget below one node ends every search inconclusive unsearched."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def _witness_from(f: GroupFunction, pairs, eps: float) -> LadderWitness:
@@ -477,12 +483,11 @@ def ladder_index(f: GroupFunction, eps: float, cap: int = 8,
                  b_domain: Optional[Subset] = None) -> LadderIndex:
     """Largest k <= cap admitting a ladder; exact when the tree is exhausted."""
     check_eps(eps)
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    _check_budget(budget)
+    _check_count("cap", cap)
+    _check_count("budget", budget)
     F = _pair_table(f)
     best, pairs, exhausted, nodes = _max_ladder(
-        F, f.group.table, eps, cap, budget,
+        F, f.group.table, f.group.inverse, eps, cap, budget,
         _domain_mask(f, a_domain), _domain_mask(f, b_domain))
     witness = _witness_from(f, pairs, eps) if pairs else None
     if best >= cap:
@@ -501,7 +506,8 @@ def stability_profile(f: GroupFunction, eps_grid, cap: int = 8,
     reaches cap, and ``exact`` when an exhausted search at eps or below
     found no longer one; otherwise it is only a lower bound.
     """
-    _check_budget(budget)
+    _check_count("cap", cap)
+    _check_count("budget", budget)
     grid = tuple(sorted(float(e) for e in eps_grid))
     runs = [ladder_index(f, eps, cap=cap, budget=budget) for eps in grid]
     indices = list(accumulate(reversed([r.k_max for r in runs]), max))[::-1]
@@ -534,6 +540,8 @@ def oracle_ladder_index(f: GroupFunction, eps: float, cap: Optional[int] = None,
     if n > ORACLE_ORDER_CAP:
         raise ValueError(f"oracle caps at order {ORACLE_ORDER_CAP}")
     check_eps(eps)
+    if cap is not None:
+        _check_count("cap", cap)
     F = _pair_table(f)
     amask = _domain_mask(f, a_domain)
     bmask = _domain_mask(f, b_domain)

@@ -186,8 +186,9 @@ def test_seed_101_nonabelian_mix_traces_every_distance_read(tmp_path):
 
 def test_seed_101_regularity_searches_walk_few_spans(monkeypatch):
     # the nonabelian-mix regularity searches accept on small levels, each
-    # read as whole radius rounds a span; they walked 16 spans on sym:4 and
-    # 12 on dihedral:30 a radius at a time, to the same candidate
+    # read as whole radius rounds a span, level 1 too: 3 spans on sym:4 and
+    # 3 on dihedral:30, where a radius at a time walks 16 and 12, to the
+    # same candidate
     real = bohr._spans
     walked = []
 
@@ -204,4 +205,4 @@ def test_seed_101_regularity_searches_walk_few_spans(monkeypatch):
             walked.clear()
             scored = run_experiment(config).payload["candidates_scored"]
             got.setdefault(config["group"], set()).add((len(walked), scored))
-    assert got == {"sym:4": {(4, 33)}, "dihedral:30": {(4, 110)}}
+    assert got == {"sym:4": {(3, 33)}, "dihedral:30": {(3, 110)}}

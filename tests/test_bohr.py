@@ -16,11 +16,12 @@ from bohrlab import (FiniteGroup, GroupFunction, SearchSpace, Subset, ZetaRule,
                      irreps_of, nm_refine, search_regular_bohr,
                      shift_invariance_search, subgroup_test, translate_set,
                      two_set_bogolyubov)
-from bohrlab import bohr
+from bohrlab import bohr, regularity
 from bohrlab.bohr import NoDiagonalRefinementError
 from bohrlab.cli import KINDS
 from bohrlab.gen import (evens_subset, random_pm1_function,
                          random_subset_of_size, rng_from_seed)
+from bohrlab.groups import MAX_ORDER
 from bohrlab.regularity import _all_subgroups
 
 
@@ -57,6 +58,42 @@ def test_character_bohr_sets_are_exact_and_symmetric(desc):
             assert np.array_equal(mask, mask[g.inverse]), (rep.label, j)
             assert np.array_equal(mask, turns < j), (rep.label, j)
             assert set(np.flatnonzero(turns == j).tolist()) <= set(spec.boundary_excluded)
+
+
+
+def test_guarded_compares_are_exact_on_their_domain():
+    # every operator-norm distance is 2 sin(pi j/m) for a reduced j/m <= 1/2
+    # with m an element order, so m <= MAX_ORDER (637,794 fractions, 0/1
+    # among them). For delta of at most 6 decimal places none lies in
+    # [delta - BOUNDARY_TOL, delta), where dist < delta - BOUNDARY_TOL and
+    # dist < delta differ, but for the exact values 1 and 2 (Niven:
+    # j/m = 1/6 and 1/2), which equal delta and which both rules exclude
+    orders = range(1, MAX_ORDER + 1)
+    m = np.concatenate([np.full(k // 2 + 1, k) for k in orders])
+    j = np.concatenate([np.arange(k // 2 + 1) for k in orders])
+    j, m = j[np.gcd(j, m) == 1], m[np.gcd(j, m) == 1]
+    dist = 2 * np.sin(np.pi * j / m)
+    niven = (j == 1) & ((m == 6) | (m == 2))
+    assert m[niven].tolist() == [2, 6]
+    for want, d in zip((2.0, 1.0), dist[niven]):
+        assert abs(d - want) <= np.spacing(want) and not d < want - bohr.BOUNDARY_TOL
+    in_band = []
+    for places in range(1, 8):
+        scale = 10 ** places
+        up = np.ceil(dist * scale)  # the least delta above dist, +-1 rounding
+        band = np.zeros(dist.size, dtype=bool)
+        for k in (up - 1, up, up + 1):
+            delta = k / scale
+            band |= (dist >= delta - bohr.BOUNDARY_TOL) & (dist < delta)
+        in_band.append(np.count_nonzero(band & ~niven))
+    # the claim stops at 7 places (4 distances in the band)
+    assert in_band[:6] == [0] * 6 and in_band[6] > 0
+    # windows: values k/den with den <= MAX_ORDER and eps of at most 8
+    # places differ by 0 or by at least 1/(MAX_ORDER 10^8) = 4.9e-12; the
+    # two values, their difference, eps and eps - WINDOW_GUARD each round
+    # by at most half a spacing at 2
+    rounding = 5 * np.spacing(2.0) / 2
+    assert 1 / (MAX_ORDER * 10**8) > regularity.WINDOW_GUARD + rounding
 
 
 def test_trivial_rep_full_group(z12, z12_chars):

@@ -520,6 +520,35 @@ def test_translate_examples(z4):
         assert len(translate_set(g, a, "right")) == len(a)
 
 
+_ELEMENT_HELPERS = {
+    "mul": lambda g, x: g.mul(x, 0),
+    "mul, right": lambda g, x: g.mul(0, x),
+    "inv": lambda g, x: g.inv(x),
+    "conjugate": lambda g, x: g.conjugate(x, 1),
+    "conjugate, inner": lambda g, x: g.conjugate(1, x),
+    "element_order": lambda g, x: g.element_order(x),
+    "translate_set": lambda g, x: translate_set(x, Subset.from_indices(g, [1, 2])),
+    "translate_set, right": lambda g, x: translate_set(
+        x, Subset.from_indices(g, [1, 2]), "right"),
+}
+
+
+@pytest.mark.parametrize("helper", list(_ELEMENT_HELPERS))
+@pytest.mark.parametrize("element", [-1, 12, 2**63, 1.0])
+def test_element_helpers_reject_elements_out_of_range(z12, helper, element):
+    # a negative index would wrap round the table, a large one raise
+    # IndexError
+    with pytest.raises(ValueError, match="element index out of range"):
+        _ELEMENT_HELPERS[helper](z12, element)
+
+
+@pytest.mark.parametrize("helper", list(_ELEMENT_HELPERS))
+def test_element_helpers_take_every_element(z12, helper):
+    for x in (0, np.int64(11), np.int32(5)):
+        _ELEMENT_HELPERS[helper](z12, x)
+    assert (z12.mul(11, 1), z12.inv(11), z12.element_order(11)) == (0, 1, 12)
+
+
 def test_len_counts_the_mask(z12):
     a = Subset.from_indices(z12, [0, 3, 5, 11])
     b = Subset.from_indices(z12, [3, 4, 5])

@@ -29,6 +29,34 @@ def test_budget_below_one_rejected(z12, budget):
             call()
 
 
+@pytest.mark.parametrize("field", ["cap", "budget"])
+def test_ladder_index_rejects_a_fractional_cap_or_budget(z12, field):
+    # cap counts pairs and budget nodes: a fractional cap would report a
+    # k_max above it, and a fractional budget charge a node past it
+    f = random_uniform_function(z12, rng_from_seed(3))
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got 2.5"):
+        ladder_index(f, 0.3, **{field: 2.5})
+
+
+@pytest.mark.parametrize("field", ["cap", "budget"])
+def test_stability_profile_rejects_a_fractional_cap_or_budget(z12, field):
+    # checked before any search, so an empty grid rejects them too
+    f = random_uniform_function(z12, rng_from_seed(3))
+    for grid in ([0.3, 0.5], []):
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got 2.5"):
+            stability_profile(f, grid, **{field: 2.5})
+
+
+def test_oracle_rejects_a_fractional_cap(z12):
+    # a fractional cap would come back as the index
+    f = random_uniform_function(z12, rng_from_seed(3))
+    for cap, message in ((2.5, "cap must be an integer, got 2.5"),
+                         (0, "cap must be >= 1, got 0")):
+        with pytest.raises(ValueError, match=message):
+            oracle_ladder_index(f, 0.3, cap=cap)
+    assert oracle_ladder_index(f, 0.3, cap=np.int64(2)) == 2
+
+
 def test_z4_indicator_witness(z4):
     f = GroupFunction.indicator(Subset.from_indices(z4, [0, 1]))
     out = ladder_index(f, 1.0, cap=2)
@@ -433,8 +461,8 @@ def test_ladder_index_retains_no_memory(monkeypatch):
         built[0] += len(m)
         return root_graphs(F, eps, pairs, m)
 
-    def counted_roots(F, table, eps):
-        for b, rest, apart in root_pairs(F, table, eps):
+    def counted_roots(F, table, inverse, eps):
+        for b, rest, apart in root_pairs(F, table, inverse, eps):
             read[0] += apart is not None
             yield b, rest, apart
 
@@ -747,7 +775,7 @@ def test_root_pairs_match_direct_gaps(monkeypatch, block_entries):
         monkeypatch.setattr(groups, "BLOCK_ENTRIES", block_entries)
     for f, eps in _root_pair_cases():
         F, table = stability._pair_table(f), f.group.table
-        lifted = list(stability._root_pairs(F, table, eps))
+        lifted = list(stability._root_pairs(F, table, f.group.inverse, eps))
         direct = list(_direct_root_pairs(F, table, eps))
         assert [b for b, *_ in lifted] == list(range(f.group.order))
         for (b, rest, _), (_, want) in zip(lifted, direct):
@@ -779,7 +807,7 @@ def test_batched_root_graphs_match_local_graphs(monkeypatch, block_entries, loca
     stored = 0  # roots that took their rows from a batch
     for f, eps in _small_root_pair_cases():
         F, table = stability._pair_table(f), f.group.table
-        for b, rest, apart in stability._root_pairs(F, table, eps):
+        for b, rest, apart in stability._root_pairs(F, table, f.group.inverse, eps):
             case = (f.group.descriptor, eps, b)
             m = len(rest)
             sizes.add(m)
@@ -809,8 +837,8 @@ def test_a_stopped_search_lifts_no_further_roots(monkeypatch):
     yielded = []
     root_pairs = stability._root_pairs
 
-    def counted(F, table, eps):
-        for b, *graph in root_pairs(F, table, eps):
+    def counted(F, table, inverse, eps):
+        for b, *graph in root_pairs(F, table, inverse, eps):
             yielded.append(b)
             yield b, *graph
 
